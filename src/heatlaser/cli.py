@@ -1,6 +1,17 @@
 """Command-line front end: config-driven sweeps, distributions, thresholds.
 
-Configs are JSON (documented in the README) with a ``schema_version`` field.
+Configs are JSON objects with these blocks (keys not listed are ignored):
+
+- ``schema_version``: must be 1.
+- ``model``: ``kind`` (``three_level`` or ``four_level``), ``g``, ``kappa``,
+  the bath rates ``gamma_h``, ``gamma_c`` (and ``gamma_a`` for four levels),
+  each bath's occupation ``n_h``/``n_c``/``n_a`` or temperature
+  ``T_h``/``T_c``/``T_a``, and optional ``level_energies``.
+- ``sweep`` (optional): ``variable`` (only ``n_h``), ``start``, ``stop``,
+  ``points`` and ``spacing`` (``linear`` or ``log``).
+- ``numerics`` (optional): ``n_max`` (Fock cutoff) and ``steady_tol``.
+- ``output`` (optional): ``stem`` and ``format`` (``csv``, ``json``, ``both``).
+
 Output data files are deterministic: 12-significant-digit CSV plus an
 optional JSON mirror, with run metadata in a separate ``*_meta.json``
 sidecar.  Summaries printed to standard output round their numbers to 4
@@ -11,6 +22,7 @@ significant digits; the data files carry the full 12.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -46,10 +58,16 @@ from .semiclassical import (
     population_inversion,
     temperature_lasing_condition,
 )
-from .solver import SteadyStateError, photon_distribution, solve_model, wigner
+from .solver import (
+    SteadyStateError,
+    partial_trace_atom,
+    photon_distribution,
+    solve_model,
+    wigner,
+)
 
 SCHEMA_VERSION = 1
-PRESETS = ("fig2", "fig3", "fig5")
+PRESETS = ("fig2", "fig5")
 
 SWEEP_FIELDS = [
     "n_h",
@@ -95,7 +113,6 @@ class SweepSpec:
 class NumericsSpec:
     n_max: int | None
     steady_tol: float
-    method: str
 
 
 @dataclass
@@ -217,7 +234,7 @@ def _load_json(path_or_preset):
 
 
 def load_config(path_or_preset, nmax_override: int | None = None) -> RunConfig:
-    """Parse and validate a JSON config; preset names (fig2, fig3, fig5) work too."""
+    """Parse and validate a JSON config; preset names (fig2, fig5) work too."""
     data = _load_json(path_or_preset)
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
@@ -239,9 +256,6 @@ def load_config(path_or_preset, nmax_override: int | None = None) -> RunConfig:
     if n_max is not None and n_max < 2:
         raise ConfigError(f"numerics.n_max: must be >= 2, got {n_max}")
     steady_tol = _expect(numerics_block, "steady_tol", "number", "numerics", default=1e-9)
-    method = _expect(numerics_block, "method", "str", "numerics", default="auto")
-    if method not in ("auto", "nullspace", "evolution"):
-        raise ConfigError("numerics.method: must be 'auto', 'nullspace' or 'evolution'")
     output_block = data.get("output", {})
     if not isinstance(output_block, dict):
         raise ConfigError("output: must be an object")
@@ -249,7 +263,7 @@ def load_config(path_or_preset, nmax_override: int | None = None) -> RunConfig:
     fmt = _expect(output_block, "format", "str", "output", default="csv")
     if fmt not in ("csv", "json", "both"):
         raise ConfigError("output.format: must be 'csv', 'json' or 'both'")
-    numerics = NumericsSpec(n_max, steady_tol, method)
+    numerics = NumericsSpec(n_max, steady_tol)
     output = OutputSpec(stem, fmt)
     return RunConfig(_normalized_dict(data, model, sweep, numerics, output), model, sweep, numerics, output)
 
@@ -265,11 +279,7 @@ def _normalized_dict(data, model, sweep, numerics, output):
             "points": sweep.points,
             "spacing": sweep.spacing,
         }
-    norm["numerics"] = {
-        "n_max": numerics.n_max,
-        "steady_tol": numerics.steady_tol,
-        "method": numerics.method,
-    }
+    norm["numerics"] = {"n_max": numerics.n_max, "steady_tol": numerics.steady_tol}
     norm["output"] = {"stem": output.stem, "format": output.format}
     return norm
 
@@ -283,13 +293,11 @@ def dumps_config(config: RunConfig) -> str:
 # sweep execution
 # ---------------------------------------------------------------------------
 
-def _sweep_point(payload: dict) -> dict:
+def _sweep_point(config: RunConfig, n_h: float) -> dict:
     """Compute one sweep record; runs inside worker processes."""
-    config = payload["config"]
-    model = with_hot_occupation(_model_from_config(config["model"]), payload["n_h"])
-    numerics = config["numerics"]
+    model = with_hot_occupation(config.model, n_h)
     record = dict.fromkeys(SWEEP_FIELDS, math.nan)
-    record["n_h"] = payload["n_h"]
+    record["n_h"] = n_h
     record["status"] = "ok"
     try:
         coeffs = scully_lamb_coefficients(model)
@@ -306,10 +314,7 @@ def _sweep_point(payload: dict) -> dict:
             power=output_power(model, moments.mean),
         )
         space, result = solve_model(
-            model,
-            n_max=numerics["n_max"],
-            method=numerics["method"],
-            tol=numerics["steady_tol"],
+            model, n_max=config.numerics.n_max, tol=config.numerics.steady_tol
         )
         numeric = photon_distribution(result.state, space)
         analytic = steady_distribution(coeffs, n_max=space.n_max, tail_tol=math.inf)
@@ -329,13 +334,12 @@ def run_sweep(config: RunConfig, jobs: int = 1) -> list[dict]:
     """Evaluate every sweep point, ordered by sweep index."""
     if config.sweep is None:
         raise ConfigError("sweep: block required for the sweep command")
-    payloads = [
-        {"config": config.raw, "n_h": float(value)} for value in config.sweep.values()
-    ]
-    if jobs <= 1 or len(payloads) == 1:
-        return [_sweep_point(p) for p in payloads]
+    point = functools.partial(_sweep_point, config)
+    values = [float(value) for value in config.sweep.values()]
+    if jobs <= 1 or len(values) == 1:
+        return [point(n_h) for n_h in values]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_sweep_point, payloads))
+        return list(pool.map(point, values))
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +425,7 @@ def cmd_sweep(config: RunConfig, out_dir: Path, jobs: int, fmt: str) -> int:
 def cmd_distribution(config: RunConfig, n_h: float, out_dir: Path, fmt: str, with_wigner: bool) -> int:
     model = with_hot_occupation(config.model, n_h)
     space, result = solve_model(
-        model,
-        n_max=config.numerics.n_max,
-        method=config.numerics.method,
-        tol=config.numerics.steady_tol,
+        model, n_max=config.numerics.n_max, tol=config.numerics.steady_tol
     )
     numeric = photon_distribution(result.state, space)
     coeffs = scully_lamb_coefficients(model)
@@ -445,8 +446,6 @@ def cmd_distribution(config: RunConfig, n_h: float, out_dir: Path, fmt: str, wit
         out_dir, f"{stem}_distribution", fmt, ["n", "p_analytic", "p_numeric", "p_poisson"], rows
     )
     if with_wigner:
-        from .solver import partial_trace_atom
-
         field = wigner(partial_trace_atom(result.state, space))
         lines = ["re,im,value"]
         for iy, y in enumerate(field.im_axis):
@@ -501,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--config",
             required=True,
-            help="JSON config path, or a bundled preset name (fig2, fig3, fig5)",
+            help="JSON config path, or a bundled preset name (fig2, fig5)",
         )
         p.add_argument("--out", default=".", help="output directory (default: .)")
         p.add_argument(

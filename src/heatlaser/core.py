@@ -28,12 +28,18 @@ __all__ = [
     "build_interaction",
     "build_dissipators",
     "build_liouvillian",
+    "build_sector_liouvillian",
     "apply_liouvillian",
     "is_hermitian",
     "check_density_matrix",
 ]
 
 LEVEL_G, LEVEL_E1, LEVEL_E2, LEVEL_E3 = 0, 1, 2, 3
+# U(1) charge c(level) of each level: every jump and the coupling shift
+# n + c by a definite amount, so L maps |i><j| only onto operators with the
+# same q(i) - q(j).  The coupling needs c(e2) - c(e1) = 1; the fractions keep
+# every other level pair out of the q = 0 block.  Dyadic values keep n + c exact.
+LEVEL_CHARGE = (0.5, 0.0, 1.0, 0.25)
 
 
 @dataclass(frozen=True)
@@ -185,6 +191,68 @@ def build_liouvillian(model: EngineModel, space: HilbertSpace) -> sp.csr_matrix:
     for term in terms[1:]:
         liouv = liouv + term
     return liouv.tocsr()
+
+
+def _outer_columns(left, right, rows, cols):
+    """Entries of (left|rows[k]>)(right|cols[k]>)^+ for every k.
+
+    Returns (k, i, j, value) arrays, one element per nonzero product.
+    """
+    left = sp.csc_matrix(left)[:, rows]
+    right = sp.csc_matrix(right)[:, cols]
+    left_k = np.repeat(np.arange(rows.size), np.diff(left.indptr))
+    # pair each left entry with every right entry of the same column k
+    reps = np.diff(right.indptr)[left_k]
+    pick_l = np.repeat(np.arange(left.nnz), reps)
+    first = np.cumsum(reps) - reps
+    pick_r = np.repeat(right.indptr[left_k] - first, reps) + np.arange(reps.sum())
+    return (
+        left_k[pick_l],
+        left.indices[pick_l],
+        right.indices[pick_r],
+        left.data[pick_l] * np.conj(right.data[pick_r]),
+    )
+
+
+def build_sector_liouvillian(
+    model: EngineModel, space: HilbertSpace
+) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
+    """The charge-zero block of the generator, assembled without the full space.
+
+    Returns ``(L_q0, rows, cols)``: column k of the sparse ``L_q0`` is the
+    operator |rows[k]><cols[k]|, for every pair of basis states of equal
+    charge n + c(level) (see ``LEVEL_CHARGE``), in row-major order.  The
+    block is closed under L and holds the unique steady state.  It is built
+    as L[rho] = K rho + rho K+ + sum_r r J rho J+ with
+    K = -i V - (1/2) sum_r r J+ J, from the same :func:`build_interaction`
+    and :func:`build_dissipators` as :func:`build_liouvillian`.
+    """
+    _check_dims(model, space)
+    d = space.total_dim
+    charge = (
+        np.array(LEVEL_CHARGE[: space.atom_dim])[:, np.newaxis]
+        + np.arange(space.fock_dim)
+    ).ravel()
+    rows, cols = np.nonzero(charge[:, np.newaxis] == charge[np.newaxis, :])
+    jumps = []
+    for jump, rate in build_dissipators(model, space):
+        if rate < 0:
+            raise ValueError(f"negative dissipator rate {rate}")
+        if rate > 0:
+            jumps.append((rate, sp.csc_matrix(jump)))
+    k_op = -1j * sp.csc_matrix(build_interaction(model, space))
+    for rate, jump in jumps:
+        k_op = k_op - 0.5 * rate * (jump.conj().T @ jump)
+    eye = sp.identity(d, dtype=complex, format="csc")
+    sandwiches = [(k_op, eye), (eye, k_op)] + [(rate * jump, jump) for rate, jump in jumps]
+    parts = [_outer_columns(left, right, rows, cols) for left, right in sandwiches]
+    k, i, j, data = (np.concatenate(column) for column in zip(*parts))
+    keys, out = rows * d + cols, i * d + j
+    pos = np.minimum(np.searchsorted(keys, out), keys.size - 1)
+    if not np.array_equal(keys[pos], out):
+        raise RuntimeError("the Liouvillian maps the charge-zero block outside itself")
+    block = sp.csc_matrix((data, (pos, k)), shape=(keys.size, keys.size))
+    return block, rows, cols
 
 
 def apply_liouvillian(liouv: sp.spmatrix, rho: np.ndarray) -> np.ndarray:

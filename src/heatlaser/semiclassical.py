@@ -46,7 +46,13 @@ class StructureConstants:
 
 
 def structure_constants(model: EngineModel) -> StructureConstants:
-    """Evaluate (Gamma, Phi, Psi) for the given engine."""
+    """Evaluate (Gamma, Phi, Psi) for the given engine.
+
+    Psi divides by every bath rate, so a zero rate raises ValueError.
+    """
+    for name in ("gamma_h", "gamma_c", "gamma_a")[: model.atom_dim - 1]:
+        if getattr(model, name) == 0:
+            raise ValueError(f"degenerate engine rates: {name} is 0")
     nh, nc = model.n_h, model.n_c
     gh, gc = model.gamma_h, model.gamma_c
     if model.kind == THREE_LEVEL:

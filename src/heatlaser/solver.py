@@ -1,6 +1,7 @@
-"""Exact numerics on the full master equation.
+"""Exact numerics on the master equation.
 
-Steady states, time evolution, reduced cavity states, photon distributions,
+Steady states (an LU null-space solve on the charge-zero block or the full
+space), time evolution, reduced cavity states, photon distributions,
 expectation values, and Wigner functions.  These provide the independent
 check against the closed-form theory in :mod:`heatlaser.photonstats`.
 """
@@ -13,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import expm_multiply, splu
 
-from .core import HilbertSpace, build_liouvillian
+from .core import HilbertSpace, build_sector_liouvillian
 from .models import FOUR_LEVEL, EngineModel
 from .photonstats import PhotonDistribution
 
@@ -38,7 +39,7 @@ DEFAULT_N_MAX = {False: 40, True: 60}
 
 
 class SteadyStateError(RuntimeError):
-    """Raised when no steady state reaches the requested residual."""
+    """Raised when the steady state is not unique or misses the residual."""
 
     def __init__(self, message, best_residual=None):
         super().__init__(message)
@@ -71,129 +72,66 @@ def _system_dim(liouv):
     return d
 
 
-def _residual(liouv, rho):
-    return float(np.abs(liouv @ rho.reshape(-1)).max())
+def _nullspace_solve(liouv, rows, cols, d, tol):
+    """Steady state of L restricted to the basis |rows[k]><cols[k]|.
 
-
-def _nullspace_solve(liouv, d):
-    """Solve L x = 0 with the first row replaced by the trace constraint."""
+    Solves L x = 0 by LU with the first row, the equation of the basis
+    element rows[0] = cols[0] = 0, replaced by the trace constraint.  The
+    basis must be closed under L; the residual is then |L x|_inf of the
+    Hermitian, unit-trace state.
+    """
     coo = liouv.tocoo()
     keep = coo.row != 0
-    rows = np.concatenate([coo.row[keep], np.zeros(d, dtype=coo.row.dtype)])
-    cols = np.concatenate([coo.col[keep], np.arange(0, d * d, d + 1)])
-    data = np.concatenate([coo.data[keep], np.ones(d, dtype=complex)])
-    mat = sp.csc_matrix((data, (rows, cols)), shape=liouv.shape)
-    rhs = np.zeros(d * d, dtype=complex)
+    diagonal = np.flatnonzero(rows == cols)
+    mat_rows = np.concatenate([coo.row[keep], np.zeros(diagonal.size, dtype=coo.row.dtype)])
+    mat_cols = np.concatenate([coo.col[keep], diagonal])
+    data = np.concatenate([coo.data[keep], np.ones(diagonal.size, dtype=complex)])
+    mat = sp.csc_matrix((data, (mat_rows, mat_cols)), shape=liouv.shape)
+    rhs = np.zeros(rows.size, dtype=complex)
     rhs[0] = 1.0
-    x = splu(mat).solve(rhs)
-    rho = x.reshape(d, d)
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho / np.trace(rho).real
-
-
-def _default_dt(liouv):
-    rate = float(np.abs(liouv.diagonal()).max())
-    return 0.09 / rate if rate > 0 else 0.1
-
-
-def _rk4_step(liouv, vec, dt):
-    k1 = liouv @ vec
-    k2 = liouv @ (vec + 0.5 * dt * k1)
-    k3 = liouv @ (vec + 0.5 * dt * k2)
-    k4 = liouv @ (vec + dt * k3)
-    return vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _evolution_solve(liouv, d, tol, rho0=None, max_steps=2_000_000, check_every=250):
-    if rho0 is None:
-        rho0 = np.zeros((d, d), dtype=complex)
-        rho0[0, 0] = 1.0
-    vec = rho0.reshape(-1).astype(complex)
-    dt = _default_dt(liouv)
-    best = float(np.abs(liouv @ vec).max())
-    steps = 0
-    while steps < max_steps:
-        for _ in range(check_every):
-            vec = _rk4_step(liouv, vec, dt)
-        steps += check_every
-        res = float(np.abs(liouv @ vec).max())
-        best = min(best, res)
-        if res < tol:
-            break
-    rho = vec.reshape(d, d)
+    try:
+        x = splu(mat).solve(rhs)
+    except RuntimeError as exc:  # singular factorization
+        raise SteadyStateError(f"null-space solve failed: {exc}") from exc
+    rho = np.zeros((d, d), dtype=complex)
+    rho[rows, cols] = x
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
-    return rho, best
+    res = float(np.abs(liouv @ rho[rows, cols]).max())
+    if not res < tol:
+        raise SteadyStateError(f"null-space solve stalled at residual {res:.3e}", res)
+    return SteadyStateResult(rho, res, "nullspace")
 
 
-def steady_state(
-    liouv: sp.spmatrix,
-    method: str = "auto",
-    tol: float = 1e-9,
-    evolution_tol: float = 1e-10,
-    rho0: np.ndarray | None = None,
-) -> SteadyStateResult:
-    """Stationary density matrix of a Liouvillian.
+def steady_state(liouv: sp.spmatrix, tol: float = 1e-9) -> SteadyStateResult:
+    """Stationary density matrix of a full-space Liouvillian.
 
-    ``method`` selects the route: ``"nullspace"`` solves the sparse linear
-    system with one row replaced by the trace constraint (LU factorization),
-    ``"evolution"`` integrates drho/dt = L[rho] until the derivative norm
-    falls below ``evolution_tol``, and ``"auto"`` tries the null-space route
-    first and falls back to evolution.  Raises :class:`SteadyStateError` with
-    the best residual when neither route reaches ``tol``.
+    Solves the sparse linear system L vec(rho) = 0 with one row replaced by
+    the trace constraint (LU factorization).  Raises
+    :class:`SteadyStateError` when the factorization is singular, i.e. the
+    steady state is not unique, or when the residual |L[rho]|_inf does not
+    fall below ``tol``.
     """
-    if method not in ("auto", "nullspace", "evolution"):
-        raise ValueError(f"unknown method {method!r}")
     d = _system_dim(liouv)
-    if method in ("auto", "nullspace"):
-        rho = None
-        try:
-            rho = _nullspace_solve(liouv, d)
-        except RuntimeError as exc:  # singular factorization
-            if method == "nullspace":
-                raise SteadyStateError(f"null-space solve failed: {exc}") from exc
-        if rho is not None:
-            res = _residual(liouv, rho)
-            if res < tol:
-                return SteadyStateResult(rho, res, "nullspace")
-            if method == "nullspace":
-                raise SteadyStateError(
-                    f"null-space solve stalled at residual {res:.3e}", res
-                )
-    rho, res = _evolution_solve(liouv, d, evolution_tol, rho0=rho0)
-    if res >= tol:
-        raise SteadyStateError(
-            f"time evolution stalled at residual {res:.3e} (tol {tol:.1e})", res
-        )
-    return SteadyStateResult(rho, res, "evolution")
+    rows, cols = np.divmod(np.arange(d * d), d)
+    return _nullspace_solve(liouv, rows, cols, d, tol)
 
 
-def evolve(
-    liouv: sp.spmatrix, rho0: np.ndarray, t_final: float, dt: float
-) -> np.ndarray:
-    """Propagate rho0 for t_final with fixed-step 4th-order Runge-Kutta.
+def evolve(liouv: sp.spmatrix, rho0: np.ndarray, t_final: float) -> np.ndarray:
+    """Propagate rho0 for t_final: exp(L t_final) vec(rho0).
 
-    The step must resolve the stiffest rate: dt * max|diag L| < 0.1 is
-    enforced.  Warns if the trace drifts by more than 1e-8 over the run.
+    Uses ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham, SIAM J.
+    Sci. Comput. 33, 488 (2011)), which picks its own steps from the norm
+    of L t_final.  Warns if the trace drifts by more than 1e-8 over the run.
     """
     d = _system_dim(liouv)
     if rho0.shape != (d, d):
         raise ValueError(f"state shape {rho0.shape} does not match dimension {d}")
-    if dt <= 0 or t_final < 0:
-        raise ValueError("dt must be positive and t_final non-negative")
-    stiffest = float(np.abs(liouv.diagonal()).max())
-    if dt * stiffest >= 0.1:
-        raise ValueError(
-            f"dt {dt} too large for stiffest rate {stiffest:.3g} "
-            f"(need dt * rate < 0.1)"
-        )
-    steps = int(round(t_final / dt))
-    vec = rho0.reshape(-1).astype(complex)
-    trace0 = complex(np.trace(rho0)).real
-    for _ in range(steps):
-        vec = _rk4_step(liouv, vec, dt)
+    if t_final < 0:
+        raise ValueError("t_final must be non-negative")
+    vec = expm_multiply(liouv * t_final, rho0.reshape(-1).astype(complex))
     rho = vec.reshape(d, d)
-    drift = abs(np.trace(rho).real - trace0)
+    drift = abs(np.trace(rho).real - complex(np.trace(rho0)).real)
     if drift > 1e-8:
         warnings.warn(f"trace drifted by {drift:.3e} during evolution", stacklevel=2)
     return rho
@@ -310,12 +248,17 @@ def wigner(
 def solve_model(
     model: EngineModel,
     n_max: int | None = None,
-    method: str = "auto",
     tol: float = 1e-9,
     tail_tol: float = 1e-8,
     retry_on_tail: bool = True,
 ) -> tuple[HilbertSpace, SteadyStateResult]:
     """Steady state of an engine with the Fock-truncation policy applied.
+
+    Solves only the charge-zero block of :func:`build_sector_liouvillian`,
+    which holds the unique steady state, by the same LU null-space solve as
+    :func:`steady_state`; the residual is that of the full-space generator,
+    because the block is closed.  Raises :class:`SteadyStateError` when the
+    steady state is not unique or misses ``tol``.
 
     Defaults to N_max = 40 (three-level) or 60 (four-level).  After solving,
     the photon-number tail is checked against ``tail_tol``; on violation the
@@ -327,8 +270,8 @@ def solve_model(
     attempts = 4 if retry_on_tail else 1
     for attempt in range(attempts):
         space = HilbertSpace.for_model(model, n_max)
-        liouv = build_liouvillian(model, space)
-        result = steady_state(liouv, method=method, tol=tol)
+        block, rows, cols = build_sector_liouvillian(model, space)
+        result = _nullspace_solve(block, rows, cols, space.total_dim, tol)
         reduced = partial_trace_atom(result.state, space)
         tail = float(np.clip(np.real(reduced[-1, -1]), 0.0, None))
         if tail < tail_tol or attempt == attempts - 1:

@@ -24,7 +24,7 @@ BASE_CONFIG = {
         "kappa": 1.0,
     },
     "sweep": {"variable": "n_h", "start": 0.4, "stop": 1.2, "points": 2, "spacing": "log"},
-    "numerics": {"n_max": 20, "steady_tol": 1e-9, "method": "auto"},
+    "numerics": {"n_max": 20, "steady_tol": 1e-9},
     "output": {"stem": "case", "format": "csv"},
 }
 
@@ -46,7 +46,7 @@ def write_config(tmp_path, overrides=None, name="config.json"):
 
 
 def test_load_preset_configs():
-    for preset in ("fig2", "fig3", "fig5"):
+    for preset in ("fig2", "fig5"):
         config = load_config(preset)
         assert config.raw["schema_version"] == 1
         assert config.sweep is not None
@@ -76,10 +76,16 @@ def test_config_errors(tmp_path):
         ({"sweep.points": 0}, "points"),
         ({"sweep.spacing": "cubic"}, "spacing"),
         ({"output.format": "xml"}, "format"),
-        ({"numerics.method": "magic"}, "method"),
     ]:
         with pytest.raises(ConfigError, match=fragment):
             load_config(write_config(tmp_path, overrides))
+
+
+def test_unknown_numerics_key_is_ignored(tmp_path):
+    # configs written for older versions still carry numerics.method
+    path = write_config(tmp_path, {"numerics.method": "auto"})
+    plain = write_config(tmp_path, name="plain.json")
+    assert load_config(path).raw == load_config(plain).raw
 
 
 def test_nmax_override(tmp_path):
@@ -120,9 +126,7 @@ def test_sweep_outputs_are_deterministic(tmp_path):
 
 def test_sweep_flags_failed_points(tmp_path):
     # an impossibly tight steady-state tolerance cannot be met
-    path = write_config(
-        tmp_path, {"numerics.steady_tol": 1e-30, "numerics.method": "nullspace"}
-    )
+    path = write_config(tmp_path, {"numerics.steady_tol": 1e-30})
     records = run_sweep(load_config(path))
     assert all(r["status"].startswith("failed:") for r in records)
     assert all(r["mean_numeric"] != r["mean_numeric"] for r in records)  # nan
@@ -217,9 +221,14 @@ def test_distribution_wigner_file(tmp_path):
 def test_exit_codes(tmp_path, capsys):
     assert main(["sweep", "--config", str(tmp_path / "nope.json")]) == 2
     assert "config error" in capsys.readouterr().err
-    path = write_config(
-        tmp_path, {"numerics.steady_tol": 1e-30, "numerics.method": "nullspace"}
-    )
+    path = write_config(tmp_path, {"numerics.steady_tol": 1e-30})
     code = main(["distribution", "--config", str(path), "--nh", "0.5", "--out", str(tmp_path)])
     assert code == 3
     assert "numeric failure" in capsys.readouterr().err
+    # a zero bath rate is a numeric failure, not a traceback
+    path = write_config(tmp_path, {"model.gamma_h": 0.0}, name="frozen.json")
+    code = main(["distribution", "--config", str(path), "--nh", "0.5", "--out", str(tmp_path)])
+    assert code == 3
+    assert "gamma_h is 0" in capsys.readouterr().err
+    records = run_sweep(load_config(path))
+    assert all(r["status"].startswith("failed: ") for r in records)

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatlaser import BathSpec, HilbertSpace, build_three_level
 from heatlaser.core import (
@@ -9,12 +13,13 @@ from heatlaser.core import (
     build_dissipators,
     build_interaction,
     build_liouvillian,
+    build_sector_liouvillian,
     check_density_matrix,
     is_hermitian,
 )
-from heatlaser.solver import steady_state
+from heatlaser.solver import solve_model, steady_state
 
-from conftest import make_fig2_model, make_fig5_model
+from conftest import make_fig2_model, make_fig5_model, random_four_level, random_three_level
 
 
 def random_density_matrix(rng, dim):
@@ -176,3 +181,30 @@ def test_check_density_matrix():
         check_density_matrix(bad_herm)
     with pytest.raises(ValueError):
         check_density_matrix(np.diag([1.5, -0.5, 0.0]).astype(complex))
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    four=st.booleans(),
+    n_max=st.integers(2, 8),
+)
+def test_sector_block_matches_full_liouvillian(seed, four, n_max):
+    rng = np.random.default_rng(seed)
+    model = random_four_level(rng) if four else random_three_level(rng)
+    space = HilbertSpace.for_model(model, n_max)
+    block, rows, cols = build_sector_liouvillian(model, space)
+    full = build_liouvillian(model, space).tocsc()
+    inside = rows * space.total_dim + cols
+    # the block is the full generator restricted to (rows, cols)
+    restricted = full[inside][:, inside]
+    scale = np.abs(full).max()
+    assert np.abs((restricted - block).toarray()).max() <= 1e-12 * scale
+    # and no block column leaks outside the block
+    outside = np.setdiff1d(np.arange(space.total_dim**2), inside)
+    assert not np.any(full[outside][:, inside].data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small cutoffs leave tail mass
+        _, result = solve_model(model, n_max=n_max, retry_on_tail=False)
+    reference = steady_state(full).state
+    assert np.abs(result.state - reference).max() < 1e-10

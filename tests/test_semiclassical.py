@@ -62,6 +62,17 @@ def test_structure_constants_four_level():
     assert sc0.Phi == pytest.approx(1.5 * 1.1, rel=1e-15)
 
 
+def test_structure_constants_reject_zero_bath_rate():
+    cold_off = build_three_level(BathSpec(20.0, 1.0), BathSpec(0.0, 0.1), 5.0, 1.0)
+    with pytest.raises(ValueError, match="gamma_c"):
+        structure_constants(cold_off)
+    ancilla_off = build_four_level(
+        BathSpec(20.0, 1.5), BathSpec(12.0, 0.1), BathSpec(0.0, 0.25), 5.0, 1.0
+    )
+    with pytest.raises(ValueError, match="gamma_a"):
+        lasing_gain(ancilla_off)
+
+
 def test_zero_field_populations_three_level():
     np.testing.assert_allclose(
         zero_field_populations(make_fig2_model(n_h=0.0, n_c=0.0)), [1.0, 0.0, 0.0]

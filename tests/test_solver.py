@@ -41,23 +41,20 @@ def test_steady_state_pure_decay():
     np.testing.assert_allclose(result.state, fock_state(space, 0, 0), atol=1e-10)
 
 
-def test_nullspace_and_evolution_agree():
-    model = make_fig2_model(n_h=1.0)
-    space = HilbertSpace.for_model(model, 24)
-    liouv = build_liouvillian(model, space)
-    direct = steady_state(liouv, method="nullspace")
-    evolved = steady_state(liouv, method="evolution")
-    assert evolved.method == "evolution"
-    assert np.abs(direct.state - evolved.state).max() < 1e-7
-
-
 def test_steady_state_reports_stall():
     model = make_fig2_model(n_h=1.0)
     space = HilbertSpace.for_model(model, 10)
     liouv = build_liouvillian(model, space)
     with pytest.raises(SteadyStateError) as err:
-        steady_state(liouv, method="nullspace", tol=1e-18)
+        steady_state(liouv, tol=1e-18)
     assert err.value.best_residual is not None
+
+
+def test_steady_state_must_be_unique():
+    # no bath and no coupling: every atomic level is stationary
+    frozen = make_fig2_model(n_h=0.0, n_c=0.0, g=0.0, gamma=0.0)
+    with pytest.raises(SteadyStateError):
+        solve_model(frozen, n_max=4)
 
 
 def test_evolve_identity_and_decay():
@@ -65,7 +62,7 @@ def test_evolve_identity_and_decay():
     space = HilbertSpace.for_model(model, 4)
     zero = sp.csr_matrix((space.total_dim**2, space.total_dim**2), dtype=complex)
     rho0 = fock_state(space, 1, 2)
-    np.testing.assert_array_equal(evolve(zero, rho0, 1.0, 0.05), rho0)
+    np.testing.assert_array_equal(evolve(zero, rho0, 1.0), rho0)
 
     # bare cavity decay: <n>(t) = exp(-kappa t) starting from one photon
     bare = make_fig2_model(n_h=0.0, n_c=0.0, g=0.0, gamma=0.0)
@@ -75,17 +72,19 @@ def test_evolve_identity_and_decay():
     a, a_dag = build_cavity_operators(space)
     number = a_dag @ a
     for t in (0.5, 1.0, 2.0):
-        rho_t = evolve(liouv, rho0, t, 1e-3)
+        rho_t = evolve(liouv, rho0, t)
         mean = expectation(rho_t, number).real
         assert mean == pytest.approx(math.exp(-t), abs=1e-6)
 
 
-def test_evolve_rejects_large_step():
+def test_evolve_rejects_bad_arguments():
     model = make_fig2_model()
     space = HilbertSpace.for_model(model, 6)
     liouv = build_liouvillian(model, space)
     with pytest.raises(ValueError):
-        evolve(liouv, fock_state(space, 0, 0), 1.0, 0.05)
+        evolve(liouv, fock_state(space, 0, 0), -1.0)
+    with pytest.raises(ValueError):
+        evolve(liouv, np.eye(space.total_dim - 1, dtype=complex), 1.0)
 
 
 def test_evolve_reaches_steady_state():
@@ -93,7 +92,7 @@ def test_evolve_reaches_steady_state():
     space = HilbertSpace.for_model(model, 12)
     liouv = build_liouvillian(model, space)
     target = steady_state(liouv).state
-    rho = evolve(liouv, fock_state(space, 0, 0), 30.0, 9e-4)
+    rho = evolve(liouv, fock_state(space, 0, 0), 30.0)
     assert np.abs(rho - target).max() < 1e-7
 
 
