@@ -1,6 +1,7 @@
 """Command-line front end: config-driven sweeps, distributions, thresholds.
 
-Configs are JSON objects with these blocks (keys not listed are ignored):
+Configs are JSON objects with these blocks; numbers must be finite, and keys
+not listed (such as ``numerics.n_max`` of older configs) are ignored:
 
 - ``schema_version``: must be 1.
 - ``model``: ``kind`` (``three_level`` or ``four_level``), ``g``, ``kappa``,
@@ -9,14 +10,16 @@ Configs are JSON objects with these blocks (keys not listed are ignored):
   ``T_h``/``T_c``/``T_a``, and optional ``level_energies``.
 - ``sweep`` (optional): ``variable`` (only ``n_h``), ``start``, ``stop``,
   ``points`` and ``spacing`` (``linear`` or ``log``).
-- ``numerics`` (optional): ``n_max`` (Fock cutoff) and ``steady_tol``.
+- ``numerics`` (optional): ``steady_tol`` (> 0), the steady-state residual.
 - ``output`` (optional): ``stem`` and ``format`` (``csv``, ``json``, ``both``).
 
 Output data files are deterministic: 12-significant-digit CSV plus an
 optional JSON mirror, with run metadata in a separate ``*_meta.json``
-sidecar.  Summaries printed to standard output round their numbers to 4
-significant digits; the data files carry the full 12.  Exit codes:
-0 success, 2 config error, 3 numeric failure in single-point commands.
+sidecar.  Sweep records and the ``distribution`` sidecar carry the Fock
+cutoff ``n_max`` and its exact tail mass ``tail`` = P[n_max].  Summaries
+printed to standard output round their numbers to 4 significant digits; the
+data files carry the full 12.  Exit codes: 0 success, 2 config error,
+3 numeric failure in single-point commands.
 """
 
 from __future__ import annotations
@@ -83,6 +86,8 @@ SWEEP_FIELDS = [
     "variance_numeric",
     "l1_distance",
     "power",
+    "n_max",
+    "tail",
     "status",
 ]
 
@@ -111,7 +116,6 @@ class SweepSpec:
 
 @dataclass
 class NumericsSpec:
-    n_max: int | None
     steady_tol: float
 
 
@@ -130,6 +134,10 @@ class RunConfig:
     output: OutputSpec
 
 
+def _is_finite_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _expect(block, key, kinds, path, default=None, required=False):
     if key not in block:
         if required:
@@ -137,8 +145,8 @@ def _expect(block, key, kinds, path, default=None, required=False):
         return default
     value = block[key]
     if kinds == "number":
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
+        if not _is_finite_number(value):
+            raise ConfigError(f"{path}.{key}: expected a finite number, got {value!r}")
         return float(value)
     if kinds == "int":
         if not isinstance(value, int) or isinstance(value, bool):
@@ -173,10 +181,8 @@ def _model_from_config(block, path="model"):
         raise ConfigError(f"{path}.kind: must be '{THREE_LEVEL}' or '{FOUR_LEVEL}'")
     energies = block.get("level_energies")
     if energies is not None:
-        if not isinstance(energies, list) or not all(
-            isinstance(e, (int, float)) and not isinstance(e, bool) for e in energies
-        ):
-            raise ConfigError(f"{path}.level_energies: expected a list of numbers")
+        if not isinstance(energies, list) or not all(map(_is_finite_number, energies)):
+            raise ConfigError(f"{path}.level_energies: expected a list of finite numbers")
         energies = tuple(float(e) for e in energies)
     else:
         energies = tuple(float(i) for i in range(4 if kind == FOUR_LEVEL else 3))
@@ -233,7 +239,7 @@ def _load_json(path_or_preset):
     return data
 
 
-def load_config(path_or_preset, nmax_override: int | None = None) -> RunConfig:
+def load_config(path_or_preset) -> RunConfig:
     """Parse and validate a JSON config; preset names (fig2, fig5) work too."""
     data = _load_json(path_or_preset)
     version = data.get("schema_version")
@@ -250,12 +256,9 @@ def load_config(path_or_preset, nmax_override: int | None = None) -> RunConfig:
     numerics_block = data.get("numerics", {})
     if not isinstance(numerics_block, dict):
         raise ConfigError("numerics: must be an object")
-    n_max = _expect(numerics_block, "n_max", "int", "numerics")
-    if nmax_override is not None:
-        n_max = nmax_override
-    if n_max is not None and n_max < 2:
-        raise ConfigError(f"numerics.n_max: must be >= 2, got {n_max}")
     steady_tol = _expect(numerics_block, "steady_tol", "number", "numerics", default=1e-9)
+    if steady_tol <= 0:
+        raise ConfigError(f"numerics.steady_tol: must be > 0, got {steady_tol}")
     output_block = data.get("output", {})
     if not isinstance(output_block, dict):
         raise ConfigError("output: must be an object")
@@ -263,7 +266,7 @@ def load_config(path_or_preset, nmax_override: int | None = None) -> RunConfig:
     fmt = _expect(output_block, "format", "str", "output", default="csv")
     if fmt not in ("csv", "json", "both"):
         raise ConfigError("output.format: must be 'csv', 'json' or 'both'")
-    numerics = NumericsSpec(n_max, steady_tol)
+    numerics = NumericsSpec(steady_tol)
     output = OutputSpec(stem, fmt)
     return RunConfig(_normalized_dict(data, model, sweep, numerics, output), model, sweep, numerics, output)
 
@@ -279,7 +282,7 @@ def _normalized_dict(data, model, sweep, numerics, output):
             "points": sweep.points,
             "spacing": sweep.spacing,
         }
-    norm["numerics"] = {"n_max": numerics.n_max, "steady_tol": numerics.steady_tol}
+    norm["numerics"] = {"steady_tol": numerics.steady_tol}
     norm["output"] = {"stem": output.stem, "format": output.format}
     return norm
 
@@ -313,9 +316,7 @@ def _sweep_point(config: RunConfig, n_h: float) -> dict:
             fano_analytic=moments.fano,
             power=output_power(model, moments.mean),
         )
-        space, result = solve_model(
-            model, n_max=config.numerics.n_max, tol=config.numerics.steady_tol
-        )
+        space, result = solve_model(model, tol=config.numerics.steady_tol)
         numeric = photon_distribution(result.state, space)
         analytic = steady_distribution(coeffs, n_max=space.n_max, tail_tol=math.inf)
         record.update(
@@ -324,6 +325,8 @@ def _sweep_point(config: RunConfig, n_h: float) -> dict:
             l1_distance=float(
                 np.abs(numeric.probabilities - analytic.probabilities).sum()
             ),
+            n_max=space.n_max,
+            tail=float(numeric.probabilities[-1]),
         )
     except (ValueError, TruncationError, SteadyStateError) as exc:
         record["status"] = f"failed: {exc}"
@@ -424,9 +427,7 @@ def cmd_sweep(config: RunConfig, out_dir: Path, jobs: int, fmt: str) -> int:
 
 def cmd_distribution(config: RunConfig, n_h: float, out_dir: Path, fmt: str, with_wigner: bool) -> int:
     model = with_hot_occupation(config.model, n_h)
-    space, result = solve_model(
-        model, n_max=config.numerics.n_max, tol=config.numerics.steady_tol
-    )
+    space, result = solve_model(model, tol=config.numerics.steady_tol)
     numeric = photon_distribution(result.state, space)
     coeffs = scully_lamb_coefficients(model)
     analytic = steady_distribution(coeffs, n_max=space.n_max, tail_tol=math.inf)
@@ -454,7 +455,8 @@ def cmd_distribution(config: RunConfig, n_h: float, out_dir: Path, fmt: str, wit
         path = out_dir / f"{stem}_wigner.csv"
         _write_text(path, "\n".join(lines) + "\n")
         written.append(path)
-    _write_meta(out_dir / f"{stem}_meta.json", config, "distribution", {"n_h": n_h})
+    extra = {"n_h": n_h, "n_max": space.n_max, "tail": float(numeric.probabilities[-1])}
+    _write_meta(out_dir / f"{stem}_meta.json", config, "distribution", extra)
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -509,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="override the config output format",
         )
-        p.add_argument("--nmax", type=int, default=None, help="override numerics.n_max")
 
     p_sweep = sub.add_parser("sweep", help="sweep n_h and tabulate gain and photon statistics")
     common(p_sweep)
@@ -532,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, nmax_override=args.nmax)
+        config = load_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

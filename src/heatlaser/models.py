@@ -35,19 +35,19 @@ def planck_occupation(omega: float, temperature: float) -> float:
     Parameters
     ----------
     omega : float
-        Transition frequency, must be positive (hbar = k_B = 1).
+        Transition frequency, must be finite and positive (hbar = k_B = 1).
     temperature : float
-        Bath temperature, must be non-negative.
+        Bath temperature, must be finite and non-negative.
 
     Returns
     -------
     float
         1 / (exp(omega / temperature) - 1); exactly 0 at zero temperature.
     """
-    if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    if temperature < 0:
-        raise ValueError(f"temperature must be non-negative, got {temperature}")
+    if not 0 < omega < math.inf:
+        raise ValueError(f"omega must be finite and positive, got {omega}")
+    if not 0 <= temperature < math.inf:
+        raise ValueError(f"temperature must be finite and non-negative, got {temperature}")
     if temperature == 0:
         return 0.0
     # expm1 keeps full precision for omega << temperature
@@ -70,14 +70,14 @@ class BathSpec:
     temperature: float | None = None
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError(f"bath rate gamma must be >= 0, got {self.gamma}")
-        if self.occupation < 0:
-            raise ValueError(f"bath occupation must be >= 0, got {self.occupation}")
-        if self.omega is not None and self.omega <= 0:
-            raise ValueError(f"bath omega must be positive, got {self.omega}")
-        if self.temperature is not None and self.temperature < 0:
-            raise ValueError(f"bath temperature must be >= 0, got {self.temperature}")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError(f"bath rate gamma must be finite and >= 0, got {self.gamma}")
+        if not 0 <= self.occupation < math.inf:
+            raise ValueError(f"bath occupation must be finite and >= 0, got {self.occupation}")
+        if self.omega is not None and not 0 < self.omega < math.inf:
+            raise ValueError(f"bath omega must be finite and positive, got {self.omega}")
+        if self.temperature is not None and not 0 <= self.temperature < math.inf:
+            raise ValueError(f"bath temperature must be finite and >= 0, got {self.temperature}")
         if self.omega is not None and self.temperature is not None:
             expected = planck_occupation(self.omega, self.temperature)
             if abs(self.occupation - expected) > _PLANCK_TOL * max(1.0, expected):
@@ -118,10 +118,10 @@ class EngineModel:
     def __post_init__(self):
         if self.kind not in (THREE_LEVEL, FOUR_LEVEL):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.g < 0:
-            raise ValueError(f"coupling g must be >= 0, got {self.g}")
-        if self.kappa <= 0:
-            raise ValueError(f"cavity rate kappa must be positive, got {self.kappa}")
+        if not 0 <= self.g < math.inf:
+            raise ValueError(f"coupling g must be finite and >= 0, got {self.g}")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError(f"cavity rate kappa must be finite and > 0, got {self.kappa}")
         if (self.kind == FOUR_LEVEL) != (self.ancilla is not None):
             raise ValueError("an ancilla bath is required iff the model is four-level")
         n_levels = 4 if self.kind == FOUR_LEVEL else 3
@@ -132,8 +132,9 @@ class EngineModel:
             raise ValueError(
                 f"{self.kind} model needs {n_levels} level energies, got {len(energies)}"
             )
-        if any(hi - lo <= 0 for lo, hi in zip(energies, energies[1:])):
-            raise ValueError(f"level energies must be strictly increasing, got {energies}")
+        # every energy is in a step, so an infinite or NaN energy fails here too
+        if not all(0 < hi - lo < math.inf for lo, hi in zip(energies, energies[1:])):
+            raise ValueError(f"level energies must be finite and strictly increasing, got {energies}")
         object.__setattr__(self, "level_energies", energies)
         for bath, derived, name in self._bath_frequency_pairs():
             if bath.omega is not None and not math.isclose(

@@ -17,8 +17,13 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply, splu
 
 from .core import HilbertSpace, build_sector_liouvillian
-from .models import FOUR_LEVEL, EngineModel
-from .photonstats import PhotonDistribution
+from .models import EngineModel
+from .photonstats import (
+    PhotonDistribution,
+    TruncationError,
+    scully_lamb_coefficients,
+    steady_distribution,
+)
 
 __all__ = [
     "SteadyStateResult",
@@ -31,11 +36,10 @@ __all__ = [
     "expectation",
     "wigner",
     "solve_model",
-    "DEFAULT_N_MAX",
 ]
 
-# default Fock truncations; the tail is validated post hoc with retry
-DEFAULT_N_MAX = {False: 40, True: 60}
+# largest Fock cutoff solve_model chooses; see its docstring
+MAX_N_MAX = 200
 
 
 class SteadyStateError(RuntimeError):
@@ -246,40 +250,35 @@ def wigner(
 
 
 def solve_model(
-    model: EngineModel,
-    n_max: int | None = None,
-    tol: float = 1e-9,
-    tail_tol: float = 1e-8,
-    retry_on_tail: bool = True,
+    model: EngineModel, n_max: int | None = None, tol: float = 1e-9
 ) -> tuple[HilbertSpace, SteadyStateResult]:
-    """Steady state of an engine with the Fock-truncation policy applied.
+    """Steady state of an engine by one LU solve on the charge-zero block.
 
-    Solves only the charge-zero block of :func:`build_sector_liouvillian`,
-    which holds the unique steady state, by the same LU null-space solve as
-    :func:`steady_state`; the residual is that of the full-space generator,
-    because the block is closed.  Raises :class:`SteadyStateError` when the
-    steady state is not unique or misses ``tol``.
+    The block (:func:`build_sector_liouvillian`) is closed and holds the
+    unique steady state, so its residual is the full-space one.  Raises
+    :class:`SteadyStateError` when the state is not unique or misses ``tol``.
 
-    Defaults to N_max = 40 (three-level) or 60 (four-level).  After solving,
-    the photon-number tail is checked against ``tail_tol``; on violation the
-    cutoff grows by 1.5x and the solve repeats (up to three times) unless
-    ``retry_on_tail`` is disabled.
+    With ``n_max=None`` the cutoff is the first rung past the peak of the
+    closed-form distribution (:func:`steady_distribution`) where P_n < 1e-12,
+    so n_max = 1 with the pump off (A = 0).  A cutoff above ``MAX_N_MAX`` =
+    200 raises :class:`TruncationError` before any assembly, because every
+    atom operator is a dense (A F) x (A F) array.  An explicit ``n_max`` is
+    used as given.  One block is solved; a warning is raised if the exact
+    P[n_max] exceeds 1e-8.
     """
     if n_max is None:
-        n_max = DEFAULT_N_MAX[model.kind == FOUR_LEVEL]
-    attempts = 4 if retry_on_tail else 1
-    for attempt in range(attempts):
-        space = HilbertSpace.for_model(model, n_max)
-        block, rows, cols = build_sector_liouvillian(model, space)
-        result = _nullspace_solve(block, rows, cols, space.total_dim, tol)
-        reduced = partial_trace_atom(result.state, space)
-        tail = float(np.clip(np.real(reduced[-1, -1]), 0.0, None))
-        if tail < tail_tol or attempt == attempts - 1:
-            if tail >= tail_tol:
-                warnings.warn(
-                    f"tail P[{n_max}] = {tail:.3e} still above {tail_tol:.1e}",
-                    stacklevel=2,
-                )
-            return space, result
-        n_max = math.ceil(1.5 * n_max)
-    raise AssertionError("unreachable")
+        # the auto support stops at a rung N with P_{N+1} < 1e-12; the
+        # appended 0 stands for rung N + 1 in case no rung inside qualifies
+        closed = steady_distribution(scully_lamb_coefficients(model))
+        p = np.append(closed.probabilities, 0.0)
+        peak = int(np.argmax(p))
+        n_max = peak + int(np.argmax(p[peak:] < 1e-12))
+        if n_max > MAX_N_MAX:
+            raise TruncationError(f"closed form needs n_max = {n_max} > {MAX_N_MAX}")
+    space = HilbertSpace.for_model(model, n_max)
+    block, rows, cols = build_sector_liouvillian(model, space)
+    result = _nullspace_solve(block, rows, cols, space.total_dim, tol)
+    tail = float(np.real(partial_trace_atom(result.state, space)[-1, -1]))
+    if tail > 1e-8:
+        warnings.warn(f"tail P[{n_max}] = {tail:.3e} above 1e-8", stacklevel=2)
+    return space, result

@@ -80,7 +80,7 @@ def test_criterion_04_mean_photon_number_agreement():
     checked = 0
     for nh in np.geomspace(0.2, 8.0, 20):
         model = make_fig2_model(n_h=float(nh))
-        space, result = solve_model(model, n_max=40, retry_on_tail=False)
+        space, result = solve_model(model, n_max=40)
         _STATES[f"fig2 n_h={nh:.3f}"] = (space, result.state)
         a, a_dag = build_cavity_operators(space)
         numeric = expectation(result.state, a_dag @ a).real
@@ -100,7 +100,7 @@ def test_criterion_05_distribution_agreement():
     distances = {}
     for nh in (0.17, 0.507, 2.629, 9.0):
         model = make_fig2_model(n_h=nh)
-        space, result = solve_model(model, n_max=40, retry_on_tail=False)
+        space, result = solve_model(model, n_max=40)
         _STATES[f"fig3 n_h={nh}"] = (space, result.state)
         numeric = photon_distribution(result.state, space)
         analytic = steady_distribution(
@@ -171,7 +171,7 @@ def test_criterion_08_super_poissonian():
 
 def test_criterion_09_state_sanity():
     if "fig5" not in _STATES:
-        space, result = solve_model(make_fig5_model(), n_max=60, retry_on_tail=False)
+        space, result = solve_model(make_fig5_model(), n_max=60)
         _STATES["fig5"] = (space, result.state)
     assert len(_STATES) >= 20
     worst = {"trace": 0.0, "herm": 0.0, "eig": 0.0, "offdiag": 0.0}

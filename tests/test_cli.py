@@ -24,7 +24,7 @@ BASE_CONFIG = {
         "kappa": 1.0,
     },
     "sweep": {"variable": "n_h", "start": 0.4, "stop": 1.2, "points": 2, "spacing": "log"},
-    "numerics": {"n_max": 20, "steady_tol": 1e-9},
+    "numerics": {"steady_tol": 1e-9},
     "output": {"stem": "case", "format": "csv"},
 }
 
@@ -76,21 +76,22 @@ def test_config_errors(tmp_path):
         ({"sweep.points": 0}, "points"),
         ({"sweep.spacing": "cubic"}, "spacing"),
         ({"output.format": "xml"}, "format"),
+        # json reads NaN and Infinity; they must not reach the numerics
+        ({"model.kappa": float("nan")}, "kappa: expected a finite number"),
+        ({"model.g": float("inf")}, "g: expected a finite number"),
+        ({"model.level_energies": [0.0, float("nan"), 2.0]}, "level_energies"),
+        ({"numerics.steady_tol": 0.0}, "steady_tol: must be > 0"),
     ]:
         with pytest.raises(ConfigError, match=fragment):
             load_config(write_config(tmp_path, overrides))
 
 
 def test_unknown_numerics_key_is_ignored(tmp_path):
-    # configs written for older versions still carry numerics.method
-    path = write_config(tmp_path, {"numerics.method": "auto"})
+    # configs written for older versions still carry numerics.method and n_max
     plain = write_config(tmp_path, name="plain.json")
-    assert load_config(path).raw == load_config(plain).raw
-
-
-def test_nmax_override(tmp_path):
-    path = write_config(tmp_path)
-    assert load_config(path, nmax_override=33).numerics.n_max == 33
+    for key, value in (("method", "auto"), ("n_max", 40)):
+        path = write_config(tmp_path, {f"numerics.{key}": value})
+        assert load_config(path).raw == load_config(plain).raw
 
 
 def test_single_point_sweep_record(tmp_path):
@@ -103,6 +104,9 @@ def test_single_point_sweep_record(tmp_path):
     assert record["n_h"] == 0.4
     assert record["gain_over_kappa"] > 1.0
     assert abs(record["mean_analytic"] - record["mean_numeric"]) < 0.1
+    # the record carries its cutoff and the exact tail mass left there
+    assert 2 <= record["n_max"] <= 200
+    assert record["tail"] < 1e-8
 
 
 def test_sweep_outputs_are_deterministic(tmp_path):
@@ -185,20 +189,25 @@ def test_distribution_command(tmp_path):
     assert abs(sum(p_poisson) - 1.0) < 1e-6
     l1 = sum(abs(a - b) for a, b in zip(p_analytic, p_numeric))
     assert l1 < 0.05
+    meta = json.loads((out / "case_meta.json").read_text())
+    assert meta["n_max"] == len(table) - 1
+    assert meta["tail"] == pytest.approx(p_numeric[-1], abs=1e-15)
+    assert meta["tail"] < 1e-8
 
 
 def test_distribution_vacuum(tmp_path):
-    path = write_config(tmp_path, {"model.n_c": 0.0, "numerics.n_max": 6})
+    path = write_config(tmp_path, {"model.n_c": 0.0})
     out = tmp_path / "vac"
     assert main(["distribution", "--config", str(path), "--nh", "0", "--out", str(out)]) == 0
     lines = (out / "case_distribution.csv").read_text().splitlines()
+    assert len(lines) == 3  # the pump is off: the cutoff is n_max = 1
     first = lines[1].split(",")
     assert float(first[1]) == 1.0
     assert float(first[2]) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_distribution_wigner_file(tmp_path):
-    path = write_config(tmp_path, {"numerics.n_max": 12})
+    path = write_config(tmp_path)
     out = tmp_path / "wig"
     code = main(
         [
@@ -232,3 +241,19 @@ def test_exit_codes(tmp_path, capsys):
     assert "gamma_h is 0" in capsys.readouterr().err
     records = run_sweep(load_config(path))
     assert all(r["status"].startswith("failed: ") for r in records)
+    # non-finite numbers are config errors that name the key
+    path = write_config(tmp_path, {"model.kappa": float("nan")}, name="nan.json")
+    for command in ("sweep", "thresholds"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "model.kappa: expected a finite number" in capsys.readouterr().err
+    path = write_config(tmp_path)
+    code = main(["distribution", "--config", str(path), "--nh", "nan", "--out", str(tmp_path)])
+    assert code == 3
+    assert "bath occupation must be finite" in capsys.readouterr().err
+    # kappa = 0.02 puts hundreds of photons in the cavity, past n_max = 200
+    path = write_config(tmp_path, {"model.kappa": 0.02}, name="dim.json")
+    out = tmp_path / "dim"
+    code = main(["distribution", "--config", str(path), "--nh", "1.0", "--out", str(out)])
+    assert code == 3
+    assert "needs n_max" in capsys.readouterr().err
+    assert not out.exists()

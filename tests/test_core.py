@@ -205,6 +205,6 @@ def test_sector_block_matches_full_liouvillian(seed, four, n_max):
     assert not np.any(full[outside][:, inside].data)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # small cutoffs leave tail mass
-        _, result = solve_model(model, n_max=n_max, retry_on_tail=False)
+        _, result = solve_model(model, n_max=n_max)
     reference = steady_state(full).state
     assert np.abs(result.state - reference).max() < 1e-10

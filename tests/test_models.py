@@ -41,6 +41,10 @@ def test_planck_rejects_bad_arguments():
         planck_occupation(-1.0, 1.0)
     with pytest.raises(ValueError):
         planck_occupation(1.0, -0.1)
+    # non-finite input raised ZeroDivisionError (T = inf) or returned NaN
+    for omega, temp in ((1.0, math.inf), (1.0, math.nan), (math.nan, 1.0), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            planck_occupation(omega, temp)
 
 
 def test_planck_monotonicity(rng):
@@ -59,6 +63,16 @@ def test_bathspec_validation():
     # occupation must match the Planck value when omega and T are given
     with pytest.raises(ValueError):
         BathSpec(1.0, 0.3, omega=1.0, temperature=1.0)
+    # NaN passes a plain x < 0 check
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            BathSpec(bad, 0.5)
+        with pytest.raises(ValueError, match="occupation must be finite"):
+            BathSpec(1.0, bad)
+        with pytest.raises(ValueError, match="omega must be finite"):
+            BathSpec(1.0, 0.5, omega=bad)
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            BathSpec(1.0, 0.5, temperature=bad)
     bath = BathSpec.thermal(2.0, 1.0, 1.0)
     assert bath.occupation == pytest.approx(1.0 / math.expm1(1.0), rel=1e-15)
 
@@ -130,6 +144,15 @@ def test_engine_model_validation():
             THREE_LEVEL, BathSpec(1.0, 0.4, omega=5.0), cold, 1.0, 1.0,
             level_energies=(0.0, 1.0, 2.0),
         )
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="coupling g must be finite"):
+            EngineModel(THREE_LEVEL, hot, cold, bad, 1.0)
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            EngineModel(THREE_LEVEL, hot, cold, 1.0, bad)
+        with pytest.raises(ValueError, match="occupation must be finite"):
+            with_hot_occupation(build_three_level(hot, cold, 1.0, 1.0), bad)
+        with pytest.raises(ValueError, match="level energies must be finite"):
+            EngineModel(THREE_LEVEL, hot, cold, 1.0, 1.0, level_energies=(0.0, bad, 2.0))
 
 
 def test_four_level_fig5_configuration():

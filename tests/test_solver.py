@@ -4,10 +4,14 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_laguerre
 
+import heatlaser.solver
 from heatlaser import (
     HilbertSpace,
+    TruncationError,
     build_liouvillian,
     evolve,
     expectation,
@@ -22,7 +26,12 @@ from heatlaser import (
 from heatlaser.core import build_cavity_operators, check_density_matrix
 from heatlaser.solver import SteadyStateError
 
-from conftest import make_fig2_model, make_fig5_model
+from conftest import (
+    make_fig2_model,
+    make_fig5_model,
+    random_four_level,
+    random_three_level,
+)
 
 
 def fock_state(space, atom_index, n):
@@ -170,7 +179,7 @@ def test_mean_photon_number_against_theory():
 
 def test_steady_cavity_state_is_diagonal_and_positive():
     for model in (make_fig2_model(n_h=0.6), make_fig5_model(n_h=0.3)):
-        space, result = solve_model(model, n_max=16, retry_on_tail=False)
+        space, result = solve_model(model, n_max=16)
         check_density_matrix(result.state)
         reduced = partial_trace_atom(result.state, space)
         off = reduced - np.diag(np.diag(reduced))
@@ -192,13 +201,45 @@ def test_analytic_numeric_gap_shrinks_with_kappa():
 
 
 def test_solve_model_retries_truncation():
-    model = make_fig2_model(n_h=1.0)
+    # the cutoff comes from the closed form up front, so no retry is needed:
+    # this point holds ~27 photons and its exact tail needs n_max >= 62
+    model = make_fig2_model(n_h=1.87, kappa=0.25)
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # any leftover tail warning should fail
-        space, result = solve_model(model, n_max=12)
-    assert space.n_max > 12
-    reduced = partial_trace_atom(result.state, space)
-    assert reduced[-1, -1].real < 1e-8
+        warnings.simplefilter("error")  # any tail warning should fail
+        space, result = solve_model(model)
+    assert space.n_max >= 62
+    assert partial_trace_atom(result.state, space)[-1, -1].real < 1e-8
+    chosen = photon_distribution(result.state, space)
+    wide_space, wide = solve_model(model, n_max=space.n_max + 30)
+    wider = photon_distribution(wide.state, wide_space)
+    assert chosen.mean == pytest.approx(wider.mean, rel=1e-8)
+    assert chosen.variance == pytest.approx(wider.variance, rel=1e-8)
+    # an explicit cutoff is used as given, and a heavy tail warns
+    with pytest.warns(UserWarning, match="tail"):
+        space, _ = solve_model(model, n_max=12)
+    assert space.n_max == 12
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), four=st.booleans())
+def test_closed_form_cutoff_leaves_no_exact_tail(seed, four):
+    rng = np.random.default_rng(seed)
+    model = random_four_level(rng) if four else random_three_level(rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the tail warning must not fire
+        space, result = solve_model(model)
+    assert 1 <= space.n_max <= 200
+    assert partial_trace_atom(result.state, space)[-1, -1].real < 1e-8
+
+
+def test_cutoff_above_bound_raises_before_assembly(monkeypatch):
+    def assemble(*args):
+        raise AssertionError("assembled a block past the cutoff bound")
+
+    monkeypatch.setattr(heatlaser.solver, "build_sector_liouvillian", assemble)
+    # kappa = 0.02: the closed form holds its 1e-12 tail only past 200 rungs
+    with pytest.raises(TruncationError, match=r"needs n_max = \d+ > 200"):
+        solve_model(make_fig2_model(kappa=0.02))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +296,7 @@ def test_wigner_of_coherent_state():
 
 def test_wigner_of_steady_state():
     model = make_fig2_model(n_h=0.507)
-    space, result = solve_model(model, n_max=30, retry_on_tail=False)
+    space, result = solve_model(model, n_max=30)
     reduced = partial_trace_atom(result.state, space)
     axis = np.linspace(-4.0, 4.0, 41)
     field = wigner(reduced, axis, axis)
