@@ -4,6 +4,14 @@ The composite Hilbert space is atom (x) Fock with the atom index varying
 slowest, so the basis state |alpha, n> sits at index alpha * fock_dim + n.
 Density matrices are vectorized row-major (C order), for which the
 superoperator of rho -> A rho B is kron(A, B.T).
+
+The public operator builders embed each operator as a dense (A F) x (A F)
+matrix, and :func:`build_liouvillian` forms the full (A F)^2 generator from
+them; they are the reference.  The steady-state solve needs only the
+charge-zero block, which :func:`build_sector_liouvillian` assembles straight
+from the rates by index arithmetic over the basis states, with no operator
+matrix: every jump and the coupling send a basis state to at most one basis
+state, so each is a target index and a value per state.
 """
 
 from __future__ import annotations
@@ -138,6 +146,28 @@ def build_interaction(model: EngineModel, space: HilbertSpace) -> np.ndarray:
     return model.g * (atom["sigma_plus"] @ a + atom["sigma_minus"] @ a_dag)
 
 
+def _bath_channels(model: EngineModel) -> list[tuple[int, int, float]]:
+    """Every bath jump as (to_level, from_level, rate), in dissipator order.
+
+    Each bath drives one level pair: upward at gamma * nbar, then downward
+    at gamma * (nbar + 1).  The hot bath drives g <-> e2 of a three-level
+    atom and g <-> e3 of a four-level one, the cold bath g <-> e1, and the
+    ancilla bath e2 <-> e3.
+    """
+    four = model.kind == FOUR_LEVEL
+    baths = [
+        (LEVEL_G, LEVEL_E3 if four else LEVEL_E2, model.hot),
+        (LEVEL_G, LEVEL_E1, model.cold),
+    ]
+    if four:
+        baths.append((LEVEL_E2, LEVEL_E3, model.ancilla))
+    out = []
+    for lower, upper, bath in baths:
+        out.append((upper, lower, bath.gamma * bath.occupation))
+        out.append((lower, upper, bath.gamma * (bath.occupation + 1.0)))
+    return out
+
+
 def build_dissipators(model: EngineModel, space: HilbertSpace) -> list[Dissipator]:
     """All jump channels of the model: thermal baths plus cavity decay.
 
@@ -147,14 +177,10 @@ def build_dissipators(model: EngineModel, space: HilbertSpace) -> list[Dissipato
     """
     _check_dims(model, space)
     a, _ = build_cavity_operators(space)
-    atom = build_atom_operators(space)
-    baths = [("tau_h", model.hot), ("tau_c", model.cold)]
-    if model.kind == FOUR_LEVEL:
-        baths.append(("tau_a", model.ancilla))
-    out = []
-    for name, bath in baths:
-        out.append(Dissipator(atom[name + "_plus"], bath.gamma * bath.occupation))
-        out.append(Dissipator(atom[name + "_minus"], bath.gamma * (bath.occupation + 1.0)))
+    out = [
+        Dissipator(_embed_atom(space, _atom_projector(space, to_level, from_level)), rate)
+        for to_level, from_level, rate in _bath_channels(model)
+    ]
     out.append(Dissipator(a, model.kappa))
     return out
 
@@ -193,27 +219,6 @@ def build_liouvillian(model: EngineModel, space: HilbertSpace) -> sp.csr_matrix:
     return liouv.tocsr()
 
 
-def _outer_columns(left, right, rows, cols):
-    """Entries of (left|rows[k]>)(right|cols[k]>)^+ for every k.
-
-    Returns (k, i, j, value) arrays, one element per nonzero product.
-    """
-    left = sp.csc_matrix(left)[:, rows]
-    right = sp.csc_matrix(right)[:, cols]
-    left_k = np.repeat(np.arange(rows.size), np.diff(left.indptr))
-    # pair each left entry with every right entry of the same column k
-    reps = np.diff(right.indptr)[left_k]
-    pick_l = np.repeat(np.arange(left.nnz), reps)
-    first = np.cumsum(reps) - reps
-    pick_r = np.repeat(right.indptr[left_k] - first, reps) + np.arange(reps.sum())
-    return (
-        left_k[pick_l],
-        left.indices[pick_l],
-        right.indices[pick_r],
-        left.data[pick_l] * np.conj(right.data[pick_r]),
-    )
-
-
 def build_sector_liouvillian(
     model: EngineModel, space: HilbertSpace
 ) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
@@ -224,34 +229,76 @@ def build_sector_liouvillian(
     charge n + c(level) (see ``LEVEL_CHARGE``), in row-major order.  The
     block is closed under L and holds the unique steady state.  It is built
     as L[rho] = K rho + rho K+ + sum_r r J rho J+ with
-    K = -i V - (1/2) sum_r r J+ J, from the same :func:`build_interaction`
-    and :func:`build_dissipators` as :func:`build_liouvillian`.
+    K = -i V - (1/2) sum_r r J+ J, over the jump channels of
+    :func:`build_dissipators` and the coupling of :func:`build_interaction`.
+
+    No operator is formed as a matrix.  Each jump J and the coupling V send
+    a basis state to at most one basis state, and sum_r r J+ J is diagonal,
+    so each is held as a target index (-1 where the column is zero) and a
+    value per basis state.  K rho, rho K+ and r J rho J+ then map column k
+    onto one entry each (two for the coupling), found by index arithmetic:
+    the entry |i><j| sits in row start(i) + rank(j) of the block, where
+    rank(j) counts the states of j's charge below j.
     """
     _check_dims(model, space)
     d = space.total_dim
-    charge = (
-        np.array(LEVEL_CHARGE[: space.atom_dim])[:, np.newaxis]
-        + np.arange(space.fock_dim)
-    ).ravel()
-    rows, cols = np.nonzero(charge[:, np.newaxis] == charge[np.newaxis, :])
+    level, photons = np.divmod(np.arange(d), space.fock_dim)
+    _, charge, size = np.unique(
+        np.array(LEVEL_CHARGE)[level] + photons, return_inverse=True, return_counts=True
+    )
+    members = np.argsort(charge, kind="stable")  # states grouped by charge
+    first = np.cumsum(size) - size
+    rank = np.empty(d, dtype=np.intp)
+    rank[members] = np.arange(d) - first[charge[members]]
+    width = size[charge]
+    start = np.cumsum(width) - width
+    rows = np.repeat(np.arange(d), width)
+    cols = members[np.repeat(first[charge] - start, width) + np.arange(rows.size)]
+
+    root = np.sqrt(photons.astype(float))
+
+    def atom_jump(to_level, from_level):
+        on = level == from_level
+        return np.where(on, to_level * space.fock_dim + photons, -1), on.astype(float)
+
+    # the cavity a and the coupling g (sigma+ a + sigma- a+)
+    cavity = (np.where(photons > 0, np.arange(d) - 1, -1), root)
+    absorb = (level == LEVEL_E1) & (photons > 0)
+    emit = (level == LEVEL_E2) & (photons < space.n_max)
+    coupling_to = np.where(absorb, LEVEL_E2 * space.fock_dim + photons - 1, -1)
+    coupling_to = np.where(emit, LEVEL_E1 * space.fock_dim + photons + 1, coupling_to)
+    coupling = model.g * np.where(absorb, root, np.where(emit, np.sqrt(photons + 1.0), 0.0))
+
+    channels = [(rate, *atom_jump(to, frm)) for to, frm, rate in _bath_channels(model)]
+    channels.append((model.kappa, *cavity))
+    decay = np.zeros(d)  # the diagonal of -(1/2) sum_r r J+ J
     jumps = []
-    for jump, rate in build_dissipators(model, space):
+    for rate, target, value in channels:
         if rate < 0:
             raise ValueError(f"negative dissipator rate {rate}")
         if rate > 0:
-            jumps.append((rate, sp.csc_matrix(jump)))
-    k_op = -1j * sp.csc_matrix(build_interaction(model, space))
-    for rate, jump in jumps:
-        k_op = k_op - 0.5 * rate * (jump.conj().T @ jump)
-    eye = sp.identity(d, dtype=complex, format="csc")
-    sandwiches = [(k_op, eye), (eye, k_op)] + [(rate * jump, jump) for rate, jump in jumps]
-    parts = [_outer_columns(left, right, rows, cols) for left, right in sandwiches]
-    k, i, j, data = (np.concatenate(column) for column in zip(*parts))
-    keys, out = rows * d + cols, i * d + j
-    pos = np.minimum(np.searchsorted(keys, out), keys.size - 1)
-    if not np.array_equal(keys[pos], out):
+            decay = decay - 0.5 * rate * (value * value)
+            jumps.append((rate, target, value))
+
+    column = np.arange(rows.size)
+    k_coupling = -1j * coupling
+    # (column, i, j, value) of K rho + rho K+ (diagonal and coupling parts)
+    # and of every r J rho J+
+    parts = [
+        (column, rows, cols, decay[rows] + decay[cols]),
+        (column, coupling_to[rows], cols, k_coupling[rows]),
+        (column, rows, coupling_to[cols], np.conj(k_coupling[cols])),
+    ]
+    parts += [
+        (column, target[rows], target[cols], (rate * value[rows]) * value[cols])
+        for rate, target, value in jumps
+    ]
+    at, i, j, data = (np.concatenate(field) for field in zip(*parts))
+    keep = (i >= 0) & (j >= 0) & (data != 0)
+    at, i, j, data = at[keep], i[keep], j[keep], data[keep]
+    if np.any(charge[i] != charge[j]):
         raise RuntimeError("the Liouvillian maps the charge-zero block outside itself")
-    block = sp.csc_matrix((data, (pos, k)), shape=(keys.size, keys.size))
+    block = sp.csc_matrix((data, (start[i] + rank[j], at)), shape=(rows.size, rows.size))
     return block, rows, cols
 
 

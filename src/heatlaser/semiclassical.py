@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import null_space
-from scipy.optimize import bisect
 
 from .models import FOUR_LEVEL, THREE_LEVEL, EngineModel, with_hot_occupation
 
@@ -173,6 +172,8 @@ def find_thresholds(
     reaches kappa in the bracket (the three-level engine generically has two
     roots, the four-level engine one).
     """
+    from scipy.optimize import bisect  # only the thresholds command pays for the import
+
     lo, hi = bracket
     if not 0 < lo < hi:
         raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket}")

@@ -82,7 +82,9 @@ def _nullspace_solve(liouv, rows, cols, d, tol):
     Solves L x = 0 by LU with the first row, the equation of the basis
     element rows[0] = cols[0] = 0, replaced by the trace constraint.  The
     basis must be closed under L; the residual is then |L x|_inf of the
-    Hermitian, unit-trace state.
+    Hermitian, unit-trace state.  The solve is accepted when the residual is
+    at most ``tol`` times the largest |L_ij|, so that round-off, which grows
+    with the rates, is judged relative to the scale of L.
     """
     coo = liouv.tocoo()
     keep = coo.row != 0
@@ -102,8 +104,13 @@ def _nullspace_solve(liouv, rows, cols, d, tol):
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
     res = float(np.abs(liouv @ rho[rows, cols]).max())
-    if not res < tol:
-        raise SteadyStateError(f"null-space solve stalled at residual {res:.3e}", res)
+    scale = float(np.abs(liouv.data).max(initial=0.0))
+    if not res <= tol * scale:
+        raise SteadyStateError(
+            f"null-space solve stalled at residual {res:.3e} > {tol:.1e} x max|L_ij| "
+            f"= {tol * scale:.3e}",
+            res,
+        )
     return SteadyStateResult(rho, res, "nullspace")
 
 
@@ -113,8 +120,8 @@ def steady_state(liouv: sp.spmatrix, tol: float = 1e-9) -> SteadyStateResult:
     Solves the sparse linear system L vec(rho) = 0 with one row replaced by
     the trace constraint (LU factorization).  Raises
     :class:`SteadyStateError` when the factorization is singular, i.e. the
-    steady state is not unique, or when the residual |L[rho]|_inf does not
-    fall below ``tol``.
+    steady state is not unique, or when the residual |L[rho]|_inf exceeds
+    ``tol`` times the largest |L_ij|.  The reported residual is absolute.
     """
     d = _system_dim(liouv)
     rows, cols = np.divmod(np.arange(d * d), d)
@@ -256,15 +263,17 @@ def solve_model(
 
     The block (:func:`build_sector_liouvillian`) is closed and holds the
     unique steady state, so its residual is the full-space one.  Raises
-    :class:`SteadyStateError` when the state is not unique or misses ``tol``.
+    :class:`SteadyStateError` when the state is not unique or when the
+    residual |L[rho]|_inf exceeds ``tol`` times the largest |L_ij| of the
+    block, a bound relative to the rates.
 
     With ``n_max=None`` the cutoff is the first rung past the peak of the
     closed-form distribution (:func:`steady_distribution`) where P_n < 1e-12,
     so n_max = 1 with the pump off (A = 0).  A cutoff above ``MAX_N_MAX`` =
-    200 raises :class:`TruncationError` before any assembly, because every
-    atom operator is a dense (A F) x (A F) array.  An explicit ``n_max`` is
-    used as given.  One block is solved; a warning is raised if the exact
-    P[n_max] exceeds 1e-8.
+    200 raises :class:`TruncationError` before any assembly: the returned
+    state is a dense (A F) x (A F) array, and the bound caps the memory and
+    the time of one point.  An explicit ``n_max`` is used as given.  One
+    block is solved; a warning is raised if the exact P[n_max] exceeds 1e-8.
     """
     if n_max is None:
         # the auto support stops at a rung N with P_{N+1} < 1e-12; the

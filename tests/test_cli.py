@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import heatlaser
 from heatlaser.cli import (
     ConfigError,
     SWEEP_FIELDS,
@@ -257,3 +261,23 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 3
     assert "needs n_max" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_very_hot_bath_meets_scaled_residual(tmp_path):
+    # rates of order 3e7 leave an absolute round-off residual of a few 1e-9;
+    # the tolerance is relative to the largest entry of the generator
+    code = main(["distribution", "--config", "fig2", "--nh", "1e6", "--out", str(tmp_path)])
+    assert code == 0
+
+
+def test_cli_import_skips_scipy_stats_and_optimize():
+    # the two packages are most of the start-up cost of every command
+    env = dict(os.environ, PYTHONPATH=str(Path(heatlaser.__file__).parents[1]))
+    probe = (
+        "import sys, heatlaser.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.optimize'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -187,11 +188,24 @@ def test_check_density_matrix():
 @given(
     seed=st.integers(0, 2**32 - 1),
     four=st.booleans(),
-    n_max=st.integers(2, 8),
+    n_max=st.integers(1, 8),
+    empty_baths=st.lists(st.booleans(), min_size=3, max_size=3),
+    uncoupled=st.booleans(),
 )
-def test_sector_block_matches_full_liouvillian(seed, four, n_max):
+def test_sector_block_matches_full_liouvillian(seed, four, n_max, empty_baths, uncoupled):
     rng = np.random.default_rng(seed)
     model = random_four_level(rng) if four else random_three_level(rng)
+    # an empty bath has a rate-0 upward channel and g = 0 removes the coupling:
+    # the block must drop exactly what the full generator drops
+    baths = {"hot": model.hot, "cold": model.cold}
+    if four:
+        baths["ancilla"] = model.ancilla
+    emptied = {
+        name: replace(bath, occupation=0.0)
+        for (name, bath), empty in zip(baths.items(), empty_baths)
+        if empty
+    }
+    model = replace(model, g=0.0 if uncoupled else model.g, **emptied)
     space = HilbertSpace.for_model(model, n_max)
     block, rows, cols = build_sector_liouvillian(model, space)
     full = build_liouvillian(model, space).tocsc()
@@ -203,6 +217,8 @@ def test_sector_block_matches_full_liouvillian(seed, four, n_max):
     # and no block column leaks outside the block
     outside = np.setdiff1d(np.arange(space.total_dim**2), inside)
     assert not np.any(full[outside][:, inside].data)
+    if four and uncoupled and empty_baths[2]:
+        return  # nothing leaves |e2, 0>: the steady state is not unique
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # small cutoffs leave tail mass
         _, result = solve_model(model, n_max=n_max)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_laguerre
 
+import heatlaser.core
 import heatlaser.solver
 from heatlaser import (
     HilbertSpace,
@@ -127,7 +128,8 @@ def test_photon_distribution_index_conventions():
     model = make_fig2_model(n_h=0.6)
     space = HilbertSpace.for_model(model, 14)
     rho = steady_state(build_liouvillian(model, space)).state
-    dist = photon_distribution(rho, space)
+    with pytest.warns(UserWarning, match="truncation rung"):
+        dist = photon_distribution(rho, space)
     manual = np.array(
         [
             sum(
@@ -178,8 +180,12 @@ def test_mean_photon_number_against_theory():
 
 
 def test_steady_cavity_state_is_diagonal_and_positive():
-    for model in (make_fig2_model(n_h=0.6), make_fig5_model(n_h=0.3)):
-        space, result = solve_model(model, n_max=16)
+    with pytest.warns(UserWarning, match="tail"):  # the fig2 point needs n_max > 16
+        solved = [
+            solve_model(model, n_max=16)
+            for model in (make_fig2_model(n_h=0.6), make_fig5_model(n_h=0.3))
+        ]
+    for space, result in solved:
         check_density_matrix(result.state)
         reduced = partial_trace_atom(result.state, space)
         off = reduced - np.diag(np.diag(reduced))
@@ -232,6 +238,16 @@ def test_closed_form_cutoff_leaves_no_exact_tail(seed, four):
     assert partial_trace_atom(result.state, space)[-1, -1].real < 1e-8
 
 
+def test_solve_model_builds_no_dense_operators(monkeypatch):
+    def embed(*args):
+        raise AssertionError("built a dense (A F) x (A F) atom operator")
+
+    monkeypatch.setattr(heatlaser.core, "build_atom_operators", embed)
+    for model in (make_fig2_model(), make_fig5_model()):
+        space, result = solve_model(model)
+        assert partial_trace_atom(result.state, space)[-1, -1].real < 1e-8
+
+
 def test_cutoff_above_bound_raises_before_assembly(monkeypatch):
     def assemble(*args):
         raise AssertionError("assembled a block past the cutoff bound")
@@ -249,11 +265,13 @@ def test_cutoff_above_bound_raises_before_assembly(monkeypatch):
 def test_wigner_vacuum_and_single_photon():
     vacuum = np.zeros((12, 12), dtype=complex)
     vacuum[0, 0] = 1.0
-    field = wigner(vacuum, np.array([0.0]), np.array([0.0]))
+    with pytest.warns(UserWarning, match="grid radius"):  # a one-point grid
+        field = wigner(vacuum, np.array([0.0]), np.array([0.0]))
     assert field.values[0, 0] == pytest.approx(2.0 / math.pi, rel=1e-12)
     one = np.zeros((12, 12), dtype=complex)
     one[1, 1] = 1.0
-    field = wigner(one, np.array([0.0]), np.array([0.0]))
+    with pytest.warns(UserWarning, match="grid radius"):
+        field = wigner(one, np.array([0.0]), np.array([0.0]))
     assert field.values[0, 0] == pytest.approx(-2.0 / math.pi, rel=1e-12)
 
 
@@ -302,17 +320,18 @@ def test_wigner_of_steady_state():
     field = wigner(reduced, axis, axis)
     # no phase preference: the value depends on |alpha| only
     radius = 1.5
-    samples = [
-        field_value
-        for theta in np.linspace(0.0, 2 * math.pi, 9)
-        for field_value in [
-            wigner(
-                reduced,
-                np.array([radius * math.cos(theta)]),
-                np.array([radius * math.sin(theta)]),
-            ).values[0, 0]
+    with pytest.warns(UserWarning, match="grid radius"):  # one-point grids
+        samples = [
+            field_value
+            for theta in np.linspace(0.0, 2 * math.pi, 9)
+            for field_value in [
+                wigner(
+                    reduced,
+                    np.array([radius * math.cos(theta)]),
+                    np.array([radius * math.sin(theta)]),
+                ).values[0, 0]
+            ]
         ]
-    ]
     assert max(samples) - min(samples) < 1e-8
     # convention bound and normalization
     assert field.values.min() >= -2.0 / math.pi - 1e-9
@@ -325,5 +344,5 @@ def test_wigner_warns_on_small_grid():
     p = np.exp(-np.arange(30) / 4.0)
     p /= p.sum()  # mean ~ 3.5
     rho = np.diag(p).astype(complex)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="grid radius"):
         wigner(rho, np.array([0.5]), np.array([0.0]))
