@@ -38,7 +38,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from . import __version__
 from .models import (
@@ -427,6 +426,20 @@ def cmd_sweep(config: RunConfig, out_dir: Path, jobs: int, fmt: str) -> int:
     return 0
 
 
+def _poisson(mu: float, n_max: int) -> np.ndarray:
+    """Poisson probabilities P_0..P_n_max of mean mu, in log space.
+
+    exp(n log mu - log n! - mu), the form of ``scipy.stats.poisson.pmf``
+    without importing scipy, whose import alone takes longer than a whole
+    sweep.  log n! is taken from the exact integer n!.
+    """
+    if mu == 0:
+        return (np.arange(n_max + 1) == 0).astype(float)
+    rungs = np.arange(n_max + 1)
+    log_factorial = np.array([math.log(math.factorial(n)) for n in range(n_max + 1)])
+    return np.exp(rungs * math.log(mu) - log_factorial - mu)
+
+
 def cmd_distribution(config: RunConfig, n_h: float, out_dir: Path, fmt: str, with_wigner: bool) -> int:
     model = with_hot_occupation(config.model, n_h)
     space, result = solve_model(model, tol=config.numerics.steady_tol)
@@ -434,9 +447,7 @@ def cmd_distribution(config: RunConfig, n_h: float, out_dir: Path, fmt: str, wit
     coeffs = scully_lamb_coefficients(model)
     analytic = steady_distribution(coeffs, n_max=space.n_max, tail_tol=math.inf)
     mean = distribution_moments(coeffs).mean if coeffs.A > 0 else 0.0
-    # the Poisson pmf of scipy.stats, whose import would double the CLI's start-up
-    rungs, mu = np.arange(space.n_max + 1), max(mean, 0.0)
-    reference = np.exp(xlogy(rungs, mu) - gammaln(rungs + 1) - mu)
+    reference = _poisson(max(mean, 0.0), space.n_max)
     rows = [
         {
             "n": n,

@@ -7,22 +7,27 @@ superoperator of rho -> A rho B is kron(A, B.T).
 
 The public operator builders embed each operator as a dense (A F) x (A F)
 matrix, and :func:`build_liouvillian` forms the full (A F)^2 generator from
-them; they are the reference.  The steady-state solve needs only the
-charge-zero block, which :func:`build_sector_liouvillian` assembles straight
-from the rates by index arithmetic over the basis states, with no operator
-matrix: every jump and the coupling send a basis state to at most one basis
-state, so each is a target index and a value per state.
+them as a scipy sparse matrix; they are the reference, and scipy is imported
+only when :func:`build_liouvillian` is called.  The steady-state solve needs
+only the charge-zero block, which :func:`build_sector_liouvillian` assembles
+straight from the rates by index arithmetic over the basis states, with no
+operator matrix: every jump and the coupling send a basis state to at most
+one basis state, so each is a target index and a value per state.  Ordered
+by rung, the block is block-tridiagonal, and it is returned as dense numpy
+bands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .models import FOUR_LEVEL, EngineModel
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "LEVEL_G",
@@ -190,8 +195,11 @@ def build_liouvillian(model: EngineModel, space: HilbertSpace) -> sp.csr_matrix:
 
     Interaction-picture master equation at exact resonance: the coherent part
     is i [rho, V] with V the Jaynes-Cummings coupling, plus one Lindblad
-    dissipator per jump channel of :func:`build_dissipators`.
+    dissipator per jump channel of :func:`build_dissipators`.  The full-space
+    reference; imports ``scipy.sparse`` when called.
     """
+    import scipy.sparse as sp
+
     _check_dims(model, space)
     d = space.total_dim
     eye = sp.identity(d, dtype=complex, format="csr")
@@ -221,31 +229,43 @@ def build_liouvillian(model: EngineModel, space: HilbertSpace) -> sp.csr_matrix:
 
 def build_sector_liouvillian(
     model: EngineModel, space: HilbertSpace
-) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
-    """The charge-zero block of the generator, assembled without the full space.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The charge-zero block of the generator, as dense bands over rungs.
 
-    Returns ``(L_q0, rows, cols)``: column k of the sparse ``L_q0`` is the
-    operator |rows[k]><cols[k]|, for every pair of basis states of equal
-    charge n + c(level) (see ``LEVEL_CHARGE``), in row-major order.  The
-    block is closed under L and holds the unique steady state.  It is built
-    as L[rho] = K rho + rho K+ + sum_r r J rho J+ with
+    The block holds the operators |i><j| for every pair of basis states of
+    equal charge n + c(level) (see ``LEVEL_CHARGE``); it is closed under L
+    and holds the unique steady state.  Its unknowns are grouped by rung
+    floor(n + c), from 0 to n_max + 1.  A rung holds at most 6 unknowns (5
+    for a three-level atom): the populations of |g, r>, |e3, r>, |e1, r>
+    and |e2, r - 1> and the two coherences between the last two.  Every
+    jump shifts the charge by less than one and the coupling keeps it, so L
+    couples each rung only to itself and its two neighbours.
+
+    Returns ``(bands, rows, cols)``.  Unknown s of rung r is the operator
+    |rows[r, s]><cols[r, s]|; ``rows`` and ``cols`` have shape (R, m), with
+    m the most unknowns in a rung, and are -1 in the empty slots of smaller
+    rungs.  ``bands`` has shape (R, 3, m, m): ``bands[r, 1]`` maps rung r
+    onto itself, ``bands[r, 0]`` rung r - 1 onto rung r and ``bands[r, 2]``
+    rung r + 1 onto rung r (``bands[0, 0]`` and ``bands[R - 1, 2]`` are 0).
+    Rows and columns of empty slots are 0.
+
+    L[rho] = K rho + rho K+ + sum_r r J rho J+ with
     K = -i V - (1/2) sum_r r J+ J, over the jump channels of
     :func:`build_dissipators` and the coupling of :func:`build_interaction`.
-
     No operator is formed as a matrix.  Each jump J and the coupling V send
     a basis state to at most one basis state, and sum_r r J+ J is diagonal,
     so each is held as a target index (-1 where the column is zero) and a
-    value per basis state.  K rho, rho K+ and r J rho J+ then map column k
-    onto one entry each (two for the coupling), found by index arithmetic:
-    the entry |i><j| sits in row start(i) + rank(j) of the block, where
-    rank(j) counts the states of j's charge below j.
+    value per basis state.  K rho, rho K+ and r J rho J+ then map each
+    unknown onto one entry each (two for the coupling), found by index
+    arithmetic: with the pairs in row-major order, |i><j| is pair
+    start(i) + rank(j), where rank(j) counts the states of j's charge below
+    j, and each pair has a fixed rung and slot.
     """
     _check_dims(model, space)
     d = space.total_dim
     level, photons = np.divmod(np.arange(d), space.fock_dim)
-    _, charge, size = np.unique(
-        np.array(LEVEL_CHARGE)[level] + photons, return_inverse=True, return_counts=True
-    )
+    charge_value = np.array(LEVEL_CHARGE)[level] + photons
+    _, charge, size = np.unique(charge_value, return_inverse=True, return_counts=True)
     members = np.argsort(charge, kind="stable")  # states grouped by charge
     first = np.cumsum(size) - size
     rank = np.empty(d, dtype=np.intp)
@@ -254,6 +274,12 @@ def build_sector_liouvillian(
     start = np.cumsum(width) - width
     rows = np.repeat(np.arange(d), width)
     cols = members[np.repeat(first[charge] - start, width) + np.arange(rows.size)]
+    # rung and slot of every pair, slots in row-major order within a rung
+    rung = np.floor(charge_value[rows]).astype(np.intp)
+    per_rung = np.bincount(rung)
+    by_rung = np.argsort(rung, kind="stable")
+    slot = np.empty(rows.size, dtype=np.intp)
+    slot[by_rung] = np.arange(rows.size) - (np.cumsum(per_rung) - per_rung)[rung[by_rung]]
 
     root = np.sqrt(photons.astype(float))
 
@@ -298,8 +324,17 @@ def build_sector_liouvillian(
     at, i, j, data = at[keep], i[keep], j[keep], data[keep]
     if np.any(charge[i] != charge[j]):
         raise RuntimeError("the Liouvillian maps the charge-zero block outside itself")
-    block = sp.csc_matrix((data, (start[i] + rank[j], at)), shape=(rows.size, rows.size))
-    return block, rows, cols
+    to = start[i] + rank[j]
+    band = rung[at] - rung[to] + 1
+    if np.any((band < 0) | (band > 2)):
+        raise RuntimeError("the Liouvillian couples rungs more than one apart")
+    bands = np.zeros((per_rung.size, 3, per_rung.max(), per_rung.max()), dtype=complex)
+    np.add.at(bands, (rung[to], band, slot[to], slot[at]), data)
+    rung_rows = np.full((per_rung.size, per_rung.max()), -1, dtype=np.intp)
+    rung_cols = rung_rows.copy()
+    rung_rows[rung, slot] = rows
+    rung_cols[rung, slot] = cols
+    return bands, rung_rows, rung_cols
 
 
 def apply_liouvillian(liouv: sp.spmatrix, rho: np.ndarray) -> np.ndarray:

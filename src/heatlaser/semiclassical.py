@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .models import FOUR_LEVEL, THREE_LEVEL, EngineModel, with_hot_occupation
 
@@ -101,20 +100,24 @@ def zero_field_populations(model: EngineModel) -> np.ndarray:
 
     Returns the normalized populations ordered (g, e1, e2) or
     (g, e1, e2, e3).  The three-level case uses the detailed-balance ratios
-    1 : nc/(nc+1) : nh/(nh+1); the four-level case solves the kernel of the
-    classical rate matrix.
+    1 : nc/(nc+1) : nh/(nh+1); the four-level case takes the kernel of the
+    classical rate matrix from its singular value decomposition, counting
+    singular values up to 4 eps times the largest as zero (the rank rule of
+    ``scipy.linalg.null_space``).
     """
     if model.kind == THREE_LEVEL:
         nh, nc = model.n_h, model.n_c
         weights = np.array([1.0, nc / (nc + 1.0), nh / (nh + 1.0)])
         return weights / weights.sum()
-    kernel = null_space(_classical_rate_matrix(model))
-    if kernel.shape[1] != 1:
+    rates = _classical_rate_matrix(model)
+    _, singular, vh = np.linalg.svd(rates)
+    rank = int(np.sum(singular > rates.shape[0] * np.finfo(float).eps * singular[0]))
+    if rank != rates.shape[0] - 1:
         raise ValueError(
             "degenerate rate network: the g=0 steady state is not unique "
-            f"(kernel dimension {kernel.shape[1]})"
+            f"(kernel dimension {rates.shape[0] - rank})"
         )
-    pops = kernel[:, 0].real
+    pops = vh[-1].real
     pops = pops / pops.sum()
     if pops.min() < -1e-12:
         raise ValueError(f"rate-matrix kernel produced negative population {pops.min()}")
@@ -170,9 +173,10 @@ def find_thresholds(
     Scans G(n_h) - kappa on a log-spaced grid over ``bracket`` and bisects
     every sign change to ``xtol``.  Returns an empty list when the gain never
     reaches kappa in the bracket (the three-level engine generically has two
-    roots, the four-level engine one).
+    roots, the four-level engine one).  Imports ``scipy.optimize`` when
+    called, so only the thresholds command pays for it.
     """
-    from scipy.optimize import bisect  # only the thresholds command pays for the import
+    from scipy.optimize import bisect
 
     lo, hi = bracket
     if not 0 < lo < hi:

@@ -1,9 +1,11 @@
 """Exact numerics on the master equation.
 
-Steady states (an LU null-space solve on the charge-zero block or the full
-space), time evolution, reduced cavity states, photon distributions,
-expectation values, and Wigner functions.  These provide the independent
-check against the closed-form theory in :mod:`heatlaser.photonstats`.
+Steady states (a block-Thomas sweep over the rungs of the charge-zero block
+in numpy, or an LU null-space solve of the full space), time evolution,
+reduced cavity states, photon distributions, expectation values, and Wigner
+functions.  These provide the independent check against the closed-form
+theory in :mod:`heatlaser.photonstats`.  Only the full-space references
+:func:`steady_state` and :func:`evolve` use scipy, imported when called.
 """
 
 from __future__ import annotations
@@ -11,12 +13,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply, splu
 
-from .core import HilbertSpace, build_sector_liouvillian
+from .core import LEVEL_E1, LEVEL_E2, HilbertSpace, _bath_channels, build_sector_liouvillian
 from .models import EngineModel
 from .photonstats import (
     PhotonDistribution,
@@ -24,6 +25,9 @@ from .photonstats import (
     scully_lamb_coefficients,
     steady_distribution,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "SteadyStateResult",
@@ -76,65 +80,64 @@ def _system_dim(liouv):
     return d
 
 
-def _nullspace_solve(liouv, rows, cols, d, tol):
-    """Steady state of L restricted to the basis |rows[k]><cols[k]|.
-
-    Solves L x = 0 by LU with the first row, the equation of the basis
-    element rows[0] = cols[0] = 0, replaced by the trace constraint.  The
-    basis must be closed under L; the residual is then |L x|_inf of the
-    Hermitian, unit-trace state.  The solve is accepted when the residual is
-    at most ``tol`` times the largest |L_ij|, so that round-off, which grows
-    with the rates, is judged relative to the scale of L.
-    """
-    coo = liouv.tocoo()
-    keep = coo.row != 0
-    diagonal = np.flatnonzero(rows == cols)
-    mat_rows = np.concatenate([coo.row[keep], np.zeros(diagonal.size, dtype=coo.row.dtype)])
-    mat_cols = np.concatenate([coo.col[keep], diagonal])
-    data = np.concatenate([coo.data[keep], np.ones(diagonal.size, dtype=complex)])
-    mat = sp.csc_matrix((data, (mat_rows, mat_cols)), shape=liouv.shape)
-    rhs = np.zeros(rows.size, dtype=complex)
-    rhs[0] = 1.0
-    try:
-        x = splu(mat).solve(rhs)
-    except RuntimeError as exc:  # singular factorization
-        raise SteadyStateError(f"null-space solve failed: {exc}") from exc
-    rho = np.zeros((d, d), dtype=complex)
-    rho[rows, cols] = x
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
-    res = float(np.abs(liouv @ rho[rows, cols]).max())
-    scale = float(np.abs(liouv.data).max(initial=0.0))
-    if not res <= tol * scale:
+def _accept(rho, residual, scale, tol, method):
+    """The steady state, unless the residual exceeds ``tol`` x max|L_ij|."""
+    if not residual <= tol * scale:
         raise SteadyStateError(
-            f"null-space solve stalled at residual {res:.3e} > {tol:.1e} x max|L_ij| "
-            f"= {tol * scale:.3e}",
-            res,
+            f"steady-state solve stalled at residual {residual:.3e} > {tol:.1e} x "
+            f"max|L_ij| = {tol * scale:.3e}",
+            residual,
         )
-    return SteadyStateResult(rho, res, "nullspace")
+    return SteadyStateResult(rho, residual, method)
 
 
 def steady_state(liouv: sp.spmatrix, tol: float = 1e-9) -> SteadyStateResult:
     """Stationary density matrix of a full-space Liouvillian.
 
-    Solves the sparse linear system L vec(rho) = 0 with one row replaced by
-    the trace constraint (LU factorization).  Raises
+    Solves the sparse linear system L vec(rho) = 0 with its first row, the
+    equation of |0><0|, replaced by the trace constraint (LU factorization,
+    ``scipy.sparse.linalg.splu``; scipy is imported when called).  Raises
     :class:`SteadyStateError` when the factorization is singular, i.e. the
-    steady state is not unique, or when the residual |L[rho]|_inf exceeds
-    ``tol`` times the largest |L_ij|.  The reported residual is absolute.
+    steady state is not unique, or when the residual |L[rho]|_inf of the
+    Hermitian, unit-trace state exceeds ``tol`` times the largest |L_ij|, so
+    that round-off, which grows with the rates, is judged relative to the
+    scale of L.  The reported residual is absolute.  The reference for
+    :func:`solve_model`.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
     d = _system_dim(liouv)
-    rows, cols = np.divmod(np.arange(d * d), d)
-    return _nullspace_solve(liouv, rows, cols, d, tol)
+    coo = liouv.tocoo()
+    keep = coo.row != 0
+    diagonal = np.arange(d) * (d + 1)
+    mat_rows = np.concatenate([coo.row[keep], np.zeros(d, dtype=coo.row.dtype)])
+    mat_cols = np.concatenate([coo.col[keep], diagonal])
+    data = np.concatenate([coo.data[keep], np.ones(d, dtype=complex)])
+    mat = sp.csc_matrix((data, (mat_rows, mat_cols)), shape=liouv.shape)
+    rhs = np.zeros(d * d, dtype=complex)
+    rhs[0] = 1.0
+    try:
+        x = splu(mat).solve(rhs)
+    except RuntimeError as exc:  # singular factorization
+        raise SteadyStateError(f"null-space solve failed: {exc}") from exc
+    rho = x.reshape(d, d)
+    rho = 0.5 * (rho + rho.conj().T)
+    rho = rho / np.trace(rho).real
+    res = float(np.abs(liouv @ rho.reshape(-1)).max())
+    return _accept(rho, res, float(np.abs(liouv.data).max(initial=0.0)), tol, "nullspace")
 
 
 def evolve(liouv: sp.spmatrix, rho0: np.ndarray, t_final: float) -> np.ndarray:
     """Propagate rho0 for t_final: exp(L t_final) vec(rho0).
 
     Uses ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham, SIAM J.
-    Sci. Comput. 33, 488 (2011)), which picks its own steps from the norm
-    of L t_final.  Warns if the trace drifts by more than 1e-8 over the run.
+    Sci. Comput. 33, 488 (2011)), imported when called, which picks its own
+    steps from the norm of L t_final.  Warns if the trace drifts by more
+    than 1e-8 over the run.
     """
+    from scipy.sparse.linalg import expm_multiply
+
     d = _system_dim(liouv)
     if rho0.shape != (d, d):
         raise ValueError(f"state shape {rho0.shape} does not match dimension {d}")
@@ -256,16 +259,82 @@ def wigner(
     return WignerField(re_axis, im_axis, (2.0 / math.pi) * total)
 
 
+def _rung_sweep(bands, rhs):
+    """Solve the block-tridiagonal system of ``bands`` by block Thomas.
+
+    Forward elimination over the rungs keeps, per rung r, the solution
+    [G_r | y_r] of S_r [G_r | y_r] = [C_r | b_r - A_r y_{r-1}] with the Schur
+    complement S_r = B_r - A_r G_{r-1} (A, B, C the lower, diagonal and
+    upper blocks); back substitution is x_r = y_r - G_r x_{r+1}.  There is
+    no pivoting across rungs; a singular S_r raises ``np.linalg.LinAlgError``.
+    """
+    lower, diag = bands[:, 0], bands[:, 1]
+    width = diag.shape[1]
+    work = np.concatenate([bands[:, 2], rhs[:, :, np.newaxis]], axis=2)
+    prev = np.zeros((width, width + 1), dtype=complex)
+    for r in range(len(bands)):
+        coupled = lower[r] @ prev  # [A_r G_{r-1} | A_r y_{r-1}]
+        work[r, :, width] -= coupled[:, width]
+        prev = work[r] = np.linalg.solve(diag[r] - coupled[:, :width], work[r])
+    x = work[:, :, width]
+    for r in range(len(bands) - 2, -1, -1):
+        x[r] -= work[r, :, :width] @ x[r + 1]
+    return x
+
+
+def _apply_bands(bands, x):
+    """L x for a vector x laid out by rung, shape (R, m)."""
+    out = np.einsum("rij,rj->ri", bands[:, 1], x)
+    out[1:] += np.einsum("rij,rj->ri", bands[1:, 0], x[:-1])
+    out[:-1] += np.einsum("rij,rj->ri", bands[:-1, 2], x[1:])
+    return out
+
+
+def _pinned_level(model):
+    """A level l whose vacuum population <l, 0|rho|l, 0> is nonzero.
+
+    Every bath jump of positive rate moves the atom between its levels, and
+    with g != 0 the coupling takes |e2, 0> to |e1, 1>, which decays to
+    |e1, 0>; the cavity empties from every level.  So the closed classes of
+    the steady state are those of this graph on the levels at n = 0.  Raises
+    :class:`SteadyStateError` unless there is exactly one; returns its first
+    level, which the steady state populates.
+    """
+    step = np.eye(model.atom_dim, dtype=int)
+    for to_level, from_level, rate in _bath_channels(model):
+        step[from_level, to_level] |= rate > 0
+    step[LEVEL_E2, LEVEL_E1] |= model.g != 0
+    reach = np.linalg.matrix_power(step, model.atom_dim) > 0
+    closed = np.all(reach.T | ~reach, axis=1)  # l comes back from every level it reaches
+    if not reach[np.ix_(closed, closed)].all():
+        raise SteadyStateError(
+            "the steady state is not unique: levels "
+            f"{np.flatnonzero(closed).tolist()} at n = 0 fall into separate closed classes"
+        )
+    return int(np.argmax(closed))
+
+
 def solve_model(
     model: EngineModel, n_max: int | None = None, tol: float = 1e-9
 ) -> tuple[HilbertSpace, SteadyStateResult]:
-    """Steady state of an engine by one LU solve on the charge-zero block.
+    """Steady state of an engine by one rung sweep over the charge-zero block.
 
     The block (:func:`build_sector_liouvillian`) is closed and holds the
-    unique steady state, so its residual is the full-space one.  Raises
-    :class:`SteadyStateError` when the state is not unique or when the
-    residual |L[rho]|_inf exceeds ``tol`` times the largest |L_ij| of the
-    block, a bound relative to the rates.
+    unique steady state, so its residual is the full-space one.  One
+    population |s><s| is pinned to 1 in place of its own equation, the
+    block-tridiagonal system is solved by block Thomas over the rungs, and
+    the state is made Hermitian and normalised to unit trace.  The trace is
+    the left null vector of L, so the pinned system is nonsingular exactly
+    when the steady state is unique and populates s.  s is |l, 0> for the
+    first level l of the one closed class of the jump graph (see
+    ``_pinned_level``): |g, 0> unless, say, a four-level atom with g = 0 and
+    an empty ancilla bath is trapped in the dark |e2, 0>.
+
+    Raises :class:`SteadyStateError` when the jump graph has more than one
+    closed class or a rung's Schur complement is singular (the steady state
+    is not unique), or when the residual |L[rho]|_inf exceeds ``tol`` times
+    the largest |L_ij| of the block, a bound relative to the rates.  There
+    is no pivoting across rungs, and the residual is the check.
 
     With ``n_max=None`` the cutoff is the first rung past the peak of the
     closed-form distribution (:func:`steady_distribution`) where P_n < 1e-12,
@@ -285,8 +354,29 @@ def solve_model(
         if n_max > MAX_N_MAX:
             raise TruncationError(f"closed form needs n_max = {n_max} > {MAX_N_MAX}")
     space = HilbertSpace.for_model(model, n_max)
-    block, rows, cols = build_sector_liouvillian(model, space)
-    result = _nullspace_solve(block, rows, cols, space.total_dim, tol)
+    vacuum = _pinned_level(model) * space.fock_dim
+    bands, rows, cols = build_sector_liouvillian(model, space)
+    filled = rows >= 0
+    rung, slot = np.argwhere((rows == vacuum) & (cols == vacuum))[0]
+    system = bands.copy()
+    system[rung, :, slot] = 0.0
+    system[rung, 1, slot, slot] = 1.0
+    empty_rung, empty_slot = np.nonzero(~filled)
+    system[empty_rung, 1, empty_slot, empty_slot] = 1.0  # empty slots solve to 0
+    rhs = np.zeros(rows.shape, dtype=complex)
+    rhs[rung, slot] = 1.0
+    try:
+        x = _rung_sweep(system, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SteadyStateError(f"rung sweep failed: {exc}") from exc
+    # the Hermitian part, of trace sum Re x over the populations, at unit trace
+    x = x[filled] / x[filled & (rows == cols)].real.sum()
+    rho = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    rho[rows[filled], cols[filled]] = 0.5 * x
+    rho[cols[filled], rows[filled]] += 0.5 * np.conj(x)
+    x = np.where(filled, rho[rows, cols], 0.0)
+    res = float(np.abs(_apply_bands(bands, x)).max())
+    result = _accept(rho, res, float(np.abs(bands).max()), tol, "rung-sweep")
     tail = float(np.real(partial_trace_atom(result.state, space)[-1, -1]))
     if tail > 1e-8:
         warnings.warn(f"tail P[{n_max}] = {tail:.3e} above 1e-8", stacklevel=2)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from heatlaser import BathSpec, build_four_level, build_three_level
 
@@ -28,6 +29,26 @@ def random_four_level(rng):
     nh, nc, na = rng.uniform(0.01, 5.0, 3)
     g = rng.uniform(0.5, 30.0)
     return build_four_level(BathSpec(gh, nh), BathSpec(gc, nc), BathSpec(ga, na), g, 1.0)
+
+
+def sector_block_csc(bands, rows, cols):
+    """The rung bands of ``build_sector_liouvillian`` scattered back to CSC.
+
+    Returns ``(block, rows, cols)`` over the filled slots in rung-major
+    order: column k of ``block`` is the operator |rows[k]><cols[k]|.  Fails
+    if a band entry sits in an empty slot or outside the rung range.
+    """
+    filled = rows >= 0
+    index = np.full(rows.shape, -1)
+    index[filled] = np.arange(np.count_nonzero(filled))
+    rung, band, row_slot, col_slot = np.nonzero(bands)
+    col_rung = rung + band - 1
+    assert np.all((col_rung >= 0) & (col_rung < len(bands)))
+    to, at = index[rung, row_slot], index[col_rung, col_slot]
+    assert np.all((to >= 0) & (at >= 0)), "a band entry sits in an empty slot"
+    size = index.max() + 1
+    data = bands[rung, band, row_slot, col_slot]
+    return sp.csc_matrix((data, (to, at)), shape=(size, size)), rows[filled], cols[filled]
 
 
 @pytest.fixture

@@ -1,9 +1,11 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import heatlaser
@@ -270,14 +272,55 @@ def test_very_hot_bath_meets_scaled_residual(tmp_path):
     assert code == 0
 
 
-def test_cli_import_skips_scipy_stats_and_optimize():
-    # the two packages are most of the start-up cost of every command
+def test_cli_import_skips_scipy_stats_and_optimize(tmp_path):
+    # scipy costs more start-up than a whole fig2 sweep, and no command but
+    # thresholds needs it: importing the package and the CLI, a sweep and a
+    # distribution with its Wigner grid all leave no scipy module loaded
     env = dict(os.environ, PYTHONPATH=str(Path(heatlaser.__file__).parents[1]))
     probe = (
-        "import sys, heatlaser.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.optimize'))))"
+        "import sys\n"
+        "def loaded(prefix): return sorted(m for m in sys.modules if m.startswith(prefix))\n"
+        "import heatlaser\n"
+        "print(loaded('scipy'))\n"
+        "import heatlaser.cli\n"
+        "print(loaded(('scipy.stats', 'scipy.optimize')))\n"
+        "print(loaded('scipy'))\n"
+        "out = sys.argv[1]\n"
+        "assert heatlaser.cli.main(['sweep', '--config', 'fig2', '--jobs', '1', '--out', out]) == 0\n"
+        "print(loaded('scipy'))\n"
+        "argv = ['distribution', '--config', 'fig2', '--nh', '2', '--wigner', '--out', out]\n"
+        "assert heatlaser.cli.main(argv) == 0\n"
+        "print(loaded('scipy'))\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
     )
-    assert out.stdout.strip() == "[]"
+    lines = [line for line in out.stdout.splitlines() if not line.startswith("wrote ")]
+    assert lines == ["[]"] * 5
+    assert (tmp_path / "fig2.csv").exists() and (tmp_path / "fig2_wigner.csv").exists()
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e-9, 0.3, 2.5, 17.0, 90.0, 123.456])
+def test_poisson_column_matches_scipy(mu):
+    from scipy.special import gammaln
+    from scipy.stats import poisson
+
+    from heatlaser.cli import _poisson
+
+    rungs = np.arange(201)
+    mine, reference = _poisson(mu, 200), poisson.pmf(rungs, mu)
+    if mu == 0.0:
+        assert mine[0] == 1.0 and not mine[1:].any()
+    # both are exp(n log mu - log n! - mu).  scipy's gammaln is up to 2 ulps
+    # off the correctly rounded log n!, and the sum then rounds differently,
+    # so P_n moves by up to 2.5 ulps of n |log mu| + log n! + mu relative
+    # (2.3e-13 at n = 200); 1e-15 covers the rounding of exp
+    size = gammaln(rungs + 1.0) + mu + (rungs * abs(math.log(mu)) if mu > 0 else 0.0)
+    rtol = 2.5 * np.spacing(size) + 1e-15
+    normal = reference >= np.finfo(float).tiny  # subnormals keep too few digits
+    assert np.all(np.abs(mine - reference)[normal] <= rtol[normal] * reference[normal])
+    assert np.all(np.abs(mine - reference)[~normal] <= np.finfo(float).tiny)

@@ -18,9 +18,15 @@ from heatlaser.core import (
     check_density_matrix,
     is_hermitian,
 )
-from heatlaser.solver import solve_model, steady_state
+from heatlaser.solver import SteadyStateError, solve_model, steady_state
 
-from conftest import make_fig2_model, make_fig5_model, random_four_level, random_three_level
+from conftest import (
+    make_fig2_model,
+    make_fig5_model,
+    random_four_level,
+    random_three_level,
+    sector_block_csc,
+)
 
 
 def random_density_matrix(rng, dim):
@@ -207,7 +213,7 @@ def test_sector_block_matches_full_liouvillian(seed, four, n_max, empty_baths, u
     }
     model = replace(model, g=0.0 if uncoupled else model.g, **emptied)
     space = HilbertSpace.for_model(model, n_max)
-    block, rows, cols = build_sector_liouvillian(model, space)
+    block, rows, cols = sector_block_csc(*build_sector_liouvillian(model, space))
     full = build_liouvillian(model, space).tocsc()
     inside = rows * space.total_dim + cols
     # the block is the full generator restricted to (rows, cols)
@@ -217,10 +223,40 @@ def test_sector_block_matches_full_liouvillian(seed, four, n_max, empty_baths, u
     # and no block column leaks outside the block
     outside = np.setdiff1d(np.arange(space.total_dim**2), inside)
     assert not np.any(full[outside][:, inside].data)
-    if four and uncoupled and empty_baths[2]:
-        return  # nothing leaves |e2, 0>: the steady state is not unique
+    if four and uncoupled and empty_baths[0] and empty_baths[2]:
+        # nothing leaves |e2, 0> and nothing reaches it from |g, 0>: the
+        # steady state is not unique
+        with pytest.raises(SteadyStateError):
+            solve_model(model, n_max=n_max)
+        return
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # small cutoffs leave tail mass
         _, result = solve_model(model, n_max=n_max)
     reference = steady_state(full).state
     assert np.abs(result.state - reference).max() < 1e-10
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 5])
+def test_dark_state_is_the_unique_steady_state(n_max):
+    # four levels, g = 0 and an empty ancilla: nothing leaves |e2, 0>, and the
+    # hot bath feeds it from every other level, so it is the steady state
+    model = make_fig5_model(n_a=0.0, g=0.0)
+    space = HilbertSpace.for_model(model, n_max)
+    dark = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    dark[2 * space.fock_dim, 2 * space.fock_dim] = 1.0
+    _, result = solve_model(model, n_max=n_max)
+    assert np.abs(result.state - dark).max() < 1e-12
+    reference = steady_state(build_liouvillian(model, space))
+    assert np.abs(reference.state - dark).max() < 1e-12
+
+
+def test_empty_hot_and_ancilla_baths():
+    # with the coupling on, |e2, 0> emits into |e1, 1>: unique and solvable
+    coupled = make_fig5_model(n_h=0.0, n_a=0.0)
+    space = HilbertSpace.for_model(coupled, 4)
+    _, result = solve_model(coupled, n_max=4)
+    reference = steady_state(build_liouvillian(coupled, space)).state
+    assert np.abs(result.state - reference).max() < 1e-10
+    # with it off, |e2, 0> and the thermal g/e1 pair are two steady states
+    with pytest.raises(SteadyStateError):
+        solve_model(make_fig5_model(n_h=0.0, n_a=0.0, g=0.0), n_max=4)

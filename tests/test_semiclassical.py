@@ -115,6 +115,25 @@ def test_zero_field_populations_four_level_vs_detailed_balance():
     )
 
 
+def test_zero_field_populations_four_level_vs_scipy_kernel(rng):
+    # the numpy SVD kernel against scipy.linalg.null_space of the same matrix
+    from heatlaser.semiclassical import _classical_rate_matrix
+
+    for _ in range(50):
+        model = random_four_level(rng)
+        kernel = null_space(_classical_rate_matrix(model))
+        assert kernel.shape[1] == 1
+        expected = kernel[:, 0] / kernel[:, 0].sum()
+        np.testing.assert_allclose(zero_field_populations(model), expected, rtol=0, atol=1e-12)
+
+
+def test_zero_field_populations_reject_degenerate_network():
+    # empty hot and ancilla baths: e2 is trapped and {g, e1} is closed too
+    model = make_fig5_model(n_h=0.0, n_a=0.0, g=0.0)
+    with pytest.raises(ValueError, match="kernel dimension 2"):
+        zero_field_populations(model)
+
+
 def test_four_level_inversion_matches_populations(rng):
     for _ in range(25):
         model = random_four_level(rng)

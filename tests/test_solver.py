@@ -6,13 +6,16 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 from scipy.special import eval_laguerre
 
 import heatlaser.core
 import heatlaser.solver
 from heatlaser import (
+    BathSpec,
     HilbertSpace,
     TruncationError,
+    build_four_level,
     build_liouvillian,
     evolve,
     expectation,
@@ -24,7 +27,7 @@ from heatlaser import (
     steady_state,
     wigner,
 )
-from heatlaser.core import build_cavity_operators, check_density_matrix
+from heatlaser.core import build_cavity_operators, build_sector_liouvillian, check_density_matrix
 from heatlaser.solver import SteadyStateError
 
 from conftest import (
@@ -32,6 +35,7 @@ from conftest import (
     make_fig5_model,
     random_four_level,
     random_three_level,
+    sector_block_csc,
 )
 
 
@@ -65,6 +69,16 @@ def test_steady_state_must_be_unique():
     frozen = make_fig2_model(n_h=0.0, n_c=0.0, g=0.0, gamma=0.0)
     with pytest.raises(SteadyStateError):
         solve_model(frozen, n_max=4)
+
+
+def test_separate_closed_classes_are_not_unique():
+    # no hot bath and no coupling: {g, e1} and {e2, e3} each hold a steady
+    # state, and round-off leaves the rung sweep no exactly zero pivot here
+    model = build_four_level(
+        BathSpec(0.0, 0.5), BathSpec(32.0, 0.05), BathSpec(32.0, 0.3), 0.0, 1.0
+    )
+    with pytest.raises(SteadyStateError, match="not unique"):
+        solve_model(model, n_max=2)
 
 
 def test_evolve_identity_and_decay():
@@ -246,6 +260,36 @@ def test_solve_model_builds_no_dense_operators(monkeypatch):
     for model in (make_fig2_model(), make_fig5_model()):
         space, result = solve_model(model)
         assert partial_trace_atom(result.state, space)[-1, -1].real < 1e-8
+
+
+@pytest.mark.parametrize(
+    "model, n_max",
+    [(make_fig5_model(kappa=1 / 32), 199), (make_fig2_model(kappa=0.06), 176)],
+)
+def test_rung_sweep_matches_sparse_lu_at_large_cutoff(model, n_max):
+    space, result = solve_model(model)
+    assert space.n_max == n_max
+    # the same block scattered to CSC, solved by LU with the equation of
+    # |g, 0><g, 0| replaced by the trace row
+    block, rows, cols = sector_block_csc(*build_sector_liouvillian(model, space))
+    ground = int(np.flatnonzero((rows == 0) & (cols == 0))[0])
+    populations = np.flatnonzero(rows == cols)
+    block = block.tolil()
+    block[ground, :] = 0.0
+    block[ground, populations] = 1.0
+    rhs = np.zeros(rows.size, dtype=complex)
+    rhs[ground] = 1.0
+    x = splu(block.tocsc()).solve(rhs)
+    photons = rows[populations] % space.fock_dim
+    reference = np.bincount(photons, weights=x[populations].real, minlength=space.fock_dim)
+    numeric = photon_distribution(result.state, space).probabilities
+    assert np.abs(numeric - reference / reference.sum()).max() <= 1e-12
+
+
+def test_solve_model_reports_stall():
+    with pytest.raises(SteadyStateError, match="stalled") as err:
+        solve_model(make_fig2_model(n_h=1.0), tol=1e-30)
+    assert err.value.best_residual is not None and err.value.best_residual > 0
 
 
 def test_cutoff_above_bound_raises_before_assembly(monkeypatch):
