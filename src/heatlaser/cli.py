@@ -18,10 +18,16 @@ not listed (such as ``numerics.n_max`` of older configs) are ignored:
 Output data files are deterministic: 12-significant-digit CSV plus an
 optional JSON mirror, with run metadata in a separate ``*_meta.json``
 sidecar.  Sweep records and the ``distribution`` sidecar carry the Fock
-cutoff ``n_max`` and its exact tail mass ``tail`` = P[n_max].  Summaries
-printed to standard output round their numbers to 4 significant digits; the
-data files carry the full 12.  Exit codes: 0 success, 2 config error,
-3 numeric failure in single-point commands.
+cutoff ``n_max``, its exact tail mass ``tail`` = P[n_max], and the
+``residual`` |L[rho]|_inf of the accepted steady state (absolute, not
+scaled).  Summaries printed to standard output round their numbers to 4
+significant digits; the data files carry the full 12.  Exit codes:
+0 success, 2 config error, 3 numeric failure in single-point commands.
+
+A sweep solves its n_h grid in consecutive batches of ``BATCH_POINTS``
+points, the steady states of a batch in one batched rung sweep.  The batches
+depend only on the grid; ``--jobs`` N > 1 maps them over N worker
+processes, so the output does not depend on it.
 """
 
 from __future__ import annotations
@@ -64,9 +70,11 @@ from .semiclassical import (
 )
 from .solver import (
     SteadyStateError,
+    closed_form_cutoff,
     partial_trace_atom,
     photon_distribution,
     solve_model,
+    solve_models,
     wigner,
 )
 
@@ -89,8 +97,15 @@ SWEEP_FIELDS = [
     "power",
     "n_max",
     "tail",
+    "residual",
     "status",
 ]
+
+# points per batch of steady-state solves.  A batch holds the rung bands and
+# the pinned system of all its points at once, about 0.2 MB a point at
+# n_max 80, so a batch of a whole 60-point grid raises the peak memory by
+# several megabytes; 16 points already share most of numpy's cost per call
+BATCH_POINTS = 16
 
 
 class ConfigError(Exception):
@@ -297,53 +312,82 @@ def dumps_config(config: RunConfig) -> str:
 # sweep execution
 # ---------------------------------------------------------------------------
 
-def _sweep_point(config: RunConfig, n_h: float) -> dict:
-    """Compute one sweep record; runs inside worker processes."""
-    model = with_hot_occupation(config.model, n_h)
-    record = dict.fromkeys(SWEEP_FIELDS, math.nan)
-    record["n_h"] = n_h
-    record["status"] = "ok"
-    try:
-        coeffs = scully_lamb_coefficients(model)
-        moments = distribution_moments(coeffs)
-        record.update(
-            gain_over_kappa=lasing_gain(model) / model.kappa,
-            inversion0=population_inversion(model),
-            A=coeffs.A,
-            A_b=coeffs.A_b,
-            B=coeffs.B,
-            mean_analytic=moments.mean,
-            variance_analytic=moments.variance,
-            fano_analytic=moments.fano,
-            power=output_power(model, moments.mean),
-        )
-        space, result = solve_model(model, tol=config.numerics.steady_tol)
-        numeric = photon_distribution(result.state, space)
-        analytic = steady_distribution(coeffs, n_max=space.n_max, tail_tol=math.inf)
-        record.update(
-            mean_numeric=numeric.mean,
-            variance_numeric=numeric.variance,
-            l1_distance=float(
-                np.abs(numeric.probabilities - analytic.probabilities).sum()
-            ),
-            n_max=space.n_max,
-            tail=float(numeric.probabilities[-1]),
-        )
-    except (ValueError, TruncationError, SteadyStateError) as exc:
-        record["status"] = f"failed: {exc}"
-    return record
+def _sweep_batch(config: RunConfig, values: list[float]) -> list[dict]:
+    """Compute the sweep records of consecutive n_h values; runs inside worker processes.
+
+    The closed form is evaluated once per point; its auto-support
+    distribution gives both the P_0 of the moments and the Fock cutoff.  The
+    steady states of the batch are solved together (:func:`solve_models`);
+    a point that fails keeps its own record and status.
+    """
+    records, pending = [], []
+    for n_h in values:
+        model = with_hot_occupation(config.model, n_h)
+        record = dict.fromkeys(SWEEP_FIELDS, math.nan)
+        record["n_h"] = n_h
+        record["status"] = "ok"
+        records.append(record)
+        try:
+            coeffs = scully_lamb_coefficients(model)
+            closed = steady_distribution(coeffs)
+            moments = distribution_moments(coeffs, distribution=closed)
+            record.update(
+                gain_over_kappa=lasing_gain(model) / model.kappa,
+                inversion0=population_inversion(model),
+                A=coeffs.A,
+                A_b=coeffs.A_b,
+                B=coeffs.B,
+                mean_analytic=moments.mean,
+                variance_analytic=moments.variance,
+                fano_analytic=moments.fano,
+                power=output_power(model, moments.mean),
+            )
+            pending.append((record, model, coeffs, closed_form_cutoff(closed)))
+        except (ValueError, TruncationError) as exc:
+            record["status"] = f"failed: {exc}"
+    solved = solve_models(
+        [model for _, model, _, _ in pending],
+        [n_max for _, _, _, n_max in pending],
+        config.numerics.steady_tol,
+    )
+    for (record, _, coeffs, _), outcome in zip(pending, solved):
+        if isinstance(outcome, Exception):
+            record["status"] = f"failed: {outcome}"
+            continue
+        space, result = outcome
+        try:
+            numeric = photon_distribution(result.state, space)
+            analytic = steady_distribution(coeffs, n_max=space.n_max, tail_tol=math.inf)
+            record.update(
+                mean_numeric=numeric.mean,
+                variance_numeric=numeric.variance,
+                l1_distance=float(
+                    np.abs(numeric.probabilities - analytic.probabilities).sum()
+                ),
+                n_max=space.n_max,
+                tail=float(numeric.probabilities[-1]),
+                residual=result.residual,
+            )
+        except ValueError as exc:
+            record["status"] = f"failed: {exc}"
+    return records
 
 
 def run_sweep(config: RunConfig, jobs: int = 1) -> list[dict]:
-    """Evaluate every sweep point, ordered by sweep index."""
+    """Evaluate every sweep point, ordered by sweep index.
+
+    The grid is cut into consecutive batches of ``BATCH_POINTS`` points,
+    whatever ``jobs`` is; with ``jobs`` > 1 a process pool maps the batches.
+    """
     if config.sweep is None:
         raise ConfigError("sweep: block required for the sweep command")
-    point = functools.partial(_sweep_point, config)
     values = [float(value) for value in config.sweep.values()]
-    if jobs <= 1 or len(values) == 1:
-        return [point(n_h) for n_h in values]
+    batches = [values[i : i + BATCH_POINTS] for i in range(0, len(values), BATCH_POINTS)]
+    solve = functools.partial(_sweep_batch, config)
+    if jobs <= 1 or len(batches) == 1:
+        return [record for batch in batches for record in solve(batch)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(point, values))
+        return [record for records in pool.map(solve, batches) for record in records]
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +486,13 @@ def _poisson(mu: float, n_max: int) -> np.ndarray:
 
 def cmd_distribution(config: RunConfig, n_h: float, out_dir: Path, fmt: str, with_wigner: bool) -> int:
     model = with_hot_occupation(config.model, n_h)
-    space, result = solve_model(model, tol=config.numerics.steady_tol)
-    numeric = photon_distribution(result.state, space)
     coeffs = scully_lamb_coefficients(model)
-    analytic = steady_distribution(coeffs, n_max=space.n_max, tail_tol=math.inf)
-    mean = distribution_moments(coeffs).mean if coeffs.A > 0 else 0.0
+    closed = steady_distribution(coeffs)
+    n_max = closed_form_cutoff(closed)
+    space, result = solve_model(model, n_max=n_max, tol=config.numerics.steady_tol)
+    numeric = photon_distribution(result.state, space)
+    analytic = steady_distribution(coeffs, n_max=n_max, tail_tol=math.inf)
+    mean = distribution_moments(coeffs, distribution=closed).mean if coeffs.A > 0 else 0.0
     reference = _poisson(max(mean, 0.0), space.n_max)
     rows = [
         {
@@ -470,7 +516,12 @@ def cmd_distribution(config: RunConfig, n_h: float, out_dir: Path, fmt: str, wit
         path = out_dir / f"{stem}_wigner.csv"
         _write_text(path, "\n".join(lines) + "\n")
         written.append(path)
-    extra = {"n_h": n_h, "n_max": space.n_max, "tail": float(numeric.probabilities[-1])}
+    extra = {
+        "n_h": n_h,
+        "n_max": n_max,
+        "tail": float(numeric.probabilities[-1]),
+        "residual": result.residual,
+    }
     _write_meta(out_dir / f"{stem}_meta.json", config, "distribution", extra)
     for path in written:
         print(f"wrote {path}")
@@ -530,7 +581,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="sweep n_h and tabulate gain and photon statistics")
     common(p_sweep)
     p_sweep.add_argument(
-        "--jobs", type=int, default=os.cpu_count() or 1, help="worker processes"
+        "--jobs",
+        type=int,
+        default=os.cpu_count() or 1,
+        help=f"worker processes, each solving batches of {BATCH_POINTS} consecutive points",
     )
 
     p_dist = sub.add_parser("distribution", help="photon distribution at one n_h")

@@ -242,7 +242,10 @@ def pn_derivative(coeffs: LaserCoefficients, probabilities: np.ndarray) -> np.nd
 
 
 def distribution_moments(
-    coeffs: LaserCoefficients, n_max: int | None = None
+    coeffs: LaserCoefficients,
+    n_max: int | None = None,
+    *,
+    distribution: PhotonDistribution | None = None,
 ) -> Moments:
     """Closed-form mean, variance, peak location, and Fano factor.
 
@@ -255,14 +258,17 @@ def distribution_moments(
         peak n*  = (A / kappa B)(A - A_b - kappa).
 
     P_0 is taken from the normalized recursion of
-    :func:`steady_distribution`.  The peak is >= 0 exactly when the gain
-    A - A_b reaches kappa.
+    :func:`steady_distribution` at ``n_max``, or from ``distribution``
+    when a caller that already holds that distribution passes it.  The peak
+    is >= 0 exactly when the gain A - A_b reaches kappa.
     """
     if coeffs.A == 0.0:
         return Moments(0.0, 0.0, 0.0, math.nan)
     if coeffs.B <= 0.0:
         raise ValueError("saturation B must be positive when A > 0")
-    p0 = steady_distribution(coeffs, n_max).probabilities[0]
+    if distribution is None:
+        distribution = steady_distribution(coeffs, n_max)
+    p0 = distribution.probabilities[0]
     kb = coeffs.kappa * coeffs.B
     x = coeffs.A**2 / kb
     y = coeffs.A * (coeffs.kappa + coeffs.A_b) / kb

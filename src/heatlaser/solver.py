@@ -4,14 +4,19 @@ Steady states (a block-Thomas sweep over the rungs of the charge-zero block
 in numpy, or an LU null-space solve of the full space), time evolution,
 reduced cavity states, photon distributions, expectation values, and Wigner
 functions.  These provide the independent check against the closed-form
-theory in :mod:`heatlaser.photonstats`.  Only the full-space references
-:func:`steady_state` and :func:`evolve` use scipy, imported when called.
+theory in :mod:`heatlaser.photonstats`.  :func:`solve_models` solves the
+steady states of many engines together, one stacked solve per rung for the
+whole batch, and gives each the numbers :func:`solve_model` gives it alone.
+Only the full-space references :func:`steady_state` and :func:`evolve` use
+scipy, imported when called.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -40,6 +45,8 @@ __all__ = [
     "expectation",
     "wigner",
     "solve_model",
+    "solve_models",
+    "closed_form_cutoff",
 ]
 
 # largest Fock cutoff solve_model chooses; see its docstring
@@ -260,26 +267,34 @@ def wigner(
 
 
 def _rung_sweep(bands, rhs):
-    """Solve the block-tridiagonal system of ``bands`` by block Thomas.
+    """Solve a batch of block-tridiagonal systems by block Thomas.
 
-    Forward elimination over the rungs keeps, per rung r, the solution
-    [G_r | y_r] of S_r [G_r | y_r] = [C_r | b_r - A_r y_{r-1}] with the Schur
-    complement S_r = B_r - A_r G_{r-1} (A, B, C the lower, diagonal and
-    upper blocks); back substitution is x_r = y_r - G_r x_{r+1}.  There is
-    no pivoting across rungs; a singular S_r raises ``np.linalg.LinAlgError``.
+    ``bands`` has shape (P, R, 3, m, m) and ``rhs`` shape (P, R, m), one
+    system per point p.  Forward elimination over the rungs keeps, per rung
+    r, the solution [G_r | y_r] of S_r [G_r | y_r] = [C_r | b_r - A_r y_{r-1}]
+    with the Schur complement S_r = B_r - A_r G_{r-1} (A, B, C the lower,
+    diagonal and upper blocks); back substitution is x_r = y_r - G_r x_{r+1}.
+    Each rung takes one stacked solve and one stacked matmul for all P
+    points; numpy runs LAPACK and BLAS once per matrix, so a point gets the
+    numbers a batch of one gives it.  A point padded past its own last rung
+    with identity diagonal blocks and a zero right-hand side keeps its
+    solution, because its last upper block is 0.  There is no pivoting
+    across rungs; a singular S_r of any point raises
+    ``np.linalg.LinAlgError`` for the whole batch, which ``_sweep_blocks``
+    then solves again one point at a time.
     """
-    lower, diag = bands[:, 0], bands[:, 1]
-    width = diag.shape[1]
-    work = np.concatenate([bands[:, 2], rhs[:, :, np.newaxis]], axis=2)
-    prev = np.zeros((width, width + 1), dtype=complex)
-    for r in range(len(bands)):
-        coupled = lower[r] @ prev  # [A_r G_{r-1} | A_r y_{r-1}]
-        work[r, :, width] -= coupled[:, width]
-        prev = work[r] = np.linalg.solve(diag[r] - coupled[:, :width], work[r])
-    x = work[:, :, width]
-    for r in range(len(bands) - 2, -1, -1):
-        x[r] -= work[r, :, :width] @ x[r + 1]
-    return x
+    lower, diag = bands[:, :, 0], bands[:, :, 1]
+    width = diag.shape[-1]
+    work = np.concatenate([bands[:, :, 2], rhs[..., np.newaxis]], axis=-1)
+    prev = np.zeros((len(bands), width, width + 1), dtype=complex)
+    for r in range(bands.shape[1]):
+        coupled = lower[:, r] @ prev  # [A_r G_{r-1} | A_r y_{r-1}]
+        work[:, r, :, width] -= coupled[:, :, width]
+        prev = work[:, r] = np.linalg.solve(diag[:, r] - coupled[:, :, :width], work[:, r])
+    x = work[..., width:]
+    for r in range(bands.shape[1] - 2, -1, -1):
+        x[:, r] -= work[:, r, :, :width] @ x[:, r + 1]
+    return x[..., 0]
 
 
 def _apply_bands(bands, x):
@@ -314,6 +329,136 @@ def _pinned_level(model):
     return int(np.argmax(closed))
 
 
+def closed_form_cutoff(closed: PhotonDistribution) -> int:
+    """The Fock cutoff :func:`solve_model` chooses from the closed form.
+
+    ``closed`` is the auto-support :func:`steady_distribution` of the
+    engine.  The cutoff is the first rung past its peak where P_n < 1e-12,
+    so 1 with the pump off (A = 0); above ``MAX_N_MAX`` it raises
+    :class:`TruncationError`.
+    """
+    # the auto support stops at a rung N with P_{N+1} < 1e-12; the
+    # appended 0 stands for rung N + 1 in case no rung inside qualifies
+    p = np.append(closed.probabilities, 0.0)
+    peak = int(np.argmax(p))
+    n_max = peak + int(np.argmax(p[peak:] < 1e-12))
+    if n_max > MAX_N_MAX:
+        raise TruncationError(f"closed form needs n_max = {n_max} > {MAX_N_MAX}")
+    return n_max
+
+
+# one point's charge-zero block and the (rung, slot) of its pinned population;
+# a named tuple, since a class with annotations costs a millisecond at import
+_Block = namedtuple("_Block", "space bands rows cols pin")
+
+
+def _pinned_systems(blocks):
+    """The stacked systems of blocks of equal width, padded to equal depth.
+
+    Each block's pinned population gets its own equation replaced by
+    x_pin = 1, and each empty slot the equation x = 0; the rungs past a
+    block's last are identity blocks with a zero right-hand side.
+    """
+    depth = max(len(block.bands) for block in blocks)
+    width = blocks[0].bands.shape[-1]
+    system = np.zeros((len(blocks), depth, 3, width, width), dtype=complex)
+    system[:, :, 1] = np.eye(width)
+    rhs = np.zeros((len(blocks), depth, width), dtype=complex)
+    for point, block in enumerate(blocks):
+        rung, slot = block.pin
+        system[point, : len(block.bands)] = block.bands
+        system[point, rung, :, slot] = 0.0
+        system[point, rung, 1, slot, slot] = 1.0
+        empty_rung, empty_slot = np.nonzero(block.rows < 0)
+        system[point, empty_rung, 1, empty_slot, empty_slot] = 1.0
+        rhs[point, rung, slot] = 1.0
+    return system, rhs
+
+
+def _sweep_blocks(blocks):
+    """Per block of equal width, its rung-sweep solution or the error it raised.
+
+    A stacked solve fails as a whole when any point's system is singular,
+    so such a batch is solved again one point at a time, and only the
+    singular points get a :class:`SteadyStateError`.
+    """
+    try:
+        xs = _rung_sweep(*_pinned_systems(blocks))
+    except np.linalg.LinAlgError as exc:
+        if len(blocks) > 1:
+            return [x for block in blocks for x in _sweep_blocks([block])]
+        error = SteadyStateError(f"rung sweep failed: {exc}")
+        error.__cause__ = exc
+        return [error]
+    return [x[: len(block.bands)] for x, block in zip(xs, blocks)]
+
+
+def _steady_result(block, x, tol):
+    """The Hermitian, unit-trace state of a rung-sweep solution, gated and checked."""
+    space, bands, rows, cols = block.space, block.bands, block.rows, block.cols
+    filled = rows >= 0
+    # the Hermitian part, of trace sum Re x over the populations, at unit trace
+    x = x[filled] / x[filled & (rows == cols)].real.sum()
+    rho = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    rho[rows[filled], cols[filled]] = 0.5 * x
+    rho[cols[filled], rows[filled]] += 0.5 * np.conj(x)
+    x = np.where(filled, rho[rows, cols], 0.0)
+    res = float(np.abs(_apply_bands(bands, x)).max())
+    result = _accept(rho, res, float(np.abs(bands).max()), tol, "rung-sweep")
+    tail = float(np.real(partial_trace_atom(result.state, space)[-1, -1]))
+    if tail > 1e-8:
+        warnings.warn(f"tail P[{space.n_max}] = {tail:.3e} above 1e-8", stacklevel=3)
+    return space, result
+
+
+def solve_models(
+    models: Sequence[EngineModel], n_maxes: Sequence[int], tol: float = 1e-9
+) -> Iterator[tuple[HilbertSpace, SteadyStateResult] | Exception]:
+    """Steady states of several engines, their rung sweeps solved together.
+
+    Model k is solved at the cutoff ``n_maxes[k]`` exactly as
+    :func:`solve_model` solves it, which is this function on a batch of one.
+    The blocks of equal width (all of them in a sweep of one engine kind)
+    are padded to equal depth and swept in one batch (``_rung_sweep``), so
+    numpy's cost per call is paid once per rung for the whole batch.  The
+    block assembly, the pinned level, the Hermitian part and unit trace,
+    the residual gate and the tail warning stay per point.
+
+    Yields, in the order of ``models``, ``(space, SteadyStateResult)`` or
+    the :class:`SteadyStateError` or ``ValueError`` that point raised, so
+    that one point's failure stays its own.  Each dense state is built when
+    its entry is taken: only one of them need be held at a time.
+    """
+    blocks = []
+    for model, n_max in zip(models, n_maxes):
+        try:
+            space = HilbertSpace.for_model(model, n_max)
+            vacuum = _pinned_level(model) * space.fock_dim
+            bands, rows, cols = build_sector_liouvillian(model, space)
+        except (ValueError, SteadyStateError) as exc:
+            blocks.append(exc)
+            continue
+        rung, slot = np.argwhere((rows == vacuum) & (cols == vacuum))[0]
+        blocks.append(_Block(space, bands, rows, cols, (int(rung), int(slot))))
+    solutions = {}
+    by_width = {}
+    for k, block in enumerate(blocks):
+        if isinstance(block, _Block):
+            by_width.setdefault(block.bands.shape[-1], []).append(k)
+    for members in by_width.values():
+        solutions.update(zip(members, _sweep_blocks([blocks[k] for k in members])))
+    for k, block in enumerate(blocks):
+        x = solutions.get(k, block)  # the sweep's solution, or the point's error
+        if isinstance(x, Exception):
+            yield x
+            continue
+        try:
+            outcome = _steady_result(block, x, tol)
+        except SteadyStateError as exc:
+            outcome = exc
+        yield outcome
+
+
 def solve_model(
     model: EngineModel, n_max: int | None = None, tol: float = 1e-9
 ) -> tuple[HilbertSpace, SteadyStateResult]:
@@ -328,7 +473,8 @@ def solve_model(
     when the steady state is unique and populates s.  s is |l, 0> for the
     first level l of the one closed class of the jump graph (see
     ``_pinned_level``): |g, 0> unless, say, a four-level atom with g = 0 and
-    an empty ancilla bath is trapped in the dark |e2, 0>.
+    an empty ancilla bath is trapped in the dark |e2, 0>.  This is
+    :func:`solve_models` on a batch of one.
 
     Raises :class:`SteadyStateError` when the jump graph has more than one
     closed class or a rung's Schur complement is singular (the steady state
@@ -336,48 +482,18 @@ def solve_model(
     the largest |L_ij| of the block, a bound relative to the rates.  There
     is no pivoting across rungs, and the residual is the check.
 
-    With ``n_max=None`` the cutoff is the first rung past the peak of the
-    closed-form distribution (:func:`steady_distribution`) where P_n < 1e-12,
-    so n_max = 1 with the pump off (A = 0).  A cutoff above ``MAX_N_MAX`` =
-    200 raises :class:`TruncationError` before any assembly: the returned
-    state is a dense (A F) x (A F) array, and the bound caps the memory and
-    the time of one point.  An explicit ``n_max`` is used as given.  One
-    block is solved; a warning is raised if the exact P[n_max] exceeds 1e-8.
+    With ``n_max=None`` the cutoff is :func:`closed_form_cutoff` of the
+    closed-form distribution (:func:`steady_distribution`): the first rung
+    past its peak where P_n < 1e-12, so n_max = 1 with the pump off (A = 0).
+    A cutoff above ``MAX_N_MAX`` = 200 raises :class:`TruncationError`
+    before any assembly: the returned state is a dense (A F) x (A F) array,
+    and the bound caps the memory and the time of one point.  An explicit
+    ``n_max`` is used as given.  One block is solved; a warning is raised if
+    the exact P[n_max] exceeds 1e-8.
     """
     if n_max is None:
-        # the auto support stops at a rung N with P_{N+1} < 1e-12; the
-        # appended 0 stands for rung N + 1 in case no rung inside qualifies
-        closed = steady_distribution(scully_lamb_coefficients(model))
-        p = np.append(closed.probabilities, 0.0)
-        peak = int(np.argmax(p))
-        n_max = peak + int(np.argmax(p[peak:] < 1e-12))
-        if n_max > MAX_N_MAX:
-            raise TruncationError(f"closed form needs n_max = {n_max} > {MAX_N_MAX}")
-    space = HilbertSpace.for_model(model, n_max)
-    vacuum = _pinned_level(model) * space.fock_dim
-    bands, rows, cols = build_sector_liouvillian(model, space)
-    filled = rows >= 0
-    rung, slot = np.argwhere((rows == vacuum) & (cols == vacuum))[0]
-    system = bands.copy()
-    system[rung, :, slot] = 0.0
-    system[rung, 1, slot, slot] = 1.0
-    empty_rung, empty_slot = np.nonzero(~filled)
-    system[empty_rung, 1, empty_slot, empty_slot] = 1.0  # empty slots solve to 0
-    rhs = np.zeros(rows.shape, dtype=complex)
-    rhs[rung, slot] = 1.0
-    try:
-        x = _rung_sweep(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SteadyStateError(f"rung sweep failed: {exc}") from exc
-    # the Hermitian part, of trace sum Re x over the populations, at unit trace
-    x = x[filled] / x[filled & (rows == cols)].real.sum()
-    rho = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    rho[rows[filled], cols[filled]] = 0.5 * x
-    rho[cols[filled], rows[filled]] += 0.5 * np.conj(x)
-    x = np.where(filled, rho[rows, cols], 0.0)
-    res = float(np.abs(_apply_bands(bands, x)).max())
-    result = _accept(rho, res, float(np.abs(bands).max()), tol, "rung-sweep")
-    tail = float(np.real(partial_trace_atom(result.state, space)[-1, -1]))
-    if tail > 1e-8:
-        warnings.warn(f"tail P[{n_max}] = {tail:.3e} above 1e-8", stacklevel=2)
-    return space, result
+        n_max = closed_form_cutoff(steady_distribution(scully_lamb_coefficients(model)))
+    (outcome,) = solve_models([model], [n_max], tol)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

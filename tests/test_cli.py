@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 import heatlaser
+import heatlaser.photonstats
+from heatlaser import photon_distribution, solve_model, with_hot_occupation
 from heatlaser.cli import (
+    BATCH_POINTS,
     ConfigError,
     SWEEP_FIELDS,
     dumps_config,
@@ -116,7 +119,9 @@ def test_single_point_sweep_record(tmp_path):
 
 
 def test_sweep_outputs_are_deterministic(tmp_path):
-    path = write_config(tmp_path, {"output.format": "both"})
+    # more points than two batches hold, so --jobs 2 maps batches in a pool
+    points = 2 * BATCH_POINTS + 3
+    path = write_config(tmp_path, {"output.format": "both", "sweep.points": points})
     out_a, out_b, out_c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     assert main(["sweep", "--config", str(path), "--out", str(out_a), "--jobs", "1"]) == 0
     assert main(["sweep", "--config", str(path), "--out", str(out_b), "--jobs", "1"]) == 0
@@ -126,12 +131,79 @@ def test_sweep_outputs_are_deterministic(tmp_path):
     assert csv_a == (out_c / "case.csv").read_bytes()
     json_a = (out_a / "case.json").read_bytes()
     assert json_a == (out_c / "case.json").read_bytes()
-    header, first, *_ = csv_a.decode().splitlines()
+    header, first, *rows = csv_a.decode().splitlines()
     assert header == ",".join(SWEEP_FIELDS)
+    assert len(rows) == points - 1
     assert (out_a / "case_meta.json").exists()
     # 12 significant digits
     gain = first.split(",")[1]
     assert len(gain.replace(".", "").replace("-", "").lstrip("0")) <= 12
+
+
+def _solo(config, n_h):
+    """Photon distribution and residual of one point solved on its own."""
+    space, result = solve_model(
+        with_hot_occupation(config.model, n_h), tol=config.numerics.steady_tol
+    )
+    return photon_distribution(result.state, space), result.residual
+
+
+def test_residual_column_matches_solo_solve(tmp_path):
+    config = load_config(write_config(tmp_path, {"sweep.points": 3}))
+    for record in run_sweep(config):
+        numeric, residual = _solo(config, record["n_h"])
+        assert math.isfinite(record["residual"]) and record["residual"] >= 0.0
+        assert record["residual"] == residual
+        assert record["mean_numeric"] == numeric.mean
+
+
+def test_failed_point_stays_in_its_record(tmp_path):
+    # kappa = 0.02: the two highest n_h need a cutoff above 200, while their
+    # batch-mates hold 50 to 135 photon rungs
+    path = write_config(
+        tmp_path,
+        {"model.kappa": 0.02, "sweep.start": 0.05, "sweep.stop": 0.5, "sweep.points": 5},
+    )
+    config = load_config(path)
+    records = run_sweep(config)
+    assert [r["status"].startswith("failed: ") for r in records] == [False] * 3 + [True] * 2
+    for record in records[3:]:
+        assert "> 200" in record["status"]
+        assert math.isnan(record["residual"]) and math.isnan(record["mean_numeric"])
+    assert len({r["n_max"] for r in records[:3]}) == 3
+    for record in records[:3]:
+        numeric, residual = _solo(config, record["n_h"])
+        assert record["n_max"] == numeric.n_max
+        assert record["mean_numeric"] == numeric.mean
+        assert record["variance_numeric"] == numeric.variance
+        assert record["tail"] == numeric.probabilities[-1]
+        assert record["residual"] == residual
+
+
+def test_sweep_evaluates_closed_form_once_per_point(tmp_path, monkeypatch):
+    # wrap every binding of the two functions in the loaded package modules,
+    # as a tracer does, and count the calls of a 5-point sweep
+    calls = {"auto": 0, "coefficients": 0}
+    distribution = heatlaser.photonstats.steady_distribution
+    coefficients = heatlaser.photonstats.scully_lamb_coefficients
+
+    def auto(coeffs, n_max=None, *args, **kwargs):
+        calls["auto"] += n_max is None
+        return distribution(coeffs, n_max, *args, **kwargs)
+
+    def counted(model):
+        calls["coefficients"] += 1
+        return coefficients(model)
+
+    for name, module in list(sys.modules.items()):
+        if name == "heatlaser" or name.startswith("heatlaser."):
+            for attr, value in list(vars(module).items()):
+                for original, wrapper in ((distribution, auto), (coefficients, counted)):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, wrapper)
+    records = run_sweep(load_config(write_config(tmp_path, {"sweep.points": 5})), jobs=1)
+    assert all(r["status"] == "ok" for r in records)
+    assert calls == {"auto": 5, "coefficients": 5}
 
 
 def test_sweep_flags_failed_points(tmp_path):
@@ -199,6 +271,8 @@ def test_distribution_command(tmp_path):
     assert meta["n_max"] == len(table) - 1
     assert meta["tail"] == pytest.approx(p_numeric[-1], abs=1e-15)
     assert meta["tail"] < 1e-8
+    _, residual = _solo(load_config(path), 0.507)
+    assert meta["residual"] == residual
 
 
 def test_distribution_vacuum(tmp_path):

@@ -28,7 +28,7 @@ from heatlaser import (
     wigner,
 )
 from heatlaser.core import build_cavity_operators, build_sector_liouvillian, check_density_matrix
-from heatlaser.solver import SteadyStateError
+from heatlaser.solver import SteadyStateError, closed_form_cutoff, solve_models
 
 from conftest import (
     make_fig2_model,
@@ -300,6 +300,48 @@ def test_cutoff_above_bound_raises_before_assembly(monkeypatch):
     # kappa = 0.02: the closed form holds its 1e-12 tail only past 200 rungs
     with pytest.raises(TruncationError, match=r"needs n_max = \d+ > 200"):
         solve_model(make_fig2_model(kappa=0.02))
+
+
+def _auto_cutoff(model):
+    return closed_form_cutoff(steady_distribution(scully_lamb_coefficients(model)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), kinds=st.lists(st.booleans(), min_size=1, max_size=4))
+def test_batch_solves_each_point_as_a_solo_solve(seed, kinds):
+    # three- and four-level engines of mixed cutoffs in one batch, with an
+    # engine whose pump is off (A = 0, n_max 1)
+    rng = np.random.default_rng(seed)
+    models = [random_four_level(rng) if four else random_three_level(rng) for four in kinds]
+    models.insert(int(rng.integers(len(models) + 1)), make_fig2_model(n_h=0.0))
+    cutoffs = [_auto_cutoff(model) for model in models]
+    assert 1 in cutoffs
+    for model, n_max, outcome in zip(models, cutoffs, solve_models(models, cutoffs)):
+        space, result = outcome
+        solo_space, solo = solve_model(model)
+        assert space.n_max == solo_space.n_max == n_max
+        batched = photon_distribution(result.state, space).probabilities
+        alone = photon_distribution(solo.state, solo_space).probabilities
+        np.testing.assert_allclose(batched, alone, rtol=1e-13, atol=0.0)
+        assert result.residual == pytest.approx(solo.residual, rel=1e-13, abs=0.0)
+
+
+def test_singular_point_fails_alone(monkeypatch):
+    # pinned at |g, 0>, the dark engine's system is singular: its steady
+    # state |e2, 0><e2, 0| has no population there
+    fig5 = make_fig5_model()
+    dark = build_four_level(
+        BathSpec(32.0, 0.5), BathSpec(32.0, 0.1), BathSpec(32.0, 0.0), 0.0, 1.0
+    )
+    solo_space, solo = solve_model(fig5)
+    monkeypatch.setattr(heatlaser.solver, "_pinned_level", lambda model: 0)
+    first, second = solve_models([fig5, dark], [solo_space.n_max, 3])
+    space, result = first
+    assert space == solo_space
+    assert np.array_equal(result.state, solo.state)
+    assert result.residual == solo.residual
+    assert isinstance(second, SteadyStateError)
+    assert "rung sweep failed" in str(second)
 
 
 # ---------------------------------------------------------------------------
