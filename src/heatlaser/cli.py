@@ -25,9 +25,11 @@ significant digits; the data files carry the full 12.  Exit codes:
 0 success, 2 config error, 3 numeric failure in single-point commands.
 
 A sweep solves its n_h grid in consecutive batches of ``BATCH_POINTS``
-points, the steady states of a batch in one batched rung sweep.  The batches
-depend only on the grid; ``--jobs`` N > 1 maps them over N worker
-processes, so the output does not depend on it.
+points, the steady states of a batch in one batched rung sweep.  Each state
+stays in charge-zero block form, and the photon distribution and the Wigner
+function come from its populations.  The batches depend only on the grid;
+``--jobs`` N > 1 maps them over N worker processes, so the output does not
+depend on it.
 """
 
 from __future__ import annotations
@@ -68,15 +70,7 @@ from .semiclassical import (
     population_inversion,
     temperature_lasing_condition,
 )
-from .solver import (
-    SteadyStateError,
-    closed_form_cutoff,
-    partial_trace_atom,
-    photon_distribution,
-    solve_model,
-    solve_models,
-    wigner,
-)
+from .solver import SteadyStateError, closed_form_cutoff, solve_model, solve_models, wigner
 
 SCHEMA_VERSION = 1
 PRESETS = ("fig2", "fig5")
@@ -102,9 +96,9 @@ SWEEP_FIELDS = [
 ]
 
 # points per batch of steady-state solves.  A batch holds the rung bands and
-# the pinned system of all its points at once, about 0.2 MB a point at
-# n_max 80, so a batch of a whole 60-point grid raises the peak memory by
-# several megabytes; 16 points already share most of numpy's cost per call
+# the pinned system of all its points at once, 4.3 kB a four-level rung (see
+# solve_model), so one batch of a whole 60-point grid at n_max 80 would hold
+# 21 MB; 16 points already share most of numpy's cost per call
 BATCH_POINTS = 16
 
 
@@ -312,13 +306,20 @@ def dumps_config(config: RunConfig) -> str:
 # sweep execution
 # ---------------------------------------------------------------------------
 
+def _closed_at_cutoff(closed, n_max):
+    """The auto-support closed form, cut at ``n_max`` <= N + 1 (P_{N+1} = 0) and renormalised."""
+    p = np.append(closed.probabilities, 0.0)[: n_max + 1]
+    return p / p.sum()
+
+
 def _sweep_batch(config: RunConfig, values: list[float]) -> list[dict]:
     """Compute the sweep records of consecutive n_h values; runs inside worker processes.
 
     The closed form is evaluated once per point; its auto-support
-    distribution gives both the P_0 of the moments and the Fock cutoff.  The
-    steady states of the batch are solved together (:func:`solve_models`);
-    a point that fails keeps its own record and status.
+    distribution gives the P_0 of the moments, the Fock cutoff and, cut
+    there, the closed form of ``l1_distance``.  The steady states of the
+    batch are solved together (:func:`solve_models`); a point that fails
+    keeps its own record and status.
     """
     records, pending = [], []
     for n_h in values:
@@ -342,7 +343,7 @@ def _sweep_batch(config: RunConfig, values: list[float]) -> list[dict]:
                 fano_analytic=moments.fano,
                 power=output_power(model, moments.mean),
             )
-            pending.append((record, model, coeffs, closed_form_cutoff(closed)))
+            pending.append((record, model, closed, closed_form_cutoff(closed)))
         except (ValueError, TruncationError) as exc:
             record["status"] = f"failed: {exc}"
     solved = solve_models(
@@ -350,26 +351,22 @@ def _sweep_batch(config: RunConfig, values: list[float]) -> list[dict]:
         [n_max for _, _, _, n_max in pending],
         config.numerics.steady_tol,
     )
-    for (record, _, coeffs, _), outcome in zip(pending, solved):
+    for (record, _, closed, n_max), outcome in zip(pending, solved):
         if isinstance(outcome, Exception):
             record["status"] = f"failed: {outcome}"
             continue
-        space, result = outcome
-        try:
-            numeric = photon_distribution(result.state, space)
-            analytic = steady_distribution(coeffs, n_max=space.n_max, tail_tol=math.inf)
-            record.update(
-                mean_numeric=numeric.mean,
-                variance_numeric=numeric.variance,
-                l1_distance=float(
-                    np.abs(numeric.probabilities - analytic.probabilities).sum()
-                ),
-                n_max=space.n_max,
-                tail=float(numeric.probabilities[-1]),
-                residual=result.residual,
-            )
-        except ValueError as exc:
-            record["status"] = f"failed: {exc}"
+        _, result = outcome
+        numeric = result.distribution
+        record.update(
+            mean_numeric=numeric.mean,
+            variance_numeric=numeric.variance,
+            l1_distance=float(
+                np.abs(numeric.probabilities - _closed_at_cutoff(closed, n_max)).sum()
+            ),
+            n_max=n_max,
+            tail=float(numeric.probabilities[-1]),
+            residual=result.residual,
+        )
     return records
 
 
@@ -489,26 +486,21 @@ def cmd_distribution(config: RunConfig, n_h: float, out_dir: Path, fmt: str, wit
     coeffs = scully_lamb_coefficients(model)
     closed = steady_distribution(coeffs)
     n_max = closed_form_cutoff(closed)
-    space, result = solve_model(model, n_max=n_max, tol=config.numerics.steady_tol)
-    numeric = photon_distribution(result.state, space)
-    analytic = steady_distribution(coeffs, n_max=n_max, tail_tol=math.inf)
+    _, result = solve_model(model, n_max=n_max, tol=config.numerics.steady_tol)
+    numeric = result.distribution.probabilities
+    analytic = _closed_at_cutoff(closed, n_max)
     mean = distribution_moments(coeffs, distribution=closed).mean if coeffs.A > 0 else 0.0
-    reference = _poisson(max(mean, 0.0), space.n_max)
+    reference = _poisson(max(mean, 0.0), n_max)
     rows = [
-        {
-            "n": n,
-            "p_analytic": analytic.probabilities[n],
-            "p_numeric": numeric.probabilities[n],
-            "p_poisson": reference[n],
-        }
-        for n in range(space.n_max + 1)
+        {"n": n, "p_analytic": analytic[n], "p_numeric": numeric[n], "p_poisson": reference[n]}
+        for n in range(n_max + 1)
     ]
     stem = config.output.stem
     written = _emit_records(
         out_dir, f"{stem}_distribution", fmt, ["n", "p_analytic", "p_numeric", "p_poisson"], rows
     )
     if with_wigner:
-        field = wigner(partial_trace_atom(result.state, space))
+        field = wigner(np.diag(numeric))
         lines = ["re,im,value"]
         for iy, y in enumerate(field.im_axis):
             for ix, x in enumerate(field.re_axis):
@@ -519,7 +511,7 @@ def cmd_distribution(config: RunConfig, n_h: float, out_dir: Path, fmt: str, wit
     extra = {
         "n_h": n_h,
         "n_max": n_max,
-        "tail": float(numeric.probabilities[-1]),
+        "tail": float(numeric[-1]),
         "residual": result.residual,
     }
     _write_meta(out_dir / f"{stem}_meta.json", config, "distribution", extra)

@@ -1,14 +1,13 @@
 """Exact numerics on the master equation.
 
-Steady states (a block-Thomas sweep over the rungs of the charge-zero block
-in numpy, or an LU null-space solve of the full space), time evolution,
-reduced cavity states, photon distributions, expectation values, and Wigner
-functions.  These provide the independent check against the closed-form
-theory in :mod:`heatlaser.photonstats`.  :func:`solve_models` solves the
-steady states of many engines together, one stacked solve per rung for the
-whole batch, and gives each the numbers :func:`solve_model` gives it alone.
-Only the full-space references :func:`steady_state` and :func:`evolve` use
-scipy, imported when called.
+:func:`solve_model` sweeps the rungs of the charge-zero block by block
+Thomas in numpy and returns the steady state in that block form with its
+photon distribution, in O(n_max) memory and time; :func:`solve_models` does
+so for many engines in one stacked sweep.  They are the independent check on
+the closed-form theory in :mod:`heatlaser.photonstats`.  The dense (A F)^2
+:func:`steady_state`, :func:`evolve`, :func:`partial_trace_atom` and
+:func:`photon_distribution` are the full-space references (the first two
+import scipy when called); :func:`wigner` maps a cavity state.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -35,6 +34,7 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 __all__ = [
+    "BlockState",
     "SteadyStateResult",
     "SteadyStateError",
     "WignerField",
@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 # largest Fock cutoff solve_model chooses; see its docstring
-MAX_N_MAX = 200
+MAX_N_MAX = 1000
 
 
 class SteadyStateError(RuntimeError):
@@ -63,7 +63,7 @@ class SteadyStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class SteadyStateResult:
-    """A steady state with its defect |L[rho]|_inf and the producing method."""
+    """A dense steady state of :func:`steady_state`, its defect |L[rho]|_inf and method."""
 
     state: np.ndarray
     residual: float
@@ -87,15 +87,14 @@ def _system_dim(liouv):
     return d
 
 
-def _accept(rho, residual, scale, tol, method):
-    """The steady state, unless the residual exceeds ``tol`` x max|L_ij|."""
+def _accept(residual, scale, tol):
+    """Raise :class:`SteadyStateError` if the residual exceeds ``tol`` x max|L_ij|."""
     if not residual <= tol * scale:
         raise SteadyStateError(
             f"steady-state solve stalled at residual {residual:.3e} > {tol:.1e} x "
             f"max|L_ij| = {tol * scale:.3e}",
             residual,
         )
-    return SteadyStateResult(rho, residual, method)
 
 
 def steady_state(liouv: sp.spmatrix, tol: float = 1e-9) -> SteadyStateResult:
@@ -132,7 +131,8 @@ def steady_state(liouv: sp.spmatrix, tol: float = 1e-9) -> SteadyStateResult:
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
     res = float(np.abs(liouv @ rho.reshape(-1)).max())
-    return _accept(rho, res, float(np.abs(liouv.data).max(initial=0.0)), tol, "nullspace")
+    _accept(res, float(np.abs(liouv.data).max(initial=0.0)), tol)
+    return SteadyStateResult(rho, res, "nullspace")
 
 
 def evolve(liouv: sp.spmatrix, rho0: np.ndarray, t_final: float) -> np.ndarray:
@@ -333,13 +333,12 @@ def closed_form_cutoff(closed: PhotonDistribution) -> int:
     """The Fock cutoff :func:`solve_model` chooses from the closed form.
 
     ``closed`` is the auto-support :func:`steady_distribution` of the
-    engine.  The cutoff is the first rung past its peak where P_n < 1e-12,
-    so 1 with the pump off (A = 0); above ``MAX_N_MAX`` it raises
+    engine, which stops at a rung N with P_{N+1} < 1e-12.  The cutoff is
+    the first rung past its peak where P_n < 1e-12, so at most N + 1, and 1
+    with the pump off (A = 0); above ``MAX_N_MAX`` it raises
     :class:`TruncationError`.
     """
-    # the auto support stops at a rung N with P_{N+1} < 1e-12; the
-    # appended 0 stands for rung N + 1 in case no rung inside qualifies
-    p = np.append(closed.probabilities, 0.0)
+    p = np.append(closed.probabilities, 0.0)  # rung N + 1, if no rung inside qualifies
     peak = int(np.argmax(p))
     n_max = peak + int(np.argmax(p[peak:] < 1e-12))
     if n_max > MAX_N_MAX:
@@ -347,9 +346,12 @@ def closed_form_cutoff(closed: PhotonDistribution) -> int:
     return n_max
 
 
-# one point's charge-zero block and the (rung, slot) of its pinned population;
-# a named tuple, since a class with annotations costs a millisecond at import
+# one point's charge-zero block and the (rung, slot) of its pinned population,
+# and a steady state in block form: values[k] is the coefficient of
+# |rows[k]><cols[k]|; named tuples, since a class with annotations costs a
+# millisecond at import
 _Block = namedtuple("_Block", "space bands rows cols pin")
+BlockState = namedtuple("BlockState", "rows cols values distribution residual")
 
 
 def _pinned_systems(blocks):
@@ -394,26 +396,31 @@ def _sweep_blocks(blocks):
 
 
 def _steady_result(block, x, tol):
-    """The Hermitian, unit-trace state of a rung-sweep solution, gated and checked."""
+    """The Hermitian, unit-trace block state of a rung-sweep solution, gated and checked."""
     space, bands, rows, cols = block.space, block.bands, block.rows, block.cols
     filled = rows >= 0
-    # the Hermitian part, of trace sum Re x over the populations, at unit trace
-    x = x[filled] / x[filled & (rows == cols)].real.sum()
-    rho = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    rho[rows[filled], cols[filled]] = 0.5 * x
-    rho[cols[filled], rows[filled]] += 0.5 * np.conj(x)
-    x = np.where(filled, rho[rows, cols], 0.0)
+    populations = filled & (rows == cols)
+    x = x / x[populations].real.sum()
+    # the Hermitian part; the partner |j><i| of |i><j| sits in the same rung
+    pairs = (rows[..., np.newaxis] == cols[:, np.newaxis]) & (cols[..., np.newaxis] == rows[:, np.newaxis])
+    partner = np.take_along_axis(x, np.argmax(pairs, axis=-1), axis=-1)
+    x = np.where(filled, 0.5 * (x + np.conj(partner)), 0.0)
     res = float(np.abs(_apply_bands(bands, x)).max())
-    result = _accept(rho, res, float(np.abs(bands).max()), tol, "rung-sweep")
-    tail = float(np.real(partial_trace_atom(result.state, space)[-1, -1]))
-    if tail > 1e-8:
-        warnings.warn(f"tail P[{space.n_max}] = {tail:.3e} above 1e-8", stacklevel=3)
-    return space, result
+    _accept(res, float(np.abs(bands).max()), tol)
+    # the reduced cavity state is diagonal: P_n sums the populations of the
+    # levels at n, added level by level as the partial trace adds them
+    p = np.bincount(rows[populations], x[populations].real, space.total_dim)
+    p = p.reshape(space.atom_dim, space.fock_dim).sum(axis=0)
+    if p[-1] > 1e-8:
+        warnings.warn(f"tail P[{space.n_max}] = {p[-1]:.3e} above 1e-8", stacklevel=3)
+    p = np.clip(p, 0.0, None)
+    distribution = PhotonDistribution(p / p.sum())
+    return space, BlockState(rows[filled], cols[filled], x[filled], distribution, res)
 
 
 def solve_models(
     models: Sequence[EngineModel], n_maxes: Sequence[int], tol: float = 1e-9
-) -> Iterator[tuple[HilbertSpace, SteadyStateResult] | Exception]:
+) -> list[tuple[HilbertSpace, BlockState] | Exception]:
     """Steady states of several engines, their rung sweeps solved together.
 
     Model k is solved at the cutoff ``n_maxes[k]`` exactly as
@@ -424,10 +431,9 @@ def solve_models(
     block assembly, the pinned level, the Hermitian part and unit trace,
     the residual gate and the tail warning stay per point.
 
-    Yields, in the order of ``models``, ``(space, SteadyStateResult)`` or
-    the :class:`SteadyStateError` or ``ValueError`` that point raised, so
-    that one point's failure stays its own.  Each dense state is built when
-    its entry is taken: only one of them need be held at a time.
+    Returns, in the order of ``models``, ``(space, BlockState)`` or the
+    :class:`SteadyStateError` or ``ValueError`` that point raised, so that
+    one point's failure stays its own.
     """
     blocks = []
     for model, n_max in zip(models, n_maxes):
@@ -447,28 +453,27 @@ def solve_models(
             by_width.setdefault(block.bands.shape[-1], []).append(k)
     for members in by_width.values():
         solutions.update(zip(members, _sweep_blocks([blocks[k] for k in members])))
+    outcomes = []
     for k, block in enumerate(blocks):
         x = solutions.get(k, block)  # the sweep's solution, or the point's error
-        if isinstance(x, Exception):
-            yield x
-            continue
         try:
-            outcome = _steady_result(block, x, tol)
+            outcomes.append(x if isinstance(x, Exception) else _steady_result(block, x, tol))
         except SteadyStateError as exc:
-            outcome = exc
-        yield outcome
+            outcomes.append(exc)
+    return outcomes
 
 
 def solve_model(
     model: EngineModel, n_max: int | None = None, tol: float = 1e-9
-) -> tuple[HilbertSpace, SteadyStateResult]:
+) -> tuple[HilbertSpace, BlockState]:
     """Steady state of an engine by one rung sweep over the charge-zero block.
 
     The block (:func:`build_sector_liouvillian`) is closed and holds the
     unique steady state, so its residual is the full-space one.  One
     population |s><s| is pinned to 1 in place of its own equation, the
     block-tridiagonal system is solved by block Thomas over the rungs, and
-    the state is made Hermitian and normalised to unit trace.  The trace is
+    the Hermitian, unit-trace state is returned in that block form
+    (:class:`BlockState`) with its photon distribution.  The trace is
     the left null vector of L, so the pinned system is nonsingular exactly
     when the steady state is unique and populates s.  s is |l, 0> for the
     first level l of the one closed class of the jump graph (see
@@ -485,11 +490,14 @@ def solve_model(
     With ``n_max=None`` the cutoff is :func:`closed_form_cutoff` of the
     closed-form distribution (:func:`steady_distribution`): the first rung
     past its peak where P_n < 1e-12, so n_max = 1 with the pump off (A = 0).
-    A cutoff above ``MAX_N_MAX`` = 200 raises :class:`TruncationError`
-    before any assembly: the returned state is a dense (A F) x (A F) array,
-    and the bound caps the memory and the time of one point.  An explicit
-    ``n_max`` is used as given.  One block is solved; a warning is raised if
-    the exact P[n_max] exceeds 1e-8.
+    A cutoff above ``MAX_N_MAX`` = 1000 raises :class:`TruncationError`
+    before any assembly.  The bound caps a batch of a sweep: a four-level
+    rung takes 4.3 kB (its 3 x 6 x 6 complex bands, 1.7 kB, again in the
+    pinned system, the sweep's 6 x 7 workspace and the pairs), so 16 points
+    at n_max 1000 hold 16 x 1002 x 4.3 kB = 69 MB (traced peak 69.3 MB, 0.25
+    s on a 2-vCPU Xeon); one dense state there would take 256 MB.  An
+    explicit ``n_max`` is used as given.  A warning is raised if the exact
+    P[n_max] exceeds 1e-8.
     """
     if n_max is None:
         n_max = closed_form_cutoff(steady_distribution(scully_lamb_coefficients(model)))

@@ -51,6 +51,17 @@ def sector_block_csc(bands, rows, cols):
     return sp.csc_matrix((data, (to, at)), shape=(size, size)), rows[filled], cols[filled]
 
 
+def dense_state(space, result):
+    """The (A F) x (A F) density matrix of a block-form steady state.
+
+    ``solve_model`` returns the state in charge-zero block form; the
+    comparisons with the full-space references scatter it here.
+    """
+    rho = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    rho[result.rows, result.cols] = result.values
+    return rho
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -26,9 +26,15 @@ from heatlaser import (
 )
 from heatlaser.core import build_cavity_operators
 from heatlaser.photonstats import LaserCoefficients
-from heatlaser.solver import expectation, partial_trace_atom, photon_distribution, solve_model
+from heatlaser.solver import expectation, partial_trace_atom, solve_model
 
-from conftest import make_fig2_model, make_fig5_model, random_four_level, random_three_level
+from conftest import (
+    dense_state,
+    make_fig2_model,
+    make_fig5_model,
+    random_four_level,
+    random_three_level,
+)
 
 # steady states computed along the way, examined again by criterion 9
 _STATES = {}
@@ -81,9 +87,10 @@ def test_criterion_04_mean_photon_number_agreement():
     for nh in np.geomspace(0.2, 8.0, 20):
         model = make_fig2_model(n_h=float(nh))
         space, result = solve_model(model, n_max=40)
-        _STATES[f"fig2 n_h={nh:.3f}"] = (space, result.state)
+        state = dense_state(space, result)
+        _STATES[f"fig2 n_h={nh:.3f}"] = (space, state)
         a, a_dag = build_cavity_operators(space)
-        numeric = expectation(result.state, a_dag @ a).real
+        numeric = expectation(state, a_dag @ a).real
         if numeric <= 0.5:
             continue
         analytic = distribution_moments(scully_lamb_coefficients(model)).mean
@@ -101,8 +108,8 @@ def test_criterion_05_distribution_agreement():
     for nh in (0.17, 0.507, 2.629, 9.0):
         model = make_fig2_model(n_h=nh)
         space, result = solve_model(model, n_max=40)
-        _STATES[f"fig3 n_h={nh}"] = (space, result.state)
-        numeric = photon_distribution(result.state, space)
+        _STATES[f"fig3 n_h={nh}"] = (space, dense_state(space, result))
+        numeric = result.distribution
         analytic = steady_distribution(
             scully_lamb_coefficients(model), n_max=space.n_max, tail_tol=math.inf
         )
@@ -172,7 +179,7 @@ def test_criterion_08_super_poissonian():
 def test_criterion_09_state_sanity():
     if "fig5" not in _STATES:
         space, result = solve_model(make_fig5_model(), n_max=60)
-        _STATES["fig5"] = (space, result.state)
+        _STATES["fig5"] = (space, dense_state(space, result))
     assert len(_STATES) >= 20
     worst = {"trace": 0.0, "herm": 0.0, "eig": 0.0, "offdiag": 0.0}
     for space, state in _STATES.values():

@@ -10,7 +10,14 @@ import pytest
 
 import heatlaser
 import heatlaser.photonstats
-from heatlaser import photon_distribution, solve_model, with_hot_occupation
+from heatlaser import (
+    partial_trace_atom,
+    scully_lamb_coefficients,
+    solve_model,
+    steady_distribution,
+    wigner,
+    with_hot_occupation,
+)
 from heatlaser.cli import (
     BATCH_POINTS,
     ConfigError,
@@ -20,6 +27,9 @@ from heatlaser.cli import (
     main,
     run_sweep,
 )
+from heatlaser.solver import MAX_N_MAX
+
+from conftest import dense_state
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -114,7 +124,7 @@ def test_single_point_sweep_record(tmp_path):
     assert record["gain_over_kappa"] > 1.0
     assert abs(record["mean_analytic"] - record["mean_numeric"]) < 0.1
     # the record carries its cutoff and the exact tail mass left there
-    assert 2 <= record["n_max"] <= 200
+    assert 2 <= record["n_max"] <= MAX_N_MAX
     assert record["tail"] < 1e-8
 
 
@@ -142,10 +152,8 @@ def test_sweep_outputs_are_deterministic(tmp_path):
 
 def _solo(config, n_h):
     """Photon distribution and residual of one point solved on its own."""
-    space, result = solve_model(
-        with_hot_occupation(config.model, n_h), tol=config.numerics.steady_tol
-    )
-    return photon_distribution(result.state, space), result.residual
+    _, result = solve_model(with_hot_occupation(config.model, n_h), tol=config.numerics.steady_tol)
+    return result.distribution, result.residual
 
 
 def test_residual_column_matches_solo_solve(tmp_path):
@@ -157,18 +165,31 @@ def test_residual_column_matches_solo_solve(tmp_path):
         assert record["mean_numeric"] == numeric.mean
 
 
+@pytest.mark.parametrize("preset", ["fig2", "fig5"])
+def test_l1_column_matches_a_recursion_to_the_cutoff(preset):
+    # l1_distance cuts the auto-support closed form at the cutoff; the
+    # recursion run to the cutoff and renormalised differs in the last bits
+    config = load_config(preset)
+    for record in run_sweep(config, jobs=1):
+        coeffs = scully_lamb_coefficients(with_hot_occupation(config.model, record["n_h"]))
+        analytic = steady_distribution(coeffs, n_max=record["n_max"], tail_tol=math.inf)
+        numeric, _ = _solo(config, record["n_h"])
+        l1 = np.abs(numeric.probabilities - analytic.probabilities).sum()
+        assert abs(record["l1_distance"] - l1) <= 1e-11
+
+
 def test_failed_point_stays_in_its_record(tmp_path):
-    # kappa = 0.02: the two highest n_h need a cutoff above 200, while their
-    # batch-mates hold 50 to 135 photon rungs
+    # kappa = 0.002: the two highest n_h need a cutoff above 1000 (1332 and
+    # 3603), while their batch-mates hold 9 to 133 photon rungs
     path = write_config(
         tmp_path,
-        {"model.kappa": 0.02, "sweep.start": 0.05, "sweep.stop": 0.5, "sweep.points": 5},
+        {"model.kappa": 0.002, "sweep.start": 0.002, "sweep.stop": 1.2, "sweep.points": 5},
     )
     config = load_config(path)
     records = run_sweep(config)
     assert [r["status"].startswith("failed: ") for r in records] == [False] * 3 + [True] * 2
     for record in records[3:]:
-        assert "> 200" in record["status"]
+        assert "> 1000" in record["status"]
         assert math.isnan(record["residual"]) and math.isnan(record["mean_numeric"])
     assert len({r["n_max"] for r in records[:3]}) == 3
     for record in records[:3]:
@@ -182,28 +203,32 @@ def test_failed_point_stays_in_its_record(tmp_path):
 
 def test_sweep_evaluates_closed_form_once_per_point(tmp_path, monkeypatch):
     # wrap every binding of the two functions in the loaded package modules,
-    # as a tracer does, and count the calls of a 5-point sweep
-    calls = {"auto": 0, "coefficients": 0}
+    # as a tracer does, and count the calls of a 5-point sweep: the auto
+    # support also gives the closed form at the cutoff, for l1_distance
+    calls = {"distribution": 0, "coefficients": 0}
     distribution = heatlaser.photonstats.steady_distribution
     coefficients = heatlaser.photonstats.scully_lamb_coefficients
 
-    def auto(coeffs, n_max=None, *args, **kwargs):
-        calls["auto"] += n_max is None
-        return distribution(coeffs, n_max, *args, **kwargs)
+    def counted_distribution(*args, **kwargs):
+        calls["distribution"] += 1
+        return distribution(*args, **kwargs)
 
-    def counted(model):
+    def counted_coefficients(model):
         calls["coefficients"] += 1
         return coefficients(model)
 
     for name, module in list(sys.modules.items()):
         if name == "heatlaser" or name.startswith("heatlaser."):
             for attr, value in list(vars(module).items()):
-                for original, wrapper in ((distribution, auto), (coefficients, counted)):
+                for original, wrapper in (
+                    (distribution, counted_distribution),
+                    (coefficients, counted_coefficients),
+                ):
                     if value is original:
                         monkeypatch.setattr(module, attr, wrapper)
     records = run_sweep(load_config(write_config(tmp_path, {"sweep.points": 5})), jobs=1)
     assert all(r["status"] == "ok" for r in records)
-    assert calls == {"auto": 5, "coefficients": 5}
+    assert calls == {"distribution": 5, "coefficients": 5}
 
 
 def test_sweep_flags_failed_points(tmp_path):
@@ -271,8 +296,12 @@ def test_distribution_command(tmp_path):
     assert meta["n_max"] == len(table) - 1
     assert meta["tail"] == pytest.approx(p_numeric[-1], abs=1e-15)
     assert meta["tail"] < 1e-8
-    _, residual = _solo(load_config(path), 0.507)
+    config = load_config(path)
+    _, residual = _solo(config, 0.507)
     assert meta["residual"] == residual
+    coeffs = scully_lamb_coefficients(with_hot_occupation(config.model, 0.507))
+    cut = steady_distribution(coeffs, n_max=meta["n_max"], tail_tol=math.inf)
+    assert np.abs(np.array(p_analytic) - cut.probabilities).max() <= 1e-11
 
 
 def test_distribution_vacuum(tmp_path):
@@ -305,6 +334,11 @@ def test_distribution_wigner_file(tmp_path):
     lines = (out / "case_wigner.csv").read_text().splitlines()
     assert lines[0] == "re,im,value"
     assert len(lines) == 1 + 101 * 101
+    # the grid is the Wigner function of the reduced dense steady state
+    space, result = solve_model(with_hot_occupation(load_config(path).model, 0.3))
+    field = wigner(partial_trace_atom(dense_state(space, result), space))
+    values = np.array([float(line.split(",")[2]) for line in lines[1:]])
+    np.testing.assert_allclose(values, field.values.ravel(), rtol=1e-11, atol=1e-14)
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -330,8 +364,8 @@ def test_exit_codes(tmp_path, capsys):
     code = main(["distribution", "--config", str(path), "--nh", "nan", "--out", str(tmp_path)])
     assert code == 3
     assert "bath occupation must be finite" in capsys.readouterr().err
-    # kappa = 0.02 puts hundreds of photons in the cavity, past n_max = 200
-    path = write_config(tmp_path, {"model.kappa": 0.02}, name="dim.json")
+    # kappa = 0.002 puts thousands of photons in the cavity, past n_max = 1000
+    path = write_config(tmp_path, {"model.kappa": 0.002}, name="dim.json")
     out = tmp_path / "dim"
     code = main(["distribution", "--config", str(path), "--nh", "1.0", "--out", str(out)])
     assert code == 3

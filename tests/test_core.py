@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -18,9 +19,10 @@ from heatlaser.core import (
     check_density_matrix,
     is_hermitian,
 )
-from heatlaser.solver import SteadyStateError, solve_model, steady_state
+from heatlaser.solver import SteadyStateError, photon_distribution, solve_model, steady_state
 
 from conftest import (
+    dense_state,
     make_fig2_model,
     make_fig5_model,
     random_four_level,
@@ -233,7 +235,11 @@ def test_sector_block_matches_full_liouvillian(seed, four, n_max, empty_baths, u
         warnings.simplefilter("ignore")  # small cutoffs leave tail mass
         _, result = solve_model(model, n_max=n_max)
     reference = steady_state(full).state
-    assert np.abs(result.state - reference).max() < 1e-10
+    state = dense_state(space, result)
+    assert np.abs(state - reference).max() < 1e-10
+    # the block's P_n is the partial trace of its dense form, bit for bit
+    traced = photon_distribution(state, space, tail_tol=math.inf)
+    assert np.array_equal(result.distribution.probabilities, traced.probabilities)
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 5])
@@ -245,7 +251,7 @@ def test_dark_state_is_the_unique_steady_state(n_max):
     dark = np.zeros((space.total_dim, space.total_dim), dtype=complex)
     dark[2 * space.fock_dim, 2 * space.fock_dim] = 1.0
     _, result = solve_model(model, n_max=n_max)
-    assert np.abs(result.state - dark).max() < 1e-12
+    assert np.abs(dense_state(space, result) - dark).max() < 1e-12
     reference = steady_state(build_liouvillian(model, space))
     assert np.abs(reference.state - dark).max() < 1e-12
 
@@ -256,7 +262,7 @@ def test_empty_hot_and_ancilla_baths():
     space = HilbertSpace.for_model(coupled, 4)
     _, result = solve_model(coupled, n_max=4)
     reference = steady_state(build_liouvillian(coupled, space)).state
-    assert np.abs(result.state - reference).max() < 1e-10
+    assert np.abs(dense_state(space, result) - reference).max() < 1e-10
     # with it off, |e2, 0> and the thermal g/e1 pair are two steady states
     with pytest.raises(SteadyStateError):
         solve_model(make_fig5_model(n_h=0.0, n_a=0.0, g=0.0), n_max=4)

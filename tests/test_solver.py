@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,9 +29,10 @@ from heatlaser import (
     wigner,
 )
 from heatlaser.core import build_cavity_operators, build_sector_liouvillian, check_density_matrix
-from heatlaser.solver import SteadyStateError, closed_form_cutoff, solve_models
+from heatlaser.solver import MAX_N_MAX, SteadyStateError, closed_form_cutoff, solve_models
 
 from conftest import (
+    dense_state,
     make_fig2_model,
     make_fig5_model,
     random_four_level,
@@ -188,7 +190,7 @@ def test_mean_photon_number_against_theory():
     model = make_fig2_model(n_h=1.0)
     space, result = solve_model(model, n_max=40)
     a, a_dag = build_cavity_operators(space)
-    numeric = expectation(result.state, a_dag @ a).real
+    numeric = expectation(dense_state(space, result), a_dag @ a).real
     analytic = steady_distribution(scully_lamb_coefficients(model)).mean
     assert abs(numeric - analytic) / numeric < 0.05
 
@@ -200,8 +202,9 @@ def test_steady_cavity_state_is_diagonal_and_positive():
             for model in (make_fig2_model(n_h=0.6), make_fig5_model(n_h=0.3))
         ]
     for space, result in solved:
-        check_density_matrix(result.state)
-        reduced = partial_trace_atom(result.state, space)
+        state = dense_state(space, result)
+        check_density_matrix(state)
+        reduced = partial_trace_atom(state, space)
         off = reduced - np.diag(np.diag(reduced))
         assert np.abs(off).max() < 1e-9
 
@@ -212,7 +215,7 @@ def test_analytic_numeric_gap_shrinks_with_kappa():
     for kappa in (1.0, 0.5):
         model = make_fig2_model(n_h=1.0, kappa=kappa)
         space, result = solve_model(model, n_max=40)
-        numeric = photon_distribution(result.state, space)
+        numeric = result.distribution
         analytic = steady_distribution(
             scully_lamb_coefficients(model), n_max=space.n_max, tail_tol=math.inf
         )
@@ -228,10 +231,10 @@ def test_solve_model_retries_truncation():
         warnings.simplefilter("error")  # any tail warning should fail
         space, result = solve_model(model)
     assert space.n_max >= 62
-    assert partial_trace_atom(result.state, space)[-1, -1].real < 1e-8
-    chosen = photon_distribution(result.state, space)
-    wide_space, wide = solve_model(model, n_max=space.n_max + 30)
-    wider = photon_distribution(wide.state, wide_space)
+    chosen = result.distribution
+    assert chosen.probabilities[-1] < 1e-8
+    _, wide = solve_model(model, n_max=space.n_max + 30)
+    wider = wide.distribution
     assert chosen.mean == pytest.approx(wider.mean, rel=1e-8)
     assert chosen.variance == pytest.approx(wider.variance, rel=1e-8)
     # an explicit cutoff is used as given, and a heavy tail warns
@@ -248,8 +251,8 @@ def test_closed_form_cutoff_leaves_no_exact_tail(seed, four):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the tail warning must not fire
         space, result = solve_model(model)
-    assert 1 <= space.n_max <= 200
-    assert partial_trace_atom(result.state, space)[-1, -1].real < 1e-8
+    assert 1 <= space.n_max <= MAX_N_MAX
+    assert result.distribution.probabilities[-1] < 1e-8
 
 
 def test_solve_model_builds_no_dense_operators(monkeypatch):
@@ -258,8 +261,8 @@ def test_solve_model_builds_no_dense_operators(monkeypatch):
 
     monkeypatch.setattr(heatlaser.core, "build_atom_operators", embed)
     for model in (make_fig2_model(), make_fig5_model()):
-        space, result = solve_model(model)
-        assert partial_trace_atom(result.state, space)[-1, -1].real < 1e-8
+        _, result = solve_model(model)
+        assert result.distribution.probabilities[-1] < 1e-8
 
 
 @pytest.mark.parametrize(
@@ -282,8 +285,29 @@ def test_rung_sweep_matches_sparse_lu_at_large_cutoff(model, n_max):
     x = splu(block.tocsc()).solve(rhs)
     photons = rows[populations] % space.fock_dim
     reference = np.bincount(photons, weights=x[populations].real, minlength=space.fock_dim)
-    numeric = photon_distribution(result.state, space).probabilities
+    numeric = result.distribution.probabilities
     assert np.abs(numeric - reference / reference.sum()).max() <= 1e-12
+
+
+def test_large_point_solves_in_block_form():
+    # fig5 at kappa / 32 and n_h = 5 holds about 230 photons: the automatic
+    # cutoff is 341, and the state stays in block form, O(n_max) in memory
+    model = make_fig5_model(n_h=5.0, kappa=1 / 32)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no tail warning either
+            space, result = solve_model(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.n_max == 341
+    # one dense (4 x 342)^2 complex state alone takes 29.9 MB; the block
+    # solve peaks near 2.2 MB
+    assert peak < 5e6
+    _, wide = solve_model(model, n_max=space.n_max + 30)
+    assert result.distribution.mean == pytest.approx(wide.distribution.mean, rel=1e-8)
+    assert result.distribution.variance == pytest.approx(wide.distribution.variance, rel=1e-8)
 
 
 def test_solve_model_reports_stall():
@@ -297,9 +321,9 @@ def test_cutoff_above_bound_raises_before_assembly(monkeypatch):
         raise AssertionError("assembled a block past the cutoff bound")
 
     monkeypatch.setattr(heatlaser.solver, "build_sector_liouvillian", assemble)
-    # kappa = 0.02: the closed form holds its 1e-12 tail only past 200 rungs
-    with pytest.raises(TruncationError, match=r"needs n_max = \d+ > 200"):
-        solve_model(make_fig2_model(kappa=0.02))
+    # kappa = 0.002: the closed form holds its 1e-12 tail only past 3000 rungs
+    with pytest.raises(TruncationError, match=r"needs n_max = \d+ > 1000"):
+        solve_model(make_fig2_model(kappa=0.002))
 
 
 def _auto_cutoff(model):
@@ -320,8 +344,7 @@ def test_batch_solves_each_point_as_a_solo_solve(seed, kinds):
         space, result = outcome
         solo_space, solo = solve_model(model)
         assert space.n_max == solo_space.n_max == n_max
-        batched = photon_distribution(result.state, space).probabilities
-        alone = photon_distribution(solo.state, solo_space).probabilities
+        batched, alone = result.distribution.probabilities, solo.distribution.probabilities
         np.testing.assert_allclose(batched, alone, rtol=1e-13, atol=0.0)
         assert result.residual == pytest.approx(solo.residual, rel=1e-13, abs=0.0)
 
@@ -338,7 +361,7 @@ def test_singular_point_fails_alone(monkeypatch):
     first, second = solve_models([fig5, dark], [solo_space.n_max, 3])
     space, result = first
     assert space == solo_space
-    assert np.array_equal(result.state, solo.state)
+    assert np.array_equal(dense_state(space, result), dense_state(solo_space, solo))
     assert result.residual == solo.residual
     assert isinstance(second, SteadyStateError)
     assert "rung sweep failed" in str(second)
@@ -401,7 +424,7 @@ def test_wigner_of_coherent_state():
 def test_wigner_of_steady_state():
     model = make_fig2_model(n_h=0.507)
     space, result = solve_model(model, n_max=30)
-    reduced = partial_trace_atom(result.state, space)
+    reduced = partial_trace_atom(dense_state(space, result), space)
     axis = np.linspace(-4.0, 4.0, 41)
     field = wigner(reduced, axis, axis)
     # no phase preference: the value depends on |alpha| only
