@@ -29,7 +29,9 @@ points, the steady states of a batch in one batched rung sweep.  Each state
 stays in charge-zero block form, and the photon distribution and the Wigner
 function come from its populations.  The batches depend only on the grid;
 ``--jobs`` N > 1 maps them over N worker processes, so the output does not
-depend on it.
+depend on it.  ``distribution --wigner`` samples 101 x 101 points over
+[-h, h]^2 with h = max(4, 1.2 sqrt(<n> + 1)), so the grid holds the ring of
+a bright state.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from .semiclassical import (
     population_inversion,
     temperature_lasing_condition,
 )
-from .solver import SteadyStateError, closed_form_cutoff, solve_model, solve_models, wigner
+from .solver import SteadyStateError, solve_model, solve_models, wigner
 
 SCHEMA_VERSION = 1
 PRESETS = ("fig2", "fig5")
@@ -306,18 +308,12 @@ def dumps_config(config: RunConfig) -> str:
 # sweep execution
 # ---------------------------------------------------------------------------
 
-def _closed_at_cutoff(closed, n_max):
-    """The auto-support closed form, cut at ``n_max`` <= N + 1 (P_{N+1} = 0) and renormalised."""
-    p = np.append(closed.probabilities, 0.0)[: n_max + 1]
-    return p / p.sum()
-
-
 def _sweep_batch(config: RunConfig, values: list[float]) -> list[dict]:
     """Compute the sweep records of consecutive n_h values; runs inside worker processes.
 
-    The closed form is evaluated once per point; its auto-support
-    distribution gives the P_0 of the moments, the Fock cutoff and, cut
-    there, the closed form of ``l1_distance``.  The steady states of the
+    The closed form is evaluated once per point; its distribution, whose
+    support is the Fock cutoff, gives the P_0 of the moments, the cutoff
+    and the closed form of ``l1_distance``.  The steady states of the
     batch are solved together (:func:`solve_models`); a point that fails
     keeps its own record and status.
     """
@@ -343,15 +339,15 @@ def _sweep_batch(config: RunConfig, values: list[float]) -> list[dict]:
                 fano_analytic=moments.fano,
                 power=output_power(model, moments.mean),
             )
-            pending.append((record, model, closed, closed_form_cutoff(closed)))
+            pending.append((record, model, closed))
         except (ValueError, TruncationError) as exc:
             record["status"] = f"failed: {exc}"
     solved = solve_models(
-        [model for _, model, _, _ in pending],
-        [n_max for _, _, _, n_max in pending],
+        [model for _, model, _ in pending],
+        [closed.n_max for _, _, closed in pending],
         config.numerics.steady_tol,
     )
-    for (record, _, closed, n_max), outcome in zip(pending, solved):
+    for (record, _, closed), outcome in zip(pending, solved):
         if isinstance(outcome, Exception):
             record["status"] = f"failed: {outcome}"
             continue
@@ -360,10 +356,8 @@ def _sweep_batch(config: RunConfig, values: list[float]) -> list[dict]:
         record.update(
             mean_numeric=numeric.mean,
             variance_numeric=numeric.variance,
-            l1_distance=float(
-                np.abs(numeric.probabilities - _closed_at_cutoff(closed, n_max)).sum()
-            ),
-            n_max=n_max,
+            l1_distance=float(np.abs(numeric.probabilities - closed.probabilities).sum()),
+            n_max=closed.n_max,
             tail=float(numeric.probabilities[-1]),
             residual=result.residual,
         )
@@ -485,11 +479,11 @@ def cmd_distribution(config: RunConfig, n_h: float, out_dir: Path, fmt: str, wit
     model = with_hot_occupation(config.model, n_h)
     coeffs = scully_lamb_coefficients(model)
     closed = steady_distribution(coeffs)
-    n_max = closed_form_cutoff(closed)
+    n_max = closed.n_max
     _, result = solve_model(model, n_max=n_max, tol=config.numerics.steady_tol)
     numeric = result.distribution.probabilities
-    analytic = _closed_at_cutoff(closed, n_max)
-    mean = distribution_moments(coeffs, distribution=closed).mean if coeffs.A > 0 else 0.0
+    analytic = closed.probabilities
+    mean = distribution_moments(coeffs, distribution=closed).mean
     reference = _poisson(max(mean, 0.0), n_max)
     rows = [
         {"n": n, "p_analytic": analytic[n], "p_numeric": numeric[n], "p_poisson": reference[n]}
@@ -500,7 +494,7 @@ def cmd_distribution(config: RunConfig, n_h: float, out_dir: Path, fmt: str, wit
         out_dir, f"{stem}_distribution", fmt, ["n", "p_analytic", "p_numeric", "p_poisson"], rows
     )
     if with_wigner:
-        field = wigner(np.diag(numeric))
+        field = wigner(result.distribution)
         lines = ["re,im,value"]
         for iy, y in enumerate(field.im_axis):
             for ix, x in enumerate(field.re_axis):

@@ -167,10 +167,17 @@ def steady_distribution(
 
     Built from the detailed-balance recursion
     P_n / P_{n-1} = A / [A_b + kappa (1 + n B/A)], accumulated in log space
-    so that far-above-threshold distributions never overflow.  With
-    ``n_max=None`` the cutoff grows automatically until the ratio falls below
-    1/2 and the geometric tail bound drops under 1e-12; an explicit ``n_max``
-    raises :class:`TruncationError` when P_Nmax >= ``tail_tol``.
+    so that far-above-threshold distributions never overflow.  An explicit
+    ``n_max`` runs the recursion to that rung and raises
+    :class:`TruncationError` when P_Nmax >= ``tail_tol``.
+
+    With ``n_max=None`` the support N grows until the ratio falls below 1/2
+    and the geometric tail bound past N drops under 1e-12; then a 0 is
+    appended for rung N + 1, the distribution is cut at the first rung past
+    its peak where P_n < 1e-12 and renormalised.  That rung is the Fock
+    cutoff of the exact solve (:func:`heatlaser.solver.solve_model`), so the
+    result's ``n_max`` is the cutoff and its probabilities the closed form
+    to compare there; with the pump off (A = 0) it is [1, 0], n_max = 1.
     """
     if coeffs.A == 0.0:
         size = 2 if n_max is None else n_max + 1
@@ -197,10 +204,15 @@ def steady_distribution(
             coeffs.A_b + coeffs.kappa * (1.0 + cutoff * coeffs.B / coeffs.A)
         )
         if ratio < 0.5 and p[-1] * ratio / (1.0 - ratio) < 1e-12:
-            return PhotonDistribution(p)
+            break
         if cutoff >= 1_000_000:
             raise TruncationError("distribution support exceeds 1e6 photons")
         cutoff *= 2
+    # rung N + 1, below 1e-12 by the stopping rule, in case no rung inside is
+    p = np.append(PhotonDistribution(p).probabilities, 0.0)
+    peak = int(np.argmax(p))
+    p = p[: peak + int(np.argmax(p[peak:] < 1e-12)) + 1]
+    return PhotonDistribution(p / p.sum())
 
 
 def _upward_flow(coeffs, n, p_nm1, p_n):
@@ -242,10 +254,7 @@ def pn_derivative(coeffs: LaserCoefficients, probabilities: np.ndarray) -> np.nd
 
 
 def distribution_moments(
-    coeffs: LaserCoefficients,
-    n_max: int | None = None,
-    *,
-    distribution: PhotonDistribution | None = None,
+    coeffs: LaserCoefficients, *, distribution: PhotonDistribution | None = None
 ) -> Moments:
     """Closed-form mean, variance, peak location, and Fano factor.
 
@@ -257,17 +266,16 @@ def distribution_moments(
         variance = X - Y P_0 mean,
         peak n*  = (A / kappa B)(A - A_b - kappa).
 
-    P_0 is taken from the normalized recursion of
-    :func:`steady_distribution` at ``n_max``, or from ``distribution``
-    when a caller that already holds that distribution passes it.  The peak
-    is >= 0 exactly when the gain A - A_b reaches kappa.
+    P_0 is taken from the automatic-support :func:`steady_distribution`,
+    or from ``distribution`` when a caller that already holds it passes it.
+    The peak is >= 0 exactly when the gain A - A_b reaches kappa.
     """
     if coeffs.A == 0.0:
         return Moments(0.0, 0.0, 0.0, math.nan)
     if coeffs.B <= 0.0:
         raise ValueError("saturation B must be positive when A > 0")
     if distribution is None:
-        distribution = steady_distribution(coeffs, n_max)
+        distribution = steady_distribution(coeffs)
     p0 = distribution.probabilities[0]
     kb = coeffs.kappa * coeffs.B
     x = coeffs.A**2 / kb

@@ -7,7 +7,9 @@ so for many engines in one stacked sweep.  They are the independent check on
 the closed-form theory in :mod:`heatlaser.photonstats`.  The dense (A F)^2
 :func:`steady_state`, :func:`evolve`, :func:`partial_trace_atom` and
 :func:`photon_distribution` are the full-space references (the first two
-import scipy when called); :func:`wigner` maps a cavity state.
+import scipy when called).  :func:`wigner` maps a photon distribution to
+phase space, by default on 101 x 101 points over [-h, h]^2 with
+h = max(4, 1.2 sqrt(<n> + 1)), so a bright state's ring stays on the grid.
 """
 
 from __future__ import annotations
@@ -46,10 +48,9 @@ __all__ = [
     "wigner",
     "solve_model",
     "solve_models",
-    "closed_form_cutoff",
 ]
 
-# largest Fock cutoff solve_model chooses; see its docstring
+# largest Fock cutoff solve_models accepts; see solve_model
 MAX_N_MAX = 1000
 
 
@@ -199,37 +200,36 @@ def expectation(rho: np.ndarray, operator: np.ndarray) -> complex:
 
 
 def wigner(
-    cavity_rho: np.ndarray,
+    distribution: PhotonDistribution,
     re_axis: np.ndarray | None = None,
     im_axis: np.ndarray | None = None,
 ) -> WignerField:
-    """Wigner function by displaced parity, W(a) = (2/pi) tr[rho D(a) P D+(a)].
+    """Wigner function of the cavity state sum_n P_n |n><n|.
 
-    D(a) is the displacement operator and P the photon-number parity.  The
-    value is computed by the Cahill-Glauber Laguerre sum, exactly for the
-    given finite rho and with no padded Fock space (u = 4|a|^2):
+    W(a) = (2/pi) tr[rho D(a) P D+(a)], with D(a) the displacement operator
+    and P the photon-number parity, is for a state diagonal in n the radial
+    Laguerre sum (u = 4|a|^2)
 
-        W(a) = (2/pi) e^{-u/2} [ sum_m rho_mm (-1)^m L_m(u)
-               + 2 Re sum_{k>=1} (2a)^k sum_m rho_{m,m+k} (-1)^m
-                 sqrt(m!/(m+k)!) L_m^k(u) ]
+        W(a) = (2/pi) e^{-u/2} sum_n P_n (-1)^n L_n(u),
 
-    The phase convention: rho_{m,m+k} is weighted by (2a)^k, so a coherent
-    state |b> peaks at a = b.  rho must be Hermitian: only its upper
-    diagonals are read.  Each diagonal k runs the three-term Laguerre
-    recurrence over the whole grid; diagonals that are zero are skipped.
-    Default grid: 101 x 101 over [-4, 4]^2.
+    exact for the given finite distribution, with no padded Fock space.  A
+    diagonal state is all there is to map: the engine conserves the charge
+    n + c(level), so the steady state lives in the charge-zero block, and
+    tracing out the atom pairs equal levels, which in that block have equal
+    n.  Default grid: 101 x 101 over [-h, h]^2 with
+    h = max(4, 1.2 sqrt(<n> + 1)); an explicit axis whose reach is below
+    that radius warns.
     """
-    fock = cavity_rho.shape[0]
-    if cavity_rho.shape != (fock, fock):
-        raise ValueError("cavity state must be a square matrix")
+    p = distribution.probabilities
+    mean_n = distribution.mean
+    half_width = max(4.0, 1.2 * math.sqrt(mean_n + 1.0))
     if re_axis is None:
-        re_axis = np.linspace(-4.0, 4.0, 101)
+        re_axis = np.linspace(-half_width, half_width, 101)
     if im_axis is None:
-        im_axis = np.linspace(-4.0, 4.0, 101)
+        im_axis = np.linspace(-half_width, half_width, 101)
     re_axis = np.asarray(re_axis, dtype=float)
     im_axis = np.asarray(im_axis, dtype=float)
 
-    mean_n = float(np.real(np.arange(fock) @ np.diag(cavity_rho)))
     radius = float(max(np.abs(re_axis).max(), np.abs(im_axis).max()))
     if radius < 1.2 * math.sqrt(mean_n + 1.0):
         warnings.warn(
@@ -237,32 +237,15 @@ def wigner(
             stacklevel=2,
         )
 
-    alpha = re_axis[np.newaxis, :] + 1j * im_axis[:, np.newaxis]
-    u = 4.0 * np.abs(alpha) ** 2
-    two_r = np.sqrt(u)
-    phase = np.exp(1j * np.angle(alpha))
-    # start_k = e^{-u/2} (2|a|)^k / sqrt(k!), the square root of a Poisson
-    # weight, so it stays in [0, 1] and neither it nor the recurrence overflows
-    start = np.exp(-0.5 * u)
-    rotation = np.ones_like(alpha)
-    total = np.zeros_like(u)
-    for k in range(fock):
-        if k:
-            start = start * two_r / math.sqrt(k)
-            rotation = rotation * phase
-        band = np.diagonal(cavity_rho, k) * (-1.0) ** np.arange(fock - k)
-        if not band.any():
-            continue
-        # l_m = e^{-u/2} (2|a|)^k sqrt(m!/(m+k)!) L_m^k(u) obeys
-        # sqrt((m+1)(m+1+k)) l_{m+1} = (2m+1+k-u) l_m - sqrt(m(m+k)) l_{m-1}
-        prev, cur = np.zeros_like(u), start
-        acc = band[0] * cur
-        for m in range(band.size - 1):
-            prev, cur = cur, (
-                (2 * m + 1 + k - u) * cur - math.sqrt(m * (m + k)) * prev
-            ) / math.sqrt((m + 1) * (m + 1 + k))
-            acc = acc + band[m + 1] * cur
-        total += np.real(acc) if k == 0 else 2.0 * np.real(rotation * acc)
+    u = 4.0 * np.abs(re_axis[np.newaxis, :] + 1j * im_axis[:, np.newaxis]) ** 2
+    band = p * (-1.0) ** np.arange(p.size)
+    # l_m = e^{-u/2} L_m(u) lies in [-1, 1], so neither it nor the
+    # recurrence (m+1) l_{m+1} = (2m+1-u) l_m - m l_{m-1} overflows
+    prev, cur = np.zeros_like(u), np.exp(-0.5 * u)
+    total = band[0] * cur
+    for m in range(p.size - 1):
+        prev, cur = cur, ((2 * m + 1 - u) * cur - m * prev) / (m + 1)
+        total = total + band[m + 1] * cur
     return WignerField(re_axis, im_axis, (2.0 / math.pi) * total)
 
 
@@ -329,23 +312,6 @@ def _pinned_level(model):
     return int(np.argmax(closed))
 
 
-def closed_form_cutoff(closed: PhotonDistribution) -> int:
-    """The Fock cutoff :func:`solve_model` chooses from the closed form.
-
-    ``closed`` is the auto-support :func:`steady_distribution` of the
-    engine, which stops at a rung N with P_{N+1} < 1e-12.  The cutoff is
-    the first rung past its peak where P_n < 1e-12, so at most N + 1, and 1
-    with the pump off (A = 0); above ``MAX_N_MAX`` it raises
-    :class:`TruncationError`.
-    """
-    p = np.append(closed.probabilities, 0.0)  # rung N + 1, if no rung inside qualifies
-    peak = int(np.argmax(p))
-    n_max = peak + int(np.argmax(p[peak:] < 1e-12))
-    if n_max > MAX_N_MAX:
-        raise TruncationError(f"closed form needs n_max = {n_max} > {MAX_N_MAX}")
-    return n_max
-
-
 # one point's charge-zero block and the (rung, slot) of its pinned population,
 # and a steady state in block form: values[k] is the coefficient of
 # |rows[k]><cols[k]|; named tuples, since a class with annotations costs a
@@ -355,20 +321,22 @@ BlockState = namedtuple("BlockState", "rows cols values distribution residual")
 
 
 def _pinned_systems(blocks):
-    """The stacked systems of blocks of equal width, padded to equal depth.
+    """The stacked systems of the blocks, padded to equal depth and width.
 
     Each block's pinned population gets its own equation replaced by
-    x_pin = 1, and each empty slot the equation x = 0; the rungs past a
-    block's last are identity blocks with a zero right-hand side.
+    x_pin = 1, and each empty slot the equation x = 0; the slots past a
+    block's width and the rungs past its last get identity diagonal blocks
+    and a zero right-hand side, so they decouple.
     """
     depth = max(len(block.bands) for block in blocks)
-    width = blocks[0].bands.shape[-1]
+    width = max(block.bands.shape[-1] for block in blocks)
     system = np.zeros((len(blocks), depth, 3, width, width), dtype=complex)
     system[:, :, 1] = np.eye(width)
     rhs = np.zeros((len(blocks), depth, width), dtype=complex)
     for point, block in enumerate(blocks):
         rung, slot = block.pin
-        system[point, : len(block.bands)] = block.bands
+        rungs, _, own, _ = block.bands.shape
+        system[point, :rungs, :, :own, :own] = block.bands
         system[point, rung, :, slot] = 0.0
         system[point, rung, 1, slot, slot] = 1.0
         empty_rung, empty_slot = np.nonzero(block.rows < 0)
@@ -378,7 +346,7 @@ def _pinned_systems(blocks):
 
 
 def _sweep_blocks(blocks):
-    """Per block of equal width, its rung-sweep solution or the error it raised.
+    """Per block, its rung-sweep solution or the error it raised.
 
     A stacked solve fails as a whole when any point's system is singular,
     so such a batch is solved again one point at a time, and only the
@@ -392,7 +360,7 @@ def _sweep_blocks(blocks):
         error = SteadyStateError(f"rung sweep failed: {exc}")
         error.__cause__ = exc
         return [error]
-    return [x[: len(block.bands)] for x, block in zip(xs, blocks)]
+    return [x[: len(block.bands), : block.bands.shape[-1]] for x, block in zip(xs, blocks)]
 
 
 def _steady_result(block, x, tol):
@@ -425,18 +393,22 @@ def solve_models(
 
     Model k is solved at the cutoff ``n_maxes[k]`` exactly as
     :func:`solve_model` solves it, which is this function on a batch of one.
-    The blocks of equal width (all of them in a sweep of one engine kind)
-    are padded to equal depth and swept in one batch (``_rung_sweep``), so
-    numpy's cost per call is paid once per rung for the whole batch.  The
-    block assembly, the pinned level, the Hermitian part and unit trace,
-    the residual gate and the tail warning stay per point.
+    The blocks are padded to the batch's largest depth and width and swept
+    in one batch (``_rung_sweep``), so numpy's cost per call is paid once
+    per rung for the whole batch.  The bound check, the block assembly, the
+    pinned level, the Hermitian part and unit trace, the residual gate and
+    the tail warning stay per point: a cutoff above ``MAX_N_MAX`` gives its
+    point a :class:`TruncationError` before any assembly.
 
     Returns, in the order of ``models``, ``(space, BlockState)`` or the
-    :class:`SteadyStateError` or ``ValueError`` that point raised, so that
-    one point's failure stays its own.
+    :class:`TruncationError`, :class:`SteadyStateError` or ``ValueError``
+    that point raised, so that one point's failure stays its own.
     """
     blocks = []
     for model, n_max in zip(models, n_maxes):
+        if n_max > MAX_N_MAX:
+            blocks.append(TruncationError(f"cutoff needs n_max = {n_max} > {MAX_N_MAX}"))
+            continue
         try:
             space = HilbertSpace.for_model(model, n_max)
             vacuum = _pinned_level(model) * space.fock_dim
@@ -446,16 +418,12 @@ def solve_models(
             continue
         rung, slot = np.argwhere((rows == vacuum) & (cols == vacuum))[0]
         blocks.append(_Block(space, bands, rows, cols, (int(rung), int(slot))))
-    solutions = {}
-    by_width = {}
-    for k, block in enumerate(blocks):
-        if isinstance(block, _Block):
-            by_width.setdefault(block.bands.shape[-1], []).append(k)
-    for members in by_width.values():
-        solutions.update(zip(members, _sweep_blocks([blocks[k] for k in members])))
+    live = [block for block in blocks if isinstance(block, _Block)]
+    solutions = iter(_sweep_blocks(live) if live else ())
     outcomes = []
-    for k, block in enumerate(blocks):
-        x = solutions.get(k, block)  # the sweep's solution, or the point's error
+    for block in blocks:
+        # the sweep's solution, or the point's error
+        x = next(solutions) if isinstance(block, _Block) else block
         try:
             outcomes.append(x if isinstance(x, Exception) else _steady_result(block, x, tol))
         except SteadyStateError as exc:
@@ -487,20 +455,21 @@ def solve_model(
     the largest |L_ij| of the block, a bound relative to the rates.  There
     is no pivoting across rungs, and the residual is the check.
 
-    With ``n_max=None`` the cutoff is :func:`closed_form_cutoff` of the
-    closed-form distribution (:func:`steady_distribution`): the first rung
-    past its peak where P_n < 1e-12, so n_max = 1 with the pump off (A = 0).
-    A cutoff above ``MAX_N_MAX`` = 1000 raises :class:`TruncationError`
-    before any assembly.  The bound caps a batch of a sweep: a four-level
-    rung takes 4.3 kB (its 3 x 6 x 6 complex bands, 1.7 kB, again in the
-    pinned system, the sweep's 6 x 7 workspace and the pairs), so 16 points
-    at n_max 1000 hold 16 x 1002 x 4.3 kB = 69 MB (traced peak 69.3 MB, 0.25
-    s on a 2-vCPU Xeon); one dense state there would take 256 MB.  An
-    explicit ``n_max`` is used as given.  A warning is raised if the exact
-    P[n_max] exceeds 1e-8.
+    With ``n_max=None`` the cutoff is the ``n_max`` of the closed-form
+    distribution :func:`steady_distribution`, whose support ends at the
+    first rung past its peak where P_n < 1e-12 (n_max = 1 with the pump off,
+    A = 0); an explicit ``n_max`` is used as given.  Any cutoff above
+    ``MAX_N_MAX`` = 1000, automatic or explicit, raises
+    :class:`TruncationError` before any assembly.  The bound caps a batch of
+    a sweep: a four-level rung takes 4.3 kB (its 3 x 6 x 6 complex bands,
+    1.7 kB, again in the pinned system, the sweep's 6 x 7 workspace and the
+    pairs), so 16 points at n_max 1000 hold 16 x 1002 x 4.3 kB = 69 MB
+    (traced peak 69.3 MB, 0.25 s on a 2-vCPU Xeon); one dense state there
+    would take 256 MB.  A warning is raised if the exact P[n_max] exceeds
+    1e-8.
     """
     if n_max is None:
-        n_max = closed_form_cutoff(steady_distribution(scully_lamb_coefficients(model)))
+        n_max = steady_distribution(scully_lamb_coefficients(model)).n_max
     (outcome,) = solve_models([model], [n_max], tol)
     if isinstance(outcome, Exception):
         raise outcome

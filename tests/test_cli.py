@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 import heatlaser
 import heatlaser.photonstats
 from heatlaser import (
-    partial_trace_atom,
+    photon_distribution,
     scully_lamb_coefficients,
     solve_model,
     steady_distribution,
@@ -336,9 +338,32 @@ def test_distribution_wigner_file(tmp_path):
     assert len(lines) == 1 + 101 * 101
     # the grid is the Wigner function of the reduced dense steady state
     space, result = solve_model(with_hot_occupation(load_config(path).model, 0.3))
-    field = wigner(partial_trace_atom(dense_state(space, result), space))
+    field = wigner(photon_distribution(dense_state(space, result), space, tail_tol=math.inf))
     values = np.array([float(line.split(",")[2]) for line in lines[1:]])
     np.testing.assert_allclose(values, field.values.ravel(), rtol=1e-11, atol=1e-14)
+
+
+def test_default_wigner_grid_holds_a_bright_ring(tmp_path):
+    # fig5 at kappa / 32 and n_h 5 holds <n> = 228 photons: the default grid
+    # reaches 1.2 sqrt(<n> + 1) = 18.16, and W peaks on the ring |a| = sqrt(<n>)
+    config = json.loads(resources.files("heatlaser.presets").joinpath("fig5.json").read_text())
+    config["model"]["kappa"] = 1 / 32
+    path = tmp_path / "bright.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # neither a tail nor a grid-radius warning
+        code = main(["distribution", "--config", str(path), "--nh", "5", "--wigner", "--out", str(out)])
+    assert code == 0
+    p = np.loadtxt(out / "fig5_distribution.csv", delimiter=",", skiprows=1, usecols=2)
+    mean = float(np.arange(p.size) @ p)
+    grid = np.loadtxt(out / "fig5_wigner.csv", delimiter=",", skiprows=1)
+    assert len(grid) == 101 * 101
+    half_width = grid[:, 0].max()
+    assert half_width == pytest.approx(1.2 * math.sqrt(mean + 1.0), rel=1e-12)
+    assert half_width == pytest.approx(18.16, abs=0.005)
+    re, im, _ = grid[np.argmax(grid[:, 2])]
+    assert abs(math.hypot(re, im) - math.sqrt(mean)) <= 2 * half_width / 100
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -15,6 +15,7 @@ import heatlaser.solver
 from heatlaser import (
     BathSpec,
     HilbertSpace,
+    PhotonDistribution,
     TruncationError,
     build_four_level,
     build_liouvillian,
@@ -29,7 +30,7 @@ from heatlaser import (
     wigner,
 )
 from heatlaser.core import build_cavity_operators, build_sector_liouvillian, check_density_matrix
-from heatlaser.solver import MAX_N_MAX, SteadyStateError, closed_form_cutoff, solve_models
+from heatlaser.solver import MAX_N_MAX, SteadyStateError, solve_models
 
 from conftest import (
     dense_state,
@@ -253,6 +254,13 @@ def test_closed_form_cutoff_leaves_no_exact_tail(seed, four):
         space, result = solve_model(model)
     assert 1 <= space.n_max <= MAX_N_MAX
     assert result.distribution.probabilities[-1] < 1e-8
+    # the closed form's support is the cutoff: its first rung past the peak
+    # below 1e-12
+    closed = steady_distribution(scully_lamb_coefficients(model))
+    assert space.n_max == closed.n_max
+    p = closed.probabilities
+    assert p[closed.n_max] < 1e-12
+    assert np.all(p[closed.peak_index : closed.n_max] >= 1e-12)
 
 
 def test_solve_model_builds_no_dense_operators(monkeypatch):
@@ -324,10 +332,13 @@ def test_cutoff_above_bound_raises_before_assembly(monkeypatch):
     # kappa = 0.002: the closed form holds its 1e-12 tail only past 3000 rungs
     with pytest.raises(TruncationError, match=r"needs n_max = \d+ > 1000"):
         solve_model(make_fig2_model(kappa=0.002))
+    # the bound holds for an explicit cutoff too
+    with pytest.raises(TruncationError, match=r"needs n_max = 1001 > 1000"):
+        solve_model(make_fig2_model(), n_max=MAX_N_MAX + 1)
 
 
 def _auto_cutoff(model):
-    return closed_form_cutoff(steady_distribution(scully_lamb_coefficients(model)))
+    return steady_distribution(scully_lamb_coefficients(model)).n_max
 
 
 @settings(deadline=None, max_examples=40)
@@ -372,13 +383,11 @@ def test_singular_point_fails_alone(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_wigner_vacuum_and_single_photon():
-    vacuum = np.zeros((12, 12), dtype=complex)
-    vacuum[0, 0] = 1.0
+    vacuum = PhotonDistribution(np.eye(12)[0])
     with pytest.warns(UserWarning, match="grid radius"):  # a one-point grid
         field = wigner(vacuum, np.array([0.0]), np.array([0.0]))
     assert field.values[0, 0] == pytest.approx(2.0 / math.pi, rel=1e-12)
-    one = np.zeros((12, 12), dtype=complex)
-    one[1, 1] = 1.0
+    one = PhotonDistribution(np.eye(12)[1])
     with pytest.warns(UserWarning, match="grid radius"):
         field = wigner(one, np.array([0.0]), np.array([0.0]))
     assert field.values[0, 0] == pytest.approx(-2.0 / math.pi, rel=1e-12)
@@ -389,11 +398,8 @@ def test_wigner_matches_laguerre_form():
     rng = np.random.default_rng(3)
     p = rng.uniform(0.2, 1.0, 6)
     p /= p.sum()
-    rho = np.diag(p).astype(complex)
-    rho_full = np.zeros((24, 24), dtype=complex)
-    rho_full[:6, :6] = rho
     axis = np.linspace(-2.5, 2.5, 7)
-    field = wigner(rho_full, axis, axis)
+    field = wigner(PhotonDistribution(np.concatenate([p, np.zeros(18)])), axis, axis)
     for iy, y in enumerate(axis):
         for ix, x in enumerate(axis):
             r2 = x * x + y * y
@@ -404,29 +410,12 @@ def test_wigner_matches_laguerre_form():
             assert field.values[iy, ix] == pytest.approx(expected, abs=1e-10)
 
 
-def test_wigner_of_coherent_state():
-    # off-diagonal terms and their phase: W(a) = (2/pi) exp(-2|a - b|^2)
-    beta = 0.8 + 0.6j
-    amplitudes = np.array(
-        [
-            math.exp(-abs(beta) ** 2 / 2) * beta**n / math.sqrt(math.factorial(n))
-            for n in range(30)
-        ]
-    )
-    rho = np.outer(amplitudes, amplitudes.conj())
-    axis = np.linspace(-2.0, 2.0, 9)
-    field = wigner(rho, axis, axis)
-    alpha = axis[np.newaxis, :] + 1j * axis[:, np.newaxis]
-    expected = (2.0 / math.pi) * np.exp(-2.0 * np.abs(alpha - beta) ** 2)
-    np.testing.assert_allclose(field.values, expected, rtol=0, atol=1e-12)
-
-
 def test_wigner_of_steady_state():
     model = make_fig2_model(n_h=0.507)
     space, result = solve_model(model, n_max=30)
-    reduced = partial_trace_atom(dense_state(space, result), space)
+    cavity = photon_distribution(dense_state(space, result), space)
     axis = np.linspace(-4.0, 4.0, 41)
-    field = wigner(reduced, axis, axis)
+    field = wigner(cavity, axis, axis)
     # no phase preference: the value depends on |alpha| only
     radius = 1.5
     with pytest.warns(UserWarning, match="grid radius"):  # one-point grids
@@ -435,7 +424,7 @@ def test_wigner_of_steady_state():
             for theta in np.linspace(0.0, 2 * math.pi, 9)
             for field_value in [
                 wigner(
-                    reduced,
+                    cavity,
                     np.array([radius * math.cos(theta)]),
                     np.array([radius * math.sin(theta)]),
                 ).values[0, 0]
@@ -452,6 +441,5 @@ def test_wigner_of_steady_state():
 def test_wigner_warns_on_small_grid():
     p = np.exp(-np.arange(30) / 4.0)
     p /= p.sum()  # mean ~ 3.5
-    rho = np.diag(p).astype(complex)
     with pytest.warns(UserWarning, match="grid radius"):
-        wigner(rho, np.array([0.5]), np.array([0.0]))
+        wigner(PhotonDistribution(p), np.array([0.5]), np.array([0.0]))
