@@ -25,11 +25,11 @@ significant digits; the data files carry the full 12.  Exit codes:
 0 success, 2 config error, 3 numeric failure in single-point commands.
 
 A sweep solves its n_h grid in consecutive batches of ``BATCH_POINTS``
-points, the steady states of a batch in one batched rung sweep.  Each state
-stays in charge-zero block form, and the photon distribution and the Wigner
-function come from its populations.  The batches depend only on the grid;
-``--jobs`` N > 1 maps them over N worker processes, so the output does not
-depend on it.  ``distribution --wigner`` samples 101 x 101 points over
+points, the steady states of a batch in one batched rung sweep, all in the
+calling process.  Each state stays in charge-zero block form, and the
+photon distribution and the Wigner function come from its populations.
+The batches depend only on the grid.  ``sweep --jobs`` is still accepted
+and ignored.  ``distribution --wigner`` samples 101 x 101 points over
 [-h, h]^2 with h = max(4, 1.2 sqrt(<n> + 1)), so the grid holds the ring of
 a bright state.
 """
@@ -37,12 +37,10 @@ a bright state.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -97,7 +95,8 @@ SWEEP_FIELDS = [
     "status",
 ]
 
-# points per batch of steady-state solves.  A batch holds the rung bands and
+# points per batch of steady-state solves; a sweep solves its batches one
+# after another in the calling process.  A batch holds the rung bands and
 # the pinned system of all its points at once, 4.3 kB a four-level rung (see
 # solve_model), so one batch of a whole 60-point grid at n_max 80 would hold
 # 21 MB; 16 points already share most of numpy's cost per call
@@ -309,7 +308,7 @@ def dumps_config(config: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 
 def _sweep_batch(config: RunConfig, values: list[float]) -> list[dict]:
-    """Compute the sweep records of consecutive n_h values; runs inside worker processes.
+    """Compute the sweep records of consecutive n_h values.
 
     The closed form is evaluated once per point; its distribution, whose
     support is the Fock cutoff, gives the P_0 of the moments, the cutoff
@@ -364,21 +363,20 @@ def _sweep_batch(config: RunConfig, values: list[float]) -> list[dict]:
     return records
 
 
-def run_sweep(config: RunConfig, jobs: int = 1) -> list[dict]:
-    """Evaluate every sweep point, ordered by sweep index.
+def run_sweep(config: RunConfig) -> list[dict]:
+    """Evaluate every sweep point in this process, ordered by sweep index.
 
     The grid is cut into consecutive batches of ``BATCH_POINTS`` points,
-    whatever ``jobs`` is; with ``jobs`` > 1 a process pool maps the batches.
+    each solved by one :func:`_sweep_batch` call.
     """
     if config.sweep is None:
         raise ConfigError("sweep: block required for the sweep command")
     values = [float(value) for value in config.sweep.values()]
-    batches = [values[i : i + BATCH_POINTS] for i in range(0, len(values), BATCH_POINTS)]
-    solve = functools.partial(_sweep_batch, config)
-    if jobs <= 1 or len(batches) == 1:
-        return [record for batch in batches for record in solve(batch)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return [record for records in pool.map(solve, batches) for record in records]
+    return [
+        record
+        for i in range(0, len(values), BATCH_POINTS)
+        for record in _sweep_batch(config, values[i : i + BATCH_POINTS])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +445,10 @@ def _emit_records(out_dir, stem, fmt, fields, rows):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_sweep(config: RunConfig, out_dir: Path, jobs: int, fmt: str) -> int:
-    records = run_sweep(config, jobs=jobs)
+def cmd_sweep(config: RunConfig, out_dir: Path, fmt: str) -> int:
+    records = run_sweep(config)
     written = _emit_records(out_dir, config.output.stem, fmt, SWEEP_FIELDS, records)
-    _write_meta(
-        out_dir / f"{config.output.stem}_meta.json", config, "sweep", {"jobs": jobs}
-    )
+    _write_meta(out_dir / f"{config.output.stem}_meta.json", config, "sweep")
     failed = sum(1 for r in records if r["status"] != "ok")
     for path in written:
         print(f"wrote {path}")
@@ -495,10 +491,12 @@ def cmd_distribution(config: RunConfig, n_h: float, out_dir: Path, fmt: str, wit
     )
     if with_wigner:
         field = wigner(result.distribution)
+        # the lines _fmt gives each point, with every axis value formatted once
+        re_text = [_fmt(x) for x in field.re_axis]
         lines = ["re,im,value"]
-        for iy, y in enumerate(field.im_axis):
-            for ix, x in enumerate(field.re_axis):
-                lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(field.values[iy, ix])}")
+        for y, row in zip(field.im_axis, field.values.tolist()):
+            im_text = _fmt(y)
+            lines += [f"{x},{im_text},{w:.12g}" for x, w in zip(re_text, row)]
         path = out_dir / f"{stem}_wigner.csv"
         _write_text(path, "\n".join(lines) + "\n")
         written.append(path)
@@ -566,12 +564,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep n_h and tabulate gain and photon statistics")
     common(p_sweep)
-    p_sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=os.cpu_count() or 1,
-        help=f"worker processes, each solving batches of {BATCH_POINTS} consecutive points",
-    )
+    # sweeps run in one process; --jobs N is parsed and ignored because
+    # perfbench/run.py still passes it to every sweep workload
+    p_sweep.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
 
     p_dist = sub.add_parser("distribution", help="photon distribution at one n_h")
     common(p_dist)
@@ -596,7 +591,7 @@ def main(argv=None) -> int:
     fmt = args.format or config.output.format
     try:
         if args.command == "sweep":
-            return cmd_sweep(config, out_dir, max(1, args.jobs), fmt)
+            return cmd_sweep(config, out_dir, fmt)
         if args.command == "distribution":
             return cmd_distribution(config, args.nh, out_dir, fmt, args.wigner)
         if args.command == "thresholds":

@@ -26,6 +26,7 @@ from heatlaser.cli import (
     SWEEP_FIELDS,
     dumps_config,
     load_config,
+    _fmt,
     main,
     run_sweep,
 )
@@ -131,22 +132,23 @@ def test_single_point_sweep_record(tmp_path):
 
 
 def test_sweep_outputs_are_deterministic(tmp_path):
-    # more points than two batches hold, so --jobs 2 maps batches in a pool
+    # more points than two batches hold; --jobs is still parsed and changes
+    # nothing, not even the meta sidecar
     points = 2 * BATCH_POINTS + 3
     path = write_config(tmp_path, {"output.format": "both", "sweep.points": points})
     out_a, out_b, out_c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-    assert main(["sweep", "--config", str(path), "--out", str(out_a), "--jobs", "1"]) == 0
-    assert main(["sweep", "--config", str(path), "--out", str(out_b), "--jobs", "1"]) == 0
+    assert main(["sweep", "--config", str(path), "--out", str(out_a)]) == 0
+    assert main(["sweep", "--config", str(path), "--out", str(out_b)]) == 0
     assert main(["sweep", "--config", str(path), "--out", str(out_c), "--jobs", "2"]) == 0
+    for name in ("case.csv", "case.json", "case_meta.json"):
+        data = (out_a / name).read_bytes()
+        assert data == (out_b / name).read_bytes()
+        assert data == (out_c / name).read_bytes()
+    assert "jobs" not in json.loads((out_a / "case_meta.json").read_text())
     csv_a = (out_a / "case.csv").read_bytes()
-    assert csv_a == (out_b / "case.csv").read_bytes()
-    assert csv_a == (out_c / "case.csv").read_bytes()
-    json_a = (out_a / "case.json").read_bytes()
-    assert json_a == (out_c / "case.json").read_bytes()
     header, first, *rows = csv_a.decode().splitlines()
     assert header == ",".join(SWEEP_FIELDS)
     assert len(rows) == points - 1
-    assert (out_a / "case_meta.json").exists()
     # 12 significant digits
     gain = first.split(",")[1]
     assert len(gain.replace(".", "").replace("-", "").lstrip("0")) <= 12
@@ -172,7 +174,7 @@ def test_l1_column_matches_a_recursion_to_the_cutoff(preset):
     # l1_distance cuts the auto-support closed form at the cutoff; the
     # recursion run to the cutoff and renormalised differs in the last bits
     config = load_config(preset)
-    for record in run_sweep(config, jobs=1):
+    for record in run_sweep(config):
         coeffs = scully_lamb_coefficients(with_hot_occupation(config.model, record["n_h"]))
         analytic = steady_distribution(coeffs, n_max=record["n_max"], tail_tol=math.inf)
         numeric, _ = _solo(config, record["n_h"])
@@ -228,7 +230,7 @@ def test_sweep_evaluates_closed_form_once_per_point(tmp_path, monkeypatch):
                 ):
                     if value is original:
                         monkeypatch.setattr(module, attr, wrapper)
-    records = run_sweep(load_config(write_config(tmp_path, {"sweep.points": 5})), jobs=1)
+    records = run_sweep(load_config(write_config(tmp_path, {"sweep.points": 5})))
     assert all(r["status"] == "ok" for r in records)
     assert calls == {"distribution": 5, "coefficients": 5}
 
@@ -341,6 +343,15 @@ def test_distribution_wigner_file(tmp_path):
     field = wigner(photon_distribution(dense_state(space, result), space, tail_tol=math.inf))
     values = np.array([float(line.split(",")[2]) for line in lines[1:]])
     np.testing.assert_allclose(values, field.values.ravel(), rtol=1e-11, atol=1e-14)
+    # and every line is the point's re, im and value through _fmt, row-major
+    # over im then re, as wigner gives them for the solved distribution
+    field = wigner(result.distribution)
+    expected = [
+        f"{_fmt(x)},{_fmt(y)},{_fmt(field.values[iy, ix])}"
+        for iy, y in enumerate(field.im_axis)
+        for ix, x in enumerate(field.re_axis)
+    ]
+    assert lines[1:] == expected
 
 
 def test_default_wigner_grid_holds_a_bright_ring(tmp_path):
@@ -408,7 +419,9 @@ def test_very_hot_bath_meets_scaled_residual(tmp_path):
 def test_cli_import_skips_scipy_stats_and_optimize(tmp_path):
     # scipy costs more start-up than a whole fig2 sweep, and no command but
     # thresholds needs it: importing the package and the CLI, a sweep and a
-    # distribution with its Wigner grid all leave no scipy module loaded
+    # distribution with its Wigner grid all leave no scipy module loaded.
+    # Sweeps run in one process, even when --jobs asks for more: neither the
+    # CLI import nor a sweep loads a process pool or multiprocessing
     env = dict(os.environ, PYTHONPATH=str(Path(heatlaser.__file__).parents[1]))
     probe = (
         "import sys\n"
@@ -418,9 +431,12 @@ def test_cli_import_skips_scipy_stats_and_optimize(tmp_path):
         "import heatlaser.cli\n"
         "print(loaded(('scipy.stats', 'scipy.optimize')))\n"
         "print(loaded('scipy'))\n"
+        "pool = ('concurrent.futures.process', 'multiprocessing')\n"
+        "print(loaded(pool))\n"
         "out = sys.argv[1]\n"
-        "assert heatlaser.cli.main(['sweep', '--config', 'fig2', '--jobs', '1', '--out', out]) == 0\n"
+        "assert heatlaser.cli.main(['sweep', '--config', 'fig2', '--jobs', '2', '--out', out]) == 0\n"
         "print(loaded('scipy'))\n"
+        "print(loaded(pool))\n"
         "argv = ['distribution', '--config', 'fig2', '--nh', '2', '--wigner', '--out', out]\n"
         "assert heatlaser.cli.main(argv) == 0\n"
         "print(loaded('scipy'))\n"
@@ -433,7 +449,7 @@ def test_cli_import_skips_scipy_stats_and_optimize(tmp_path):
         check=True,
     )
     lines = [line for line in out.stdout.splitlines() if not line.startswith("wrote ")]
-    assert lines == ["[]"] * 5
+    assert lines == ["[]"] * 7
     assert (tmp_path / "fig2.csv").exists() and (tmp_path / "fig2_wigner.csv").exists()
 
 

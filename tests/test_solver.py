@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.sparse.linalg import splu
 from scipy.special import eval_laguerre
 
@@ -413,24 +414,24 @@ def test_wigner_matches_laguerre_form():
 def test_wigner_of_steady_state():
     model = make_fig2_model(n_h=0.507)
     space, result = solve_model(model, n_max=30)
-    cavity = photon_distribution(dense_state(space, result), space)
+    rho = dense_state(space, result)
+    cavity = photon_distribution(rho, space)
     axis = np.linspace(-4.0, 4.0, 41)
     field = wigner(cavity, axis, axis)
-    # no phase preference: the value depends on |alpha| only
-    radius = 1.5
-    with pytest.warns(UserWarning, match="grid radius"):  # one-point grids
-        samples = [
-            field_value
-            for theta in np.linspace(0.0, 2 * math.pi, 9)
-            for field_value in [
-                wigner(
-                    cavity,
-                    np.array([radius * math.cos(theta)]),
-                    np.array([radius * math.sin(theta)]),
-                ).values[0, 0]
-            ]
-        ]
-    assert max(samples) - min(samples) < 1e-8
+    # W(a) = (2/pi) tr[rho D(a) P D+(a)] of the whole reduced state, with
+    # D(a) = exp(a a+ - a* a) by expm on a Fock space padded well past the
+    # cutoff (parity P = (-1)^n), at grid points off both axes
+    reduced = partial_trace_atom(rho, space)
+    fock, padded = space.fock_dim, space.fock_dim + 90
+    lower = np.diag(np.sqrt(np.arange(1, padded, dtype=float)), 1)
+    parity = (-1.0) ** np.arange(padded)
+    for ix, iy in [(24, 27), (13, 30), (29, 12), (17, 18)]:
+        alpha = complex(axis[ix], axis[iy])
+        assert alpha.real != 0.0 and alpha.imag != 0.0
+        shift = expm(alpha * lower.T - alpha.conjugate() * lower)[:fock]
+        parity_at_alpha = (shift * parity) @ shift.conj().T
+        reference = (2.0 / math.pi) * np.trace(reduced @ parity_at_alpha).real
+        assert abs(field.values[iy, ix] - reference) <= 1e-9
     # convention bound and normalization
     assert field.values.min() >= -2.0 / math.pi - 1e-9
     dx = axis[1] - axis[0]
