@@ -22,7 +22,10 @@ cutoff ``n_max``, its exact tail mass ``tail`` = P[n_max], and the
 ``residual`` |L[rho]|_inf of the accepted steady state (absolute, not
 scaled).  Summaries printed to standard output round their numbers to 4
 significant digits; the data files carry the full 12.  Exit codes:
-0 success, 2 config error, 3 numeric failure in single-point commands.
+0 success; 2 config error (including a config file that cannot be read or
+is not UTF-8) or output error (an output file that cannot be written, such
+as ``--out`` naming an existing file); 3 numeric failure in single-point
+commands.
 
 A sweep solves its n_h grid in consecutive batches of ``BATCH_POINTS``
 points, the steady states of a batch in one batched rung sweep, all in the
@@ -97,9 +100,9 @@ SWEEP_FIELDS = [
 
 # points per batch of steady-state solves; a sweep solves its batches one
 # after another in the calling process.  A batch holds the rung bands and
-# the pinned system of all its points at once, 4.3 kB a four-level rung (see
+# the pinned system of all its points at once, 4.6 kB a four-level rung (see
 # solve_model), so one batch of a whole 60-point grid at n_max 80 would hold
-# 21 MB; 16 points already share most of numpy's cost per call
+# 23 MB; 16 points already share most of numpy's cost per call
 BATCH_POINTS = 16
 
 
@@ -231,16 +234,19 @@ def _sweep_from_config(block, path="sweep"):
 
 def _load_json(path_or_preset):
     path = Path(path_or_preset)
-    if path.exists():
-        text = path.read_text()
-    else:
-        stem = str(path_or_preset)
-        if stem.endswith(".json"):
-            stem = stem[: -len(".json")]
-        if os.sep not in str(path_or_preset) and stem in PRESETS:
-            text = resources.files("heatlaser.presets").joinpath(f"{stem}.json").read_text()
+    try:
+        if path.exists():
+            text = path.read_text(encoding="utf-8")
         else:
-            raise ConfigError(f"config file not found: {path_or_preset}")
+            stem = str(path_or_preset)
+            if stem.endswith(".json"):
+                stem = stem[: -len(".json")]
+            if os.sep not in str(path_or_preset) and stem in PRESETS:
+                text = resources.files("heatlaser.presets").joinpath(f"{stem}.json").read_text()
+            else:
+                raise ConfigError(f"config file not found: {path_or_preset}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path_or_preset}: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -602,6 +608,9 @@ def main(argv=None) -> int:
     except (SteadyStateError, TruncationError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     raise AssertionError("unreachable")
 
 

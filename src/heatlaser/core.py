@@ -9,16 +9,20 @@ The public operator builders embed each operator as a dense (A F) x (A F)
 matrix, and :func:`build_liouvillian` forms the full (A F)^2 generator from
 them as a scipy sparse matrix; they are the reference, and scipy is imported
 only when :func:`build_liouvillian` is called.  The steady-state solve needs
-only the charge-zero block, which :func:`build_sector_liouvillian` assembles
-straight from the rates by index arithmetic over the basis states, with no
-operator matrix: every jump and the coupling send a basis state to at most
-one basis state, so each is a target index and a value per state.  Ordered
-by rung, the block is block-tridiagonal, and it is returned as dense numpy
+only the charge-zero block.  Its layout is one fixed table: level pair
+``RUNG_SLOTS[s]`` in slot s of rung n + ``RUNG_SHIFT[level]``, the same for
+every model and every cutoff.  :func:`build_sector_liouvillian` assembles
+the blocks of a whole batch of models in it straight from the rates, with
+no operator matrix: every entry is a rate times a unit value, found once
+per call by index arithmetic over the basis states, since every jump and
+the coupling send a basis state to at most one basis state.  Ordered by
+rung, the block is block-tridiagonal, and it is returned as dense numpy
 bands.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -48,11 +52,18 @@ __all__ = [
 ]
 
 LEVEL_G, LEVEL_E1, LEVEL_E2, LEVEL_E3 = 0, 1, 2, 3
-# U(1) charge c(level) of each level: every jump and the coupling shift
-# n + c by a definite amount, so L maps |i><j| only onto operators with the
-# same q(i) - q(j).  The coupling needs c(e2) - c(e1) = 1; the fractions keep
-# every other level pair out of the q = 0 block.  Dyadic values keep n + c exact.
-LEVEL_CHARGE = (0.5, 0.0, 1.0, 0.25)
+# The layout of the charge-zero block.  Every jump and the coupling shift
+# n + c(level) by a definite amount for the U(1) charge c = (1/2, 0, 1, 1/4),
+# so L maps |i><j| only onto operators of the same charge difference, and
+# the pairs of equal charge are the populations and the coherences between
+# |e1, n + 1> and |e2, n>.  |l, n> sits in rung n + RUNG_SHIFT[l], slot s of
+# every rung holds |l, .><l', .> for (l, l') = RUNG_SLOTS[s], and
+# SLOT_OF[l, l'] is that slot (-1 for a pair outside the block).  e3 is
+# last, so a three-level rung is the first five slots.
+RUNG_SHIFT = np.array((0, 0, 1, 0))
+RUNG_SLOTS = np.array(((0, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 3)))  # g, e1, e2, e3 = 0..3
+SLOT_OF = np.full((4, 4), -1)
+SLOT_OF[tuple(RUNG_SLOTS.T)] = np.arange(len(RUNG_SLOTS))
 
 
 @dataclass(frozen=True)
@@ -228,113 +239,106 @@ def build_liouvillian(model: EngineModel, space: HilbertSpace) -> sp.csr_matrix:
 
 
 def build_sector_liouvillian(
-    model: EngineModel, space: HilbertSpace
+    models: Sequence[EngineModel], n_max: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The charge-zero block of the generator, as dense bands over rungs.
+    """The charge-zero blocks of several generators, as dense bands over rungs.
 
-    The block holds the operators |i><j| for every pair of basis states of
-    equal charge n + c(level) (see ``LEVEL_CHARGE``); it is closed under L
-    and holds the unique steady state.  Its unknowns are grouped by rung
-    floor(n + c), from 0 to n_max + 1.  A rung holds at most 6 unknowns (5
-    for a three-level atom): the populations of |g, r>, |e3, r>, |e1, r>
-    and |e2, r - 1> and the two coherences between the last two.  Every
-    jump shifts the charge by less than one and the coupling keeps it, so L
-    couples each rung only to itself and its two neighbours.
+    The block holds the operators of the rung table (``RUNG_SLOTS``): the
+    populations and the coherences between |e1, n + 1> and |e2, n>.  It is
+    closed under L and holds the unique steady state.  |l, n> sits in rung
+    n + RUNG_SHIFT[l], from 0 to n_max + 1, and slot s of every rung holds
+    the level pair RUNG_SLOTS[s].  Every jump moves a pair by at most one
+    rung and the coupling keeps it, so L couples each rung only to itself
+    and its two neighbours.  The layout is the same at every cutoff, and so
+    are the entries: no jump raises n, and the only term the cutoff removes,
+    the emission out of |e2, N>, leads out of the smaller block.  So the
+    block at cutoff N is the block at any larger cutoff on rungs 0 to N + 1
+    and on the slots with both photon numbers at most N, bit for bit.
 
-    Returns ``(bands, rows, cols)``.  Unknown s of rung r is the operator
-    |rows[r, s]><cols[r, s]|; ``rows`` and ``cols`` have shape (R, m), with
-    m the most unknowns in a rung, and are -1 in the empty slots of smaller
-    rungs.  ``bands`` has shape (R, 3, m, m): ``bands[r, 1]`` maps rung r
-    onto itself, ``bands[r, 0]`` rung r - 1 onto rung r and ``bands[r, 2]``
-    rung r + 1 onto rung r (``bands[0, 0]`` and ``bands[R - 1, 2]`` are 0).
-    Rows and columns of empty slots are 0.
+    Returns ``(bands, rows, cols)`` of the P models at the cutoff ``n_max``.
+    Slot s of rung r is the operator |rows[r, s]><cols[r, s]|, with |l, n>
+    at index l (n_max + 1) + n; ``rows`` and ``cols`` have shape (R, m),
+    R = n_max + 2 and m = 2 + the largest atom dimension (e3 is the last
+    slot), and are -1 where a photon number falls outside 0..n_max.
+    ``bands`` has shape (P, R, 3, m, m): ``bands[p, r, 1]`` maps rung r onto
+    itself, ``bands[p, r, 0]`` rung r - 1 onto rung r and ``bands[p, r, 2]``
+    rung r + 1 onto rung r.  Rows and columns of empty slots, and of the e3
+    slot for a three-level model, are 0.
 
     L[rho] = K rho + rho K+ + sum_r r J rho J+ with
     K = -i V - (1/2) sum_r r J+ J, over the jump channels of
     :func:`build_dissipators` and the coupling of :func:`build_interaction`.
     No operator is formed as a matrix.  Each jump J and the coupling V send
-    a basis state to at most one basis state, and sum_r r J+ J is diagonal,
-    so each is held as a target index (-1 where the column is zero) and a
-    value per basis state.  K rho, rho K+ and r J rho J+ then map each
-    unknown onto one entry each (two for the coupling), found by index
-    arithmetic: with the pairs in row-major order, |i><j| is pair
-    start(i) + rank(j), where rank(j) counts the states of j's charge below
-    j, and each pair has a fixed rung and slot.
+    a basis state to at most one basis state, and J+ J is diagonal, so each
+    is held as a target index (-1 where the column is zero) and a value per
+    basis state.  Each part of L, -(1/2)(J+ J rho + rho J+ J) and J rho J+
+    for every jump, -i V rho and rho (-i V)+, then maps each unknown |i><j|
+    onto at most one |i'><j'|, whose rung and slot the table gives.  Every
+    entry is one rate of theta = (the ``_bath_channels`` rates, kappa, g)
+    times a unit value, so the entries are found once per call for each
+    kind of model, and ``np.add.at`` adds theta_k x unit into each cell in
+    one fixed order: a model's bands do not depend on the batch it comes in.
     """
-    _check_dims(model, space)
-    d = space.total_dim
-    level, photons = np.divmod(np.arange(d), space.fock_dim)
-    charge_value = np.array(LEVEL_CHARGE)[level] + photons
-    _, charge, size = np.unique(charge_value, return_inverse=True, return_counts=True)
-    members = np.argsort(charge, kind="stable")  # states grouped by charge
-    first = np.cumsum(size) - size
-    rank = np.empty(d, dtype=np.intp)
-    rank[members] = np.arange(d) - first[charge[members]]
-    width = size[charge]
-    start = np.cumsum(width) - width
-    rows = np.repeat(np.arange(d), width)
-    cols = members[np.repeat(first[charge] - start, width) + np.arange(rows.size)]
-    # rung and slot of every pair, slots in row-major order within a rung
-    rung = np.floor(charge_value[rows]).astype(np.intp)
-    per_rung = np.bincount(rung)
-    by_rung = np.argsort(rung, kind="stable")
-    slot = np.empty(rows.size, dtype=np.intp)
-    slot[by_rung] = np.arange(rows.size) - (np.cumsum(per_rung) - per_rung)[rung[by_rung]]
+    width = max(model.atom_dim for model in models) + 2
+    fock, depth = n_max + 1, n_max + 2
+    rung, slot = np.divmod(np.arange(depth * width), width)
+    pair_level = RUNG_SLOTS[slot]
+    pair_photons = rung[:, np.newaxis] - RUNG_SHIFT[pair_level]
+    filled = np.all((pair_photons >= 0) & (pair_photons <= n_max), axis=1)
+    rows, cols = np.where(filled[:, np.newaxis], pair_level * fock + pair_photons, -1).T
 
+    state = np.arange(4 * fock)
+    level, photons = np.divmod(state, fock)
+    state_rung = photons + RUNG_SHIFT[level]
     root = np.sqrt(photons.astype(float))
-
-    def atom_jump(to_level, from_level):
-        on = level == from_level
-        return np.where(on, to_level * space.fock_dim + photons, -1), on.astype(float)
-
-    # the cavity a and the coupling g (sigma+ a + sigma- a+)
-    cavity = (np.where(photons > 0, np.arange(d) - 1, -1), root)
+    cavity = np.where(photons > 0, state - 1, -1)
+    # -i V without g, for the coupling V = sigma+ a + sigma- a+
     absorb = (level == LEVEL_E1) & (photons > 0)
-    emit = (level == LEVEL_E2) & (photons < space.n_max)
-    coupling_to = np.where(absorb, LEVEL_E2 * space.fock_dim + photons - 1, -1)
-    coupling_to = np.where(emit, LEVEL_E1 * space.fock_dim + photons + 1, coupling_to)
-    coupling = model.g * np.where(absorb, root, np.where(emit, np.sqrt(photons + 1.0), 0.0))
+    emit = (level == LEVEL_E2) & (photons < n_max)
+    coupling_to = np.where(absorb, state + fock - 1, np.where(emit, state - fock + 1, -1))
+    coupling = -1j * np.where(absorb, root, np.where(emit, np.sqrt(photons + 1.0), 0.0))
 
-    channels = [(rate, *atom_jump(to, frm)) for to, frm, rate in _bath_channels(model)]
-    channels.append((model.kappa, *cavity))
-    decay = np.zeros(d)  # the diagonal of -(1/2) sum_r r J+ J
-    jumps = []
-    for rate, target, value in channels:
-        if rate < 0:
-            raise ValueError(f"negative dissipator rate {rate}")
-        if rate > 0:
-            decay = decay - 0.5 * rate * (value * value)
-            jumps.append((rate, target, value))
-
-    column = np.arange(rows.size)
-    k_coupling = -1j * coupling
-    # (column, i, j, value) of K rho + rho K+ (diagonal and coupling parts)
-    # and of every r J rho J+
-    parts = [
-        (column, rows, cols, decay[rows] + decay[cols]),
-        (column, coupling_to[rows], cols, k_coupling[rows]),
-        (column, rows, coupling_to[cols], np.conj(k_coupling[cols])),
-    ]
-    parts += [
-        (column, target[rows], target[cols], (rate * value[rows]) * value[cols])
-        for rate, target, value in jumps
-    ]
-    at, i, j, data = (np.concatenate(field) for field in zip(*parts))
-    keep = (i >= 0) & (j >= 0) & (data != 0)
-    at, i, j, data = at[keep], i[keep], j[keep], data[keep]
-    if np.any(charge[i] != charge[j]):
-        raise RuntimeError("the Liouvillian maps the charge-zero block outside itself")
-    to = start[i] + rank[j]
-    band = rung[at] - rung[to] + 1
-    if np.any((band < 0) | (band > 2)):
-        raise RuntimeError("the Liouvillian couples rungs more than one apart")
-    bands = np.zeros((per_rung.size, 3, per_rung.max(), per_rung.max()), dtype=complex)
-    np.add.at(bands, (rung[to], band, slot[to], slot[at]), data)
-    rung_rows = np.full((per_rung.size, per_rung.max()), -1, dtype=np.intp)
-    rung_cols = rung_rows.copy()
-    rung_rows[rung, slot] = rows
-    rung_cols[rung, slot] = cols
-    return bands, rung_rows, rung_cols
+    bands = np.zeros((len(models), depth * 3 * width * width), dtype=complex)
+    kinds = [model.kind for model in models]
+    for kind in dict.fromkeys(kinds):
+        points = [p for p, other in enumerate(kinds) if other == kind]
+        group = [models[p] for p in points]
+        theta = np.array([[rate for *_, rate in _bath_channels(m)] + [m.kappa, m.g] for m in group])
+        if np.any(theta[:, :-1] < 0):
+            raise ValueError(f"negative dissipator rate {theta[:, :-1].min()}")
+        own = group[0].atom_dim + 2  # the kind's slots
+        # each jump as a target (-1 where it sends the state to 0) and a
+        # value per basis state: the baths, then the cavity
+        channels = _bath_channels(group[0])
+        hops = [np.where(level == low, state + (to - low) * fock, -1) for to, low, _ in channels]
+        target = np.array(hops + [cavity])
+        value = np.array([level == low for _, low, _ in channels] + [root], dtype=float)
+        column = np.flatnonzero(filled & (slot < own))
+        i, j = rows[column], cols[column]
+        # the parts of L: -(1/2)(J+ J rho + rho J+ J) and J rho J+ for each
+        # jump J, then -i V rho and rho (-i V)+; per part, its unit value on
+        # each unknown |i><j|, its maps on the left and on the right of
+        # |i><j|, and its rate index
+        n = len(target)
+        decay, jump = -0.5 * (value[:, i] ** 2 + value[:, j] ** 2), value[:, i] * value[:, j]
+        units = np.vstack([decay, jump, coupling[i], np.conj(coupling[j])])
+        left = np.vstack([np.tile(state, (n, 1)), target, coupling_to, state])
+        right = np.vstack([np.tile(state, (n, 1)), target, state, coupling_to])
+        part, k = np.nonzero(units)
+        at, unit, param = column[k], units[part, k], np.array([*range(n), *range(n), n, n])[part]
+        to_i, to_j = left[part, i[k]], right[part, j[k]]
+        to_rung, to_slot = state_rung[to_i], SLOT_OF[level[to_i], level[to_j]]
+        outside = (to_i < 0) | (to_j < 0) | (to_slot < 0) | (to_slot >= own)
+        if np.any(outside | (state_rung[to_j] != to_rung)):
+            raise RuntimeError("the Liouvillian maps the charge-zero block outside itself")
+        band = rung[at] - to_rung + 1
+        if np.any((band < 0) | (band > 2)):
+            raise RuntimeError("the Liouvillian couples rungs more than one apart")
+        cell = ((to_rung * 3 + band) * width + to_slot) * width + slot[at]
+        for point, rates in zip(points, theta):
+            np.add.at(bands[point], cell, rates[param] * unit)
+    shape = (len(models), depth, 3, width, width)
+    return bands.reshape(shape), rows.reshape(depth, width), cols.reshape(depth, width)
 
 
 def apply_liouvillian(liouv: sp.spmatrix, rho: np.ndarray) -> np.ndarray:

@@ -23,7 +23,16 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import LEVEL_E1, LEVEL_E2, HilbertSpace, _bath_channels, build_sector_liouvillian
+from .core import (
+    LEVEL_E1,
+    LEVEL_E2,
+    RUNG_SHIFT,
+    RUNG_SLOTS,
+    SLOT_OF,
+    HilbertSpace,
+    _bath_channels,
+    build_sector_liouvillian,
+)
 from .models import EngineModel
 from .photonstats import (
     PhotonDistribution,
@@ -259,12 +268,11 @@ def _rung_sweep(bands, rhs):
     diagonal and upper blocks); back substitution is x_r = y_r - G_r x_{r+1}.
     Each rung takes one stacked solve and one stacked matmul for all P
     points; numpy runs LAPACK and BLAS once per matrix, so a point gets the
-    numbers a batch of one gives it.  A point padded past its own last rung
-    with identity diagonal blocks and a zero right-hand side keeps its
-    solution, because its last upper block is 0.  There is no pivoting
-    across rungs; a singular S_r of any point raises
-    ``np.linalg.LinAlgError`` for the whole batch, which ``_sweep_blocks``
-    then solves again one point at a time.
+    numbers a batch of one gives it.  A slot decoupled by an identity row
+    and column and a zero right-hand side gets x = 0 and leaves the rest of
+    the solution as it is, so a point swept at a larger cutoff keeps its
+    own solution.  There is no pivoting across rungs; a singular S_r of any
+    point raises ``np.linalg.LinAlgError`` for the whole batch.
     """
     lower, diag = bands[:, :, 0], bands[:, :, 1]
     width = diag.shape[-1]
@@ -312,69 +320,46 @@ def _pinned_level(model):
     return int(np.argmax(closed))
 
 
-# one point's charge-zero block and the (rung, slot) of its pinned population,
-# and a steady state in block form: values[k] is the coefficient of
-# |rows[k]><cols[k]|; named tuples, since a class with annotations costs a
+# a steady state in block form: values[k] is the coefficient of
+# |rows[k]><cols[k]|; a named tuple, since a class with annotations costs a
 # millisecond at import
-_Block = namedtuple("_Block", "space bands rows cols pin")
 BlockState = namedtuple("BlockState", "rows cols values distribution residual")
 
-
-def _pinned_systems(blocks):
-    """The stacked systems of the blocks, padded to equal depth and width.
-
-    Each block's pinned population gets its own equation replaced by
-    x_pin = 1, and each empty slot the equation x = 0; the slots past a
-    block's width and the rungs past its last get identity diagonal blocks
-    and a zero right-hand side, so they decouple.
-    """
-    depth = max(len(block.bands) for block in blocks)
-    width = max(block.bands.shape[-1] for block in blocks)
-    system = np.zeros((len(blocks), depth, 3, width, width), dtype=complex)
-    system[:, :, 1] = np.eye(width)
-    rhs = np.zeros((len(blocks), depth, width), dtype=complex)
-    for point, block in enumerate(blocks):
-        rung, slot = block.pin
-        rungs, _, own, _ = block.bands.shape
-        system[point, :rungs, :, :own, :own] = block.bands
-        system[point, rung, :, slot] = 0.0
-        system[point, rung, 1, slot, slot] = 1.0
-        empty_rung, empty_slot = np.nonzero(block.rows < 0)
-        system[point, empty_rung, 1, empty_slot, empty_slot] = 1.0
-        rhs[point, rung, slot] = 1.0
-    return system, rhs
+# the slot of the Hermitian partner |j><i| of the pair in each slot, in the same rung
+_PARTNER = SLOT_OF[RUNG_SLOTS[:, 1], RUNG_SLOTS[:, 0]]
 
 
-def _sweep_blocks(blocks):
-    """Per block, its rung-sweep solution or the error it raised.
+def _sweep_points(system, rhs):
+    """Per point, its rung-sweep solution or the error it raised.
 
     A stacked solve fails as a whole when any point's system is singular,
     so such a batch is solved again one point at a time, and only the
     singular points get a :class:`SteadyStateError`.
     """
     try:
-        xs = _rung_sweep(*_pinned_systems(blocks))
+        return list(_rung_sweep(system, rhs))
     except np.linalg.LinAlgError as exc:
-        if len(blocks) > 1:
-            return [x for block in blocks for x in _sweep_blocks([block])]
+        if len(system) > 1:
+            return [x for p in range(len(system)) for x in _sweep_points(system[[p]], rhs[[p]])]
         error = SteadyStateError(f"rung sweep failed: {exc}")
         error.__cause__ = exc
         return [error]
-    return [x[: len(block.bands), : block.bands.shape[-1]] for x, block in zip(xs, blocks)]
 
 
-def _steady_result(block, x, tol):
-    """The Hermitian, unit-trace block state of a rung-sweep solution, gated and checked."""
-    space, bands, rows, cols = block.space, block.bands, block.rows, block.cols
-    filled = rows >= 0
-    populations = filled & (rows == cols)
+def _steady_result(space, bands, inside, level, photons, x, tol):
+    """The Hermitian, unit-trace block state of a rung-sweep solution, gated and checked.
+
+    ``bands`` is the point's own block and ``inside`` its slots in the
+    batch's layout, whose pairs have the levels ``level`` and photon
+    numbers ``photons`` (each (2, R, m): the row, then the column); the
+    state is returned in the point's own Fock layout.
+    """
+    populations = inside & (level[0] == level[1])
     x = x / x[populations].real.sum()
-    # the Hermitian part; the partner |j><i| of |i><j| sits in the same rung
-    pairs = (rows[..., np.newaxis] == cols[:, np.newaxis]) & (cols[..., np.newaxis] == rows[:, np.newaxis])
-    partner = np.take_along_axis(x, np.argmax(pairs, axis=-1), axis=-1)
-    x = np.where(filled, 0.5 * (x + np.conj(partner)), 0.0)
+    x = np.where(inside, 0.5 * (x + np.conj(x[:, _PARTNER[: x.shape[1]]])), 0.0)
     res = float(np.abs(_apply_bands(bands, x)).max())
     _accept(res, float(np.abs(bands).max()), tol)
+    rows, cols = level * space.fock_dim + photons
     # the reduced cavity state is diagonal: P_n sums the populations of the
     # levels at n, added level by level as the partial trace adds them
     p = np.bincount(rows[populations], x[populations].real, space.total_dim)
@@ -383,7 +368,7 @@ def _steady_result(block, x, tol):
         warnings.warn(f"tail P[{space.n_max}] = {p[-1]:.3e} above 1e-8", stacklevel=3)
     p = np.clip(p, 0.0, None)
     distribution = PhotonDistribution(p / p.sum())
-    return space, BlockState(rows[filled], cols[filled], x[filled], distribution, res)
+    return space, BlockState(rows[inside], cols[inside], x[inside], distribution, res)
 
 
 def solve_models(
@@ -393,41 +378,60 @@ def solve_models(
 
     Model k is solved at the cutoff ``n_maxes[k]`` exactly as
     :func:`solve_model` solves it, which is this function on a batch of one.
-    The blocks are padded to the batch's largest depth and width and swept
-    in one batch (``_rung_sweep``), so numpy's cost per call is paid once
-    per rung for the whole batch.  The bound check, the block assembly, the
-    pinned level, the Hermitian part and unit trace, the residual gate and
-    the tail warning stay per point: a cutoff above ``MAX_N_MAX`` gives its
-    point a :class:`TruncationError` before any assembly.
+    The blocks of the whole batch are assembled in one call at its largest
+    cutoff, and a point's own block is the principal sub-block on the slots
+    inside its cutoff and its levels (see :func:`build_sector_liouvillian`);
+    its other slots get x = 0.  The batch is swept in one stacked rung
+    sweep (``_rung_sweep``), so numpy's cost per call is paid once per rung
+    for the whole batch.  The bound check, the pinned level, the Hermitian
+    part and unit trace, the residual gate and the tail warning stay per
+    point: a cutoff above ``MAX_N_MAX`` gives its point a
+    :class:`TruncationError` before any assembly.
 
     Returns, in the order of ``models``, ``(space, BlockState)`` or the
     :class:`TruncationError`, :class:`SteadyStateError` or ``ValueError``
     that point raised, so that one point's failure stays its own.
     """
-    blocks = []
-    for model, n_max in zip(models, n_maxes):
-        if n_max > MAX_N_MAX:
-            blocks.append(TruncationError(f"cutoff needs n_max = {n_max} > {MAX_N_MAX}"))
-            continue
-        try:
-            space = HilbertSpace.for_model(model, n_max)
-            vacuum = _pinned_level(model) * space.fock_dim
-            bands, rows, cols = build_sector_liouvillian(model, space)
-        except (ValueError, SteadyStateError) as exc:
-            blocks.append(exc)
-            continue
-        rung, slot = np.argwhere((rows == vacuum) & (cols == vacuum))[0]
-        blocks.append(_Block(space, bands, rows, cols, (int(rung), int(slot))))
-    live = [block for block in blocks if isinstance(block, _Block)]
-    solutions = iter(_sweep_blocks(live) if live else ())
     outcomes = []
-    for block in blocks:
-        # the sweep's solution, or the point's error
-        x = next(solutions) if isinstance(block, _Block) else block
+    for model, n_max in zip(models, n_maxes):
         try:
-            outcomes.append(x if isinstance(x, Exception) else _steady_result(block, x, tol))
-        except SteadyStateError as exc:
+            if n_max > MAX_N_MAX:
+                raise TruncationError(f"cutoff needs n_max = {n_max} > {MAX_N_MAX}")
+            outcomes.append((HilbertSpace.for_model(model, n_max), _pinned_level(model)))
+        except (TruncationError, ValueError, SteadyStateError) as exc:
             outcomes.append(exc)
+    live = [k for k, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
+    if not live:
+        return outcomes
+    spaces, pinned = zip(*(outcomes[k] for k in live))
+    n_max = max(space.n_max for space in spaces)
+    bands, rows, cols = build_sector_liouvillian([models[k] for k in live], n_max)
+    level, photons = np.divmod(np.stack([rows, cols]), n_max + 1)
+    cutoff = np.array([space.n_max for space in spaces])[:, np.newaxis, np.newaxis]
+    dims = np.array([space.atom_dim for space in spaces])[:, np.newaxis, np.newaxis]
+    inside = (rows >= 0) & (photons.max(axis=0) <= cutoff) & (level.max(axis=0) < dims)
+    # each point's own block: the rows and columns of its slots
+    edge = np.zeros_like(inside[:, :1])
+    padded = np.concatenate([edge, inside, edge], axis=1)
+    reach = np.stack([padded[:, :-2], inside, padded[:, 2:]], axis=2)
+    own = inside[:, :, np.newaxis, :, np.newaxis] & reach[:, :, :, np.newaxis, :]
+    np.copyto(bands, 0.0, where=~own)
+    # the pinned population's equation becomes x = 1, and that of every slot
+    # outside the point's own x = 0
+    pinned = np.array(pinned)
+    rhs = np.zeros(inside.shape, dtype=complex)
+    rhs[np.arange(len(live)), RUNG_SHIFT[pinned], SLOT_OF[pinned, pinned]] = 1.0
+    system = bands.copy()
+    point, rung, slot = np.nonzero(~inside | (rhs != 0))
+    system[point, rung, :, slot] = 0.0
+    system[point, rung, 1, slot, slot] = 1.0
+    for p, x in enumerate(_sweep_points(system, rhs)):
+        if not isinstance(x, Exception):
+            try:
+                x = _steady_result(spaces[p], bands[p], inside[p], level, photons, x, tol)
+            except SteadyStateError as exc:
+                x = exc
+        outcomes[live[p]] = x
     return outcomes
 
 
@@ -461,12 +465,12 @@ def solve_model(
     A = 0); an explicit ``n_max`` is used as given.  Any cutoff above
     ``MAX_N_MAX`` = 1000, automatic or explicit, raises
     :class:`TruncationError` before any assembly.  The bound caps a batch of
-    a sweep: a four-level rung takes 4.3 kB (its 3 x 6 x 6 complex bands,
-    1.7 kB, again in the pinned system, the sweep's 6 x 7 workspace and the
-    pairs), so 16 points at n_max 1000 hold 16 x 1002 x 4.3 kB = 69 MB
-    (traced peak 69.3 MB, 0.25 s on a 2-vCPU Xeon); one dense state there
-    would take 256 MB.  A warning is raised if the exact P[n_max] exceeds
-    1e-8.
+    a sweep: a four-level rung takes 4.6 kB per point (its 3 x 6 x 6
+    complex bands, 1.7 kB, again in the pinned system, the sweep's 6 x 7
+    workspace and the slot masks), so 16 points at n_max 1000 hold
+    16 x 1002 x 4.6 kB = 74 MB (traced peak 74.2 MB, 0.15-0.28 s on a
+    2-vCPU Xeon); one dense state there would take 256 MB.  A warning is raised if
+    the exact P[n_max] exceeds 1e-8.
     """
     if n_max is None:
         n_max = steady_distribution(scully_lamb_coefficients(model)).n_max

@@ -37,7 +37,9 @@ def sector_block_csc(bands, rows, cols):
     Returns ``(block, rows, cols)`` over the filled slots in rung-major
     order: column k of ``block`` is the operator |rows[k]><cols[k]|.  Fails
     if a band entry sits in an empty slot or outside the rung range.
+    ``bands`` holds a batch of one.
     """
+    (bands,) = bands
     filled = rows >= 0
     index = np.full(rows.shape, -1)
     index[filled] = np.arange(np.count_nonzero(filled))

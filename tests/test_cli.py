@@ -12,6 +12,7 @@ import pytest
 
 import heatlaser
 import heatlaser.photonstats
+import heatlaser.solver
 from heatlaser import (
     photon_distribution,
     scully_lamb_coefficients,
@@ -90,6 +91,13 @@ def test_config_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="line"):
         load_config(bad)
+    # a directory and a file that is not UTF-8 are config errors too
+    with pytest.raises(ConfigError, match="Is a directory"):
+        load_config(tmp_path)
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"model": "\xe9"}')
+    with pytest.raises(ConfigError, match="can't decode"):
+        load_config(latin)
     for overrides, fragment in [
         ({"schema_version": 2}, "schema_version"),
         ({"model.kind": "two_level"}, "kind"),
@@ -152,6 +160,23 @@ def test_sweep_outputs_are_deterministic(tmp_path):
     # 12 significant digits
     gain = first.split(",")[1]
     assert len(gain.replace(".", "").replace("-", "").lstrip("0")) <= 12
+
+
+def test_sweep_assembles_once_per_batch(tmp_path, monkeypatch):
+    # one block assembly for each batch of BATCH_POINTS points, through the
+    # binding that the cutoff-bound test of test_solver.py replaces
+    calls = []
+    assemble = heatlaser.solver.build_sector_liouvillian
+
+    def counted(models, n_max):
+        calls.append(len(models))
+        return assemble(models, n_max)
+
+    monkeypatch.setattr(heatlaser.solver, "build_sector_liouvillian", counted)
+    points = 2 * BATCH_POINTS + 3
+    records = run_sweep(load_config(write_config(tmp_path, {"sweep.points": points})))
+    assert all(r["status"] == "ok" for r in records)
+    assert calls == [BATCH_POINTS, BATCH_POINTS, 3]
 
 
 def _solo(config, n_h):
@@ -407,6 +432,16 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 3
     assert "needs n_max" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_unwritable_output_is_an_output_error(tmp_path, capsys):
+    # --out naming an existing file: exit 2 with a message, not a traceback
+    path = write_config(tmp_path)
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    for command in (["sweep"], ["distribution", "--nh", "0.5"], ["thresholds"]):
+        assert main([*command, "--config", str(path), "--out", str(blocker)]) == 2
+        assert "output error" in capsys.readouterr().err
 
 
 def test_very_hot_bath_meets_scaled_residual(tmp_path):

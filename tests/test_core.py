@@ -215,7 +215,7 @@ def test_sector_block_matches_full_liouvillian(seed, four, n_max, empty_baths, u
     }
     model = replace(model, g=0.0 if uncoupled else model.g, **emptied)
     space = HilbertSpace.for_model(model, n_max)
-    block, rows, cols = sector_block_csc(*build_sector_liouvillian(model, space))
+    block, rows, cols = sector_block_csc(*build_sector_liouvillian([model], space.n_max))
     full = build_liouvillian(model, space).tocsc()
     inside = rows * space.total_dim + cols
     # the block is the full generator restricted to (rows, cols)
@@ -240,6 +240,45 @@ def test_sector_block_matches_full_liouvillian(seed, four, n_max, empty_baths, u
     # the block's P_n is the partial trace of its dense form, bit for bit
     traced = photon_distribution(state, space, tail_tol=math.inf)
     assert np.array_equal(result.distribution.probabilities, traced.probabilities)
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    four=st.booleans(),
+    cutoffs=st.lists(st.integers(1, 12), min_size=2, max_size=2, unique=True).map(sorted),
+    empty_baths=st.lists(st.booleans(), min_size=3, max_size=3),
+    uncoupled=st.booleans(),
+)
+def test_sector_block_nests_in_a_larger_cutoff(seed, four, cutoffs, empty_baths, uncoupled):
+    # a batch is assembled once at its largest cutoff M, and each point takes
+    # its own block at cutoff N < M from it: the M-block on rungs 0..N + 1
+    # and on the slots with both photon numbers at most N, bit for bit
+    small, large = cutoffs
+    rng = np.random.default_rng(seed)
+    model = random_four_level(rng) if four else random_three_level(rng)
+    names = ("hot", "cold", "ancilla")[: 3 if four else 2]
+    emptied = {
+        name: replace(getattr(model, name), occupation=0.0)
+        for name, empty in zip(names, empty_baths)
+        if empty
+    }
+    model = replace(model, g=0.0 if uncoupled else model.g, **emptied)
+    bands, rows, cols = build_sector_liouvillian([model], small)
+    wide, wide_rows, wide_cols = build_sector_liouvillian([model], large)
+    rungs = small + 2
+    level, photons = np.divmod(np.stack([wide_rows, wide_cols])[:, :rungs], large + 1)
+    inside = (wide_rows[:rungs] >= 0) & (photons.max(axis=0) <= small)
+    # the same operators sit in the same slots, in the Fock layout F = N + 1
+    own_rows, own_cols = np.where(inside, level * (small + 1) + photons, -1)
+    assert np.array_equal(own_rows, rows) and np.array_equal(own_cols, cols)
+    # band b of rung r acts on rung r + b - 1
+    edge = np.zeros((1, inside.shape[1]), dtype=bool)
+    padded = np.concatenate([edge, inside, edge])
+    reach = np.stack([padded[:-2], inside, padded[2:]], axis=1)
+    kept = inside[:, np.newaxis, :, np.newaxis] & reach[:, :, np.newaxis, :]
+    restricted = np.where(kept, wide[0, :rungs], 0.0)
+    assert np.array_equal(restricted.view(np.uint64), bands[0].view(np.uint64))
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 5])

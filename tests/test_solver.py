@@ -283,7 +283,7 @@ def test_rung_sweep_matches_sparse_lu_at_large_cutoff(model, n_max):
     assert space.n_max == n_max
     # the same block scattered to CSC, solved by LU with the equation of
     # |g, 0><g, 0| replaced by the trace row
-    block, rows, cols = sector_block_csc(*build_sector_liouvillian(model, space))
+    block, rows, cols = sector_block_csc(*build_sector_liouvillian([model], space.n_max))
     ground = int(np.flatnonzero((rows == 0) & (cols == 0))[0])
     populations = np.flatnonzero(rows == cols)
     block = block.tolil()
