@@ -34,7 +34,10 @@ photon distribution and the Wigner function come from its populations.
 The batches depend only on the grid.  ``sweep --jobs`` is still accepted
 and ignored.  ``distribution --wigner`` samples 101 x 101 points over
 [-h, h]^2 with h = max(4, 1.2 sqrt(<n> + 1)), so the grid holds the ring of
-a bright state.
+a bright state.  ``thresholds`` looks for roots in [start, stop] of the
+sweep (a one-point sweep is allowed) or else in [0.001, 50], and adds the
+temperature-domain lasing report only when every bath, the ancilla of a
+four-level engine included, is given by its temperature.
 """
 
 from __future__ import annotations
@@ -531,10 +534,8 @@ def cmd_thresholds(config: RunConfig, out_dir: Path) -> int:
     path = out_dir / f"{config.output.stem}_thresholds.csv"
     _write_csv(path, ["index", "n_h_root"], rows)
     print(f"wrote {path}")
-    temps_given = config.model.hot.temperature is not None and (
-        config.model.cold.temperature is not None
-    )
-    if temps_given:
+    baths = (config.model.hot, config.model.cold, config.model.ancilla)
+    if all(bath.temperature is not None for bath in baths if bath is not None):
         report = temperature_lasing_condition(config.model)
         print(f"lases (kappa -> 0 limit): {str(report.lases).lower()}")
         print(f"efficiency (lasing_frequency / omega_h): {report.efficiency:.4g}")

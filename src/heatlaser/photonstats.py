@@ -67,11 +67,6 @@ class LaserCoefficients:
         if self.kappa <= 0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
 
-    @property
-    def saturation_photon_number(self) -> float:
-        """Photons per unit saturation, B/A (0 when the pump is off)."""
-        return self.B / self.A if self.A > 0 else 0.0
-
 
 @dataclass(frozen=True)
 class PhotonDistribution:

@@ -1,9 +1,9 @@
 """Semi-classical laser theory: inversion, gain, saturation, and thresholds.
 
-Everything here is closed-form (or a root-find over closed forms) obtained by
-factorizing atom-field correlations and adiabatically eliminating the fast
-atomic dynamics.  The fully quantum counterpart lives in
-:mod:`heatlaser.photonstats`.
+Everything here is closed-form, obtained by factorizing atom-field
+correlations and adiabatically eliminating the fast atomic dynamics; the
+thresholds are the exact roots of a polynomial in the hot-bath occupation.
+The fully quantum counterpart lives in :mod:`heatlaser.photonstats`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import FOUR_LEVEL, THREE_LEVEL, EngineModel, with_hot_occupation
+from .core import _bath_channels
+from .models import THREE_LEVEL, EngineModel, with_hot_occupation
 
 __all__ = [
     "StructureConstants",
@@ -77,21 +78,10 @@ def _inversion_numerator(model: EngineModel) -> float:
 
 def _classical_rate_matrix(model: EngineModel) -> np.ndarray:
     """Generator of the g=0 population rate equations, columns = source level."""
-    dim = model.atom_dim
-    mat = np.zeros((dim, dim))
-
-    def channel(src, dst, rate):
+    mat = np.zeros((model.atom_dim, model.atom_dim))
+    for dst, src, rate in _bath_channels(model):
         mat[dst, src] += rate
         mat[src, src] -= rate
-
-    channel(0, 1, model.gamma_c * model.n_c)  # g -> e1
-    channel(1, 0, model.gamma_c * (model.n_c + 1))
-    top = dim - 1  # e2 for 3-level, e3 for 4-level
-    channel(0, top, model.gamma_h * model.n_h)  # g -> top
-    channel(top, 0, model.gamma_h * (model.n_h + 1))
-    if model.kind == FOUR_LEVEL:
-        channel(2, 3, model.gamma_a * model.n_a)  # e2 -> e3
-        channel(3, 2, model.gamma_a * (model.n_a + 1))
     return mat
 
 
@@ -163,40 +153,35 @@ def field_derivative(model: EngineModel, field: complex) -> complex:
 
 
 def find_thresholds(
-    model: EngineModel,
-    bracket: tuple[float, float] = (1e-3, 50.0),
-    scan_points: int = 200,
-    xtol: float = 1e-6,
+    model: EngineModel, bracket: tuple[float, float] = (1e-3, 50.0)
 ) -> list[float]:
-    """Hot-bath occupations where the gain crosses the cavity loss.
+    """Hot-bath occupations in ``bracket`` where the gain equals the cavity loss.
 
-    Scans G(n_h) - kappa on a log-spaced grid over ``bracket`` and bisects
-    every sign change to ``xtol``.  Returns an empty list when the gain never
-    reaches kappa in the bracket (the three-level engine generically has two
-    roots, the four-level engine one).  Imports ``scipy.optimize`` when
-    called, so only the thresholds command pays for it.
+    G = kappa exactly where p(n_h) = 4 g^2 numerator - kappa Gamma Phi = 0
+    (Gamma Phi > 0).  p is interpolated through its values at n_h = 0, 1, 2
+    (0, 1 for four levels) and its real roots in [lo, hi] are returned in
+    ascending order: at most two for the three-level engine, at most one for
+    the four-level engine, and none when the gain never reaches kappa.
     """
-    from scipy.optimize import bisect
-
     lo, hi = bracket
-    if not 0 < lo < hi:
-        raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
-
-    def excess(nh):
-        return lasing_gain(with_hot_occupation(model, nh)) - model.kappa
-
-    grid = np.geomspace(lo, hi, scan_points)
-    values = np.array([excess(x) for x in grid])
-    roots = []
-    for x, f in zip(grid, values):
-        if f == 0.0:
-            roots.append(float(x))
-    for (x0, x1), (f0, f1) in zip(
-        zip(grid[:-1], grid[1:]), zip(values[:-1], values[1:])
-    ):
-        if f0 * f1 < 0:
-            roots.append(float(bisect(excess, x0, x1, xtol=xtol)))
-    return sorted(roots)
+    if not 0 < lo <= hi:
+        raise ValueError(f"bracket must satisfy 0 < lo <= hi, got {bracket}")
+    # numerator and Phi are affine in n_h; Gamma is affine for three levels
+    # and constant for four, hence the double threshold and the single one
+    degree = 2 if model.kind == THREE_LEVEL else 1
+    nodes = np.arange(degree + 1.0)
+    samples = []
+    for nh in nodes:
+        point = with_hot_occupation(model, nh)
+        sc = structure_constants(point)
+        emission = 4.0 * model.g**2 * _inversion_numerator(point)
+        samples.append(emission - model.kappa * sc.Gamma * sc.Phi)
+    # the square Vandermonde solve keeps p(0) as the constant term exactly;
+    # np.polyfit's least squares smears the larger samples into it, which
+    # left G - kappa at 3e-12 kappa for a four-level root near n_h = 0.006
+    roots = np.roots(np.linalg.solve(np.vander(nodes), samples))
+    real = roots[np.isreal(roots)].real
+    return sorted(float(r) for r in real if lo <= r <= hi)
 
 
 @dataclass(frozen=True)

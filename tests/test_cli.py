@@ -285,22 +285,34 @@ def test_thresholds_command(tmp_path, capsys):
 
 
 def test_thresholds_no_root(tmp_path, capsys):
-    path = write_config(tmp_path, {"model.g": 0.0})
-    assert main(["thresholds", "--config", str(path), "--out", str(tmp_path)]) == 0
-    assert "no threshold in bracket" in capsys.readouterr().out
+    cases = [
+        ({"model.g": 0.0}, "[0.4, 1.2]"),
+        # a one-point sweep is a valid config and a valid bracket
+        ({"sweep.start": 0.05, "sweep.stop": 0.05, "sweep.points": 1}, "[0.05, 0.05]"),
+    ]
+    for overrides, bracket in cases:
+        path = write_config(tmp_path, overrides)
+        assert main(["thresholds", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert f"no threshold in bracket {bracket}" in capsys.readouterr().out
 
 
 def test_thresholds_temperature_report(tmp_path, capsys):
-    overrides = {
-        "model.n_h": None,
-        "model.n_c": None,
-        "model.T_h": 4.0,
-        "model.T_c": 0.5,
-    }
-    path = write_config(tmp_path, overrides)
-    assert main(["thresholds", "--config", str(path), "--out", str(tmp_path)]) == 0
-    text = capsys.readouterr().out
-    assert "efficiency" in text and "carnot" in text and "lases" in text
+    thermal = {"model.n_h": None, "model.n_c": None, "model.T_h": 4.0, "model.T_c": 0.5}
+    four_level = {**thermal, "model.kind": "four_level", "model.gamma_a": 32.0}
+    cases = [
+        (thermal, True),
+        # a four-level report needs the ancilla temperature too
+        ({**four_level, "model.n_a": 0.1}, False),
+        ({**four_level, "model.T_a": 1.0}, True),
+    ]
+    for i, (overrides, report) in enumerate(cases):
+        path = write_config(tmp_path, overrides)
+        out = tmp_path / f"case{i}"
+        assert main(["thresholds", "--config", str(path), "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        for line in ("lases", "efficiency", "carnot"):
+            assert (line in text) == report
+        assert (out / "case_thresholds.csv").exists() and (out / "case_meta.json").exists()
 
 
 def test_distribution_command(tmp_path):
@@ -452,9 +464,10 @@ def test_very_hot_bath_meets_scaled_residual(tmp_path):
 
 
 def test_cli_import_skips_scipy_stats_and_optimize(tmp_path):
-    # scipy costs more start-up than a whole fig2 sweep, and no command but
-    # thresholds needs it: importing the package and the CLI, a sweep and a
-    # distribution with its Wigner grid all leave no scipy module loaded.
+    # scipy costs more start-up than a whole fig2 sweep, and no command
+    # needs it: importing the package and the CLI, a sweep, a distribution
+    # with its Wigner grid and a thresholds run all leave no scipy module
+    # loaded.
     # Sweeps run in one process, even when --jobs asks for more: neither the
     # CLI import nor a sweep loads a process pool or multiprocessing
     env = dict(os.environ, PYTHONPATH=str(Path(heatlaser.__file__).parents[1]))
@@ -475,6 +488,9 @@ def test_cli_import_skips_scipy_stats_and_optimize(tmp_path):
         "argv = ['distribution', '--config', 'fig2', '--nh', '2', '--wigner', '--out', out]\n"
         "assert heatlaser.cli.main(argv) == 0\n"
         "print(loaded('scipy'))\n"
+        "argv = ['thresholds', '--config', 'fig2', '--out', out]\n"
+        "assert heatlaser.cli.main(argv) == 0\n"
+        "print(loaded('scipy'))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe, str(tmp_path)],
@@ -484,8 +500,10 @@ def test_cli_import_skips_scipy_stats_and_optimize(tmp_path):
         check=True,
     )
     lines = [line for line in out.stdout.splitlines() if not line.startswith("wrote ")]
-    assert lines == ["[]"] * 7
+    assert lines.pop(-2) == "thresholds (n_h where gain = kappa): 0.1872, 8.647"
+    assert lines == ["[]"] * 8
     assert (tmp_path / "fig2.csv").exists() and (tmp_path / "fig2_wigner.csv").exists()
+    assert (tmp_path / "fig2_thresholds.csv").exists()
 
 
 @pytest.mark.parametrize("mu", [0.0, 1e-9, 0.3, 2.5, 17.0, 90.0, 123.456])

@@ -244,6 +244,27 @@ def test_find_thresholds_no_gain():
         find_thresholds(make_fig2_model(), bracket=(0.0, 10.0))
 
 
+@pytest.mark.parametrize("make", [random_three_level, random_four_level])
+def test_find_thresholds_roots_are_exact(rng, make):
+    # each root zeroes G - kappa to round-off, and a 2000-point scan of the
+    # bracket, independent of the polynomial, finds no sign change without
+    # exactly one returned root inside it
+    lo, hi = 1e-3, 50.0
+    grid = np.geomspace(lo, hi, 2000)
+    found = 0
+    for _ in range(20):
+        model = make(rng)
+        roots = np.array(find_thresholds(model, bracket=(lo, hi)))
+        found += roots.size
+        for root in roots:
+            gain = lasing_gain(with_hot_occupation(model, root))
+            assert abs(gain - model.kappa) <= 1e-12 * model.kappa
+        excess = np.array([lasing_gain(with_hot_occupation(model, x)) for x in grid]) - model.kappa
+        for i in np.flatnonzero(excess[:-1] * excess[1:] < 0):
+            assert np.sum((grid[i] <= roots) & (roots <= grid[i + 1])) == 1
+    assert found > 0
+
+
 def test_double_threshold_sign_structure():
     # exactly two crossings of G - kappa for the standard three-level family,
     # exactly one for the four-level family

@@ -312,7 +312,7 @@ def test_large_point_solves_in_block_form():
         tracemalloc.stop()
     assert space.n_max == 341
     # one dense (4 x 342)^2 complex state alone takes 29.9 MB; the block
-    # solve peaks near 2.2 MB
+    # solve peaks near 3.8 MB
     assert peak < 5e6
     _, wide = solve_model(model, n_max=space.n_max + 30)
     assert result.distribution.mean == pytest.approx(wide.distribution.mean, rel=1e-8)
