@@ -93,6 +93,7 @@ SWEEP_FIELDS = [
     "fano_analytic",
     "mean_numeric",
     "variance_numeric",
+    "fano_numeric",
     "l1_distance",
     "power",
     "n_max",
@@ -102,10 +103,11 @@ SWEEP_FIELDS = [
 ]
 
 # points per batch of steady-state solves; a sweep solves its batches one
-# after another in the calling process.  A batch holds the rung bands and
-# the pinned system of all its points at once, 4.6 kB a four-level rung (see
-# solve_model), so one batch of a whole 60-point grid at n_max 80 would hold
-# 23 MB; 16 points already share most of numpy's cost per call
+# after another in the calling process.  A batch holds the real rung bands
+# of all its points at once, pinned in place, and peaks near 1.3 kB a
+# four-level rung (see solve_model), so one batch of a whole 60-point grid
+# at n_max 80 would peak near 6 MB; 16 points already share most of numpy's
+# cost per call
 BATCH_POINTS = 16
 
 
@@ -364,6 +366,7 @@ def _sweep_batch(config: RunConfig, values: list[float]) -> list[dict]:
         record.update(
             mean_numeric=numeric.mean,
             variance_numeric=numeric.variance,
+            fano_numeric=numeric.fano,
             l1_distance=float(np.abs(numeric.probabilities - closed.probabilities).sum()),
             n_max=closed.n_max,
             tail=float(numeric.probabilities[-1]),

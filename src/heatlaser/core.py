@@ -9,15 +9,16 @@ The public operator builders embed each operator as a dense (A F) x (A F)
 matrix, and :func:`build_liouvillian` forms the full (A F)^2 generator from
 them as a scipy sparse matrix; they are the reference, and scipy is imported
 only when :func:`build_liouvillian` is called.  The steady-state solve needs
-only the charge-zero block.  Its layout is one fixed table: level pair
-``RUNG_SLOTS[s]`` in slot s of rung n + ``RUNG_SHIFT[level]``, the same for
-every model and every cutoff.  :func:`build_sector_liouvillian` assembles
-the blocks of a whole batch of models in it straight from the rates, with
-no operator matrix: every entry is a rate times a unit value, found once
-per call by index arithmetic over the basis states, since every jump and
-the coupling send a basis state to at most one basis state.  Ordered by
-rung, the block is block-tridiagonal, and it is returned as dense numpy
-bands.
+only the charge-zero block, in which the steady state has one real unknown
+per population and per coherence pair.  Its layout is one fixed table:
+level pair ``RUNG_SLOTS[s]`` in slot s of rung n + ``RUNG_SHIFT[level]``,
+the same for every model and every cutoff.  :func:`build_sector_liouvillian`
+assembles the real blocks of a whole batch of models in it straight from
+the rates, with no operator matrix: every entry is a rate times a unit
+value, found once per call by index arithmetic over the basis states, since
+every jump and the coupling send a basis state to at most one basis state.
+Ordered by rung, the block is block-tridiagonal, and it is returned as
+dense float64 numpy bands.
 """
 
 from __future__ import annotations
@@ -56,14 +57,21 @@ LEVEL_G, LEVEL_E1, LEVEL_E2, LEVEL_E3 = 0, 1, 2, 3
 # n + c(level) by a definite amount for the U(1) charge c = (1/2, 0, 1, 1/4),
 # so L maps |i><j| only onto operators of the same charge difference, and
 # the pairs of equal charge are the populations and the coherences between
-# |e1, n + 1> and |e2, n>.  |l, n> sits in rung n + RUNG_SHIFT[l], slot s of
-# every rung holds |l, .><l', .> for (l, l') = RUNG_SLOTS[s], and
-# SLOT_OF[l, l'] is that slot (-1 for a pair outside the block).  e3 is
-# last, so a three-level rung is the first five slots.
+# |e1, n + 1> and |e2, n>.  The coupling g (sigma+ a + sigma- a+) changes sign
+# under Z = (-1)^N and every jump is real, so rho* and Z rho Z obey the same
+# master equation; the steady state is unique, so rho* = Z rho Z: the
+# populations are real and <e1, n + 1|rho|e2, n> = i y with y real.
+# |l, n> sits in rung n + RUNG_SHIFT[l], slot s of every rung holds the real
+# unknown u_s of |l, .><l', .> for (l, l') = RUNG_SLOTS[s], and
+# SLOT_OF[l, l'] is that slot (-1 for a pair outside the block, and for the
+# partner (e2, e1) of the coherence slot).  A pair's coefficient is
+# SLOT_PHASE[l, l'] times the unknown of its slot, so the partner's is -i y.
+# e3 is last, so a three-level rung is the first four slots.
 RUNG_SHIFT = np.array((0, 0, 1, 0))
-RUNG_SLOTS = np.array(((0, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 3)))  # g, e1, e2, e3 = 0..3
+RUNG_SLOTS = np.array(((0, 0), (1, 1), (1, 2), (2, 2), (3, 3)))  # g, e1, e2, e3 = 0..3
 SLOT_OF = np.full((4, 4), -1)
 SLOT_OF[tuple(RUNG_SLOTS.T)] = np.arange(len(RUNG_SLOTS))
+SLOT_PHASE = np.array(((1, 1, 1, 1), (1, 1, 1j, 1), (1, -1j, 1, 1), (1, 1, 1, 1)))
 
 
 @dataclass(frozen=True)
@@ -241,29 +249,39 @@ def build_liouvillian(model: EngineModel, space: HilbertSpace) -> sp.csr_matrix:
 def build_sector_liouvillian(
     models: Sequence[EngineModel], n_max: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The charge-zero blocks of several generators, as dense bands over rungs.
+    """The charge-zero blocks of several generators, as real bands over rungs.
 
     The block holds the operators of the rung table (``RUNG_SLOTS``): the
-    populations and the coherences between |e1, n + 1> and |e2, n>.  It is
-    closed under L and holds the unique steady state.  |l, n> sits in rung
-    n + RUNG_SHIFT[l], from 0 to n_max + 1, and slot s of every rung holds
-    the level pair RUNG_SLOTS[s].  Every jump moves a pair by at most one
-    rung and the coupling keeps it, so L couples each rung only to itself
-    and its two neighbours.  The layout is the same at every cutoff, and so
-    are the entries: no jump raises n, and the only term the cutoff removes,
-    the emission out of |e2, N>, leads out of the smaller block.  So the
-    block at cutoff N is the block at any larger cutoff on rungs 0 to N + 1
-    and on the slots with both photon numbers at most N, bit for bit.
+    populations and the coherences between |e1, n + 1> and |e2, n>, with
+    their partners.  It is closed under L and holds the unique steady state.
+    |l, n> sits in rung n + RUNG_SHIFT[l], from 0 to n_max + 1, and slot s
+    of every rung holds the level pair RUNG_SLOTS[s].  Every jump moves a
+    pair by at most one rung and the coupling keeps it, so L couples each
+    rung only to itself and its two neighbours.  The layout is the same at
+    every cutoff, and so are the entries: no jump raises n, and the only
+    term the cutoff removes, the emission out of |e2, N>, leads out of the
+    smaller block.  So the block at cutoff N is the block at any larger
+    cutoff on rungs 0 to N + 1 and on the slots with both photon numbers at
+    most N, bit for bit.
+
+    The unknowns are real: a pair |l, .><l', .> has the coefficient
+    SLOT_PHASE[l, l'] u_s for the unknown u_s of its slot, so i y and its
+    partner -i y share the coherence slot.  Row s is the equation of its
+    own pair times conj(SLOT_PHASE[l, l']), which is real for a state of
+    that form, and the partner's equation, the conjugate of the
+    coherence's, is dropped.  A population's entry in a coherence column
+    therefore sums the equal entries of both partners, twice the |L_ij| of
+    the complex block.
 
     Returns ``(bands, rows, cols)`` of the P models at the cutoff ``n_max``.
     Slot s of rung r is the operator |rows[r, s]><cols[r, s]|, with |l, n>
     at index l (n_max + 1) + n; ``rows`` and ``cols`` have shape (R, m),
-    R = n_max + 2 and m = 2 + the largest atom dimension (e3 is the last
+    R = n_max + 2 and m = 1 + the largest atom dimension (e3 is the last
     slot), and are -1 where a photon number falls outside 0..n_max.
-    ``bands`` has shape (P, R, 3, m, m): ``bands[p, r, 1]`` maps rung r onto
-    itself, ``bands[p, r, 0]`` rung r - 1 onto rung r and ``bands[p, r, 2]``
-    rung r + 1 onto rung r.  Rows and columns of empty slots, and of the e3
-    slot for a three-level model, are 0.
+    ``bands`` is float64 of shape (P, R, 3, m, m): ``bands[p, r, 1]`` maps
+    rung r onto itself, ``bands[p, r, 0]`` rung r - 1 onto rung r and
+    ``bands[p, r, 2]`` rung r + 1 onto rung r.  Rows and columns of empty
+    slots, and of the e3 slot for a three-level model, are 0.
 
     L[rho] = K rho + rho K+ + sum_r r J rho J+ with
     K = -i V - (1/2) sum_r r J+ J, over the jump channels of
@@ -272,14 +290,17 @@ def build_sector_liouvillian(
     a basis state to at most one basis state, and J+ J is diagonal, so each
     is held as a target index (-1 where the column is zero) and a value per
     basis state.  Each part of L, -(1/2)(J+ J rho + rho J+ J) and J rho J+
-    for every jump, -i V rho and rho (-i V)+, then maps each unknown |i><j|
+    for every jump, -i V rho and rho (-i V)+, then maps each operator |i><j|
     onto at most one |i'><j'|, whose rung and slot the table gives.  Every
     entry is one rate of theta = (the ``_bath_channels`` rates, kappa, g)
-    times a unit value, so the entries are found once per call for each
-    kind of model, and ``np.add.at`` adds theta_k x unit into each cell in
-    one fixed order: a model's bands do not depend on the batch it comes in.
+    times a unit value, the product of the part's value and both phases, so
+    the entries are found once per call for each kind of model, and
+    ``np.add.at`` adds theta_k x unit into each cell in one fixed order: a
+    model's bands do not depend on the batch it comes in.  Raises
+    ``RuntimeError`` if the block leaks, couples rungs further apart or has
+    a unit that is not exactly real.
     """
-    width = max(model.atom_dim for model in models) + 2
+    width = max(model.atom_dim for model in models) + 1
     fock, depth = n_max + 1, n_max + 2
     rung, slot = np.divmod(np.arange(depth * width), width)
     pair_level = RUNG_SLOTS[slot]
@@ -298,7 +319,10 @@ def build_sector_liouvillian(
     coupling_to = np.where(absorb, state + fock - 1, np.where(emit, state - fock + 1, -1))
     coupling = -1j * np.where(absorb, root, np.where(emit, np.sqrt(photons + 1.0), 0.0))
 
-    bands = np.zeros((len(models), depth * 3 * width * width), dtype=complex)
+    # the phase each row is multiplied by; 0 drops the partner's equation
+    row_phase = np.conj(SLOT_PHASE)
+    row_phase[LEVEL_E2, LEVEL_E1] = 0.0
+    bands = np.zeros((len(models), depth * 3 * width * width))
     kinds = [model.kind for model in models]
     for kind in dict.fromkeys(kinds):
         points = [p for p, other in enumerate(kinds) if other == kind]
@@ -306,37 +330,42 @@ def build_sector_liouvillian(
         theta = np.array([[rate for *_, rate in _bath_channels(m)] + [m.kappa, m.g] for m in group])
         if np.any(theta[:, :-1] < 0):
             raise ValueError(f"negative dissipator rate {theta[:, :-1].min()}")
-        own = group[0].atom_dim + 2  # the kind's slots
+        own = group[0].atom_dim + 1  # the kind's slots
         # each jump as a target (-1 where it sends the state to 0) and a
         # value per basis state: the baths, then the cavity
         channels = _bath_channels(group[0])
         hops = [np.where(level == low, state + (to - low) * fock, -1) for to, low, _ in channels]
         target = np.array(hops + [cavity])
         value = np.array([level == low for _, low, _ in channels] + [root], dtype=float)
+        # every operator |i><j| of the block, at its slot: each slot's own
+        # pair, then the partner of each coherence
         column = np.flatnonzero(filled & (slot < own))
-        i, j = rows[column], cols[column]
+        partner = column[slot[column] == SLOT_OF[LEVEL_E1, LEVEL_E2]]
+        i, j = np.hstack([(rows[column], cols[column]), (cols[partner], rows[partner])])
+        column = np.concatenate([column, partner])
         # the parts of L: -(1/2)(J+ J rho + rho J+ J) and J rho J+ for each
-        # jump J, then -i V rho and rho (-i V)+; per part, its unit value on
-        # each unknown |i><j|, its maps on the left and on the right of
-        # |i><j|, and its rate index
+        # jump J, then -i V rho and rho (-i V)+; per part, its maps on the
+        # left and on the right of |i><j|, its rate index, and its unit on
+        # |i><j|: its value times the phase of |i><j| and that of the row
         n = len(target)
         decay, jump = -0.5 * (value[:, i] ** 2 + value[:, j] ** 2), value[:, i] * value[:, j]
         units = np.vstack([decay, jump, coupling[i], np.conj(coupling[j])])
-        left = np.vstack([np.tile(state, (n, 1)), target, coupling_to, state])
-        right = np.vstack([np.tile(state, (n, 1)), target, state, coupling_to])
+        left = np.vstack([np.tile(state, (n, 1)), target, coupling_to, state])[:, i]
+        right = np.vstack([np.tile(state, (n, 1)), target, state, coupling_to])[:, j]
+        units *= SLOT_PHASE[level[i], level[j]] * row_phase[level[left], level[right]]
         part, k = np.nonzero(units)
         at, unit, param = column[k], units[part, k], np.array([*range(n), *range(n), n, n])[part]
-        to_i, to_j = left[part, i[k]], right[part, j[k]]
+        to_i, to_j = left[part, k], right[part, k]
         to_rung, to_slot = state_rung[to_i], SLOT_OF[level[to_i], level[to_j]]
-        outside = (to_i < 0) | (to_j < 0) | (to_slot < 0) | (to_slot >= own)
+        outside = (to_i < 0) | (to_j < 0) | (to_slot < 0) | (to_slot >= own) | (unit.imag != 0)
         if np.any(outside | (state_rung[to_j] != to_rung)):
-            raise RuntimeError("the Liouvillian maps the charge-zero block outside itself")
+            raise RuntimeError("the Liouvillian maps the real charge-zero block outside itself")
         band = rung[at] - to_rung + 1
         if np.any((band < 0) | (band > 2)):
             raise RuntimeError("the Liouvillian couples rungs more than one apart")
         cell = ((to_rung * 3 + band) * width + to_slot) * width + slot[at]
         for point, rates in zip(points, theta):
-            np.add.at(bands[point], cell, rates[param] * unit)
+            np.add.at(bands[point], cell, rates[param] * unit.real)
     shape = (len(models), depth, 3, width, width)
     return bands.reshape(shape), rows.reshape(depth, width), cols.reshape(depth, width)
 

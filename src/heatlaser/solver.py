@@ -1,10 +1,12 @@
 """Exact numerics on the master equation.
 
 :func:`solve_model` sweeps the rungs of the charge-zero block by block
-Thomas in numpy and returns the steady state in that block form with its
-photon distribution, in O(n_max) memory and time; :func:`solve_models` does
-so for many engines in one stacked sweep.  They are the independent check on
-the closed-form theory in :mod:`heatlaser.photonstats`.  The dense (A F)^2
+Thomas in numpy, in real arithmetic over one real unknown per population
+and per coherence pair, and returns the steady state in that block form
+with its photon distribution, in O(n_max) memory and time;
+:func:`solve_models` does so for many engines in one stacked sweep.  They
+are the independent check on the closed-form theory in
+:mod:`heatlaser.photonstats`.  The dense (A F)^2
 :func:`steady_state`, :func:`evolve`, :func:`partial_trace_atom` and
 :func:`photon_distribution` are the full-space references (the first two
 import scipy when called).  :func:`wigner` maps a photon distribution to
@@ -29,6 +31,7 @@ from .core import (
     RUNG_SHIFT,
     RUNG_SLOTS,
     SLOT_OF,
+    SLOT_PHASE,
     HilbertSpace,
     _bath_channels,
     build_sector_liouvillian,
@@ -262,10 +265,11 @@ def _rung_sweep(bands, rhs):
     """Solve a batch of block-tridiagonal systems by block Thomas.
 
     ``bands`` has shape (P, R, 3, m, m) and ``rhs`` shape (P, R, m), one
-    system per point p.  Forward elimination over the rungs keeps, per rung
-    r, the solution [G_r | y_r] of S_r [G_r | y_r] = [C_r | b_r - A_r y_{r-1}]
-    with the Schur complement S_r = B_r - A_r G_{r-1} (A, B, C the lower,
-    diagonal and upper blocks); back substitution is x_r = y_r - G_r x_{r+1}.
+    system per point p, solved in the dtype of ``bands``.  Forward
+    elimination over the rungs keeps, per rung r, the solution [G_r | y_r]
+    of S_r [G_r | y_r] = [C_r | b_r - A_r y_{r-1}] with the Schur complement
+    S_r = B_r - A_r G_{r-1} (A, B, C the lower, diagonal and upper blocks);
+    back substitution is x_r = y_r - G_r x_{r+1}.
     Each rung takes one stacked solve and one stacked matmul for all P
     points; numpy runs LAPACK and BLAS once per matrix, so a point gets the
     numbers a batch of one gives it.  A slot decoupled by an identity row
@@ -277,7 +281,7 @@ def _rung_sweep(bands, rhs):
     lower, diag = bands[:, :, 0], bands[:, :, 1]
     width = diag.shape[-1]
     work = np.concatenate([bands[:, :, 2], rhs[..., np.newaxis]], axis=-1)
-    prev = np.zeros((len(bands), width, width + 1), dtype=complex)
+    prev = np.zeros((len(bands), width, width + 1), dtype=bands.dtype)
     for r in range(bands.shape[1]):
         coupled = lower[:, r] @ prev  # [A_r G_{r-1} | A_r y_{r-1}]
         work[:, r, :, width] -= coupled[:, :, width]
@@ -325,8 +329,10 @@ def _pinned_level(model):
 # millisecond at import
 BlockState = namedtuple("BlockState", "rows cols values distribution residual")
 
-# the slot of the Hermitian partner |j><i| of the pair in each slot, in the same rung
-_PARTNER = SLOT_OF[RUNG_SLOTS[:, 1], RUNG_SLOTS[:, 0]]
+# |L_ij| of the complex block from the real bands: a population's entry in
+# the coherence column sums the equal entries of both partners, so it is
+# halved (see build_sector_liouvillian)
+_HALVED = 1.0 - 0.5 * np.outer(np.equal(*RUNG_SLOTS.T), np.not_equal(*RUNG_SLOTS.T))
 
 
 def _sweep_points(system, rhs):
@@ -347,28 +353,32 @@ def _sweep_points(system, rhs):
 
 
 def _steady_result(space, bands, inside, level, photons, x, tol):
-    """The Hermitian, unit-trace block state of a rung-sweep solution, gated and checked.
+    """The unit-trace block state of a rung-sweep solution, gated and checked.
 
-    ``bands`` is the point's own block and ``inside`` its slots in the
+    ``bands`` is the point's own real block and ``inside`` its slots in the
     batch's layout, whose pairs have the levels ``level`` and photon
-    numbers ``photons`` (each (2, R, m): the row, then the column); the
-    state is returned in the point's own Fock layout.
+    numbers ``photons`` (each (2, R, m): the row, then the column).  The
+    gate's scale is the max|L_ij| of the point's complex block.  The state
+    is returned in the point's own Fock layout, every operator of the block
+    listed: each slot's own pair, then the partner of each coherence.
     """
     populations = inside & (level[0] == level[1])
-    x = x / x[populations].real.sum()
-    x = np.where(inside, 0.5 * (x + np.conj(x[:, _PARTNER[: x.shape[1]]])), 0.0)
+    x = x / x[populations].sum()
     res = float(np.abs(_apply_bands(bands, x)).max())
-    _accept(res, float(np.abs(bands).max()), tol)
-    rows, cols = level * space.fock_dim + photons
+    _accept(res, float(np.abs(bands * _HALVED[: x.shape[1], : x.shape[1]]).max()), tol)
+    pairs, partners = level * space.fock_dim + photons, inside & ~populations
+    rows, cols = np.concatenate([pairs[:, inside], pairs[::-1, partners]], axis=1)
     # the reduced cavity state is diagonal: P_n sums the populations of the
     # levels at n, added level by level as the partial trace adds them
-    p = np.bincount(rows[populations], x[populations].real, space.total_dim)
+    p = np.bincount(pairs[0][populations], x[populations], space.total_dim)
     p = p.reshape(space.atom_dim, space.fock_dim).sum(axis=0)
     if p[-1] > 1e-8:
         warnings.warn(f"tail P[{space.n_max}] = {p[-1]:.3e} above 1e-8", stacklevel=3)
     p = np.clip(p, 0.0, None)
     distribution = PhotonDistribution(p / p.sum())
-    return space, BlockState(rows[inside], cols[inside], x[inside], distribution, res)
+    values = SLOT_PHASE[level[0], level[1]] * x
+    values = np.concatenate([values[inside], np.conj(values[partners])])
+    return space, BlockState(rows, cols, values, distribution, res)
 
 
 def solve_models(
@@ -383,10 +393,10 @@ def solve_models(
     inside its cutoff and its levels (see :func:`build_sector_liouvillian`);
     its other slots get x = 0.  The batch is swept in one stacked rung
     sweep (``_rung_sweep``), so numpy's cost per call is paid once per rung
-    for the whole batch.  The bound check, the pinned level, the Hermitian
-    part and unit trace, the residual gate and the tail warning stay per
-    point: a cutoff above ``MAX_N_MAX`` gives its point a
-    :class:`TruncationError` before any assembly.
+    for the whole batch.  The bound check, the pinned level, the unit
+    trace, the residual gate and the tail warning stay per point: a cutoff
+    above ``MAX_N_MAX`` gives its point a :class:`TruncationError` before
+    any assembly.
 
     Returns, in the order of ``models``, ``(space, BlockState)`` or the
     :class:`TruncationError`, :class:`SteadyStateError` or ``ValueError``
@@ -411,21 +421,24 @@ def solve_models(
     dims = np.array([space.atom_dim for space in spaces])[:, np.newaxis, np.newaxis]
     inside = (rows >= 0) & (photons.max(axis=0) <= cutoff) & (level.max(axis=0) < dims)
     # each point's own block: the rows and columns of its slots
-    edge = np.zeros_like(inside[:, :1])
-    padded = np.concatenate([edge, inside, edge], axis=1)
+    padded = np.pad(inside, ((0, 0), (1, 1), (0, 0)))
     reach = np.stack([padded[:, :-2], inside, padded[:, 2:]], axis=2)
     own = inside[:, :, np.newaxis, :, np.newaxis] & reach[:, :, :, np.newaxis, :]
     np.copyto(bands, 0.0, where=~own)
     # the pinned population's equation becomes x = 1, and that of every slot
-    # outside the point's own x = 0
+    # outside the point's own x = 0 (its row and column are already 0); the
+    # rows are pinned in place, and restored for the residual and its scale
+    # once the sweep has returned, the failed points' included
     pinned = np.array(pinned)
-    rhs = np.zeros(inside.shape, dtype=complex)
+    rhs = np.zeros(inside.shape)
     rhs[np.arange(len(live)), RUNG_SHIFT[pinned], SLOT_OF[pinned, pinned]] = 1.0
-    system = bands.copy()
     point, rung, slot = np.nonzero(~inside | (rhs != 0))
-    system[point, rung, :, slot] = 0.0
-    system[point, rung, 1, slot, slot] = 1.0
-    for p, x in enumerate(_sweep_points(system, rhs)):
+    saved = bands[point, rung, :, slot]
+    bands[point, rung, :, slot] = 0.0
+    bands[point, rung, 1, slot, slot] = 1.0
+    solutions = _sweep_points(bands, rhs)
+    bands[point, rung, :, slot] = saved
+    for p, x in enumerate(solutions):
         if not isinstance(x, Exception):
             try:
                 x = _steady_result(spaces[p], bands[p], inside[p], level, photons, x, tol)
@@ -443,20 +456,22 @@ def solve_model(
     The block (:func:`build_sector_liouvillian`) is closed and holds the
     unique steady state, so its residual is the full-space one.  One
     population |s><s| is pinned to 1 in place of its own equation, the
-    block-tridiagonal system is solved by block Thomas over the rungs, and
-    the Hermitian, unit-trace state is returned in that block form
-    (:class:`BlockState`) with its photon distribution.  The trace is
-    the left null vector of L, so the pinned system is nonsingular exactly
-    when the steady state is unique and populates s.  s is |l, 0> for the
-    first level l of the one closed class of the jump graph (see
-    ``_pinned_level``): |g, 0> unless, say, a four-level atom with g = 0 and
-    an empty ancilla bath is trapped in the dark |e2, 0>.  This is
-    :func:`solve_models` on a batch of one.
+    block-tridiagonal system is solved by block Thomas over the rungs in
+    real arithmetic, and the unit-trace state, Hermitian by construction,
+    is returned in that block form (:class:`BlockState`) with its photon
+    distribution.  The trace is the left null vector of L, so the pinned
+    system is nonsingular exactly when the steady state is unique and
+    populates s.  s is |l, 0> for the first level l of the one closed class
+    of the jump graph (see ``_pinned_level``): |g, 0> unless, say, a
+    four-level atom with g = 0 and an empty ancilla bath is trapped in the
+    dark |e2, 0>.  This is :func:`solve_models` on a batch of one.
 
     Raises :class:`SteadyStateError` when the jump graph has more than one
     closed class or a rung's Schur complement is singular (the steady state
     is not unique), or when the residual |L[rho]|_inf exceeds ``tol`` times
-    the largest |L_ij| of the block, a bound relative to the rates.  There
+    the largest |L_ij| of the block, a bound relative to the rates.  That is
+    the entry of the complex block, over every operator, not the real band
+    of a population in a coherence column, which sums both partners.  There
     is no pivoting across rungs, and the residual is the check.
 
     With ``n_max=None`` the cutoff is the ``n_max`` of the closed-form
@@ -465,12 +480,12 @@ def solve_model(
     A = 0); an explicit ``n_max`` is used as given.  Any cutoff above
     ``MAX_N_MAX`` = 1000, automatic or explicit, raises
     :class:`TruncationError` before any assembly.  The bound caps a batch of
-    a sweep: a four-level rung takes 4.6 kB per point (its 3 x 6 x 6
-    complex bands, 1.7 kB, again in the pinned system, the sweep's 6 x 7
-    workspace and the slot masks), so 16 points at n_max 1000 hold
-    16 x 1002 x 4.6 kB = 74 MB (traced peak 74.2 MB, 0.15-0.28 s on a
-    2-vCPU Xeon); one dense state there would take 256 MB.  A warning is raised if
-    the exact P[n_max] exceeds 1e-8.
+    a sweep: a four-level rung holds 0.6 kB per point in its 3 x 5 x 5 real
+    bands, pinned in place, and a batch peaks at about twice that with the
+    builder's entry arrays, the sweep's workspace and the slot masks, so
+    16 points at n_max 1000 peak at 20.2 MB (traced; 0.10-0.16 s untraced
+    on a 2-vCPU Xeon); one dense state there would take 256 MB.  A warning
+    is raised if the exact P[n_max] exceeds 1e-8.
     """
     if n_max is None:
         n_max = steady_distribution(scully_lamb_coefficients(model)).n_max

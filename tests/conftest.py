@@ -32,10 +32,11 @@ def random_four_level(rng):
 
 
 def sector_block_csc(bands, rows, cols):
-    """The rung bands of ``build_sector_liouvillian`` scattered back to CSC.
+    """The real rung bands of ``build_sector_liouvillian`` scattered back to CSC.
 
     Returns ``(block, rows, cols)`` over the filled slots in rung-major
-    order: column k of ``block`` is the operator |rows[k]><cols[k]|.  Fails
+    order: column k of ``block`` is the real unknown of the operator
+    |rows[k]><cols[k]| (see :func:`slot_map`).  Fails
     if a band entry sits in an empty slot or outside the rung range.
     ``bands`` holds a batch of one.
     """
@@ -51,6 +52,31 @@ def sector_block_csc(bands, rows, cols):
     size = index.max() + 1
     data = bands[rung, band, row_slot, col_slot]
     return sp.csc_matrix((data, (to, at)), shape=(size, size)), rows[filled], cols[filled]
+
+
+def slot_map(rows, cols, fock_dim):
+    """The explicit map from the real slot unknowns u to the block's operators.
+
+    ``rows`` and ``cols`` are the filled slots of :func:`sector_block_csc`.
+    A population |i><i| has the coefficient u, a coherence
+    |e1, n + 1><e2, n| has i u and its partner |e2, n><e1, n + 1| has -i u.
+    Returns ``(T, W, op_rows, op_cols)``: x = T u over the operators
+    |op_rows[k]><op_cols[k]|, the slots first and then the partners, and W,
+    which keeps the equation of each slot's own pair, times -i for a
+    coherence, and drops the partners'.
+    """
+    coherent = np.flatnonzero(rows != cols)
+    assert np.all(rows[coherent] // fock_dim == 1) and np.all(cols[coherent] // fock_dim == 2)
+    assert np.all(rows[coherent] % fock_dim == cols[coherent] % fock_dim + 1)
+    slots, size = np.arange(rows.size), rows.size + coherent.size
+    phase = np.where(rows != cols, 1j, 1.0)
+    t = sp.csc_matrix(
+        (np.concatenate([phase, np.full(coherent.size, -1j)]),
+         (np.arange(size), np.concatenate([slots, coherent]))),
+        shape=(size, rows.size),
+    )
+    w = sp.csc_matrix((np.conj(phase), (slots, slots)), shape=(rows.size, size))
+    return t, w, np.concatenate([rows, cols[coherent]]), np.concatenate([cols, rows[coherent]])
 
 
 def dense_state(space, result):

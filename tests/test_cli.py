@@ -14,6 +14,7 @@ import heatlaser
 import heatlaser.photonstats
 import heatlaser.solver
 from heatlaser import (
+    PhotonDistribution,
     photon_distribution,
     scully_lamb_coefficients,
     solve_model,
@@ -194,6 +195,24 @@ def test_residual_column_matches_solo_solve(tmp_path):
         assert record["mean_numeric"] == numeric.mean
 
 
+def test_fano_numeric_column(tmp_path):
+    # variance / mean of the exact distribution, in the record and the CSV;
+    # NaN where the cavity is empty, as PhotonDistribution.fano gives it
+    path = write_config(tmp_path, {"sweep.points": 3})
+    config = load_config(path)
+    records = run_sweep(config)
+    for record in records:
+        assert record["fano_numeric"] == record["variance_numeric"] / record["mean_numeric"]
+        assert record["fano_numeric"] == _solo(config, record["n_h"])[0].fano
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 0
+    header, *lines = (tmp_path / "case.csv").read_text().splitlines()
+    column = header.split(",").index("fano_numeric")
+    assert [float(line.split(",")[column]) for line in lines] == pytest.approx(
+        [record["fano_numeric"] for record in records], rel=1e-11
+    )
+    assert math.isnan(PhotonDistribution(np.eye(3)[0]).fano)
+
+
 @pytest.mark.parametrize("preset", ["fig2", "fig5"])
 def test_l1_column_matches_a_recursion_to_the_cutoff(preset):
     # l1_distance cuts the auto-support closed form at the cutoff; the
@@ -220,6 +239,7 @@ def test_failed_point_stays_in_its_record(tmp_path):
     for record in records[3:]:
         assert "> 1000" in record["status"]
         assert math.isnan(record["residual"]) and math.isnan(record["mean_numeric"])
+        assert math.isnan(record["fano_numeric"])
     assert len({r["n_max"] for r in records[:3]}) == 3
     for record in records[:3]:
         numeric, residual = _solo(config, record["n_h"])

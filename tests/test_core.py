@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heatlaser import BathSpec, HilbertSpace, build_three_level
@@ -28,6 +28,7 @@ from conftest import (
     random_four_level,
     random_three_level,
     sector_block_csc,
+    slot_map,
 )
 
 
@@ -215,13 +216,18 @@ def test_sector_block_matches_full_liouvillian(seed, four, n_max, empty_baths, u
     }
     model = replace(model, g=0.0 if uncoupled else model.g, **emptied)
     space = HilbertSpace.for_model(model, n_max)
-    block, rows, cols = sector_block_csc(*build_sector_liouvillian([model], space.n_max))
+    bands, rows, cols = build_sector_liouvillian([model], space.n_max)
+    assert bands.dtype == np.float64
+    block, rows, cols = sector_block_csc(bands, rows, cols)
     full = build_liouvillian(model, space).tocsc()
-    inside = rows * space.total_dim + cols
-    # the block is the full generator restricted to (rows, cols)
-    restricted = full[inside][:, inside]
+    t, w, op_rows, op_cols = slot_map(rows, cols, space.fock_dim)
+    inside = op_rows * space.total_dim + op_cols
+    # the block is the full generator restricted to the block's operators,
+    # in the real unknowns x = T u with the rows W picks, and that is real
+    restricted = (w @ full[inside][:, inside] @ t).toarray()
     scale = np.abs(full).max()
-    assert np.abs((restricted - block).toarray()).max() <= 1e-12 * scale
+    assert np.abs(restricted.real - block.toarray()).max() <= 1e-12 * scale
+    assert np.abs(restricted.imag).max() <= 1e-12 * scale
     # and no block column leaks outside the block
     outside = np.setdiff1d(np.arange(space.total_dim**2), inside)
     assert not np.any(full[outside][:, inside].data)
@@ -240,6 +246,38 @@ def test_sector_block_matches_full_liouvillian(seed, four, n_max, empty_baths, u
     # the block's P_n is the partial trace of its dense form, bit for bit
     traced = photon_distribution(state, space, tail_tol=math.inf)
     assert np.array_equal(result.distribution.probabilities, traced.probabilities)
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    four=st.booleans(),
+    n_max=st.integers(1, 8),
+    empty_baths=st.lists(st.booleans(), min_size=3, max_size=3),
+    uncoupled=st.booleans(),
+)
+def test_steady_state_is_real_up_to_photon_parity(seed, four, n_max, empty_baths, uncoupled):
+    # the coupling changes sign under Z = (-1)^N and every jump is real, so
+    # rho* and Z rho Z obey the same master equation: a unique steady state
+    # has rho* = Z rho Z, and <e1, n + 1|rho|e2, n> = i y with y real
+    rng = np.random.default_rng(seed)
+    model = random_four_level(rng) if four else random_three_level(rng)
+    names = ("hot", "cold", "ancilla")[: 3 if four else 2]
+    emptied = {
+        name: replace(getattr(model, name), occupation=0.0)
+        for name, empty in zip(names, empty_baths)
+        if empty
+    }
+    model = replace(model, g=0.0 if uncoupled else model.g, **emptied)
+    assume(not (four and uncoupled and empty_baths[0] and empty_baths[2]))  # not unique
+    space = HilbertSpace.for_model(model, n_max)
+    rho = steady_state(build_liouvillian(model, space)).state
+    size = np.abs(rho).max()
+    fock, n = space.fock_dim, np.arange(n_max)
+    coherences = rho[fock + n + 1, 2 * fock + n]
+    assert np.abs(coherences.real).max() <= 1e-12 * size
+    parity = (-1.0) ** (np.arange(space.total_dim) % fock)
+    assert np.abs(rho.conj() - parity[:, np.newaxis] * rho * parity).max() <= 1e-12 * size
 
 
 @settings(deadline=None)
