@@ -166,13 +166,17 @@ def steady_distribution(
     ``n_max`` runs the recursion to that rung and raises
     :class:`TruncationError` when P_Nmax >= ``tail_tol``.
 
-    With ``n_max=None`` the support N grows until the ratio falls below 1/2
-    and the geometric tail bound past N drops under 1e-12; then a 0 is
-    appended for rung N + 1, the distribution is cut at the first rung past
-    its peak where P_n < 1e-12 and renormalised.  That rung is the Fock
-    cutoff of the exact solve (:func:`heatlaser.solver.solve_model`), so the
-    result's ``n_max`` is the cutoff and its probabilities the closed form
-    to compare there; with the pump off (A = 0) it is [1, 0], n_max = 1.
+    With ``n_max=None`` the support is found in one pass.  The ratio falls
+    with n and is below 1/2 past rung n0 = A (2A - A_b - kappa) / (kappa B)
+    (past rung 0 when 2A - A_b - kappa < 0), so the recursion is run to
+    n0 + 41: P there is below 2^-41 < 1e-12, and so is the geometric tail
+    past it.  The distribution is cut at the first rung past its peak where
+    P_n < 1e-12 and renormalised.  That rung is the Fock cutoff of the exact
+    solve (:func:`heatlaser.solver.solve_model`), so the result's ``n_max``
+    is the cutoff and its probabilities the closed form to compare there;
+    with the pump off (A = 0) it is [1, 0], n_max = 1.  When n0 + 41 would
+    exceed 1e6 rungs, or B = 0 leaves every ratio at 1/2 or above, it raises
+    :class:`TruncationError` before anything is allocated.
     """
     if coeffs.A == 0.0:
         size = 2 if n_max is None else n_max + 1
@@ -188,23 +192,13 @@ def steady_distribution(
                 f"P[{n_max}] = {p[-1]:.3e} >= {tail_tol:.1e}; increase n_max"
             )
         return PhotonDistribution(p)
-    # support estimate: the ratio drops below 1/2 near A (2A - A_b - kappa) / (kappa B)
-    estimate = coeffs.A * (2.0 * coeffs.A - coeffs.A_b - coeffs.kappa) / (
-        coeffs.kappa * coeffs.B
-    ) if coeffs.B > 0 else 0.0
-    cutoff = max(16, int(estimate) + 16)
-    while True:
-        p = _normalized(coeffs, cutoff)
-        ratio = coeffs.A / (
-            coeffs.A_b + coeffs.kappa * (1.0 + cutoff * coeffs.B / coeffs.A)
-        )
-        if ratio < 0.5 and p[-1] * ratio / (1.0 - ratio) < 1e-12:
-            break
-        if cutoff >= 1_000_000:
-            raise TruncationError("distribution support exceeds 1e6 photons")
-        cutoff *= 2
-    # rung N + 1, below 1e-12 by the stopping rule, in case no rung inside is
-    p = np.append(PhotonDistribution(p).probabilities, 0.0)
+    gap = 2.0 * coeffs.A - coeffs.A_b - coeffs.kappa
+    kb = coeffs.kappa * coeffs.B
+    # n0 + 41 > 1e6, multiplied out so that B = 0 (no n0 at all) never divides
+    if gap >= 0.0 and coeffs.A * gap >= (1_000_000 - 40) * kb:
+        raise TruncationError("distribution support exceeds 1e6 photons")
+    n0 = int(coeffs.A * gap / kb) if gap > 0.0 else 0
+    p = _normalized(coeffs, n0 + 41)
     peak = int(np.argmax(p))
     p = p[: peak + int(np.argmax(p[peak:] < 1e-12)) + 1]
     return PhotonDistribution(p / p.sum())

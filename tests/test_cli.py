@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -15,6 +16,7 @@ import heatlaser.photonstats
 import heatlaser.solver
 from heatlaser import (
     PhotonDistribution,
+    TruncationError,
     photon_distribution,
     scully_lamb_coefficients,
     solve_model,
@@ -34,7 +36,7 @@ from heatlaser.cli import (
 )
 from heatlaser.solver import MAX_N_MAX
 
-from conftest import dense_state
+from conftest import dense_state, make_fig2_model
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -464,6 +466,48 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 3
     assert "needs n_max" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_small_kappa_fails_before_allocating(tmp_path, monkeypatch, capsys):
+    # kappa = 1e-9 at the fig2 rates puts the rung where the ratio drops below
+    # 1/2 near 1.6e10: the closed form, `distribution` and a sweep must refuse
+    # that support before _normalized is asked for it (the guard fails the
+    # test without allocating anything)
+    normalized, sizes, built = heatlaser.photonstats._normalized, [], []
+
+    def guarded(coeffs, n_max):
+        if n_max > 1_000_000:
+            raise AssertionError(f"_normalized asked for {n_max} rungs")
+        sizes.append(n_max)
+        return normalized(coeffs, n_max)
+
+    class Counted(PhotonDistribution):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(heatlaser.photonstats, "_normalized", guarded)
+    monkeypatch.setattr(heatlaser.photonstats, "PhotonDistribution", Counted)
+    # a valid point takes one pass and builds one distribution
+    steady_distribution(scully_lamb_coefficients(make_fig2_model(n_h=2.0)))
+    assert len(sizes) == len(built) == 1
+    with pytest.raises(TruncationError, match="exceeds 1e6"):
+        steady_distribution(scully_lamb_coefficients(make_fig2_model(kappa=1e-9)))
+    path = write_config(
+        tmp_path,
+        {"model.kappa": 1e-9, "sweep.start": 1.0, "sweep.stop": 3.0, "sweep.points": 3},
+    )
+    out = tmp_path / "dim"
+    code = main(["distribution", "--config", str(path), "--nh", "2", "--out", str(out)])
+    assert code == 3
+    assert "exceeds 1e6" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    with open(out / "case.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["status"] for row in rows] == [
+        "failed: distribution support exceeds 1e6 photons"
+    ] * 3
 
 
 def test_unwritable_output_is_an_output_error(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatlaser import (
     BathSpec,
@@ -153,6 +156,50 @@ def test_truncation_violation_raises():
     coeffs = scully_lamb_coefficients(make_fig2_model(n_h=2.0))
     with pytest.raises(TruncationError):
         steady_distribution(coeffs, n_max=5)
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    four=st.booleans(),
+    log_kappa=st.floats(-3.0, 1.0),
+)
+def test_auto_support_is_the_first_rung_below_1e_12(seed, four, log_kappa):
+    rng = np.random.default_rng(seed)
+    model = random_four_level(rng) if four else random_three_level(rng)
+    coeffs = scully_lamb_coefficients(dataclasses.replace(model, kappa=10.0**log_kappa))
+    dist = steady_distribution(coeffs)
+    p, n_max = dist.probabilities, dist.n_max
+    assert p[n_max] < 1e-12
+    if n_max - 1 >= dist.peak_index:
+        assert p[n_max - 1] >= 1e-12
+    # past the estimate every ratio is below 1/2, so 41 rungs reach 2^-41
+    estimate = coeffs.A * (2.0 * coeffs.A - coeffs.A_b - coeffs.kappa) / (
+        coeffs.kappa * coeffs.B
+    )
+    assert n_max <= max(0, math.floor(estimate)) + 41
+    explicit = steady_distribution(coeffs, n_max=n_max, tail_tol=math.inf).probabilities
+    resolved = explicit > 1e-290
+    np.testing.assert_allclose(p[resolved], explicit[resolved], rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "coeffs, n_max",
+    [
+        # ratio A / (A_b + kappa) = 1/4 at every rung: P_n = (3/4) 4^-n
+        (LaserCoefficients(0.3, 0.2, 0.0, 1.0), 20),
+        # ratio 1 at every rung: no support
+        (LaserCoefficients(1.0, 0.0, 0.0, 1.0), None),
+    ],
+)
+def test_auto_support_without_saturation(coeffs, n_max):
+    if n_max is None:
+        with pytest.raises(TruncationError, match="exceeds 1e6"):
+            steady_distribution(coeffs)
+        return
+    p = steady_distribution(coeffs).probabilities
+    assert p.size == n_max + 1
+    np.testing.assert_allclose(p[1:] / p[:-1], 0.25, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
