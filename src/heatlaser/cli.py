@@ -27,17 +27,23 @@ is not UTF-8) or output error (an output file that cannot be written, such
 as ``--out`` naming an existing file); 3 numeric failure in single-point
 commands.
 
-A sweep solves its n_h grid in consecutive batches of ``BATCH_POINTS``
-points, the steady states of a batch in one batched rung sweep, all in the
-calling process.  Each state stays in charge-zero block form, and the
-photon distribution and the Wigner function come from its populations.
-The batches depend only on the grid.  ``sweep --jobs`` is still accepted
-and ignored.  ``distribution --wigner`` samples 101 x 101 points over
-[-h, h]^2 with h = max(4, 1.2 sqrt(<n> + 1)), so the grid holds the ring of
-a bright state.  ``thresholds`` looks for roots in [start, stop] of the
-sweep (a one-point sweep is allowed) or else in [0.001, 50], and adds the
-temperature-domain lasing report only when every bath, the ancilla of a
-four-level engine included, is given by its temperature.
+A sweep solves its n_h grid in batches of consecutive points, all in the
+calling process.  A batch takes points while (points) x (largest Fock
+cutoff + 2) stays within ``BATCH_RUNGS`` = 16 x (1000 + 2) rung-points, so
+every preset grid is one batch; a point that fails in the closed form or
+needs a cutoff above 1000 does not count.  The steady states of a batch are
+assembled once, solved in one stacked rung sweep and finished as arrays,
+and the batch is turned into record numbers before the next one starts, so
+a sweep holds one batch's states at a time.  Each state stays in
+charge-zero block form, and the photon distribution and the Wigner
+function come from its populations.  The batches depend only on the grid.
+``sweep --jobs`` is still accepted and ignored.  ``distribution --wigner``
+samples 101 x 101 points over [-h, h]^2 with h = max(4, 1.2 sqrt(<n> + 1)),
+so the grid holds the ring of a bright state.  ``thresholds`` looks for
+roots in [start, stop] of the sweep (a one-point sweep is allowed) or else
+in [0.001, 50], and adds the temperature-domain lasing report only when
+every bath, the ancilla of a four-level engine included, is given by its
+temperature.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ from .semiclassical import (
     population_inversion,
     temperature_lasing_condition,
 )
-from .solver import SteadyStateError, solve_model, solve_models, wigner
+from .solver import MAX_N_MAX, SteadyStateError, solve_model, solve_models, wigner
 
 SCHEMA_VERSION = 1
 PRESETS = ("fig2", "fig5")
@@ -102,13 +108,13 @@ SWEEP_FIELDS = [
     "status",
 ]
 
-# points per batch of steady-state solves; a sweep solves its batches one
-# after another in the calling process.  A batch holds the real rung bands
-# of all its points at once, pinned in place, and peaks near 1.3 kB a
-# four-level rung (see solve_model), so one batch of a whole 60-point grid
-# at n_max 80 would peak near 6 MB; 16 points already share most of numpy's
-# cost per call
-BATCH_POINTS = 16
+# rung-points, (points) x (largest cutoff + 2), per batch of steady-state
+# solves.  A batch holds the real rung bands of all its points at once, so
+# its memory grows with its rung-points; the budget is the batch of 16
+# four-level points at the cutoff bound MAX_N_MAX, whose traced peak of about
+# 18 MB test_solver.py gates, and it holds a whole preset grid (fig2: 60
+# points at n_max <= 33, 2 100 rung-points)
+BATCH_RUNGS = 16 * (MAX_N_MAX + 2)
 
 
 class ConfigError(Exception):
@@ -318,46 +324,54 @@ def dumps_config(config: RunConfig) -> str:
 # sweep execution
 # ---------------------------------------------------------------------------
 
-def _sweep_batch(config: RunConfig, values: list[float]) -> list[dict]:
-    """Compute the sweep records of consecutive n_h values.
+def _closed_form_point(config: RunConfig, n_h: float):
+    """The sweep record of one n_h with its closed-form columns filled.
 
     The closed form is evaluated once per point; its distribution, whose
     support is the Fock cutoff, gives the P_0 of the moments, the cutoff
-    and the closed form of ``l1_distance``.  The steady states of the
-    batch are solved together (:func:`solve_models`); a point that fails
-    keeps its own record and status.
+    and the closed form of ``l1_distance``.  Returns the record, the model
+    and that distribution, or None in its place if the closed form failed,
+    which the record's status then says.
     """
-    records, pending = [], []
-    for n_h in values:
-        model = with_hot_occupation(config.model, n_h)
-        record = dict.fromkeys(SWEEP_FIELDS, math.nan)
-        record["n_h"] = n_h
-        record["status"] = "ok"
-        records.append(record)
-        try:
-            coeffs = scully_lamb_coefficients(model)
-            closed = steady_distribution(coeffs)
-            moments = distribution_moments(coeffs, distribution=closed)
-            record.update(
-                gain_over_kappa=lasing_gain(model) / model.kappa,
-                inversion0=population_inversion(model),
-                A=coeffs.A,
-                A_b=coeffs.A_b,
-                B=coeffs.B,
-                mean_analytic=moments.mean,
-                variance_analytic=moments.variance,
-                fano_analytic=moments.fano,
-                power=output_power(model, moments.mean),
-            )
-            pending.append((record, model, closed))
-        except (ValueError, TruncationError) as exc:
-            record["status"] = f"failed: {exc}"
+    model = with_hot_occupation(config.model, n_h)
+    record = dict.fromkeys(SWEEP_FIELDS, math.nan)
+    record["n_h"] = n_h
+    record["status"] = "ok"
+    try:
+        coeffs = scully_lamb_coefficients(model)
+        closed = steady_distribution(coeffs)
+        moments = distribution_moments(coeffs, distribution=closed)
+        record.update(
+            gain_over_kappa=lasing_gain(model) / model.kappa,
+            inversion0=population_inversion(model),
+            A=coeffs.A,
+            A_b=coeffs.A_b,
+            B=coeffs.B,
+            mean_analytic=moments.mean,
+            variance_analytic=moments.variance,
+            fano_analytic=moments.fano,
+            power=output_power(model, moments.mean),
+        )
+    except (ValueError, TruncationError) as exc:
+        record["status"] = f"failed: {exc}"
+        return record, model, None
+    return record, model, closed
+
+
+def _sweep_batch(config: RunConfig, batch: list) -> None:
+    """Solve the steady states of a batch and fill in its records.
+
+    ``batch`` holds ``(record, model, closed)`` of consecutive points; their
+    steady states are solved together (:func:`solve_models`), and a point
+    that fails keeps its own record and status.  Only numbers reach the
+    records, so no state outlives its batch.
+    """
     solved = solve_models(
-        [model for _, model, _ in pending],
-        [closed.n_max for _, _, closed in pending],
+        [model for _, model, _ in batch],
+        [closed.n_max for _, _, closed in batch],
         config.numerics.steady_tol,
     )
-    for (record, _, closed), outcome in zip(pending, solved):
+    for (record, _, closed), outcome in zip(batch, solved):
         if isinstance(outcome, Exception):
             record["status"] = f"failed: {outcome}"
             continue
@@ -372,23 +386,33 @@ def _sweep_batch(config: RunConfig, values: list[float]) -> list[dict]:
             tail=float(numeric.probabilities[-1]),
             residual=result.residual,
         )
-    return records
 
 
 def run_sweep(config: RunConfig) -> list[dict]:
     """Evaluate every sweep point in this process, ordered by sweep index.
 
-    The grid is cut into consecutive batches of ``BATCH_POINTS`` points,
-    each solved by one :func:`_sweep_batch` call.
+    A batch takes consecutive points while (points) x (largest cutoff + 2)
+    stays within ``BATCH_RUNGS``, and is solved by one :func:`_sweep_batch`
+    call before the next batch starts.  A point that fails in the closed
+    form, or whose cutoff is above ``MAX_N_MAX``, does not count, since it
+    never reaches assembly.
     """
     if config.sweep is None:
         raise ConfigError("sweep: block required for the sweep command")
-    values = [float(value) for value in config.sweep.values()]
-    return [
-        record
-        for i in range(0, len(values), BATCH_POINTS)
-        for record in _sweep_batch(config, values[i : i + BATCH_POINTS])
-    ]
+    records, batch, counted, largest = [], [], 0, 0
+    for n_h in config.sweep.values():
+        record, model, closed = _closed_form_point(config, float(n_h))
+        records.append(record)
+        if closed is None:
+            continue
+        if closed.n_max <= MAX_N_MAX:
+            counted, largest = counted + 1, max(largest, closed.n_max)
+            if counted * (largest + 2) > BATCH_RUNGS:
+                _sweep_batch(config, batch)
+                batch, counted, largest = [], 1, closed.n_max
+        batch.append((record, model, closed))
+    _sweep_batch(config, batch)
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -129,9 +129,14 @@ def population_inversion(model: EngineModel, field_intensity: float = 0.0) -> fl
 
 
 def lasing_gain(model: EngineModel) -> float:
-    """Linear field gain G = 4 g^2 DeltaN0 / Gamma; lasing needs G >= kappa."""
+    """Linear field gain G = 4 g^2 DeltaN0 / Gamma; lasing needs G >= kappa.
+
+    DeltaN0 = numerator / Phi is :func:`population_inversion` at zero
+    field, whose denominator there is Phi + 0.0 = Phi, taken from the same
+    structure constants as Gamma.
+    """
     sc = structure_constants(model)
-    return 4.0 * model.g**2 * population_inversion(model) / sc.Gamma
+    return 4.0 * model.g**2 * (_inversion_numerator(model) / sc.Phi) / sc.Gamma
 
 
 def saturation_parameter(model: EngineModel) -> float:

@@ -100,14 +100,15 @@ def _system_dim(liouv):
     return d
 
 
-def _accept(residual, scale, tol):
-    """Raise :class:`SteadyStateError` if the residual exceeds ``tol`` x max|L_ij|."""
+def _stall(residual, scale, tol):
+    """The :class:`SteadyStateError` of a residual above ``tol`` x max|L_ij|, or None."""
     if not residual <= tol * scale:
-        raise SteadyStateError(
+        return SteadyStateError(
             f"steady-state solve stalled at residual {residual:.3e} > {tol:.1e} x "
             f"max|L_ij| = {tol * scale:.3e}",
             residual,
         )
+    return None
 
 
 def steady_state(liouv: sp.spmatrix, tol: float = 1e-9) -> SteadyStateResult:
@@ -144,7 +145,9 @@ def steady_state(liouv: sp.spmatrix, tol: float = 1e-9) -> SteadyStateResult:
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
     res = float(np.abs(liouv @ rho.reshape(-1)).max())
-    _accept(res, float(np.abs(liouv.data).max(initial=0.0)), tol)
+    stall = _stall(res, float(np.abs(liouv.data).max(initial=0.0)), tol)
+    if stall is not None:
+        raise stall
     return SteadyStateResult(rho, res, "nullspace")
 
 
@@ -289,39 +292,49 @@ def _rung_sweep(bands, rhs):
     x = work[..., width:]
     for r in range(bands.shape[1] - 2, -1, -1):
         x[:, r] -= work[:, r, :, :width] @ x[:, r + 1]
-    return x[..., 0]
+    return x[..., 0].copy()  # contiguous, and the workspace is freed on return
 
 
 def _apply_bands(bands, x):
-    """L x for a vector x laid out by rung, shape (R, m)."""
-    out = np.einsum("rij,rj->ri", bands[:, 1], x)
-    out[1:] += np.einsum("rij,rj->ri", bands[1:, 0], x[:-1])
-    out[:-1] += np.einsum("rij,rj->ri", bands[:-1, 2], x[1:])
+    """L x for a batch of vectors laid out by rung, shape (P, R, m)."""
+    out = np.einsum("prij,prj->pri", bands[:, :, 1], x)
+    out[:, 1:] += np.einsum("prij,prj->pri", bands[:, 1:, 0], x[:, :-1])
+    out[:, :-1] += np.einsum("prij,prj->pri", bands[:, :-1, 2], x[:, 1:])
     return out
 
 
-def _pinned_level(model):
-    """A level l whose vacuum population <l, 0|rho|l, 0> is nonzero.
+def _pinned_levels(models):
+    """Per model, a level l whose vacuum population <l, 0|rho|l, 0> is nonzero.
 
     Every bath jump of positive rate moves the atom between its levels, and
     with g != 0 the coupling takes |e2, 0> to |e1, 1>, which decays to
     |e1, 0>; the cavity empties from every level.  So the closed classes of
-    the steady state are those of this graph on the levels at n = 0.  Raises
-    :class:`SteadyStateError` unless there is exactly one; returns its first
-    level, which the steady state populates.
+    the steady state are those of this graph on the levels at n = 0, whose
+    reachability is found for all models of one kind in one stacked matrix
+    power.  A model gets the first level of its one closed class, which the
+    steady state populates, or a :class:`SteadyStateError` if it has more
+    than one.
     """
-    step = np.eye(model.atom_dim, dtype=int)
-    for to_level, from_level, rate in _bath_channels(model):
-        step[from_level, to_level] |= rate > 0
-    step[LEVEL_E2, LEVEL_E1] |= model.g != 0
-    reach = np.linalg.matrix_power(step, model.atom_dim) > 0
-    closed = np.all(reach.T | ~reach, axis=1)  # l comes back from every level it reaches
-    if not reach[np.ix_(closed, closed)].all():
-        raise SteadyStateError(
-            "the steady state is not unique: levels "
-            f"{np.flatnonzero(closed).tolist()} at n = 0 fall into separate closed classes"
-        )
-    return int(np.argmax(closed))
+    pinned = [None] * len(models)
+    kinds = [model.kind for model in models]
+    for kind in dict.fromkeys(kinds):
+        points = [p for p, other in enumerate(kinds) if other == kind]
+        channels = [_bath_channels(models[p]) for p in points]
+        to_level, from_level, _ = zip(*channels[0])
+        dim = models[points[0]].atom_dim
+        step = np.tile(np.eye(dim, dtype=int), (len(points), 1, 1))
+        step[:, from_level, to_level] |= np.array([[rate for *_, rate in c] for c in channels]) > 0
+        step[:, LEVEL_E2, LEVEL_E1] |= np.array([models[p].g for p in points]) != 0
+        reach = np.linalg.matrix_power(step, dim) > 0
+        # l is closed when it comes back from every level it reaches
+        closed = np.all(reach.swapaxes(1, 2) | ~reach, axis=2)
+        unique = np.all(reach | ~(closed[:, :, np.newaxis] & closed[:, np.newaxis]), axis=(1, 2))
+        for p, levels, one, first in zip(points, closed, unique, closed.argmax(axis=1).tolist()):
+            pinned[p] = first if one else SteadyStateError(
+                "the steady state is not unique: levels "
+                f"{np.flatnonzero(levels).tolist()} at n = 0 fall into separate closed classes"
+            )
+    return pinned
 
 
 # a steady state in block form: values[k] is the coefficient of
@@ -336,55 +349,79 @@ _HALVED = 1.0 - 0.5 * np.outer(np.equal(*RUNG_SLOTS.T), np.not_equal(*RUNG_SLOTS
 
 
 def _sweep_points(system, rhs):
-    """Per point, its rung-sweep solution or the error it raised.
+    """The batch's rung-sweep solutions, and per point the error it raised or None.
 
     A stacked solve fails as a whole when any point's system is singular,
     so such a batch is solved again one point at a time, and only the
-    singular points get a :class:`SteadyStateError`.
+    singular points get a :class:`SteadyStateError`.  Their rows of the
+    solution keep the right-hand side, the pinned unit, so that the
+    finishing pass runs on finite numbers.
     """
     try:
-        return list(_rung_sweep(system, rhs))
+        return _rung_sweep(system, rhs), [None] * len(system)
     except np.linalg.LinAlgError as exc:
-        if len(system) > 1:
-            return [x for p in range(len(system)) for x in _sweep_points(system[[p]], rhs[[p]])]
-        error = SteadyStateError(f"rung sweep failed: {exc}")
-        error.__cause__ = exc
-        return [error]
+        if len(system) == 1:
+            error = SteadyStateError(f"rung sweep failed: {exc}")
+            error.__cause__ = exc
+            return rhs.copy(), [error]
+    x, errors = rhs.copy(), []
+    for p in range(len(system)):
+        x[[p]], (error,) = _sweep_points(system[[p]], rhs[[p]])
+        errors.append(error)
+    return x, errors
 
 
-def _steady_result(space, bands, inside, level, photons, x, tol):
-    """The unit-trace block state of a rung-sweep solution, gated and checked.
+def _steady_results(spaces, bands, inside, level, photons, x, errors, tol):
+    """The unit-trace block states of a batch's rung-sweep solutions, gated and checked.
 
-    ``bands`` is the point's own real block and ``inside`` its slots in the
-    batch's layout, whose pairs have the levels ``level`` and photon
-    numbers ``photons`` (each (2, R, m): the row, then the column).  The
-    gate's scale is the max|L_ij| of the point's complex block.  The state
-    is returned in the point's own Fock layout, every operator of the block
-    listed: each slot's own pair, then the partner of each coherence.
+    ``bands`` holds each point's own real block and ``inside`` its slots in
+    the batch's layout, whose pairs have the levels ``level`` and photon
+    numbers ``photons`` (each (2, R, m): the row, then the column); ``x``
+    is scaled in place.  The residuals, their scales (the max|L_ij| of each
+    point's complex block) and the photon distributions are found for the
+    whole batch at once.  Each point's unit trace is its own masked sum, so
+    that it gets the bits of a solo solve.  Per point remain the gate, the
+    tail warning and its state, in its own Fock layout, every operator of
+    the block listed: each slot's own pair, then the partner of each
+    coherence.  A point whose sweep failed, ``errors[p]``, keeps its error.
     """
     populations = inside & (level[0] == level[1])
-    x = x / x[populations].sum()
-    res = float(np.abs(_apply_bands(bands, x)).max())
-    _accept(res, float(np.abs(bands * _HALVED[: x.shape[1], : x.shape[1]]).max()), tol)
-    pairs, partners = level * space.fock_dim + photons, inside & ~populations
-    rows, cols = np.concatenate([pairs[:, inside], pairs[::-1, partners]], axis=1)
+    x /= np.array([x[p][populations[p]].sum() for p in range(len(x))])[:, np.newaxis, np.newaxis]
+    residuals = np.abs(_apply_bands(bands, x)).max(axis=(1, 2)).tolist()
+    width = x.shape[-1]
+    # max|bands| per point, without an |bands| temporary
+    scales = np.maximum(bands.max(axis=1), -bands.min(axis=1)) * _HALVED[:width, :width]
+    scales = scales.max(axis=(1, 2, 3)).tolist()
     # the reduced cavity state is diagonal: P_n sums the populations of the
-    # levels at n, added level by level as the partial trace adds them
-    p = np.bincount(pairs[0][populations], x[populations], space.total_dim)
-    p = p.reshape(space.atom_dim, space.fock_dim).sum(axis=0)
-    if p[-1] > 1e-8:
-        warnings.warn(f"tail P[{space.n_max}] = {p[-1]:.3e} above 1e-8", stacklevel=3)
-    p = np.clip(p, 0.0, None)
-    distribution = PhotonDistribution(p / p.sum())
-    values = SLOT_PHASE[level[0], level[1]] * x
-    values = np.concatenate([values[inside], np.conj(values[partners])])
-    return space, BlockState(rows, cols, values, distribution, res)
+    # levels at n, |l, n> in rung n + RUNG_SHIFT[l], added level by level
+    # as the partial trace adds them
+    depth = x.shape[1] - 1
+    p_n = sum(x[:, RUNG_SHIFT[l] : depth + RUNG_SHIFT[l], SLOT_OF[l, l]] for l in range(width - 1))
+    p_n = np.clip(p_n, 0.0, None)
+    phase = SLOT_PHASE[level[0], level[1]]
+    outcomes = []
+    for k, space in enumerate(spaces):
+        error = errors[k] or _stall(residuals[k], scales[k], tol)
+        if error is not None:
+            outcomes.append(error)
+            continue
+        p = p_n[k, : space.fock_dim]
+        if p[-1] > 1e-8:
+            warnings.warn(f"tail P[{space.n_max}] = {p[-1]:.3e} above 1e-8", stacklevel=3)
+        own, partners = inside[k], inside[k] & ~populations[k]
+        pairs = level * space.fock_dim + photons
+        rows, cols = np.concatenate([pairs[:, own], pairs[::-1, partners]], axis=1)
+        values = phase * x[k]
+        values = np.concatenate([values[own], np.conj(values[partners])])
+        distribution = PhotonDistribution(p / p.sum())
+        outcomes.append((space, BlockState(rows, cols, values, distribution, residuals[k])))
+    return outcomes
 
 
 def solve_models(
     models: Sequence[EngineModel], n_maxes: Sequence[int], tol: float = 1e-9
 ) -> list[tuple[HilbertSpace, BlockState] | Exception]:
-    """Steady states of several engines, their rung sweeps solved together.
+    """Steady states of several engines, solved and finished as one batch.
 
     Model k is solved at the cutoff ``n_maxes[k]`` exactly as
     :func:`solve_model` solves it, which is this function on a batch of one.
@@ -393,23 +430,30 @@ def solve_models(
     inside its cutoff and its levels (see :func:`build_sector_liouvillian`);
     its other slots get x = 0.  The batch is swept in one stacked rung
     sweep (``_rung_sweep``), so numpy's cost per call is paid once per rung
-    for the whole batch.  The bound check, the pinned level, the unit
-    trace, the residual gate and the tail warning stay per point: a cutoff
+    for the whole batch.  Per batch, too: the pinned levels, one stacked
+    reachability pass per engine kind, and the residuals, their scales and
+    the photon distributions, each a few array operations over the stacked
+    solution.  Per point remain the bound check, the unit trace, the
+    residual gate, the tail warning and the slicing of its state.  A cutoff
     above ``MAX_N_MAX`` gives its point a :class:`TruncationError` before
-    any assembly.
+    any assembly.  The batch holds the real bands of all its points at
+    once, so its memory grows with (points) x (largest cutoff + 2) rungs;
+    see :func:`solve_model`.
 
     Returns, in the order of ``models``, ``(space, BlockState)`` or the
     :class:`TruncationError`, :class:`SteadyStateError` or ``ValueError``
     that point raised, so that one point's failure stays its own.
     """
     outcomes = []
-    for model, n_max in zip(models, n_maxes):
+    for model, n_max, pin in zip(models, n_maxes, _pinned_levels(models)):
         try:
             if n_max > MAX_N_MAX:
                 raise TruncationError(f"cutoff needs n_max = {n_max} > {MAX_N_MAX}")
-            outcomes.append((HilbertSpace.for_model(model, n_max), _pinned_level(model)))
-        except (TruncationError, ValueError, SteadyStateError) as exc:
+            space = HilbertSpace.for_model(model, n_max)
+        except (TruncationError, ValueError) as exc:
             outcomes.append(exc)
+        else:
+            outcomes.append(pin if isinstance(pin, Exception) else (space, pin))
     live = [k for k, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
     if not live:
         return outcomes
@@ -436,15 +480,10 @@ def solve_models(
     saved = bands[point, rung, :, slot]
     bands[point, rung, :, slot] = 0.0
     bands[point, rung, 1, slot, slot] = 1.0
-    solutions = _sweep_points(bands, rhs)
+    x, errors = _sweep_points(bands, rhs)
     bands[point, rung, :, slot] = saved
-    for p, x in enumerate(solutions):
-        if not isinstance(x, Exception):
-            try:
-                x = _steady_result(spaces[p], bands[p], inside[p], level, photons, x, tol)
-            except SteadyStateError as exc:
-                x = exc
-        outcomes[live[p]] = x
+    for k, outcome in zip(live, _steady_results(spaces, bands, inside, level, photons, x, errors, tol)):
+        outcomes[k] = outcome
     return outcomes
 
 
@@ -462,7 +501,7 @@ def solve_model(
     distribution.  The trace is the left null vector of L, so the pinned
     system is nonsingular exactly when the steady state is unique and
     populates s.  s is |l, 0> for the first level l of the one closed class
-    of the jump graph (see ``_pinned_level``): |g, 0> unless, say, a
+    of the jump graph (see ``_pinned_levels``): |g, 0> unless, say, a
     four-level atom with g = 0 and an empty ancilla bath is trapped in the
     dark |e2, 0>.  This is :func:`solve_models` on a batch of one.
 
@@ -479,13 +518,15 @@ def solve_model(
     first rung past its peak where P_n < 1e-12 (n_max = 1 with the pump off,
     A = 0); an explicit ``n_max`` is used as given.  Any cutoff above
     ``MAX_N_MAX`` = 1000, automatic or explicit, raises
-    :class:`TruncationError` before any assembly.  The bound caps a batch of
-    a sweep: a four-level rung holds 0.6 kB per point in its 3 x 5 x 5 real
-    bands, pinned in place, and a batch peaks at about twice that with the
-    builder's entry arrays, the sweep's workspace and the slot masks, so
-    16 points at n_max 1000 peak at 20.2 MB (traced; 0.10-0.16 s untraced
-    on a 2-vCPU Xeon); one dense state there would take 256 MB.  A warning
-    is raised if the exact P[n_max] exceeds 1e-8.
+    :class:`TruncationError` before any assembly.  A batch's memory grows
+    with its rung-points, (points) x (largest cutoff + 2): a four-level rung
+    holds 0.6 kB per point in its 3 x 5 x 5 real bands, pinned in place, and
+    a batch peaks at about twice that in the builder's entry arrays; the
+    sweep's workspace is freed before the states are sliced.  So 16 points
+    at n_max 1000 peak at 18.2 MB (traced; 0.10-0.12 s untraced on a 2-vCPU
+    Xeon); one dense state there would take 256 MB.  A sweep's batches stay within that many
+    rung-points (``cli.BATCH_RUNGS``).  A warning is raised if the exact
+    P[n_max] exceeds 1e-8.
     """
     if n_max is None:
         n_max = steady_distribution(scully_lamb_coefficients(model)).n_max

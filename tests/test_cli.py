@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -25,7 +26,7 @@ from heatlaser import (
     with_hot_occupation,
 )
 from heatlaser.cli import (
-    BATCH_POINTS,
+    BATCH_RUNGS,
     ConfigError,
     SWEEP_FIELDS,
     dumps_config,
@@ -142,13 +143,37 @@ def test_single_point_sweep_record(tmp_path):
     assert record["tail"] < 1e-8
 
 
-def test_sweep_outputs_are_deterministic(tmp_path):
-    # more points than two batches hold; --jobs is still parsed and changes
-    # nothing, not even the meta sidecar
-    points = 2 * BATCH_POINTS + 3
-    path = write_config(tmp_path, {"output.format": "both", "sweep.points": points})
+def _batches(monkeypatch):
+    """The n_h of the points of each block assembly, in call order.
+
+    Counted through the binding that the cutoff-bound test of
+    test_solver.py replaces; every assembly must stay within the budget.
+    """
+    batches = []
+    assemble = heatlaser.solver.build_sector_liouvillian
+
+    def counted(models, n_max):
+        assert len(models) * (n_max + 2) <= BATCH_RUNGS
+        batches.append([model.n_h for model in models])
+        return assemble(models, n_max)
+
+    monkeypatch.setattr(heatlaser.solver, "build_sector_liouvillian", counted)
+    return batches
+
+
+# kappa = 0.01: every point of the grid holds its 1e-12 tail only past 500
+# photon rungs, and 40 of them need two or more batches of BATCH_RUNGS
+PAST_BUDGET = {"model.kappa": 0.01, "sweep.start": 0.45, "sweep.points": 40}
+
+
+def test_sweep_outputs_are_deterministic(tmp_path, monkeypatch):
+    # a grid past one batch; --jobs is still parsed and changes nothing, not
+    # even the meta sidecar
+    batches = _batches(monkeypatch)
+    path = write_config(tmp_path, {**PAST_BUDGET, "output.format": "both"})
     out_a, out_b, out_c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     assert main(["sweep", "--config", str(path), "--out", str(out_a)]) == 0
+    assert len(batches) >= 2
     assert main(["sweep", "--config", str(path), "--out", str(out_b)]) == 0
     assert main(["sweep", "--config", str(path), "--out", str(out_c), "--jobs", "2"]) == 0
     for name in ("case.csv", "case.json", "case_meta.json"):
@@ -159,27 +184,52 @@ def test_sweep_outputs_are_deterministic(tmp_path):
     csv_a = (out_a / "case.csv").read_bytes()
     header, first, *rows = csv_a.decode().splitlines()
     assert header == ",".join(SWEEP_FIELDS)
-    assert len(rows) == points - 1
+    assert len(rows) == PAST_BUDGET["sweep.points"] - 1
+    assert all(line.endswith(",ok") for line in [first, *rows])
     # 12 significant digits
     gain = first.split(",")[1]
     assert len(gain.replace(".", "").replace("-", "").lstrip("0")) <= 12
 
 
-def test_sweep_assembles_once_per_batch(tmp_path, monkeypatch):
-    # one block assembly for each batch of BATCH_POINTS points, through the
-    # binding that the cutoff-bound test of test_solver.py replaces
-    calls = []
-    assemble = heatlaser.solver.build_sector_liouvillian
+def test_sweep_assembles_once_per_batch(monkeypatch):
+    # one block assembly per batch, each of consecutive points; a preset's
+    # 60-point grid is one batch
+    batches = _batches(monkeypatch)
+    for preset in ("fig2", "fig5"):
+        batches.clear()
+        records = run_sweep(load_config(preset))
+        assert len(records) == 60 and all(r["status"] == "ok" for r in records)
+        assert batches == [[r["n_h"] for r in records]]
 
-    def counted(models, n_max):
-        calls.append(len(models))
-        return assemble(models, n_max)
 
-    monkeypatch.setattr(heatlaser.solver, "build_sector_liouvillian", counted)
-    points = 2 * BATCH_POINTS + 3
-    records = run_sweep(load_config(write_config(tmp_path, {"sweep.points": points})))
+def test_sweep_past_the_budget_streams_its_batches(tmp_path, monkeypatch):
+    # 40 four-level points at cutoffs 500 to 905: the grid splits into
+    # batches within the budget, solved one after another, so the traced
+    # peak stays under the gate of test_batch_at_the_cutoff_bound_stays_small
+    batches = _batches(monkeypatch)
+    config = load_config(
+        write_config(
+            tmp_path,
+            {
+                "model": {**load_config("fig5").raw["model"], "kappa": 0.01},
+                "sweep.start": 0.5,
+                "sweep.stop": 5.0,
+                "sweep.points": 40,
+            },
+        )
+    )
+    tracemalloc.start()
+    try:
+        records = run_sweep(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert all(r["status"] == "ok" for r in records)
-    assert calls == [BATCH_POINTS, BATCH_POINTS, 3]
+    assert min(r["n_max"] for r in records) >= 500
+    assert len(batches) >= 2
+    assert [n_h for batch in batches for n_h in batch] == [r["n_h"] for r in records]
+    assert [r["n_h"] for r in records] == list(config.sweep.values())
+    assert peak < 25e6
 
 
 def _solo(config, n_h):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 
+import heatlaser.semiclassical as semiclassical
 from heatlaser import (
     BathSpec,
     build_four_level,
@@ -19,6 +20,7 @@ from heatlaser import (
     with_hot_occupation,
     zero_field_populations,
 )
+from heatlaser.cli import load_config
 
 from conftest import make_fig2_model, make_fig5_model, random_four_level, random_three_level
 
@@ -187,6 +189,30 @@ def test_gain_equals_coefficient_difference(rng):
             coeffs = scully_lamb_coefficients(model)
             gain = lasing_gain(model)
             assert coeffs.A - coeffs.A_b == pytest.approx(gain, rel=1e-10)
+
+
+def test_gain_evaluates_structure_constants_once(monkeypatch):
+    # one set of structure constants gives Gamma and the Phi of the zero-field
+    # inversion, whose denominator Phi + 0.0 is Phi: the gain is bit for bit
+    # 4 g^2 DeltaN0 / Gamma over the fig2 and fig5 sweep grids
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return structure_constants(model)
+
+    for preset in ("fig2", "fig5"):
+        config = load_config(preset)
+        for n_h in config.sweep.values():
+            model = with_hot_occupation(config.model, float(n_h))
+            expected = (
+                4.0 * model.g**2 * population_inversion(model) / structure_constants(model).Gamma
+            )
+            with monkeypatch.context() as patch:
+                patch.setattr(semiclassical, "structure_constants", counted)
+                calls.clear()
+                assert lasing_gain(model) == expected
+            assert calls == [model]
 
 
 def test_saturation_parameter():

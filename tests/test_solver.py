@@ -20,6 +20,7 @@ from heatlaser import (
     TruncationError,
     build_four_level,
     build_liouvillian,
+    build_three_level,
     evolve,
     expectation,
     partial_trace_atom,
@@ -349,7 +350,8 @@ def test_stall_reports_the_scale_of_the_complex_block():
 def test_batch_at_the_cutoff_bound_stays_small():
     # 16 four-level points at n_max 1000: the bands are pinned in place, so
     # the batch holds its real bands once (9.6 MB), and the traced peak is
-    # 20.2 MB; holding them twice in complex form took 74.2 MB
+    # 18.2 MB, inside the assembly; holding them twice in complex form took
+    # 74.2 MB
     models = [make_fig5_model(n_h=n_h) for n_h in np.linspace(0.5, 5.0, 16)]
     tracemalloc.start()
     try:
@@ -405,7 +407,7 @@ def test_singular_point_fails_alone(monkeypatch):
         BathSpec(32.0, 0.5), BathSpec(32.0, 0.1), BathSpec(32.0, 0.0), 0.0, 1.0
     )
     solo_space, solo = solve_model(fig5)
-    monkeypatch.setattr(heatlaser.solver, "_pinned_level", lambda model: 0)
+    monkeypatch.setattr(heatlaser.solver, "_pinned_levels", lambda models: [0] * len(models))
     first, second = solve_models([fig5, dark], [solo_space.n_max, 3])
     space, result = first
     assert space == solo_space
@@ -413,6 +415,31 @@ def test_singular_point_fails_alone(monkeypatch):
     assert result.residual == solo.residual
     assert isinstance(second, SteadyStateError)
     assert "rung sweep failed" in str(second)
+
+
+def test_batch_keeps_warnings_and_failures_per_point():
+    # explicit cutoffs far too small: each point warns of its own tail, in
+    # point order; the engine between them has no hot bath and no coupling,
+    # so {g, e1} and {e2} each hold a steady state, and it fails alone; its
+    # neighbours' states are those of solo solves, bit for bit
+    split = build_three_level(BathSpec(0.0, 0.5), BathSpec(32.0, 0.05), 0.0, 1.0)
+    models, cutoffs = [make_fig2_model(n_h=1.0), split, make_fig2_model(n_h=3.0)], [3, 2, 5]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcomes = solve_models(models, cutoffs)
+    assert [str(w.message).split(" = ")[0] for w in caught] == ["tail P[3]", "tail P[5]"]
+    assert isinstance(outcomes[1], SteadyStateError)
+    assert str(outcomes[1]) == (
+        "the steady state is not unique: levels [0, 1, 2] at n = 0 fall into separate closed classes"
+    )
+    for model, n_max, (space, result) in zip(models[::2], cutoffs[::2], outcomes[::2]):
+        with pytest.warns(UserWarning, match=rf"tail P\[{n_max}\]"):
+            solo_space, solo = solve_model(model, n_max=n_max)
+        assert space == solo_space
+        assert np.array_equal(result.rows, solo.rows) and np.array_equal(result.cols, solo.cols)
+        assert np.array_equal(result.values, solo.values)
+        assert np.array_equal(result.distribution.probabilities, solo.distribution.probabilities)
+        assert result.residual == solo.residual
 
 
 # ---------------------------------------------------------------------------
