@@ -27,22 +27,18 @@ is not UTF-8) or output error (an output file that cannot be written, such
 as ``--out`` naming an existing file); 3 numeric failure in single-point
 commands.
 
-A sweep solves its n_h grid in batches of consecutive points, all in the
-calling process.  A batch takes points while (points) x (largest Fock
-cutoff + 2) stays within ``BATCH_RUNGS`` = 16 x (1000 + 2) rung-points, so
-every preset grid is one batch; a point that fails in the closed form or
-needs a cutoff above 1000 does not count.  The steady states of a batch are
-assembled once, solved in one stacked rung sweep and finished as arrays,
-and the batch is turned into record numbers before the next one starts, so
-a sweep holds one batch's states at a time.  Each state stays in
-charge-zero block form, and the photon distribution and the Wigner
-function come from its populations.  The batches depend only on the grid.
-``sweep --jobs`` is still accepted and ignored.  ``distribution --wigner``
-samples 101 x 101 points over [-h, h]^2 with h = max(4, 1.2 sqrt(<n> + 1)),
-so the grid holds the ring of a bright state.  ``thresholds`` looks for
-roots in [start, stop] of the sweep (a one-point sweep is allowed) or else
-in [0.001, 50], and adds the temperature-domain lasing report only when
-every bath, the ancilla of a four-level engine included, is given by its
+A sweep evaluates the closed form of each n_h, then solves the steady
+states of the points it leaves, in the calling process and in the batches
+of :func:`heatlaser.solver.solve_models`; each state becomes record
+numbers as it arrives, so a sweep holds one batch's states at a time.
+Each state stays in charge-zero block form, and the photon distribution
+and the Wigner function come from its populations.  ``sweep --jobs`` is
+still accepted and ignored.  ``distribution --wigner`` samples 101 x 101
+points over [-h, h]^2 with h = max(4, 1.2 sqrt(<n> + 1)), so the grid
+holds the ring of a bright state.  ``thresholds`` looks for roots in
+[start, stop] of the sweep (a one-point sweep is allowed) or else in
+[0.001, 50], and adds the temperature-domain lasing report only when every
+bath, the ancilla of a four-level engine included, is given by its
 temperature.
 """
 
@@ -82,7 +78,7 @@ from .semiclassical import (
     population_inversion,
     temperature_lasing_condition,
 )
-from .solver import MAX_N_MAX, SteadyStateError, solve_model, solve_models, wigner
+from .solver import SteadyStateError, solve_model, solve_models, wigner
 
 SCHEMA_VERSION = 1
 PRESETS = ("fig2", "fig5")
@@ -108,14 +104,6 @@ SWEEP_FIELDS = [
     "status",
 ]
 
-# rung-points, (points) x (largest cutoff + 2), per batch of steady-state
-# solves.  A batch holds the real rung bands of all its points at once, so
-# its memory grows with its rung-points; the budget is the batch of 16
-# four-level points at the cutoff bound MAX_N_MAX, whose traced peak of about
-# 18 MB test_solver.py gates, and it holds a whole preset grid (fig2: 60
-# points at n_max <= 33, 2 100 rung-points)
-BATCH_RUNGS = 16 * (MAX_N_MAX + 2)
-
 
 class ConfigError(Exception):
     pass
@@ -140,23 +128,13 @@ class SweepSpec:
 
 
 @dataclass
-class NumericsSpec:
-    steady_tol: float
-
-
-@dataclass
-class OutputSpec:
-    stem: str
-    format: str
-
-
-@dataclass
 class RunConfig:
     raw: dict
     model: EngineModel
     sweep: SweepSpec | None
-    numerics: NumericsSpec
-    output: OutputSpec
+    steady_tol: float
+    stem: str
+    format: str
 
 
 def _is_finite_number(value):
@@ -294,12 +272,11 @@ def load_config(path_or_preset) -> RunConfig:
     fmt = _expect(output_block, "format", "str", "output", default="csv")
     if fmt not in ("csv", "json", "both"):
         raise ConfigError("output.format: must be 'csv', 'json' or 'both'")
-    numerics = NumericsSpec(steady_tol)
-    output = OutputSpec(stem, fmt)
-    return RunConfig(_normalized_dict(data, model, sweep, numerics, output), model, sweep, numerics, output)
+    raw = _normalized_dict(data, model, sweep, steady_tol, stem, fmt)
+    return RunConfig(raw, model, sweep, steady_tol, stem, fmt)
 
 
-def _normalized_dict(data, model, sweep, numerics, output):
+def _normalized_dict(data, model, sweep, steady_tol, stem, fmt):
     norm = {"schema_version": SCHEMA_VERSION, "model": dict(data["model"])}
     norm["model"].setdefault("level_energies", list(model.level_energies))
     if sweep is not None:
@@ -310,8 +287,8 @@ def _normalized_dict(data, model, sweep, numerics, output):
             "points": sweep.points,
             "spacing": sweep.spacing,
         }
-    norm["numerics"] = {"steady_tol": numerics.steady_tol}
-    norm["output"] = {"stem": output.stem, "format": output.format}
+    norm["numerics"] = {"steady_tol": steady_tol}
+    norm["output"] = {"stem": stem, "format": fmt}
     return norm
 
 
@@ -358,20 +335,23 @@ def _closed_form_point(config: RunConfig, n_h: float):
     return record, model, closed
 
 
-def _sweep_batch(config: RunConfig, batch: list) -> None:
-    """Solve the steady states of a batch and fill in its records.
+def run_sweep(config: RunConfig) -> list[dict]:
+    """Evaluate every sweep point in this process, ordered by sweep index.
 
-    ``batch`` holds ``(record, model, closed)`` of consecutive points; their
-    steady states are solved together (:func:`solve_models`), and a point
-    that fails keeps its own record and status.  Only numbers reach the
-    records, so no state outlives its batch.
+    The closed form runs point by point; the points it leaves are solved by
+    one :func:`solve_models` call, and each record is filled as its outcome
+    arrives.  A point that fails keeps its own record and status.
     """
-    solved = solve_models(
-        [model for _, model, _ in batch],
-        [closed.n_max for _, _, closed in batch],
-        config.numerics.steady_tol,
+    if config.sweep is None:
+        raise ConfigError("sweep: block required for the sweep command")
+    points = [_closed_form_point(config, float(n_h)) for n_h in config.sweep.values()]
+    solvable = [(record, model, closed) for record, model, closed in points if closed is not None]
+    outcomes = solve_models(
+        [model for _, model, _ in solvable],
+        [closed.n_max for _, _, closed in solvable],
+        config.steady_tol,
     )
-    for (record, _, closed), outcome in zip(batch, solved):
+    for (record, _, closed), outcome in zip(solvable, outcomes, strict=True):
         if isinstance(outcome, Exception):
             record["status"] = f"failed: {outcome}"
             continue
@@ -386,33 +366,7 @@ def _sweep_batch(config: RunConfig, batch: list) -> None:
             tail=float(numeric.probabilities[-1]),
             residual=result.residual,
         )
-
-
-def run_sweep(config: RunConfig) -> list[dict]:
-    """Evaluate every sweep point in this process, ordered by sweep index.
-
-    A batch takes consecutive points while (points) x (largest cutoff + 2)
-    stays within ``BATCH_RUNGS``, and is solved by one :func:`_sweep_batch`
-    call before the next batch starts.  A point that fails in the closed
-    form, or whose cutoff is above ``MAX_N_MAX``, does not count, since it
-    never reaches assembly.
-    """
-    if config.sweep is None:
-        raise ConfigError("sweep: block required for the sweep command")
-    records, batch, counted, largest = [], [], 0, 0
-    for n_h in config.sweep.values():
-        record, model, closed = _closed_form_point(config, float(n_h))
-        records.append(record)
-        if closed is None:
-            continue
-        if closed.n_max <= MAX_N_MAX:
-            counted, largest = counted + 1, max(largest, closed.n_max)
-            if counted * (largest + 2) > BATCH_RUNGS:
-                _sweep_batch(config, batch)
-                batch, counted, largest = [], 1, closed.n_max
-        batch.append((record, model, closed))
-    _sweep_batch(config, batch)
-    return records
+    return [record for record, _, _ in points]
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +437,8 @@ def _emit_records(out_dir, stem, fmt, fields, rows):
 
 def cmd_sweep(config: RunConfig, out_dir: Path, fmt: str) -> int:
     records = run_sweep(config)
-    written = _emit_records(out_dir, config.output.stem, fmt, SWEEP_FIELDS, records)
-    _write_meta(out_dir / f"{config.output.stem}_meta.json", config, "sweep")
+    written = _emit_records(out_dir, config.stem, fmt, SWEEP_FIELDS, records)
+    _write_meta(out_dir / f"{config.stem}_meta.json", config, "sweep")
     failed = sum(1 for r in records if r["status"] != "ok")
     for path in written:
         print(f"wrote {path}")
@@ -512,7 +466,7 @@ def cmd_distribution(config: RunConfig, n_h: float, out_dir: Path, fmt: str, wit
     coeffs = scully_lamb_coefficients(model)
     closed = steady_distribution(coeffs)
     n_max = closed.n_max
-    _, result = solve_model(model, n_max=n_max, tol=config.numerics.steady_tol)
+    _, result = solve_model(model, n_max=n_max, tol=config.steady_tol)
     numeric = result.distribution.probabilities
     analytic = closed.probabilities
     mean = distribution_moments(coeffs, distribution=closed).mean
@@ -521,7 +475,7 @@ def cmd_distribution(config: RunConfig, n_h: float, out_dir: Path, fmt: str, wit
         {"n": n, "p_analytic": analytic[n], "p_numeric": numeric[n], "p_poisson": reference[n]}
         for n in range(n_max + 1)
     ]
-    stem = config.output.stem
+    stem = config.stem
     written = _emit_records(
         out_dir, f"{stem}_distribution", fmt, ["n", "p_analytic", "p_numeric", "p_poisson"], rows
     )
@@ -558,7 +512,7 @@ def cmd_thresholds(config: RunConfig, out_dir: Path) -> int:
     else:
         print(f"no threshold in bracket [{bracket[0]:g}, {bracket[1]:g}]")
     rows = [{"index": i, "n_h_root": r} for i, r in enumerate(roots)]
-    path = out_dir / f"{config.output.stem}_thresholds.csv"
+    path = out_dir / f"{config.stem}_thresholds.csv"
     _write_csv(path, ["index", "n_h_root"], rows)
     print(f"wrote {path}")
     baths = (config.model.hot, config.model.cold, config.model.ancilla)
@@ -567,7 +521,7 @@ def cmd_thresholds(config: RunConfig, out_dir: Path) -> int:
         print(f"lases (kappa -> 0 limit): {str(report.lases).lower()}")
         print(f"efficiency (lasing_frequency / omega_h): {report.efficiency:.4g}")
         print(f"carnot bound (1 - T_c/T_h): {report.carnot:.4g}")
-    _write_meta(out_dir / f"{config.output.stem}_meta.json", config, "thresholds")
+    _write_meta(out_dir / f"{config.stem}_meta.json", config, "thresholds")
     return 0
 
 
@@ -622,7 +576,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out)
-    fmt = args.format or config.output.format
+    fmt = args.format or config.format
     try:
         if args.command == "sweep":
             return cmd_sweep(config, out_dir, fmt)

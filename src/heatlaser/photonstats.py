@@ -17,6 +17,7 @@ the closed forms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -92,7 +93,7 @@ class PhotonDistribution:
     def n_max(self) -> int:
         return self.probabilities.size - 1
 
-    @property
+    @functools.cached_property
     def mean(self) -> float:
         return float(np.arange(self.probabilities.size) @ self.probabilities)
 

@@ -4,8 +4,8 @@
 Thomas in numpy, in real arithmetic over one real unknown per population
 and per coherence pair, and returns the steady state in that block form
 with its photon distribution, in O(n_max) memory and time;
-:func:`solve_models` does so for many engines in one stacked sweep.  They
-are the independent check on the closed-form theory in
+:func:`solve_models` does so for many engines, one stacked sweep per
+batch.  They are the independent check on the closed-form theory in
 :mod:`heatlaser.photonstats`.  The dense (A F)^2
 :func:`steady_state`, :func:`evolve`, :func:`partial_trace_atom` and
 :func:`photon_distribution` are the full-space references (the first two
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -64,6 +64,14 @@ __all__ = [
 
 # largest Fock cutoff solve_models accepts; see solve_model
 MAX_N_MAX = 1000
+
+# rung-points, (points) x (largest cutoff + 2), per batch of steady-state
+# solves.  A batch holds the real rung bands of all its points at once, so
+# its memory grows with its rung-points; the budget is the batch of 16
+# four-level points at the cutoff bound MAX_N_MAX, whose traced peak of about
+# 18 MB test_solver.py gates, and it holds a whole preset grid (fig2: 60
+# points at n_max <= 33, 2 100 rung-points)
+BATCH_RUNGS = 16 * (MAX_N_MAX + 2)
 
 
 class SteadyStateError(RuntimeError):
@@ -407,7 +415,7 @@ def _steady_results(spaces, bands, inside, level, photons, x, errors, tol):
             continue
         p = p_n[k, : space.fock_dim]
         if p[-1] > 1e-8:
-            warnings.warn(f"tail P[{space.n_max}] = {p[-1]:.3e} above 1e-8", stacklevel=3)
+            warnings.warn(f"tail P[{space.n_max}] = {p[-1]:.3e} above 1e-8", stacklevel=4)
         own, partners = inside[k], inside[k] & ~populations[k]
         pairs = level * space.fock_dim + photons
         rows, cols = np.concatenate([pairs[:, own], pairs[::-1, partners]], axis=1)
@@ -420,30 +428,48 @@ def _steady_results(spaces, bands, inside, level, photons, x, errors, tol):
 
 def solve_models(
     models: Sequence[EngineModel], n_maxes: Sequence[int], tol: float = 1e-9
-) -> list[tuple[HilbertSpace, BlockState] | Exception]:
-    """Steady states of several engines, solved and finished as one batch.
+) -> Iterator[tuple[HilbertSpace, BlockState] | Exception]:
+    """Steady states of several engines, solved batch by batch.
 
     Model k is solved at the cutoff ``n_maxes[k]`` exactly as
     :func:`solve_model` solves it, which is this function on a batch of one.
-    The blocks of the whole batch are assembled in one call at its largest
-    cutoff, and a point's own block is the principal sub-block on the slots
-    inside its cutoff and its levels (see :func:`build_sector_liouvillian`);
-    its other slots get x = 0.  The batch is swept in one stacked rung
-    sweep (``_rung_sweep``), so numpy's cost per call is paid once per rung
-    for the whole batch.  Per batch, too: the pinned levels, one stacked
+    The input is cut into batches of consecutive points, each taking points
+    while (points) x (largest cutoff + 2) stays within ``BATCH_RUNGS``
+    rung-points, so every preset grid is one batch; a point whose cutoff is
+    above ``MAX_N_MAX`` does not count, since it gets a
+    :class:`TruncationError` before any assembly.  A batch's memory grows
+    with its rung-points (see :func:`solve_model`), and a batch is solved
+    only when its first outcome is asked for, so a consumer that drops each
+    outcome once it has used it holds one batch's states at a time.  The
+    batches depend only on the cutoffs.
+
+    The blocks of a batch are assembled in one call at its largest cutoff,
+    and a point's own block is the principal sub-block on the slots inside
+    its cutoff and its levels (see :func:`build_sector_liouvillian`); its
+    other slots get x = 0.  The batch is swept in one stacked rung sweep
+    (``_rung_sweep``), so numpy's cost per call is paid once per rung for
+    the whole batch.  Per batch, too: the pinned levels, one stacked
     reachability pass per engine kind, and the residuals, their scales and
     the photon distributions, each a few array operations over the stacked
     solution.  Per point remain the bound check, the unit trace, the
-    residual gate, the tail warning and the slicing of its state.  A cutoff
-    above ``MAX_N_MAX`` gives its point a :class:`TruncationError` before
-    any assembly.  The batch holds the real bands of all its points at
-    once, so its memory grows with (points) x (largest cutoff + 2) rungs;
-    see :func:`solve_model`.
+    residual gate, the tail warning and the slicing of its state.
 
-    Returns, in the order of ``models``, ``(space, BlockState)`` or the
+    Yields, in the order of ``models``, ``(space, BlockState)`` or the
     :class:`TruncationError`, :class:`SteadyStateError` or ``ValueError``
     that point raised, so that one point's failure stays its own.
     """
+    start, counted, largest = 0, 0, 0
+    for k, n_max in enumerate(n_maxes):
+        if n_max <= MAX_N_MAX:
+            counted, largest = counted + 1, max(largest, n_max)
+            if counted * (largest + 2) > BATCH_RUNGS:
+                yield from _solve_batch(models[start:k], n_maxes[start:k], tol)
+                start, counted, largest = k, 1, n_max
+    yield from _solve_batch(models[start:], n_maxes[start:], tol)
+
+
+def _solve_batch(models, n_maxes, tol):
+    """The outcomes of one batch of :func:`solve_models`, in its order."""
     outcomes = []
     for model, n_max, pin in zip(models, n_maxes, _pinned_levels(models)):
         try:
@@ -524,9 +550,9 @@ def solve_model(
     a batch peaks at about twice that in the builder's entry arrays; the
     sweep's workspace is freed before the states are sliced.  So 16 points
     at n_max 1000 peak at 18.2 MB (traced; 0.10-0.12 s untraced on a 2-vCPU
-    Xeon); one dense state there would take 256 MB.  A sweep's batches stay within that many
-    rung-points (``cli.BATCH_RUNGS``).  A warning is raised if the exact
-    P[n_max] exceeds 1e-8.
+    Xeon); one dense state there would take 256 MB.  :func:`solve_models`
+    keeps each batch within that many rung-points, ``BATCH_RUNGS``.  A
+    warning is raised if the exact P[n_max] exceeds 1e-8.
     """
     if n_max is None:
         n_max = steady_distribution(scully_lamb_coefficients(model)).n_max

@@ -26,7 +26,6 @@ from heatlaser import (
     with_hot_occupation,
 )
 from heatlaser.cli import (
-    BATCH_RUNGS,
     ConfigError,
     SWEEP_FIELDS,
     dumps_config,
@@ -35,7 +34,7 @@ from heatlaser.cli import (
     main,
     run_sweep,
 )
-from heatlaser.solver import MAX_N_MAX
+from heatlaser.solver import BATCH_RUNGS, MAX_N_MAX
 
 from conftest import dense_state, make_fig2_model
 
@@ -234,7 +233,7 @@ def test_sweep_past_the_budget_streams_its_batches(tmp_path, monkeypatch):
 
 def _solo(config, n_h):
     """Photon distribution and residual of one point solved on its own."""
-    _, result = solve_model(with_hot_occupation(config.model, n_h), tol=config.numerics.steady_tol)
+    _, result = solve_model(with_hot_occupation(config.model, n_h), tol=config.steady_tol)
     return result.distribution, result.residual
 
 
@@ -340,6 +339,21 @@ def test_sweep_flags_failed_points(tmp_path):
     assert all(r["mean_numeric"] != r["mean_numeric"] for r in records)  # nan
     assert all(r["gain_over_kappa"] > 0 for r in records)  # analytic part kept
 
+
+
+def test_all_failed_sweep_assembles_nothing(tmp_path, monkeypatch):
+    # kappa = 1e-7: every fig2 point needs a support past 1e6 photons, so the
+    # closed form fails everywhere and no steady state is asked for
+    def assemble(*args):
+        raise AssertionError("assembled a block for a sweep with no solvable point")
+
+    monkeypatch.setattr(heatlaser.solver, "build_sector_liouvillian", assemble)
+    fig2 = load_config("fig2").raw
+    path = write_config(tmp_path, {"model": {**fig2["model"], "kappa": 1e-7}, "sweep": fig2["sweep"]})
+    records = run_sweep(load_config(path))
+    assert len(records) == 60
+    assert all(r["status"] == "failed: distribution support exceeds 1e6 photons" for r in records)
+    assert all(math.isnan(r["mean_numeric"]) and math.isnan(r["residual"]) for r in records)
 
 def test_thresholds_command(tmp_path, capsys):
     path = write_config(tmp_path, {"sweep.start": 0.05, "sweep.stop": 20.0})

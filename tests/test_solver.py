@@ -32,7 +32,7 @@ from heatlaser import (
     wigner,
 )
 from heatlaser.core import build_cavity_operators, build_sector_liouvillian, check_density_matrix
-from heatlaser.solver import MAX_N_MAX, SteadyStateError, solve_models
+from heatlaser.solver import BATCH_RUNGS, MAX_N_MAX, SteadyStateError, solve_models
 
 from conftest import (
     dense_state,
@@ -355,7 +355,7 @@ def test_batch_at_the_cutoff_bound_stays_small():
     models = [make_fig5_model(n_h=n_h) for n_h in np.linspace(0.5, 5.0, 16)]
     tracemalloc.start()
     try:
-        outcomes = solve_models(models, [MAX_N_MAX] * len(models))
+        outcomes = list(solve_models(models, [MAX_N_MAX] * len(models)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -408,7 +408,7 @@ def test_singular_point_fails_alone(monkeypatch):
     )
     solo_space, solo = solve_model(fig5)
     monkeypatch.setattr(heatlaser.solver, "_pinned_levels", lambda models: [0] * len(models))
-    first, second = solve_models([fig5, dark], [solo_space.n_max, 3])
+    first, second = list(solve_models([fig5, dark], [solo_space.n_max, 3]))
     space, result = first
     assert space == solo_space
     assert np.array_equal(dense_state(space, result), dense_state(solo_space, solo))
@@ -426,8 +426,10 @@ def test_batch_keeps_warnings_and_failures_per_point():
     models, cutoffs = [make_fig2_model(n_h=1.0), split, make_fig2_model(n_h=3.0)], [3, 2, 5]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        outcomes = solve_models(models, cutoffs)
+        outcomes = list(solve_models(models, cutoffs))
     assert [str(w.message).split(" = ")[0] for w in caught] == ["tail P[3]", "tail P[5]"]
+    # each warning points at the line that asked for the outcome
+    assert all(w.filename == __file__ for w in caught)
     assert isinstance(outcomes[1], SteadyStateError)
     assert str(outcomes[1]) == (
         "the steady state is not unique: levels [0, 1, 2] at n = 0 fall into separate closed classes"
@@ -435,6 +437,42 @@ def test_batch_keeps_warnings_and_failures_per_point():
     for model, n_max, (space, result) in zip(models[::2], cutoffs[::2], outcomes[::2]):
         with pytest.warns(UserWarning, match=rf"tail P\[{n_max}\]"):
             solo_space, solo = solve_model(model, n_max=n_max)
+        assert space == solo_space
+        assert np.array_equal(result.rows, solo.rows) and np.array_equal(result.cols, solo.cols)
+        assert np.array_equal(result.values, solo.values)
+        assert np.array_equal(result.distribution.probabilities, solo.distribution.probabilities)
+        assert result.residual == solo.residual
+
+
+def test_solve_models_is_lazy_and_keeps_order_across_batches(monkeypatch):
+    # one point at n_max 40 and 15 at n_max 1000 fill the budget exactly; the
+    # point past the cutoff bound comes next and does not count, and the one
+    # after it, a 17th at a largest cutoff of 1000, opens a second batch,
+    # although its own 40 would fit; every cutoff lies far above the point's
+    # own, so no tail warning fires
+    models = [make_fig2_model(n_h=n_h) for n_h in np.linspace(0.5, 3.0, 19)]
+    cutoffs = [40] + [MAX_N_MAX] * 15 + [MAX_N_MAX + 1, 40, 40]
+    assert 16 * (MAX_N_MAX + 2) == BATCH_RUNGS
+    batches = []
+    assemble = heatlaser.solver.build_sector_liouvillian
+
+    def counted(batch, n_max):
+        batches.append([model.n_h for model in batch])
+        return assemble(batch, n_max)
+
+    monkeypatch.setattr(heatlaser.solver, "build_sector_liouvillian", counted)
+    outcomes = solve_models(models, cutoffs)
+    assert batches == []
+    first = next(outcomes)
+    assert batches == [[model.n_h for model in models[:16]]]
+    outcomes = [first, *outcomes]
+    assert batches[1:] == [[model.n_h for model in models[17:]]]
+    assert len(outcomes) == len(models)
+    assert isinstance(outcomes[16], TruncationError)
+    assert str(outcomes[16]) == f"cutoff needs n_max = {MAX_N_MAX + 1} > {MAX_N_MAX}"
+    for k in [*range(16), 17, 18]:
+        space, result = outcomes[k]
+        solo_space, solo = solve_model(models[k], n_max=cutoffs[k])
         assert space == solo_space
         assert np.array_equal(result.rows, solo.rows) and np.array_equal(result.cols, solo.cols)
         assert np.array_equal(result.values, solo.values)
