@@ -27,10 +27,12 @@ is not UTF-8) or output error (an output file that cannot be written, such
 as ``--out`` naming an existing file); 3 numeric failure in single-point
 commands.
 
-A sweep evaluates the closed form of each n_h, then solves the steady
+A sweep evaluates the closed form of its whole n_h grid in one array pass
+(:func:`heatlaser.photonstats.closed_form_grid`), then solves the steady
 states of the points it leaves, in the calling process and in the batches
 of :func:`heatlaser.solver.solve_models`; each state becomes record
-numbers as it arrives, so a sweep holds one batch's states at a time.
+numbers as it arrives, so a sweep holds one batch's states at a time, and
+of the closed form only the rows it compares with them.
 Each state stays in charge-zero block form, and the photon distribution
 and the Wigner function come from its populations.  ``sweep --jobs`` is
 still accepted and ignored.  ``distribution --wigner`` samples 101 x 101
@@ -67,18 +69,13 @@ from .models import (
 )
 from .photonstats import (
     TruncationError,
+    closed_form_grid,
     distribution_moments,
-    output_power,
     scully_lamb_coefficients,
     steady_distribution,
 )
-from .semiclassical import (
-    find_thresholds,
-    lasing_gain,
-    population_inversion,
-    temperature_lasing_condition,
-)
-from .solver import SteadyStateError, solve_model, solve_models, wigner
+from .semiclassical import find_thresholds, temperature_lasing_condition
+from .solver import MAX_N_MAX, SteadyStateError, solve_model, solve_models, wigner
 
 SCHEMA_VERSION = 1
 PRESETS = ("fig2", "fig5")
@@ -301,57 +298,35 @@ def dumps_config(config: RunConfig) -> str:
 # sweep execution
 # ---------------------------------------------------------------------------
 
-def _closed_form_point(config: RunConfig, n_h: float):
-    """The sweep record of one n_h with its closed-form columns filled.
-
-    The closed form is evaluated once per point; its distribution, whose
-    support is the Fock cutoff, gives the P_0 of the moments, the cutoff
-    and the closed form of ``l1_distance``.  Returns the record, the model
-    and that distribution, or None in its place if the closed form failed,
-    which the record's status then says.
-    """
-    model = with_hot_occupation(config.model, n_h)
-    record = dict.fromkeys(SWEEP_FIELDS, math.nan)
-    record["n_h"] = n_h
-    record["status"] = "ok"
-    try:
-        coeffs = scully_lamb_coefficients(model)
-        closed = steady_distribution(coeffs)
-        moments = distribution_moments(coeffs, distribution=closed)
-        record.update(
-            gain_over_kappa=lasing_gain(model) / model.kappa,
-            inversion0=population_inversion(model),
-            A=coeffs.A,
-            A_b=coeffs.A_b,
-            B=coeffs.B,
-            mean_analytic=moments.mean,
-            variance_analytic=moments.variance,
-            fano_analytic=moments.fano,
-            power=output_power(model, moments.mean),
-        )
-    except (ValueError, TruncationError) as exc:
-        record["status"] = f"failed: {exc}"
-        return record, model, None
-    return record, model, closed
-
-
 def run_sweep(config: RunConfig) -> list[dict]:
     """Evaluate every sweep point in this process, ordered by sweep index.
 
-    The closed form runs point by point; the points it leaves are solved by
-    one :func:`solve_models` call, and each record is filled as its outcome
-    arrives.  A point that fails keeps its own record and status.
+    The closed form of the whole grid is one :func:`closed_form_grid` pass,
+    which fills each record's closed-form columns and gives each point's
+    Fock cutoff.  The points it leaves are solved by one
+    :func:`solve_models` call, and each record is filled as its outcome
+    arrives; only the closed-form rows of points within ``MAX_N_MAX`` are
+    kept, for ``l1_distance``.  A point that fails keeps its own record and
+    status.
     """
     if config.sweep is None:
         raise ConfigError("sweep: block required for the sweep command")
-    points = [_closed_form_point(config, float(n_h)) for n_h in config.sweep.values()]
-    solvable = [(record, model, closed) for record, model, closed in points if closed is not None]
+    grid = config.sweep.values()
+    closed, cutoffs, rows, failures = closed_form_grid(config.model, grid, MAX_N_MAX)
+    records = []
+    for k, (n_h, failure) in enumerate(zip(grid.tolist(), failures)):
+        record = dict.fromkeys(SWEEP_FIELDS, math.nan)
+        record.update({name: values[k] for name, values in closed.items()}, n_h=n_h)
+        record["status"] = "ok" if failure is None else f"failed: {failure}"
+        records.append(record)
+    solvable = [k for k, failure in enumerate(failures) if failure is None]
     outcomes = solve_models(
-        [model for _, model, _ in solvable],
-        [closed.n_max for _, _, closed in solvable],
+        [with_hot_occupation(config.model, records[k]["n_h"]) for k in solvable],
+        [cutoffs[k] for k in solvable],
         config.steady_tol,
     )
-    for (record, _, closed), outcome in zip(solvable, outcomes, strict=True):
+    for k, outcome in zip(solvable, outcomes, strict=True):
+        record = records[k]
         if isinstance(outcome, Exception):
             record["status"] = f"failed: {outcome}"
             continue
@@ -361,12 +336,12 @@ def run_sweep(config: RunConfig) -> list[dict]:
             mean_numeric=numeric.mean,
             variance_numeric=numeric.variance,
             fano_numeric=numeric.fano,
-            l1_distance=float(np.abs(numeric.probabilities - closed.probabilities).sum()),
-            n_max=closed.n_max,
+            l1_distance=float(np.abs(numeric.probabilities - rows[k]).sum()),
+            n_max=cutoffs[k],
             tail=float(numeric.probabilities[-1]),
             residual=result.residual,
         )
-    return [record for record, _, _ in points]
+    return records
 
 
 # ---------------------------------------------------------------------------

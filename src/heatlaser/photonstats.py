@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import FOUR_LEVEL, THREE_LEVEL, EngineModel
-from .semiclassical import structure_constants
+from .semiclassical import _gain, _inversion, _structure, structure_constants
 
 __all__ = [
     "LaserCoefficients",
@@ -33,6 +33,7 @@ __all__ = [
     "TruncationError",
     "scully_lamb_coefficients",
     "steady_distribution",
+    "closed_form_grid",
     "pn_derivative",
     "distribution_moments",
     "coefficient_flow",
@@ -41,6 +42,13 @@ __all__ = [
     "saturated_power",
     "rough_estimate_mean",
 ]
+
+# rung-cells, (chains) x (largest support + 1), of one stacked closed-form
+# pass (see closed_form_grid).  A stack holds a few float arrays of that
+# shape at once, 0.5 MB each at the budget, so its memory does not grow with
+# the spread of a grid's supports; a chain larger than the budget is stacked
+# alone.  Every preset grid is one stack (fig2: 60 chains of <= 62 rungs).
+SUPPORT_RUNGS = 1 << 16
 
 
 class TruncationError(RuntimeError):
@@ -131,29 +139,103 @@ def scully_lamb_coefficients(model: EngineModel) -> LaserCoefficients:
     A_b' = 4 g^2 nc na (nh+1) / (Gamma' Phi').  In both cases
     B = A * 4 g^2 Psi / (Gamma Phi).
     """
-    sc = structure_constants(model)
+    coeffs = _coefficients(model, structure_constants(model), model.n_h)
+    return LaserCoefficients(*coeffs, model.kappa)
+
+
+def _coefficients(model, sc, nh):
+    # (A, A_b, B) from the structure constants at the hot occupation nh; sc
+    # and nh may hold arrays (see semiclassical._structure)
     scale = 4.0 * model.g**2 / (sc.Gamma * sc.Phi)
     if model.kind == THREE_LEVEL:
-        emission = scale * model.n_h * (model.n_c + 1.0)
-        absorption = scale * model.n_c * (model.n_h + 1.0)
+        emission = scale * nh * (model.n_c + 1.0)
+        absorption = scale * model.n_c * (nh + 1.0)
     else:
-        emission = scale * model.n_h * (model.n_c + 1.0) * (model.n_a + 1.0)
-        absorption = scale * model.n_c * model.n_a * (model.n_h + 1.0)
-    nonlinearity = emission * scale * sc.Psi
-    return LaserCoefficients(emission, absorption, nonlinearity, model.kappa)
+        emission = scale * nh * (model.n_c + 1.0) * (model.n_a + 1.0)
+        absorption = scale * model.n_c * model.n_a * (nh + 1.0)
+    return emission, absorption, emission * scale * sc.Psi
 
 
-def _log_ratios(coeffs: LaserCoefficients, n_max: int) -> np.ndarray:
-    n = np.arange(1, n_max + 1, dtype=float)
-    denom = coeffs.A_b + coeffs.kappa * (1.0 + n * coeffs.B / coeffs.A)
-    return np.log(coeffs.A) - np.log(denom)
+def _normalized(A, A_b, B, kappa, sizes):
+    """P_0 .. P_{size - 1} of a stack of chains, each normalised over its own size.
+
+    ``A``, ``A_b``, ``B`` and ``sizes`` are arrays over the chains.  Returns
+    a (chains, largest size) array, zero past each chain's size.  Each row is
+    reduced over its own size only, so it equals the recursion run for that
+    chain alone, bit for bit.
+    """
+    width = sizes.max()
+    A, A_b, B = A[:, np.newaxis], A_b[:, np.newaxis], B[:, np.newaxis]
+    logp = np.empty((sizes.size, width))
+    logp[:, 0] = 0.0
+    # log P_n/P_{n-1} = log A - log(A_b + kappa (1 + n B/A)), in place: a
+    # fresh array per step costs more in page faults than in arithmetic
+    ratios = logp[:, 1:]
+    np.multiply(np.arange(1, width, dtype=float), B, out=ratios)
+    ratios /= A
+    ratios += 1.0
+    ratios *= kappa
+    ratios += A_b
+    np.log(ratios, out=ratios)
+    np.subtract(np.log(A), ratios, out=ratios)
+    np.cumsum(logp, axis=1, out=logp)
+    for row, size in zip(logp, sizes.tolist()):
+        row[size:] = -np.inf
+    logp -= logp.max(axis=1, keepdims=True)
+    p = np.exp(logp, out=logp)
+    p /= np.array([row[:size].sum() for row, size in zip(p, sizes.tolist())])[:, np.newaxis]
+    return p
 
 
-def _normalized(coeffs: LaserCoefficients, n_max: int) -> np.ndarray:
-    logp = np.concatenate([[0.0], np.cumsum(_log_ratios(coeffs, n_max))])
-    logp -= logp.max()
-    p = np.exp(logp)
-    return p / p.sum()
+def _support_sizes(A, A_b, B, kappa):
+    # rungs 0 .. n0 + 41 of each chain's one-pass support (see
+    # steady_distribution), or 0 where n0 + 41 would pass 1e6
+    gap = 2.0 * A - A_b - kappa
+    kb = kappa * B
+    # n0 + 41 > 1e6, multiplied out so that B = 0 (no n0 at all) never divides
+    fits = (gap < 0.0) | (A * gap < (1_000_000 - 40) * kb)
+    grows = fits & (gap > 0.0)
+    n0 = np.zeros(A.shape, dtype=int)
+    n0[grows] = (A[grows] * gap[grows] / kb[grows]).astype(int)
+    return np.where(fits, n0 + 42, 0)
+
+
+def _cut_distributions(A, A_b, B, kappa):
+    """Each chain's closed form cut at its cutoff, stack by stack.
+
+    ``A``, ``A_b`` and ``B`` are arrays over chains with A > 0.  Yields, in
+    their order, the distribution of :func:`steady_distribution` with its
+    automatic support, before the normalisation of
+    :class:`PhotonDistribution`, or the :class:`TruncationError` of a chain
+    whose support passes 1e6 rungs, for which nothing is allocated.
+    Consecutive chains are stacked while (chains) x (largest support + 1)
+    stays within ``SUPPORT_RUNGS``, and a stack is evaluated only when its
+    first chain is asked for.
+    """
+    sizes = _support_sizes(A, A_b, B, kappa)
+    start, counted, largest = 0, 0, 0
+    for k, size in enumerate(sizes.tolist()):
+        if size:
+            if counted and (counted + 1) * max(largest, size) > SUPPORT_RUNGS:
+                yield from _cut_stack(A[start:k], A_b[start:k], B[start:k], kappa, sizes[start:k])
+                start, counted, largest = k, 0, 0
+            counted, largest = counted + 1, max(largest, size)
+    yield from _cut_stack(A[start:], A_b[start:], B[start:], kappa, sizes[start:])
+
+
+def _cut_stack(A, A_b, B, kappa, sizes):
+    # one stack of _cut_distributions: each row cut at the first rung past its
+    # peak where P_n < 1e-12 and renormalised
+    fits = sizes > 0
+    cut = iter(())
+    if fits.any():
+        p = _normalized(A[fits], A_b[fits], B[fits], kappa, sizes[fits])
+        peak = p.argmax(axis=1)
+        past = np.arange(p.shape[1]) >= peak[:, np.newaxis]
+        ends = np.argmax(past & (p < 1e-12), axis=1) + 1
+        cut = iter([row[:end] / row[:end].sum() for row, end in zip(p, ends.tolist())])
+    for ok in fits.tolist():
+        yield next(cut) if ok else TruncationError("distribution support exceeds 1e6 photons")
 
 
 def steady_distribution(
@@ -177,32 +259,29 @@ def steady_distribution(
     is the cutoff and its probabilities the closed form to compare there;
     with the pump off (A = 0) it is [1, 0], n_max = 1.  When n0 + 41 would
     exceed 1e6 rungs, or B = 0 leaves every ratio at 1/2 or above, it raises
-    :class:`TruncationError` before anything is allocated.
+    :class:`TruncationError` before anything is allocated.  This is one
+    chain of the stacked pass of :func:`closed_form_grid`, which evaluates a
+    whole sweep grid at once, bit for bit as point by point.
     """
     if coeffs.A == 0.0:
         size = 2 if n_max is None else n_max + 1
         p = np.zeros(size)
         p[0] = 1.0
         return PhotonDistribution(p)
+    chain = np.array([coeffs.A]), np.array([coeffs.A_b]), np.array([coeffs.B]), coeffs.kappa
     if n_max is not None:
         if n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
-        p = _normalized(coeffs, n_max)
+        (p,) = _normalized(*chain, np.array([n_max + 1]))
         if p[-1] >= tail_tol:
             raise TruncationError(
                 f"P[{n_max}] = {p[-1]:.3e} >= {tail_tol:.1e}; increase n_max"
             )
         return PhotonDistribution(p)
-    gap = 2.0 * coeffs.A - coeffs.A_b - coeffs.kappa
-    kb = coeffs.kappa * coeffs.B
-    # n0 + 41 > 1e6, multiplied out so that B = 0 (no n0 at all) never divides
-    if gap >= 0.0 and coeffs.A * gap >= (1_000_000 - 40) * kb:
-        raise TruncationError("distribution support exceeds 1e6 photons")
-    n0 = int(coeffs.A * gap / kb) if gap > 0.0 else 0
-    p = _normalized(coeffs, n0 + 41)
-    peak = int(np.argmax(p))
-    p = p[: peak + int(np.argmax(p[peak:] < 1e-12)) + 1]
-    return PhotonDistribution(p / p.sum())
+    (p,) = _cut_distributions(*chain)
+    if isinstance(p, TruncationError):
+        raise p
+    return PhotonDistribution(p)
 
 
 def _upward_flow(coeffs, n, p_nm1, p_n):
@@ -267,21 +346,125 @@ def distribution_moments(
     if distribution is None:
         distribution = steady_distribution(coeffs)
     p0 = distribution.probabilities[0]
-    kb = coeffs.kappa * coeffs.B
-    x = coeffs.A**2 / kb
-    y = coeffs.A * (coeffs.kappa + coeffs.A_b) / kb
+    moments = _moments(coeffs.A, coeffs.A_b, coeffs.B, coeffs.kappa, p0)
+    return Moments(*(float(value) for value in moments))
+
+
+def _moments(A, A_b, B, kappa, p0):
+    # mean, variance, peak and Fano factor of distribution_moments; the
+    # arguments may be arrays over chains with A > 0 and B > 0
+    kb = kappa * B
+    x = A * A / kb
+    y = A * (kappa + A_b) / kb
     mean = x - y + y * p0
     variance = x - y * p0 * mean
-    peak = (coeffs.A / kb) * (coeffs.A - coeffs.A_b - coeffs.kappa)
-    fano = variance / mean if mean > 0 else math.nan
-    return Moments(float(mean), float(variance), float(peak), float(fano))
+    peak = (A / kb) * (A - A_b - kappa)
+    fano = np.divide(variance, mean, out=np.full(np.shape(mean), math.nan), where=mean > 0)
+    return mean, variance, peak, fano
 
 
 def output_power(model: EngineModel, mean_n: float) -> float:
-    """Radiated power of the cavity, lasing_frequency * kappa * <n>."""
-    if mean_n < 0:
+    """Radiated power of the cavity, lasing_frequency * kappa * <n>.
+
+    ``mean_n`` may be an array, NaN where there is no mean.
+    """
+    if np.min(mean_n) < 0:
         raise ValueError(f"mean photon number must be >= 0, got {mean_n}")
     return model.lasing_frequency * model.kappa * mean_n
+
+
+# the sweep columns of closed_form_grid
+GRID_COLUMNS = (
+    "gain_over_kappa",
+    "inversion0",
+    "A",
+    "A_b",
+    "B",
+    "mean_analytic",
+    "variance_analytic",
+    "fano_analytic",
+    "power",
+)
+
+
+def closed_form_grid(model: EngineModel, n_h: np.ndarray, keep_to: float = math.inf):
+    """The closed form of ``model`` at every hot occupation of ``n_h``, as arrays.
+
+    Returns ``(columns, cutoffs, rows, failures)``, each over the points:
+
+    - ``columns`` maps each name of ``GRID_COLUMNS`` to a list of floats:
+      :func:`lasing_gain` / kappa, :func:`population_inversion`, the
+      :func:`scully_lamb_coefficients`, the :func:`distribution_moments`
+      and the :func:`output_power` at the mean; NaN where the point failed;
+    - ``cutoffs`` holds the ``n_max`` of :func:`steady_distribution`, the
+      Fock cutoff of the exact solve, or None where the point failed;
+    - ``rows`` holds that distribution's probabilities where the cutoff is
+      at most ``keep_to``, else None, so a sweep keeps only the rows it
+      compares with an exact solve;
+    - ``failures`` holds None, or the message of the error those functions
+      raise at the point: a zero bath rate fails every point, a support past
+      1e6 rungs its own point, with nothing allocated for it.
+
+    Every value equals, bit for bit, what those functions give point by
+    point: they share this function's code.  n_h enters only through the
+    hot-bath rates, so each formula is one array expression over the grid,
+    and the distributions come from the stacks of ``_cut_distributions``,
+    bounded by ``SUPPORT_RUNGS``.  Per point remain the reductions of each
+    row over its own support and the normalisation of
+    :class:`PhotonDistribution`, repeated here.
+    """
+    n_h = np.asarray(n_h, dtype=float)
+    size = n_h.size
+    cutoffs, rows = [None] * size, [None] * size
+    try:
+        sc = _structure(model, n_h)
+    except ValueError as exc:
+        return dict.fromkeys(GRID_COLUMNS, [math.nan] * size), cutoffs, rows, [str(exc)] * size
+    failures = [None] * size
+    inversion0 = _inversion(model, sc, n_h)
+    A, A_b, B = _coefficients(model, sc, n_h)
+    pumped = A > 0.0
+    p0 = np.ones(size)
+    for i in np.flatnonzero(~pumped).tolist():
+        cutoffs[i], rows[i] = 1, np.array([1.0, 0.0])
+    chains = _cut_distributions(A[pumped], A_b[pumped], B[pumped], model.kappa)
+    for i, p in zip(np.flatnonzero(pumped).tolist(), chains):
+        if isinstance(p, TruncationError):
+            failures[i] = str(p)
+            continue
+        total = p.sum()
+        p0[i], cutoffs[i] = p[0] / total, p.size - 1
+        if cutoffs[i] <= keep_to:
+            rows[i] = p / total
+    failed = np.array([failure is not None for failure in failures])
+    # the pump off gives the moments (0, 0, nan)
+    mean, variance, fano = np.zeros(size), np.zeros(size), np.full(size, math.nan)
+    live = pumped & (B > 0.0) & ~failed
+    mean[live], variance[live], _, fano[live] = _moments(
+        A[live], A_b[live], B[live], model.kappa, p0[live]
+    )
+    # B underflowed to 0, or a negative mean: the point functions refuse these
+    for i in np.flatnonzero(pumped & ~failed & ((B <= 0.0) | (mean < 0.0))).tolist():
+        try:
+            coeffs = LaserCoefficients(A[i], A_b[i], B[i], model.kappa)
+            output_power(model, distribution_moments(coeffs).mean)
+        except ValueError as exc:
+            failures[i], failed[i] = str(exc), True
+            cutoffs[i] = rows[i] = None
+    mean[failed] = math.nan
+    values = (
+        _gain(model, sc, inversion0) / model.kappa,
+        inversion0,
+        A,
+        A_b,
+        B,
+        mean,
+        variance,
+        fano,
+        output_power(model, mean),
+    )
+    columns = [np.where(failed, math.nan, value).tolist() for value in values]
+    return dict(zip(GRID_COLUMNS, columns)), cutoffs, rows, failures
 
 
 def saturated_power(model: EngineModel) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _bath_channels
-from .models import THREE_LEVEL, EngineModel, with_hot_occupation
+from .models import THREE_LEVEL, EngineModel
 
 __all__ = [
     "StructureConstants",
@@ -49,10 +49,17 @@ def structure_constants(model: EngineModel) -> StructureConstants:
 
     Psi divides by every bath rate, so a zero rate raises ValueError.
     """
+    return _structure(model, model.n_h)
+
+
+def _structure(model: EngineModel, nh) -> StructureConstants:
+    # structure_constants at the hot occupation nh, a float or an array of
+    # them: n_h enters only through the hot-bath rates, so a sweep grid
+    # broadcasts through the same expressions
     for name in ("gamma_h", "gamma_c", "gamma_a")[: model.atom_dim - 1]:
         if getattr(model, name) == 0:
             raise ValueError(f"degenerate engine rates: {name} is 0")
-    nh, nc = model.n_h, model.n_c
+    nc = model.n_c
     gh, gc = model.gamma_h, model.gamma_c
     if model.kind == THREE_LEVEL:
         gamma = gh * (nh + 1) + gc * (nc + 1)
@@ -70,10 +77,10 @@ def structure_constants(model: EngineModel) -> StructureConstants:
     return StructureConstants(gamma, phi, psi)
 
 
-def _inversion_numerator(model: EngineModel) -> float:
+def _inversion_numerator(model: EngineModel, nh):
     if model.kind == THREE_LEVEL:
-        return model.n_h - model.n_c
-    return (model.n_h - model.n_c) * model.n_a + (model.n_c + 1) * model.n_h
+        return nh - model.n_c
+    return (nh - model.n_c) * model.n_a + (model.n_c + 1) * nh
 
 
 def _classical_rate_matrix(model: EngineModel) -> np.ndarray:
@@ -123,20 +130,28 @@ def population_inversion(model: EngineModel, field_intensity: float = 0.0) -> fl
     """
     if field_intensity < 0:
         raise ValueError(f"field intensity must be >= 0, got {field_intensity}")
-    sc = structure_constants(model)
+    return _inversion(model, structure_constants(model), model.n_h, field_intensity)
+
+
+def _inversion(model: EngineModel, sc: StructureConstants, nh, field_intensity=0.0):
+    # population_inversion from the structure constants at the hot
+    # occupation nh; sc and nh may hold arrays (see _structure)
     denom = sc.Phi + (4.0 * model.g**2 * field_intensity / sc.Gamma) * sc.Psi
-    return _inversion_numerator(model) / denom
+    return _inversion_numerator(model, nh) / denom
 
 
 def lasing_gain(model: EngineModel) -> float:
     """Linear field gain G = 4 g^2 DeltaN0 / Gamma; lasing needs G >= kappa.
 
-    DeltaN0 = numerator / Phi is :func:`population_inversion` at zero
-    field, whose denominator there is Phi + 0.0 = Phi, taken from the same
-    structure constants as Gamma.
+    DeltaN0 is :func:`population_inversion` at zero field, numerator / Phi,
+    taken from the same structure constants as Gamma.
     """
     sc = structure_constants(model)
-    return 4.0 * model.g**2 * (_inversion_numerator(model) / sc.Phi) / sc.Gamma
+    return _gain(model, sc, _inversion(model, sc, model.n_h))
+
+
+def _gain(model: EngineModel, sc: StructureConstants, inversion0):
+    return 4.0 * model.g**2 * inversion0 / sc.Gamma
 
 
 def saturation_parameter(model: EngineModel) -> float:
@@ -175,12 +190,9 @@ def find_thresholds(
     # and constant for four, hence the double threshold and the single one
     degree = 2 if model.kind == THREE_LEVEL else 1
     nodes = np.arange(degree + 1.0)
-    samples = []
-    for nh in nodes:
-        point = with_hot_occupation(model, nh)
-        sc = structure_constants(point)
-        emission = 4.0 * model.g**2 * _inversion_numerator(point)
-        samples.append(emission - model.kappa * sc.Gamma * sc.Phi)
+    sc = _structure(model, nodes)
+    emission = 4.0 * model.g**2 * _inversion_numerator(model, nodes)
+    samples = emission - model.kappa * sc.Gamma * sc.Phi
     # the square Vandermonde solve keeps p(0) as the constant term exactly;
     # np.polyfit's least squares smears the larger samples into it, which
     # left G - kappa at 3e-12 kappa for a four-level root near n_h = 0.006

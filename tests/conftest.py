@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from heatlaser import BathSpec, build_four_level, build_three_level
+
+# the sweep-bright workload of the benchmark: 9 to 31 photons in the cavity
+BRIGHT = Path(__file__).parents[1] / "perfbench" / "configs" / "bright.json"
 
 
 def make_fig2_model(n_h=1.0, n_c=0.05, g=14.0, kappa=1.0, gamma=32.0):

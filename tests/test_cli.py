@@ -14,11 +14,13 @@ import pytest
 
 import heatlaser
 import heatlaser.photonstats
+import heatlaser.semiclassical
 import heatlaser.solver
 from heatlaser import (
     PhotonDistribution,
     TruncationError,
     photon_distribution,
+    population_inversion,
     scully_lamb_coefficients,
     solve_model,
     steady_distribution,
@@ -34,9 +36,10 @@ from heatlaser.cli import (
     main,
     run_sweep,
 )
+from heatlaser.photonstats import GRID_COLUMNS, SUPPORT_RUNGS
 from heatlaser.solver import BATCH_RUNGS, MAX_N_MAX
 
-from conftest import dense_state, make_fig2_model
+from conftest import BRIGHT, dense_state, make_fig2_model
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -301,34 +304,70 @@ def test_failed_point_stays_in_its_record(tmp_path):
         assert record["residual"] == residual
 
 
-def test_sweep_evaluates_closed_form_once_per_point(tmp_path, monkeypatch):
-    # wrap every binding of the two functions in the loaded package modules,
-    # as a tracer does, and count the calls of a 5-point sweep: the auto
-    # support also gives the closed form at the cutoff, for l1_distance
-    calls = {"distribution": 0, "coefficients": 0}
-    distribution = heatlaser.photonstats.steady_distribution
-    coefficients = heatlaser.photonstats.scully_lamb_coefficients
+def _fig2_sweep(tmp_path, model=None, points=None):
+    """The path of the fig2 preset with some model fields and the grid size replaced."""
+    fig2 = load_config("fig2").raw
+    sweep = {**fig2["sweep"], "points": points or fig2["sweep"]["points"]}
+    return write_config(tmp_path, {"model": {**fig2["model"], **(model or {})}, "sweep": sweep})
 
-    def counted_distribution(*args, **kwargs):
-        calls["distribution"] += 1
-        return distribution(*args, **kwargs)
 
-    def counted_coefficients(model):
-        calls["coefficients"] += 1
-        return coefficients(model)
+def test_sweep_evaluates_closed_form_once_per_sweep(tmp_path, monkeypatch):
+    # the closed form of a grid is one stacked support pass per stack of
+    # SUPPORT_RUNGS rung-cells: no PhotonDistribution is built for it, and
+    # no point function runs per point (every binding in the loaded package
+    # modules is wrapped, as a tracer does)
+    stacks, calls = [], []
+    normalized = heatlaser.photonstats._normalized
+
+    def counted(A, A_b, B, kappa, sizes):
+        stacks.append((sizes.size, sizes.max()))
+        return normalized(A, A_b, B, kappa, sizes)
+
+    class Refused(PhotonDistribution):
+        def __post_init__(self):
+            raise AssertionError("built a closed-form PhotonDistribution")
+
+    point_functions = (
+        heatlaser.photonstats.steady_distribution,
+        heatlaser.photonstats.scully_lamb_coefficients,
+        heatlaser.photonstats.distribution_moments,
+        heatlaser.photonstats.output_power,
+        heatlaser.semiclassical.lasing_gain,
+        heatlaser.semiclassical.population_inversion,
+        heatlaser.semiclassical.structure_constants,
+    )
+
+    def wrap(function):
+        def wrapper(*args, **kwargs):
+            calls.append(function.__name__)
+            return function(*args, **kwargs)
+
+        return wrapper
 
     for name, module in list(sys.modules.items()):
         if name == "heatlaser" or name.startswith("heatlaser."):
             for attr, value in list(vars(module).items()):
-                for original, wrapper in (
-                    (distribution, counted_distribution),
-                    (coefficients, counted_coefficients),
-                ):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, wrapper)
-    records = run_sweep(load_config(write_config(tmp_path, {"sweep.points": 5})))
-    assert all(r["status"] == "ok" for r in records)
-    assert calls == {"distribution": 5, "coefficients": 5}
+                if any(value is function for function in point_functions):
+                    monkeypatch.setattr(module, attr, wrap(value))
+    monkeypatch.setattr(heatlaser.photonstats, "_normalized", counted)
+    monkeypatch.setattr(heatlaser.photonstats, "PhotonDistribution", Refused)
+    for preset in ("fig2", "fig5"):
+        stacks.clear()
+        calls.clear()
+        records = run_sweep(load_config(preset))
+        assert all(r["status"] == "ok" for r in records)
+        # one stack of at most 60 x 62 rung-cells
+        assert len(stacks) == 1 and stacks[0][0] == 60 and stacks[0][1] <= 62
+        assert sorted(set(calls)) == sorted(calls)
+    # kappa = 1e-4: supports of 585 to 104 833 rungs take many stacks, each
+    # within the budget or alone
+    stacks.clear()
+    calls.clear()
+    records = run_sweep(load_config(_fig2_sweep(tmp_path, {"kappa": 1e-4})))
+    assert sum(chains for chains, _ in stacks) == len(records) == 60
+    assert len(stacks) > 1
+    assert all(chains * width <= SUPPORT_RUNGS or chains == 1 for chains, width in stacks)
+    assert sorted(set(calls)) == sorted(calls)
 
 
 def test_sweep_flags_failed_points(tmp_path):
@@ -354,6 +393,77 @@ def test_all_failed_sweep_assembles_nothing(tmp_path, monkeypatch):
     assert len(records) == 60
     assert all(r["status"] == "failed: distribution support exceeds 1e6 photons" for r in records)
     assert all(math.isnan(r["mean_numeric"]) and math.isnan(r["residual"]) for r in records)
+
+
+def test_closed_form_failures_stay_per_point(tmp_path):
+    # kappa = 2e-5: the ten highest n_h need a support past 1e6 rungs; each
+    # has its own status and no closed-form column, while the other points
+    # keep theirs and fail only in the exact route, on cutoffs above 1000
+    records = run_sweep(load_config(_fig2_sweep(tmp_path, {"kappa": 2e-5})))
+    for record in records[-10:]:
+        assert record["status"] == "failed: distribution support exceeds 1e6 photons"
+        assert all(math.isnan(record[name]) for name in GRID_COLUMNS)
+    for record in records[:-10]:
+        assert record["status"].startswith("failed: cutoff needs n_max = ")
+        assert all(math.isfinite(record[name]) for name in GRID_COLUMNS)
+    # g = 1e-160: B underflows to 0 while A > 0, which the moments refuse,
+    # except at the top of the grid, where A underflows too
+    records = run_sweep(load_config(_fig2_sweep(tmp_path, {"g": 1e-160}, points=4)))
+    refused = "failed: saturation B must be positive when A > 0"
+    assert [r["status"] for r in records] == [refused] * 3 + ["ok"]
+    assert all(math.isnan(r[name]) for r in records[:3] for name in GRID_COLUMNS)
+    assert records[3]["A"] == 0.0 and records[3]["n_max"] == 1
+    # a zero bath rate fails every point alike
+    records = run_sweep(load_config(_fig2_sweep(tmp_path, {"gamma_h": 0.0}, points=3)))
+    assert all(r["status"] == "failed: degenerate engine rates: gamma_h is 0" for r in records)
+    assert all(math.isnan(r[name]) for r in records for name in SWEEP_FIELDS[1:-1])
+
+
+@pytest.mark.parametrize("preset", ["fig2", "fig5"])
+def test_sweep_with_the_pump_off(preset, tmp_path):
+    # g = 0: the closed form is the vacuum [1, 0] at n_max 1, the exact state
+    # too, and the zero-field inversion is untouched
+    raw = load_config(preset).raw
+    path = write_config(tmp_path, {"model": {**raw["model"], "g": 0.0}, "sweep": raw["sweep"]})
+    config = load_config(path)
+    for record in run_sweep(config):
+        point = with_hot_occupation(config.model, record["n_h"])
+        assert record["status"] == "ok" and record["n_max"] == 1
+        assert record["inversion0"] == population_inversion(point)
+        for name in ("gain_over_kappa", "A", "A_b", "B", "mean_analytic", "variance_analytic"):
+            assert record[name] == 0.0
+        for name in ("mean_numeric", "variance_numeric", "l1_distance", "power", "tail"):
+            assert record[name] == 0.0
+        assert math.isnan(record["fano_analytic"]) and math.isnan(record["fano_numeric"])
+
+
+@pytest.mark.parametrize("config", ["fig2", "fig5", "bright", "pump-off"])
+def test_sweeps_raise_no_warning(config, tmp_path):
+    if config == "bright":
+        config = BRIGHT
+    if config == "pump-off":
+        config = _fig2_sweep(tmp_path, {"g": 0.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_sweep_keeps_only_the_rows_it_solves(tmp_path):
+    # kappa = 1e-4: supports of 585 to 104 833 rungs, and only the first
+    # point's cutoff is within MAX_N_MAX.  Stacked within SUPPORT_RUNGS and
+    # keeping the closed-form rows of that point alone, 30 points peak at
+    # 4.4 MB traced; holding every point's distribution took 19.6 MB
+    config = load_config(_fig2_sweep(tmp_path, {"kappa": 1e-4}, points=30))
+    tracemalloc.start()
+    try:
+        records = run_sweep(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert records[0]["status"] == "ok"
+    assert all(r["status"].startswith("failed: cutoff needs n_max = ") for r in records[1:])
+    assert peak < 16e6
+
 
 def test_thresholds_command(tmp_path, capsys):
     path = write_config(tmp_path, {"sweep.start": 0.05, "sweep.stop": 20.0})
@@ -539,11 +649,11 @@ def test_small_kappa_fails_before_allocating(tmp_path, monkeypatch, capsys):
     # test without allocating anything)
     normalized, sizes, built = heatlaser.photonstats._normalized, [], []
 
-    def guarded(coeffs, n_max):
-        if n_max > 1_000_000:
-            raise AssertionError(f"_normalized asked for {n_max} rungs")
-        sizes.append(n_max)
-        return normalized(coeffs, n_max)
+    def guarded(A, A_b, B, kappa, rungs):
+        if rungs.max() - 1 > 1_000_000:
+            raise AssertionError(f"_normalized asked for {rungs.max() - 1} rungs")
+        sizes.append(rungs.max() - 1)
+        return normalized(A, A_b, B, kappa, rungs)
 
     class Counted(PhotonDistribution):
         def __post_init__(self):

@@ -17,13 +17,24 @@ from heatlaser import (
     lasing_gain,
     output_power,
     pn_derivative,
+    population_inversion,
     rough_estimate_mean,
     saturated_power,
     scully_lamb_coefficients,
     steady_distribution,
+    with_hot_occupation,
 )
+from heatlaser import photonstats
+from heatlaser.cli import load_config
+from heatlaser.photonstats import GRID_COLUMNS, SUPPORT_RUNGS, closed_form_grid
 
-from conftest import make_fig2_model, make_fig5_model, random_four_level, random_three_level
+from conftest import (
+    BRIGHT,
+    make_fig2_model,
+    make_fig5_model,
+    random_four_level,
+    random_three_level,
+)
 
 # exact rational evaluations at gamma = 32, g = 14, n_c = 1/20, n_h = 1
 FIG2_A_AT_1 = 2.5952080706179066
@@ -349,3 +360,84 @@ def test_rough_estimate():
         rough_estimate_mean(
             build_three_level(BathSpec(32.0, 1.0), BathSpec(16.0, 0.05), 14.0, 1.0)
         )
+
+
+# ---------------------------------------------------------------------------
+# the closed form of a grid
+# ---------------------------------------------------------------------------
+
+def assert_grid_matches_points(model, n_h, keep_to=math.inf):
+    """closed_form_grid equals the point functions at every n_h, bit for bit."""
+    columns, cutoffs, rows, failures = closed_form_grid(model, n_h, keep_to)
+    assert list(columns) == list(GRID_COLUMNS)
+    for k, nh in enumerate(n_h.tolist()):
+        point = with_hot_occupation(model, nh)
+        coeffs = scully_lamb_coefficients(point)
+        try:
+            closed = steady_distribution(coeffs)
+        except TruncationError as exc:
+            assert failures[k] == str(exc)
+            assert cutoffs[k] is None and rows[k] is None
+            assert all(math.isnan(values[k]) for values in columns.values())
+            continue
+        moments = distribution_moments(coeffs, distribution=closed)
+        expected = [
+            lasing_gain(point) / point.kappa,
+            population_inversion(point),
+            coeffs.A,
+            coeffs.A_b,
+            coeffs.B,
+            moments.mean,
+            moments.variance,
+            moments.fano,
+            output_power(point, moments.mean),
+        ]
+        assert failures[k] is None
+        # exact, and NaN exactly where the point functions give NaN
+        np.testing.assert_array_equal([values[k] for values in columns.values()], expected)
+        assert cutoffs[k] == closed.n_max
+        if closed.n_max <= keep_to:
+            np.testing.assert_array_equal(rows[k], closed.probabilities)
+        else:
+            assert rows[k] is None
+
+
+@pytest.mark.parametrize("config", ["fig2", "fig5", BRIGHT], ids=["fig2", "fig5", "bright"])
+def test_grid_matches_point_functions_on_the_presets(config):
+    config = load_config(config)
+    assert_grid_matches_points(config.model, config.sweep.values())
+
+
+def test_grid_past_the_support_budget_matches_point_functions(monkeypatch):
+    # kappa = 2e-5 at the fig2 rates: supports of 3e3 to 5e5 rungs, stacked
+    # within the budget or alone, and the top of the grid past 1e6 rungs
+    model = dataclasses.replace(load_config("fig2").model, kappa=2e-5)
+    n_h = np.geomspace(0.05, 20.0, 9)
+    stacks, normalized = [], photonstats._normalized
+
+    def counted(A, A_b, B, kappa, sizes):
+        stacks.append((sizes.size, sizes.max()))
+        return normalized(A, A_b, B, kappa, sizes)
+
+    monkeypatch.setattr(photonstats, "_normalized", counted)
+    failures = closed_form_grid(model, n_h)[3]
+    assert failures[-1] == "distribution support exceeds 1e6 photons"
+    assert sum(chains for chains, _ in stacks) == failures.count(None) < n_h.size
+    assert len(stacks) >= 2 and max(width for _, width in stacks) > SUPPORT_RUNGS
+    assert all(chains * width <= SUPPORT_RUNGS or chains == 1 for chains, width in stacks)
+    assert_grid_matches_points(model, n_h, keep_to=1000)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    four=st.booleans(),
+    log_kappa=st.floats(-2.0, 1.0),
+    points=st.integers(1, 12),
+)
+def test_grid_matches_point_functions_on_random_engines(seed, four, log_kappa, points):
+    rng = np.random.default_rng(seed)
+    model = random_four_level(rng) if four else random_three_level(rng)
+    model = dataclasses.replace(model, kappa=10.0**log_kappa)
+    n_h = np.sort(rng.uniform(0.01, 5.0, points))
+    assert_grid_matches_points(model, n_h, keep_to=rng.integers(1, 200))
