@@ -13,10 +13,11 @@ only the charge-zero block, in which the steady state has one real unknown
 per population and per coherence pair.  Its layout is one fixed table:
 level pair ``RUNG_SLOTS[s]`` in slot s of rung n + ``RUNG_SHIFT[level]``,
 the same for every model and every cutoff.  :func:`build_sector_liouvillian`
-assembles the real blocks of a whole batch of models in it straight from
-the rates, with no operator matrix: every entry is a rate times a unit
-value, found once per call by index arithmetic over the basis states, since
-every jump and the coupling send a basis state to at most one basis state.
+assembles the real blocks of a whole batch of models in it, each at its
+own cutoff, straight from the rates, with no operator matrix: every entry
+is a rate times a unit value, found once per call and kind of model by
+index arithmetic over the basis states, since every jump and the coupling
+send a basis state to at most one basis state.
 Ordered by rung, the block is block-tridiagonal, and it is returned as
 dense float64 numpy bands.
 """
@@ -247,7 +248,7 @@ def build_liouvillian(model: EngineModel, space: HilbertSpace) -> sp.csr_matrix:
 
 
 def build_sector_liouvillian(
-    models: Sequence[EngineModel], n_max: int
+    models: Sequence[EngineModel], n_maxes: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The charge-zero blocks of several generators, as real bands over rungs.
 
@@ -259,10 +260,12 @@ def build_sector_liouvillian(
     pair by at most one rung and the coupling keeps it, so L couples each
     rung only to itself and its two neighbours.  The layout is the same at
     every cutoff, and so are the entries: no jump raises n, and the only
-    term the cutoff removes, the emission out of |e2, N>, leads out of the
-    smaller block.  So the block at cutoff N is the block at any larger
-    cutoff on rungs 0 to N + 1 and on the slots with both photon numbers at
-    most N, bit for bit.
+    term a cutoff removes, the emission out of |e2, N>, leads out of the
+    block at cutoff N.  So the entries are found once per kind of model, at
+    the batch's largest cutoff, and model p keeps those whose source and
+    target pairs have every photon number at most its own cutoff
+    ``n_maxes[p]``: its bands are those it gets when assembled alone, bit
+    for bit, and 0 past its rung n_maxes[p] + 1.
 
     The unknowns are real: a pair |l, .><l', .> has the coefficient
     SLOT_PHASE[l, l'] u_s for the unknown u_s of its slot, so i y and its
@@ -273,15 +276,16 @@ def build_sector_liouvillian(
     therefore sums the equal entries of both partners, twice the |L_ij| of
     the complex block.
 
-    Returns ``(bands, rows, cols)`` of the P models at the cutoff ``n_max``.
-    Slot s of rung r is the operator |rows[r, s]><cols[r, s]|, with |l, n>
-    at index l (n_max + 1) + n; ``rows`` and ``cols`` have shape (R, m),
-    R = n_max + 2 and m = 1 + the largest atom dimension (e3 is the last
-    slot), and are -1 where a photon number falls outside 0..n_max.
+    Returns ``(bands, rows, cols)`` of the P models.  Slot s of rung r of
+    model p is the operator |rows[p, r, s]><cols[p, r, s]|, with |l, n> at
+    index l (n_maxes[p] + 1) + n, the model's own Fock layout.  ``rows``
+    and ``cols`` have shape (P, R, m), R = max(n_maxes) + 2 and m = 1 + the
+    largest atom dimension (e3 is the last slot), and are -1 on every slot
+    outside the model's block: past its cutoff, or above its levels.
     ``bands`` is float64 of shape (P, R, 3, m, m): ``bands[p, r, 1]`` maps
     rung r onto itself, ``bands[p, r, 0]`` rung r - 1 onto rung r and
-    ``bands[p, r, 2]`` rung r + 1 onto rung r.  Rows and columns of empty
-    slots, and of the e3 slot for a three-level model, are 0.
+    ``bands[p, r, 2]`` rung r + 1 onto rung r.  Rows and columns of slots
+    outside the model's block are 0.
 
     L[rho] = K rho + rho K+ + sum_r r J rho J+ with
     K = -i V - (1/2) sum_r r J+ J, over the jump channels of
@@ -293,20 +297,20 @@ def build_sector_liouvillian(
     for every jump, -i V rho and rho (-i V)+, then maps each operator |i><j|
     onto at most one |i'><j'|, whose rung and slot the table gives.  Every
     entry is one rate of theta = (the ``_bath_channels`` rates, kappa, g)
-    times a unit value, the product of the part's value and both phases, so
-    the entries are found once per call for each kind of model, and
-    ``np.add.at`` adds theta_k x unit into each cell in one fixed order: a
-    model's bands do not depend on the batch it comes in.  Raises
+    times a unit value, the product of the part's value and both phases,
+    and ``np.add.at`` adds theta_k x unit into each cell in one fixed
+    order: a model's bands do not depend on the batch it comes in.  Raises
     ``RuntimeError`` if the block leaks, couples rungs further apart or has
     a unit that is not exactly real.
     """
     width = max(model.atom_dim for model in models) + 1
+    n_max = max(n_maxes)
     fock, depth = n_max + 1, n_max + 2
     rung, slot = np.divmod(np.arange(depth * width), width)
     pair_level = RUNG_SLOTS[slot]
     pair_photons = rung[:, np.newaxis] - RUNG_SHIFT[pair_level]
     filled = np.all((pair_photons >= 0) & (pair_photons <= n_max), axis=1)
-    rows, cols = np.where(filled[:, np.newaxis], pair_level * fock + pair_photons, -1).T
+    pair_states = pair_level * fock + pair_photons  # |l, n> at l fock + n
 
     state = np.arange(4 * fock)
     level, photons = np.divmod(state, fock)
@@ -322,7 +326,7 @@ def build_sector_liouvillian(
     # the phase each row is multiplied by; 0 drops the partner's equation
     row_phase = np.conj(SLOT_PHASE)
     row_phase[LEVEL_E2, LEVEL_E1] = 0.0
-    bands = np.zeros((len(models), depth * 3 * width * width))
+    found = []  # per kind: its points, their rates, and its entries
     kinds = [model.kind for model in models]
     for kind in dict.fromkeys(kinds):
         points = [p for p, other in enumerate(kinds) if other == kind]
@@ -337,11 +341,11 @@ def build_sector_liouvillian(
         hops = [np.where(level == low, state + (to - low) * fock, -1) for to, low, _ in channels]
         target = np.array(hops + [cavity])
         value = np.array([level == low for _, low, _ in channels] + [root], dtype=float)
-        # every operator |i><j| of the block, at its slot: each slot's own
-        # pair, then the partner of each coherence
+        # every operator |i><j| of the block at the largest cutoff, at its
+        # slot: each slot's own pair, then the partner of each coherence
         column = np.flatnonzero(filled & (slot < own))
         partner = column[slot[column] == SLOT_OF[LEVEL_E1, LEVEL_E2]]
-        i, j = np.hstack([(rows[column], cols[column]), (cols[partner], rows[partner])])
+        i, j = np.hstack([pair_states[column].T, pair_states[partner].T[::-1]])
         column = np.concatenate([column, partner])
         # the parts of L: -(1/2)(J+ J rho + rho J+ J) and J rho J+ for each
         # jump J, then -i V rho and rho (-i V)+; per part, its maps on the
@@ -356,6 +360,7 @@ def build_sector_liouvillian(
         part, k = np.nonzero(units)
         at, unit, param = column[k], units[part, k], np.array([*range(n), *range(n), n, n])[part]
         to_i, to_j = left[part, k], right[part, k]
+        del decay, jump, units, left, right  # the per-part arrays are dead
         to_rung, to_slot = state_rung[to_i], SLOT_OF[level[to_i], level[to_j]]
         outside = (to_i < 0) | (to_j < 0) | (to_slot < 0) | (to_slot >= own) | (unit.imag != 0)
         if np.any(outside | (state_rung[to_j] != to_rung)):
@@ -364,10 +369,24 @@ def build_sector_liouvillian(
         if np.any((band < 0) | (band > 2)):
             raise RuntimeError("the Liouvillian couples rungs more than one apart")
         cell = ((to_rung * 3 + band) * width + to_slot) * width + slot[at]
+        # the largest photon number of each entry's source and target pair
+        reach = photons[np.stack([i[k], j[k], to_i, to_j])].max(axis=0)
+        found.append((points, theta, cell, reach, param, unit.real.copy()))
+    # the bands are allocated once the work arrays are freed, so that at
+    # n_max 1000 the batch's memory peak lies outside the assembly
+    del part, k, at, unit, to_i, to_j, to_rung, to_slot, outside, band
+    bands = np.zeros((len(models), depth * 3 * width * width))
+    for points, theta, cell, reach, param, unit in found:
         for point, rates in zip(points, theta):
-            np.add.at(bands[point], cell, rates[param] * unit.real)
-    shape = (len(models), depth, 3, width, width)
-    return bands.reshape(shape), rows.reshape(depth, width), cols.reshape(depth, width)
+            kept = reach <= n_maxes[point]
+            np.add.at(bands[point], cell[kept], rates[param[kept]] * unit[kept])
+    # each model's own slots, in its own Fock layout
+    cutoff = np.array(n_maxes)[:, np.newaxis]
+    dims = np.array([model.atom_dim for model in models])[:, np.newaxis]
+    inside = filled & (pair_photons.max(axis=1) <= cutoff) & (slot <= dims)
+    pairs = pair_level.T[:, np.newaxis] * (cutoff + 1) + pair_photons.T[:, np.newaxis]
+    rows, cols = np.where(inside, pairs, -1).reshape(2, len(models), depth, width)
+    return bands.reshape(len(models), depth, 3, width, width), rows, cols
 
 
 def apply_liouvillian(liouv: sp.spmatrix, rho: np.ndarray) -> np.ndarray:

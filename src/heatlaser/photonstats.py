@@ -213,14 +213,26 @@ def _cut_distributions(A, A_b, B, kappa):
     first chain is asked for.
     """
     sizes = _support_sizes(A, A_b, B, kappa)
+    for start, end in _runs(sizes.tolist(), SUPPORT_RUNGS):
+        yield from _cut_stack(A[start:end], A_b[start:end], B[start:end], kappa, sizes[start:end])
+
+
+def _runs(sizes, budget):
+    """Consecutive runs ``(start, end)`` of items, each within ``budget``.
+
+    A run takes items while (items) x (largest size) stays within
+    ``budget``: it is cut before item k when it already holds an item and
+    (items + 1) x max(largest, sizes[k]) exceeds it, so an item larger
+    than the budget runs alone.  An item of size 0 does not count.  Lazy.
+    """
     start, counted, largest = 0, 0, 0
-    for k, size in enumerate(sizes.tolist()):
-        if size:
-            if counted and (counted + 1) * max(largest, size) > SUPPORT_RUNGS:
-                yield from _cut_stack(A[start:k], A_b[start:k], B[start:k], kappa, sizes[start:k])
-                start, counted, largest = k, 0, 0
-            counted, largest = counted + 1, max(largest, size)
-    yield from _cut_stack(A[start:], A_b[start:], B[start:], kappa, sizes[start:])
+    for k, size in enumerate(sizes):
+        if size and counted and (counted + 1) * max(largest, size) > budget:
+            yield start, k
+            start, counted, largest = k, 0, 0
+        counted, largest = counted + (size > 0), max(largest, size)
+    if start < len(sizes):
+        yield start, len(sizes)
 
 
 def _cut_stack(A, A_b, B, kappa, sizes):

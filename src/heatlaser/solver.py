@@ -2,11 +2,12 @@
 
 :func:`solve_model` sweeps the rungs of the charge-zero block by block
 Thomas in numpy, in real arithmetic over one real unknown per population
-and per coherence pair, and returns the steady state in that block form
-with its photon distribution, in O(n_max) memory and time;
-:func:`solve_models` does so for many engines, one stacked sweep per
-batch.  They are the independent check on the closed-form theory in
-:mod:`heatlaser.photonstats`.  The dense (A F)^2
+and per coherence pair, and returns the steady state in the block's rung
+layout, those unknowns by rung and slot (:class:`BlockState`), with its
+photon distribution, in O(n_max) memory and time; :func:`solve_models`
+does so for many engines, one stacked sweep per batch, each point in its
+own layout from assembly to result.  They are the independent check on
+the closed-form theory in :mod:`heatlaser.photonstats`.  The dense (A F)^2
 :func:`steady_state`, :func:`evolve`, :func:`partial_trace_atom` and
 :func:`photon_distribution` are the full-space references (the first two
 import scipy when called).  :func:`wigner` maps a photon distribution to
@@ -31,7 +32,6 @@ from .core import (
     RUNG_SHIFT,
     RUNG_SLOTS,
     SLOT_OF,
-    SLOT_PHASE,
     HilbertSpace,
     _bath_channels,
     build_sector_liouvillian,
@@ -40,6 +40,7 @@ from .models import EngineModel
 from .photonstats import (
     PhotonDistribution,
     TruncationError,
+    _runs,
     scully_lamb_coefficients,
     steady_distribution,
 )
@@ -68,8 +69,8 @@ MAX_N_MAX = 1000
 # rung-points, (points) x (largest cutoff + 2), per batch of steady-state
 # solves.  A batch holds the real rung bands of all its points at once, so
 # its memory grows with its rung-points; the budget is the batch of 16
-# four-level points at the cutoff bound MAX_N_MAX, whose traced peak of about
-# 18 MB test_solver.py gates, and it holds a whole preset grid (fig2: 60
+# four-level points at the cutoff bound MAX_N_MAX, whose traced peak of 16 to
+# 19 MB test_solver.py gates, and it holds a whole preset grid (fig2: 60
 # points at n_max <= 33, 2 100 rung-points)
 BATCH_RUNGS = 16 * (MAX_N_MAX + 2)
 
@@ -345,10 +346,13 @@ def _pinned_levels(models):
     return pinned
 
 
-# a steady state in block form: values[k] is the coefficient of
-# |rows[k]><cols[k]|; a named tuple, since a class with annotations costs a
+# a steady state in rung layout: rungs[r, s] is the real unknown u of slot s
+# of rung r, whose operator core.RUNG_SLOTS and RUNG_SHIFT name: the pair
+# |l, r - RUNG_SHIFT[l]><l', r - RUNG_SHIFT[l']| for (l, l') = RUNG_SLOTS[s].
+# A population is u; the coherence |e1, n + 1><e2, n| is i u and its
+# partner -i u.  A named tuple, since a class with annotations costs a
 # millisecond at import
-BlockState = namedtuple("BlockState", "rows cols values distribution residual")
+BlockState = namedtuple("BlockState", "rungs distribution residual")
 
 # |L_ij| of the complex block from the real bands: a population's entry in
 # the coherence column sums the equal entries of both partners, so it is
@@ -379,24 +383,22 @@ def _sweep_points(system, rhs):
     return x, errors
 
 
-def _steady_results(spaces, bands, inside, level, photons, x, errors, tol):
+def _steady_results(spaces, bands, inside, x, errors, tol):
     """The unit-trace block states of a batch's rung-sweep solutions, gated and checked.
 
-    ``bands`` holds each point's own real block and ``inside`` its slots in
-    the batch's layout, whose pairs have the levels ``level`` and photon
-    numbers ``photons`` (each (2, R, m): the row, then the column); ``x``
-    is scaled in place.  The residuals, their scales (the max|L_ij| of each
-    point's complex block) and the photon distributions are found for the
-    whole batch at once.  Each point's unit trace is its own masked sum, so
-    that it gets the bits of a solo solve.  Per point remain the gate, the
-    tail warning and its state, in its own Fock layout, every operator of
-    the block listed: each slot's own pair, then the partner of each
-    coherence.  A point whose sweep failed, ``errors[p]``, keeps its error.
+    ``bands`` holds each point's own real block and ``inside`` its slots;
+    ``x`` is scaled in place.  The residuals, their scales (the max|L_ij|
+    of each point's complex block) and the photon distributions are found
+    for the whole batch at once.  Each point's unit trace is its own masked
+    sum, so that it gets the bits of a solo solve.  Per point remain the
+    gate, the tail warning and its state: a copy of its own rungs and
+    slots of ``x``, so that the batch's solution can be freed.  A point
+    whose sweep failed, ``errors[p]``, keeps its error.
     """
-    populations = inside & (level[0] == level[1])
+    width = x.shape[-1]
+    populations = inside & np.equal(*RUNG_SLOTS[:width].T)
     x /= np.array([x[p][populations[p]].sum() for p in range(len(x))])[:, np.newaxis, np.newaxis]
     residuals = np.abs(_apply_bands(bands, x)).max(axis=(1, 2)).tolist()
-    width = x.shape[-1]
     # max|bands| per point, without an |bands| temporary
     scales = np.maximum(bands.max(axis=1), -bands.min(axis=1)) * _HALVED[:width, :width]
     scales = scales.max(axis=(1, 2, 3)).tolist()
@@ -406,7 +408,6 @@ def _steady_results(spaces, bands, inside, level, photons, x, errors, tol):
     depth = x.shape[1] - 1
     p_n = sum(x[:, RUNG_SHIFT[l] : depth + RUNG_SHIFT[l], SLOT_OF[l, l]] for l in range(width - 1))
     p_n = np.clip(p_n, 0.0, None)
-    phase = SLOT_PHASE[level[0], level[1]]
     outcomes = []
     for k, space in enumerate(spaces):
         error = errors[k] or _stall(residuals[k], scales[k], tol)
@@ -416,13 +417,8 @@ def _steady_results(spaces, bands, inside, level, photons, x, errors, tol):
         p = p_n[k, : space.fock_dim]
         if p[-1] > 1e-8:
             warnings.warn(f"tail P[{space.n_max}] = {p[-1]:.3e} above 1e-8", stacklevel=4)
-        own, partners = inside[k], inside[k] & ~populations[k]
-        pairs = level * space.fock_dim + photons
-        rows, cols = np.concatenate([pairs[:, own], pairs[::-1, partners]], axis=1)
-        values = phase * x[k]
-        values = np.concatenate([values[own], np.conj(values[partners])])
-        distribution = PhotonDistribution(p / p.sum())
-        outcomes.append((space, BlockState(rows, cols, values, distribution, residuals[k])))
+        rungs = x[k, : space.n_max + 2, : space.atom_dim + 1].copy()
+        outcomes.append((space, BlockState(rungs, PhotonDistribution(p / p.sum()), residuals[k])))
     return outcomes
 
 
@@ -443,29 +439,25 @@ def solve_models(
     outcome once it has used it holds one batch's states at a time.  The
     batches depend only on the cutoffs.
 
-    The blocks of a batch are assembled in one call at its largest cutoff,
-    and a point's own block is the principal sub-block on the slots inside
-    its cutoff and its levels (see :func:`build_sector_liouvillian`); its
-    other slots get x = 0.  The batch is swept in one stacked rung sweep
-    (``_rung_sweep``), so numpy's cost per call is paid once per rung for
-    the whole batch.  Per batch, too: the pinned levels, one stacked
-    reachability pass per engine kind, and the residuals, their scales and
-    the photon distributions, each a few array operations over the stacked
-    solution.  Per point remain the bound check, the unit trace, the
-    residual gate, the tail warning and the slicing of its state.
+    The blocks of a batch are assembled in one call, each point at its own
+    cutoff and in its own layout (see :func:`build_sector_liouvillian`),
+    padded with zero rungs to the batch's largest cutoff; a slot outside a
+    point's block gets an identity row and x = 0.  The batch is swept in
+    one stacked rung sweep (``_rung_sweep``), so numpy's cost per call is
+    paid once per rung for the whole batch.  Per batch, too: the pinned
+    levels, one stacked reachability pass per engine kind, and the
+    residuals, their scales and the photon distributions, each a few array
+    operations over the stacked solution.  Per point remain the bound
+    check, the unit trace, the residual gate, the tail warning and the copy
+    of its rungs.
 
     Yields, in the order of ``models``, ``(space, BlockState)`` or the
     :class:`TruncationError`, :class:`SteadyStateError` or ``ValueError``
     that point raised, so that one point's failure stays its own.
     """
-    start, counted, largest = 0, 0, 0
-    for k, n_max in enumerate(n_maxes):
-        if n_max <= MAX_N_MAX:
-            counted, largest = counted + 1, max(largest, n_max)
-            if counted * (largest + 2) > BATCH_RUNGS:
-                yield from _solve_batch(models[start:k], n_maxes[start:k], tol)
-                start, counted, largest = k, 1, n_max
-    yield from _solve_batch(models[start:], n_maxes[start:], tol)
+    sizes = [n_max + 2 if n_max <= MAX_N_MAX else 0 for n_max in n_maxes]
+    for start, end in _runs(sizes, BATCH_RUNGS):
+        yield from _solve_batch(models[start:end], n_maxes[start:end], tol)
 
 
 def _solve_batch(models, n_maxes, tol):
@@ -484,21 +476,14 @@ def _solve_batch(models, n_maxes, tol):
     if not live:
         return outcomes
     spaces, pinned = zip(*(outcomes[k] for k in live))
-    n_max = max(space.n_max for space in spaces)
-    bands, rows, cols = build_sector_liouvillian([models[k] for k in live], n_max)
-    level, photons = np.divmod(np.stack([rows, cols]), n_max + 1)
-    cutoff = np.array([space.n_max for space in spaces])[:, np.newaxis, np.newaxis]
-    dims = np.array([space.atom_dim for space in spaces])[:, np.newaxis, np.newaxis]
-    inside = (rows >= 0) & (photons.max(axis=0) <= cutoff) & (level.max(axis=0) < dims)
-    # each point's own block: the rows and columns of its slots
-    padded = np.pad(inside, ((0, 0), (1, 1), (0, 0)))
-    reach = np.stack([padded[:, :-2], inside, padded[:, 2:]], axis=2)
-    own = inside[:, :, np.newaxis, :, np.newaxis] & reach[:, :, :, np.newaxis, :]
-    np.copyto(bands, 0.0, where=~own)
+    bands, rows, _ = build_sector_liouvillian(
+        [models[k] for k in live], [space.n_max for space in spaces]
+    )
+    inside = rows >= 0
     # the pinned population's equation becomes x = 1, and that of every slot
-    # outside the point's own x = 0 (its row and column are already 0); the
-    # rows are pinned in place, and restored for the residual and its scale
-    # once the sweep has returned, the failed points' included
+    # outside the point's block x = 0 (its row and column are already 0);
+    # the rows are pinned in place, and restored for the residual and its
+    # scale once the sweep has returned, the failed points' included
     pinned = np.array(pinned)
     rhs = np.zeros(inside.shape)
     rhs[np.arange(len(live)), RUNG_SHIFT[pinned], SLOT_OF[pinned, pinned]] = 1.0
@@ -508,7 +493,7 @@ def _solve_batch(models, n_maxes, tol):
     bands[point, rung, 1, slot, slot] = 1.0
     x, errors = _sweep_points(bands, rhs)
     bands[point, rung, :, slot] = saved
-    for k, outcome in zip(live, _steady_results(spaces, bands, inside, level, photons, x, errors, tol)):
+    for k, outcome in zip(live, _steady_results(spaces, bands, inside, x, errors, tol)):
         outcomes[k] = outcome
     return outcomes
 
@@ -523,9 +508,9 @@ def solve_model(
     population |s><s| is pinned to 1 in place of its own equation, the
     block-tridiagonal system is solved by block Thomas over the rungs in
     real arithmetic, and the unit-trace state, Hermitian by construction,
-    is returned in that block form (:class:`BlockState`) with its photon
-    distribution.  The trace is the left null vector of L, so the pinned
-    system is nonsingular exactly when the steady state is unique and
+    is returned in the block's rung layout (:class:`BlockState`) with its
+    photon distribution.  The trace is the left null vector of L, so the
+    pinned system is nonsingular exactly when the steady state is unique and
     populates s.  s is |l, 0> for the first level l of the one closed class
     of the jump graph (see ``_pinned_levels``): |g, 0> unless, say, a
     four-level atom with g = 0 and an empty ancilla bath is trapped in the
@@ -547,12 +532,14 @@ def solve_model(
     :class:`TruncationError` before any assembly.  A batch's memory grows
     with its rung-points, (points) x (largest cutoff + 2): a four-level rung
     holds 0.6 kB per point in its 3 x 5 x 5 real bands, pinned in place, and
-    a batch peaks at about twice that in the builder's entry arrays; the
-    sweep's workspace is freed before the states are sliced.  So 16 points
-    at n_max 1000 peak at 18.2 MB (traced; 0.10-0.12 s untraced on a 2-vCPU
-    Xeon); one dense state there would take 256 MB.  :func:`solve_models`
-    keeps each batch within that many rung-points, ``BATCH_RUNGS``.  A
-    warning is raised if the exact P[n_max] exceeds 1e-8.
+    a batch peaks at about 1.7 times that, in the rung sweep's workspace;
+    the builder frees its entry arrays before it allocates the bands, and
+    the sweep's workspace is freed before each point copies its rungs.  So
+    16 points at n_max 1000 peak at 16.2 MB (traced; 0.06-0.09 s untraced
+    on a 2-vCPU Xeon); one dense state there would take 256 MB.
+    :func:`solve_models` keeps each batch within that many rung-points,
+    ``BATCH_RUNGS``.  A warning is raised if the exact P[n_max] exceeds
+    1e-8.
     """
     if n_max is None:
         n_max = steady_distribution(scully_lamb_coefficients(model)).n_max

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from heatlaser import BathSpec, build_four_level, build_three_level
+from heatlaser.core import RUNG_SHIFT, RUNG_SLOTS, SLOT_PHASE
 
 # the sweep-bright workload of the benchmark: 9 to 31 photons in the cavity
 BRIGHT = Path(__file__).parents[1] / "perfbench" / "configs" / "bright.json"
@@ -43,9 +44,9 @@ def sector_block_csc(bands, rows, cols):
     order: column k of ``block`` is the real unknown of the operator
     |rows[k]><cols[k]| (see :func:`slot_map`).  Fails
     if a band entry sits in an empty slot or outside the rung range.
-    ``bands`` holds a batch of one.
+    ``bands``, ``rows`` and ``cols`` hold a batch of one.
     """
-    (bands,) = bands
+    (bands,), (rows,), (cols,) = bands, rows, cols
     filled = rows >= 0
     index = np.full(rows.shape, -1)
     index[filled] = np.arange(np.count_nonzero(filled))
@@ -85,13 +86,24 @@ def slot_map(rows, cols, fock_dim):
 
 
 def dense_state(space, result):
-    """The (A F) x (A F) density matrix of a block-form steady state.
+    """The (A F) x (A F) density matrix of a steady state in rung layout.
 
-    ``solve_model`` returns the state in charge-zero block form; the
-    comparisons with the full-space references scatter it here.
+    ``solve_model`` returns the unknowns u of the charge-zero block by rung
+    and slot; the comparisons with the full-space references scatter them
+    here through core's tables: slot s of rung r is the pair
+    |l, r - RUNG_SHIFT[l]><l', r - RUNG_SHIFT[l']| with
+    (l, l') = RUNG_SLOTS[s], and its coefficient SLOT_PHASE[l, l'] u, so a
+    coherence is i u and its partner -i u.
     """
+    rung, slot = np.indices(result.rungs.shape)
+    level = RUNG_SLOTS[slot]
+    photons = rung[..., np.newaxis] - RUNG_SHIFT[level]
+    inside = np.all((photons >= 0) & (photons <= space.n_max), axis=-1)
+    rows, cols = (level * space.fock_dim + photons)[inside].T
+    values = SLOT_PHASE[tuple(level[inside].T)] * result.rungs[inside]
     rho = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    rho[result.rows, result.cols] = result.values
+    rho[rows, cols] = values
+    rho[cols, rows] = np.conj(values)
     return rho
 
 

@@ -154,10 +154,10 @@ def _batches(monkeypatch):
     batches = []
     assemble = heatlaser.solver.build_sector_liouvillian
 
-    def counted(models, n_max):
-        assert len(models) * (n_max + 2) <= BATCH_RUNGS
+    def counted(models, n_maxes):
+        assert len(models) * (max(n_maxes) + 2) <= BATCH_RUNGS
         batches.append([model.n_h for model in models])
-        return assemble(models, n_max)
+        return assemble(models, n_maxes)
 
     monkeypatch.setattr(heatlaser.solver, "build_sector_liouvillian", counted)
     return batches

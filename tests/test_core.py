@@ -216,7 +216,7 @@ def test_sector_block_matches_full_liouvillian(seed, four, n_max, empty_baths, u
     }
     model = replace(model, g=0.0 if uncoupled else model.g, **emptied)
     space = HilbertSpace.for_model(model, n_max)
-    bands, rows, cols = build_sector_liouvillian([model], space.n_max)
+    bands, rows, cols = build_sector_liouvillian([model], [space.n_max])
     assert bands.dtype == np.float64
     block, rows, cols = sector_block_csc(bands, rows, cols)
     full = build_liouvillian(model, space).tocsc()
@@ -289,9 +289,9 @@ def test_steady_state_is_real_up_to_photon_parity(seed, four, n_max, empty_baths
     uncoupled=st.booleans(),
 )
 def test_sector_block_nests_in_a_larger_cutoff(seed, four, cutoffs, empty_baths, uncoupled):
-    # a batch is assembled once at its largest cutoff M, and each point takes
-    # its own block at cutoff N < M from it: the M-block on rungs 0..N + 1
-    # and on the slots with both photon numbers at most N, bit for bit
+    # the block at cutoff N < M is the M-block on rungs 0..N + 1 and on the
+    # slots with both photon numbers at most N, bit for bit, so a batch's
+    # entries can be found once, at its largest cutoff
     small, large = cutoffs
     rng = np.random.default_rng(seed)
     model = random_four_level(rng) if four else random_three_level(rng)
@@ -302,8 +302,8 @@ def test_sector_block_nests_in_a_larger_cutoff(seed, four, cutoffs, empty_baths,
         if empty
     }
     model = replace(model, g=0.0 if uncoupled else model.g, **emptied)
-    bands, rows, cols = build_sector_liouvillian([model], small)
-    wide, wide_rows, wide_cols = build_sector_liouvillian([model], large)
+    bands, (rows,), (cols,) = build_sector_liouvillian([model], [small])
+    wide, (wide_rows,), (wide_cols,) = build_sector_liouvillian([model], [large])
     rungs = small + 2
     level, photons = np.divmod(np.stack([wide_rows, wide_cols])[:, :rungs], large + 1)
     inside = (wide_rows[:rungs] >= 0) & (photons.max(axis=0) <= small)
@@ -317,6 +317,39 @@ def test_sector_block_nests_in_a_larger_cutoff(seed, four, cutoffs, empty_baths,
     kept = inside[:, np.newaxis, :, np.newaxis] & reach[:, :, np.newaxis, :]
     restricted = np.where(kept, wide[0, :rungs], 0.0)
     assert np.array_equal(restricted.view(np.uint64), bands[0].view(np.uint64))
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    points=st.lists(
+        st.tuples(st.booleans(), st.integers(1, 12)),
+        min_size=2,
+        max_size=5,
+        unique_by=lambda point: point[1],
+    ),
+)
+def test_mixed_batch_assembles_each_point_as_alone(seed, points):
+    # three- and four-level engines at distinct cutoffs in one call: each
+    # point's bands on its own rungs and slots, and its rows and cols, are
+    # those of its solo assembly, bit for bit; past them the bands are 0 and
+    # the rows and cols -1
+    assume(len({four for four, _ in points}) == 2)
+    rng = np.random.default_rng(seed)
+    models = [random_four_level(rng) if four else random_three_level(rng) for four, _ in points]
+    cutoffs = [n_max for _, n_max in points]
+    bands, rows, cols = build_sector_liouvillian(models, cutoffs)
+    assert bands.shape[:2] == rows.shape[:2] == cols.shape[:2] == (len(models), max(cutoffs) + 2)
+    for p, (model, n_max) in enumerate(zip(models, cutoffs)):
+        alone, alone_rows, alone_cols = build_sector_liouvillian([model], [n_max])
+        rungs, width = n_max + 2, model.atom_dim + 1
+        padded = np.zeros_like(bands[p])
+        padded[:rungs, :, :width, :width] = alone[0]
+        assert np.array_equal(bands[p].view(np.uint64), padded.view(np.uint64))
+        for got, own in ((rows[p], alone_rows[0]), (cols[p], alone_cols[0])):
+            expected = np.full(got.shape, -1)
+            expected[:rungs, :width] = own
+            assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 5])

@@ -31,7 +31,14 @@ from heatlaser import (
     steady_state,
     wigner,
 )
-from heatlaser.core import build_cavity_operators, build_sector_liouvillian, check_density_matrix
+from heatlaser.core import (
+    LEVEL_E1,
+    LEVEL_E2,
+    SLOT_OF,
+    build_cavity_operators,
+    build_sector_liouvillian,
+    check_density_matrix,
+)
 from heatlaser.solver import BATCH_RUNGS, MAX_N_MAX, SteadyStateError, solve_models
 
 from conftest import (
@@ -285,7 +292,7 @@ def test_rung_sweep_matches_sparse_lu_at_large_cutoff(model, n_max):
     assert space.n_max == n_max
     # the same block scattered to CSC, solved by LU with the equation of
     # |g, 0><g, 0| replaced by the trace row
-    block, rows, cols = sector_block_csc(*build_sector_liouvillian([model], space.n_max))
+    block, rows, cols = sector_block_csc(*build_sector_liouvillian([model], [space.n_max]))
     assert block.dtype == np.float64
     ground = int(np.flatnonzero((rows == 0) & (cols == 0))[0])
     populations = np.flatnonzero(rows == cols)
@@ -334,7 +341,7 @@ def test_stall_reports_the_scale_of_the_complex_block():
     # both partners and carries 2 g sqrt(n), and the gate keeps the former
     model, n_max, tol = make_fig2_model(g=30.0, gamma=1.0), 6, 1e-30
     space = HilbertSpace.for_model(model, n_max)
-    bands, rows, cols = build_sector_liouvillian([model], n_max)
+    bands, rows, cols = build_sector_liouvillian([model], [n_max])
     _, rows, cols = sector_block_csc(bands, rows, cols)
     _, _, op_rows, op_cols = slot_map(rows, cols, space.fock_dim)
     inside = op_rows * space.total_dim + op_cols
@@ -350,17 +357,45 @@ def test_stall_reports_the_scale_of_the_complex_block():
 def test_batch_at_the_cutoff_bound_stays_small():
     # 16 four-level points at n_max 1000: the bands are pinned in place, so
     # the batch holds its real bands once (9.6 MB), and the traced peak is
-    # 18.2 MB, inside the assembly; holding them twice in complex form took
-    # 74.2 MB
+    # 16.2 MB, in the rung sweep; holding them twice in complex form took
+    # 74.2 MB.  At cutoffs from 500 to 1000 it is 19.0 MB: the rows of every
+    # slot past a point's cutoff are pinned too, and saved
     models = [make_fig5_model(n_h=n_h) for n_h in np.linspace(0.5, 5.0, 16)]
-    tracemalloc.start()
-    try:
-        outcomes = list(solve_models(models, [MAX_N_MAX] * len(models)))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert not any(isinstance(outcome, Exception) for outcome in outcomes)
-    assert peak < 25e6
+    mixed = np.linspace(500, MAX_N_MAX, len(models)).astype(int).tolist()
+    for cutoffs in ([MAX_N_MAX] * len(models), mixed):
+        tracemalloc.start()
+        try:
+            outcomes = list(solve_models(models, cutoffs))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not any(isinstance(outcome, Exception) for outcome in outcomes)
+        assert peak < 25e6
+
+
+def _flow_balance_miss(model):
+    # the photon flow across each edge n - 1 -> n, read off the rungs: the
+    # cavity's loss kappa n P_n against the coupling's gain -2 g sqrt(n) y_n,
+    # with i y_n the coherence <e1, n|rho|e2, n - 1> of rung n; returns the
+    # largest miss relative to the largest term
+    space, result = solve_model(model)
+    n = np.arange(1, space.fock_dim)
+    loss = model.kappa * n * result.distribution.probabilities[1:]
+    gain = -2.0 * model.g * np.sqrt(n) * result.rungs[n, SLOT_OF[LEVEL_E1, LEVEL_E2]]
+    return np.abs(loss - gain).max() / max(loss.max(), np.abs(gain).max())
+
+
+@pytest.mark.parametrize("model", [make_fig2_model(n_h=2.0), make_fig5_model(n_h=5.0)])
+def test_exact_flow_balances_on_every_edge(model):
+    assert _flow_balance_miss(model) <= 1e-12
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), four=st.booleans())
+def test_exact_flow_balances_on_random_engines(seed, four):
+    rng = np.random.default_rng(seed)
+    model = random_four_level(rng) if four else random_three_level(rng)
+    assert _flow_balance_miss(model) <= 1e-12
 
 
 def test_cutoff_above_bound_raises_before_assembly(monkeypatch):
@@ -438,8 +473,7 @@ def test_batch_keeps_warnings_and_failures_per_point():
         with pytest.warns(UserWarning, match=rf"tail P\[{n_max}\]"):
             solo_space, solo = solve_model(model, n_max=n_max)
         assert space == solo_space
-        assert np.array_equal(result.rows, solo.rows) and np.array_equal(result.cols, solo.cols)
-        assert np.array_equal(result.values, solo.values)
+        assert np.array_equal(result.rungs, solo.rungs)
         assert np.array_equal(result.distribution.probabilities, solo.distribution.probabilities)
         assert result.residual == solo.residual
 
@@ -456,9 +490,9 @@ def test_solve_models_is_lazy_and_keeps_order_across_batches(monkeypatch):
     batches = []
     assemble = heatlaser.solver.build_sector_liouvillian
 
-    def counted(batch, n_max):
+    def counted(batch, n_maxes):
         batches.append([model.n_h for model in batch])
-        return assemble(batch, n_max)
+        return assemble(batch, n_maxes)
 
     monkeypatch.setattr(heatlaser.solver, "build_sector_liouvillian", counted)
     outcomes = solve_models(models, cutoffs)
@@ -474,8 +508,7 @@ def test_solve_models_is_lazy_and_keeps_order_across_batches(monkeypatch):
         space, result = outcomes[k]
         solo_space, solo = solve_model(models[k], n_max=cutoffs[k])
         assert space == solo_space
-        assert np.array_equal(result.rows, solo.rows) and np.array_equal(result.cols, solo.cols)
-        assert np.array_equal(result.values, solo.values)
+        assert np.array_equal(result.rungs, solo.rungs)
         assert np.array_equal(result.distribution.probabilities, solo.distribution.probabilities)
         assert result.residual == solo.residual
 
