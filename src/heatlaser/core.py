@@ -13,11 +13,9 @@ only the charge-zero block, in which the steady state has one real unknown
 per population and per coherence pair.  Its layout is one fixed table:
 level pair ``RUNG_SLOTS[s]`` in slot s of rung n + ``RUNG_SHIFT[level]``,
 the same for every model and every cutoff.  :func:`build_sector_liouvillian`
-assembles the real blocks of a whole batch of models in it, each at its
-own cutoff, straight from the rates, with no operator matrix: every entry
-is a rate times a unit value, found once per call and kind of model by
-index arithmetic over the basis states, since every jump and the coupling
-send a basis state to at most one basis state.
+assembles the real blocks of a batch of models of one kind in it, each at
+its own cutoff, straight from the rates, with no operator matrix: its
+entries are the terms of the rung equations of the Lindblad form.
 Ordered by rung, the block is block-tridiagonal, and it is returned as
 dense float64 numpy bands.
 """
@@ -258,135 +256,87 @@ def build_sector_liouvillian(
     |l, n> sits in rung n + RUNG_SHIFT[l], from 0 to n_max + 1, and slot s
     of every rung holds the level pair RUNG_SLOTS[s].  Every jump moves a
     pair by at most one rung and the coupling keeps it, so L couples each
-    rung only to itself and its two neighbours.  The layout is the same at
-    every cutoff, and so are the entries: no jump raises n, and the only
-    term a cutoff removes, the emission out of |e2, N>, leads out of the
-    block at cutoff N.  So the entries are found once per kind of model, at
-    the batch's largest cutoff, and model p keeps those whose source and
-    target pairs have every photon number at most its own cutoff
-    ``n_maxes[p]``: its bands are those it gets when assembled alone, bit
-    for bit, and 0 past its rung n_maxes[p] + 1.
+    rung only to itself and its two neighbours.  One call assembles engines
+    of one kind, each at its own cutoff ``n_maxes[p]``; a list of more than
+    one kind raises ``ValueError``.
 
-    The unknowns are real: a pair |l, .><l', .> has the coefficient
-    SLOT_PHASE[l, l'] u_s for the unknown u_s of its slot, so i y and its
-    partner -i y share the coherence slot.  Row s is the equation of its
-    own pair times conj(SLOT_PHASE[l, l']), which is real for a state of
-    that form, and the partner's equation, the conjugate of the
-    coherence's, is dropped.  A population's entry in a coherence column
-    therefore sums the equal entries of both partners, twice the |L_ij| of
-    the complex block.
+    Row s is du_s/dt for the real unknown u_s of slot s: a population P is
+    u, and the coherence |e1, n><e2, n - 1| is i y with y = u (its partner
+    is -i y).  With the bath channels of :func:`_bath_channels` (rate
+    gamma from level l to l'), the cavity decay kappa, the coupling
+    V = g (sigma+ a + sigma- a+), and l, r the square roots of the photon
+    numbers of a slot's two levels, the rung equations are
+
+        dP_l/dt = - (sum of gamma out of l) P_l + (sum of gamma P_l' into l)
+                  - kappa (l^2 + r^2) / 2 P_l + kappa l' r' P_l'
+        dy/dt   = - (half of gamma out of e1 and out of e2) y
+                  - kappa (l^2 + r^2) / 2 y + kappa l' r' y'
+                  + g sqrt(n) (P_e1 - P_e2)
+
+    plus -2 g sqrt(n) y in dP_e1/dt and +2 g sqrt(n) y in dP_e2/dt, where
+    a primed P_l' or y' of the cavity terms is the same slot one rung up,
+    with its own l' and r', and n is the photon number of e1 in the
+    coherence.  A bath jump from l to l' reaches RUNG_SHIFT[l] -
+    RUNG_SHIFT[l'] rungs down.  Each cell adds its terms to 0 in the order
+    of the Lindblad form: the decays, per bath channel and then the
+    cavity's, the bath jumps, the cavity jump, then -i V rho and rho (i V).
+    Point p keeps a cell when both its target slot and its source slot lie
+    inside p's block, every photon number at most its cutoff: its bands are
+    those it gets when assembled alone, bit for bit, and 0 past its rung
+    n_maxes[p] + 1.
 
     Returns ``(bands, rows, cols)`` of the P models.  Slot s of rung r of
     model p is the operator |rows[p, r, s]><cols[p, r, s]|, with |l, n> at
     index l (n_maxes[p] + 1) + n, the model's own Fock layout.  ``rows``
     and ``cols`` have shape (P, R, m), R = max(n_maxes) + 2 and m = 1 + the
-    largest atom dimension (e3 is the last slot), and are -1 on every slot
-    outside the model's block: past its cutoff, or above its levels.
-    ``bands`` is float64 of shape (P, R, 3, m, m): ``bands[p, r, 1]`` maps
-    rung r onto itself, ``bands[p, r, 0]`` rung r - 1 onto rung r and
-    ``bands[p, r, 2]`` rung r + 1 onto rung r.  Rows and columns of slots
-    outside the model's block are 0.
-
-    L[rho] = K rho + rho K+ + sum_r r J rho J+ with
-    K = -i V - (1/2) sum_r r J+ J, over the jump channels of
-    :func:`build_dissipators` and the coupling of :func:`build_interaction`.
-    No operator is formed as a matrix.  Each jump J and the coupling V send
-    a basis state to at most one basis state, and J+ J is diagonal, so each
-    is held as a target index (-1 where the column is zero) and a value per
-    basis state.  Each part of L, -(1/2)(J+ J rho + rho J+ J) and J rho J+
-    for every jump, -i V rho and rho (-i V)+, then maps each operator |i><j|
-    onto at most one |i'><j'|, whose rung and slot the table gives.  Every
-    entry is one rate of theta = (the ``_bath_channels`` rates, kappa, g)
-    times a unit value, the product of the part's value and both phases,
-    and ``np.add.at`` adds theta_k x unit into each cell in one fixed
-    order: a model's bands do not depend on the batch it comes in.  Raises
-    ``RuntimeError`` if the block leaks, couples rungs further apart or has
-    a unit that is not exactly real.
+    atom dimension (e3 is the last slot), and are -1 on every slot outside
+    the model's block.  ``bands`` is float64 of shape (P, R, 3, m, m):
+    ``bands[p, r, 1]`` maps rung r onto itself, ``bands[p, r, 0]`` rung
+    r - 1 onto rung r and ``bands[p, r, 2]`` rung r + 1 onto rung r.  Rows
+    and columns of slots outside the model's block are 0.
     """
-    width = max(model.atom_dim for model in models) + 1
-    n_max = max(n_maxes)
-    fock, depth = n_max + 1, n_max + 2
-    rung, slot = np.divmod(np.arange(depth * width), width)
-    pair_level = RUNG_SLOTS[slot]
-    pair_photons = rung[:, np.newaxis] - RUNG_SHIFT[pair_level]
-    filled = np.all((pair_photons >= 0) & (pair_photons <= n_max), axis=1)
-    pair_states = pair_level * fock + pair_photons  # |l, n> at l fock + n
-
-    state = np.arange(4 * fock)
-    level, photons = np.divmod(state, fock)
-    state_rung = photons + RUNG_SHIFT[level]
-    root = np.sqrt(photons.astype(float))
-    cavity = np.where(photons > 0, state - 1, -1)
-    # -i V without g, for the coupling V = sigma+ a + sigma- a+
-    absorb = (level == LEVEL_E1) & (photons > 0)
-    emit = (level == LEVEL_E2) & (photons < n_max)
-    coupling_to = np.where(absorb, state + fock - 1, np.where(emit, state - fock + 1, -1))
-    coupling = -1j * np.where(absorb, root, np.where(emit, np.sqrt(photons + 1.0), 0.0))
-
-    # the phase each row is multiplied by; 0 drops the partner's equation
-    row_phase = np.conj(SLOT_PHASE)
-    row_phase[LEVEL_E2, LEVEL_E1] = 0.0
-    found = []  # per kind: its points, their rates, and its entries
-    kinds = [model.kind for model in models]
-    for kind in dict.fromkeys(kinds):
-        points = [p for p, other in enumerate(kinds) if other == kind]
-        group = [models[p] for p in points]
-        theta = np.array([[rate for *_, rate in _bath_channels(m)] + [m.kappa, m.g] for m in group])
-        if np.any(theta[:, :-1] < 0):
-            raise ValueError(f"negative dissipator rate {theta[:, :-1].min()}")
-        own = group[0].atom_dim + 1  # the kind's slots
-        # each jump as a target (-1 where it sends the state to 0) and a
-        # value per basis state: the baths, then the cavity
-        channels = _bath_channels(group[0])
-        hops = [np.where(level == low, state + (to - low) * fock, -1) for to, low, _ in channels]
-        target = np.array(hops + [cavity])
-        value = np.array([level == low for _, low, _ in channels] + [root], dtype=float)
-        # every operator |i><j| of the block at the largest cutoff, at its
-        # slot: each slot's own pair, then the partner of each coherence
-        column = np.flatnonzero(filled & (slot < own))
-        partner = column[slot[column] == SLOT_OF[LEVEL_E1, LEVEL_E2]]
-        i, j = np.hstack([pair_states[column].T, pair_states[partner].T[::-1]])
-        column = np.concatenate([column, partner])
-        # the parts of L: -(1/2)(J+ J rho + rho J+ J) and J rho J+ for each
-        # jump J, then -i V rho and rho (-i V)+; per part, its maps on the
-        # left and on the right of |i><j|, its rate index, and its unit on
-        # |i><j|: its value times the phase of |i><j| and that of the row
-        n = len(target)
-        decay, jump = -0.5 * (value[:, i] ** 2 + value[:, j] ** 2), value[:, i] * value[:, j]
-        units = np.vstack([decay, jump, coupling[i], np.conj(coupling[j])])
-        left = np.vstack([np.tile(state, (n, 1)), target, coupling_to, state])[:, i]
-        right = np.vstack([np.tile(state, (n, 1)), target, state, coupling_to])[:, j]
-        units *= SLOT_PHASE[level[i], level[j]] * row_phase[level[left], level[right]]
-        part, k = np.nonzero(units)
-        at, unit, param = column[k], units[part, k], np.array([*range(n), *range(n), n, n])[part]
-        to_i, to_j = left[part, k], right[part, k]
-        del decay, jump, units, left, right  # the per-part arrays are dead
-        to_rung, to_slot = state_rung[to_i], SLOT_OF[level[to_i], level[to_j]]
-        outside = (to_i < 0) | (to_j < 0) | (to_slot < 0) | (to_slot >= own) | (unit.imag != 0)
-        if np.any(outside | (state_rung[to_j] != to_rung)):
-            raise RuntimeError("the Liouvillian maps the real charge-zero block outside itself")
-        band = rung[at] - to_rung + 1
-        if np.any((band < 0) | (band > 2)):
-            raise RuntimeError("the Liouvillian couples rungs more than one apart")
-        cell = ((to_rung * 3 + band) * width + to_slot) * width + slot[at]
-        # the largest photon number of each entry's source and target pair
-        reach = photons[np.stack([i[k], j[k], to_i, to_j])].max(axis=0)
-        found.append((points, theta, cell, reach, param, unit.real.copy()))
-    # the bands are allocated once the work arrays are freed, so that at
-    # n_max 1000 the batch's memory peak lies outside the assembly
-    del part, k, at, unit, to_i, to_j, to_rung, to_slot, outside, band
-    bands = np.zeros((len(models), depth * 3 * width * width))
-    for points, theta, cell, reach, param, unit in found:
-        for point, rates in zip(points, theta):
-            kept = reach <= n_maxes[point]
-            np.add.at(bands[point], cell[kept], rates[param[kept]] * unit[kept])
-    # each model's own slots, in its own Fock layout
-    cutoff = np.array(n_maxes)[:, np.newaxis]
-    dims = np.array([model.atom_dim for model in models])[:, np.newaxis]
-    inside = filled & (pair_photons.max(axis=1) <= cutoff) & (slot <= dims)
-    pairs = pair_level.T[:, np.newaxis] * (cutoff + 1) + pair_photons.T[:, np.newaxis]
-    rows, cols = np.where(inside, pairs, -1).reshape(2, len(models), depth, width)
-    return bands.reshape(len(models), depth, 3, width, width), rows, cols
+    if len({model.kind for model in models}) > 1:
+        raise ValueError("a batch holds engines of one kind")
+    channels = _bath_channels(models[0])
+    theta = np.array([[rate for *_, rate in _bath_channels(m)] + [m.kappa, m.g] for m in models])
+    if np.any(theta[:, :-1] < 0):
+        raise ValueError(f"negative dissipator rate {theta[:, :-1].min()}")
+    *gamma, kappa, g = theta.T[:, :, np.newaxis]  # each (P, 1), against (P, R) columns
+    width, depth = models[0].atom_dim + 1, max(n_maxes) + 2
+    photons = np.arange(depth)[:, np.newaxis, np.newaxis] - RUNG_SHIFT[RUNG_SLOTS[:width]]
+    ell, r = np.moveaxis(np.sqrt(np.maximum(photons, 0)), -1, 0)  # each (R, m)
+    slots, coherence = np.arange(width), SLOT_OF[LEVEL_E1, LEVEL_E2]
+    e1, e2 = SLOT_OF[LEVEL_E1, LEVEL_E1], SLOT_OF[LEVEL_E2, LEVEL_E2]
+    bands = np.zeros((len(models), depth, 3, width, width))
+    same = bands[:, :, 1]  # rung r onto itself
+    for rate, (_, low, _) in zip(gamma, channels):
+        same[:, :, SLOT_OF[low, low], SLOT_OF[low, low]] += rate * -1.0
+        if low in (LEVEL_E1, LEVEL_E2):
+            same[:, :, coherence, coherence] += rate * -0.5
+    same[:, :, slots, slots] += kappa[:, :, np.newaxis] * (-0.5 * (ell**2 + r**2))
+    for rate, (to, low, _) in zip(gamma, channels):
+        band = RUNG_SHIFT[low] - RUNG_SHIFT[to] + 1
+        bands[:, :, band, SLOT_OF[to, to], SLOT_OF[low, low]] += rate * 1.0
+    bands[:, :-1, 2, slots, slots] += kappa[:, :, np.newaxis] * (ell * r)[1:]
+    # -i V rho, then rho (i V), with c = g sqrt(n): the coherence i y and
+    # its partner -i y each add a term to the rows of P_e1 and P_e2
+    c = g * ell[:, coherence]
+    for _ in range(2):
+        same[:, :, e1, coherence] += -c
+        same[:, :, e2, coherence] += c
+    same[:, :, coherence, e1] += c
+    same[:, :, coherence, e2] += -c
+    # each point's own slots; it drops every cell whose target or source
+    # slot lies outside them (band b of rung r reads rung r + b - 1)
+    cutoff = np.array(n_maxes)[:, np.newaxis, np.newaxis, np.newaxis]
+    inside = np.all((photons >= 0) & (photons <= cutoff), axis=-1)  # (P, R, m)
+    outside = np.pad(~inside, ((0, 0), (1, 1), (0, 0)), constant_values=True)
+    source_out = np.stack([outside[:, b : b + depth] for b in range(3)], axis=2)
+    target_out = outside[:, 1:-1, np.newaxis, :, np.newaxis]
+    np.copyto(bands, 0.0, where=target_out | source_out[:, :, :, np.newaxis])
+    pairs = np.moveaxis(RUNG_SLOTS[:width] * (cutoff + 1) + photons, -1, 0)  # (2, P, R, m)
+    rows, cols = np.where(inside, pairs, -1)
+    return bands, rows, cols
 
 
 def apply_liouvillian(liouv: sp.spmatrix, rho: np.ndarray) -> np.ndarray:

@@ -69,8 +69,8 @@ MAX_N_MAX = 1000
 # rung-points, (points) x (largest cutoff + 2), per batch of steady-state
 # solves.  A batch holds the real rung bands of all its points at once, so
 # its memory grows with its rung-points; the budget is the batch of 16
-# four-level points at the cutoff bound MAX_N_MAX, whose traced peak of 16 to
-# 19 MB test_solver.py gates, and it holds a whole preset grid (fig2: 60
+# four-level points at the cutoff bound MAX_N_MAX, whose traced peak of
+# 16.2 MB test_solver.py gates, and it holds a whole preset grid (fig2: 60
 # points at n_max <= 33, 2 100 rung-points)
 BATCH_RUNGS = 16 * (MAX_N_MAX + 2)
 
@@ -319,31 +319,28 @@ def _pinned_levels(models):
     with g != 0 the coupling takes |e2, 0> to |e1, 1>, which decays to
     |e1, 0>; the cavity empties from every level.  So the closed classes of
     the steady state are those of this graph on the levels at n = 0, whose
-    reachability is found for all models of one kind in one stacked matrix
-    power.  A model gets the first level of its one closed class, which the
-    steady state populates, or a :class:`SteadyStateError` if it has more
-    than one.
+    reachability is found for all models, which are of one kind, in one
+    stacked matrix power.  A model gets the first level of its one closed
+    class, which the steady state populates, or a
+    :class:`SteadyStateError` if it has more than one.
     """
-    pinned = [None] * len(models)
-    kinds = [model.kind for model in models]
-    for kind in dict.fromkeys(kinds):
-        points = [p for p, other in enumerate(kinds) if other == kind]
-        channels = [_bath_channels(models[p]) for p in points]
-        to_level, from_level, _ = zip(*channels[0])
-        dim = models[points[0]].atom_dim
-        step = np.tile(np.eye(dim, dtype=int), (len(points), 1, 1))
-        step[:, from_level, to_level] |= np.array([[rate for *_, rate in c] for c in channels]) > 0
-        step[:, LEVEL_E2, LEVEL_E1] |= np.array([models[p].g for p in points]) != 0
-        reach = np.linalg.matrix_power(step, dim) > 0
-        # l is closed when it comes back from every level it reaches
-        closed = np.all(reach.swapaxes(1, 2) | ~reach, axis=2)
-        unique = np.all(reach | ~(closed[:, :, np.newaxis] & closed[:, np.newaxis]), axis=(1, 2))
-        for p, levels, one, first in zip(points, closed, unique, closed.argmax(axis=1).tolist()):
-            pinned[p] = first if one else SteadyStateError(
-                "the steady state is not unique: levels "
-                f"{np.flatnonzero(levels).tolist()} at n = 0 fall into separate closed classes"
-            )
-    return pinned
+    channels = [_bath_channels(model) for model in models]
+    to_level, from_level, _ = zip(*channels[0])
+    dim = models[0].atom_dim
+    step = np.tile(np.eye(dim, dtype=int), (len(models), 1, 1))
+    step[:, from_level, to_level] |= np.array([[rate for *_, rate in c] for c in channels]) > 0
+    step[:, LEVEL_E2, LEVEL_E1] |= np.array([model.g for model in models]) != 0
+    reach = np.linalg.matrix_power(step, dim) > 0
+    # l is closed when it comes back from every level it reaches
+    closed = np.all(reach.swapaxes(1, 2) | ~reach, axis=2)
+    unique = np.all(reach | ~(closed[:, :, np.newaxis] & closed[:, np.newaxis]), axis=(1, 2))
+    return [
+        first if one else SteadyStateError(
+            "the steady state is not unique: levels "
+            f"{np.flatnonzero(levels).tolist()} at n = 0 fall into separate closed classes"
+        )
+        for levels, one, first in zip(closed, unique, closed.argmax(axis=1).tolist())
+    ]
 
 
 # a steady state in rung layout: rungs[r, s] is the real unknown u of slot s
@@ -429,23 +426,24 @@ def solve_models(
 
     Model k is solved at the cutoff ``n_maxes[k]`` exactly as
     :func:`solve_model` solves it, which is this function on a batch of one.
-    The input is cut into batches of consecutive points, each taking points
-    while (points) x (largest cutoff + 2) stays within ``BATCH_RUNGS``
-    rung-points, so every preset grid is one batch; a point whose cutoff is
+    The input is cut into batches of consecutive points of one engine kind,
+    each taking points while (points) x (largest cutoff + 2) stays within
+    ``BATCH_RUNGS`` rung-points, so every preset grid is one batch; a new
+    batch starts wherever the kind changes, and a point whose cutoff is
     above ``MAX_N_MAX`` does not count, since it gets a
     :class:`TruncationError` before any assembly.  A batch's memory grows
     with its rung-points (see :func:`solve_model`), and a batch is solved
     only when its first outcome is asked for, so a consumer that drops each
     outcome once it has used it holds one batch's states at a time.  The
-    batches depend only on the cutoffs.
+    batches depend only on the kinds and the cutoffs.
 
     The blocks of a batch are assembled in one call, each point at its own
     cutoff and in its own layout (see :func:`build_sector_liouvillian`),
     padded with zero rungs to the batch's largest cutoff; a slot outside a
-    point's block gets an identity row and x = 0.  The batch is swept in
-    one stacked rung sweep (``_rung_sweep``), so numpy's cost per call is
-    paid once per rung for the whole batch.  Per batch, too: the pinned
-    levels, one stacked reachability pass per engine kind, and the
+    point's block gets a unit diagonal, and so x = 0, for the sweep.  The
+    batch is swept in one stacked rung sweep (``_rung_sweep``), so numpy's
+    cost per call is paid once per rung for the whole batch.  Per batch,
+    too: the pinned levels, one stacked reachability pass, and the
     residuals, their scales and the photon distributions, each a few array
     operations over the stacked solution.  Per point remain the bound
     check, the unit trace, the residual gate, the tail warning and the copy
@@ -456,7 +454,7 @@ def solve_models(
     that point raised, so that one point's failure stays its own.
     """
     sizes = [n_max + 2 if n_max <= MAX_N_MAX else 0 for n_max in n_maxes]
-    for start, end in _runs(sizes, BATCH_RUNGS):
+    for start, end in _runs(sizes, BATCH_RUNGS, [model.kind for model in models]):
         yield from _solve_batch(models[start:end], n_maxes[start:end], tol)
 
 
@@ -481,17 +479,21 @@ def _solve_batch(models, n_maxes, tol):
     )
     inside = rows >= 0
     # the pinned population's equation becomes x = 1, and that of every slot
-    # outside the point's block x = 0 (its row and column are already 0);
-    # the rows are pinned in place, and restored for the residual and its
-    # scale once the sweep has returned, the failed points' included
+    # outside the point's block x = 0: its row and column are already 0, so
+    # it needs only a unit diagonal.  Both are set in place, and undone for
+    # the residual and its scale once the sweep has returned, the failed
+    # points' included; only the pinned rows are saved
     pinned = np.array(pinned)
+    point, rung, slot = np.arange(len(live)), RUNG_SHIFT[pinned], SLOT_OF[pinned, pinned]
     rhs = np.zeros(inside.shape)
-    rhs[np.arange(len(live)), RUNG_SHIFT[pinned], SLOT_OF[pinned, pinned]] = 1.0
-    point, rung, slot = np.nonzero(~inside | (rhs != 0))
+    rhs[point, rung, slot] = 1.0
     saved = bands[point, rung, :, slot]
     bands[point, rung, :, slot] = 0.0
     bands[point, rung, 1, slot, slot] = 1.0
+    diagonal = np.einsum("prss->prs", bands[:, :, 1])  # a view
+    np.copyto(diagonal, 1.0, where=~inside)
     x, errors = _sweep_points(bands, rhs)
+    np.copyto(diagonal, 0.0, where=~inside)
     bands[point, rung, :, slot] = saved
     for k, outcome in zip(live, _steady_results(spaces, bands, inside, x, errors, tol)):
         outcomes[k] = outcome

@@ -122,6 +122,33 @@ def test_config_errors(tmp_path):
             load_config(write_config(tmp_path, overrides))
 
 
+def test_linear_sweep_spacing(tmp_path):
+    # "linear" is the default spacing: evenly spaced n_h from start to stop
+    for overrides in ({"sweep.spacing": "linear"}, {"sweep.spacing": None}):
+        path = write_config(tmp_path, {**overrides, "sweep.points": 3})
+        config = load_config(path)
+        assert config.sweep.spacing == "linear"
+        assert config.sweep.values().tolist() == pytest.approx([0.4, 0.8, 1.2], rel=1e-15)
+    records = run_sweep(config)
+    assert [r["n_h"] for r in records] == config.sweep.values().tolist()
+    assert all(r["status"] == "ok" for r in records)
+
+
+def test_sweep_block_errors_exit_2(tmp_path, capsys):
+    # a sweep needs its block, sweeps only n_h, and starts above 0
+    out = tmp_path / "out"
+    for name, overrides, message in [
+        ("none.json", {"sweep": None}, "sweep: block required for the sweep command"),
+        ("g.json", {"sweep.variable": "g"}, "sweep.variable: only 'n_h' sweeps are supported"),
+        ("zero.json", {"sweep.start": 0.0}, "sweep: need 0 < start <= stop, got [0.0, 1.2]"),
+        ("negative.json", {"sweep.start": -1.0}, "sweep: need 0 < start <= stop, got [-1.0, 1.2]"),
+    ]:
+        path = write_config(tmp_path, overrides, name=name)
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == f"config error: {message}"
+    assert not out.exists()
+
+
 def test_unknown_numerics_key_is_ignored(tmp_path):
     # configs written for older versions still carry numerics.method and n_max
     plain = write_config(tmp_path, name="plain.json")

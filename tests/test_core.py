@@ -322,34 +322,37 @@ def test_sector_block_nests_in_a_larger_cutoff(seed, four, cutoffs, empty_baths,
 @settings(deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    points=st.lists(
-        st.tuples(st.booleans(), st.integers(1, 12)),
-        min_size=2,
-        max_size=5,
-        unique_by=lambda point: point[1],
-    ),
+    four=st.booleans(),
+    cutoffs=st.lists(st.integers(1, 12), min_size=2, max_size=5, unique=True),
 )
-def test_mixed_batch_assembles_each_point_as_alone(seed, points):
-    # three- and four-level engines at distinct cutoffs in one call: each
-    # point's bands on its own rungs and slots, and its rows and cols, are
-    # those of its solo assembly, bit for bit; past them the bands are 0 and
-    # the rows and cols -1
-    assume(len({four for four, _ in points}) == 2)
+def test_batch_assembles_each_point_as_alone(seed, four, cutoffs):
+    # engines of one kind at distinct cutoffs in one call: each point's
+    # bands on its own rungs and slots, and its rows and cols, are those of
+    # its solo assembly, bit for bit; past them the bands are 0 and the rows
+    # and cols -1
     rng = np.random.default_rng(seed)
-    models = [random_four_level(rng) if four else random_three_level(rng) for four, _ in points]
-    cutoffs = [n_max for _, n_max in points]
+    models = [random_four_level(rng) if four else random_three_level(rng) for _ in cutoffs]
     bands, rows, cols = build_sector_liouvillian(models, cutoffs)
-    assert bands.shape[:2] == rows.shape[:2] == cols.shape[:2] == (len(models), max(cutoffs) + 2)
+    width = models[0].atom_dim + 1
+    assert bands.shape == (len(models), max(cutoffs) + 2, 3, width, width)
+    assert rows.shape == cols.shape == bands.shape[:2] + (width,)
     for p, (model, n_max) in enumerate(zip(models, cutoffs)):
         alone, alone_rows, alone_cols = build_sector_liouvillian([model], [n_max])
-        rungs, width = n_max + 2, model.atom_dim + 1
+        rungs = n_max + 2
         padded = np.zeros_like(bands[p])
-        padded[:rungs, :, :width, :width] = alone[0]
+        padded[:rungs] = alone[0]
         assert np.array_equal(bands[p].view(np.uint64), padded.view(np.uint64))
         for got, own in ((rows[p], alone_rows[0]), (cols[p], alone_cols[0])):
             expected = np.full(got.shape, -1)
-            expected[:rungs, :width] = own
+            expected[:rungs] = own
             assert np.array_equal(got, expected)
+
+
+def test_mixed_kinds_are_refused():
+    # one call assembles engines of one kind; solve_models cuts its batches
+    # where the kind changes
+    with pytest.raises(ValueError, match="a batch holds engines of one kind"):
+        build_sector_liouvillian([make_fig2_model(), make_fig5_model()], [3, 3])
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 5])

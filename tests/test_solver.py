@@ -358,8 +358,9 @@ def test_batch_at_the_cutoff_bound_stays_small():
     # 16 four-level points at n_max 1000: the bands are pinned in place, so
     # the batch holds its real bands once (9.6 MB), and the traced peak is
     # 16.2 MB, in the rung sweep; holding them twice in complex form took
-    # 74.2 MB.  At cutoffs from 500 to 1000 it is 19.0 MB: the rows of every
-    # slot past a point's cutoff are pinned too, and saved
+    # 74.2 MB.  At cutoffs from 500 to 1000 it is 16.1 MB: only the pinned
+    # population rows are saved, and a slot past a point's cutoff gets just
+    # a unit diagonal
     models = [make_fig5_model(n_h=n_h) for n_h in np.linspace(0.5, 5.0, 16)]
     mixed = np.linspace(500, MAX_N_MAX, len(models)).astype(int).tolist()
     for cutoffs in ([MAX_N_MAX] * len(models), mixed):
@@ -418,8 +419,8 @@ def _auto_cutoff(model):
 @settings(deadline=None, max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), kinds=st.lists(st.booleans(), min_size=1, max_size=4))
 def test_batch_solves_each_point_as_a_solo_solve(seed, kinds):
-    # three- and four-level engines of mixed cutoffs in one batch, with an
-    # engine whose pump is off (A = 0, n_max 1)
+    # three- and four-level engines of mixed cutoffs in one call, batched
+    # by kind, with an engine whose pump is off (A = 0, n_max 1)
     rng = np.random.default_rng(seed)
     models = [random_four_level(rng) if four else random_three_level(rng) for four in kinds]
     models.insert(int(rng.integers(len(models) + 1)), make_fig2_model(n_h=0.0))
@@ -507,6 +508,37 @@ def test_solve_models_is_lazy_and_keeps_order_across_batches(monkeypatch):
     for k in [*range(16), 17, 18]:
         space, result = outcomes[k]
         solo_space, solo = solve_model(models[k], n_max=cutoffs[k])
+        assert space == solo_space
+        assert np.array_equal(result.rungs, solo.rungs)
+        assert np.array_equal(result.distribution.probabilities, solo.distribution.probabilities)
+        assert result.residual == solo.residual
+
+
+def test_solve_models_cuts_a_batch_where_the_kind_changes(monkeypatch):
+    # one assembly holds engines of one kind, so a batch ends where the
+    # kind changes, although every point would fit the budget; each point
+    # still gets the numbers of its solo solve, bit for bit
+    models = [
+        make_fig2_model(n_h=1.0),
+        make_fig2_model(n_h=2.0),
+        make_fig5_model(n_h=1.0),
+        make_fig2_model(n_h=3.0),
+        make_fig5_model(n_h=2.0),
+        make_fig5_model(n_h=3.0),
+    ]
+    cutoffs = [_auto_cutoff(model) for model in models]
+    batches = []
+    assemble = heatlaser.solver.build_sector_liouvillian
+
+    def counted(batch, n_maxes):
+        batches.append([model.atom_dim for model in batch])
+        return assemble(batch, n_maxes)
+
+    monkeypatch.setattr(heatlaser.solver, "build_sector_liouvillian", counted)
+    outcomes = list(solve_models(models, cutoffs))
+    assert batches == [[3, 3], [4], [3], [4, 4]]
+    for model, n_max, (space, result) in zip(models, cutoffs, outcomes):
+        solo_space, solo = solve_model(model, n_max=n_max)
         assert space == solo_space
         assert np.array_equal(result.rungs, solo.rungs)
         assert np.array_equal(result.distribution.probabilities, solo.distribution.probabilities)
