@@ -27,12 +27,13 @@ is not UTF-8) or output error (an output file that cannot be written, such
 as ``--out`` naming an existing file); 3 numeric failure in single-point
 commands.
 
-A sweep evaluates the closed form of its whole n_h grid in one array pass
-(:func:`heatlaser.photonstats.closed_form_grid`), then solves the steady
-states of the points it leaves, in the calling process and in the batches
-of :func:`heatlaser.solver.solve_models`; each state becomes record
-numbers as it arrives, so a sweep holds one batch's states at a time, and
-of the closed form only the rows it compares with them.
+A sweep hands the config's model and its n_h grid to both routes, and
+builds no model per point: it evaluates the closed form of the whole grid
+in one array pass (:func:`heatlaser.photonstats.closed_form_grid`), then
+solves the steady states of the points it leaves, in the calling process
+and in the batches of :func:`heatlaser.solver.solve_grid`; each state
+becomes record numbers as it arrives, so a sweep holds one batch's states
+at a time, and of the closed form only the rows it compares with them.
 Each state stays in charge-zero block form, and the photon distribution
 and the Wigner function come from its populations.  ``sweep --jobs`` is
 still accepted and ignored.  ``distribution --wigner`` samples 101 x 101
@@ -75,7 +76,7 @@ from .photonstats import (
     steady_distribution,
 )
 from .semiclassical import find_thresholds, temperature_lasing_condition
-from .solver import MAX_N_MAX, SteadyStateError, solve_model, solve_models, wigner
+from .solver import MAX_N_MAX, SteadyStateError, solve_grid, solve_model, wigner
 
 SCHEMA_VERSION = 1
 PRESETS = ("fig2", "fig5")
@@ -303,11 +304,11 @@ def run_sweep(config: RunConfig) -> list[dict]:
 
     The closed form of the whole grid is one :func:`closed_form_grid` pass,
     which fills each record's closed-form columns and gives each point's
-    Fock cutoff.  The points it leaves are solved by one
-    :func:`solve_models` call, and each record is filled as its outcome
-    arrives; only the closed-form rows of points within ``MAX_N_MAX`` are
-    kept, for ``l1_distance``.  A point that fails keeps its own record and
-    status.
+    Fock cutoff.  The points it leaves are solved by one :func:`solve_grid`
+    call on the same model and grid, and each record is filled as its
+    outcome arrives; only the closed-form rows of points within
+    ``MAX_N_MAX`` are kept, for ``l1_distance``.  A point that fails keeps
+    its own record and status.
     """
     if config.sweep is None:
         raise ConfigError("sweep: block required for the sweep command")
@@ -320,10 +321,8 @@ def run_sweep(config: RunConfig) -> list[dict]:
         record["status"] = "ok" if failure is None else f"failed: {failure}"
         records.append(record)
     solvable = [k for k, failure in enumerate(failures) if failure is None]
-    outcomes = solve_models(
-        [with_hot_occupation(config.model, records[k]["n_h"]) for k in solvable],
-        [cutoffs[k] for k in solvable],
-        config.steady_tol,
+    outcomes = solve_grid(
+        config.model, grid[solvable], [cutoffs[k] for k in solvable], config.steady_tol
     )
     for k, outcome in zip(solvable, outcomes, strict=True):
         record = records[k]

@@ -13,11 +13,11 @@ only the charge-zero block, in which the steady state has one real unknown
 per population and per coherence pair.  Its layout is one fixed table:
 level pair ``RUNG_SLOTS[s]`` in slot s of rung n + ``RUNG_SHIFT[level]``,
 the same for every model and every cutoff.  :func:`build_sector_liouvillian`
-assembles the real blocks of a batch of models of one kind in it, each at
-its own cutoff, straight from the rates, with no operator matrix: its
-entries are the terms of the rung equations of the Lindblad form.
-Ordered by rung, the block is block-tridiagonal, and it is returned as
-dense float64 numpy bands.
+assembles in it the real blocks of one model at a grid of hot-bath
+occupations n_h, each point at its own cutoff, straight from the rates,
+with no operator matrix: its entries are the terms of the rung equations
+of the Lindblad form.  Ordered by rung, the block is block-tridiagonal,
+and it is returned as dense float64 numpy bands.
 """
 
 from __future__ import annotations
@@ -169,25 +169,26 @@ def build_interaction(model: EngineModel, space: HilbertSpace) -> np.ndarray:
     return model.g * (atom["sigma_plus"] @ a + atom["sigma_minus"] @ a_dag)
 
 
-def _bath_channels(model: EngineModel) -> list[tuple[int, int, float]]:
+def _bath_channels(model: EngineModel, nh) -> list[tuple[int, int, float | np.ndarray]]:
     """Every bath jump as (to_level, from_level, rate), in dissipator order.
 
     Each bath drives one level pair: upward at gamma * nbar, then downward
     at gamma * (nbar + 1).  The hot bath drives g <-> e2 of a three-level
     atom and g <-> e3 of a four-level one, the cold bath g <-> e1, and the
-    ancilla bath e2 <-> e3.
+    ancilla bath e2 <-> e3.  The hot occupation is ``nh``, a float or an
+    array, so the hot rates have its shape; the others are floats.
     """
     four = model.kind == FOUR_LEVEL
     baths = [
-        (LEVEL_G, LEVEL_E3 if four else LEVEL_E2, model.hot),
-        (LEVEL_G, LEVEL_E1, model.cold),
+        (LEVEL_G, LEVEL_E3 if four else LEVEL_E2, model.gamma_h, nh),
+        (LEVEL_G, LEVEL_E1, model.gamma_c, model.n_c),
     ]
     if four:
-        baths.append((LEVEL_E2, LEVEL_E3, model.ancilla))
+        baths.append((LEVEL_E2, LEVEL_E3, model.gamma_a, model.n_a))
     out = []
-    for lower, upper, bath in baths:
-        out.append((upper, lower, bath.gamma * bath.occupation))
-        out.append((lower, upper, bath.gamma * (bath.occupation + 1.0)))
+    for lower, upper, gamma, occupation in baths:
+        out.append((upper, lower, gamma * occupation))
+        out.append((lower, upper, gamma * (occupation + 1.0)))
     return out
 
 
@@ -202,7 +203,7 @@ def build_dissipators(model: EngineModel, space: HilbertSpace) -> list[Dissipato
     a, _ = build_cavity_operators(space)
     out = [
         Dissipator(_embed_atom(space, _atom_projector(space, to_level, from_level)), rate)
-        for to_level, from_level, rate in _bath_channels(model)
+        for to_level, from_level, rate in _bath_channels(model, model.n_h)
     ]
     out.append(Dissipator(a, model.kappa))
     return out
@@ -246,9 +247,9 @@ def build_liouvillian(model: EngineModel, space: HilbertSpace) -> sp.csr_matrix:
 
 
 def build_sector_liouvillian(
-    models: Sequence[EngineModel], n_maxes: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The charge-zero blocks of several generators, as real bands over rungs.
+    model: EngineModel, n_h: np.ndarray, n_maxes: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The charge-zero blocks of ``model`` at the hot occupations ``n_h``, as real bands.
 
     The block holds the operators of the rung table (``RUNG_SLOTS``): the
     populations and the coherences between |e1, n + 1> and |e2, n>, with
@@ -256,9 +257,11 @@ def build_sector_liouvillian(
     |l, n> sits in rung n + RUNG_SHIFT[l], from 0 to n_max + 1, and slot s
     of every rung holds the level pair RUNG_SLOTS[s].  Every jump moves a
     pair by at most one rung and the coupling keeps it, so L couples each
-    rung only to itself and its two neighbours.  One call assembles engines
-    of one kind, each at its own cutoff ``n_maxes[p]``; a list of more than
-    one kind raises ``ValueError``.
+    rung only to itself and its two neighbours.  Point p is the model with
+    the hot-bath occupation ``n_h[p]``, at its own cutoff ``n_maxes[p]``;
+    n_h enters only through the hot rates, and each must satisfy
+    0 <= n_h < inf, as a :class:`BathSpec` occupation does, or
+    ``ValueError`` is raised.
 
     Row s is du_s/dt for the real unknown u_s of slot s: a population P is
     u, and the coherence |e1, n><e2, n - 1| is i y with y = u (its partner
@@ -285,42 +288,38 @@ def build_sector_liouvillian(
     those it gets when assembled alone, bit for bit, and 0 past its rung
     n_maxes[p] + 1.
 
-    Returns ``(bands, rows, cols)`` of the P models.  Slot s of rung r of
-    model p is the operator |rows[p, r, s]><cols[p, r, s]|, with |l, n> at
-    index l (n_maxes[p] + 1) + n, the model's own Fock layout.  ``rows``
-    and ``cols`` have shape (P, R, m), R = max(n_maxes) + 2 and m = 1 + the
-    atom dimension (e3 is the last slot), and are -1 on every slot outside
-    the model's block.  ``bands`` is float64 of shape (P, R, 3, m, m):
+    Returns ``(bands, inside)`` of the P points.  ``inside`` is a bool
+    array of shape (P, R, m), R = max(n_maxes) + 2 and m = 1 + the atom
+    dimension (e3 is the last slot), true on the slots of each point's
+    block.  ``bands`` is float64 of shape (P, R, 3, m, m):
     ``bands[p, r, 1]`` maps rung r onto itself, ``bands[p, r, 0]`` rung
     r - 1 onto rung r and ``bands[p, r, 2]`` rung r + 1 onto rung r.  Rows
-    and columns of slots outside the model's block are 0.
+    and columns of slots outside the point's block are 0.
     """
-    if len({model.kind for model in models}) > 1:
-        raise ValueError("a batch holds engines of one kind")
-    channels = _bath_channels(models[0])
-    theta = np.array([[rate for *_, rate in _bath_channels(m)] + [m.kappa, m.g] for m in models])
-    if np.any(theta[:, :-1] < 0):
-        raise ValueError(f"negative dissipator rate {theta[:, :-1].min()}")
-    *gamma, kappa, g = theta.T[:, :, np.newaxis]  # each (P, 1), against (P, R) columns
-    width, depth = models[0].atom_dim + 1, max(n_maxes) + 2
+    n_h = np.asarray(n_h, dtype=float)
+    bad = n_h[~((n_h >= 0) & (n_h < np.inf))]
+    if bad.size:
+        raise ValueError(f"hot bath occupation must be finite and >= 0, got {bad[0]}")
+    channels = _bath_channels(model, n_h[:, np.newaxis])  # hot rates (P, 1), against (P, R)
+    width, depth = model.atom_dim + 1, max(n_maxes) + 2
     photons = np.arange(depth)[:, np.newaxis, np.newaxis] - RUNG_SHIFT[RUNG_SLOTS[:width]]
     ell, r = np.moveaxis(np.sqrt(np.maximum(photons, 0)), -1, 0)  # each (R, m)
     slots, coherence = np.arange(width), SLOT_OF[LEVEL_E1, LEVEL_E2]
     e1, e2 = SLOT_OF[LEVEL_E1, LEVEL_E1], SLOT_OF[LEVEL_E2, LEVEL_E2]
-    bands = np.zeros((len(models), depth, 3, width, width))
+    bands = np.zeros((len(n_h), depth, 3, width, width))
     same = bands[:, :, 1]  # rung r onto itself
-    for rate, (_, low, _) in zip(gamma, channels):
+    for _, low, rate in channels:
         same[:, :, SLOT_OF[low, low], SLOT_OF[low, low]] += rate * -1.0
         if low in (LEVEL_E1, LEVEL_E2):
             same[:, :, coherence, coherence] += rate * -0.5
-    same[:, :, slots, slots] += kappa[:, :, np.newaxis] * (-0.5 * (ell**2 + r**2))
-    for rate, (to, low, _) in zip(gamma, channels):
+    same[:, :, slots, slots] += model.kappa * (-0.5 * (ell**2 + r**2))
+    for to, low, rate in channels:
         band = RUNG_SHIFT[low] - RUNG_SHIFT[to] + 1
         bands[:, :, band, SLOT_OF[to, to], SLOT_OF[low, low]] += rate * 1.0
-    bands[:, :-1, 2, slots, slots] += kappa[:, :, np.newaxis] * (ell * r)[1:]
+    bands[:, :-1, 2, slots, slots] += model.kappa * (ell * r)[1:]
     # -i V rho, then rho (i V), with c = g sqrt(n): the coherence i y and
     # its partner -i y each add a term to the rows of P_e1 and P_e2
-    c = g * ell[:, coherence]
+    c = model.g * ell[:, coherence]
     for _ in range(2):
         same[:, :, e1, coherence] += -c
         same[:, :, e2, coherence] += c
@@ -334,9 +333,7 @@ def build_sector_liouvillian(
     source_out = np.stack([outside[:, b : b + depth] for b in range(3)], axis=2)
     target_out = outside[:, 1:-1, np.newaxis, :, np.newaxis]
     np.copyto(bands, 0.0, where=target_out | source_out[:, :, :, np.newaxis])
-    pairs = np.moveaxis(RUNG_SLOTS[:width] * (cutoff + 1) + photons, -1, 0)  # (2, P, R, m)
-    rows, cols = np.where(inside, pairs, -1)
-    return bands, rows, cols
+    return bands, inside
 
 
 def apply_liouvillian(liouv: sp.spmatrix, rho: np.ndarray) -> np.ndarray:

@@ -217,20 +217,17 @@ def _cut_distributions(A, A_b, B, kappa):
         yield from _cut_stack(A[start:end], A_b[start:end], B[start:end], kappa, sizes[start:end])
 
 
-def _runs(sizes, budget, kinds=None):
+def _runs(sizes, budget):
     """Consecutive runs ``(start, end)`` of items, each within ``budget``.
 
     A run takes items while (items) x (largest size) stays within
     ``budget``: it is cut before item k when it already holds an item and
     (items + 1) x max(largest, sizes[k]) exceeds it, so an item larger
-    than the budget runs alone.  An item of size 0 does not count.  With
-    ``kinds``, a run is also cut before item k when ``kinds[k]`` differs
-    from the kind of the run's first item.  Lazy.
+    than the budget runs alone.  An item of size 0 does not count.  Lazy.
     """
     start, counted, largest = 0, 0, 0
     for k, size in enumerate(sizes):
-        other_kind = kinds is not None and kinds[k] != kinds[start]
-        if other_kind or (size and counted and (counted + 1) * max(largest, size) > budget):
+        if size and counted and (counted + 1) * max(largest, size) > budget:
             yield start, k
             start, counted, largest = k, 0, 0
         counted, largest = counted + (size > 0), max(largest, size)

@@ -86,7 +86,7 @@ def _inversion_numerator(model: EngineModel, nh):
 def _classical_rate_matrix(model: EngineModel) -> np.ndarray:
     """Generator of the g=0 population rate equations, columns = source level."""
     mat = np.zeros((model.atom_dim, model.atom_dim))
-    for dst, src, rate in _bath_channels(model):
+    for dst, src, rate in _bath_channels(model, model.n_h):
         mat[dst, src] += rate
         mat[src, src] -= rate
     return mat

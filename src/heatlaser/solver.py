@@ -4,10 +4,10 @@
 Thomas in numpy, in real arithmetic over one real unknown per population
 and per coherence pair, and returns the steady state in the block's rung
 layout, those unknowns by rung and slot (:class:`BlockState`), with its
-photon distribution, in O(n_max) memory and time; :func:`solve_models`
-does so for many engines, one stacked sweep per batch, each point in its
-own layout from assembly to result.  They are the independent check on
-the closed-form theory in :mod:`heatlaser.photonstats`.  The dense (A F)^2
+photon distribution, in O(n_max) memory and time; :func:`solve_grid`
+does so for one engine over a grid of hot-bath occupations n_h, one
+stacked sweep per batch, each point in its own layout from assembly to
+result.  They are the independent check on the closed-form theory in :mod:`heatlaser.photonstats`.  The dense (A F)^2
 :func:`steady_state`, :func:`evolve`, :func:`partial_trace_atom` and
 :func:`photon_distribution` are the full-space references (the first two
 import scipy when called).  :func:`wigner` maps a photon distribution to
@@ -60,17 +60,17 @@ __all__ = [
     "expectation",
     "wigner",
     "solve_model",
-    "solve_models",
+    "solve_grid",
 ]
 
-# largest Fock cutoff solve_models accepts; see solve_model
+# largest Fock cutoff solve_grid accepts; see solve_model
 MAX_N_MAX = 1000
 
 # rung-points, (points) x (largest cutoff + 2), per batch of steady-state
 # solves.  A batch holds the real rung bands of all its points at once, so
 # its memory grows with its rung-points; the budget is the batch of 16
 # four-level points at the cutoff bound MAX_N_MAX, whose traced peak of
-# 16.2 MB test_solver.py gates, and it holds a whole preset grid (fig2: 60
+# 14.9 MB test_solver.py gates, and it holds a whole preset grid (fig2: 60
 # points at n_max <= 33, 2 100 rung-points)
 BATCH_RUNGS = 16 * (MAX_N_MAX + 2)
 
@@ -312,24 +312,23 @@ def _apply_bands(bands, x):
     return out
 
 
-def _pinned_levels(models):
-    """Per model, a level l whose vacuum population <l, 0|rho|l, 0> is nonzero.
+def _pinned_levels(model, n_h):
+    """Per n_h of the grid, a level l whose vacuum population <l, 0|rho|l, 0> is nonzero.
 
     Every bath jump of positive rate moves the atom between its levels, and
     with g != 0 the coupling takes |e2, 0> to |e1, 1>, which decays to
     |e1, 0>; the cavity empties from every level.  So the closed classes of
-    the steady state are those of this graph on the levels at n = 0, whose
-    reachability is found for all models, which are of one kind, in one
-    stacked matrix power.  A model gets the first level of its one closed
-    class, which the steady state populates, or a
+    the steady state are those of this graph on the levels at n = 0, one
+    graph per n_h from one ``_bath_channels`` call, whose reachability is
+    one stacked matrix power.  A point gets the first level of its one
+    closed class, which the steady state populates, or a
     :class:`SteadyStateError` if it has more than one.
     """
-    channels = [_bath_channels(model) for model in models]
-    to_level, from_level, _ = zip(*channels[0])
-    dim = models[0].atom_dim
-    step = np.tile(np.eye(dim, dtype=int), (len(models), 1, 1))
-    step[:, from_level, to_level] |= np.array([[rate for *_, rate in c] for c in channels]) > 0
-    step[:, LEVEL_E2, LEVEL_E1] |= np.array([model.g for model in models]) != 0
+    to_level, from_level, rates = zip(*_bath_channels(model, n_h))
+    dim = model.atom_dim
+    step = np.tile(np.eye(dim, dtype=int), (len(n_h), 1, 1))
+    step[:, from_level, to_level] |= np.stack(np.broadcast_arrays(*rates), axis=1) > 0
+    step[:, LEVEL_E2, LEVEL_E1] |= model.g != 0
     reach = np.linalg.matrix_power(step, dim) > 0
     # l is closed when it comes back from every level it reaches
     closed = np.all(reach.swapaxes(1, 2) | ~reach, axis=2)
@@ -419,23 +418,24 @@ def _steady_results(spaces, bands, inside, x, errors, tol):
     return outcomes
 
 
-def solve_models(
-    models: Sequence[EngineModel], n_maxes: Sequence[int], tol: float = 1e-9
+def solve_grid(
+    model: EngineModel, n_h: Sequence[float], n_maxes: Sequence[int], tol: float = 1e-9
 ) -> Iterator[tuple[HilbertSpace, BlockState] | Exception]:
-    """Steady states of several engines, solved batch by batch.
+    """Steady states of ``model`` at every hot occupation of ``n_h``, batch by batch.
 
-    Model k is solved at the cutoff ``n_maxes[k]`` exactly as
-    :func:`solve_model` solves it, which is this function on a batch of one.
-    The input is cut into batches of consecutive points of one engine kind,
-    each taking points while (points) x (largest cutoff + 2) stays within
-    ``BATCH_RUNGS`` rung-points, so every preset grid is one batch; a new
-    batch starts wherever the kind changes, and a point whose cutoff is
-    above ``MAX_N_MAX`` does not count, since it gets a
-    :class:`TruncationError` before any assembly.  A batch's memory grows
-    with its rung-points (see :func:`solve_model`), and a batch is solved
-    only when its first outcome is asked for, so a consumer that drops each
-    outcome once it has used it holds one batch's states at a time.  The
-    batches depend only on the kinds and the cutoffs.
+    Point k, the model with the hot-bath occupation ``n_h[k]``, is solved
+    at the cutoff ``n_maxes[k]`` exactly as :func:`solve_model` solves that
+    engine; n_h enters only through the hot rates, so no model is built
+    per point.  The grid is cut into batches of consecutive points, each
+    taking points while (points) x (largest cutoff + 2) stays within
+    ``BATCH_RUNGS`` rung-points, so every preset grid is one batch; a point
+    whose cutoff is above ``MAX_N_MAX`` does not count, since it gets a
+    :class:`TruncationError` before any assembly.  A negative, NaN or
+    infinite n_h gets a ``ValueError`` and is not assembled either.  A
+    batch's memory grows with its rung-points (see :func:`solve_model`),
+    and a batch is solved only when its first outcome is asked for, so a
+    consumer that drops each outcome once it has used it holds one batch's
+    states at a time.
 
     The blocks of a batch are assembled in one call, each point at its own
     cutoff and in its own layout (see :func:`build_sector_liouvillian`),
@@ -445,24 +445,27 @@ def solve_models(
     cost per call is paid once per rung for the whole batch.  Per batch,
     too: the pinned levels, one stacked reachability pass, and the
     residuals, their scales and the photon distributions, each a few array
-    operations over the stacked solution.  Per point remain the bound
-    check, the unit trace, the residual gate, the tail warning and the copy
-    of its rungs.
+    operations over the stacked solution.  Per point remain the checks of
+    its n_h and cutoff, the unit trace, the residual gate, the tail warning
+    and the copy of its rungs.
 
-    Yields, in the order of ``models``, ``(space, BlockState)`` or the
+    Yields, in the order of ``n_h``, ``(space, BlockState)`` or the
     :class:`TruncationError`, :class:`SteadyStateError` or ``ValueError``
     that point raised, so that one point's failure stays its own.
     """
+    n_h = np.asarray(n_h, dtype=float)
     sizes = [n_max + 2 if n_max <= MAX_N_MAX else 0 for n_max in n_maxes]
-    for start, end in _runs(sizes, BATCH_RUNGS, [model.kind for model in models]):
-        yield from _solve_batch(models[start:end], n_maxes[start:end], tol)
+    for start, end in _runs(sizes, BATCH_RUNGS):
+        yield from _solve_batch(model, n_h[start:end], n_maxes[start:end], tol)
 
 
-def _solve_batch(models, n_maxes, tol):
-    """The outcomes of one batch of :func:`solve_models`, in its order."""
+def _solve_batch(model, n_h, n_maxes, tol):
+    """The outcomes of one batch of :func:`solve_grid`, in its order."""
     outcomes = []
-    for model, n_max, pin in zip(models, n_maxes, _pinned_levels(models)):
+    for occupation, n_max, pin in zip(n_h.tolist(), n_maxes, _pinned_levels(model, n_h)):
         try:
+            if not 0 <= occupation < math.inf:
+                raise ValueError(f"hot bath occupation must be finite and >= 0, got {occupation}")
             if n_max > MAX_N_MAX:
                 raise TruncationError(f"cutoff needs n_max = {n_max} > {MAX_N_MAX}")
             space = HilbertSpace.for_model(model, n_max)
@@ -474,10 +477,7 @@ def _solve_batch(models, n_maxes, tol):
     if not live:
         return outcomes
     spaces, pinned = zip(*(outcomes[k] for k in live))
-    bands, rows, _ = build_sector_liouvillian(
-        [models[k] for k in live], [space.n_max for space in spaces]
-    )
-    inside = rows >= 0
+    bands, inside = build_sector_liouvillian(model, n_h[live], [space.n_max for space in spaces])
     # the pinned population's equation becomes x = 1, and that of every slot
     # outside the point's block x = 0: its row and column are already 0, so
     # it needs only a unit diagonal.  Both are set in place, and undone for
@@ -516,7 +516,7 @@ def solve_model(
     populates s.  s is |l, 0> for the first level l of the one closed class
     of the jump graph (see ``_pinned_levels``): |g, 0> unless, say, a
     four-level atom with g = 0 and an empty ancilla bath is trapped in the
-    dark |e2, 0>.  This is :func:`solve_models` on a batch of one.
+    dark |e2, 0>.  This is :func:`solve_grid` on the model's own n_h.
 
     Raises :class:`SteadyStateError` when the jump graph has more than one
     closed class or a rung's Schur complement is singular (the steady state
@@ -534,18 +534,18 @@ def solve_model(
     :class:`TruncationError` before any assembly.  A batch's memory grows
     with its rung-points, (points) x (largest cutoff + 2): a four-level rung
     holds 0.6 kB per point in its 3 x 5 x 5 real bands, pinned in place, and
-    a batch peaks at about 1.7 times that, in the rung sweep's workspace;
-    the builder frees its entry arrays before it allocates the bands, and
-    the sweep's workspace is freed before each point copies its rungs.  So
-    16 points at n_max 1000 peak at 16.2 MB (traced; 0.06-0.09 s untraced
+    a batch peaks at about 1.5 times that, in the rung sweep's workspace;
+    the builder returns only the bands and a bool mask of each point's
+    slots, and the sweep's workspace is freed before each point copies its
+    rungs.  So 16 points at n_max 1000 peak at 14.9 MB (traced; 0.06-0.09 s untraced
     on a 2-vCPU Xeon); one dense state there would take 256 MB.
-    :func:`solve_models` keeps each batch within that many rung-points,
+    :func:`solve_grid` keeps each batch within that many rung-points,
     ``BATCH_RUNGS``.  A warning is raised if the exact P[n_max] exceeds
     1e-8.
     """
     if n_max is None:
         n_max = steady_distribution(scully_lamb_coefficients(model)).n_max
-    (outcome,) = solve_models([model], [n_max], tol)
+    (outcome,) = solve_grid(model, [model.n_h], [n_max], tol)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

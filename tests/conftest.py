@@ -37,19 +37,38 @@ def random_four_level(rng):
     return build_four_level(BathSpec(gh, nh), BathSpec(gc, nc), BathSpec(ga, na), g, 1.0)
 
 
-def sector_block_csc(bands, rows, cols):
+def slot_operators(shape, n_max):
+    """The dense operator of every slot of a block in rung layout.
+
+    Slot s of rung r holds the pair |l, r - RUNG_SHIFT[l]><l', r - RUNG_SHIFT[l']|
+    with (l, l') = RUNG_SLOTS[s] (see core).  Returns ``(rows, cols)`` of
+    ``shape``, (rungs, slots): the indices l (n_max + 1) + n of the pair's
+    two states in the Fock layout of cutoff ``n_max``, or -1 where a photon
+    number lies outside 0..n_max, a slot outside the block.
+    """
+    rung, slot = np.indices(shape)
+    level = RUNG_SLOTS[slot]
+    photons = rung[..., np.newaxis] - RUNG_SHIFT[level]
+    inside = np.all((photons >= 0) & (photons <= n_max), axis=-1)
+    pairs = np.where(inside[..., np.newaxis], level * (n_max + 1) + photons, -1)
+    return pairs[..., 0], pairs[..., 1]
+
+
+def sector_block_csc(bands, inside):
     """The real rung bands of ``build_sector_liouvillian`` scattered back to CSC.
 
     Returns ``(block, rows, cols)`` over the filled slots in rung-major
     order: column k of ``block`` is the real unknown of the operator
-    |rows[k]><cols[k]| (see :func:`slot_map`).  Fails
-    if a band entry sits in an empty slot or outside the rung range.
-    ``bands``, ``rows`` and ``cols`` hold a batch of one.
+    |rows[k]><cols[k]| (see :func:`slot_operators` and :func:`slot_map`).
+    Fails if ``inside`` is not the table's block or a band entry sits in an
+    empty slot or outside the rung range.  ``bands`` and ``inside`` hold a
+    batch of one, assembled at its own cutoff.
     """
-    (bands,), (rows,), (cols,) = bands, rows, cols
-    filled = rows >= 0
-    index = np.full(rows.shape, -1)
-    index[filled] = np.arange(np.count_nonzero(filled))
+    (bands,), (inside,) = bands, inside
+    rows, cols = slot_operators(inside.shape, len(inside) - 2)
+    assert np.array_equal(rows >= 0, inside)
+    index = np.full(inside.shape, -1)
+    index[inside] = np.arange(np.count_nonzero(inside))
     rung, band, row_slot, col_slot = np.nonzero(bands)
     col_rung = rung + band - 1
     assert np.all((col_rung >= 0) & (col_rung < len(bands)))
@@ -57,7 +76,7 @@ def sector_block_csc(bands, rows, cols):
     assert np.all((to >= 0) & (at >= 0)), "a band entry sits in an empty slot"
     size = index.max() + 1
     data = bands[rung, band, row_slot, col_slot]
-    return sp.csc_matrix((data, (to, at)), shape=(size, size)), rows[filled], cols[filled]
+    return sp.csc_matrix((data, (to, at)), shape=(size, size)), rows[inside], cols[inside]
 
 
 def slot_map(rows, cols, fock_dim):
@@ -90,17 +109,14 @@ def dense_state(space, result):
 
     ``solve_model`` returns the unknowns u of the charge-zero block by rung
     and slot; the comparisons with the full-space references scatter them
-    here through core's tables: slot s of rung r is the pair
-    |l, r - RUNG_SHIFT[l]><l', r - RUNG_SHIFT[l']| with
-    (l, l') = RUNG_SLOTS[s], and its coefficient SLOT_PHASE[l, l'] u, so a
-    coherence is i u and its partner -i u.
+    here through :func:`slot_operators`: the pair |l, n><l', n'| of a slot
+    has the coefficient SLOT_PHASE[l, l'] u, so a coherence is i u and its
+    partner -i u.
     """
-    rung, slot = np.indices(result.rungs.shape)
-    level = RUNG_SLOTS[slot]
-    photons = rung[..., np.newaxis] - RUNG_SHIFT[level]
-    inside = np.all((photons >= 0) & (photons <= space.n_max), axis=-1)
-    rows, cols = (level * space.fock_dim + photons)[inside].T
-    values = SLOT_PHASE[tuple(level[inside].T)] * result.rungs[inside]
+    rows, cols = slot_operators(result.rungs.shape, space.n_max)
+    inside = rows >= 0
+    rows, cols = rows[inside], cols[inside]
+    values = SLOT_PHASE[rows // space.fock_dim, cols // space.fock_dim] * result.rungs[inside]
     rho = np.zeros((space.total_dim, space.total_dim), dtype=complex)
     rho[rows, cols] = values
     rho[cols, rows] = np.conj(values)

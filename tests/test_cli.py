@@ -90,7 +90,7 @@ def test_config_round_trip(tmp_path):
     assert again.raw == config.raw
 
 
-def test_config_errors(tmp_path):
+def test_config_errors(tmp_path, capsys):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
@@ -104,6 +104,15 @@ def test_config_errors(tmp_path):
     latin.write_bytes(b'{"model": "\xe9"}')
     with pytest.raises(ConfigError, match="can't decode"):
         load_config(latin)
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="list.json: top level must be an object"):
+        load_config(listed)
+    # such a config exits 2 with its message and writes nothing
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(listed), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == f"config error: {listed}: top level must be an object"
+    assert not out.exists()
     for overrides, fragment in [
         ({"schema_version": 2}, "schema_version"),
         ({"model.kind": "two_level"}, "kind"),
@@ -117,6 +126,16 @@ def test_config_errors(tmp_path):
         ({"model.g": float("inf")}, "g: expected a finite number"),
         ({"model.level_energies": [0.0, float("nan"), 2.0]}, "level_energies"),
         ({"numerics.steady_tol": 0.0}, "steady_tol: must be > 0"),
+        ({"model": None}, "model: missing required block"),
+        ({"sweep": 3}, "sweep: must be an object"),
+        ({"numerics": [1e-9]}, "numerics: must be an object"),
+        ({"output": "csv"}, "output: must be an object"),
+        ({"sweep.points": 2.5}, "sweep.points: expected an integer, got 2.5"),
+        ({"sweep.points": True}, "sweep.points: expected an integer, got True"),
+        ({"model.kind": 3}, "model.kind: expected a string, got 3"),
+        ({"model.n_h": None}, "model: one of n_h or T_h is required"),
+        ({"model.gamma_h": -1.0}, "model: bath rate gamma must be finite and >= 0, got -1.0"),
+        ({"model.level_energies": [0.0, 2.0, 1.0]}, "model: level energies must be finite and strictly"),
     ]:
         with pytest.raises(ConfigError, match=fragment):
             load_config(write_config(tmp_path, overrides))
@@ -181,10 +200,10 @@ def _batches(monkeypatch):
     batches = []
     assemble = heatlaser.solver.build_sector_liouvillian
 
-    def counted(models, n_maxes):
-        assert len(models) * (max(n_maxes) + 2) <= BATCH_RUNGS
-        batches.append([model.n_h for model in models])
-        return assemble(models, n_maxes)
+    def counted(model, n_h, n_maxes):
+        assert len(n_h) * (max(n_maxes) + 2) <= BATCH_RUNGS
+        batches.append(n_h.tolist())
+        return assemble(model, n_h, n_maxes)
 
     monkeypatch.setattr(heatlaser.solver, "build_sector_liouvillian", counted)
     return batches
@@ -420,6 +439,18 @@ def test_all_failed_sweep_assembles_nothing(tmp_path, monkeypatch):
     assert len(records) == 60
     assert all(r["status"] == "failed: distribution support exceeds 1e6 photons" for r in records)
     assert all(math.isnan(r["mean_numeric"]) and math.isnan(r["residual"]) for r in records)
+    # the JSON mirror writes each NaN as null, so it stays strict JSON
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--format", "json", "--out", str(out)]) == 0
+
+    def refuse(constant):
+        raise AssertionError(f"non-standard JSON constant {constant}")
+
+    written = json.loads((out / "case.json").read_text(), parse_constant=refuse)["records"]
+    assert [r["n_h"] for r in written] == [r["n_h"] for r in records]
+    for record in written:
+        assert record["status"] == "failed: distribution support exceeds 1e6 photons"
+        assert all(record[name] is None for name in SWEEP_FIELDS if name not in ("n_h", "status"))
 
 
 def test_closed_form_failures_stay_per_point(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heatlaser import BathSpec, HilbertSpace, build_three_level
+from heatlaser import BathSpec, HilbertSpace, build_three_level, with_hot_occupation
 from heatlaser.core import (
     apply_liouvillian,
     build_atom_operators,
@@ -29,6 +29,7 @@ from conftest import (
     random_three_level,
     sector_block_csc,
     slot_map,
+    slot_operators,
 )
 
 
@@ -216,9 +217,9 @@ def test_sector_block_matches_full_liouvillian(seed, four, n_max, empty_baths, u
     }
     model = replace(model, g=0.0 if uncoupled else model.g, **emptied)
     space = HilbertSpace.for_model(model, n_max)
-    bands, rows, cols = build_sector_liouvillian([model], [space.n_max])
+    bands, inside = build_sector_liouvillian(model, [model.n_h], [space.n_max])
     assert bands.dtype == np.float64
-    block, rows, cols = sector_block_csc(bands, rows, cols)
+    block, rows, cols = sector_block_csc(bands, inside)
     full = build_liouvillian(model, space).tocsc()
     t, w, op_rows, op_cols = slot_map(rows, cols, space.fock_dim)
     inside = op_rows * space.total_dim + op_cols
@@ -302,14 +303,12 @@ def test_sector_block_nests_in_a_larger_cutoff(seed, four, cutoffs, empty_baths,
         if empty
     }
     model = replace(model, g=0.0 if uncoupled else model.g, **emptied)
-    bands, (rows,), (cols,) = build_sector_liouvillian([model], [small])
-    wide, (wide_rows,), (wide_cols,) = build_sector_liouvillian([model], [large])
+    bands, (inside,) = build_sector_liouvillian(model, [model.n_h], [small])
+    wide, (wide_inside,) = build_sector_liouvillian(model, [model.n_h], [large])
     rungs = small + 2
-    level, photons = np.divmod(np.stack([wide_rows, wide_cols])[:, :rungs], large + 1)
-    inside = (wide_rows[:rungs] >= 0) & (photons.max(axis=0) <= small)
-    # the same operators sit in the same slots, in the Fock layout F = N + 1
-    own_rows, own_cols = np.where(inside, level * (small + 1) + photons, -1)
-    assert np.array_equal(own_rows, rows) and np.array_equal(own_cols, cols)
+    # the same slots, less those with a photon number past N
+    rows, _ = slot_operators(inside.shape, small)
+    assert np.array_equal(inside, wide_inside[:rungs] & (rows >= 0))
     # band b of rung r acts on rung r + b - 1
     edge = np.zeros((1, inside.shape[1]), dtype=bool)
     padded = np.concatenate([edge, inside, edge])
@@ -326,33 +325,25 @@ def test_sector_block_nests_in_a_larger_cutoff(seed, four, cutoffs, empty_baths,
     cutoffs=st.lists(st.integers(1, 12), min_size=2, max_size=5, unique=True),
 )
 def test_batch_assembles_each_point_as_alone(seed, four, cutoffs):
-    # engines of one kind at distinct cutoffs in one call: each point's
-    # bands on its own rungs and slots, and its rows and cols, are those of
-    # its solo assembly, bit for bit; past them the bands are 0 and the rows
-    # and cols -1
+    # one engine at several hot occupations and distinct cutoffs in one
+    # call: each point's bands on its own rungs and slots, and its slots,
+    # are those of its own model assembled alone, bit for bit; past them
+    # the bands are 0 and no slot is inside
     rng = np.random.default_rng(seed)
-    models = [random_four_level(rng) if four else random_three_level(rng) for _ in cutoffs]
-    bands, rows, cols = build_sector_liouvillian(models, cutoffs)
-    width = models[0].atom_dim + 1
-    assert bands.shape == (len(models), max(cutoffs) + 2, 3, width, width)
-    assert rows.shape == cols.shape == bands.shape[:2] + (width,)
-    for p, (model, n_max) in enumerate(zip(models, cutoffs)):
-        alone, alone_rows, alone_cols = build_sector_liouvillian([model], [n_max])
+    model = random_four_level(rng) if four else random_three_level(rng)
+    n_h = rng.uniform(0.0, 5.0, len(cutoffs))
+    bands, inside = build_sector_liouvillian(model, n_h, cutoffs)
+    width = model.atom_dim + 1
+    assert bands.shape == (len(cutoffs), max(cutoffs) + 2, 3, width, width)
+    assert inside.shape == bands.shape[:2] + (width,)
+    for p, (occupation, n_max) in enumerate(zip(n_h.tolist(), cutoffs)):
+        point = with_hot_occupation(model, occupation)
+        alone, (alone_inside,) = build_sector_liouvillian(point, [point.n_h], [n_max])
         rungs = n_max + 2
         padded = np.zeros_like(bands[p])
         padded[:rungs] = alone[0]
         assert np.array_equal(bands[p].view(np.uint64), padded.view(np.uint64))
-        for got, own in ((rows[p], alone_rows[0]), (cols[p], alone_cols[0])):
-            expected = np.full(got.shape, -1)
-            expected[:rungs] = own
-            assert np.array_equal(got, expected)
-
-
-def test_mixed_kinds_are_refused():
-    # one call assembles engines of one kind; solve_models cuts its batches
-    # where the kind changes
-    with pytest.raises(ValueError, match="a batch holds engines of one kind"):
-        build_sector_liouvillian([make_fig2_model(), make_fig5_model()], [3, 3])
+        assert np.array_equal(inside[p, :rungs], alone_inside) and not inside[p, rungs:].any()
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 5])

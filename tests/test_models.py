@@ -120,6 +120,12 @@ def test_energies_derived_from_bath_frequencies():
     # partially specified frequencies are rejected
     with pytest.raises(ValueError):
         build_three_level(hot, BathSpec(32.0, 0.05), 14.0, 1.0)
+    # so are frequencies that give no increasing ladder
+    with pytest.raises(ValueError, match="hot transition frequency must exceed the cold one"):
+        build_three_level(cold, hot, 14.0, 1.0)
+    ancilla = BathSpec.thermal(32.0, 2.5, 1.0)  # e2 = 3.0 - 2.5 lies below e1 = 1.2
+    with pytest.raises(ValueError, match="incompatible with an increasing level ladder"):
+        build_four_level(hot, cold, ancilla, 14.0, 1.0)
 
 
 def test_engine_model_validation():
@@ -128,6 +134,12 @@ def test_engine_model_validation():
         EngineModel(THREE_LEVEL, hot, cold, 1.0, 1.0, ancilla=anc)
     with pytest.raises(ValueError):
         EngineModel(FOUR_LEVEL, hot, cold, 1.0, 1.0)  # missing ancilla
+    with pytest.raises(ValueError, match="four-level model requires an ancilla bath"):
+        build_four_level(hot, cold, None, 1.0, 1.0)
+    three = build_three_level(hot, cold, 1.0, 1.0)
+    for name in ("omega_a", "gamma_a", "n_a"):
+        with pytest.raises(ValueError, match=f"{name} is defined only for the four-level model"):
+            getattr(three, name)
     with pytest.raises(ValueError):
         EngineModel(THREE_LEVEL, hot, cold, -1.0, 1.0)
     with pytest.raises(ValueError):

@@ -20,7 +20,6 @@ from heatlaser import (
     TruncationError,
     build_four_level,
     build_liouvillian,
-    build_three_level,
     evolve,
     expectation,
     partial_trace_atom,
@@ -30,6 +29,7 @@ from heatlaser import (
     steady_distribution,
     steady_state,
     wigner,
+    with_hot_occupation,
 )
 from heatlaser.core import (
     LEVEL_E1,
@@ -39,7 +39,7 @@ from heatlaser.core import (
     build_sector_liouvillian,
     check_density_matrix,
 )
-from heatlaser.solver import BATCH_RUNGS, MAX_N_MAX, SteadyStateError, solve_models
+from heatlaser.solver import BATCH_RUNGS, MAX_N_MAX, SteadyStateError, solve_grid
 
 from conftest import (
     dense_state,
@@ -292,7 +292,9 @@ def test_rung_sweep_matches_sparse_lu_at_large_cutoff(model, n_max):
     assert space.n_max == n_max
     # the same block scattered to CSC, solved by LU with the equation of
     # |g, 0><g, 0| replaced by the trace row
-    block, rows, cols = sector_block_csc(*build_sector_liouvillian([model], [space.n_max]))
+    block, rows, cols = sector_block_csc(
+        *build_sector_liouvillian(model, [model.n_h], [space.n_max])
+    )
     assert block.dtype == np.float64
     ground = int(np.flatnonzero((rows == 0) & (cols == 0))[0])
     populations = np.flatnonzero(rows == cols)
@@ -341,8 +343,8 @@ def test_stall_reports_the_scale_of_the_complex_block():
     # both partners and carries 2 g sqrt(n), and the gate keeps the former
     model, n_max, tol = make_fig2_model(g=30.0, gamma=1.0), 6, 1e-30
     space = HilbertSpace.for_model(model, n_max)
-    bands, rows, cols = build_sector_liouvillian([model], [n_max])
-    _, rows, cols = sector_block_csc(bands, rows, cols)
+    bands, inside = build_sector_liouvillian(model, [model.n_h], [n_max])
+    _, rows, cols = sector_block_csc(bands, inside)
     _, _, op_rows, op_cols = slot_map(rows, cols, space.fock_dim)
     inside = op_rows * space.total_dim + op_cols
     block = build_liouvillian(model, space).tocsc()[inside][:, inside]
@@ -357,16 +359,17 @@ def test_stall_reports_the_scale_of_the_complex_block():
 def test_batch_at_the_cutoff_bound_stays_small():
     # 16 four-level points at n_max 1000: the bands are pinned in place, so
     # the batch holds its real bands once (9.6 MB), and the traced peak is
-    # 16.2 MB, in the rung sweep; holding them twice in complex form took
-    # 74.2 MB.  At cutoffs from 500 to 1000 it is 16.1 MB: only the pinned
-    # population rows are saved, and a slot past a point's cutoff gets just
-    # a unit diagonal
-    models = [make_fig5_model(n_h=n_h) for n_h in np.linspace(0.5, 5.0, 16)]
-    mixed = np.linspace(500, MAX_N_MAX, len(models)).astype(int).tolist()
-    for cutoffs in ([MAX_N_MAX] * len(models), mixed):
+    # 14.9 MB, in the rung sweep; holding them twice in complex form took
+    # 74.2 MB, and the dense Fock indices of every slot another 1.3 MB.  At
+    # cutoffs from 500 to 1000 it is 14.9 MB too: only the pinned population
+    # rows are saved, and a slot past a point's cutoff gets just a unit
+    # diagonal
+    grid = np.linspace(0.5, 5.0, 16)
+    mixed = np.linspace(500, MAX_N_MAX, len(grid)).astype(int).tolist()
+    for cutoffs in ([MAX_N_MAX] * len(grid), mixed):
         tracemalloc.start()
         try:
-            outcomes = list(solve_models(models, cutoffs))
+            outcomes = list(solve_grid(make_fig5_model(), grid, cutoffs))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -417,18 +420,20 @@ def _auto_cutoff(model):
 
 
 @settings(deadline=None, max_examples=40)
-@given(seed=st.integers(0, 2**32 - 1), kinds=st.lists(st.booleans(), min_size=1, max_size=4))
-def test_batch_solves_each_point_as_a_solo_solve(seed, kinds):
-    # three- and four-level engines of mixed cutoffs in one call, batched
-    # by kind, with an engine whose pump is off (A = 0, n_max 1)
+@given(seed=st.integers(0, 2**32 - 1), four=st.booleans(), points=st.integers(1, 4))
+def test_batch_solves_each_point_as_a_solo_solve(seed, four, points):
+    # one engine at several hot occupations of mixed cutoffs in one call,
+    # with n_h = 0, where the pump is off (A = 0, n_max 1)
     rng = np.random.default_rng(seed)
-    models = [random_four_level(rng) if four else random_three_level(rng) for four in kinds]
-    models.insert(int(rng.integers(len(models) + 1)), make_fig2_model(n_h=0.0))
-    cutoffs = [_auto_cutoff(model) for model in models]
+    model = random_four_level(rng) if four else random_three_level(rng)
+    grid = rng.uniform(0.01, 5.0, points).tolist()
+    grid.insert(int(rng.integers(len(grid) + 1)), 0.0)
+    engines = [with_hot_occupation(model, n_h) for n_h in grid]
+    cutoffs = [_auto_cutoff(engine) for engine in engines]
     assert 1 in cutoffs
-    for model, n_max, outcome in zip(models, cutoffs, solve_models(models, cutoffs)):
+    for engine, n_max, outcome in zip(engines, cutoffs, solve_grid(model, grid, cutoffs)):
         space, result = outcome
-        solo_space, solo = solve_model(model)
+        solo_space, solo = solve_model(engine)
         assert space.n_max == solo_space.n_max == n_max
         batched, alone = result.distribution.probabilities, solo.distribution.probabilities
         np.testing.assert_allclose(batched, alone, rtol=1e-13, atol=0.0)
@@ -436,15 +441,18 @@ def test_batch_solves_each_point_as_a_solo_solve(seed, kinds):
 
 
 def test_singular_point_fails_alone(monkeypatch):
-    # pinned at |g, 0>, the dark engine's system is singular: its steady
-    # state |e2, 0><e2, 0| has no population there
-    fig5 = make_fig5_model()
-    dark = build_four_level(
-        BathSpec(32.0, 0.5), BathSpec(32.0, 0.1), BathSpec(32.0, 0.0), 0.0, 1.0
+    # four levels, g = 0 and an empty ancilla: at every n_h > 0 the steady
+    # state is the dark |e2, 0><e2, 0|.  Pinned at |g, 0>, which it leaves
+    # empty, the second point's system is singular; the first keeps its own
+    # pin, e2
+    dark = make_fig5_model(n_a=0.0, g=0.0)
+    grid, cutoffs = [0.5, 1.0], [2, 3]
+    solo_space, solo = solve_model(dark, n_max=cutoffs[0])
+    pinned = heatlaser.solver._pinned_levels
+    monkeypatch.setattr(
+        heatlaser.solver, "_pinned_levels", lambda model, n_h: [*pinned(model, n_h)[:1], 0]
     )
-    solo_space, solo = solve_model(fig5)
-    monkeypatch.setattr(heatlaser.solver, "_pinned_levels", lambda models: [0] * len(models))
-    first, second = list(solve_models([fig5, dark], [solo_space.n_max, 3]))
+    first, second = list(solve_grid(dark, grid, cutoffs))
     space, result = first
     assert space == solo_space
     assert np.array_equal(dense_state(space, result), dense_state(solo_space, solo))
@@ -455,28 +463,69 @@ def test_singular_point_fails_alone(monkeypatch):
 
 def test_batch_keeps_warnings_and_failures_per_point():
     # explicit cutoffs far too small: each point warns of its own tail, in
-    # point order; the engine between them has no hot bath and no coupling,
-    # so {g, e1} and {e2} each hold a steady state, and it fails alone; its
-    # neighbours' states are those of solo solves, bit for bit
-    split = build_three_level(BathSpec(0.0, 0.5), BathSpec(32.0, 0.05), 0.0, 1.0)
-    models, cutoffs = [make_fig2_model(n_h=1.0), split, make_fig2_model(n_h=3.0)], [3, 2, 5]
+    # point order, and its state is that of a solo solve, bit for bit
+    fig2, grid, cutoffs = make_fig2_model(), [1.0, 3.0], [3, 5]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        outcomes = list(solve_models(models, cutoffs))
+        outcomes = list(solve_grid(fig2, grid, cutoffs))
     assert [str(w.message).split(" = ")[0] for w in caught] == ["tail P[3]", "tail P[5]"]
     # each warning points at the line that asked for the outcome
     assert all(w.filename == __file__ for w in caught)
-    assert isinstance(outcomes[1], SteadyStateError)
-    assert str(outcomes[1]) == (
-        "the steady state is not unique: levels [0, 1, 2] at n = 0 fall into separate closed classes"
-    )
-    for model, n_max, (space, result) in zip(models[::2], cutoffs[::2], outcomes[::2]):
+    for n_h, n_max, (space, result) in zip(grid, cutoffs, outcomes):
         with pytest.warns(UserWarning, match=rf"tail P\[{n_max}\]"):
-            solo_space, solo = solve_model(model, n_max=n_max)
+            solo_space, solo = solve_model(with_hot_occupation(fig2, n_h), n_max=n_max)
         assert space == solo_space
         assert np.array_equal(result.rungs, solo.rungs)
         assert np.array_equal(result.distribution.probabilities, solo.distribution.probabilities)
         assert result.residual == solo.residual
+    # four levels, g = 0 and an empty ancilla: at n_h = 0 nothing reaches
+    # e3, so {g, e1} and {e2} each hold a steady state, and that point fails
+    # alone; its neighbours sit in the dark |e2, 0>
+    dark = make_fig5_model(n_a=0.0, g=0.0)
+    outcomes = list(solve_grid(dark, [0.5, 0.0, 1.0], [2, 2, 2]))
+    assert isinstance(outcomes[1], SteadyStateError)
+    assert str(outcomes[1]) == (
+        "the steady state is not unique: levels [0, 1, 2] at n = 0 fall into separate closed classes"
+    )
+    for n_h, (space, result) in zip([0.5, 1.0], outcomes[::2]):
+        e2 = 2 * space.fock_dim  # |e2, 0>
+        assert dense_state(space, result)[e2, e2] == pytest.approx(1.0, rel=0.0, abs=1e-12)
+        _, solo = solve_model(with_hot_occupation(dark, n_h), n_max=2)
+        assert np.array_equal(result.rungs, solo.rungs)
+        assert result.residual == solo.residual
+
+
+def test_invalid_occupations_fail_alone(monkeypatch):
+    # a negative, NaN or infinite n_h gets its own ValueError, naming it,
+    # and is never assembled; its neighbours get their solo solves, bit for
+    # bit
+    fig2 = make_fig2_model()
+    grid = [1.0, math.nan, -1.0, math.inf, 2.0]
+    low, high = (_auto_cutoff(with_hot_occupation(fig2, n_h)) for n_h in (1.0, 2.0))
+    cutoffs = [low, 5, 5, 5, high]
+    assembled = []
+    assemble = heatlaser.solver.build_sector_liouvillian
+
+    def counted(model, n_h, n_maxes):
+        assembled.append(n_h.tolist())
+        return assemble(model, n_h, n_maxes)
+
+    monkeypatch.setattr(heatlaser.solver, "build_sector_liouvillian", counted)
+    outcomes = list(solve_grid(fig2, grid, cutoffs))
+    assert assembled == [[1.0, 2.0]]
+    for k in (1, 2, 3):
+        assert type(outcomes[k]) is ValueError
+        assert str(outcomes[k]) == f"hot bath occupation must be finite and >= 0, got {grid[k]}"
+    for k in (0, 4):
+        space, result = outcomes[k]
+        solo_space, solo = solve_model(with_hot_occupation(fig2, grid[k]), n_max=cutoffs[k])
+        assert space == solo_space
+        assert np.array_equal(result.rungs, solo.rungs)
+        assert np.array_equal(result.distribution.probabilities, solo.distribution.probabilities)
+        assert result.residual == solo.residual
+    # the builder refuses them too: NaN would pass a check of the rates < 0
+    with pytest.raises(ValueError, match="must be finite and >= 0, got nan"):
+        build_sector_liouvillian(fig2, [1.0, math.nan], [3, 3])
 
 
 def test_solve_models_is_lazy_and_keeps_order_across_batches(monkeypatch):
@@ -485,60 +534,29 @@ def test_solve_models_is_lazy_and_keeps_order_across_batches(monkeypatch):
     # after it, a 17th at a largest cutoff of 1000, opens a second batch,
     # although its own 40 would fit; every cutoff lies far above the point's
     # own, so no tail warning fires
-    models = [make_fig2_model(n_h=n_h) for n_h in np.linspace(0.5, 3.0, 19)]
+    fig2, grid = make_fig2_model(), np.linspace(0.5, 3.0, 19)
     cutoffs = [40] + [MAX_N_MAX] * 15 + [MAX_N_MAX + 1, 40, 40]
     assert 16 * (MAX_N_MAX + 2) == BATCH_RUNGS
     batches = []
     assemble = heatlaser.solver.build_sector_liouvillian
 
-    def counted(batch, n_maxes):
-        batches.append([model.n_h for model in batch])
-        return assemble(batch, n_maxes)
+    def counted(model, n_h, n_maxes):
+        batches.append(n_h.tolist())
+        return assemble(model, n_h, n_maxes)
 
     monkeypatch.setattr(heatlaser.solver, "build_sector_liouvillian", counted)
-    outcomes = solve_models(models, cutoffs)
+    outcomes = solve_grid(fig2, grid, cutoffs)
     assert batches == []
     first = next(outcomes)
-    assert batches == [[model.n_h for model in models[:16]]]
+    assert batches == [grid[:16].tolist()]
     outcomes = [first, *outcomes]
-    assert batches[1:] == [[model.n_h for model in models[17:]]]
-    assert len(outcomes) == len(models)
+    assert batches[1:] == [grid[17:].tolist()]
+    assert len(outcomes) == len(grid)
     assert isinstance(outcomes[16], TruncationError)
     assert str(outcomes[16]) == f"cutoff needs n_max = {MAX_N_MAX + 1} > {MAX_N_MAX}"
     for k in [*range(16), 17, 18]:
         space, result = outcomes[k]
-        solo_space, solo = solve_model(models[k], n_max=cutoffs[k])
-        assert space == solo_space
-        assert np.array_equal(result.rungs, solo.rungs)
-        assert np.array_equal(result.distribution.probabilities, solo.distribution.probabilities)
-        assert result.residual == solo.residual
-
-
-def test_solve_models_cuts_a_batch_where_the_kind_changes(monkeypatch):
-    # one assembly holds engines of one kind, so a batch ends where the
-    # kind changes, although every point would fit the budget; each point
-    # still gets the numbers of its solo solve, bit for bit
-    models = [
-        make_fig2_model(n_h=1.0),
-        make_fig2_model(n_h=2.0),
-        make_fig5_model(n_h=1.0),
-        make_fig2_model(n_h=3.0),
-        make_fig5_model(n_h=2.0),
-        make_fig5_model(n_h=3.0),
-    ]
-    cutoffs = [_auto_cutoff(model) for model in models]
-    batches = []
-    assemble = heatlaser.solver.build_sector_liouvillian
-
-    def counted(batch, n_maxes):
-        batches.append([model.atom_dim for model in batch])
-        return assemble(batch, n_maxes)
-
-    monkeypatch.setattr(heatlaser.solver, "build_sector_liouvillian", counted)
-    outcomes = list(solve_models(models, cutoffs))
-    assert batches == [[3, 3], [4], [3], [4, 4]]
-    for model, n_max, (space, result) in zip(models, cutoffs, outcomes):
-        solo_space, solo = solve_model(model, n_max=n_max)
+        solo_space, solo = solve_model(with_hot_occupation(fig2, grid[k]), n_max=cutoffs[k])
         assert space == solo_space
         assert np.array_equal(result.rungs, solo.rungs)
         assert np.array_equal(result.distribution.probabilities, solo.distribution.probabilities)
