@@ -30,12 +30,13 @@ commands.
 A sweep hands the config's model and its n_h grid to both routes, and
 builds no model per point: it evaluates the closed form of the whole grid
 in one array pass (:func:`heatlaser.photonstats.closed_form_grid`), then
-solves the steady states of the points it leaves, in the calling process
-and in the batches of :func:`heatlaser.solver.solve_grid`; each state
-becomes record numbers as it arrives, so a sweep holds one batch's states
-at a time, and of the closed form only the rows it compares with them.
-Each state stays in charge-zero block form, and the photon distribution
-and the Wigner function come from its populations.  ``sweep --jobs`` is
+solves the steady states of the points it leaves, in the calling process,
+as columns (:func:`heatlaser.solver.exact_grid`): each batch of states is
+reduced to its columns and photon distributions before the next is
+solved, so a sweep holds one batch's states at a time, and of the closed
+form only the rows it compares with them.  Each state stays in
+charge-zero block form, and the photon distribution and the Wigner
+function come from its populations.  ``sweep --jobs`` is
 still accepted and ignored.  ``distribution --wigner`` samples 101 x 101
 points over [-h, h]^2 with h = max(4, 1.2 sqrt(<n> + 1)), so the grid
 holds the ring of a bright state.  ``thresholds`` looks for roots in
@@ -76,7 +77,7 @@ from .photonstats import (
     steady_distribution,
 )
 from .semiclassical import find_thresholds, temperature_lasing_condition
-from .solver import MAX_N_MAX, SteadyStateError, solve_grid, solve_model, wigner
+from .solver import MAX_N_MAX, SteadyStateError, exact_grid, solve_model, wigner
 
 SCHEMA_VERSION = 1
 PRESETS = ("fig2", "fig5")
@@ -303,44 +304,36 @@ def run_sweep(config: RunConfig) -> list[dict]:
     """Evaluate every sweep point in this process, ordered by sweep index.
 
     The closed form of the whole grid is one :func:`closed_form_grid` pass,
-    which fills each record's closed-form columns and gives each point's
-    Fock cutoff.  The points it leaves are solved by one :func:`solve_grid`
-    call on the same model and grid, and each record is filled as its
-    outcome arrives; only the closed-form rows of points within
-    ``MAX_N_MAX`` are kept, for ``l1_distance``.  A point that fails keeps
-    its own record and status.
+    which gives the closed-form columns and each point's Fock cutoff.  The
+    points it leaves are solved by one :func:`exact_grid` call on the same
+    model and grid, which gives the exact columns; only the closed-form rows
+    of points within ``MAX_N_MAX`` are kept, for ``l1_distance``, a sum over
+    each point's own rows.  The columns are merged into one record per
+    point.  A point that fails keeps its own record and status.
     """
     if config.sweep is None:
         raise ConfigError("sweep: block required for the sweep command")
     grid = config.sweep.values()
     closed, cutoffs, rows, failures = closed_form_grid(config.model, grid, MAX_N_MAX)
-    records = []
-    for k, (n_h, failure) in enumerate(zip(grid.tolist(), failures)):
-        record = dict.fromkeys(SWEEP_FIELDS, math.nan)
-        record.update({name: values[k] for name, values in closed.items()}, n_h=n_h)
-        record["status"] = "ok" if failure is None else f"failed: {failure}"
-        records.append(record)
     solvable = [k for k, failure in enumerate(failures) if failure is None]
-    outcomes = solve_grid(
+    exact, numeric, exact_failures = exact_grid(
         config.model, grid[solvable], [cutoffs[k] for k in solvable], config.steady_tol
     )
-    for k, outcome in zip(solvable, outcomes, strict=True):
-        record = records[k]
-        if isinstance(outcome, Exception):
-            record["status"] = f"failed: {outcome}"
-            continue
-        _, result = outcome
-        numeric = result.distribution
-        record.update(
-            mean_numeric=numeric.mean,
-            variance_numeric=numeric.variance,
-            fano_numeric=numeric.fano,
-            l1_distance=float(np.abs(numeric.probabilities - rows[k]).sum()),
-            n_max=cutoffs[k],
-            tail=float(numeric.probabilities[-1]),
-            residual=result.residual,
-        )
-    return records
+    exact["l1_distance"] = [
+        math.nan if p is None else float(np.abs(p - rows[k]).sum())
+        for k, p in zip(solvable, numeric)
+    ]
+    columns = {**closed, "n_h": grid.tolist()}
+    for name, values in exact.items():
+        column = np.full(grid.size, math.nan)
+        column[solvable] = values
+        columns[name] = column.tolist()
+    failures = np.array(failures, dtype=object)
+    failures[solvable] = np.array(exact_failures, dtype=object)
+    status = ["ok" if failure is None else f"failed: {failure}" for failure in failures]
+    columns["status"] = status
+    columns["n_max"] = [n_max if ok == "ok" else math.nan for n_max, ok in zip(cutoffs, status)]
+    return [dict(zip(SWEEP_FIELDS, values)) for values in zip(*map(columns.get, SWEEP_FIELDS))]
 
 
 # ---------------------------------------------------------------------------

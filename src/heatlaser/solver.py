@@ -6,8 +6,10 @@ and per coherence pair, and returns the steady state in the block's rung
 layout, those unknowns by rung and slot (:class:`BlockState`), with its
 photon distribution, in O(n_max) memory and time; :func:`solve_grid`
 does so for one engine over a grid of hot-bath occupations n_h, one
-stacked sweep per batch, each point in its own layout from assembly to
-result.  They are the independent check on the closed-form theory in :mod:`heatlaser.photonstats`.  The dense (A F)^2
+stacked sweep per batch, each point in its own layout and over its own
+rungs, and :func:`exact_grid` returns the same batches as the columns
+of a sweep.  They are the independent check on the closed-form theory in
+:mod:`heatlaser.photonstats`.  The dense (A F)^2
 :func:`steady_state`, :func:`evolve`, :func:`partial_trace_atom` and
 :func:`photon_distribution` are the full-space references (the first two
 import scipy when called).  :func:`wigner` maps a photon distribution to
@@ -61,6 +63,7 @@ __all__ = [
     "wigner",
     "solve_model",
     "solve_grid",
+    "exact_grid",
 ]
 
 # largest Fock cutoff solve_grid accepts; see solve_model
@@ -273,34 +276,43 @@ def wigner(
     return WignerField(re_axis, im_axis, (2.0 / math.pi) * total)
 
 
-def _rung_sweep(bands, rhs):
+def _rung_sweep(bands, rhs, rungs):
     """Solve a batch of block-tridiagonal systems by block Thomas.
 
     ``bands`` has shape (P, R, 3, m, m) and ``rhs`` shape (P, R, m), one
-    system per point p, solved in the dtype of ``bands``.  Forward
-    elimination over the rungs keeps, per rung r, the solution [G_r | y_r]
-    of S_r [G_r | y_r] = [C_r | b_r - A_r y_{r-1}] with the Schur complement
-    S_r = B_r - A_r G_{r-1} (A, B, C the lower, diagonal and upper blocks);
-    back substitution is x_r = y_r - G_r x_{r+1}.
-    Each rung takes one stacked solve and one stacked matmul for all P
-    points; numpy runs LAPACK and BLAS once per matrix, so a point gets the
-    numbers a batch of one gives it.  A slot decoupled by an identity row
-    and column and a zero right-hand side gets x = 0 and leaves the rest of
-    the solution as it is, so a point swept at a larger cutoff keeps its
-    own solution.  There is no pivoting across rungs; a singular S_r of any
-    point raises ``np.linalg.LinAlgError`` for the whole batch.
+    system per point p over its first ``rungs[p]`` rungs, solved in the
+    dtype of ``bands``.  Forward elimination over the rungs keeps, per rung
+    r, the solution [G_r | y_r] of S_r [G_r | y_r] = [C_r | b_r - A_r y_{r-1}]
+    with the Schur complement S_r = B_r - A_r G_{r-1} (A, B, C the lower,
+    diagonal and upper blocks); back substitution is x_r = y_r - G_r x_{r+1}.
+    This is a matrix continued fraction (Risken, *The Fokker-Planck
+    Equation*, ch. 9): nothing past a point's last rung feeds back into it,
+    so its recursion stops there.  ``rungs`` is ascending, so the points
+    that reach rung r are a suffix of the batch, a view, and each rung takes
+    one stacked solve and one stacked matmul over that suffix: the batch
+    costs sum(rungs) matrices, as its points solved alone do.  numpy runs
+    LAPACK and BLAS once per matrix, so a point gets the numbers a batch of
+    one gives it.  Past a point's last rung its rows keep ``rhs``.  There is
+    no pivoting across rungs; a singular S_r of any point raises
+    ``np.linalg.LinAlgError`` for the whole batch.
     """
     lower, diag = bands[:, :, 0], bands[:, :, 1]
     width = diag.shape[-1]
     work = np.concatenate([bands[:, :, 2], rhs[..., np.newaxis]], axis=-1)
-    prev = np.zeros((len(bands), width, width + 1), dtype=bands.dtype)
-    for r in range(bands.shape[1]):
-        coupled = lower[:, r] @ prev  # [A_r G_{r-1} | A_r y_{r-1}]
-        work[:, r, :, width] -= coupled[:, :, width]
-        prev = work[:, r] = np.linalg.solve(diag[:, r] - coupled[:, :, :width], work[:, r])
+    # starts[r]: the first point that reaches rung r
+    starts = np.searchsorted(rungs, np.arange(bands.shape[1]), side="right").tolist()
+    prev, first = np.zeros((len(bands), width, width + 1), dtype=bands.dtype), 0
+    for r, start in enumerate(starts):
+        coupled = lower[start:, r] @ prev[start - first :]  # [A_r G_{r-1} | A_r y_{r-1}]
+        work[start:, r, :, width] -= coupled[:, :, width]
+        prev = work[start:, r] = np.linalg.solve(
+            diag[start:, r] - coupled[:, :, :width], work[start:, r]
+        )
+        first = start
     x = work[..., width:]
     for r in range(bands.shape[1] - 2, -1, -1):
-        x[:, r] -= work[:, r, :, :width] @ x[:, r + 1]
+        start = starts[r + 1]
+        x[start:, r] -= work[start:, r, :, :width] @ x[start:, r + 1]
     return x[..., 0].copy()  # contiguous, and the workspace is freed on return
 
 
@@ -356,7 +368,7 @@ BlockState = namedtuple("BlockState", "rungs distribution residual")
 _HALVED = 1.0 - 0.5 * np.outer(np.equal(*RUNG_SLOTS.T), np.not_equal(*RUNG_SLOTS.T))
 
 
-def _sweep_points(system, rhs):
+def _sweep_points(system, rhs, rungs):
     """The batch's rung-sweep solutions, and per point the error it raised or None.
 
     A stacked solve fails as a whole when any point's system is singular,
@@ -366,7 +378,7 @@ def _sweep_points(system, rhs):
     finishing pass runs on finite numbers.
     """
     try:
-        return _rung_sweep(system, rhs), [None] * len(system)
+        return _rung_sweep(system, rhs, rungs), [None] * len(system)
     except np.linalg.LinAlgError as exc:
         if len(system) == 1:
             error = SteadyStateError(f"rung sweep failed: {exc}")
@@ -374,26 +386,73 @@ def _sweep_points(system, rhs):
             return rhs.copy(), [error]
     x, errors = rhs.copy(), []
     for p in range(len(system)):
-        x[[p]], (error,) = _sweep_points(system[[p]], rhs[[p]])
+        x[[p]], (error,) = _sweep_points(system[[p]], rhs[[p]], rungs[p : p + 1])
         errors.append(error)
     return x, errors
 
 
-def _steady_results(spaces, bands, inside, x, errors, tol):
-    """The unit-trace block states of a batch's rung-sweep solutions, gated and checked.
+def _solve_batch(model, n_h, n_maxes, tol):
+    """One batch of :func:`solve_grid`, solved: ``(outcomes, row, x, p, residuals)``.
 
-    ``bands`` holds each point's own real block and ``inside`` its slots;
-    ``x`` is scaled in place.  The residuals, their scales (the max|L_ij|
-    of each point's complex block) and the photon distributions are found
-    for the whole batch at once.  Each point's unit trace is its own masked
-    sum, so that it gets the bits of a solo solve.  Per point remain the
-    gate, the tail warning and its state: a copy of its own rungs and
-    slots of ``x``, so that the batch's solution can be freed.  A point
-    whose sweep failed, ``errors[p]``, keeps its error.
+    ``outcomes`` holds per point, in the order of ``n_h``, the error it
+    raised or, when its steady state passed, its :class:`HilbertSpace`.
+    ``row`` maps each point that passed to its row of the stacked arrays:
+    the unit-trace solutions ``x`` in rung layout, the residuals, and the
+    photon distributions ``p``, zero past each point's cutoff and
+    normalised once, as ``p / p.sum()``.  The tail warnings fire here, in
+    the order of ``n_h``.
+
+    The live points are assembled in one call and swept in one stacked
+    rung sweep, in ascending order of cutoff, each n_h with its own: each
+    rung then sweeps a suffix of the batch (``_rung_sweep``), and a grid
+    that is already in that order reaches the builder as it is.  The pinned
+    levels are one stacked reachability pass, and the residuals, their
+    scales and the photon distributions a few array operations over the
+    stacked solution.  Per point remain the checks of its n_h and cutoff,
+    and two sums over its own rungs, since numpy's pairwise sum groups the
+    terms of a padded row otherwise: its trace, a masked sum, and that of
+    its P_n.
     """
+    outcomes = []
+    for occupation, n_max, pin in zip(n_h.tolist(), n_maxes, _pinned_levels(model, n_h)):
+        try:
+            if not 0 <= occupation < math.inf:
+                raise ValueError(f"hot bath occupation must be finite and >= 0, got {occupation}")
+            if n_max > MAX_N_MAX:
+                raise TruncationError(f"cutoff needs n_max = {n_max} > {MAX_N_MAX}")
+            space = HilbertSpace.for_model(model, n_max)
+        except (TruncationError, ValueError) as exc:
+            outcomes.append(exc)
+        else:
+            outcomes.append(pin if isinstance(pin, Exception) else (space, pin))
+    live = [k for k, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
+    if not live:
+        return outcomes, {}, None, None, []
+    live.sort(key=n_maxes.__getitem__)
+    spaces, pinned = zip(*(outcomes[k] for k in live))
+    cutoffs = [space.n_max for space in spaces]
+    bands, inside = build_sector_liouvillian(model, n_h[live], cutoffs)
+    # the pinned population's equation becomes x = 1, and that of every slot
+    # outside the point's block x = 0: its row and column are already 0, so
+    # it needs only a unit diagonal.  Both are set in place, and undone for
+    # the residual and its scale once the sweep has returned, the failed
+    # points' included; only the pinned rows are saved
+    pinned = np.array(pinned)
+    point, rung, slot = np.arange(len(live)), RUNG_SHIFT[pinned], SLOT_OF[pinned, pinned]
+    rhs = np.zeros(inside.shape)
+    rhs[point, rung, slot] = 1.0
+    saved = bands[point, rung, :, slot]
+    bands[point, rung, :, slot] = 0.0
+    bands[point, rung, 1, slot, slot] = 1.0
+    diagonal = np.einsum("prss->prs", bands[:, :, 1])  # a view
+    np.copyto(diagonal, 1.0, where=~inside)
+    x, errors = _sweep_points(bands, rhs, [n_max + 2 for n_max in cutoffs])
+    np.copyto(diagonal, 0.0, where=~inside)
+    bands[point, rung, :, slot] = saved
+
     width = x.shape[-1]
     populations = inside & np.equal(*RUNG_SLOTS[:width].T)
-    x /= np.array([x[p][populations[p]].sum() for p in range(len(x))])[:, np.newaxis, np.newaxis]
+    x /= np.array([x[j][populations[j]].sum() for j in point.tolist()])[:, np.newaxis, np.newaxis]
     residuals = np.abs(_apply_bands(bands, x)).max(axis=(1, 2)).tolist()
     # max|bands| per point, without an |bands| temporary
     scales = np.maximum(bands.max(axis=1), -bands.min(axis=1)) * _HALVED[:width, :width]
@@ -402,20 +461,86 @@ def _steady_results(spaces, bands, inside, x, errors, tol):
     # levels at n, |l, n> in rung n + RUNG_SHIFT[l], added level by level
     # as the partial trace adds them
     depth = x.shape[1] - 1
-    p_n = sum(x[:, RUNG_SHIFT[l] : depth + RUNG_SHIFT[l], SLOT_OF[l, l]] for l in range(width - 1))
-    p_n = np.clip(p_n, 0.0, None)
-    outcomes = []
-    for k, space in enumerate(spaces):
-        error = errors[k] or _stall(residuals[k], scales[k], tol)
-        if error is not None:
-            outcomes.append(error)
-            continue
-        p = p_n[k, : space.fock_dim]
-        if p[-1] > 1e-8:
-            warnings.warn(f"tail P[{space.n_max}] = {p[-1]:.3e} above 1e-8", stacklevel=4)
-        rungs = x[k, : space.n_max + 2, : space.atom_dim + 1].copy()
-        outcomes.append((space, BlockState(rungs, PhotonDistribution(p / p.sum()), residuals[k])))
-    return outcomes
+    p = sum(x[:, RUNG_SHIFT[l] : depth + RUNG_SHIFT[l], SLOT_OF[l, l]] for l in range(width - 1))
+    p = np.clip(p, 0.0, None)
+    row = {}
+    for j, (k, error) in enumerate(zip(live, errors)):
+        error = error or _stall(residuals[j], scales[j], tol)
+        if error is None:
+            row[k] = j
+        outcomes[k] = error or spaces[j]
+    # in point order, pointing at the line that asked solve_grid or
+    # exact_grid for the batch
+    for k in sorted(row):
+        n_max = outcomes[k].n_max
+        if p[row[k], n_max] > 1e-8:
+            warnings.warn(f"tail P[{n_max}] = {p[row[k], n_max]:.3e} above 1e-8", stacklevel=3)
+    passed = list(row.values())
+    p[passed] /= np.array([p[j, : cutoffs[j] + 1].sum() for j in passed])[:, np.newaxis]
+    return outcomes, row, x, p, residuals
+
+
+def _block_states(outcomes, row, x, p, residuals):
+    """A solved batch (``_solve_batch``) as :func:`solve_grid` yields it.
+
+    A point that passed gets a copy of its own rungs and slots of ``x``,
+    so that the batch's solution can be freed, and its
+    :class:`PhotonDistribution`, which normalises ``p`` a second time.
+    """
+    return [
+        outcome
+        if isinstance(outcome, Exception)
+        else (
+            outcome,
+            BlockState(
+                x[row[k], : outcome.n_max + 2, : outcome.atom_dim + 1].copy(),
+                PhotonDistribution(p[row[k], : outcome.fock_dim]),
+                residuals[row[k]],
+            ),
+        )
+        for k, outcome in enumerate(outcomes)
+    ]
+
+
+def _grid_columns(outcomes, row, x, p, residuals):
+    """A solved batch (``_solve_batch``) as :func:`exact_grid` returns it.
+
+    The columns are array operations over the rows that passed, but for
+    the reductions over each point's own P_n: the second normalisation,
+    ``arange @ p`` and ``arange**2 @ p``, whose sums group their terms by
+    the row's length, and ``mean**2``, Python's ``pow``, which rounds apart
+    from numpy's square in about one case of a thousand.
+    """
+    size = len(outcomes)
+    failures = [str(outcome) if isinstance(outcome, Exception) else None for outcome in outcomes]
+    columns = {name: np.full(size, math.nan) for name in EXACT_COLUMNS}
+    rows = [None] * size
+    if row:
+        points, at = list(row), list(row.values())
+        focks = [outcomes[k].fock_dim for k in points]
+        q = p[at]
+        q /= np.array([q_k[:fock].sum() for q_k, fock in zip(q, focks)])[:, np.newaxis]
+        numbers = np.arange(q.shape[1], dtype=float)
+        squares = numbers * numbers
+        mean, variance = [], []
+        for k, q_k, fock in zip(points, q, focks):
+            rows[k] = q_k = q_k[:fock]
+            mean.append(float(numbers[:fock] @ q_k))
+            variance.append(float(squares[:fock] @ q_k) - mean[-1] ** 2)
+        mean, variance = np.array(mean), np.array(variance)
+        columns["mean_numeric"][points] = mean
+        columns["variance_numeric"][points] = variance
+        columns["fano_numeric"][points] = np.divide(
+            variance, mean, out=np.full(len(points), math.nan), where=mean > 0
+        )
+        columns["tail"][points] = q[np.arange(len(points)), np.array(focks) - 1]
+        columns["residual"][points] = np.array(residuals)[at]
+    return {name: column.tolist() for name, column in columns.items()}, rows, failures
+
+
+def _batches(n_maxes):
+    """The batches ``(start, end)`` of a grid's points at the cutoffs ``n_maxes``."""
+    return _runs([n_max + 2 if n_max <= MAX_N_MAX else 0 for n_max in n_maxes], BATCH_RUNGS)
 
 
 def solve_grid(
@@ -439,65 +564,53 @@ def solve_grid(
 
     The blocks of a batch are assembled in one call, each point at its own
     cutoff and in its own layout (see :func:`build_sector_liouvillian`),
-    padded with zero rungs to the batch's largest cutoff; a slot outside a
-    point's block gets a unit diagonal, and so x = 0, for the sweep.  The
-    batch is swept in one stacked rung sweep (``_rung_sweep``), so numpy's
-    cost per call is paid once per rung for the whole batch.  Per batch,
-    too: the pinned levels, one stacked reachability pass, and the
-    residuals, their scales and the photon distributions, each a few array
-    operations over the stacked solution.  Per point remain the checks of
-    its n_h and cutoff, the unit trace, the residual gate, the tail warning
-    and the copy of its rungs.
+    and swept in one stacked rung sweep (``_rung_sweep``), each point over
+    its own rungs only, so numpy's cost per call is paid once per rung for
+    the whole batch.  :func:`exact_grid` finishes the same batches as
+    columns.
 
     Yields, in the order of ``n_h``, ``(space, BlockState)`` or the
     :class:`TruncationError`, :class:`SteadyStateError` or ``ValueError``
     that point raised, so that one point's failure stays its own.
     """
     n_h = np.asarray(n_h, dtype=float)
-    sizes = [n_max + 2 if n_max <= MAX_N_MAX else 0 for n_max in n_maxes]
-    for start, end in _runs(sizes, BATCH_RUNGS):
-        yield from _solve_batch(model, n_h[start:end], n_maxes[start:end], tol)
+    for start, end in _batches(n_maxes):
+        yield from _block_states(*_solve_batch(model, n_h[start:end], n_maxes[start:end], tol))
 
 
-def _solve_batch(model, n_h, n_maxes, tol):
-    """The outcomes of one batch of :func:`solve_grid`, in its order."""
-    outcomes = []
-    for occupation, n_max, pin in zip(n_h.tolist(), n_maxes, _pinned_levels(model, n_h)):
-        try:
-            if not 0 <= occupation < math.inf:
-                raise ValueError(f"hot bath occupation must be finite and >= 0, got {occupation}")
-            if n_max > MAX_N_MAX:
-                raise TruncationError(f"cutoff needs n_max = {n_max} > {MAX_N_MAX}")
-            space = HilbertSpace.for_model(model, n_max)
-        except (TruncationError, ValueError) as exc:
-            outcomes.append(exc)
-        else:
-            outcomes.append(pin if isinstance(pin, Exception) else (space, pin))
-    live = [k for k, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
-    if not live:
-        return outcomes
-    spaces, pinned = zip(*(outcomes[k] for k in live))
-    bands, inside = build_sector_liouvillian(model, n_h[live], [space.n_max for space in spaces])
-    # the pinned population's equation becomes x = 1, and that of every slot
-    # outside the point's block x = 0: its row and column are already 0, so
-    # it needs only a unit diagonal.  Both are set in place, and undone for
-    # the residual and its scale once the sweep has returned, the failed
-    # points' included; only the pinned rows are saved
-    pinned = np.array(pinned)
-    point, rung, slot = np.arange(len(live)), RUNG_SHIFT[pinned], SLOT_OF[pinned, pinned]
-    rhs = np.zeros(inside.shape)
-    rhs[point, rung, slot] = 1.0
-    saved = bands[point, rung, :, slot]
-    bands[point, rung, :, slot] = 0.0
-    bands[point, rung, 1, slot, slot] = 1.0
-    diagonal = np.einsum("prss->prs", bands[:, :, 1])  # a view
-    np.copyto(diagonal, 1.0, where=~inside)
-    x, errors = _sweep_points(bands, rhs)
-    np.copyto(diagonal, 0.0, where=~inside)
-    bands[point, rung, :, slot] = saved
-    for k, outcome in zip(live, _steady_results(spaces, bands, inside, x, errors, tol)):
-        outcomes[k] = outcome
-    return outcomes
+# the columns of exact_grid, named as a sweep record names them
+EXACT_COLUMNS = ("mean_numeric", "variance_numeric", "fano_numeric", "tail", "residual")
+
+
+def exact_grid(
+    model: EngineModel, n_h: Sequence[float], n_maxes: Sequence[int], tol: float = 1e-9
+) -> tuple[dict[str, list[float]], list[np.ndarray | None], list[str | None]]:
+    """The steady states of :func:`solve_grid`, as the columns of a sweep.
+
+    Solves the same batches as :func:`solve_grid`, with the same warnings,
+    and returns ``(columns, rows, failures)``, each over the points:
+
+    - ``columns`` maps each name of ``EXACT_COLUMNS`` to a list of floats:
+      the mean, variance and Fano factor of the photon distribution, its
+      tail P[n_max] and the residual, NaN where the point failed;
+    - ``rows`` holds that distribution, or None where the point failed;
+    - ``failures`` holds None, or the message of the error that
+      :func:`solve_grid` yields for the point.
+
+    Every value equals, bit for bit, what the :class:`PhotonDistribution`
+    and the residual of that point's :class:`BlockState` give; no
+    distribution object or state is built.
+    """
+    n_h = np.asarray(n_h, dtype=float)
+    columns, rows, failures = {name: [] for name in EXACT_COLUMNS}, [], []
+    for start, end in _batches(n_maxes):
+        batch = _solve_batch(model, n_h[start:end], n_maxes[start:end], tol)
+        batch_columns, batch_rows, batch_failures = _grid_columns(*batch)
+        for name, values in batch_columns.items():
+            columns[name] += values
+        rows += batch_rows
+        failures += batch_failures
+    return columns, rows, failures
 
 
 def solve_model(
@@ -531,8 +644,10 @@ def solve_model(
     first rung past its peak where P_n < 1e-12 (n_max = 1 with the pump off,
     A = 0); an explicit ``n_max`` is used as given.  Any cutoff above
     ``MAX_N_MAX`` = 1000, automatic or explicit, raises
-    :class:`TruncationError` before any assembly.  A batch's memory grows
-    with its rung-points, (points) x (largest cutoff + 2): a four-level rung
+    :class:`TruncationError` before any assembly.  A batch's bands are
+    stacked to its largest cutoff, so its memory grows with its
+    rung-points, (points) x (largest cutoff + 2), and its rung sweep
+    takes sum(cutoff + 2) rung solves, each point's own.  A four-level rung
     holds 0.6 kB per point in its 3 x 5 x 5 real bands, pinned in place, and
     a batch peaks at about 1.5 times that, in the rung sweep's workspace;
     the builder returns only the bands and a bool mask of each point's

@@ -239,15 +239,30 @@ def test_sweep_outputs_are_deterministic(tmp_path, monkeypatch):
     assert len(gain.replace(".", "").replace("-", "").lstrip("0")) <= 12
 
 
+def test_sweep_builds_no_photon_distribution(monkeypatch):
+    # the exact columns come from the batch's stacked solution, and the
+    # closed form's from its grid pass: no point builds a distribution
+    def refused(self):
+        raise AssertionError("a sweep built a PhotonDistribution")
+
+    monkeypatch.setattr(PhotonDistribution, "__post_init__", refused)
+    for preset in ("fig2", "fig5"):
+        records = run_sweep(load_config(preset))
+        assert len(records) == 60 and all(r["status"] == "ok" for r in records)
+
+
 def test_sweep_assembles_once_per_batch(monkeypatch):
-    # one block assembly per batch, each of consecutive points; a preset's
-    # 60-point grid is one batch
+    # one block assembly per batch, each of consecutive points, which reach
+    # the builder in ascending order of cutoff, ties in grid order; a
+    # preset's 60-point grid is one batch.  fig2's cutoffs rise and then
+    # fall; fig5's only rise, so its grid reaches the builder as it is
     batches = _batches(monkeypatch)
     for preset in ("fig2", "fig5"):
         batches.clear()
         records = run_sweep(load_config(preset))
         assert len(records) == 60 and all(r["status"] == "ok" for r in records)
-        assert batches == [[r["n_h"] for r in records]]
+        assert batches == [[r["n_h"] for r in sorted(records, key=lambda r: r["n_max"])]]
+    assert batches == [[r["n_h"] for r in records]]
 
 
 def test_sweep_past_the_budget_streams_its_batches(tmp_path, monkeypatch):

@@ -528,7 +528,7 @@ def test_invalid_occupations_fail_alone(monkeypatch):
         build_sector_liouvillian(fig2, [1.0, math.nan], [3, 3])
 
 
-def test_solve_models_is_lazy_and_keeps_order_across_batches(monkeypatch):
+def test_solve_grid_is_lazy_and_keeps_order_across_batches(monkeypatch):
     # one point at n_max 40 and 15 at n_max 1000 fill the budget exactly; the
     # point past the cutoff bound comes next and does not count, and the one
     # after it, a 17th at a largest cutoff of 1000, opens a second batch,
@@ -561,6 +561,66 @@ def test_solve_models_is_lazy_and_keeps_order_across_batches(monkeypatch):
         assert np.array_equal(result.rungs, solo.rungs)
         assert np.array_equal(result.distribution.probabilities, solo.distribution.probabilities)
         assert result.residual == solo.residual
+
+
+@pytest.mark.parametrize("make_model", [make_fig2_model, make_fig5_model])
+def test_batch_sweeps_each_point_over_its_own_rungs(make_model, monkeypatch):
+    # one batch of unsorted cutoffs from 1 to 1000, with the pump off at
+    # n_h = 0: each point comes back in grid order, bit for bit its solo
+    # solve, and the stacked rung solves take sum(cutoff + 2) matrices, not
+    # points x (largest cutoff + 2)
+    model = make_model()
+    grid, cutoffs = [1e-4, 2.0, 0.0, 0.5, 5.0], [5, 1000, 1, 40, 300]
+    assert len(grid) * (max(cutoffs) + 2) <= BATCH_RUNGS
+    matrices = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        matrices.append(len(a))
+        return solve(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "solve", counted)
+        outcomes = list(solve_grid(model, grid, cutoffs))
+    assert sum(matrices) == sum(n_max + 2 for n_max in cutoffs)
+    assert len(matrices) == max(cutoffs) + 2
+    for n_h, n_max, (space, result) in zip(grid, cutoffs, outcomes):
+        solo_space, solo = solve_model(with_hot_occupation(model, n_h), n_max=n_max)
+        assert space == solo_space
+        assert np.array_equal(result.rungs, solo.rungs)
+        assert np.array_equal(result.distribution.probabilities, solo.distribution.probabilities)
+        assert result.residual == solo.residual
+
+
+@settings(deadline=None, max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1), four=st.booleans(), points=st.integers(1, 4))
+def test_exact_grid_is_solve_grid_as_columns(seed, four, points):
+    # the columns of every point equal, bit for bit, what its state and
+    # distribution give, in grid order, with the pump off at n_h = 0, an
+    # invalid n_h and a cutoff past the bound failing alone
+    rng = np.random.default_rng(seed)
+    model = random_four_level(rng) if four else random_three_level(rng)
+    grid = [*rng.uniform(0.01, 5.0, points).tolist(), 0.0, -1.0, 1.0]
+    cutoffs = [_auto_cutoff(with_hot_occupation(model, n_h)) for n_h in grid[:-2]]
+    cutoffs += [3, MAX_N_MAX + 1]
+    columns, rows, failures = heatlaser.solver.exact_grid(model, grid, cutoffs)
+    outcomes = list(solve_grid(model, grid, cutoffs))
+    for k, outcome in enumerate(outcomes):
+        if isinstance(outcome, Exception):
+            assert failures[k] == str(outcome) and rows[k] is None
+            assert all(math.isnan(columns[name][k]) for name in columns)
+            continue
+        _, result = outcome
+        numeric = result.distribution
+        assert failures[k] is None
+        assert np.array_equal(rows[k], numeric.probabilities)
+        assert columns["mean_numeric"][k] == numeric.mean
+        assert columns["variance_numeric"][k] == numeric.variance
+        fano = columns["fano_numeric"][k]
+        assert fano == numeric.fano or (math.isnan(fano) and math.isnan(numeric.fano))
+        assert columns["tail"][k] == numeric.probabilities[-1]
+        assert columns["residual"][k] == result.residual
+    assert [type(outcome) for outcome in outcomes[-2:]] == [ValueError, TruncationError]
 
 
 # ---------------------------------------------------------------------------
