@@ -35,7 +35,6 @@ from .photonstats import (
     TruncationError,
     coefficient_flow,
     distribution_moments,
-    elimination_flow,
     output_power,
     pn_derivative,
     rough_estimate_mean,
@@ -59,8 +58,6 @@ from .solver import (
     SteadyStateError,
     SteadyStateResult,
     WignerField,
-    evolve,
-    expectation,
     partial_trace_atom,
     photon_distribution,
     solve_model,
@@ -104,7 +101,6 @@ __all__ = [
     "pn_derivative",
     "distribution_moments",
     "coefficient_flow",
-    "elimination_flow",
     "output_power",
     "saturated_power",
     "rough_estimate_mean",
@@ -112,10 +108,8 @@ __all__ = [
     "SteadyStateError",
     "WignerField",
     "steady_state",
-    "evolve",
     "partial_trace_atom",
     "photon_distribution",
-    "expectation",
     "wigner",
     "solve_model",
 ]

@@ -46,9 +46,6 @@ __all__ = [
     "build_dissipators",
     "build_liouvillian",
     "build_sector_liouvillian",
-    "apply_liouvillian",
-    "is_hermitian",
-    "check_density_matrix",
 ]
 
 LEVEL_G, LEVEL_E1, LEVEL_E2, LEVEL_E3 = 0, 1, 2, 3
@@ -334,39 +331,6 @@ def build_sector_liouvillian(
     target_out = outside[:, 1:-1, np.newaxis, :, np.newaxis]
     np.copyto(bands, 0.0, where=target_out | source_out[:, :, :, np.newaxis])
     return bands, inside
-
-
-def apply_liouvillian(liouv: sp.spmatrix, rho: np.ndarray) -> np.ndarray:
-    """Evaluate L[rho] as a matrix of the same shape as rho."""
-    return (liouv @ rho.reshape(-1)).reshape(rho.shape)
-
-
-def is_hermitian(mat: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.abs(mat - mat.conj().T).max() <= tol)
-
-
-def check_density_matrix(
-    rho: np.ndarray,
-    trace_tol: float = 1e-10,
-    herm_tol: float = 1e-10,
-    min_eigenvalue: float = -1e-8,
-) -> None:
-    """Raise ValueError unless rho is a valid density matrix.
-
-    Checks unit trace, Hermiticity, and spectrum bounded below by
-    ``min_eigenvalue`` (small negative values absorb round-off).
-    """
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-    herm = np.abs(rho - rho.conj().T).max()
-    if herm > herm_tol:
-        raise ValueError(f"Hermiticity violated by {herm:.3e}")
-    evmin = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-    if evmin < min_eigenvalue:
-        raise ValueError(f"negative eigenvalue {evmin:.3e}")
 
 
 def _check_dims(model: EngineModel, space: HilbertSpace) -> None:

@@ -10,9 +10,9 @@ loss kappa:
 
 This module evaluates the coefficients from the engine parameters, the exact
 steady distribution of the chain, its closed-form moments, and the output
-power.  ``elimination_flow`` re-derives the coherent flow by solving the full
-atomic-sector linear system, giving an independent numerical route against
-the closed forms.
+power.  The test suite re-derives the coherent flow by solving the full
+atomic-sector linear system, an independent numerical route against the
+closed forms.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import FOUR_LEVEL, THREE_LEVEL, EngineModel
+from .models import THREE_LEVEL, EngineModel
 from .semiclassical import _gain, _inversion, _structure, structure_constants
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "pn_derivative",
     "distribution_moments",
     "coefficient_flow",
-    "elimination_flow",
     "output_power",
     "saturated_power",
     "rough_estimate_mean",
@@ -308,8 +307,8 @@ def coefficient_flow(coeffs: LaserCoefficients, n: int, p_nm1: float, p_n: float
     """Closed-form net coherent photon flow across the (n-1, n) edge.
 
     Equals n [A P_{n-1} - A_b P_n] / (1 + n B/A), the gain side of the
-    birth-death chain; :func:`elimination_flow` recomputes the same quantity
-    from the atomic linear system.
+    birth-death chain; the test suite recomputes the same quantity from the
+    atomic linear system.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -509,82 +508,3 @@ def rough_estimate_mean(model: EngineModel) -> float:
     first = gamma * nh / (model.kappa * (3 * nh + 2))
     second = (gamma**2 / (4 * model.g**2)) * (nh + 1) * (2 * nh + 1) / (3 * nh + 2)
     return first - second
-
-
-# ---------------------------------------------------------------------------
-# Independent route: adiabatic-elimination linear system
-# ---------------------------------------------------------------------------
-
-def _three_level_system(model, n, p_nm1, p_n):
-    """8-variable steady system of the atomic sector at photon rungs (n-1, n).
-
-    Unknowns (complex): populations gg, 11, 22 at rung n; gg, 11, 22 at rung
-    n-1; and the two lasing coherences r12 = rho_{12;n,n-1},
-    r21 = rho_{21;n-1,n}.
-    """
-    ghp, ghm = model.gamma_h * model.n_h, model.gamma_h * (model.n_h + 1.0)
-    gcp, gcm = model.gamma_c * model.n_c, model.gamma_c * (model.n_c + 1.0)
-    ig_s = 1j * model.g * math.sqrt(n)
-    half = 0.5 * (ghm + gcm)
-    mat = np.zeros((8, 8), dtype=complex)
-    rhs = np.zeros(8, dtype=complex)
-    # columns: 0 gg_n, 1 11_n, 2 22_n, 3 gg_{n-1}, 4 11_{n-1}, 5 22_{n-1}, 6 r12, 7 r21
-    mat[0, 6], mat[0, 7], mat[0, 1], mat[0, 0] = ig_s, -ig_s, -gcm, gcp
-    mat[1, 7], mat[1, 6], mat[1, 5], mat[1, 3] = ig_s, -ig_s, -ghm, ghp
-    mat[2, 1], mat[2, 5], mat[2, 6] = ig_s, -ig_s, -half
-    mat[3, 1], mat[3, 5], mat[3, 7] = -ig_s, ig_s, -half
-    mat[4, 1], mat[4, 0], mat[4, 2] = gcm, -(gcp + ghp), ghm
-    mat[5, 4], mat[5, 3], mat[5, 5] = gcm, -(gcp + ghp), ghm
-    mat[6, 0] = mat[6, 1] = mat[6, 2] = 1.0
-    mat[7, 3] = mat[7, 4] = mat[7, 5] = 1.0
-    rhs[6], rhs[7] = p_n, p_nm1
-    return mat, rhs, (6, 7)
-
-
-def _four_level_system(model, n, p_nm1, p_n):
-    """10-variable analogue for the four-level engine (extra e3 populations)."""
-    ghp, ghm = model.gamma_h * model.n_h, model.gamma_h * (model.n_h + 1.0)
-    gcp, gcm = model.gamma_c * model.n_c, model.gamma_c * (model.n_c + 1.0)
-    gap, gam = model.gamma_a * model.n_a, model.gamma_a * (model.n_a + 1.0)
-    ig_s = 1j * model.g * math.sqrt(n)
-    half = 0.5 * (gap + gcm)
-    mat = np.zeros((10, 10), dtype=complex)
-    rhs = np.zeros(10, dtype=complex)
-    # columns: 0-3 gg,11,22,33 at rung n; 4-7 the same at rung n-1; 8 r12, 9 r21
-    mat[0, 8], mat[0, 9], mat[0, 1], mat[0, 0] = ig_s, -ig_s, -gcm, gcp
-    mat[1, 9], mat[1, 8], mat[1, 6], mat[1, 7] = ig_s, -ig_s, -gap, gam
-    mat[2, 1], mat[2, 6], mat[2, 8] = ig_s, -ig_s, -half
-    mat[3, 1], mat[3, 6], mat[3, 9] = -ig_s, ig_s, -half
-    mat[4, 1], mat[4, 0], mat[4, 3] = gcm, -(gcp + ghp), ghm
-    mat[5, 2], mat[5, 3], mat[5, 0] = gap, -(gam + ghm), ghp
-    mat[6, 5], mat[6, 4], mat[6, 7] = gcm, -(gcp + ghp), ghm
-    mat[7, 6], mat[7, 7], mat[7, 4] = gap, -(gam + ghm), ghp
-    mat[8, 0] = mat[8, 1] = mat[8, 2] = mat[8, 3] = 1.0
-    mat[9, 4] = mat[9, 5] = mat[9, 6] = mat[9, 7] = 1.0
-    rhs[8], rhs[9] = p_n, p_nm1
-    return mat, rhs, (8, 9)
-
-
-def elimination_flow(model: EngineModel, n: int, p_nm1: float, p_n: float) -> float:
-    """Coherent photon flow at rung n from the atomic steady-state system.
-
-    Solves the closed 8-variable (three-level) or 10-variable (four-level)
-    linear system for the atomic populations and lasing coherences at the
-    photon rungs (n-1, n), given the rung probabilities, and returns
-    i g sqrt(n) (rho_{12;n,n-1} - rho_{21;n-1,n}).  Agrees with
-    :func:`coefficient_flow` to rounding; kept as a fully independent check
-    of the closed-form coefficients.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    build = _three_level_system if model.kind == THREE_LEVEL else _four_level_system
-    mat, rhs, (i12, i21) = build(model, n, p_nm1, p_n)
-    try:
-        sol = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"degenerate engine rates: {exc}") from exc
-    flow = 1j * model.g * math.sqrt(n) * (sol[i12] - sol[i21])
-    scale = max(1.0, abs(flow.real))
-    if abs(flow.imag) > 1e-9 * scale:
-        raise ValueError(f"elimination flow is not real: {flow}")
-    return float(flow.real)

@@ -10,9 +10,9 @@ stacked sweep per batch, each point in its own layout and over its own
 rungs, and :func:`exact_grid` returns the same batches as the columns
 of a sweep.  They are the independent check on the closed-form theory in
 :mod:`heatlaser.photonstats`.  The dense (A F)^2
-:func:`steady_state`, :func:`evolve`, :func:`partial_trace_atom` and
-:func:`photon_distribution` are the full-space references (the first two
-import scipy when called).  :func:`wigner` maps a photon distribution to
+:func:`steady_state`, :func:`partial_trace_atom` and
+:func:`photon_distribution` are the full-space references (the first
+imports scipy when called).  :func:`wigner` maps a photon distribution to
 phase space, by default on 101 x 101 points over [-h, h]^2 with
 h = max(4, 1.2 sqrt(<n> + 1)), so a bright state's ring stays on the grid.
 """
@@ -56,10 +56,8 @@ __all__ = [
     "SteadyStateError",
     "WignerField",
     "steady_state",
-    "evolve",
     "partial_trace_atom",
     "photon_distribution",
-    "expectation",
     "wigner",
     "solve_model",
     "solve_grid",
@@ -163,29 +161,6 @@ def steady_state(liouv: sp.spmatrix, tol: float = 1e-9) -> SteadyStateResult:
     return SteadyStateResult(rho, res, "nullspace")
 
 
-def evolve(liouv: sp.spmatrix, rho0: np.ndarray, t_final: float) -> np.ndarray:
-    """Propagate rho0 for t_final: exp(L t_final) vec(rho0).
-
-    Uses ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham, SIAM J.
-    Sci. Comput. 33, 488 (2011)), imported when called, which picks its own
-    steps from the norm of L t_final.  Warns if the trace drifts by more
-    than 1e-8 over the run.
-    """
-    from scipy.sparse.linalg import expm_multiply
-
-    d = _system_dim(liouv)
-    if rho0.shape != (d, d):
-        raise ValueError(f"state shape {rho0.shape} does not match dimension {d}")
-    if t_final < 0:
-        raise ValueError("t_final must be non-negative")
-    vec = expm_multiply(liouv * t_final, rho0.reshape(-1).astype(complex))
-    rho = vec.reshape(d, d)
-    drift = abs(np.trace(rho).real - complex(np.trace(rho0)).real)
-    if drift > 1e-8:
-        warnings.warn(f"trace drifted by {drift:.3e} during evolution", stacklevel=2)
-    return rho
-
-
 def partial_trace_atom(rho: np.ndarray, space: HilbertSpace) -> np.ndarray:
     """Reduced cavity state, tracing out the atom factor."""
     d = space.total_dim
@@ -219,13 +194,6 @@ def photon_distribution(
     return PhotonDistribution(p)
 
 
-def expectation(rho: np.ndarray, operator: np.ndarray) -> complex:
-    """tr(rho O); real up to round-off for Hermitian O."""
-    if rho.shape != operator.shape:
-        raise ValueError(f"shape mismatch {rho.shape} vs {operator.shape}")
-    return complex(np.einsum("ij,ji->", rho, operator))
-
-
 def wigner(
     distribution: PhotonDistribution,
     re_axis: np.ndarray | None = None,
@@ -243,7 +211,9 @@ def wigner(
     diagonal state is all there is to map: the engine conserves the charge
     n + c(level), so the steady state lives in the charge-zero block, and
     tracing out the atom pairs equal levels, which in that block have equal
-    n.  Default grid: 101 x 101 over [-h, h]^2 with
+    n.  The recurrence runs once per distinct radius u of the grid (a
+    symmetric grid repeats each u up to eight times), and each point takes
+    the value of its u.  Default grid: 101 x 101 over [-h, h]^2 with
     h = max(4, 1.2 sqrt(<n> + 1)); an explicit axis whose reach is below
     that radius warns.
     """
@@ -265,6 +235,9 @@ def wigner(
         )
 
     u = 4.0 * np.abs(re_axis[np.newaxis, :] + 1j * im_axis[:, np.newaxis]) ** 2
+    # W depends on u only: run the recurrence once per distinct u.  The
+    # inverse is reshaped, since its shape differs across numpy releases
+    u, where = np.unique(u, return_inverse=True)
     band = p * (-1.0) ** np.arange(p.size)
     # l_m = e^{-u/2} L_m(u) lies in [-1, 1], so neither it nor the
     # recurrence (m+1) l_{m+1} = (2m+1-u) l_m - m l_{m-1} overflows
@@ -273,7 +246,8 @@ def wigner(
     for m in range(p.size - 1):
         prev, cur = cur, ((2 * m + 1 - u) * cur - m * prev) / (m + 1)
         total = total + band[m + 1] * cur
-    return WignerField(re_axis, im_axis, (2.0 / math.pi) * total)
+    values = ((2.0 / math.pi) * total)[where.reshape(im_axis.size, re_axis.size)]
+    return WignerField(re_axis, im_axis, values)
 
 
 def _rung_sweep(bands, rhs, rungs):

@@ -16,7 +16,6 @@ from heatlaser import (
     build_three_level,
     coefficient_flow,
     distribution_moments,
-    elimination_flow,
     find_thresholds,
     lasing_gain,
     scully_lamb_coefficients,
@@ -26,7 +25,7 @@ from heatlaser import (
 )
 from heatlaser.core import build_cavity_operators
 from heatlaser.photonstats import LaserCoefficients
-from heatlaser.solver import expectation, partial_trace_atom, solve_model
+from heatlaser.solver import partial_trace_atom, solve_model
 
 from conftest import (
     dense_state,
@@ -35,6 +34,7 @@ from conftest import (
     random_four_level,
     random_three_level,
 )
+from reference import elimination_flow, expectation
 
 # steady states computed along the way, examined again by criterion 9
 _STATES = {}

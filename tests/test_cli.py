@@ -649,15 +649,30 @@ def test_distribution_wigner_file(tmp_path):
     field = wigner(photon_distribution(dense_state(space, result), space, tail_tol=math.inf))
     values = np.array([float(line.split(",")[2]) for line in lines[1:]])
     np.testing.assert_allclose(values, field.values.ravel(), rtol=1e-11, atol=1e-14)
-    # and every line is the point's re, im and value through _fmt, row-major
+    _assert_wigner_lines(lines, result.distribution)
+
+
+def _assert_wigner_lines(lines, distribution):
+    # every line is the point's re, im and value through _fmt, row-major
     # over im then re, as wigner gives them for the solved distribution
-    field = wigner(result.distribution)
+    field = wigner(distribution)
     expected = [
         f"{_fmt(x)},{_fmt(y)},{_fmt(field.values[iy, ix])}"
         for iy, y in enumerate(field.im_axis)
         for ix, x in enumerate(field.re_axis)
     ]
     assert lines[1:] == expected
+
+
+def test_wigner_file_at_the_benchmark_point(tmp_path):
+    # the wigner-fig2 workload of the benchmark: fig2 at n_h 2
+    argv = ["distribution", "--config", "fig2", "--nh", "2", "--wigner", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    lines = (tmp_path / "fig2_wigner.csv").read_text().splitlines()
+    assert lines[0] == "re,im,value"
+    assert len(lines) == 1 + 101 * 101
+    _, result = solve_model(with_hot_occupation(load_config("fig2").model, 2.0))
+    _assert_wigner_lines(lines, result.distribution)
 
 
 def test_default_wigner_grid_holds_a_bright_ring(tmp_path):
@@ -815,6 +830,21 @@ def test_cli_import_skips_scipy_stats_and_optimize(tmp_path):
     assert lines == ["[]"] * 8
     assert (tmp_path / "fig2.csv").exists() and (tmp_path / "fig2_wigner.csv").exists()
     assert (tmp_path / "fig2_thresholds.csv").exists()
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e-9, 2.5, 123.456, 900.0])
+def test_poisson_column_keeps_the_factorial_of_each_rung(mu):
+    # the running product is the same exact integer n! as math.factorial(n),
+    # so the column equals the per-rung factorial formula bit for bit
+    from heatlaser.cli import _poisson
+
+    n_max = 1200
+    if mu == 0.0:
+        reference = (np.arange(n_max + 1) == 0).astype(float)
+    else:
+        log_factorial = np.array([math.log(math.factorial(n)) for n in range(n_max + 1)])
+        reference = np.exp(np.arange(n_max + 1) * math.log(mu) - log_factorial - mu)
+    assert np.array_equal(_poisson(mu, n_max), reference)
 
 
 @pytest.mark.parametrize("mu", [0.0, 1e-9, 0.3, 2.5, 17.0, 90.0, 123.456])

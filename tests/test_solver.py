@@ -20,8 +20,6 @@ from heatlaser import (
     TruncationError,
     build_four_level,
     build_liouvillian,
-    evolve,
-    expectation,
     partial_trace_atom,
     photon_distribution,
     scully_lamb_coefficients,
@@ -37,7 +35,6 @@ from heatlaser.core import (
     SLOT_OF,
     build_cavity_operators,
     build_sector_liouvillian,
-    check_density_matrix,
 )
 from heatlaser.solver import BATCH_RUNGS, MAX_N_MAX, SteadyStateError, solve_grid
 
@@ -50,6 +47,7 @@ from conftest import (
     sector_block_csc,
     slot_map,
 )
+from reference import check_density_matrix, evolve, expectation
 
 
 def fock_state(space, atom_index, n):
@@ -653,6 +651,38 @@ def test_wigner_matches_laguerre_form():
                 for n, pn in enumerate(p)
             )
             assert field.values[iy, ix] == pytest.approx(expected, abs=1e-10)
+
+
+def test_wigner_runs_once_per_radius_bit_for_bit():
+    # wigner runs its recurrence on the distinct u = 4|a|^2 of the grid only;
+    # every point must equal, bit for bit, the recurrence run on the whole grid
+    def full_grid(p, re_axis, im_axis):
+        u = 4.0 * np.abs(re_axis[np.newaxis, :] + 1j * im_axis[:, np.newaxis]) ** 2
+        band = p * (-1.0) ** np.arange(p.size)
+        prev, cur = np.zeros_like(u), np.exp(-0.5 * u)
+        total = band[0] * cur
+        for m in range(p.size - 1):
+            prev, cur = cur, ((2 * m + 1 - u) * cur - m * prev) / (m + 1)
+            total = total + band[m + 1] * cur
+        return (2.0 / math.pi) * total
+
+    _, result = solve_model(make_fig2_model(n_h=2.0))
+    rng = np.random.default_rng(5)
+    p = rng.uniform(0.0, 1.0, 9)
+    grids = [
+        (np.linspace(-2.0, 3.0, 11), np.array([-1.0, 0.0, 0.5, 1.0, 1.0])),  # u repeats
+        (np.array([0.3]), np.array([-0.7])),
+        (None, None),  # the default 101 x 101 grid
+    ]
+    for distribution in (result.distribution, PhotonDistribution(p / p.sum())):
+        for re_axis, im_axis in grids:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a grid radius below the state's
+                field = wigner(distribution, re_axis, im_axis)
+            assert field.values.shape == (field.im_axis.size, field.re_axis.size)
+            expected = full_grid(distribution.probabilities, field.re_axis, field.im_axis)
+            assert np.array_equal(field.values, expected)
+        assert field.values.shape == (101, 101)
 
 
 def test_wigner_of_steady_state():

@@ -71,14 +71,20 @@ def record(root: Path, seconds: float, runs: int) -> dict:
             print(f"{workload} seed {seed}: correct {result['correct']}", file=sys.stderr)
     entries = []
     for (workload, seed), found in results.items():
+        # a run that gave no result has no metrics, so the names are those
+        # of every run, each with the unit of the first run that has it
+        units = {}
+        for r in found:
+            for name, metric in r["metrics"].items():
+                units.setdefault(name, metric["unit"])
         metrics = {}
-        for name, metric in found[0]["metrics"].items():
+        for name, unit in units.items():
             values = [r["metrics"][name]["value"] for r in found if name in r["metrics"]]
             low, high = _quartiles(values)
             metrics[name] = {
                 "median": statistics.median(values),
                 "iqr": high - low,
-                "unit": metric["unit"],
+                "unit": unit,
                 "values": values,
             }
         correct = all(r["correct"] is True for r in found)
