@@ -682,7 +682,7 @@ def test_wigner_runs_once_per_radius_bit_for_bit():
             assert field.values.shape == (field.im_axis.size, field.re_axis.size)
             expected = full_grid(distribution.probabilities, field.re_axis, field.im_axis)
             assert np.array_equal(field.values, expected)
-        assert field.values.shape == (101, 101)
+        assert field.values.shape == (101, 101)  # the default grid, last
 
 
 def test_wigner_of_steady_state():
