@@ -53,7 +53,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 from pathlib import Path
 
@@ -64,7 +64,6 @@ from .models import (
     FOUR_LEVEL,
     THREE_LEVEL,
     BathSpec,
-    EngineModel,
     build_four_level,
     build_three_level,
     with_hot_occupation,
@@ -112,13 +111,8 @@ class ConfigError(Exception):
 # config parsing
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SweepSpec:
-    variable: str
-    start: float
-    stop: float
-    points: int
-    spacing: str
+class SweepSpec(namedtuple("SweepSpec", "variable start stop points spacing")):
+    __slots__ = ()
 
     def values(self) -> np.ndarray:
         if self.spacing == "log":
@@ -126,14 +120,7 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.points)
 
 
-@dataclass
-class RunConfig:
-    raw: dict
-    model: EngineModel
-    sweep: SweepSpec | None
-    steady_tol: float
-    stem: str
-    format: str
+RunConfig = namedtuple("RunConfig", "raw model sweep steady_tol stem format")
 
 
 def _is_finite_number(value):

@@ -22,13 +22,13 @@ and it is returned as dense float64 numpy bands.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .models import FOUR_LEVEL, EngineModel
+from .models import FOUR_LEVEL, EngineModel, _Validated
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -70,18 +70,17 @@ SLOT_OF[tuple(RUNG_SLOTS.T)] = np.arange(len(RUNG_SLOTS))
 SLOT_PHASE = np.array(((1, 1, 1, 1), (1, 1, 1j, 1), (1, -1j, 1, 1), (1, 1, 1, 1)))
 
 
-@dataclass(frozen=True)
-class HilbertSpace:
+class HilbertSpace(_Validated, namedtuple("HilbertSpace", "atom_dim fock_dim")):
     """Composite space of a 3- or 4-level atom and a truncated cavity mode."""
 
-    atom_dim: int
-    fock_dim: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.atom_dim not in (3, 4):
-            raise ValueError(f"atom_dim must be 3 or 4, got {self.atom_dim}")
-        if self.fock_dim < 2:
-            raise ValueError(f"fock_dim must be >= 2, got {self.fock_dim}")
+    def __new__(cls, atom_dim: int, fock_dim: int):
+        if atom_dim not in (3, 4):
+            raise ValueError(f"atom_dim must be 3 or 4, got {atom_dim}")
+        if fock_dim < 2:
+            raise ValueError(f"fock_dim must be >= 2, got {fock_dim}")
+        return super().__new__(cls, atom_dim, fock_dim)
 
     @property
     def total_dim(self) -> int:
@@ -96,11 +95,8 @@ class HilbertSpace:
         return cls(model.atom_dim, n_max + 1)
 
 
-class Dissipator(NamedTuple):
-    """One Lindblad jump channel: rate * (L rho L+ - {L+ L, rho} / 2)."""
-
-    jump: np.ndarray
-    rate: float
+Dissipator = namedtuple("Dissipator", "jump rate")
+Dissipator.__doc__ = """One Lindblad jump channel: rate * (L rho L+ - {L+ L, rho} / 2)."""
 
 
 def _atom_projector(space, i, j):

@@ -9,7 +9,7 @@ for efficiency accounting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 __all__ = [
     "THREE_LEVEL",
@@ -27,6 +27,20 @@ FOUR_LEVEL = "four_level"
 
 # tolerance for the (omega, temperature) <-> occupation consistency check
 _PLANCK_TOL = 1e-12
+
+
+class _Validated:
+    """Base of a named tuple that validates its fields in ``__new__``.
+
+    A named tuple's ``_make``, and so ``_replace``, builds the tuple without
+    calling ``__new__``; here both go through it, so every copy is checked.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def planck_occupation(omega: float, temperature: float) -> float:
@@ -54,8 +68,10 @@ def planck_occupation(omega: float, temperature: float) -> float:
     return 1.0 / math.expm1(omega / temperature)
 
 
-@dataclass(frozen=True)
-class BathSpec:
+class BathSpec(
+    _Validated,
+    namedtuple("BathSpec", "gamma occupation omega temperature", defaults=(None, None)),
+):
     """One thermal bath coupled to a single atomic transition.
 
     ``gamma`` is the bare transition rate and ``occupation`` the mean thermal
@@ -64,27 +80,31 @@ class BathSpec:
     be their Planck value.
     """
 
-    gamma: float
-    occupation: float
-    omega: float | None = None
-    temperature: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.gamma < math.inf:
-            raise ValueError(f"bath rate gamma must be finite and >= 0, got {self.gamma}")
-        if not 0 <= self.occupation < math.inf:
-            raise ValueError(f"bath occupation must be finite and >= 0, got {self.occupation}")
-        if self.omega is not None and not 0 < self.omega < math.inf:
-            raise ValueError(f"bath omega must be finite and positive, got {self.omega}")
-        if self.temperature is not None and not 0 <= self.temperature < math.inf:
-            raise ValueError(f"bath temperature must be finite and >= 0, got {self.temperature}")
-        if self.omega is not None and self.temperature is not None:
-            expected = planck_occupation(self.omega, self.temperature)
-            if abs(self.occupation - expected) > _PLANCK_TOL * max(1.0, expected):
+    def __new__(
+        cls,
+        gamma: float,
+        occupation: float,
+        omega: float | None = None,
+        temperature: float | None = None,
+    ):
+        if not 0 <= gamma < math.inf:
+            raise ValueError(f"bath rate gamma must be finite and >= 0, got {gamma}")
+        if not 0 <= occupation < math.inf:
+            raise ValueError(f"bath occupation must be finite and >= 0, got {occupation}")
+        if omega is not None and not 0 < omega < math.inf:
+            raise ValueError(f"bath omega must be finite and positive, got {omega}")
+        if temperature is not None and not 0 <= temperature < math.inf:
+            raise ValueError(f"bath temperature must be finite and >= 0, got {temperature}")
+        if omega is not None and temperature is not None:
+            expected = planck_occupation(omega, temperature)
+            if abs(occupation - expected) > _PLANCK_TOL * max(1.0, expected):
                 raise ValueError(
-                    f"occupation {self.occupation} inconsistent with Planck value "
-                    f"{expected} for omega={self.omega}, T={self.temperature}"
+                    f"occupation {occupation} inconsistent with Planck value "
+                    f"{expected} for omega={omega}, T={temperature}"
                 )
+        return super().__new__(cls, gamma, occupation, omega, temperature)
 
     @classmethod
     def thermal(cls, gamma: float, omega: float, temperature: float) -> "BathSpec":
@@ -92,8 +112,14 @@ class BathSpec:
         return cls(gamma, planck_occupation(omega, temperature), omega, temperature)
 
 
-@dataclass(frozen=True)
-class EngineModel:
+class EngineModel(
+    _Validated,
+    namedtuple(
+        "EngineModel",
+        "kind hot cold g kappa ancilla level_energies",
+        defaults=(None, ()),
+    ),
+):
     """Full parameter set of a three- or four-level heat-engine laser.
 
     Level ordering is (g, e1, e2) for the three-level engine and
@@ -107,35 +133,38 @@ class EngineModel:
     frequency.
     """
 
-    kind: str
-    hot: BathSpec
-    cold: BathSpec
-    g: float
-    kappa: float
-    ancilla: BathSpec | None = None
-    level_energies: tuple[float, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (THREE_LEVEL, FOUR_LEVEL):
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if not 0 <= self.g < math.inf:
-            raise ValueError(f"coupling g must be finite and >= 0, got {self.g}")
-        if not 0 < self.kappa < math.inf:
-            raise ValueError(f"cavity rate kappa must be finite and > 0, got {self.kappa}")
-        if (self.kind == FOUR_LEVEL) != (self.ancilla is not None):
+    def __new__(
+        cls,
+        kind: str,
+        hot: BathSpec,
+        cold: BathSpec,
+        g: float,
+        kappa: float,
+        ancilla: BathSpec | None = None,
+        level_energies: tuple[float, ...] = (),
+    ):
+        if kind not in (THREE_LEVEL, FOUR_LEVEL):
+            raise ValueError(f"unknown model kind {kind!r}")
+        if not 0 <= g < math.inf:
+            raise ValueError(f"coupling g must be finite and >= 0, got {g}")
+        if not 0 < kappa < math.inf:
+            raise ValueError(f"cavity rate kappa must be finite and > 0, got {kappa}")
+        if (kind == FOUR_LEVEL) != (ancilla is not None):
             raise ValueError("an ancilla bath is required iff the model is four-level")
-        n_levels = 4 if self.kind == FOUR_LEVEL else 3
-        energies = tuple(float(e) for e in self.level_energies)
+        n_levels = 4 if kind == FOUR_LEVEL else 3
+        energies = tuple(float(e) for e in level_energies)
         if not energies:
             energies = tuple(float(i) for i in range(n_levels))
         if len(energies) != n_levels:
             raise ValueError(
-                f"{self.kind} model needs {n_levels} level energies, got {len(energies)}"
+                f"{kind} model needs {n_levels} level energies, got {len(energies)}"
             )
         # every energy is in a step, so an infinite or NaN energy fails here too
         if not all(0 < hi - lo < math.inf for lo, hi in zip(energies, energies[1:])):
             raise ValueError(f"level energies must be finite and strictly increasing, got {energies}")
-        object.__setattr__(self, "level_energies", energies)
+        self = super().__new__(cls, kind, hot, cold, g, kappa, ancilla, energies)
         for bath, derived, name in self._bath_frequency_pairs():
             if bath.omega is not None and not math.isclose(
                 bath.omega, derived, rel_tol=1e-9, abs_tol=1e-9
@@ -144,6 +173,7 @@ class EngineModel:
                     f"{name} bath omega {bath.omega} inconsistent with level "
                     f"energies (expected {derived})"
                 )
+        return self
 
     def _bath_frequency_pairs(self):
         pairs = [(self.hot, self.omega_h, "hot"), (self.cold, self.omega_c, "cold")]
@@ -268,4 +298,4 @@ def with_hot_occupation(model: EngineModel, occupation: float) -> EngineModel:
     occupation; the frequency bookkeeping is kept.
     """
     hot = BathSpec(model.hot.gamma, occupation, omega=model.hot.omega, temperature=None)
-    return replace(model, hot=hot)
+    return model._replace(hot=hot)

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
-from .models import THREE_LEVEL, EngineModel
+from .models import THREE_LEVEL, EngineModel, _Validated
 from .semiclassical import _gain, _inversion, _structure, structure_constants
 
 __all__ = [
@@ -54,8 +54,7 @@ class TruncationError(RuntimeError):
     """Raised when a photon distribution does not fit the requested cutoff."""
 
 
-@dataclass(frozen=True)
-class LaserCoefficients:
+class LaserCoefficients(_Validated, namedtuple("LaserCoefficients", "A A_b B kappa")):
     """Rates of the photon-number birth-death chain.
 
     ``A`` is the stimulated emission rate, ``A_b`` the stimulated absorption
@@ -63,27 +62,26 @@ class LaserCoefficients:
     The net linear gain A - A_b equals the semi-classical gain G.
     """
 
-    A: float
-    A_b: float
-    B: float
-    kappa: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("A", "A_b", "B"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+    def __new__(cls, A: float, A_b: float, B: float, kappa: float):
+        for name, value in (("A", A), ("A_b", A_b), ("B", B)):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        if kappa <= 0:
+            raise ValueError(f"kappa must be positive, got {kappa}")
+        return super().__new__(cls, A, A_b, B, kappa)
 
 
-@dataclass(frozen=True)
 class PhotonDistribution:
-    """Normalized photon-number distribution P_0 .. P_Nmax."""
+    """Normalized photon-number distribution P_0 .. P_Nmax.
 
-    probabilities: np.ndarray
+    ``probabilities`` is a read-only array: the vector it is built from,
+    clipped at 0 and normalised.
+    """
 
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
+    def __init__(self, probabilities: np.ndarray):
+        p = np.asarray(probabilities, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("probabilities must be a non-empty 1-d vector")
         if p.min() < -1e-12:
@@ -94,7 +92,7 @@ class PhotonDistribution:
         p = np.clip(p, 0.0, None)
         p = p / p.sum()
         p.flags.writeable = False
-        object.__setattr__(self, "probabilities", p)
+        self.probabilities = p
 
     @property
     def n_max(self) -> int:
@@ -119,14 +117,8 @@ class PhotonDistribution:
         return self.variance / m if m > 0 else math.nan
 
 
-@dataclass(frozen=True)
-class Moments:
-    """Closed-form moments of the steady photon distribution."""
-
-    mean: float
-    variance: float
-    peak: float
-    fano: float
+Moments = namedtuple("Moments", "mean variance peak fano")
+Moments.__doc__ = """Closed-form moments of the steady photon distribution."""
 
 
 def scully_lamb_coefficients(model: EngineModel) -> LaserCoefficients:

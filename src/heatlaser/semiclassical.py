@@ -9,7 +9,7 @@ The fully quantum counterpart lives in :mod:`heatlaser.photonstats`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -30,18 +30,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StructureConstants:
-    """Rate combinations that parameterize the laser equations.
+StructureConstants = namedtuple("StructureConstants", "Gamma Phi Psi")
+StructureConstants.__doc__ = """Rate combinations that parameterize the laser equations.
 
-    Gamma is the atomic coherence decay rate of the lasing transition, Phi
-    the population normalization polynomial, and Psi the saturation structure
-    constant.  For the four-level engine these are the primed variants.
-    """
-
-    Gamma: float
-    Phi: float
-    Psi: float
+Gamma is the atomic coherence decay rate of the lasing transition, Phi
+the population normalization polynomial, and Psi the saturation structure
+constant.  For the four-level engine these are the primed variants.
+"""
 
 
 def structure_constants(model: EngineModel) -> StructureConstants:
@@ -201,13 +196,8 @@ def find_thresholds(
     return sorted(float(r) for r in real if lo <= r <= hi)
 
 
-@dataclass(frozen=True)
-class LasingReport:
-    """Temperature-domain lasing verdict in the small-kappa idealization."""
-
-    lases: bool
-    efficiency: float
-    carnot: float
+LasingReport = namedtuple("LasingReport", "lases efficiency carnot")
+LasingReport.__doc__ = """Temperature-domain lasing verdict in the small-kappa idealization."""
 
 
 def _exponent(omega, temperature):

@@ -23,7 +23,6 @@ import math
 import warnings
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -84,22 +83,13 @@ class SteadyStateError(RuntimeError):
         self.best_residual = best_residual
 
 
-@dataclass(frozen=True)
-class SteadyStateResult:
+SteadyStateResult = namedtuple("SteadyStateResult", "state residual method")
+SteadyStateResult.__doc__ = (
     """A dense steady state of :func:`steady_state`, its defect |L[rho]|_inf and method."""
+)
 
-    state: np.ndarray
-    residual: float
-    method: str
-
-
-@dataclass(frozen=True)
-class WignerField:
-    """Wigner quasi-probability sampled on a rectangular phase-space grid."""
-
-    re_axis: np.ndarray
-    im_axis: np.ndarray
-    values: np.ndarray
+WignerField = namedtuple("WignerField", "re_axis im_axis values")
+WignerField.__doc__ = """Wigner quasi-probability sampled on a rectangular phase-space grid."""
 
 
 def _system_dim(liouv):
@@ -332,8 +322,7 @@ def _pinned_levels(model, n_h):
 # of rung r, whose operator core.RUNG_SLOTS and RUNG_SHIFT name: the pair
 # |l, r - RUNG_SHIFT[l]><l', r - RUNG_SHIFT[l']| for (l, l') = RUNG_SLOTS[s].
 # A population is u; the coherence |e1, n + 1><e2, n| is i u and its
-# partner -i u.  A named tuple, since a class with annotations costs a
-# millisecond at import
+# partner -i u
 BlockState = namedtuple("BlockState", "rungs distribution residual")
 
 # |L_ij| of the complex block from the real bands: a population's entry in

@@ -242,10 +242,10 @@ def test_sweep_outputs_are_deterministic(tmp_path, monkeypatch):
 def test_sweep_builds_no_photon_distribution(monkeypatch):
     # the exact columns come from the batch's stacked solution, and the
     # closed form's from its grid pass: no point builds a distribution
-    def refused(self):
+    def refused(self, probabilities):
         raise AssertionError("a sweep built a PhotonDistribution")
 
-    monkeypatch.setattr(PhotonDistribution, "__post_init__", refused)
+    monkeypatch.setattr(PhotonDistribution, "__init__", refused)
     for preset in ("fig2", "fig5"):
         records = run_sweep(load_config(preset))
         assert len(records) == 60 and all(r["status"] == "ok" for r in records)
@@ -385,7 +385,7 @@ def test_sweep_evaluates_closed_form_once_per_sweep(tmp_path, monkeypatch):
         return normalized(A, A_b, B, kappa, sizes)
 
     class Refused(PhotonDistribution):
-        def __post_init__(self):
+        def __init__(self, probabilities):
             raise AssertionError("built a closed-form PhotonDistribution")
 
     point_functions = (
@@ -744,9 +744,9 @@ def test_small_kappa_fails_before_allocating(tmp_path, monkeypatch, capsys):
         return normalized(A, A_b, B, kappa, rungs)
 
     class Counted(PhotonDistribution):
-        def __post_init__(self):
+        def __init__(self, probabilities):
             built.append(self)
-            super().__post_init__()
+            super().__init__(probabilities)
 
     monkeypatch.setattr(heatlaser.photonstats, "_normalized", guarded)
     monkeypatch.setattr(heatlaser.photonstats, "PhotonDistribution", Counted)
@@ -830,6 +830,25 @@ def test_cli_import_skips_scipy_stats_and_optimize(tmp_path):
     assert lines == ["[]"] * 8
     assert (tmp_path / "fig2.csv").exists() and (tmp_path / "fig2_wigner.csv").exists()
     assert (tmp_path / "fig2_thresholds.csv").exists()
+
+
+def test_cli_import_adds_no_dataclasses_or_copy():
+    # every command pays the import, and a class built by the dataclasses
+    # decorator costs about a millisecond of it: the package's records are
+    # named tuples.  Only the modules the package adds to numpy's count, so
+    # a numpy release that loads dataclasses itself does not fail this
+    env = dict(os.environ, PYTHONPATH=str(Path(heatlaser.__file__).parents[1]))
+    probe = (
+        "import sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "import heatlaser.cli\n"
+        "print(sorted({'dataclasses', 'copy'} & (set(sys.modules) - before)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("mu", [0.0, 1e-9, 2.5, 123.456, 900.0])

@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -209,11 +208,11 @@ def test_sector_block_matches_full_liouvillian(seed, four, n_max, empty_baths, u
     if four:
         baths["ancilla"] = model.ancilla
     emptied = {
-        name: replace(bath, occupation=0.0)
+        name: bath._replace(occupation=0.0)
         for (name, bath), empty in zip(baths.items(), empty_baths)
         if empty
     }
-    model = replace(model, g=0.0 if uncoupled else model.g, **emptied)
+    model = model._replace(g=0.0 if uncoupled else model.g, **emptied)
     space = HilbertSpace.for_model(model, n_max)
     bands, inside = build_sector_liouvillian(model, [model.n_h], [space.n_max])
     assert bands.dtype == np.float64
@@ -263,11 +262,11 @@ def test_steady_state_is_real_up_to_photon_parity(seed, four, n_max, empty_baths
     model = random_four_level(rng) if four else random_three_level(rng)
     names = ("hot", "cold", "ancilla")[: 3 if four else 2]
     emptied = {
-        name: replace(getattr(model, name), occupation=0.0)
+        name: getattr(model, name)._replace(occupation=0.0)
         for name, empty in zip(names, empty_baths)
         if empty
     }
-    model = replace(model, g=0.0 if uncoupled else model.g, **emptied)
+    model = model._replace(g=0.0 if uncoupled else model.g, **emptied)
     assume(not (four and uncoupled and empty_baths[0] and empty_baths[2]))  # not unique
     space = HilbertSpace.for_model(model, n_max)
     rho = steady_state(build_liouvillian(model, space)).state
@@ -296,11 +295,11 @@ def test_sector_block_nests_in_a_larger_cutoff(seed, four, cutoffs, empty_baths,
     model = random_four_level(rng) if four else random_three_level(rng)
     names = ("hot", "cold", "ancilla")[: 3 if four else 2]
     emptied = {
-        name: replace(getattr(model, name), occupation=0.0)
+        name: getattr(model, name)._replace(occupation=0.0)
         for name, empty in zip(names, empty_baths)
         if empty
     }
-    model = replace(model, g=0.0 if uncoupled else model.g, **emptied)
+    model = model._replace(g=0.0 if uncoupled else model.g, **emptied)
     bands, (inside,) = build_sector_liouvillian(model, [model.n_h], [small])
     wide, (wide_inside,) = build_sector_liouvillian(model, [model.n_h], [large])
     rungs = small + 2

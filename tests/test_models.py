@@ -8,6 +8,8 @@ from heatlaser import (
     EngineModel,
     FOUR_LEVEL,
     THREE_LEVEL,
+    HilbertSpace,
+    LaserCoefficients,
     build_four_level,
     build_three_level,
     planck_occupation,
@@ -184,3 +186,28 @@ def test_with_hot_occupation():
     assert swept.hot.gamma == model.hot.gamma
     assert swept.n_c == model.n_c
     assert swept.level_energies == model.level_energies
+
+
+def test_copies_are_validated_again():
+    # a named tuple's _make, and _replace through it, builds the tuple without
+    # __new__; a copy of a validated record must pass the same checks
+    model = build_three_level(BathSpec(32.0, 1.0), BathSpec(32.0, 0.05), 14.0, 1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="occupation must be finite and >= 0"):
+            with_hot_occupation(model, bad)
+    with pytest.raises(ValueError, match="kappa must be finite and > 0"):
+        model._replace(kappa=0.0)
+    with pytest.raises(ValueError, match="kappa must be finite and > 0"):
+        EngineModel._make([*model[:4], 0.0, *model[5:]])
+    with pytest.raises(ValueError, match="occupation must be finite and >= 0"):
+        model.hot._replace(occupation=-1.0)
+    with pytest.raises(ValueError, match="fock_dim must be >= 2"):
+        HilbertSpace(3, 4)._replace(fock_dim=1)
+    with pytest.raises(ValueError, match="kappa must be positive"):
+        LaserCoefficients(1.0, 0.5, 0.1, 1.0)._replace(kappa=0.0)
+    # a copy keeps the energies its original normalised, as floats
+    default = EngineModel(THREE_LEVEL, BathSpec(1.0, 0.4), BathSpec(1.0, 0.1), 1.0, 1.0)
+    copy = default._replace(kappa=2.0)
+    assert type(copy) is EngineModel and copy.kappa == 2.0
+    assert copy.level_energies == (0.0, 1.0, 2.0)
+    assert all(type(energy) is float for energy in copy.level_energies)

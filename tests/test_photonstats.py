@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -178,7 +177,7 @@ def test_truncation_violation_raises():
 def test_auto_support_is_the_first_rung_below_1e_12(seed, four, log_kappa):
     rng = np.random.default_rng(seed)
     model = random_four_level(rng) if four else random_three_level(rng)
-    coeffs = scully_lamb_coefficients(dataclasses.replace(model, kappa=10.0**log_kappa))
+    coeffs = scully_lamb_coefficients(model._replace(kappa=10.0**log_kappa))
     dist = steady_distribution(coeffs)
     p, n_max = dist.probabilities, dist.n_max
     assert p[n_max] < 1e-12
@@ -411,7 +410,7 @@ def test_grid_matches_point_functions_on_the_presets(config):
 def test_grid_past_the_support_budget_matches_point_functions(monkeypatch):
     # kappa = 2e-5 at the fig2 rates: supports of 3e3 to 5e5 rungs, stacked
     # within the budget or alone, and the top of the grid past 1e6 rungs
-    model = dataclasses.replace(load_config("fig2").model, kappa=2e-5)
+    model = load_config("fig2").model._replace(kappa=2e-5)
     n_h = np.geomspace(0.05, 20.0, 9)
     stacks, normalized = [], photonstats._normalized
 
@@ -438,6 +437,6 @@ def test_grid_past_the_support_budget_matches_point_functions(monkeypatch):
 def test_grid_matches_point_functions_on_random_engines(seed, four, log_kappa, points):
     rng = np.random.default_rng(seed)
     model = random_four_level(rng) if four else random_three_level(rng)
-    model = dataclasses.replace(model, kappa=10.0**log_kappa)
+    model = model._replace(kappa=10.0**log_kappa)
     n_h = np.sort(rng.uniform(0.01, 5.0, points))
     assert_grid_matches_points(model, n_h, keep_to=rng.integers(1, 200))
