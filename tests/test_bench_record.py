@@ -46,8 +46,7 @@ def test_a_failed_first_run_keeps_the_later_runs_metrics(bench_record, monkeypat
 
 def test_two_checkouts_alternate_within_each_workload_and_seed(bench_record, monkeypatch):
     # each run of one checkout is followed by the same workload and seed on
-    # the other, the first of the two turns with each pair, and each file
-    # keeps only its own checkout's runs
+    # the other, and each file keeps only its own checkout's runs
     calls = []
 
     def fake_perfbench(root, workload, seed, seconds):
