@@ -168,13 +168,19 @@ def _model_from_config(block, path="model"):
     kind = _expect(block, "kind", "str", path, required=True)
     if kind not in (THREE_LEVEL, FOUR_LEVEL):
         raise ConfigError(f"{path}.kind: must be '{THREE_LEVEL}' or '{FOUR_LEVEL}'")
+    n_levels = 4 if kind == FOUR_LEVEL else 3
     energies = block.get("level_energies")
     if energies is not None:
         if not isinstance(energies, list) or not all(map(_is_finite_number, energies)):
             raise ConfigError(f"{path}.level_energies: expected a list of finite numbers")
+        # the bath frequencies below index the list: check its length first
+        if len(energies) != n_levels:
+            raise ConfigError(
+                f"{path}: {kind} model needs {n_levels} level energies, got {len(energies)}"
+            )
         energies = tuple(float(e) for e in energies)
     else:
-        energies = tuple(float(i) for i in range(4 if kind == FOUR_LEVEL else 3))
+        energies = tuple(float(i) for i in range(n_levels))
     omega_c = energies[1] - energies[0]
     omega_h = energies[-1] - energies[0]
     g = _expect(block, "g", "number", path, required=True)

@@ -4,13 +4,12 @@
 Thomas in numpy, in real arithmetic over one real unknown per population
 and per coherence pair, and returns the steady state in the block's rung
 layout, those unknowns by rung and slot (:class:`BlockState`), with its
-photon distribution, in O(n_max) memory and time; :func:`solve_grid`
+photon distribution, in O(n_max) memory and time; :func:`exact_grid`
 does so for one engine over a grid of hot-bath occupations n_h, one
 stacked sweep per batch, each point in its own layout and over its own
-rungs, and :func:`exact_grid` returns the same batches as the columns
-of a sweep.  They are the independent check on the closed-form theory in
-:mod:`heatlaser.photonstats`.  The dense (A F)^2
-:func:`steady_state`, :func:`partial_trace_atom` and
+rungs, and returns the columns of a sweep.  They are the independent
+check on the closed-form theory in :mod:`heatlaser.photonstats`.  The
+dense (A F)^2 :func:`steady_state`, :func:`partial_trace_atom` and
 :func:`photon_distribution` are the full-space references (the first
 imports scipy when called).  :func:`wigner` maps a photon distribution to
 phase space, by default on 101 x 101 points over [-h, h]^2 with
@@ -22,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -59,11 +58,10 @@ __all__ = [
     "photon_distribution",
     "wigner",
     "solve_model",
-    "solve_grid",
     "exact_grid",
 ]
 
-# largest Fock cutoff solve_grid accepts; see solve_model
+# largest Fock cutoff solve_model and exact_grid accept; see solve_model
 MAX_N_MAX = 1000
 
 # rung-points, (points) x (largest cutoff + 2), per batch of steady-state
@@ -355,7 +353,7 @@ def _sweep_points(system, rhs, rungs):
 
 
 def _solve_batch(model, n_h, n_maxes, tol):
-    """One batch of :func:`solve_grid`, solved: ``(outcomes, row, x, p, residuals)``.
+    """One batch of points, solved: ``(outcomes, row, x, p, residuals)``.
 
     ``outcomes`` holds per point, in the order of ``n_h``, the error it
     raised or, when its steady state passed, its :class:`HilbertSpace`.
@@ -432,8 +430,8 @@ def _solve_batch(model, n_h, n_maxes, tol):
         if error is None:
             row[k] = j
         outcomes[k] = error or spaces[j]
-    # in point order, pointing at the line that asked solve_grid or
-    # exact_grid for the batch
+    # in point order, pointing at the line that called solve_model or
+    # exact_grid
     for k in sorted(row):
         n_max = outcomes[k].n_max
         if p[row[k], n_max] > 1e-8:
@@ -441,28 +439,6 @@ def _solve_batch(model, n_h, n_maxes, tol):
     passed = list(row.values())
     p[passed] /= np.array([p[j, : cutoffs[j] + 1].sum() for j in passed])[:, np.newaxis]
     return outcomes, row, x, p, residuals
-
-
-def _block_states(outcomes, row, x, p, residuals):
-    """A solved batch (``_solve_batch``) as :func:`solve_grid` yields it.
-
-    A point that passed gets a copy of its own rungs and slots of ``x``,
-    so that the batch's solution can be freed, and its
-    :class:`PhotonDistribution`, which normalises ``p`` a second time.
-    """
-    return [
-        outcome
-        if isinstance(outcome, Exception)
-        else (
-            outcome,
-            BlockState(
-                x[row[k], : outcome.n_max + 2, : outcome.atom_dim + 1].copy(),
-                PhotonDistribution(p[row[k], : outcome.fock_dim]),
-                residuals[row[k]],
-            ),
-        )
-        for k, outcome in enumerate(outcomes)
-    ]
 
 
 def _grid_columns(outcomes, row, x, p, residuals):
@@ -501,46 +477,6 @@ def _grid_columns(outcomes, row, x, p, residuals):
     return {name: column.tolist() for name, column in columns.items()}, rows, failures
 
 
-def _batches(n_maxes):
-    """The batches ``(start, end)`` of a grid's points at the cutoffs ``n_maxes``."""
-    return _runs([n_max + 2 if n_max <= MAX_N_MAX else 0 for n_max in n_maxes], BATCH_RUNGS)
-
-
-def solve_grid(
-    model: EngineModel, n_h: Sequence[float], n_maxes: Sequence[int], tol: float = 1e-9
-) -> Iterator[tuple[HilbertSpace, BlockState] | Exception]:
-    """Steady states of ``model`` at every hot occupation of ``n_h``, batch by batch.
-
-    Point k, the model with the hot-bath occupation ``n_h[k]``, is solved
-    at the cutoff ``n_maxes[k]`` exactly as :func:`solve_model` solves that
-    engine; n_h enters only through the hot rates, so no model is built
-    per point.  The grid is cut into batches of consecutive points, each
-    taking points while (points) x (largest cutoff + 2) stays within
-    ``BATCH_RUNGS`` rung-points, so every preset grid is one batch; a point
-    whose cutoff is above ``MAX_N_MAX`` does not count, since it gets a
-    :class:`TruncationError` before any assembly.  A negative, NaN or
-    infinite n_h gets a ``ValueError`` and is not assembled either.  A
-    batch's memory grows with its rung-points (see :func:`solve_model`),
-    and a batch is solved only when its first outcome is asked for, so a
-    consumer that drops each outcome once it has used it holds one batch's
-    states at a time.
-
-    The blocks of a batch are assembled in one call, each point at its own
-    cutoff and in its own layout (see :func:`build_sector_liouvillian`),
-    and swept in one stacked rung sweep (``_rung_sweep``), each point over
-    its own rungs only, so numpy's cost per call is paid once per rung for
-    the whole batch.  :func:`exact_grid` finishes the same batches as
-    columns.
-
-    Yields, in the order of ``n_h``, ``(space, BlockState)`` or the
-    :class:`TruncationError`, :class:`SteadyStateError` or ``ValueError``
-    that point raised, so that one point's failure stays its own.
-    """
-    n_h = np.asarray(n_h, dtype=float)
-    for start, end in _batches(n_maxes):
-        yield from _block_states(*_solve_batch(model, n_h[start:end], n_maxes[start:end], tol))
-
-
 # the columns of exact_grid, named as a sweep record names them
 EXACT_COLUMNS = ("mean_numeric", "variance_numeric", "fano_numeric", "tail", "residual")
 
@@ -548,25 +484,51 @@ EXACT_COLUMNS = ("mean_numeric", "variance_numeric", "fano_numeric", "tail", "re
 def exact_grid(
     model: EngineModel, n_h: Sequence[float], n_maxes: Sequence[int], tol: float = 1e-9
 ) -> tuple[dict[str, list[float]], list[np.ndarray | None], list[str | None]]:
-    """The steady states of :func:`solve_grid`, as the columns of a sweep.
+    """Steady states of ``model`` at every hot occupation of ``n_h``, as sweep columns.
 
-    Solves the same batches as :func:`solve_grid`, with the same warnings,
-    and returns ``(columns, rows, failures)``, each over the points:
+    Point k, the model with the hot-bath occupation ``n_h[k]``, is solved
+    at the cutoff ``n_maxes[k]`` exactly as :func:`solve_model` solves that
+    engine, with the same tail warning, in point order; n_h enters only
+    through the hot rates, so no model is built per point.  A negative, NaN
+    or infinite n_h fails with a ``ValueError`` and is not assembled.
+
+    The grid is cut into batches of consecutive points, each taking points
+    while (points) x (largest cutoff + 2) stays within ``BATCH_RUNGS``
+    rung-points, so every preset grid is one batch; a point whose cutoff
+    is above ``MAX_N_MAX`` does not count, since it gets a
+    :class:`TruncationError` before any assembly.  The blocks of a batch
+    are assembled in one call, each point at its own cutoff and in its own
+    layout (see :func:`build_sector_liouvillian`), and swept in one stacked
+    rung sweep (``_rung_sweep``), each point over its own rungs only, so
+    numpy's cost per call is paid once per rung for the whole batch, and
+    the sweep takes sum(cutoff + 2) rung solves.  A batch's bands are
+    stacked to its largest cutoff, so its memory grows with its
+    rung-points.  A four-level rung holds 0.6 kB per point in its
+    3 x 5 x 5 real bands, pinned in place, and a batch peaks at about 1.5
+    times that, in the rung sweep's workspace; the builder returns only the
+    bands and a bool mask of each point's slots, the sweep's workspace is
+    freed on return, and the batches are solved one after another.  So 16
+    points at n_max 1000 peak at 14.9 MB (traced; 0.06-0.09 s untraced on a
+    2-vCPU Xeon); one dense state there would take 256 MB.
+
+    Returns ``(columns, rows, failures)``, each over the points:
 
     - ``columns`` maps each name of ``EXACT_COLUMNS`` to a list of floats:
       the mean, variance and Fano factor of the photon distribution, its
       tail P[n_max] and the residual, NaN where the point failed;
     - ``rows`` holds that distribution, or None where the point failed;
-    - ``failures`` holds None, or the message of the error that
-      :func:`solve_grid` yields for the point.
+    - ``failures`` holds None, or the message of the
+      :class:`TruncationError`, :class:`SteadyStateError` or ``ValueError``
+      of the point, so that one point's failure stays its own.
 
     Every value equals, bit for bit, what the :class:`PhotonDistribution`
-    and the residual of that point's :class:`BlockState` give; no
-    distribution object or state is built.
+    and the residual of the :class:`BlockState` of :func:`solve_model` give
+    for that point; no distribution object or state is built.
     """
     n_h = np.asarray(n_h, dtype=float)
+    sizes = [n_max + 2 if n_max <= MAX_N_MAX else 0 for n_max in n_maxes]
     columns, rows, failures = {name: [] for name in EXACT_COLUMNS}, [], []
-    for start, end in _batches(n_maxes):
+    for start, end in _runs(sizes, BATCH_RUNGS):
         batch = _solve_batch(model, n_h[start:end], n_maxes[start:end], tol)
         batch_columns, batch_rows, batch_failures = _grid_columns(*batch)
         for name, values in batch_columns.items():
@@ -592,7 +554,8 @@ def solve_model(
     populates s.  s is |l, 0> for the first level l of the one closed class
     of the jump graph (see ``_pinned_levels``): |g, 0> unless, say, a
     four-level atom with g = 0 and an empty ancilla bath is trapped in the
-    dark |e2, 0>.  This is :func:`solve_grid` on the model's own n_h.
+    dark |e2, 0>.  The engine is solved as a batch of one point, the
+    model's own n_h, so :func:`exact_grid` gets the same numbers.
 
     Raises :class:`SteadyStateError` when the jump graph has more than one
     closed class or a rung's Schur complement is singular (the steady state
@@ -607,23 +570,19 @@ def solve_model(
     first rung past its peak where P_n < 1e-12 (n_max = 1 with the pump off,
     A = 0); an explicit ``n_max`` is used as given.  Any cutoff above
     ``MAX_N_MAX`` = 1000, automatic or explicit, raises
-    :class:`TruncationError` before any assembly.  A batch's bands are
-    stacked to its largest cutoff, so its memory grows with its
-    rung-points, (points) x (largest cutoff + 2), and its rung sweep
-    takes sum(cutoff + 2) rung solves, each point's own.  A four-level rung
-    holds 0.6 kB per point in its 3 x 5 x 5 real bands, pinned in place, and
-    a batch peaks at about 1.5 times that, in the rung sweep's workspace;
-    the builder returns only the bands and a bool mask of each point's
-    slots, and the sweep's workspace is freed before each point copies its
-    rungs.  So 16 points at n_max 1000 peak at 14.9 MB (traced; 0.06-0.09 s untraced
-    on a 2-vCPU Xeon); one dense state there would take 256 MB.
-    :func:`solve_grid` keeps each batch within that many rung-points,
-    ``BATCH_RUNGS``.  A warning is raised if the exact P[n_max] exceeds
-    1e-8.
+    :class:`TruncationError` before any assembly.  The state takes O(n_max)
+    memory and time (see :func:`exact_grid`).  A warning is raised if the
+    exact P[n_max] exceeds 1e-8.
     """
     if n_max is None:
         n_max = steady_distribution(scully_lamb_coefficients(model)).n_max
-    (outcome,) = solve_grid(model, [model.n_h], [n_max], tol)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    (space,), _, x, p, residuals = _solve_batch(
+        model, np.array([model.n_h], dtype=float), [n_max], tol
+    )
+    if isinstance(space, Exception):
+        raise space
+    return space, BlockState(
+        x[0, : space.n_max + 2, : space.atom_dim + 1].copy(),
+        PhotonDistribution(p[0, : space.fock_dim]),
+        residuals[0],
+    )

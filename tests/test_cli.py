@@ -1,7 +1,9 @@
 import csv
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -136,6 +138,13 @@ def test_config_errors(tmp_path, capsys):
         ({"model.n_h": None}, "model: one of n_h or T_h is required"),
         ({"model.gamma_h": -1.0}, "model: bath rate gamma must be finite and >= 0, got -1.0"),
         ({"model.level_energies": [0.0, 2.0, 1.0]}, "model: level energies must be finite and strictly"),
+        # a list too short for the kind, checked before the bath frequencies read it
+        ({"model.level_energies": []}, "model: three_level model needs 3 level energies, got 0"),
+        ({"model.level_energies": [0]}, "model: three_level model needs 3 level energies, got 1"),
+        (
+            {"model": {**load_config("fig5").raw["model"], "level_energies": [0, 1, 2]}},
+            "model: four_level model needs 4 level energies, got 3",
+        ),
     ]:
         with pytest.raises(ConfigError, match=fragment):
             load_config(write_config(tmp_path, overrides))
@@ -849,6 +858,21 @@ def test_cli_import_adds_no_dataclasses_or_copy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout == "[]\n"
+
+
+def test_every_exported_name_resolves():
+    # a name deleted from a module but left in its __all__ breaks a star
+    # import; check the package and every submodule that exports a list
+    modules = [heatlaser] + [
+        importlib.import_module(f"heatlaser.{info.name}")
+        for info in pkgutil.iter_modules(heatlaser.__path__)
+    ]
+    exporting = [module for module in modules if hasattr(module, "__all__")]
+    assert {module.__name__ for module in exporting} >= {"heatlaser", "heatlaser.solver"}
+    for module in exporting:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__
+        exec(f"from {module.__name__} import *", {})
 
 
 @pytest.mark.parametrize("mu", [0.0, 1e-9, 2.5, 123.456, 900.0])

@@ -36,7 +36,13 @@ from heatlaser.core import (
     build_cavity_operators,
     build_sector_liouvillian,
 )
-from heatlaser.solver import BATCH_RUNGS, MAX_N_MAX, SteadyStateError, solve_grid
+from heatlaser.solver import (
+    BATCH_RUNGS,
+    EXACT_COLUMNS,
+    MAX_N_MAX,
+    SteadyStateError,
+    exact_grid,
+)
 
 from conftest import (
     dense_state,
@@ -354,6 +360,31 @@ def test_stall_reports_the_scale_of_the_complex_block():
     assert str(err.value).endswith(f"max|L_ij| = {tol * scale:.3e}")
 
 
+def _assert_solo(model, grid, cutoffs, solved, points=None):
+    # each point of an exact_grid, by default every one, is bit for bit the
+    # solve_model of its engine at its cutoff: its row, its columns and its
+    # residual, or else the message of the error that solve_model raises
+    columns, rows, failures = solved
+    for k in range(len(grid)) if points is None else points:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the tail warning, asserted apart
+                _, solo = solve_model(with_hot_occupation(model, grid[k]), n_max=cutoffs[k])
+        except (SteadyStateError, TruncationError) as exc:
+            assert failures[k] == str(exc) and rows[k] is None
+            assert all(math.isnan(columns[name][k]) for name in EXACT_COLUMNS)
+            continue
+        numeric = solo.distribution
+        assert failures[k] is None
+        assert np.array_equal(rows[k], numeric.probabilities)
+        assert columns["mean_numeric"][k] == numeric.mean
+        assert columns["variance_numeric"][k] == numeric.variance
+        fano = columns["fano_numeric"][k]
+        assert fano == numeric.fano or (math.isnan(fano) and math.isnan(numeric.fano))
+        assert columns["tail"][k] == numeric.probabilities[-1]
+        assert columns["residual"][k] == solo.residual
+
+
 def test_batch_at_the_cutoff_bound_stays_small():
     # 16 four-level points at n_max 1000: the bands are pinned in place, so
     # the batch holds its real bands once (9.6 MB), and the traced peak is
@@ -362,17 +393,18 @@ def test_batch_at_the_cutoff_bound_stays_small():
     # cutoffs from 500 to 1000 it is 14.9 MB too: only the pinned population
     # rows are saved, and a slot past a point's cutoff gets just a unit
     # diagonal
-    grid = np.linspace(0.5, 5.0, 16)
+    model, grid = make_fig5_model(), np.linspace(0.5, 5.0, 16)
     mixed = np.linspace(500, MAX_N_MAX, len(grid)).astype(int).tolist()
     for cutoffs in ([MAX_N_MAX] * len(grid), mixed):
         tracemalloc.start()
         try:
-            outcomes = list(solve_grid(make_fig5_model(), grid, cutoffs))
+            solved = exact_grid(model, grid, cutoffs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert not any(isinstance(outcome, Exception) for outcome in outcomes)
+        assert solved[2] == [None] * len(grid)
         assert peak < 25e6
+        _assert_solo(model, grid, cutoffs, solved)
 
 
 def _flow_balance_miss(model):
@@ -426,37 +458,31 @@ def test_batch_solves_each_point_as_a_solo_solve(seed, four, points):
     model = random_four_level(rng) if four else random_three_level(rng)
     grid = rng.uniform(0.01, 5.0, points).tolist()
     grid.insert(int(rng.integers(len(grid) + 1)), 0.0)
-    engines = [with_hot_occupation(model, n_h) for n_h in grid]
-    cutoffs = [_auto_cutoff(engine) for engine in engines]
+    cutoffs = [_auto_cutoff(with_hot_occupation(model, n_h)) for n_h in grid]
     assert 1 in cutoffs
-    for engine, n_max, outcome in zip(engines, cutoffs, solve_grid(model, grid, cutoffs)):
-        space, result = outcome
-        solo_space, solo = solve_model(engine)
-        assert space.n_max == solo_space.n_max == n_max
-        batched, alone = result.distribution.probabilities, solo.distribution.probabilities
-        np.testing.assert_allclose(batched, alone, rtol=1e-13, atol=0.0)
-        assert result.residual == pytest.approx(solo.residual, rel=1e-13, abs=0.0)
+    solved = exact_grid(model, grid, cutoffs)
+    assert solved[2] == [None] * len(grid)
+    assert [row.size - 1 for row in solved[1]] == cutoffs
+    _assert_solo(model, grid, cutoffs, solved)
 
 
 def test_singular_point_fails_alone(monkeypatch):
     # four levels, g = 0 and an empty ancilla: at every n_h > 0 the steady
     # state is the dark |e2, 0><e2, 0|.  Pinned at |g, 0>, which it leaves
-    # empty, the second point's system is singular; the first keeps its own
-    # pin, e2
+    # empty, the point at n_h = 1 has a singular system, in the batch and
+    # alone; the other keeps its own pin, e2
     dark = make_fig5_model(n_a=0.0, g=0.0)
     grid, cutoffs = [0.5, 1.0], [2, 3]
-    solo_space, solo = solve_model(dark, n_max=cutoffs[0])
     pinned = heatlaser.solver._pinned_levels
-    monkeypatch.setattr(
-        heatlaser.solver, "_pinned_levels", lambda model, n_h: [*pinned(model, n_h)[:1], 0]
-    )
-    first, second = list(solve_grid(dark, grid, cutoffs))
-    space, result = first
-    assert space == solo_space
-    assert np.array_equal(dense_state(space, result), dense_state(solo_space, solo))
-    assert result.residual == solo.residual
-    assert isinstance(second, SteadyStateError)
-    assert "rung sweep failed" in str(second)
+
+    def pin_ground_at_one(model, n_h):
+        return [0 if h == 1.0 else pin for h, pin in zip(n_h.tolist(), pinned(model, n_h))]
+
+    monkeypatch.setattr(heatlaser.solver, "_pinned_levels", pin_ground_at_one)
+    solved = exact_grid(dark, grid, cutoffs)
+    assert solved[2][0] is None
+    assert solved[2][1].startswith("rung sweep failed")
+    _assert_solo(dark, grid, cutoffs, solved)
 
 
 def test_batch_keeps_warnings_and_failures_per_point():
@@ -465,32 +491,35 @@ def test_batch_keeps_warnings_and_failures_per_point():
     fig2, grid, cutoffs = make_fig2_model(), [1.0, 3.0], [3, 5]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        outcomes = list(solve_grid(fig2, grid, cutoffs))
+        solved = exact_grid(fig2, grid, cutoffs)
     assert [str(w.message).split(" = ")[0] for w in caught] == ["tail P[3]", "tail P[5]"]
-    # each warning points at the line that asked for the outcome
+    # each warning points at the line that called exact_grid
     assert all(w.filename == __file__ for w in caught)
-    for n_h, n_max, (space, result) in zip(grid, cutoffs, outcomes):
+    for n_h, n_max in zip(grid, cutoffs):
         with pytest.warns(UserWarning, match=rf"tail P\[{n_max}\]"):
-            solo_space, solo = solve_model(with_hot_occupation(fig2, n_h), n_max=n_max)
-        assert space == solo_space
-        assert np.array_equal(result.rungs, solo.rungs)
-        assert np.array_equal(result.distribution.probabilities, solo.distribution.probabilities)
-        assert result.residual == solo.residual
+            solve_model(with_hot_occupation(fig2, n_h), n_max=n_max)
+    _assert_solo(fig2, grid, cutoffs, solved)
     # four levels, g = 0 and an empty ancilla: at n_h = 0 nothing reaches
     # e3, so {g, e1} and {e2} each hold a steady state, and that point fails
     # alone; its neighbours sit in the dark |e2, 0>
-    dark = make_fig5_model(n_a=0.0, g=0.0)
-    outcomes = list(solve_grid(dark, [0.5, 0.0, 1.0], [2, 2, 2]))
-    assert isinstance(outcomes[1], SteadyStateError)
-    assert str(outcomes[1]) == (
+    dark, grid, cutoffs = make_fig5_model(n_a=0.0, g=0.0), [0.5, 0.0, 1.0], [2, 2, 2]
+    solved = exact_grid(dark, grid, cutoffs)
+    assert solved[2][1] == (
         "the steady state is not unique: levels [0, 1, 2] at n = 0 fall into separate closed classes"
     )
-    for n_h, (space, result) in zip([0.5, 1.0], outcomes[::2]):
+    for n_h in grid[::2]:
+        space, solo = solve_model(with_hot_occupation(dark, n_h), n_max=2)
         e2 = 2 * space.fock_dim  # |e2, 0>
-        assert dense_state(space, result)[e2, e2] == pytest.approx(1.0, rel=0.0, abs=1e-12)
-        _, solo = solve_model(with_hot_occupation(dark, n_h), n_max=2)
-        assert np.array_equal(result.rungs, solo.rungs)
-        assert result.residual == solo.residual
+        assert dense_state(space, solo)[e2, e2] == pytest.approx(1.0, rel=0.0, abs=1e-12)
+    _assert_solo(dark, grid, cutoffs, solved)
+
+
+def test_solve_model_warns_at_its_caller():
+    # the tail warning points at the line that called solve_model, as it
+    # points at the line that called exact_grid
+    with pytest.warns(UserWarning, match=r"tail P\[3\]") as caught:
+        solve_model(make_fig2_model(), n_max=3)
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_invalid_occupations_fail_alone(monkeypatch):
@@ -509,24 +538,20 @@ def test_invalid_occupations_fail_alone(monkeypatch):
         return assemble(model, n_h, n_maxes)
 
     monkeypatch.setattr(heatlaser.solver, "build_sector_liouvillian", counted)
-    outcomes = list(solve_grid(fig2, grid, cutoffs))
+    solved = exact_grid(fig2, grid, cutoffs)
     assert assembled == [[1.0, 2.0]]
+    columns, rows, failures = solved
     for k in (1, 2, 3):
-        assert type(outcomes[k]) is ValueError
-        assert str(outcomes[k]) == f"hot bath occupation must be finite and >= 0, got {grid[k]}"
-    for k in (0, 4):
-        space, result = outcomes[k]
-        solo_space, solo = solve_model(with_hot_occupation(fig2, grid[k]), n_max=cutoffs[k])
-        assert space == solo_space
-        assert np.array_equal(result.rungs, solo.rungs)
-        assert np.array_equal(result.distribution.probabilities, solo.distribution.probabilities)
-        assert result.residual == solo.residual
+        assert failures[k] == f"hot bath occupation must be finite and >= 0, got {grid[k]}"
+        assert rows[k] is None
+        assert all(math.isnan(columns[name][k]) for name in EXACT_COLUMNS)
+    _assert_solo(fig2, grid, cutoffs, solved, points=(0, 4))
     # the builder refuses them too: NaN would pass a check of the rates < 0
     with pytest.raises(ValueError, match="must be finite and >= 0, got nan"):
         build_sector_liouvillian(fig2, [1.0, math.nan], [3, 3])
 
 
-def test_solve_grid_is_lazy_and_keeps_order_across_batches(monkeypatch):
+def test_exact_grid_keeps_order_across_batches(monkeypatch):
     # one point at n_max 40 and 15 at n_max 1000 fill the budget exactly; the
     # point past the cutoff bound comes next and does not count, and the one
     # after it, a 17th at a largest cutoff of 1000, opens a second batch,
@@ -543,22 +568,14 @@ def test_solve_grid_is_lazy_and_keeps_order_across_batches(monkeypatch):
         return assemble(model, n_h, n_maxes)
 
     monkeypatch.setattr(heatlaser.solver, "build_sector_liouvillian", counted)
-    outcomes = solve_grid(fig2, grid, cutoffs)
-    assert batches == []
-    first = next(outcomes)
-    assert batches == [grid[:16].tolist()]
-    outcomes = [first, *outcomes]
-    assert batches[1:] == [grid[17:].tolist()]
-    assert len(outcomes) == len(grid)
-    assert isinstance(outcomes[16], TruncationError)
-    assert str(outcomes[16]) == f"cutoff needs n_max = {MAX_N_MAX + 1} > {MAX_N_MAX}"
-    for k in [*range(16), 17, 18]:
-        space, result = outcomes[k]
-        solo_space, solo = solve_model(with_hot_occupation(fig2, grid[k]), n_max=cutoffs[k])
-        assert space == solo_space
-        assert np.array_equal(result.rungs, solo.rungs)
-        assert np.array_equal(result.distribution.probabilities, solo.distribution.probabilities)
-        assert result.residual == solo.residual
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solved = exact_grid(fig2, grid, cutoffs)
+    assert batches == [grid[:16].tolist(), grid[17:].tolist()]
+    assert all(len(column) == len(grid) for column in solved[0].values())
+    assert len(solved[1]) == len(solved[2]) == len(grid)
+    assert solved[2][16] == f"cutoff needs n_max = {MAX_N_MAX + 1} > {MAX_N_MAX}"
+    _assert_solo(fig2, grid, cutoffs, solved)
 
 
 @pytest.mark.parametrize("make_model", [make_fig2_model, make_fig5_model])
@@ -579,21 +596,17 @@ def test_batch_sweeps_each_point_over_its_own_rungs(make_model, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "solve", counted)
-        outcomes = list(solve_grid(model, grid, cutoffs))
+        solved = exact_grid(model, grid, cutoffs)
     assert sum(matrices) == sum(n_max + 2 for n_max in cutoffs)
     assert len(matrices) == max(cutoffs) + 2
-    for n_h, n_max, (space, result) in zip(grid, cutoffs, outcomes):
-        solo_space, solo = solve_model(with_hot_occupation(model, n_h), n_max=n_max)
-        assert space == solo_space
-        assert np.array_equal(result.rungs, solo.rungs)
-        assert np.array_equal(result.distribution.probabilities, solo.distribution.probabilities)
-        assert result.residual == solo.residual
+    assert solved[2] == [None] * len(grid)
+    _assert_solo(model, grid, cutoffs, solved)
 
 
 @settings(deadline=None, max_examples=20)
 @given(seed=st.integers(0, 2**32 - 1), four=st.booleans(), points=st.integers(1, 4))
-def test_exact_grid_is_solve_grid_as_columns(seed, four, points):
-    # the columns of every point equal, bit for bit, what its state and
+def test_exact_grid_is_solve_model_as_columns(seed, four, points):
+    # the columns of every point equal, bit for bit, what its solo state and
     # distribution give, in grid order, with the pump off at n_h = 0, an
     # invalid n_h and a cutoff past the bound failing alone
     rng = np.random.default_rng(seed)
@@ -601,24 +614,12 @@ def test_exact_grid_is_solve_grid_as_columns(seed, four, points):
     grid = [*rng.uniform(0.01, 5.0, points).tolist(), 0.0, -1.0, 1.0]
     cutoffs = [_auto_cutoff(with_hot_occupation(model, n_h)) for n_h in grid[:-2]]
     cutoffs += [3, MAX_N_MAX + 1]
-    columns, rows, failures = heatlaser.solver.exact_grid(model, grid, cutoffs)
-    outcomes = list(solve_grid(model, grid, cutoffs))
-    for k, outcome in enumerate(outcomes):
-        if isinstance(outcome, Exception):
-            assert failures[k] == str(outcome) and rows[k] is None
-            assert all(math.isnan(columns[name][k]) for name in columns)
-            continue
-        _, result = outcome
-        numeric = result.distribution
-        assert failures[k] is None
-        assert np.array_equal(rows[k], numeric.probabilities)
-        assert columns["mean_numeric"][k] == numeric.mean
-        assert columns["variance_numeric"][k] == numeric.variance
-        fano = columns["fano_numeric"][k]
-        assert fano == numeric.fano or (math.isnan(fano) and math.isnan(numeric.fano))
-        assert columns["tail"][k] == numeric.probabilities[-1]
-        assert columns["residual"][k] == result.residual
-    assert [type(outcome) for outcome in outcomes[-2:]] == [ValueError, TruncationError]
+    solved = exact_grid(model, grid, cutoffs)
+    columns, rows, failures = solved
+    assert failures[-2] == "hot bath occupation must be finite and >= 0, got -1.0"
+    assert rows[-2] is None and all(math.isnan(columns[name][-2]) for name in EXACT_COLUMNS)
+    assert failures[-1] == f"cutoff needs n_max = {MAX_N_MAX + 1} > {MAX_N_MAX}"
+    _assert_solo(model, grid, cutoffs, solved, points=[*range(points + 1), points + 2])
 
 
 # ---------------------------------------------------------------------------
