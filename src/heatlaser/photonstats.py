@@ -49,6 +49,12 @@ __all__ = [
 # alone.  Every preset grid is one stack (fig2: 60 chains of <= 62 rungs).
 SUPPORT_RUNGS = 1 << 16
 
+# rung-points, (points) x (largest cutoff + 2), of one batch of exact solves
+# (heatlaser.solver.exact_grid), and the one bound on a point: a cutoff is
+# solvable when 1 <= n_max <= BATCH_RUNGS - 2 = 16 030.  16 four-level points
+# at n_max 1000, or one at 16 030, peak near 15 MB traced (test_solver.py)
+BATCH_RUNGS = 16 * 1002
+
 
 class TruncationError(RuntimeError):
     """Raised when a photon distribution does not fit the requested cutoff."""
@@ -390,7 +396,7 @@ GRID_COLUMNS = (
 )
 
 
-def closed_form_grid(model: EngineModel, n_h: np.ndarray, keep_to: float = math.inf):
+def closed_form_grid(model: EngineModel, n_h: np.ndarray):
     """The closed form of ``model`` at every hot occupation of ``n_h``, as arrays.
 
     Returns ``(columns, cutoffs, rows, failures)``, each over the points:
@@ -401,9 +407,9 @@ def closed_form_grid(model: EngineModel, n_h: np.ndarray, keep_to: float = math.
       and the :func:`output_power` at the mean; NaN where the point failed;
     - ``cutoffs`` holds the ``n_max`` of :func:`steady_distribution`, the
       Fock cutoff of the exact solve, or None where the point failed;
-    - ``rows`` holds that distribution's probabilities where the cutoff is
-      at most ``keep_to``, else None, so a sweep keeps only the rows it
-      compares with an exact solve;
+    - ``rows`` holds that distribution's probabilities where the exact
+      route can solve the cutoff, n_max + 2 <= ``BATCH_RUNGS``, else None,
+      so a sweep keeps only the rows it compares with an exact solve;
     - ``failures`` holds None, or the message of the error those functions
       raise at the point: a zero bath rate fails every point, a support past
       1e6 rungs its own point, with nothing allocated for it.
@@ -437,7 +443,7 @@ def closed_form_grid(model: EngineModel, n_h: np.ndarray, keep_to: float = math.
             continue
         total = p.sum()
         p0[i], cutoffs[i] = p[0] / total, p.size - 1
-        if cutoffs[i] <= keep_to:
+        if cutoffs[i] + 2 <= BATCH_RUNGS:
             rows[i] = p / total
     failed = np.array([failure is not None for failure in failures])
     # the pump off gives the moments (0, 0, nan)

@@ -7,9 +7,11 @@ layout, those unknowns by rung and slot (:class:`BlockState`), with its
 photon distribution, in O(n_max) memory and time; :func:`exact_grid`
 does so for one engine over a grid of hot-bath occupations n_h, one
 stacked sweep per batch, each point in its own layout and over its own
-rungs, and returns the columns of a sweep.  They are the independent
-check on the closed-form theory in :mod:`heatlaser.photonstats`.  The
-dense (A F)^2 :func:`steady_state`, :func:`partial_trace_atom` and
+rungs, and returns the columns of a sweep.  Both solve a point at a
+cutoff 1 <= n_max <= 16 030, which fills one batch of ``BATCH_RUNGS``
+rung-points alone, in 0.33-0.36 s.  They are the independent check on
+the closed-form theory in :mod:`heatlaser.photonstats`.  The dense
+(A F)^2 :func:`steady_state`, :func:`partial_trace_atom` and
 :func:`photon_distribution` are the full-space references (the first
 imports scipy when called).  :func:`wigner` maps a photon distribution to
 phase space, by default on 101 x 101 points over [-h, h]^2 with
@@ -38,6 +40,7 @@ from .core import (
 )
 from .models import EngineModel
 from .photonstats import (
+    BATCH_RUNGS,
     PhotonDistribution,
     TruncationError,
     _runs,
@@ -60,17 +63,6 @@ __all__ = [
     "solve_model",
     "exact_grid",
 ]
-
-# largest Fock cutoff solve_model and exact_grid accept; see solve_model
-MAX_N_MAX = 1000
-
-# rung-points, (points) x (largest cutoff + 2), per batch of steady-state
-# solves.  A batch holds the real rung bands of all its points at once, so
-# its memory grows with its rung-points; the budget is the batch of 16
-# four-level points at the cutoff bound MAX_N_MAX, whose traced peak of
-# 14.9 MB test_solver.py gates, and it holds a whole preset grid (fig2: 60
-# points at n_max <= 33, 2 100 rung-points)
-BATCH_RUNGS = 16 * (MAX_N_MAX + 2)
 
 
 class SteadyStateError(RuntimeError):
@@ -356,12 +348,12 @@ def _solve_batch(model, n_h, n_maxes, tol):
     """One batch of points, solved: ``(outcomes, row, x, p, residuals)``.
 
     ``outcomes`` holds per point, in the order of ``n_h``, the error it
-    raised or, when its steady state passed, its :class:`HilbertSpace`.
-    ``row`` maps each point that passed to its row of the stacked arrays:
-    the unit-trace solutions ``x`` in rung layout, the residuals, and the
-    photon distributions ``p``, zero past each point's cutoff and
-    normalised once, as ``p / p.sum()``.  The tail warnings fire here, in
-    the order of ``n_h``.
+    raised or, when its steady state passed, its cutoff.  ``row`` maps each
+    point that passed to its row of the stacked arrays: the unit-trace
+    solutions ``x`` in rung layout, the residuals, and the photon
+    distributions ``p``, zero past each point's cutoff and normalised once,
+    as ``p / p.sum()``.  The tail warnings fire here, in the order of
+    ``n_h``.
 
     The live points are assembled in one call and swept in one stacked
     rung sweep, in ascending order of cutoff, each n_h with its own: each
@@ -374,24 +366,19 @@ def _solve_batch(model, n_h, n_maxes, tol):
     terms of a padded row otherwise: its trace, a masked sum, and that of
     its P_n.
     """
-    outcomes = []
-    for occupation, n_max, pin in zip(n_h.tolist(), n_maxes, _pinned_levels(model, n_h)):
-        try:
-            if not 0 <= occupation < math.inf:
-                raise ValueError(f"hot bath occupation must be finite and >= 0, got {occupation}")
-            if n_max > MAX_N_MAX:
-                raise TruncationError(f"cutoff needs n_max = {n_max} > {MAX_N_MAX}")
-            space = HilbertSpace.for_model(model, n_max)
-        except (TruncationError, ValueError) as exc:
-            outcomes.append(exc)
-        else:
-            outcomes.append(pin if isinstance(pin, Exception) else (space, pin))
+    n_h, outcomes = np.asarray(n_h, dtype=float), []
+    # a point's pinned level, or the first error of its n_h, cutoff or classes
+    for occupation, n_max, outcome in zip(n_h.tolist(), n_maxes, _pinned_levels(model, n_h)):
+        if not 0 <= occupation < math.inf:
+            outcome = ValueError(f"hot bath occupation must be finite and >= 0, got {occupation}")
+        elif not 1 <= n_max <= BATCH_RUNGS - 2:
+            outcome = TruncationError(f"cutoff n_max = {n_max} is outside [1, {BATCH_RUNGS - 2}]")
+        outcomes.append(outcome if isinstance(outcome, Exception) else (n_max, outcome))
     live = [k for k, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
     if not live:
         return outcomes, {}, None, None, []
     live.sort(key=n_maxes.__getitem__)
-    spaces, pinned = zip(*(outcomes[k] for k in live))
-    cutoffs = [space.n_max for space in spaces]
+    cutoffs, pinned = map(list, zip(*(outcomes[k] for k in live)))
     bands, inside = build_sector_liouvillian(model, n_h[live], cutoffs)
     # the pinned population's equation becomes x = 1, and that of every slot
     # outside the point's block x = 0: its row and column are already 0, so
@@ -429,11 +416,11 @@ def _solve_batch(model, n_h, n_maxes, tol):
         error = error or _stall(residuals[j], scales[j], tol)
         if error is None:
             row[k] = j
-        outcomes[k] = error or spaces[j]
+        outcomes[k] = error or cutoffs[j]
     # in point order, pointing at the line that called solve_model or
     # exact_grid
     for k in sorted(row):
-        n_max = outcomes[k].n_max
+        n_max = outcomes[k]
         if p[row[k], n_max] > 1e-8:
             warnings.warn(f"tail P[{n_max}] = {p[row[k], n_max]:.3e} above 1e-8", stacklevel=3)
     passed = list(row.values())
@@ -456,7 +443,7 @@ def _grid_columns(outcomes, row, x, p, residuals):
     rows = [None] * size
     if row:
         points, at = list(row), list(row.values())
-        focks = [outcomes[k].fock_dim for k in points]
+        focks = [outcomes[k] + 1 for k in points]
         q = p[at]
         q /= np.array([q_k[:fock].sum() for q_k, fock in zip(q, focks)])[:, np.newaxis]
         numbers = np.arange(q.shape[1], dtype=float)
@@ -495,8 +482,8 @@ def exact_grid(
     The grid is cut into batches of consecutive points, each taking points
     while (points) x (largest cutoff + 2) stays within ``BATCH_RUNGS``
     rung-points, so every preset grid is one batch; a point whose cutoff
-    is above ``MAX_N_MAX`` does not count, since it gets a
-    :class:`TruncationError` before any assembly.  The blocks of a batch
+    is above 16 030 fills a batch alone and gets a :class:`TruncationError`
+    before any assembly.  The blocks of a batch
     are assembled in one call, each point at its own cutoff and in its own
     layout (see :func:`build_sector_liouvillian`), and swept in one stacked
     rung sweep (``_rung_sweep``), each point over its own rungs only, so
@@ -508,8 +495,9 @@ def exact_grid(
     times that, in the rung sweep's workspace; the builder returns only the
     bands and a bool mask of each point's slots, the sweep's workspace is
     freed on return, and the batches are solved one after another.  So 16
-    points at n_max 1000 peak at 14.9 MB (traced; 0.06-0.09 s untraced on a
-    2-vCPU Xeon); one dense state there would take 256 MB.
+    points at n_max 1000 peak at 14.9 MB and one at 16 030 at 15.0 MB
+    (traced; 0.05-0.09 and 0.33-0.36 s untraced on a 2-vCPU Xeon); one
+    dense state at n_max 1000 would take 256 MB.
 
     Returns ``(columns, rows, failures)``, each over the points:
 
@@ -525,10 +513,8 @@ def exact_grid(
     and the residual of the :class:`BlockState` of :func:`solve_model` give
     for that point; no distribution object or state is built.
     """
-    n_h = np.asarray(n_h, dtype=float)
-    sizes = [n_max + 2 if n_max <= MAX_N_MAX else 0 for n_max in n_maxes]
     columns, rows, failures = {name: [] for name in EXACT_COLUMNS}, [], []
-    for start, end in _runs(sizes, BATCH_RUNGS):
+    for start, end in _runs([n_max + 2 for n_max in n_maxes], BATCH_RUNGS):
         batch = _solve_batch(model, n_h[start:end], n_maxes[start:end], tol)
         batch_columns, batch_rows, batch_failures = _grid_columns(*batch)
         for name, values in batch_columns.items():
@@ -568,21 +554,19 @@ def solve_model(
     With ``n_max=None`` the cutoff is the ``n_max`` of the closed-form
     distribution :func:`steady_distribution`, whose support ends at the
     first rung past its peak where P_n < 1e-12 (n_max = 1 with the pump off,
-    A = 0); an explicit ``n_max`` is used as given.  Any cutoff above
-    ``MAX_N_MAX`` = 1000, automatic or explicit, raises
+    A = 0); an explicit ``n_max`` is used as given.  Any cutoff outside
+    [1, 16 030] (n_max + 2 > ``BATCH_RUNGS``), automatic or explicit, raises
     :class:`TruncationError` before any assembly.  The state takes O(n_max)
-    memory and time (see :func:`exact_grid`).  A warning is raised if the
-    exact P[n_max] exceeds 1e-8.
+    memory and time, 0.33-0.36 s at 16 030 (see :func:`exact_grid`).  A
+    warning is raised if the exact P[n_max] exceeds 1e-8.
     """
     if n_max is None:
         n_max = steady_distribution(scully_lamb_coefficients(model)).n_max
-    (space,), _, x, p, residuals = _solve_batch(
-        model, np.array([model.n_h], dtype=float), [n_max], tol
-    )
-    if isinstance(space, Exception):
-        raise space
-    return space, BlockState(
-        x[0, : space.n_max + 2, : space.atom_dim + 1].copy(),
-        PhotonDistribution(p[0, : space.fock_dim]),
+    (outcome,), _, x, p, residuals = _solve_batch(model, [model.n_h], [n_max], tol)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return HilbertSpace.for_model(model, n_max), BlockState(
+        x[0, : n_max + 2, : model.atom_dim + 1].copy(),
+        PhotonDistribution(p[0, : n_max + 1]),
         residuals[0],
     )

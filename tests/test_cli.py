@@ -38,8 +38,7 @@ from heatlaser.cli import (
     main,
     run_sweep,
 )
-from heatlaser.photonstats import GRID_COLUMNS, SUPPORT_RUNGS
-from heatlaser.solver import BATCH_RUNGS, MAX_N_MAX
+from heatlaser.photonstats import BATCH_RUNGS, GRID_COLUMNS, SUPPORT_RUNGS
 
 from conftest import BRIGHT, dense_state, make_fig2_model
 
@@ -196,7 +195,7 @@ def test_single_point_sweep_record(tmp_path):
     assert record["gain_over_kappa"] > 1.0
     assert abs(record["mean_analytic"] - record["mean_numeric"]) < 0.1
     # the record carries its cutoff and the exact tail mass left there
-    assert 2 <= record["n_max"] <= MAX_N_MAX
+    assert 2 <= record["n_max"] <= BATCH_RUNGS - 2
     assert record["tail"] < 1e-8
 
 
@@ -351,17 +350,17 @@ def test_l1_column_matches_a_recursion_to_the_cutoff(preset):
 
 
 def test_failed_point_stays_in_its_record(tmp_path):
-    # kappa = 0.002: the two highest n_h need a cutoff above 1000 (1332 and
-    # 3603), while their batch-mates hold 9 to 133 photon rungs
+    # kappa = 1e-4: the two highest n_h need a cutoff above 16 030 (22 515
+    # and 65 726), while their batch-mates hold 9 to 469 photon rungs
     path = write_config(
         tmp_path,
-        {"model.kappa": 0.002, "sweep.start": 0.002, "sweep.stop": 1.2, "sweep.points": 5},
+        {"model.kappa": 1e-4, "sweep.start": 0.002, "sweep.stop": 1.2, "sweep.points": 5},
     )
     config = load_config(path)
     records = run_sweep(config)
     assert [r["status"].startswith("failed: ") for r in records] == [False] * 3 + [True] * 2
     for record in records[3:]:
-        assert "> 1000" in record["status"]
+        assert record["status"].endswith(" is outside [1, 16030]")
         assert math.isnan(record["residual"]) and math.isnan(record["mean_numeric"])
         assert math.isnan(record["fano_numeric"])
     assert len({r["n_max"] for r in records[:3]}) == 3
@@ -372,6 +371,27 @@ def test_failed_point_stays_in_its_record(tmp_path):
         assert record["variance_numeric"] == numeric.variance
         assert record["tail"] == numeric.probabilities[-1]
         assert record["residual"] == residual
+
+
+@pytest.mark.parametrize(
+    "preset, n_h, n_max, fano_numeric, fano_analytic",
+    [("fig2", 2.0, 8265, 1.01857, 1.07742), ("fig5", 5.0, 7715, 0.79718, 1.01008)],
+)
+def test_routes_cross_check_far_above_threshold(
+    preset, n_h, n_max, fano_numeric, fano_analytic, tmp_path
+):
+    # kappa = 0.001 puts about 7 000 photons in the cavity, at cutoffs past
+    # 1000 and within 16 030: the two routes' means agree to 1e-6, and their
+    # Fano factors keep apart, by the gap that stays put as kappa -> 0; both
+    # widths are pinned, so the test fails if either route's moves
+    raw = load_config(preset).raw
+    sweep = {**raw["sweep"], "start": n_h, "stop": n_h, "points": 1}
+    path = write_config(tmp_path, {"model": {**raw["model"], "kappa": 1e-3}, "sweep": sweep})
+    (record,) = run_sweep(load_config(path))
+    assert record["status"] == "ok" and record["n_max"] == n_max
+    assert abs(record["mean_numeric"] - record["mean_analytic"]) <= 1e-6 * record["mean_analytic"]
+    assert record["fano_numeric"] == pytest.approx(fano_numeric, abs=1e-4)
+    assert record["fano_analytic"] == pytest.approx(fano_analytic, abs=1e-4)
 
 
 def _fig2_sweep(tmp_path, model=None, points=None):
@@ -478,15 +498,18 @@ def test_all_failed_sweep_assembles_nothing(tmp_path, monkeypatch):
 
 
 def test_closed_form_failures_stay_per_point(tmp_path):
-    # kappa = 2e-5: the ten highest n_h need a support past 1e6 rungs; each
+    # kappa = 1e-5: the 34 highest n_h need a support past 1e6 rungs; each
     # has its own status and no closed-form column, while the other points
-    # keep theirs and fail only in the exact route, on cutoffs above 1000
-    records = run_sweep(load_config(_fig2_sweep(tmp_path, {"kappa": 2e-5})))
-    for record in records[-10:]:
+    # keep theirs: the two lowest n_h solve at n_max 1791 and 9229, and the
+    # rest fail only in the exact route, on cutoffs above 16 030
+    records = run_sweep(load_config(_fig2_sweep(tmp_path, {"kappa": 1e-5})))
+    for record in records[-34:]:
         assert record["status"] == "failed: distribution support exceeds 1e6 photons"
         assert all(math.isnan(record[name]) for name in GRID_COLUMNS)
-    for record in records[:-10]:
-        assert record["status"].startswith("failed: cutoff needs n_max = ")
+    assert [(r["status"], r["n_max"]) for r in records[:2]] == [("ok", 1791), ("ok", 9229)]
+    for record in records[2:-34]:
+        assert record["status"].startswith("failed: cutoff n_max = ")
+    for record in records[:-34]:
         assert all(math.isfinite(record[name]) for name in GRID_COLUMNS)
     # g = 1e-160: B underflows to 0 while A > 0, which the moments refuse,
     # except at the top of the grid, where A underflows too
@@ -531,10 +554,12 @@ def test_sweeps_raise_no_warning(config, tmp_path):
 
 
 def test_sweep_keeps_only_the_rows_it_solves(tmp_path):
-    # kappa = 1e-4: supports of 585 to 104 833 rungs, and only the first
-    # point's cutoff is within MAX_N_MAX.  Stacked within SUPPORT_RUNGS and
-    # keeping the closed-form rows of that point alone, 30 points peak at
-    # 4.4 MB traced; holding every point's distribution took 19.6 MB
+    # kappa = 1e-4: supports of 585 to 104 833 rungs, and the first seven
+    # points' cutoffs, 585 to 15 695, are within the bound of 16 030.
+    # Stacked within SUPPORT_RUNGS, keeping the closed-form rows of those
+    # points alone and solving them in batches within BATCH_RUNGS, 30 points
+    # peak at 11.0 MB traced; holding every point's distribution took
+    # 19.6 MB
     config = load_config(_fig2_sweep(tmp_path, {"kappa": 1e-4}, points=30))
     tracemalloc.start()
     try:
@@ -542,8 +567,9 @@ def test_sweep_keeps_only_the_rows_it_solves(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert records[0]["status"] == "ok"
-    assert all(r["status"].startswith("failed: cutoff needs n_max = ") for r in records[1:])
+    assert [r["n_max"] for r in records[:7]] == [585, 2205, 4137, 6414, 9075, 12160, 15695]
+    assert all(r["status"] == "ok" for r in records[:7])
+    assert all(r["status"].startswith("failed: cutoff n_max = ") for r in records[7:])
     assert peak < 16e6
 
 
@@ -726,16 +752,20 @@ def test_exit_codes(tmp_path, capsys):
     for command in ("sweep", "thresholds"):
         assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "model.kappa: expected a finite number" in capsys.readouterr().err
+    # an --nh that is not a finite number >= 0 is a bad argument, refused
+    # where it is parsed
     path = write_config(tmp_path)
-    code = main(["distribution", "--config", str(path), "--nh", "nan", "--out", str(tmp_path)])
-    assert code == 3
-    assert "bath occupation must be finite" in capsys.readouterr().err
-    # kappa = 0.002 puts thousands of photons in the cavity, past n_max = 1000
-    path = write_config(tmp_path, {"model.kappa": 0.002}, name="dim.json")
+    for value in ("nan", "-1", "inf"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["distribution", "--config", str(path), "--nh", value, "--out", str(tmp_path)])
+        assert exit_.value.code == 2
+        assert f"argument --nh: must be a finite number >= 0, got '{value}'" in capsys.readouterr().err
+    # kappa = 1e-4 puts 60 000 photons in the cavity, past n_max = 16 030
+    path = write_config(tmp_path, {"model.kappa": 1e-4}, name="dim.json")
     out = tmp_path / "dim"
     code = main(["distribution", "--config", str(path), "--nh", "1.0", "--out", str(out)])
     assert code == 3
-    assert "needs n_max" in capsys.readouterr().err
+    assert "cutoff n_max = 60696 is outside [1, 16030]" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -24,7 +24,7 @@ from heatlaser import (
 )
 from heatlaser import photonstats
 from heatlaser.cli import load_config
-from heatlaser.photonstats import GRID_COLUMNS, SUPPORT_RUNGS, closed_form_grid
+from heatlaser.photonstats import BATCH_RUNGS, GRID_COLUMNS, SUPPORT_RUNGS, closed_form_grid
 
 from conftest import (
     BRIGHT,
@@ -365,9 +365,12 @@ def test_rough_estimate():
 # the closed form of a grid
 # ---------------------------------------------------------------------------
 
-def assert_grid_matches_points(model, n_h, keep_to=math.inf):
-    """closed_form_grid equals the point functions at every n_h, bit for bit."""
-    columns, cutoffs, rows, failures = closed_form_grid(model, n_h, keep_to)
+def assert_grid_matches_points(model, n_h):
+    """closed_form_grid equals the point functions at every n_h, bit for bit.
+
+    It keeps the row of each point whose cutoff the exact route can solve.
+    """
+    columns, cutoffs, rows, failures = closed_form_grid(model, n_h)
     assert list(columns) == list(GRID_COLUMNS)
     for k, nh in enumerate(n_h.tolist()):
         point = with_hot_occupation(model, nh)
@@ -395,7 +398,7 @@ def assert_grid_matches_points(model, n_h, keep_to=math.inf):
         # exact, and NaN exactly where the point functions give NaN
         np.testing.assert_array_equal([values[k] for values in columns.values()], expected)
         assert cutoffs[k] == closed.n_max
-        if closed.n_max <= keep_to:
+        if closed.n_max + 2 <= BATCH_RUNGS:
             np.testing.assert_array_equal(rows[k], closed.probabilities)
         else:
             assert rows[k] is None
@@ -409,7 +412,8 @@ def test_grid_matches_point_functions_on_the_presets(config):
 
 def test_grid_past_the_support_budget_matches_point_functions(monkeypatch):
     # kappa = 2e-5 at the fig2 rates: supports of 3e3 to 5e5 rungs, stacked
-    # within the budget or alone, and the top of the grid past 1e6 rungs
+    # within the budget or alone, and the top of the grid past 1e6 rungs;
+    # the rows of the cutoffs past 16 030 are not kept
     model = load_config("fig2").model._replace(kappa=2e-5)
     n_h = np.geomspace(0.05, 20.0, 9)
     stacks, normalized = [], photonstats._normalized
@@ -424,7 +428,9 @@ def test_grid_past_the_support_budget_matches_point_functions(monkeypatch):
     assert sum(chains for chains, _ in stacks) == failures.count(None) < n_h.size
     assert len(stacks) >= 2 and max(width for _, width in stacks) > SUPPORT_RUNGS
     assert all(chains * width <= SUPPORT_RUNGS or chains == 1 for chains, width in stacks)
-    assert_grid_matches_points(model, n_h, keep_to=1000)
+    rows = closed_form_grid(model, n_h)[2]
+    assert 0 < sum(row is not None for row in rows) < failures.count(None)
+    assert_grid_matches_points(model, n_h)
 
 
 @settings(deadline=None, max_examples=60)
@@ -439,4 +445,4 @@ def test_grid_matches_point_functions_on_random_engines(seed, four, log_kappa, p
     model = random_four_level(rng) if four else random_three_level(rng)
     model = model._replace(kappa=10.0**log_kappa)
     n_h = np.sort(rng.uniform(0.01, 5.0, points))
-    assert_grid_matches_points(model, n_h, keep_to=rng.integers(1, 200))
+    assert_grid_matches_points(model, n_h)

@@ -36,10 +36,9 @@ from heatlaser.core import (
     build_cavity_operators,
     build_sector_liouvillian,
 )
+from heatlaser.photonstats import BATCH_RUNGS
 from heatlaser.solver import (
-    BATCH_RUNGS,
     EXACT_COLUMNS,
-    MAX_N_MAX,
     SteadyStateError,
     exact_grid,
 )
@@ -266,7 +265,7 @@ def test_closed_form_cutoff_leaves_no_exact_tail(seed, four):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the tail warning must not fire
         space, result = solve_model(model)
-    assert 1 <= space.n_max <= MAX_N_MAX
+    assert 1 <= space.n_max <= BATCH_RUNGS - 2
     assert result.distribution.probabilities[-1] < 1e-8
     # the closed form's support is the cutoff: its first rung past the peak
     # below 1e-12
@@ -386,16 +385,18 @@ def _assert_solo(model, grid, cutoffs, solved, points=None):
 
 
 def test_batch_at_the_cutoff_bound_stays_small():
-    # 16 four-level points at n_max 1000: the bands are pinned in place, so
-    # the batch holds its real bands once (9.6 MB), and the traced peak is
-    # 14.9 MB, in the rung sweep; holding them twice in complex form took
-    # 74.2 MB, and the dense Fock indices of every slot another 1.3 MB.  At
-    # cutoffs from 500 to 1000 it is 14.9 MB too: only the pinned population
-    # rows are saved, and a slot past a point's cutoff gets just a unit
-    # diagonal
-    model, grid = make_fig5_model(), np.linspace(0.5, 5.0, 16)
-    mixed = np.linspace(500, MAX_N_MAX, len(grid)).astype(int).tolist()
-    for cutoffs in ([MAX_N_MAX] * len(grid), mixed):
+    # 16 four-level points at n_max 1000 fill a batch: the bands are pinned
+    # in place, so the batch holds its real bands once (9.6 MB), and the
+    # traced peak is 14.9 MB, in the rung sweep; holding them twice in
+    # complex form took 74.2 MB, and the dense Fock indices of every slot
+    # another 1.3 MB.  At cutoffs from 500 to 1000 it is 14.9 MB too: only
+    # the pinned population rows are saved, and a slot past a point's cutoff
+    # gets just a unit diagonal.  One point at the cutoff bound fills a
+    # batch alone, and peaks at 15.0 MB
+    model, sixteen = make_fig5_model(), np.linspace(0.5, 5.0, 16)
+    mixed = np.linspace(500, 1000, 16).astype(int).tolist()
+    cases = [(sixteen, [1000] * 16), (sixteen, mixed), (sixteen[:1], [BATCH_RUNGS - 2])]
+    for grid, cutoffs in cases:
         tracemalloc.start()
         try:
             solved = exact_grid(model, grid, cutoffs)
@@ -437,12 +438,14 @@ def test_cutoff_above_bound_raises_before_assembly(monkeypatch):
         raise AssertionError("assembled a block past the cutoff bound")
 
     monkeypatch.setattr(heatlaser.solver, "build_sector_liouvillian", assemble)
-    # kappa = 0.002: the closed form holds its 1e-12 tail only past 3000 rungs
-    with pytest.raises(TruncationError, match=r"needs n_max = \d+ > 1000"):
-        solve_model(make_fig2_model(kappa=0.002))
-    # the bound holds for an explicit cutoff too
-    with pytest.raises(TruncationError, match=r"needs n_max = 1001 > 1000"):
-        solve_model(make_fig2_model(), n_max=MAX_N_MAX + 1)
+    # kappa = 1e-4: the closed form holds its 1e-12 tail only past 60 000
+    # rungs
+    with pytest.raises(TruncationError, match=r"n_max = 60696 is outside \[1, 16030\]"):
+        solve_model(make_fig2_model(kappa=1e-4))
+    # the bound holds for an explicit cutoff too, above it and below 1
+    for n_max in (BATCH_RUNGS - 1, 0):
+        with pytest.raises(TruncationError, match=rf"n_max = {n_max} is outside \[1, 16030\]"):
+            solve_model(make_fig2_model(), n_max=n_max)
 
 
 def _auto_cutoff(model):
@@ -553,28 +556,34 @@ def test_invalid_occupations_fail_alone(monkeypatch):
 
 def test_exact_grid_keeps_order_across_batches(monkeypatch):
     # one point at n_max 40 and 15 at n_max 1000 fill the budget exactly; the
-    # point past the cutoff bound comes next and does not count, and the one
-    # after it, a 17th at a largest cutoff of 1000, opens a second batch,
-    # although its own 40 would fit; every cutoff lies far above the point's
-    # own, so no tail warning fires
+    # point past the cutoff bound comes next, is a batch of its own and is
+    # never assembled, and the two points after it form a third batch; every
+    # cutoff lies far above the point's own, so no tail warning fires
     fig2, grid = make_fig2_model(), np.linspace(0.5, 3.0, 19)
-    cutoffs = [40] + [MAX_N_MAX] * 15 + [MAX_N_MAX + 1, 40, 40]
-    assert 16 * (MAX_N_MAX + 2) == BATCH_RUNGS
-    batches = []
+    cutoffs = [40] + [1000] * 15 + [BATCH_RUNGS - 1, 40, 40]
+    assert 16 * (1000 + 2) == BATCH_RUNGS
+    batches, assembled = [], []
+    solve_batch = heatlaser.solver._solve_batch
     assemble = heatlaser.solver.build_sector_liouvillian
 
+    def solved_batch(model, n_h, n_maxes, tol):
+        batches.append(list(n_h))
+        return solve_batch(model, n_h, n_maxes, tol)
+
     def counted(model, n_h, n_maxes):
-        batches.append(n_h.tolist())
+        assembled.append(n_h.tolist())
         return assemble(model, n_h, n_maxes)
 
+    monkeypatch.setattr(heatlaser.solver, "_solve_batch", solved_batch)
     monkeypatch.setattr(heatlaser.solver, "build_sector_liouvillian", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         solved = exact_grid(fig2, grid, cutoffs)
-    assert batches == [grid[:16].tolist(), grid[17:].tolist()]
+    assert batches == [grid[:16].tolist(), grid[16:17].tolist(), grid[17:].tolist()]
+    assert assembled == [grid[:16].tolist(), grid[17:].tolist()]
     assert all(len(column) == len(grid) for column in solved[0].values())
     assert len(solved[1]) == len(solved[2]) == len(grid)
-    assert solved[2][16] == f"cutoff needs n_max = {MAX_N_MAX + 1} > {MAX_N_MAX}"
+    assert solved[2][16] == "cutoff n_max = 16031 is outside [1, 16030]"
     _assert_solo(fig2, grid, cutoffs, solved)
 
 
@@ -613,12 +622,12 @@ def test_exact_grid_is_solve_model_as_columns(seed, four, points):
     model = random_four_level(rng) if four else random_three_level(rng)
     grid = [*rng.uniform(0.01, 5.0, points).tolist(), 0.0, -1.0, 1.0]
     cutoffs = [_auto_cutoff(with_hot_occupation(model, n_h)) for n_h in grid[:-2]]
-    cutoffs += [3, MAX_N_MAX + 1]
+    cutoffs += [3, BATCH_RUNGS - 1]
     solved = exact_grid(model, grid, cutoffs)
     columns, rows, failures = solved
     assert failures[-2] == "hot bath occupation must be finite and >= 0, got -1.0"
     assert rows[-2] is None and all(math.isnan(columns[name][-2]) for name in EXACT_COLUMNS)
-    assert failures[-1] == f"cutoff needs n_max = {MAX_N_MAX + 1} > {MAX_N_MAX}"
+    assert failures[-1] == "cutoff n_max = 16031 is outside [1, 16030]"
     _assert_solo(model, grid, cutoffs, solved, points=[*range(points + 1), points + 2])
 
 
