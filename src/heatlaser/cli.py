@@ -1,5 +1,20 @@
 """Command-line front end: config-driven sweeps, distributions, thresholds.
 
+``heatlaser COMMAND --config CONFIG [--out OUT] [--format FORMAT]`` runs
+COMMAND, one of ``sweep``, ``distribution`` (which also needs ``--nh NH``
+and takes ``--wigner``) and ``thresholds``, on a config file or preset.
+Options come after the command, in any order, by their exact names (an
+abbreviation such as ``--conf`` is an unknown option), as ``--opt value`` or
+``--opt=value``; a repeated option keeps its last value, and a value that
+starts with ``--`` must use the ``=`` form.  ``-h`` or ``--help`` prints the
+help text and exits 0.  Any other argument error (a missing command, option
+or value, an unknown option or argument, a ``--format`` other than ``csv``,
+``json`` or ``both``, an ``--nh`` that is not a finite number >= 0) writes
+the usage text and ``heatlaser: error: ...`` to standard error and raises
+``SystemExit(2)``.  The parser is a table of each command's options
+(``COMMANDS``), not argparse, whose import and gettext lookups cost about
+2 ms, more than a tenth of a preset command.
+
 Configs are JSON objects with these blocks; numbers must be finite, and keys
 not listed (such as ``numerics.n_max`` of older configs) are ignored:
 
@@ -48,7 +63,6 @@ temperature.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -500,68 +514,126 @@ def cmd_thresholds(config: RunConfig, out_dir: Path) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+USAGE = """\
+usage: heatlaser sweep --config CONFIG [--out OUT] [--format {csv,json,both}]
+       heatlaser distribution --config CONFIG [--out OUT] [--format {csv,json,both}] --nh NH [--wigner]
+       heatlaser thresholds --config CONFIG [--out OUT] [--format {csv,json,both}]
+"""
+
+HELP = USAGE + """
+Single-atom heat-engine laser: sweeps, photon statistics, thresholds.
+
+commands:
+  sweep                     sweep n_h and tabulate gain and photon statistics
+  distribution              photon distribution at one n_h
+  thresholds                locate gain = kappa crossings
+
+options:
+  -h, --help                show this help message and exit
+  --config CONFIG           JSON config path, or a bundled preset name (fig2, fig5)
+  --out OUT                 output directory (default: .)
+  --format {csv,json,both}  override the config output format
+  --nh NH                   hot bath occupation (distribution only)
+  --wigner                  also write the Wigner function grid (distribution only)
+"""
+
+
 def _occupation(text: str) -> float:
-    # --nh: a finite hot bath occupation >= 0, or argparse exits 2
-    value = float(text)
+    # --nh: a finite hot bath occupation >= 0
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+        raise ValueError(f"must be a finite number >= 0, got {text!r}")
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="heatlaser",
-        description="Single-atom heat-engine laser: sweeps, photon statistics, thresholds.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _format(text: str) -> str:
+    if text not in ("csv", "json", "both"):
+        raise ValueError(f"invalid choice: {text!r} (choose from 'csv', 'json', 'both')")
+    return text
 
-    def common(p):
-        p.add_argument(
-            "--config",
-            required=True,
-            help="JSON config path, or a bundled preset name (fig2, fig5)",
-        )
-        p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument(
-            "--format",
-            choices=["csv", "json", "both"],
-            default=None,
-            help="override the config output format",
-        )
 
-    p_sweep = sub.add_parser("sweep", help="sweep n_h and tabulate gain and photon statistics")
-    common(p_sweep)
-    # sweeps run in one process; --jobs N is parsed and ignored because
-    # perfbench/run.py still passes it to every sweep workload
-    p_sweep.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
+# each command's options, each with the converter of its value (None for a
+# flag, which takes no value) and whether it is required.  Sweeps run in one
+# process: --jobs is accepted and ignored, and left out of the usage text,
+# because perfbench/run.py still passes it to every sweep workload
+_COMMON = {"--config": (str, True), "--out": (str, False), "--format": (_format, False)}
+COMMANDS = {
+    "sweep": {**_COMMON, "--jobs": (int, False)},
+    "distribution": {**_COMMON, "--nh": (_occupation, True), "--wigner": (None, False)},
+    "thresholds": _COMMON,
+}
 
-    p_dist = sub.add_parser("distribution", help="photon distribution at one n_h")
-    common(p_dist)
-    p_dist.add_argument("--nh", type=_occupation, required=True, help="hot bath occupation")
-    p_dist.add_argument(
-        "--wigner", action="store_true", help="also write the Wigner function grid"
-    )
 
-    p_thr = sub.add_parser("thresholds", help="locate gain = kappa crossings")
-    common(p_thr)
-    return parser
+def _argument_error(message: str):
+    sys.stderr.write(f"{USAGE}heatlaser: error: {message}\n")
+    raise SystemExit(2)
+
+
+def parse_args(argv) -> tuple[str, dict]:
+    """The command of ``argv`` and its option values, keyed by option name.
+
+    ``-h`` or ``--help`` anywhere prints the help text and exits 0.  Any other
+    argument error prints the usage text and the error and exits 2.
+    """
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(HELP)
+        raise SystemExit(0)
+    if not argv:
+        _argument_error("the following arguments are required: command")
+    if argv[0] not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        _argument_error(f"argument command: invalid choice: {argv[0]!r} (choose from {choices})")
+    options = COMMANDS[argv[0]]
+    values = {"--out": ".", "--format": None, "--wigner": False}
+    unknown = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, equals, text = token.partition("=")
+        if name not in options:
+            unknown.append(token)
+            continue
+        convert = options[name][0]
+        if convert is None:
+            if equals:
+                _argument_error(f"argument {name}: ignored explicit argument {text!r}")
+            values[name] = True
+            continue
+        if not equals:
+            text = next(tokens, None)
+            if text is None or text.startswith("--"):
+                _argument_error(f"argument {name}: expected one argument")
+        try:
+            values[name] = convert(text)
+        except ValueError as exc:
+            # int's own message names Python's literal syntax, not the option
+            reason = f"invalid int value: {text!r}" if convert is int else exc
+            _argument_error(f"argument {name}: {reason}")
+    missing = [name for name, (_, required) in options.items() if required and name not in values]
+    if missing:
+        _argument_error(f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        _argument_error(f"unrecognized arguments: {' '.join(unknown)}")
+    return argv[0], values
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    command, args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        config = load_config(args.config)
+        config = load_config(args["--config"])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out)
-    fmt = args.format or config.format
+    out_dir = Path(args["--out"])
+    fmt = args["--format"] or config.format
     try:
-        if args.command == "sweep":
+        if command == "sweep":
             return cmd_sweep(config, out_dir, fmt)
-        if args.command == "distribution":
-            return cmd_distribution(config, args.nh, out_dir, fmt, args.wigner)
-        if args.command == "thresholds":
+        if command == "distribution":
+            return cmd_distribution(config, args["--nh"], out_dir, fmt, args["--wigner"])
+        if command == "thresholds":
             return cmd_thresholds(config, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -56,7 +56,8 @@ def planck_occupation(omega: float, temperature: float) -> float:
     Returns
     -------
     float
-        1 / (exp(omega / temperature) - 1); exactly 0 at zero temperature.
+        1 / (exp(omega / temperature) - 1); exactly 0 at zero temperature,
+        and it underflows to 0 as the temperature falls to 0.
     """
     if not 0 < omega < math.inf:
         raise ValueError(f"omega must be finite and positive, got {omega}")
@@ -64,8 +65,11 @@ def planck_occupation(omega: float, temperature: float) -> float:
         raise ValueError(f"temperature must be finite and non-negative, got {temperature}")
     if temperature == 0:
         return 0.0
-    # expm1 keeps full precision for omega << temperature
-    return 1.0 / math.expm1(omega / temperature)
+    # exp(-x) / (1 - exp(-x)): expm1 keeps full precision for omega <<
+    # temperature, and past x = 709.78, where exp(x) would overflow, the
+    # numerator underflows to 0 instead
+    x = omega / temperature
+    return math.exp(-x) / -math.expm1(-x)
 
 
 class BathSpec(

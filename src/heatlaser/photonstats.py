@@ -55,6 +55,13 @@ SUPPORT_RUNGS = 1 << 16
 # at n_max 1000, or one at 16 030, peak near 15 MB traced (test_solver.py)
 BATCH_RUNGS = 16 * 1002
 
+# the largest condition number (X + Y) / mean of the closed-form mean
+# X - Y + Y P_0 (see distribution_moments).  It multiplies the relative error
+# of P_0, round-off and the cut row's missing tail near 1e-12, so up to it
+# the mean is good to about 1e-9.  Below threshold it can reach 1e31; past
+# it the moments are sums over the cut row.  No preset point passes 140
+MOMENT_COND = 1e3
+
 
 class TruncationError(RuntimeError):
     """Raised when a photon distribution does not fit the requested cutoff."""
@@ -346,7 +353,11 @@ def distribution_moments(
 
     P_0 is taken from the automatic-support :func:`steady_distribution`,
     or from ``distribution`` when a caller that already holds it passes it.
-    The peak is >= 0 exactly when the gain A - A_b reaches kappa.
+    The peak is >= 0 exactly when the gain A - A_b reaches kappa.  Where
+    the mean cancels, (X + Y) / mean > ``MOMENT_COND``, far below threshold,
+    the mean and variance are the sums over that distribution instead (on
+    cancellation see Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., section 1.7).
     """
     if coeffs.A == 0.0:
         return Moments(0.0, 0.0, 0.0, math.nan)
@@ -354,22 +365,37 @@ def distribution_moments(
         raise ValueError("saturation B must be positive when A > 0")
     if distribution is None:
         distribution = steady_distribution(coeffs)
-    p0 = distribution.probabilities[0]
-    moments = _moments(coeffs.A, coeffs.A_b, coeffs.B, coeffs.kappa, p0)
-    return Moments(*(float(value) for value in moments))
+    p = distribution.probabilities
+    mean, variance, peak, lossy = _moments(coeffs.A, coeffs.A_b, coeffs.B, coeffs.kappa, p[0])
+    if lossy:
+        mean, variance = _row_moments(p)
+    return Moments(float(mean), float(variance), float(peak), float(_fano(mean, variance)))
 
 
 def _moments(A, A_b, B, kappa, p0):
-    # mean, variance, peak and Fano factor of distribution_moments; the
-    # arguments may be arrays over chains with A > 0 and B > 0
+    # mean, variance and peak of distribution_moments, and whether the mean
+    # cancels past MOMENT_COND; the arguments may be arrays over chains with
+    # A > 0 and B > 0
     kb = kappa * B
     x = A * A / kb
     y = A * (kappa + A_b) / kb
     mean = x - y + y * p0
     variance = x - y * p0 * mean
     peak = (A / kb) * (A - A_b - kappa)
-    fano = np.divide(variance, mean, out=np.full(np.shape(mean), math.nan), where=mean > 0)
-    return mean, variance, peak, fano
+    lossy = x + y > MOMENT_COND * np.abs(mean)
+    return mean, variance, peak, lossy
+
+
+def _row_moments(p):
+    # mean and variance of the probabilities p of rungs 0, 1, ..., as sums
+    n = np.arange(p.size)
+    mean = n @ p
+    deviation = n - mean
+    return mean, (deviation * deviation) @ p
+
+
+def _fano(mean, variance):
+    return np.divide(variance, mean, out=np.full(np.shape(mean), math.nan), where=mean > 0)
 
 
 def output_power(model: EngineModel, mean_n: float) -> float:
@@ -449,9 +475,17 @@ def closed_form_grid(model: EngineModel, n_h: np.ndarray):
     # the pump off gives the moments (0, 0, nan)
     mean, variance, fano = np.zeros(size), np.zeros(size), np.full(size, math.nan)
     live = pumped & (B > 0.0) & ~failed
-    mean[live], variance[live], _, fano[live] = _moments(
+    lossy = np.zeros(size, dtype=bool)
+    mean[live], variance[live], _, lossy[live] = _moments(
         A[live], A_b[live], B[live], model.kappa, p0[live]
     )
+    for i in np.flatnonzero(lossy).tolist():
+        row = rows[i]
+        if row is None:  # too long to keep: cut it again, bit for bit
+            (p,) = _cut_distributions(A[i : i + 1], A_b[i : i + 1], B[i : i + 1], model.kappa)
+            row = p / p.sum()
+        mean[i], variance[i] = _row_moments(row)
+    fano[live] = _fano(mean[live], variance[live])
     # B underflowed to 0, or a negative mean: the point functions refuse these
     for i in np.flatnonzero(pumped & ~failed & ((B <= 0.0) | (mean < 0.0))).tolist():
         try:

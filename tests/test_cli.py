@@ -769,6 +769,75 @@ def test_exit_codes(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_help_names_every_command(capsys):
+    for argv in (["--help"], ["sweep", "--help"], ["distribution", "--config", "fig2", "-h"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: heatlaser sweep --config CONFIG")
+        assert all(command in out for command in ("sweep", "distribution", "thresholds"))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep"], "the following arguments are required: --config"),
+        (["distribution", "--config", "fig2"], "the following arguments are required: --nh"),
+        # an abbreviation is not its option
+        (["sweep", "--conf", "fig2"], "the following arguments are required: --config"),
+        (["sweep", "--config", "fig2", "--bogus"], "unrecognized arguments: --bogus"),
+        (["thresholds", "--config", "fig2", "extra"], "unrecognized arguments: extra"),
+        (
+            ["thresholds", "--config", "fig2", "--format", "xml"],
+            "argument --format: invalid choice: 'xml' (choose from 'csv', 'json', 'both')",
+        ),
+        (["sweep", "--config", "fig2", "--jobs=x"], "argument --jobs: invalid int value: 'x'"),
+        (["sweep", "--out", "elsewhere", "--config"], "argument --config: expected one argument"),
+        (["sweep", "--config", "--out", "elsewhere"], "argument --config: expected one argument"),
+        (["distribution", "--config", "fig2", "--nh", "2", "--wigner=1"],
+         "argument --wigner: ignored explicit argument '1'"),
+        (["plot", "--config", "fig2"], "argument command: invalid choice: 'plot'"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_argument_errors_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--out", str(out)] if argv else argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: heatlaser sweep --config CONFIG")
+    assert f"heatlaser: error: {message}" in err
+    assert not out.exists()
+
+
+def test_option_forms(tmp_path):
+    # --opt=value is --opt value, options come in any order, and a repeated
+    # option keeps its last value
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert main(["thresholds", "--config", "fig2", "--out", str(spaced)]) == 0
+    argv = ["thresholds", "--out", str(tmp_path / "first"), f"--out={joined}", "--config=fig2"]
+    assert main(argv) == 0
+    assert not (tmp_path / "first").exists()
+    for name in ("fig2_thresholds.csv", "fig2_meta.json"):
+        assert (joined / name).read_bytes() == (spaced / name).read_bytes()
+    # --jobs is still accepted, and ignored, by a sweep
+    path = write_config(tmp_path)
+    assert main(["sweep", "--config", str(path), "--jobs", "2", "--out", str(tmp_path / "a")]) == 0
+    assert main(["sweep", "--jobs=1", "--config", str(path), "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "case.csv").read_bytes() == (tmp_path / "b" / "case.csv").read_bytes()
+
+
+def test_cold_bath_runs_every_command(tmp_path):
+    # T_h = 0.002 at omega_h = 2 puts omega/T at 1000, where exp(omega/T)
+    # overflowed into a traceback; the occupation underflows to 0 instead
+    path = write_config(tmp_path, {"model.n_h": None, "model.T_h": 0.002})
+    assert load_config(path).model.n_h == 0.0
+    for command in (["sweep"], ["distribution", "--nh", "1"], ["thresholds"]):
+        assert main([*command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_small_kappa_fails_before_allocating(tmp_path, monkeypatch, capsys):
     # kappa = 1e-9 at the fig2 rates puts the rung where the ratio drops below
     # 1/2 near 1.6e10: the closed form, `distribution` and a sweep must refuse
@@ -834,28 +903,35 @@ def test_cli_import_skips_scipy_stats_and_optimize(tmp_path):
     # with its Wigner grid and a thresholds run all leave no scipy module
     # loaded.
     # Sweeps run in one process, even when --jobs asks for more: neither the
-    # CLI import nor a sweep loads a process pool or multiprocessing
+    # CLI import nor a sweep loads a process pool or multiprocessing.
+    # Arguments are parsed without argparse, whose gettext lookups import
+    # locale: neither the import nor any command loads those three
     env = dict(os.environ, PYTHONPATH=str(Path(heatlaser.__file__).parents[1]))
     probe = (
         "import sys\n"
         "def loaded(prefix): return sorted(m for m in sys.modules if m.startswith(prefix))\n"
         "import heatlaser\n"
         "print(loaded('scipy'))\n"
+        "parsing = ('argparse', 'gettext', 'locale')\n"
         "import heatlaser.cli\n"
         "print(loaded(('scipy.stats', 'scipy.optimize')))\n"
         "print(loaded('scipy'))\n"
         "pool = ('concurrent.futures.process', 'multiprocessing')\n"
         "print(loaded(pool))\n"
+        "print(loaded(parsing))\n"
         "out = sys.argv[1]\n"
         "assert heatlaser.cli.main(['sweep', '--config', 'fig2', '--jobs', '2', '--out', out]) == 0\n"
         "print(loaded('scipy'))\n"
         "print(loaded(pool))\n"
+        "print(loaded(parsing))\n"
         "argv = ['distribution', '--config', 'fig2', '--nh', '2', '--wigner', '--out', out]\n"
         "assert heatlaser.cli.main(argv) == 0\n"
         "print(loaded('scipy'))\n"
+        "print(loaded(parsing))\n"
         "argv = ['thresholds', '--config', 'fig2', '--out', out]\n"
         "assert heatlaser.cli.main(argv) == 0\n"
         "print(loaded('scipy'))\n"
+        "print(loaded(parsing))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe, str(tmp_path)],
@@ -865,8 +941,8 @@ def test_cli_import_skips_scipy_stats_and_optimize(tmp_path):
         check=True,
     )
     lines = [line for line in out.stdout.splitlines() if not line.startswith("wrote ")]
-    assert lines.pop(-2) == "thresholds (n_h where gain = kappa): 0.1872, 8.647"
-    assert lines == ["[]"] * 8
+    assert lines.pop(-3) == "thresholds (n_h where gain = kappa): 0.1872, 8.647"
+    assert lines == ["[]"] * 12
     assert (tmp_path / "fig2.csv").exists() and (tmp_path / "fig2_wigner.csv").exists()
     assert (tmp_path / "fig2_thresholds.csv").exists()
 

@@ -36,6 +36,15 @@ def test_planck_small_argument_series():
     assert got == pytest.approx(1e3 - 0.5, abs=1e-3)
 
 
+def test_planck_cold_bath_underflows_to_zero():
+    # past omega/T = 709.78 exp(omega/T) overflowed; exp(-x) / (1 - exp(-x))
+    # falls through the subnormals to 0 instead, as at T = 0
+    assert planck_occupation(1.0, 1.0 / 700.0) == pytest.approx(math.exp(-700.0), rel=1e-15)
+    assert 0.0 < planck_occupation(1.0, 1.0 / 709.79) < 1e-307
+    assert planck_occupation(2.0, 0.002) == 0.0
+    assert BathSpec.thermal(1.0, 2.0, 0.002).occupation == 0.0
+
+
 def test_planck_rejects_bad_arguments():
     with pytest.raises(ValueError):
         planck_occupation(0.0, 1.0)

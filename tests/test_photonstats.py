@@ -446,3 +446,42 @@ def test_grid_matches_point_functions_on_random_engines(seed, four, log_kappa, p
     model = model._replace(kappa=10.0**log_kappa)
     n_h = np.sort(rng.uniform(0.01, 5.0, points))
     assert_grid_matches_points(model, n_h)
+
+
+def test_moments_far_below_threshold_are_sums_over_the_row(monkeypatch):
+    # X and Y near 1e16 and a mean near 4e-15: X - Y + Y P_0 cancelled to
+    # means of 4 and 8 and variances near -1e17.  There the mean and variance
+    # are the sums over the cut row, in the grid and at a point alike
+    model = build_three_level(BathSpec(3141.0, 1.0), BathSpec(1731.0, 457.0), 0.0012, 424.0)
+    grid = np.array([64.69, 162.5])
+    columns, _, rows, _ = closed_form_grid(model, grid)
+    for k, n_h in enumerate(grid.tolist()):
+        n = np.arange(rows[k].size)
+        mean = n @ rows[k]
+        variance = ((n - mean) * (n - mean)) @ rows[k]
+        assert 0.0 < mean < 1e-14
+        assert (columns["mean_analytic"][k], columns["variance_analytic"][k]) == (mean, variance)
+        assert columns["fano_analytic"][k] == variance / mean
+        moments = distribution_moments(scully_lamb_coefficients(with_hot_occupation(model, n_h)))
+        assert (moments.mean, moments.variance) == (mean, variance)
+    # a row too long to keep is cut again, bit for bit the same
+    monkeypatch.setattr(photonstats, "BATCH_RUNGS", 2)
+    again, _, rows, _ = closed_form_grid(model, grid)
+    assert rows == [None, None]
+    assert again == columns
+
+
+def test_preset_moments_keep_the_closed_form():
+    # every preset point is far from cancelling, so its moments stay the
+    # X / Y formulas, not the sums over its row
+    for name in ("fig2", "fig5", BRIGHT):
+        config = load_config(name)
+        grid = config.sweep.values()
+        sc = photonstats._structure(config.model, grid)
+        A, A_b, B = photonstats._coefficients(config.model, sc, grid)
+        columns, _, rows, _ = closed_form_grid(config.model, grid)
+        p0 = np.array([row[0] for row in rows])
+        mean, variance, _, lossy = photonstats._moments(A, A_b, B, config.model.kappa, p0)
+        assert not lossy.any()
+        assert columns["mean_analytic"] == mean.tolist()
+        assert columns["variance_analytic"] == variance.tolist()
