@@ -59,7 +59,8 @@ BATCH_RUNGS = 16 * 1002
 # X - Y + Y P_0 (see distribution_moments).  It multiplies the relative error
 # of P_0, round-off and the cut row's missing tail near 1e-12, so up to it
 # the mean is good to about 1e-9.  Below threshold it can reach 1e31; past
-# it the moments are sums over the cut row.  No preset point passes 140
+# it the moments are sums over the cut row.  Over each preset grid's range
+# it stays below 40
 MOMENT_COND = 1e3
 
 
