@@ -12,8 +12,8 @@ or value, an unknown option or argument, a ``--format`` other than ``csv``,
 ``json`` or ``both``, an ``--nh`` that is not a finite number >= 0) writes
 the usage text and ``heatlaser: error: ...`` to standard error and raises
 ``SystemExit(2)``.  The parser is a table of each command's options
-(``COMMANDS``), not argparse, whose import and gettext lookups cost about
-2 ms, more than a tenth of a preset command.
+(``COMMANDS``): the standard library's parser, with its import and gettext
+lookups, cost about 2 ms, more than a tenth of a preset command.
 
 Configs are JSON objects with these blocks; numbers must be finite, and keys
 not listed (such as ``numerics.n_max`` of older configs) are ignored:
