@@ -3,6 +3,7 @@
 ``heatlaser COMMAND --config CONFIG [--out OUT] [--format FORMAT]`` runs
 COMMAND, one of ``sweep``, ``distribution`` (which also needs ``--nh NH``
 and takes ``--wigner``) and ``thresholds``, on a config file or preset.
+``thresholds`` writes CSV only and takes no ``--format``.
 Options come after the command, in any order, by their exact names (an
 abbreviation such as ``--conf`` is an unknown option), as ``--opt value`` or
 ``--opt=value``; a repeated option keeps its last value, and a value that
@@ -517,7 +518,7 @@ def cmd_thresholds(config: RunConfig, out_dir: Path) -> int:
 USAGE = """\
 usage: heatlaser sweep --config CONFIG [--out OUT] [--format {csv,json,both}]
        heatlaser distribution --config CONFIG [--out OUT] [--format {csv,json,both}] --nh NH [--wigner]
-       heatlaser thresholds --config CONFIG [--out OUT] [--format {csv,json,both}]
+       heatlaser thresholds --config CONFIG [--out OUT]
 """
 
 HELP = USAGE + """
@@ -532,7 +533,7 @@ options:
   -h, --help                show this help message and exit
   --config CONFIG           JSON config path, or a bundled preset name (fig2, fig5)
   --out OUT                 output directory (default: .)
-  --format {csv,json,both}  override the config output format
+  --format {csv,json,both}  override the config output format (not thresholds)
   --nh NH                   hot bath occupation (distribution only)
   --wigner                  also write the Wigner function grid (distribution only)
 """
@@ -558,11 +559,13 @@ def _format(text: str) -> str:
 # each command's options, each with the converter of its value (None for a
 # flag, which takes no value) and whether it is required.  Sweeps run in one
 # process: --jobs is accepted and ignored, and left out of the usage text,
-# because perfbench/run.py still passes it to every sweep workload
-_COMMON = {"--config": (str, True), "--out": (str, False), "--format": (_format, False)}
+# because perfbench/run.py still passes it to every sweep workload.
+# thresholds writes CSV only, so it takes no --format
+_COMMON = {"--config": (str, True), "--out": (str, False)}
+_OUTPUT = {**_COMMON, "--format": (_format, False)}
 COMMANDS = {
-    "sweep": {**_COMMON, "--jobs": (int, False)},
-    "distribution": {**_COMMON, "--nh": (_occupation, True), "--wigner": (None, False)},
+    "sweep": {**_OUTPUT, "--jobs": (int, False)},
+    "distribution": {**_OUTPUT, "--nh": (_occupation, True), "--wigner": (None, False)},
     "thresholds": _COMMON,
 }
 

@@ -17,7 +17,6 @@ closed forms.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 
@@ -91,7 +90,9 @@ class PhotonDistribution:
     """Normalized photon-number distribution P_0 .. P_Nmax.
 
     ``probabilities`` is a read-only array: the vector it is built from,
-    clipped at 0 and normalised.
+    which must sum to 1 within 1e-9, clipped at 0 and divided by its sum,
+    the one normalisation after the closed form's cut or the exact solve.
+    ``mean`` and ``variance`` are the sums of ``_row_moments``.
     """
 
     def __init__(self, probabilities: np.ndarray):
@@ -107,19 +108,11 @@ class PhotonDistribution:
         p = p / p.sum()
         p.flags.writeable = False
         self.probabilities = p
+        self.mean, self.variance = map(float, _row_moments(p))
 
     @property
     def n_max(self) -> int:
         return self.probabilities.size - 1
-
-    @functools.cached_property
-    def mean(self) -> float:
-        return float(np.arange(self.probabilities.size) @ self.probabilities)
-
-    @property
-    def variance(self) -> float:
-        n = np.arange(self.probabilities.size)
-        return float((n * n) @ self.probabilities - self.mean**2)
 
     @property
     def peak_index(self) -> int:
@@ -242,7 +235,7 @@ def _runs(sizes, budget):
 
 def _cut_stack(A, A_b, B, kappa, sizes):
     # one stack of _cut_distributions: each row cut at the first rung past its
-    # peak where P_n < 1e-12 and renormalised
+    # peak where P_n < 1e-12, and left for its one normalisation after the cut
     fits = sizes > 0
     cut = iter(())
     if fits.any():
@@ -250,7 +243,7 @@ def _cut_stack(A, A_b, B, kappa, sizes):
         peak = p.argmax(axis=1)
         past = np.arange(p.shape[1]) >= peak[:, np.newaxis]
         ends = np.argmax(past & (p < 1e-12), axis=1) + 1
-        cut = iter([row[:end] / row[:end].sum() for row, end in zip(p, ends.tolist())])
+        cut = iter([row[:end] for row, end in zip(p, ends.tolist())])
     for ok in fits.tolist():
         yield next(cut) if ok else TruncationError("distribution support exceeds 1e6 photons")
 
@@ -446,8 +439,8 @@ def closed_form_grid(model: EngineModel, n_h: np.ndarray):
     hot-bath rates, so each formula is one array expression over the grid,
     and the distributions come from the stacks of ``_cut_distributions``,
     bounded by ``SUPPORT_RUNGS``.  Per point remain the reductions of each
-    row over its own support and the normalisation of
-    :class:`PhotonDistribution`, repeated here.
+    row over its own support and the one normalisation of
+    :class:`PhotonDistribution` after the cut, repeated here.
     """
     n_h = np.asarray(n_h, dtype=float)
     size = n_h.size

@@ -91,29 +91,25 @@ def zero_field_populations(model: EngineModel) -> np.ndarray:
     """Steady atomic populations with the cavity decoupled (g = 0).
 
     Returns the normalized populations ordered (g, e1, e2) or
-    (g, e1, e2, e3).  The three-level case uses the detailed-balance ratios
-    1 : nc/(nc+1) : nh/(nh+1); the four-level case takes the kernel of the
-    classical rate matrix from its singular value decomposition, counting
-    singular values up to 4 eps times the largest as zero (the rank rule of
-    ``scipy.linalg.null_space``).
+    (g, e1, e2, e3).  Each bath drives one pair of levels and the pairs form
+    a tree, so the steady state balances each pair, upper : lower =
+    n : n + 1 at the bath's occupation n.  The weights of that balance sum
+    to Phi (:func:`structure_constants`).  A zero bath rate, which cuts a
+    level off, raises ValueError, as does Phi = 0: a four-level atom with
+    n_h = n_a = 0 has two closed classes, {g, e1} and the dark e2.
     """
-    if model.kind == THREE_LEVEL:
-        nh, nc = model.n_h, model.n_c
-        weights = np.array([1.0, nc / (nc + 1.0), nh / (nh + 1.0)])
-        return weights / weights.sum()
-    rates = _classical_rate_matrix(model)
-    _, singular, vh = np.linalg.svd(rates)
-    rank = int(np.sum(singular > rates.shape[0] * np.finfo(float).eps * singular[0]))
-    if rank != rates.shape[0] - 1:
+    phi = _structure(model, model.n_h).Phi  # raises on a zero bath rate
+    if phi == 0:
         raise ValueError(
-            "degenerate rate network: the g=0 steady state is not unique "
-            f"(kernel dimension {rates.shape[0] - rank})"
+            "degenerate rate network: the g=0 steady state is not unique (kernel dimension 2)"
         )
-    pops = vh[-1].real
-    pops = pops / pops.sum()
-    if pops.min() < -1e-12:
-        raise ValueError(f"rate-matrix kernel produced negative population {pops.min()}")
-    return np.clip(pops, 0.0, None) / np.clip(pops, 0.0, None).sum()
+    nh, nc = model.n_h, model.n_c
+    # g, e1 and the upper level of the hot pair, e2 or e3
+    weights = [(nh + 1) * (nc + 1), (nh + 1) * nc, nh * (nc + 1)]
+    if model.kind != THREE_LEVEL:  # the ancilla pair e2 <-> e3 splits the hot weight
+        ground, cold, hot, na = *weights, model.n_a
+        weights = [ground * na, cold * na, hot * (na + 1), hot * na]
+    return np.array(weights) / phi
 
 
 def population_inversion(model: EngineModel, field_intensity: float = 0.0) -> float:

@@ -7,15 +7,19 @@ layout, those unknowns by rung and slot (:class:`BlockState`), with its
 photon distribution, in O(n_max) memory and time; :func:`exact_grid`
 does so for one engine over a grid of hot-bath occupations n_h, one
 stacked sweep per batch, each point in its own layout and over its own
-rungs, and returns the columns of a sweep.  Both solve a point at a
-cutoff 1 <= n_max <= 16 030, which fills one batch of ``BATCH_RUNGS``
-rung-points alone, in 0.33-0.36 s.  They are the independent check on
-the closed-form theory in :mod:`heatlaser.photonstats`.  The dense
-(A F)^2 :func:`steady_state`, :func:`partial_trace_atom` and
+rungs, and returns the columns of a sweep.  Both finish a point alike
+from the one result per point of a batch, its P_n clipped at 0: they warn
+its tail, divide it by its sum once, and take its moments from
+``photonstats._row_moments``.  Both solve a point at a cutoff
+1 <= n_max <= 16 030, which fills one batch of ``BATCH_RUNGS`` rung-points
+alone, in 0.33-0.36 s.  They are the independent check on the
+closed-form theory in :mod:`heatlaser.photonstats`.  The dense (A F)^2
+:func:`steady_state`, :func:`partial_trace_atom` and
 :func:`photon_distribution` are the full-space references (the first
-imports scipy when called).  :func:`wigner` maps a photon distribution to
-phase space, by default on 101 x 101 points over [-h, h]^2 with
-h = max(4, 1.2 sqrt(<n> + 1)), so a bright state's ring stays on the grid.
+imports scipy when called; the last needs a unit-trace state).
+:func:`wigner` maps a photon distribution to phase space, by default on
+101 x 101 points over [-h, h]^2 with h = max(4, 1.2 sqrt(<n> + 1)), so a
+bright state's ring stays on the grid.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .photonstats import (
     BATCH_RUNGS,
     PhotonDistribution,
     TruncationError,
+    _row_moments,
     _runs,
     scully_lamb_coefficients,
     steady_distribution,
@@ -155,23 +160,20 @@ def photon_distribution(
 ) -> PhotonDistribution:
     """Photon-number distribution of the cavity, P_n = <n| tr_atom rho |n>.
 
-    Tiny negative diagonal entries from round-off are clipped; the vector is
-    renormalized.  Warns when the truncation rung still carries more than
-    ``tail_tol`` probability.
+    ``rho`` must have unit trace: tiny negative diagonal entries from
+    round-off are clipped, and :class:`PhotonDistribution` normalises the
+    rest once, or raises ``ValueError`` if they miss 1 by more than 1e-9.
+    Warns when the truncation rung holds more than ``tail_tol``.
     """
-    reduced = partial_trace_atom(rho, space)
-    p = np.clip(np.real(np.diag(reduced)), 0.0, None)
-    total = p.sum()
-    if total <= 0:
-        raise ValueError("state carries no photon-number probability")
-    p = p / total
-    if p[-1] >= tail_tol:
+    p = np.clip(np.real(np.diag(partial_trace_atom(rho, space))), 0.0, None)
+    distribution = PhotonDistribution(p)
+    tail = distribution.probabilities[-1]
+    if tail >= tail_tol:
         warnings.warn(
-            f"truncation rung holds P[{space.n_max}] = {p[-1]:.3e}; "
-            "increase the Fock cutoff",
+            f"truncation rung holds P[{space.n_max}] = {tail:.3e}; increase the Fock cutoff",
             stacklevel=2,
         )
-    return PhotonDistribution(p)
+    return distribution
 
 
 def wigner(
@@ -344,16 +346,22 @@ def _sweep_points(system, rhs, rungs):
     return x, errors
 
 
-def _solve_batch(model, n_h, n_maxes, tol):
-    """One batch of points, solved: ``(outcomes, row, x, p, residuals)``.
+def _warn_tail(p):
+    # warn when a point's tail P[n_max] passes 1e-8, pointing at the line
+    # that called solve_model or exact_grid
+    if p[-1] > 1e-8:
+        warnings.warn(f"tail P[{p.size - 1}] = {p[-1]:.3e} above 1e-8", stacklevel=3)
 
-    ``outcomes`` holds per point, in the order of ``n_h``, the error it
-    raised or, when its steady state passed, its cutoff.  ``row`` maps each
-    point that passed to its row of the stacked arrays: the unit-trace
-    solutions ``x`` in rung layout, the residuals, and the photon
-    distributions ``p``, zero past each point's cutoff and normalised once,
-    as ``p / p.sum()``.  The tail warnings fire here, in the order of
-    ``n_h``.
+
+def _solve_batch(model, n_h, n_maxes, tol):
+    """One batch of points, solved: ``(errors, rows, residuals, x)``.
+
+    ``errors``, ``rows`` and ``residuals`` hold per point, in the order of
+    ``n_h``, the error it raised or None, and where it passed its photon
+    distribution P_0 .. P_n_max, clipped at 0 but not normalised, and its
+    residual (else None).  ``x`` stacks the unit-trace solutions in rung
+    layout of the points that were swept, in ascending order of cutoff, so
+    that of a batch of one is ``x[0]``; it is None when no point was swept.
 
     The live points are assembled in one call and swept in one stacked
     rung sweep, in ascending order of cutoff, each n_h with its own: each
@@ -362,30 +370,30 @@ def _solve_batch(model, n_h, n_maxes, tol):
     levels are one stacked reachability pass, and the residuals, their
     scales and the photon distributions a few array operations over the
     stacked solution.  Per point remain the checks of its n_h and cutoff,
-    and two sums over its own rungs, since numpy's pairwise sum groups the
-    terms of a padded row otherwise: its trace, a masked sum, and that of
-    its P_n.
+    and its trace, a masked sum over its own rungs, since numpy's pairwise
+    sum groups the terms of a padded row otherwise.
     """
-    n_h, outcomes = np.asarray(n_h, dtype=float), []
-    # a point's pinned level, or the first error of its n_h, cutoff or classes
-    for occupation, n_max, outcome in zip(n_h.tolist(), n_maxes, _pinned_levels(model, n_h)):
+    n_h, errors = np.asarray(n_h, dtype=float), []
+    pins = _pinned_levels(model, n_h)
+    # a point's first error of its n_h, cutoff or closed classes
+    for occupation, n_max, pin in zip(n_h.tolist(), n_maxes, pins):
         if not 0 <= occupation < math.inf:
-            outcome = ValueError(f"hot bath occupation must be finite and >= 0, got {occupation}")
+            pin = ValueError(f"hot bath occupation must be finite and >= 0, got {occupation}")
         elif not 1 <= n_max <= BATCH_RUNGS - 2:
-            outcome = TruncationError(f"cutoff n_max = {n_max} is outside [1, {BATCH_RUNGS - 2}]")
-        outcomes.append(outcome if isinstance(outcome, Exception) else (n_max, outcome))
-    live = [k for k, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
+            pin = TruncationError(f"cutoff n_max = {n_max} is outside [1, {BATCH_RUNGS - 2}]")
+        errors.append(pin if isinstance(pin, Exception) else None)
+    rows, residuals = [None] * len(errors), [None] * len(errors)
+    live = sorted((k for k, error in enumerate(errors) if error is None), key=n_maxes.__getitem__)
     if not live:
-        return outcomes, {}, None, None, []
-    live.sort(key=n_maxes.__getitem__)
-    cutoffs, pinned = map(list, zip(*(outcomes[k] for k in live)))
+        return errors, rows, residuals, None
+    cutoffs = [n_maxes[k] for k in live]
     bands, inside = build_sector_liouvillian(model, n_h[live], cutoffs)
     # the pinned population's equation becomes x = 1, and that of every slot
     # outside the point's block x = 0: its row and column are already 0, so
     # it needs only a unit diagonal.  Both are set in place, and undone for
     # the residual and its scale once the sweep has returned, the failed
     # points' included; only the pinned rows are saved
-    pinned = np.array(pinned)
+    pinned = np.array([pins[k] for k in live])
     point, rung, slot = np.arange(len(live)), RUNG_SHIFT[pinned], SLOT_OF[pinned, pinned]
     rhs = np.zeros(inside.shape)
     rhs[point, rung, slot] = 1.0
@@ -394,14 +402,14 @@ def _solve_batch(model, n_h, n_maxes, tol):
     bands[point, rung, 1, slot, slot] = 1.0
     diagonal = np.einsum("prss->prs", bands[:, :, 1])  # a view
     np.copyto(diagonal, 1.0, where=~inside)
-    x, errors = _sweep_points(bands, rhs, [n_max + 2 for n_max in cutoffs])
+    x, swept = _sweep_points(bands, rhs, [n_max + 2 for n_max in cutoffs])
     np.copyto(diagonal, 0.0, where=~inside)
     bands[point, rung, :, slot] = saved
 
     width = x.shape[-1]
     populations = inside & np.equal(*RUNG_SLOTS[:width].T)
     x /= np.array([x[j][populations[j]].sum() for j in point.tolist()])[:, np.newaxis, np.newaxis]
-    residuals = np.abs(_apply_bands(bands, x)).max(axis=(1, 2)).tolist()
+    defects = np.abs(_apply_bands(bands, x)).max(axis=(1, 2)).tolist()
     # max|bands| per point, without an |bands| temporary
     scales = np.maximum(bands.max(axis=1), -bands.min(axis=1)) * _HALVED[:width, :width]
     scales = scales.max(axis=(1, 2, 3)).tolist()
@@ -411,57 +419,11 @@ def _solve_batch(model, n_h, n_maxes, tol):
     depth = x.shape[1] - 1
     p = sum(x[:, RUNG_SHIFT[l] : depth + RUNG_SHIFT[l], SLOT_OF[l, l]] for l in range(width - 1))
     p = np.clip(p, 0.0, None)
-    row = {}
-    for j, (k, error) in enumerate(zip(live, errors)):
-        error = error or _stall(residuals[j], scales[j], tol)
-        if error is None:
-            row[k] = j
-        outcomes[k] = error or cutoffs[j]
-    # in point order, pointing at the line that called solve_model or
-    # exact_grid
-    for k in sorted(row):
-        n_max = outcomes[k]
-        if p[row[k], n_max] > 1e-8:
-            warnings.warn(f"tail P[{n_max}] = {p[row[k], n_max]:.3e} above 1e-8", stacklevel=3)
-    passed = list(row.values())
-    p[passed] /= np.array([p[j, : cutoffs[j] + 1].sum() for j in passed])[:, np.newaxis]
-    return outcomes, row, x, p, residuals
-
-
-def _grid_columns(outcomes, row, x, p, residuals):
-    """A solved batch (``_solve_batch``) as :func:`exact_grid` returns it.
-
-    The columns are array operations over the rows that passed, but for
-    the reductions over each point's own P_n: the second normalisation,
-    ``arange @ p`` and ``arange**2 @ p``, whose sums group their terms by
-    the row's length, and ``mean**2``, Python's ``pow``, which rounds apart
-    from numpy's square in about one case of a thousand.
-    """
-    size = len(outcomes)
-    failures = [str(outcome) if isinstance(outcome, Exception) else None for outcome in outcomes]
-    columns = {name: np.full(size, math.nan) for name in EXACT_COLUMNS}
-    rows = [None] * size
-    if row:
-        points, at = list(row), list(row.values())
-        focks = [outcomes[k] + 1 for k in points]
-        q = p[at]
-        q /= np.array([q_k[:fock].sum() for q_k, fock in zip(q, focks)])[:, np.newaxis]
-        numbers = np.arange(q.shape[1], dtype=float)
-        squares = numbers * numbers
-        mean, variance = [], []
-        for k, q_k, fock in zip(points, q, focks):
-            rows[k] = q_k = q_k[:fock]
-            mean.append(float(numbers[:fock] @ q_k))
-            variance.append(float(squares[:fock] @ q_k) - mean[-1] ** 2)
-        mean, variance = np.array(mean), np.array(variance)
-        columns["mean_numeric"][points] = mean
-        columns["variance_numeric"][points] = variance
-        columns["fano_numeric"][points] = np.divide(
-            variance, mean, out=np.full(len(points), math.nan), where=mean > 0
-        )
-        columns["tail"][points] = q[np.arange(len(points)), np.array(focks) - 1]
-        columns["residual"][points] = np.array(residuals)[at]
-    return {name: column.tolist() for name, column in columns.items()}, rows, failures
+    for j, (k, error) in enumerate(zip(live, swept)):
+        errors[k] = error or _stall(defects[j], scales[j], tol)
+        if errors[k] is None:
+            rows[k], residuals[k] = p[j, : cutoffs[j] + 1], defects[j]
+    return errors, rows, residuals, x
 
 
 # the columns of exact_grid, named as a sweep record names them
@@ -509,18 +471,27 @@ def exact_grid(
       :class:`TruncationError`, :class:`SteadyStateError` or ``ValueError``
       of the point, so that one point's failure stays its own.
 
-    Every value equals, bit for bit, what the :class:`PhotonDistribution`
-    and the residual of the :class:`BlockState` of :func:`solve_model` give
-    for that point; no distribution object or state is built.
+    A point that passed is finished as :func:`solve_model` finishes it: its
+    tail warning, in point order, its P_n divided by its sum once into a row
+    of its own, and its moments from ``_row_moments``.  So every value
+    equals, bit for bit, what :func:`solve_model` gives for that point; no
+    distribution object or state is built.
     """
     columns, rows, failures = {name: [] for name in EXACT_COLUMNS}, [], []
     for start, end in _runs([n_max + 2 for n_max in n_maxes], BATCH_RUNGS):
         batch = _solve_batch(model, n_h[start:end], n_maxes[start:end], tol)
-        batch_columns, batch_rows, batch_failures = _grid_columns(*batch)
-        for name, values in batch_columns.items():
-            columns[name] += values
-        rows += batch_rows
-        failures += batch_failures
+        for error, p, residual in zip(*batch[:3]):
+            q, values = None, [math.nan] * len(EXACT_COLUMNS)
+            if error is None:
+                _warn_tail(p)
+                q = p / p.sum()
+                mean, variance = map(float, _row_moments(q))
+                fano = variance / mean if mean > 0 else math.nan
+                values = [mean, variance, fano, float(q[-1]), residual]
+            failures.append(None if error is None else str(error))
+            rows.append(q)
+            for name, value in zip(EXACT_COLUMNS, values):
+                columns[name].append(value)
     return columns, rows, failures
 
 
@@ -558,15 +529,15 @@ def solve_model(
     [1, 16 030] (n_max + 2 > ``BATCH_RUNGS``), automatic or explicit, raises
     :class:`TruncationError` before any assembly.  The state takes O(n_max)
     memory and time, 0.33-0.36 s at 16 030 (see :func:`exact_grid`).  A
-    warning is raised if the exact P[n_max] exceeds 1e-8.
+    warning is raised if the exact P[n_max] exceeds 1e-8, before
+    :class:`PhotonDistribution` normalises it, once.
     """
     if n_max is None:
         n_max = steady_distribution(scully_lamb_coefficients(model)).n_max
-    (outcome,), _, x, p, residuals = _solve_batch(model, [model.n_h], [n_max], tol)
-    if isinstance(outcome, Exception):
-        raise outcome
+    (error,), (p,), (residual,), x = _solve_batch(model, [model.n_h], [n_max], tol)
+    if error is not None:
+        raise error
+    _warn_tail(p)
     return HilbertSpace.for_model(model, n_max), BlockState(
-        x[0, : n_max + 2, : model.atom_dim + 1].copy(),
-        PhotonDistribution(p[0, : n_max + 1]),
-        residuals[0],
+        x[0, : n_max + 2, : model.atom_dim + 1].copy(), PhotonDistribution(p), residual
     )

@@ -789,7 +789,7 @@ def test_help_names_every_command(capsys):
         (["sweep", "--config", "fig2", "--bogus"], "unrecognized arguments: --bogus"),
         (["thresholds", "--config", "fig2", "extra"], "unrecognized arguments: extra"),
         (
-            ["thresholds", "--config", "fig2", "--format", "xml"],
+            ["sweep", "--config", "fig2", "--format", "xml"],
             "argument --format: invalid choice: 'xml' (choose from 'csv', 'json', 'both')",
         ),
         (["sweep", "--config", "fig2", "--jobs=x"], "argument --jobs: invalid int value: 'x'"),
@@ -799,6 +799,9 @@ def test_help_names_every_command(capsys):
          "argument --wigner: ignored explicit argument '1'"),
         (["plot", "--config", "fig2"], "argument command: invalid choice: 'plot'"),
         ([], "the following arguments are required: command"),
+        # thresholds writes CSV only: a format it would ignore is refused
+        (["thresholds", "--config", "fig2", "--format", "json"],
+         "unrecognized arguments: --format json"),
     ],
 )
 def test_argument_errors_exit_2(tmp_path, capsys, argv, message):

@@ -60,7 +60,7 @@ def argvs(draw):
     """
     command = draw(st.sampled_from(["sweep", "distribution", "thresholds"]))
     options = [["--config", "@config"]]
-    if draw(st.booleans()):
+    if command != "thresholds" and draw(st.booleans()):  # thresholds writes CSV only
         options.append(["--format", draw(st.sampled_from(["csv", "json", "both", "xml"]))])
     if command == "distribution":
         if draw(st.booleans()):

@@ -136,6 +136,26 @@ def test_zero_field_populations_reject_degenerate_network():
         zero_field_populations(model)
 
 
+@pytest.mark.parametrize(
+    "make, bath",
+    [
+        (make_fig2_model, "hot"),
+        (make_fig2_model, "cold"),
+        (make_fig5_model, "hot"),
+        (make_fig5_model, "cold"),
+        (make_fig5_model, "ancilla"),
+    ],
+)
+def test_zero_field_populations_reject_a_zero_bath_rate(make, bath):
+    # a bath of rate 0 cuts its upper level off, so the g = 0 steady state is
+    # not unique; the three-level engine used to return populations anyway
+    model = make()
+    model = model._replace(**{bath: getattr(model, bath)._replace(gamma=0.0)})
+    name = {"hot": "gamma_h", "cold": "gamma_c", "ancilla": "gamma_a"}[bath]
+    with pytest.raises(ValueError, match=f"degenerate engine rates: {name} is 0"):
+        zero_field_populations(model)
+
+
 def test_four_level_inversion_matches_populations(rng):
     for _ in range(25):
         model = random_four_level(rng)

@@ -587,6 +587,46 @@ def test_exact_grid_keeps_order_across_batches(monkeypatch):
     _assert_solo(fig2, grid, cutoffs, solved)
 
 
+def test_exact_grid_warns_and_keeps_rows_per_point(monkeypatch):
+    # two batches: a point at n_max 3 and 15 at n_max 1000 fill the first,
+    # and the second holds two points at small cutoffs around an invalid n_h.
+    # Every point that passes at a small cutoff warns of its tail, from
+    # exact_grid and in point order, and the solver's batches warn nothing
+    fig2 = make_fig2_model()
+    grid = [1.0, *np.linspace(0.5, 3.0, 15).tolist(), 3.0, -1.0, 2.0]
+    cutoffs = [3] + [1000] * 15 + [5, 5, 4]
+    batches = []
+    solve_batch = heatlaser.solver._solve_batch
+
+    def quiet_batch(model, n_h, n_maxes, tol):
+        with warnings.catch_warnings(record=True) as inside:
+            warnings.simplefilter("always")
+            solved = solve_batch(model, n_h, n_maxes, tol)
+        assert inside == []
+        batches.append(list(n_h))
+        return solved
+
+    monkeypatch.setattr(heatlaser.solver, "_solve_batch", quiet_batch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solved = exact_grid(fig2, grid, cutoffs)
+    assert batches == [grid[:16], grid[16:]]
+    assert [str(w.message).split(" = ")[0] for w in caught] == [
+        "tail P[3]", "tail P[5]", "tail P[4]"
+    ]
+    assert all(w.filename == __file__ for w in caught)
+    columns, rows, failures = solved
+    assert failures[17] == "hot bath occupation must be finite and >= 0, got -1.0"
+    for k, (row, n_max) in enumerate(zip(rows, cutoffs)):
+        if k == 17:
+            assert row is None
+            continue
+        # its own array, not a view of the batch's padded P_n
+        assert row.size == n_max + 1 and row.flags.owndata and row.base is None
+        assert columns["tail"][k] == row[-1]
+    _assert_solo(fig2, grid, cutoffs, solved, points=[*range(17), 18])
+
+
 @pytest.mark.parametrize("make_model", [make_fig2_model, make_fig5_model])
 def test_batch_sweeps_each_point_over_its_own_rungs(make_model, monkeypatch):
     # one batch of unsorted cutoffs from 1 to 1000, with the pump off at
