@@ -492,6 +492,7 @@ def exact_grid(
             rows.append(q)
             for name, value in zip(EXACT_COLUMNS, values):
                 columns[name].append(value)
+        del batch, p  # the batch's padded arrays go before the next batch is solved
     return columns, rows, failures
 
 

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -591,19 +592,24 @@ def test_exact_grid_warns_and_keeps_rows_per_point(monkeypatch):
     # two batches: a point at n_max 3 and 15 at n_max 1000 fill the first,
     # and the second holds two points at small cutoffs around an invalid n_h.
     # Every point that passes at a small cutoff warns of its tail, from
-    # exact_grid and in point order, and the solver's batches warn nothing
+    # exact_grid and in point order, and the solver's batches warn nothing.
+    # A batch's stacked solutions and padded P_n are freed before the next
+    # batch is solved
     fig2 = make_fig2_model()
     grid = [1.0, *np.linspace(0.5, 3.0, 15).tolist(), 3.0, -1.0, 2.0]
     cutoffs = [3] + [1000] * 15 + [5, 5, 4]
-    batches = []
+    batches, padded = [], []
     solve_batch = heatlaser.solver._solve_batch
 
     def quiet_batch(model, n_h, n_maxes, tol):
+        assert all(ref() is None for ref in padded)
         with warnings.catch_warnings(record=True) as inside:
             warnings.simplefilter("always")
             solved = solve_batch(model, n_h, n_maxes, tol)
         assert inside == []
         batches.append(list(n_h))
+        row = next(row for row in solved[1] if row is not None)
+        padded.extend([weakref.ref(solved[3]), weakref.ref(row.base)])
         return solved
 
     monkeypatch.setattr(heatlaser.solver, "_solve_batch", quiet_batch)
@@ -611,6 +617,7 @@ def test_exact_grid_warns_and_keeps_rows_per_point(monkeypatch):
         warnings.simplefilter("always")
         solved = exact_grid(fig2, grid, cutoffs)
     assert batches == [grid[:16], grid[16:]]
+    assert len(padded) == 4 and all(ref() is None for ref in padded)
     assert [str(w.message).split(" = ")[0] for w in caught] == [
         "tail P[3]", "tail P[5]", "tail P[4]"
     ]
