@@ -7,10 +7,10 @@ and fully quantum laser theory (:mod:`heatlaser.semiclassical`,
 :mod:`heatlaser.photonstats`), and cross-validates the two routes.
 
 Every record type is a :func:`collections.namedtuple` class, except
-:class:`PhotonDistribution`, a plain class that caches its mean, because
-each class that a decorator builds at import adds about a millisecond to
-the start of every command; the records that validate their fields check
-every copy (``_replace``, ``_make``) too.
+:class:`PhotonDistribution`, a plain class that sets its mean and variance
+when it is built, because each class that a decorator builds at import adds
+about a millisecond to the start of every command; the records that
+validate their fields check every copy (``_replace``, ``_make``) too.
 """
 
 __version__ = "0.1.0"

@@ -50,9 +50,12 @@ solves the steady states of the points it leaves, in the calling process,
 as columns (:func:`heatlaser.solver.exact_grid`): each batch of states is
 reduced to its columns and photon distributions before the next is
 solved, so a sweep holds one batch's states at a time, and of the closed
-form only the rows it compares with them.  Each state stays in
-charge-zero block form, and the photon distribution and the Wigner
-function come from its populations.  ``sweep --jobs`` is
+form only the rows it compares with them.  ``distribution`` reads the
+closed form of a one-point grid, ``closed_form_grid(model, [n_h])``, for
+its cutoff, its ``p_analytic`` column and the mean of its Poisson column,
+and then solves that point with :func:`heatlaser.solver.solve_model`.
+Each state stays in charge-zero block form, and the photon distribution
+and the Wigner function come from its populations.  ``sweep --jobs`` is
 still accepted and ignored.  ``distribution --wigner`` samples 101 x 101
 points over [-h, h]^2 with h = max(4, 1.2 sqrt(<n> + 1)), so the grid
 holds the ring of a bright state.  ``thresholds`` looks for roots in
@@ -83,13 +86,7 @@ from .models import (
     build_three_level,
     with_hot_occupation,
 )
-from .photonstats import (
-    TruncationError,
-    closed_form_grid,
-    distribution_moments,
-    scully_lamb_coefficients,
-    steady_distribution,
-)
+from .photonstats import TruncationError, closed_form_grid
 from .semiclassical import find_thresholds, temperature_lasing_condition
 from .solver import SteadyStateError, exact_grid, solve_model, wigner
 
@@ -130,9 +127,11 @@ class SweepSpec(namedtuple("SweepSpec", "variable start stop points spacing")):
     __slots__ = ()
 
     def values(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.geomspace(self.start, self.stop, self.points)
-        return np.linspace(self.start, self.stop, self.points)
+        space = np.geomspace if self.spacing == "log" else np.linspace
+        try:
+            return space(self.start, self.stop, self.points)
+        except MemoryError as exc:
+            raise ConfigError(f"sweep.points: {self.points} points do not fit in memory") from exc
 
 
 RunConfig = namedtuple("RunConfig", "raw model sweep steady_tol stem format")
@@ -442,14 +441,12 @@ def _poisson(mu: float, n_max: int) -> np.ndarray:
 
 def cmd_distribution(config: RunConfig, n_h: float, out_dir: Path, fmt: str, with_wigner: bool) -> int:
     model = with_hot_occupation(config.model, n_h)
-    coeffs = scully_lamb_coefficients(model)
-    closed = steady_distribution(coeffs)
-    n_max = closed.n_max
+    closed, (n_max,), (analytic,), (failure,) = closed_form_grid(config.model, [n_h])
+    if failure is not None:
+        raise ValueError(failure)
     _, result = solve_model(model, n_max=n_max, tol=config.steady_tol)
     numeric = result.distribution.probabilities
-    analytic = closed.probabilities
-    mean = distribution_moments(coeffs, distribution=closed).mean
-    reference = _poisson(max(mean, 0.0), n_max)
+    reference = _poisson(closed["mean_analytic"][0], n_max)
     rows = [
         {"n": n, "p_analytic": analytic[n], "p_numeric": numeric[n], "p_poisson": reference[n]}
         for n in range(n_max + 1)

@@ -332,9 +332,7 @@ def pn_derivative(coeffs: LaserCoefficients, probabilities: np.ndarray) -> np.nd
     return deriv
 
 
-def distribution_moments(
-    coeffs: LaserCoefficients, *, distribution: PhotonDistribution | None = None
-) -> Moments:
+def distribution_moments(coeffs: LaserCoefficients) -> Moments:
     """Closed-form mean, variance, peak location, and Fano factor.
 
     Uses the auxiliary quantities X = A^2 / (kappa B) and
@@ -346,30 +344,36 @@ def distribution_moments(
         peak n*  = (A / kappa B)(A - A_b - kappa).
 
     P_0 is taken from the automatic-support :func:`steady_distribution`,
-    or from ``distribution`` when a caller that already holds it passes it.
-    The peak is >= 0 exactly when the gain A - A_b reaches kappa.  Where
-    the mean cancels, (X + Y) / mean > ``MOMENT_COND``, far below threshold,
-    the mean and variance are the sums over that distribution instead (on
-    cancellation see Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., section 1.7).
+    so a support past 1e6 rungs raises its :class:`TruncationError` first.
+    With the pump off (A = 0) the moments are (0, 0, 0, nan); B <= 0 with
+    A > 0 raises ``ValueError``.  The peak is >= 0 exactly when the gain
+    A - A_b reaches kappa.  Where the mean cancels, (X + Y) / mean >
+    ``MOMENT_COND``, far below threshold, the mean and variance are the sums
+    over that distribution instead (on cancellation see Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., section 1.7).  Each
+    point of :func:`closed_form_grid` is finished by the same code.
     """
-    if coeffs.A == 0.0:
+    return _chain_moments(*coeffs, steady_distribution(coeffs).probabilities)
+
+
+def _chain_moments(A, A_b, B, kappa, q):
+    # the Moments of distribution_moments for one chain, from its normalised
+    # row q: the one finish of a closed-form point, alone or in a grid
+    if A == 0.0:
         return Moments(0.0, 0.0, 0.0, math.nan)
-    if coeffs.B <= 0.0:
+    if B <= 0.0:
         raise ValueError("saturation B must be positive when A > 0")
-    if distribution is None:
-        distribution = steady_distribution(coeffs)
-    p = distribution.probabilities
-    mean, variance, peak, lossy = _moments(coeffs.A, coeffs.A_b, coeffs.B, coeffs.kappa, p[0])
+    mean, variance, peak, lossy = _moments(A, A_b, B, kappa, q[0])
     if lossy:
-        mean, variance = _row_moments(p)
-    return Moments(float(mean), float(variance), float(peak), float(_fano(mean, variance)))
+        mean, variance = _row_moments(q)
+    fano = variance / mean if mean > 0 else math.nan
+    return Moments(float(mean), float(variance), float(peak), float(fano))
 
 
 def _moments(A, A_b, B, kappa, p0):
     # mean, variance and peak of distribution_moments, and whether the mean
     # cancels past MOMENT_COND; the arguments may be arrays over chains with
-    # A > 0 and B > 0
+    # A > 0 and B > 0 (see _chain_moments)
     kb = kappa * B
     x = A * A / kb
     y = A * (kappa + A_b) / kb
@@ -386,10 +390,6 @@ def _row_moments(p):
     mean = n @ p
     deviation = n - mean
     return mean, (deviation * deviation) @ p
-
-
-def _fano(mean, variance):
-    return np.divide(variance, mean, out=np.full(np.shape(mean), math.nan), where=mean > 0)
 
 
 def output_power(model: EngineModel, mean_n: float) -> float:
@@ -432,76 +432,51 @@ def closed_form_grid(model: EngineModel, n_h: np.ndarray):
       so a sweep keeps only the rows it compares with an exact solve;
     - ``failures`` holds None, or the message of the error those functions
       raise at the point: a zero bath rate fails every point, a support past
-      1e6 rungs its own point, with nothing allocated for it.
+      1e6 rungs, B <= 0 with the pump on, or a negative mean its own point.
 
     Every value equals, bit for bit, what those functions give point by
     point: they share this function's code.  n_h enters only through the
-    hot-bath rates, so each formula is one array expression over the grid,
-    and the distributions come from the stacks of ``_cut_distributions``,
-    bounded by ``SUPPORT_RUNGS``.  Per point remain the reductions of each
-    row over its own support and the one normalisation of
-    :class:`PhotonDistribution` after the cut, repeated here.
+    hot-bath rates, so the rates and coefficients are array expressions
+    over the grid, and the distributions come from the stacks of
+    ``_cut_distributions``, bounded by ``SUPPORT_RUNGS``, with nothing
+    allocated for a support past 1e6 rungs.  Then each point's row, [1, 0]
+    with the pump off, is divided by its sum once, as
+    :class:`PhotonDistribution` does, and finished, in order, by the one
+    helper of :func:`distribution_moments`.  A one-point grid is the closed
+    form of ``distribution``.
     """
     n_h = np.asarray(n_h, dtype=float)
     size = n_h.size
-    cutoffs, rows = [None] * size, [None] * size
+    cutoffs, rows, failures = [None] * size, [None] * size, [None] * size
     try:
         sc = _structure(model, n_h)
     except ValueError as exc:
         return dict.fromkeys(GRID_COLUMNS, [math.nan] * size), cutoffs, rows, [str(exc)] * size
-    failures = [None] * size
     inversion0 = _inversion(model, sc, n_h)
     A, A_b, B = _coefficients(model, sc, n_h)
+    columns = np.full((len(GRID_COLUMNS), size), math.nan)  # in GRID_COLUMNS order
+    columns[:5] = _gain(model, sc, inversion0) / model.kappa, inversion0, A, A_b, B
     pumped = A > 0.0
-    p0 = np.ones(size)
-    for i in np.flatnonzero(~pumped).tolist():
-        cutoffs[i], rows[i] = 1, np.array([1.0, 0.0])
     chains = _cut_distributions(A[pumped], A_b[pumped], B[pumped], model.kappa)
-    for i, p in zip(np.flatnonzero(pumped).tolist(), chains):
-        if isinstance(p, TruncationError):
-            failures[i] = str(p)
-            continue
-        total = p.sum()
-        p0[i], cutoffs[i] = p[0] / total, p.size - 1
-        if cutoffs[i] + 2 <= BATCH_RUNGS:
-            rows[i] = p / total
-    failed = np.array([failure is not None for failure in failures])
-    # the pump off gives the moments (0, 0, nan)
-    mean, variance, fano = np.zeros(size), np.zeros(size), np.full(size, math.nan)
-    live = pumped & (B > 0.0) & ~failed
-    lossy = np.zeros(size, dtype=bool)
-    mean[live], variance[live], _, lossy[live] = _moments(
-        A[live], A_b[live], B[live], model.kappa, p0[live]
-    )
-    for i in np.flatnonzero(lossy).tolist():
-        row = rows[i]
-        if row is None:  # too long to keep: cut it again, bit for bit
-            (p,) = _cut_distributions(A[i : i + 1], A_b[i : i + 1], B[i : i + 1], model.kappa)
-            row = p / p.sum()
-        mean[i], variance[i] = _row_moments(row)
-    fano[live] = _fano(mean[live], variance[live])
-    # B underflowed to 0, or a negative mean: the point functions refuse these
-    for i in np.flatnonzero(pumped & ~failed & ((B <= 0.0) | (mean < 0.0))).tolist():
+    for i, on in enumerate(pumped.tolist()):
+        p = next(chains) if on else np.array([1.0, 0.0])
         try:
-            coeffs = LaserCoefficients(A[i], A_b[i], B[i], model.kappa)
-            output_power(model, distribution_moments(coeffs).mean)
-        except ValueError as exc:
-            failures[i], failed[i] = str(exc), True
-            cutoffs[i] = rows[i] = None
-    mean[failed] = math.nan
-    values = (
-        _gain(model, sc, inversion0) / model.kappa,
-        inversion0,
-        A,
-        A_b,
-        B,
-        mean,
-        variance,
-        fano,
-        output_power(model, mean),
-    )
-    columns = [np.where(failed, math.nan, value).tolist() for value in values]
-    return dict(zip(GRID_COLUMNS, columns)), cutoffs, rows, failures
+            if isinstance(p, TruncationError):
+                raise p
+            q = p / p.sum()
+            mean, variance, _, fano = _chain_moments(A[i], A_b[i], B[i], model.kappa, q)
+            if mean < 0.0:  # the refusal of output_power
+                raise ValueError(f"mean photon number must be >= 0, got {mean}")
+        except (TruncationError, ValueError) as exc:
+            failures[i] = str(exc)
+            columns[:, i] = math.nan
+            continue
+        columns[5:8, i] = mean, variance, fano
+        cutoffs[i] = q.size - 1
+        if q.size + 1 <= BATCH_RUNGS:
+            rows[i] = q
+    columns[8] = output_power(model, columns[5])
+    return dict(zip(GRID_COLUMNS, columns.tolist())), cutoffs, rows, failures
 
 
 def saturated_power(model: EngineModel) -> float:

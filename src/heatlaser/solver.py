@@ -155,24 +155,18 @@ def partial_trace_atom(rho: np.ndarray, space: HilbertSpace) -> np.ndarray:
     return np.einsum("aman->mn", blocks)
 
 
-def photon_distribution(
-    rho: np.ndarray, space: HilbertSpace, tail_tol: float = 1e-6
-) -> PhotonDistribution:
+def photon_distribution(rho: np.ndarray, space: HilbertSpace) -> PhotonDistribution:
     """Photon-number distribution of the cavity, P_n = <n| tr_atom rho |n>.
 
     ``rho`` must have unit trace: tiny negative diagonal entries from
     round-off are clipped, and :class:`PhotonDistribution` normalises the
     rest once, or raises ``ValueError`` if they miss 1 by more than 1e-9.
-    Warns when the truncation rung holds more than ``tail_tol``.
+    Warns, as :func:`solve_model` does, when the truncation rung P[n_max]
+    exceeds 1e-8 before that normalisation.
     """
     p = np.clip(np.real(np.diag(partial_trace_atom(rho, space))), 0.0, None)
     distribution = PhotonDistribution(p)
-    tail = distribution.probabilities[-1]
-    if tail >= tail_tol:
-        warnings.warn(
-            f"truncation rung holds P[{space.n_max}] = {tail:.3e}; increase the Fock cutoff",
-            stacklevel=2,
-        )
+    _warn_tail(p)
     return distribution
 
 
@@ -348,7 +342,7 @@ def _sweep_points(system, rhs, rungs):
 
 def _warn_tail(p):
     # warn when a point's tail P[n_max] passes 1e-8, pointing at the line
-    # that called solve_model or exact_grid
+    # that called solve_model, exact_grid or photon_distribution
     if p[-1] > 1e-8:
         warnings.warn(f"tail P[{p.size - 1}] = {p[-1]:.3e} above 1e-8", stacklevel=3)
 

@@ -38,7 +38,7 @@ from heatlaser.cli import (
     main,
     run_sweep,
 )
-from heatlaser.photonstats import BATCH_RUNGS, GRID_COLUMNS, SUPPORT_RUNGS
+from heatlaser.photonstats import BATCH_RUNGS, GRID_COLUMNS, SUPPORT_RUNGS, closed_form_grid
 
 from conftest import BRIGHT, dense_state, make_fig2_model
 
@@ -169,6 +169,12 @@ def test_sweep_block_errors_exit_2(tmp_path, capsys):
         ("g.json", {"sweep.variable": "g"}, "sweep.variable: only 'n_h' sweeps are supported"),
         ("zero.json", {"sweep.start": 0.0}, "sweep: need 0 < start <= stop, got [0.0, 1.2]"),
         ("negative.json", {"sweep.start": -1.0}, "sweep: need 0 < start <= stop, got [-1.0, 1.2]"),
+        # numpy refuses a grid this size at once, before it allocates anything
+        (
+            "huge.json",
+            {"sweep.points": 10**12},
+            "sweep.points: 1000000000000 points do not fit in memory",
+        ),
     ]:
         path = write_config(tmp_path, overrides, name=name)
         assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
@@ -649,6 +655,30 @@ def test_distribution_command(tmp_path):
     assert np.abs(np.array(p_analytic) - cut.probabilities).max() <= 1e-11
 
 
+def test_distribution_reads_the_one_point_grid(tmp_path, capsys):
+    # p_analytic is the row of the one-point closed-form grid, which is the
+    # automatic-support steady_distribution, bit for bit
+    config = load_config("fig2")
+    out = tmp_path / "dist"
+    argv = ["distribution", "--config", "fig2", "--nh", "2", "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    records = json.loads((out / f"{config.stem}_distribution.json").read_text())["records"]
+    p_analytic = np.array([record["p_analytic"] for record in records])
+    _, _, (row,), _ = closed_form_grid(config.model, [2.0])
+    coeffs = scully_lamb_coefficients(with_hot_occupation(config.model, 2.0))
+    assert np.array_equal(p_analytic, row)
+    assert np.array_equal(p_analytic, steady_distribution(coeffs).probabilities)
+    # kappa = 1e-5 at n_h 20: the grid's failure exits 3 with its message,
+    # before anything is solved or written
+    out = tmp_path / "wide"
+    path = _fig2_sweep(tmp_path, {"kappa": 1e-5})
+    assert main(["distribution", "--config", str(path), "--nh", "20", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.strip() == (
+        "numeric failure: distribution support exceeds 1e6 photons"
+    )
+    assert not out.exists()
+
+
 def test_distribution_vacuum(tmp_path):
     path = write_config(tmp_path, {"model.n_c": 0.0})
     out = tmp_path / "vac"
@@ -681,7 +711,7 @@ def test_distribution_wigner_file(tmp_path):
     assert len(lines) == 1 + 101 * 101
     # the grid is the Wigner function of the reduced dense steady state
     space, result = solve_model(with_hot_occupation(load_config(path).model, 0.3))
-    field = wigner(photon_distribution(dense_state(space, result), space, tail_tol=math.inf))
+    field = wigner(photon_distribution(dense_state(space, result), space))
     values = np.array([float(line.split(",")[2]) for line in lines[1:]])
     np.testing.assert_allclose(values, field.values.ravel(), rtol=1e-11, atol=1e-14)
     _assert_wigner_lines(lines, result.distribution)

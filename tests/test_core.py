@@ -1,4 +1,3 @@
-import math
 import warnings
 
 import numpy as np
@@ -242,7 +241,9 @@ def test_sector_block_matches_full_liouvillian(seed, four, n_max, empty_baths, u
     state = dense_state(space, result)
     assert np.abs(state - reference).max() < 1e-10
     # the block's P_n is the partial trace of its dense form, bit for bit
-    traced = photon_distribution(state, space, tail_tol=math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small cutoffs leave tail mass
+        traced = photon_distribution(state, space)
     assert np.array_equal(result.distribution.probabilities, traced.probabilities)
 
 

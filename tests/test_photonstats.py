@@ -382,7 +382,7 @@ def assert_grid_matches_points(model, n_h):
             assert cutoffs[k] is None and rows[k] is None
             assert all(math.isnan(values[k]) for values in columns.values())
             continue
-        moments = distribution_moments(coeffs, distribution=closed)
+        moments = distribution_moments(coeffs)
         expected = [
             lasing_gain(point) / point.kappa,
             population_inversion(point),
