@@ -62,7 +62,7 @@ holds the ring of a bright state.  ``thresholds`` looks for roots in
 [start, stop] of the sweep (a one-point sweep is allowed) or else in
 [0.001, 50], and adds the temperature-domain lasing report only when every
 bath, the ancilla of a four-level engine included, is given by its
-temperature.
+temperature and T_h > 0 (the report's Carnot bound divides by T_h).
 """
 
 from __future__ import annotations
@@ -499,7 +499,8 @@ def cmd_thresholds(config: RunConfig, out_dir: Path) -> int:
     _write_csv(path, ["index", "n_h_root"], rows)
     print(f"wrote {path}")
     baths = (config.model.hot, config.model.cold, config.model.ancilla)
-    if all(bath.temperature is not None for bath in baths if bath is not None):
+    temperatures = [bath.temperature for bath in baths if bath is not None]
+    if None not in temperatures and config.model.hot.temperature > 0.0:
         report = temperature_lasing_condition(config.model)
         print(f"lases (kappa -> 0 limit): {str(report.lases).lower()}")
         print(f"efficiency (lasing_frequency / omega_h): {report.efficiency:.4g}")

@@ -41,17 +41,13 @@ __all__ = [
     "rough_estimate_mean",
 ]
 
-# rung-cells, (chains) x (largest support + 1), of one stacked closed-form
-# pass (see closed_form_grid).  A stack holds a few float arrays of that
-# shape at once, 0.5 MB each at the budget, so its memory does not grow with
-# the spread of a grid's supports; a chain larger than the budget is stacked
-# alone.  Every preset grid is one stack (fig2: 60 chains of <= 62 rungs).
-SUPPORT_RUNGS = 1 << 16
-
-# rung-points, (points) x (largest cutoff + 2), of one batch of exact solves
-# (heatlaser.solver.exact_grid), and the one bound on a point: a cutoff is
-# solvable when 1 <= n_max <= BATCH_RUNGS - 2 = 16 030.  16 four-level points
-# at n_max 1000, or one at 16 030, peak near 15 MB traced (test_solver.py)
+# the one memory budget of both routes, in rung-cells: (points) x (largest
+# cutoff + 2) of one batch of exact solves (heatlaser.solver.exact_grid),
+# and (chains) x (largest support) of one stacked closed-form pass (see
+# closed_form_grid); a larger item runs alone.  It is also the one bound on
+# a point: a cutoff is solvable when 1 <= n_max <= BATCH_RUNGS - 2 = 16 030.
+# 16 four-level points at n_max 1000, or one at 16 030, peak near 15 MB
+# traced (test_solver.py); every preset grid is one closed-form stack
 BATCH_RUNGS = 16 * 1002
 
 # the largest condition number (X + Y) / mean of the closed-form mean
@@ -64,7 +60,11 @@ MOMENT_COND = 1e3
 
 
 class TruncationError(RuntimeError):
-    """Raised when a photon distribution does not fit the requested cutoff."""
+    """Raised when a photon distribution does not fit a cutoff.
+
+    The closed form raises it when a chain's support passes 1e6 rungs, the
+    exact route when a cutoff is outside [1, ``BATCH_RUNGS`` - 2].
+    """
 
 
 class LaserCoefficients(_Validated, namedtuple("LaserCoefficients", "A A_b B kappa")):
@@ -202,17 +202,27 @@ def _cut_distributions(A, A_b, B, kappa):
     """Each chain's closed form cut at its cutoff, stack by stack.
 
     ``A``, ``A_b`` and ``B`` are arrays over chains with A > 0.  Yields, in
-    their order, the distribution of :func:`steady_distribution` with its
-    automatic support, before the normalisation of
-    :class:`PhotonDistribution`, or the :class:`TruncationError` of a chain
+    their order, each chain's row cut at the first rung past its peak where
+    P_n < 1e-12 (see :func:`steady_distribution`), left for its one
+    normalisation after the cut, or the :class:`TruncationError` of a chain
     whose support passes 1e6 rungs, for which nothing is allocated.
-    Consecutive chains are stacked while (chains) x (largest support + 1)
-    stays within ``SUPPORT_RUNGS``, and a stack is evaluated only when its
-    first chain is asked for.
+    Consecutive chains are stacked while (chains) x (largest support) stays
+    within ``BATCH_RUNGS``, and a stack is evaluated only when its first
+    chain is asked for.
     """
     sizes = _support_sizes(A, A_b, B, kappa)
-    for start, end in _runs(sizes.tolist(), SUPPORT_RUNGS):
-        yield from _cut_stack(A[start:end], A_b[start:end], B[start:end], kappa, sizes[start:end])
+    for start, end in _runs(sizes.tolist(), BATCH_RUNGS):
+        fits = sizes[start:end] > 0
+        kept = start + np.flatnonzero(fits)
+        cut = iter(())
+        if kept.size:
+            p = _normalized(A[kept], A_b[kept], B[kept], kappa, sizes[kept])
+            peak = p.argmax(axis=1)
+            past = np.arange(p.shape[1]) >= peak[:, np.newaxis]
+            ends = np.argmax(past & (p < 1e-12), axis=1) + 1
+            cut = iter([row[:end] for row, end in zip(p, ends.tolist())])
+        for ok in fits.tolist():
+            yield next(cut) if ok else TruncationError("distribution support exceeds 1e6 photons")
 
 
 def _runs(sizes, budget):
@@ -233,61 +243,29 @@ def _runs(sizes, budget):
         yield start, len(sizes)
 
 
-def _cut_stack(A, A_b, B, kappa, sizes):
-    # one stack of _cut_distributions: each row cut at the first rung past its
-    # peak where P_n < 1e-12, and left for its one normalisation after the cut
-    fits = sizes > 0
-    cut = iter(())
-    if fits.any():
-        p = _normalized(A[fits], A_b[fits], B[fits], kappa, sizes[fits])
-        peak = p.argmax(axis=1)
-        past = np.arange(p.shape[1]) >= peak[:, np.newaxis]
-        ends = np.argmax(past & (p < 1e-12), axis=1) + 1
-        cut = iter([row[:end] for row, end in zip(p, ends.tolist())])
-    for ok in fits.tolist():
-        yield next(cut) if ok else TruncationError("distribution support exceeds 1e6 photons")
-
-
-def steady_distribution(
-    coeffs: LaserCoefficients, n_max: int | None = None, tail_tol: float = 1e-8
-) -> PhotonDistribution:
-    """Stationary distribution of the birth-death chain.
+def steady_distribution(coeffs: LaserCoefficients) -> PhotonDistribution:
+    """Stationary distribution of the birth-death chain, on its own support.
 
     Built from the detailed-balance recursion
     P_n / P_{n-1} = A / [A_b + kappa (1 + n B/A)], accumulated in log space
-    so that far-above-threshold distributions never overflow.  An explicit
-    ``n_max`` runs the recursion to that rung and raises
-    :class:`TruncationError` when P_Nmax >= ``tail_tol``.
-
-    With ``n_max=None`` the support is found in one pass.  The ratio falls
-    with n and is below 1/2 past rung n0 = A (2A - A_b - kappa) / (kappa B)
-    (past rung 0 when 2A - A_b - kappa < 0), so the recursion is run to
-    n0 + 41: P there is below 2^-41 < 1e-12, and so is the geometric tail
-    past it.  The distribution is cut at the first rung past its peak where
-    P_n < 1e-12 and renormalised.  That rung is the Fock cutoff of the exact
-    solve (:func:`heatlaser.solver.solve_model`), so the result's ``n_max``
-    is the cutoff and its probabilities the closed form to compare there;
-    with the pump off (A = 0) it is [1, 0], n_max = 1.  When n0 + 41 would
-    exceed 1e6 rungs, or B = 0 leaves every ratio at 1/2 or above, it raises
+    so that far-above-threshold distributions never overflow.  The support
+    is found in one pass.  The ratio falls with n and is below 1/2 past
+    rung n0 = A (2A - A_b - kappa) / (kappa B) (past rung 0 when
+    2A - A_b - kappa < 0), so the recursion is run to n0 + 41: P there is
+    below 2^-41 < 1e-12, and so is the geometric tail past it.  The
+    distribution is cut at the first rung past its peak where P_n < 1e-12
+    and normalised once.  That rung is the Fock cutoff of the exact solve
+    (:func:`heatlaser.solver.solve_model`), so the result's ``n_max`` is the
+    cutoff and its probabilities the closed form to compare there; with the
+    pump off (A = 0) it is [1, 0], n_max = 1.  When n0 + 41 would exceed 1e6
+    rungs, or B = 0 leaves every ratio at 1/2 or above, it raises
     :class:`TruncationError` before anything is allocated.  This is one
     chain of the stacked pass of :func:`closed_form_grid`, which evaluates a
     whole sweep grid at once, bit for bit as point by point.
     """
     if coeffs.A == 0.0:
-        size = 2 if n_max is None else n_max + 1
-        p = np.zeros(size)
-        p[0] = 1.0
-        return PhotonDistribution(p)
+        return PhotonDistribution(np.array([1.0, 0.0]))
     chain = np.array([coeffs.A]), np.array([coeffs.A_b]), np.array([coeffs.B]), coeffs.kappa
-    if n_max is not None:
-        if n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {n_max}")
-        (p,) = _normalized(*chain, np.array([n_max + 1]))
-        if p[-1] >= tail_tol:
-            raise TruncationError(
-                f"P[{n_max}] = {p[-1]:.3e} >= {tail_tol:.1e}; increase n_max"
-            )
-        return PhotonDistribution(p)
     (p,) = _cut_distributions(*chain)
     if isinstance(p, TruncationError):
         raise p
@@ -438,7 +416,7 @@ def closed_form_grid(model: EngineModel, n_h: np.ndarray):
     point: they share this function's code.  n_h enters only through the
     hot-bath rates, so the rates and coefficients are array expressions
     over the grid, and the distributions come from the stacks of
-    ``_cut_distributions``, bounded by ``SUPPORT_RUNGS``, with nothing
+    ``_cut_distributions``, bounded by ``BATCH_RUNGS``, with nothing
     allocated for a support past 1e6 rungs.  Then each point's row, [1, 0]
     with the pump off, is divided by its sum once, as
     :class:`PhotonDistribution` does, and finished, in order, by the one

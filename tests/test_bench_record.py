@@ -44,6 +44,24 @@ def test_a_failed_first_run_keeps_the_later_runs_metrics(bench_record, monkeypat
         }
 
 
+def test_a_failed_last_run_keeps_the_environment(bench_record, monkeypatch):
+    # per workload and seed: a good run, then one that gives no result and
+    # prints no environment
+    calls = {}
+
+    def fake_perfbench(root, workload, seed, seconds):
+        calls[workload, seed] = calls.get((workload, seed), 0) + 1
+        if calls[workload, seed] == 2:
+            return {}, {"correct": False, "metrics": {}}
+        return {"nproc": 2, "python": "3.11.7"}, {"correct": True, "metrics": {}}
+
+    monkeypatch.setattr(bench_record, "_perfbench", fake_perfbench)
+    monkeypatch.setattr(bench_record, "_git", lambda root, *args: "0" * 40 + "\n")
+    (data,) = bench_record.record([Path(".")], seconds=1.0, runs=2)
+    assert data["env"]["nproc"] == 2 and data["env"]["python"] == "3.11.7"
+    assert not any(entry["correct"] for entry in data["workloads"])
+
+
 def test_two_checkouts_alternate_within_each_workload_and_seed(bench_record, monkeypatch):
     # each run of one checkout is followed by the same workload and seed on
     # the other, and each file keeps only its own checkout's runs

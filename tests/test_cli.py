@@ -38,7 +38,7 @@ from heatlaser.cli import (
     main,
     run_sweep,
 )
-from heatlaser.photonstats import BATCH_RUNGS, GRID_COLUMNS, SUPPORT_RUNGS, closed_form_grid
+from heatlaser.photonstats import BATCH_RUNGS, GRID_COLUMNS, closed_form_grid
 
 from conftest import BRIGHT, dense_state, make_fig2_model
 
@@ -342,6 +342,13 @@ def test_fano_numeric_column(tmp_path):
     assert math.isnan(PhotonDistribution(np.eye(3)[0]).fano)
 
 
+def _recursion_to(coeffs, n_max):
+    """The closed-form recursion of ``coeffs`` run to rung ``n_max``, normalised once."""
+    chain = [np.array([value]) for value in coeffs[:3]]
+    (p,) = heatlaser.photonstats._normalized(*chain, coeffs.kappa, np.array([n_max + 1]))
+    return PhotonDistribution(p)
+
+
 @pytest.mark.parametrize("preset", ["fig2", "fig5"])
 def test_l1_column_matches_a_recursion_to_the_cutoff(preset):
     # l1_distance cuts the auto-support closed form at the cutoff; the
@@ -349,7 +356,7 @@ def test_l1_column_matches_a_recursion_to_the_cutoff(preset):
     config = load_config(preset)
     for record in run_sweep(config):
         coeffs = scully_lamb_coefficients(with_hot_occupation(config.model, record["n_h"]))
-        analytic = steady_distribution(coeffs, n_max=record["n_max"], tail_tol=math.inf)
+        analytic = _recursion_to(coeffs, record["n_max"])
         numeric, _ = _solo(config, record["n_h"])
         l1 = np.abs(numeric.probabilities - analytic.probabilities).sum()
         assert abs(record["l1_distance"] - l1) <= 1e-11
@@ -409,7 +416,7 @@ def _fig2_sweep(tmp_path, model=None, points=None):
 
 def test_sweep_evaluates_closed_form_once_per_sweep(tmp_path, monkeypatch):
     # the closed form of a grid is one stacked support pass per stack of
-    # SUPPORT_RUNGS rung-cells: no PhotonDistribution is built for it, and
+    # BATCH_RUNGS rung-cells: no PhotonDistribution is built for it, and
     # no point function runs per point (every binding in the loaded package
     # modules is wrapped, as a tracer does)
     stacks, calls = [], []
@@ -462,7 +469,7 @@ def test_sweep_evaluates_closed_form_once_per_sweep(tmp_path, monkeypatch):
     records = run_sweep(load_config(_fig2_sweep(tmp_path, {"kappa": 1e-4})))
     assert sum(chains for chains, _ in stacks) == len(records) == 60
     assert len(stacks) > 1
-    assert all(chains * width <= SUPPORT_RUNGS or chains == 1 for chains, width in stacks)
+    assert all(chains * width <= BATCH_RUNGS or chains == 1 for chains, width in stacks)
     assert sorted(set(calls)) == sorted(calls)
 
 
@@ -562,10 +569,9 @@ def test_sweeps_raise_no_warning(config, tmp_path):
 def test_sweep_keeps_only_the_rows_it_solves(tmp_path):
     # kappa = 1e-4: supports of 585 to 104 833 rungs, and the first seven
     # points' cutoffs, 585 to 15 695, are within the bound of 16 030.
-    # Stacked within SUPPORT_RUNGS, keeping the closed-form rows of those
-    # points alone and solving them in batches within BATCH_RUNGS, 30 points
-    # peak at 11.0 MB traced; holding every point's distribution took
-    # 19.6 MB
+    # Stacked and solved in batches within BATCH_RUNGS, keeping the
+    # closed-form rows of those points alone, 30 points peak near 10.4 MB
+    # traced; holding every point's distribution took 19.6 MB
     config = load_config(_fig2_sweep(tmp_path, {"kappa": 1e-4}, points=30))
     tracemalloc.start()
     try:
@@ -614,6 +620,8 @@ def test_thresholds_temperature_report(tmp_path, capsys):
         # a four-level report needs the ancilla temperature too
         ({**four_level, "model.n_a": 0.1}, False),
         ({**four_level, "model.T_a": 1.0}, True),
+        # T_h = 0 is a valid config, but the Carnot bound 1 - T_c/T_h is not
+        ({**thermal, "model.T_h": 0.0}, False),
     ]
     for i, (overrides, report) in enumerate(cases):
         path = write_config(tmp_path, overrides)
@@ -651,7 +659,7 @@ def test_distribution_command(tmp_path):
     _, residual = _solo(config, 0.507)
     assert meta["residual"] == residual
     coeffs = scully_lamb_coefficients(with_hot_occupation(config.model, 0.507))
-    cut = steady_distribution(coeffs, n_max=meta["n_max"], tail_tol=math.inf)
+    cut = _recursion_to(coeffs, meta["n_max"])
     assert np.abs(np.array(p_analytic) - cut.probabilities).max() <= 1e-11
 
 

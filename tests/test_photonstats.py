@@ -24,7 +24,7 @@ from heatlaser import (
 )
 from heatlaser import photonstats
 from heatlaser.cli import load_config
-from heatlaser.photonstats import BATCH_RUNGS, GRID_COLUMNS, SUPPORT_RUNGS, closed_form_grid
+from heatlaser.photonstats import BATCH_RUNGS, GRID_COLUMNS, closed_form_grid
 
 from conftest import (
     BRIGHT,
@@ -125,10 +125,14 @@ def test_elimination_flow_degenerate_rates():
 # ---------------------------------------------------------------------------
 
 def test_vacuum_when_pump_off():
-    dist = steady_distribution(scully_lamb_coefficients(make_fig2_model(n_h=0.0)), 10)
-    assert dist.probabilities[0] == 1.0
-    assert dist.probabilities[1:].max() == 0.0
+    model = make_fig2_model(n_h=0.0)
+    dist = steady_distribution(scully_lamb_coefficients(model))
+    assert dist.n_max == 1
+    assert dist.probabilities.tolist() == [1.0, 0.0]
     assert dist.mean == 0.0
+    # the same row, bit for bit, as the one-point grid's
+    _, _, (row,), _ = closed_form_grid(model, [0.0])
+    assert np.array_equal(row, dist.probabilities)
 
 
 def test_detailed_balance():
@@ -162,12 +166,6 @@ def test_peak_location_matches_closed_form():
         assert abs(dist.peak_index - peak) <= 1.0
 
 
-def test_truncation_violation_raises():
-    coeffs = scully_lamb_coefficients(make_fig2_model(n_h=2.0))
-    with pytest.raises(TruncationError):
-        steady_distribution(coeffs, n_max=5)
-
-
 @settings(deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -188,7 +186,8 @@ def test_auto_support_is_the_first_rung_below_1e_12(seed, four, log_kappa):
         coeffs.kappa * coeffs.B
     )
     assert n_max <= max(0, math.floor(estimate)) + 41
-    explicit = steady_distribution(coeffs, n_max=n_max, tail_tol=math.inf).probabilities
+    chain = [np.array([value]) for value in coeffs[:3]]
+    (explicit,) = photonstats._normalized(*chain, coeffs.kappa, np.array([n_max + 1]))
     resolved = explicit > 1e-290
     np.testing.assert_allclose(p[resolved], explicit[resolved], rtol=1e-12)
 
@@ -426,8 +425,8 @@ def test_grid_past_the_support_budget_matches_point_functions(monkeypatch):
     failures = closed_form_grid(model, n_h)[3]
     assert failures[-1] == "distribution support exceeds 1e6 photons"
     assert sum(chains for chains, _ in stacks) == failures.count(None) < n_h.size
-    assert len(stacks) >= 2 and max(width for _, width in stacks) > SUPPORT_RUNGS
-    assert all(chains * width <= SUPPORT_RUNGS or chains == 1 for chains, width in stacks)
+    assert len(stacks) >= 2 and max(width for _, width in stacks) > BATCH_RUNGS
+    assert all(chains * width <= BATCH_RUNGS or chains == 1 for chains, width in stacks)
     rows = closed_form_grid(model, n_h)[2]
     assert 0 < sum(row is not None for row in rows) < failures.count(None)
     assert_grid_matches_points(model, n_h)

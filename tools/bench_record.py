@@ -82,7 +82,9 @@ def record(roots: list[Path], seconds: float, runs: int) -> list[dict]:
             # each workload and seed
             first = (rep + i) % len(roots)
             for k in [*range(first, len(roots)), *range(first)]:
-                envs[k], result = _perfbench(roots[k], workload, seed, seconds)
+                env, result = _perfbench(roots[k], workload, seed, seconds)
+                # a failed run prints no environment: keep the last one found
+                envs[k] = env or envs[k]
                 results[k][workload, seed].append(result)
                 print(
                     f"{roots[k]} {workload} seed {seed}: correct {result['correct']}",
