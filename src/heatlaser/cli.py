@@ -86,7 +86,7 @@ from .models import (
     build_three_level,
     with_hot_occupation,
 )
-from .photonstats import TruncationError, closed_form_grid
+from .photonstats import TruncationError, _total, closed_form_grid
 from .semiclassical import find_thresholds, temperature_lasing_condition
 from .solver import SteadyStateError, exact_grid, solve_model, wigner
 
@@ -326,10 +326,19 @@ def run_sweep(config: RunConfig) -> list[dict]:
     exact, numeric, exact_failures = exact_grid(
         config.model, grid[solvable], [cutoffs[k] for k in solvable], config.steady_tol
     )
-    exact["l1_distance"] = [
-        math.nan if p is None else float(np.abs(p - rows[k]).sum())
-        for k, p in zip(solvable, numeric)
-    ]
+    # each point's |P_numeric - P_analytic|, over one zero-padded stack of
+    # the passed points, summed left to right as each row alone
+    passed = [j for j, p in enumerate(numeric) if p is not None]
+    l1 = np.full(len(solvable), math.nan)
+    if passed:
+        sizes = np.array([numeric[j].size for j in passed])
+        gaps = np.zeros((len(passed), sizes.max()))
+        gaps[np.arange(sizes.max()) < sizes[:, np.newaxis]] = np.abs(
+            np.concatenate([numeric[j] for j in passed])
+            - np.concatenate([rows[solvable[j]] for j in passed])
+        )
+        l1[passed] = _total(gaps)
+    exact["l1_distance"] = l1
     columns = {**closed, "n_h": grid.tolist()}
     for name, values in exact.items():
         column = np.full(grid.size, math.nan)
@@ -361,9 +370,26 @@ def _write_text(path: Path, text: str):
         handle.write(text)
 
 
+def _slot(kind) -> str:
+    # the %-conversion that prints a value of type kind as _fmt does: text
+    # as it is, None as nan (%.0s prints none of it), a number as %.12g
+    if issubclass(kind, str):
+        return "%s"
+    return "%.0snan" if kind is type(None) else "%.12g"
+
+
 def _write_csv(path: Path, fields: list[str], rows: list[dict]):
-    lines = [",".join(fields)]
-    lines += [",".join(_fmt(row[f]) for f in fields) for row in rows]
+    # each record is one %-template of its values' types, built once per
+    # distinct list of types: the line the _fmt join gives, without a
+    # call per value
+    lines, templates = [",".join(fields)], {}
+    for row in rows:
+        values = tuple(map(row.__getitem__, fields))
+        kinds = tuple(map(type, values))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(map(_slot, kinds))
+        lines.append(template % values)
     _write_text(path, "\n".join(lines) + "\n")
 
 

@@ -299,7 +299,9 @@ def build_sector_liouvillian(
     ell, r = np.moveaxis(np.sqrt(np.maximum(photons, 0)), -1, 0)  # each (R, m)
     slots, coherence = np.arange(width), SLOT_OF[LEVEL_E1, LEVEL_E2]
     e1, e2 = SLOT_OF[LEVEL_E1, LEVEL_E1], SLOT_OF[LEVEL_E2, LEVEL_E2]
-    bands = np.zeros((len(n_h), depth, 3, width, width))
+    # written in full at allocation: np.zeros maps zero pages that the first
+    # += reads and then copies, a second page fault on every page
+    bands = np.full((len(n_h), depth, 3, width, width), 0.0)
     same = bands[:, :, 1]  # rung r onto itself
     for _, low, rate in channels:
         same[:, :, SLOT_OF[low, low], SLOT_OF[low, low]] += rate * -1.0

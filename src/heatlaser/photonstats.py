@@ -58,6 +58,9 @@ BATCH_RUNGS = 16 * 1002
 # it stays below 40
 MOMENT_COND = 1e3
 
+# the refusal of a chain whose support passes 1e6 rungs
+_TOO_WIDE = "distribution support exceeds 1e6 photons"
+
 
 class TruncationError(RuntimeError):
     """Raised when a photon distribution does not fit a cutoff.
@@ -92,7 +95,9 @@ class PhotonDistribution:
     ``probabilities`` is a read-only array: the vector it is built from,
     which must sum to 1 within 1e-9, clipped at 0 and divided by its sum,
     the one normalisation after the closed form's cut or the exact solve.
-    ``mean`` and ``variance`` are the sums of ``_row_moments``.
+    Both the sum and the moments, ``mean`` and ``variance``, add left to
+    right (``_total``), so a row of a zero-padded stack that is normalised
+    and summed as a whole gets these same bits.
     """
 
     def __init__(self, probabilities: np.ndarray):
@@ -101,11 +106,10 @@ class PhotonDistribution:
             raise ValueError("probabilities must be a non-empty 1-d vector")
         if p.min() < -1e-12:
             raise ValueError(f"negative probability {p.min()}")
-        total = p.sum()
+        total = _total(p)
         if not math.isclose(total, 1.0, rel_tol=1e-9):
             raise ValueError(f"probabilities sum to {total}, expected 1")
-        p = np.clip(p, 0.0, None)
-        p = p / p.sum()
+        p = _unit(np.clip(p, 0.0, None))
         p.flags.writeable = False
         self.probabilities = p
         self.mean, self.variance = map(float, _row_moments(p))
@@ -154,13 +158,30 @@ def _coefficients(model, sc, nh):
     return emission, absorption, emission * scale * sc.Psi
 
 
+def _total(a):
+    """The sum of ``a`` along its last axis, added left to right.
+
+    Zeros past a row's end leave its sum unchanged bit for bit, so a row of
+    a zero-padded stack sums as it does alone.  numpy's pairwise ``sum``
+    and BLAS ``@`` group a row's terms by its length, and would not (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 4).
+    """
+    return np.cumsum(a, axis=-1)[..., -1]
+
+
+def _unit(p):
+    # p divided by its sum along the last axis: the one normalisation of a
+    # photon distribution, a row alone or each row of a zero-padded stack
+    return p / _total(p)[..., np.newaxis]
+
+
 def _normalized(A, A_b, B, kappa, sizes):
     """P_0 .. P_{size - 1} of a stack of chains, each normalised over its own size.
 
     ``A``, ``A_b``, ``B`` and ``sizes`` are arrays over the chains.  Returns
     a (chains, largest size) array, zero past each chain's size.  Each row is
-    reduced over its own size only, so it equals the recursion run for that
-    chain alone, bit for bit.
+    summed by ``_total``, so it equals the recursion run for that chain
+    alone, bit for bit.
     """
     width = sizes.max()
     A, A_b, B = A[:, np.newaxis], A_b[:, np.newaxis], B[:, np.newaxis]
@@ -177,11 +198,10 @@ def _normalized(A, A_b, B, kappa, sizes):
     np.log(ratios, out=ratios)
     np.subtract(np.log(A), ratios, out=ratios)
     np.cumsum(logp, axis=1, out=logp)
-    for row, size in zip(logp, sizes.tolist()):
-        row[size:] = -np.inf
+    logp[np.arange(width) >= sizes[:, np.newaxis]] = -np.inf
     logp -= logp.max(axis=1, keepdims=True)
     p = np.exp(logp, out=logp)
-    p /= np.array([row[:size].sum() for row, size in zip(p, sizes.tolist())])[:, np.newaxis]
+    p /= _total(p)[:, np.newaxis]
     return p
 
 
@@ -199,30 +219,31 @@ def _support_sizes(A, A_b, B, kappa):
 
 
 def _cut_distributions(A, A_b, B, kappa):
-    """Each chain's closed form cut at its cutoff, stack by stack.
+    """The chains' closed forms, cut at their cutoffs, stack by stack.
 
-    ``A``, ``A_b`` and ``B`` are arrays over chains with A > 0.  Yields, in
-    their order, each chain's row cut at the first rung past its peak where
-    P_n < 1e-12 (see :func:`steady_distribution`), left for its one
-    normalisation after the cut, or the :class:`TruncationError` of a chain
-    whose support passes 1e6 rungs, for which nothing is allocated.
-    Consecutive chains are stacked while (chains) x (largest support) stays
-    within ``BATCH_RUNGS``, and a stack is evaluated only when its first
-    chain is asked for.
+    ``A``, ``A_b`` and ``B`` are arrays over chains.  Yields per stack
+    ``(chains, n_maxes, p)``: the indices of its chains, ascending, each
+    chain's cutoff, the first rung past its peak where P_n < 1e-12 (see
+    :func:`steady_distribution`), and its row, zero past that rung and left
+    for its one normalisation, ``_unit``.  The pump-off chains (A = 0) come
+    first, as one stack of rows [1, 0] at n_max = 1.  The others are
+    stacked in order while (chains) x (largest support) stays within
+    ``BATCH_RUNGS``.  A chain whose support passes 1e6 rungs is in no stack,
+    and nothing is allocated for it.
     """
-    sizes = _support_sizes(A, A_b, B, kappa)
+    off = np.flatnonzero(A == 0.0)
+    if off.size:
+        yield off, np.ones(off.size, dtype=int), np.tile([1.0, 0.0], (off.size, 1))
+    sizes = np.where(A > 0.0, _support_sizes(A, A_b, B, kappa), 0)
     for start, end in _runs(sizes.tolist(), BATCH_RUNGS):
-        fits = sizes[start:end] > 0
-        kept = start + np.flatnonzero(fits)
-        cut = iter(())
+        kept = start + np.flatnonzero(sizes[start:end])
         if kept.size:
             p = _normalized(A[kept], A_b[kept], B[kept], kappa, sizes[kept])
-            peak = p.argmax(axis=1)
-            past = np.arange(p.shape[1]) >= peak[:, np.newaxis]
-            ends = np.argmax(past & (p < 1e-12), axis=1) + 1
-            cut = iter([row[:end] for row, end in zip(p, ends.tolist())])
-        for ok in fits.tolist():
-            yield next(cut) if ok else TruncationError("distribution support exceeds 1e6 photons")
+            rungs = np.arange(p.shape[1])
+            past = rungs >= p.argmax(axis=1)[:, np.newaxis]
+            n_maxes = np.argmax(past & (p < 1e-12), axis=1)
+            p[rungs > n_maxes[:, np.newaxis]] = 0.0
+            yield kept, n_maxes, p
 
 
 def _runs(sizes, budget):
@@ -263,13 +284,12 @@ def steady_distribution(coeffs: LaserCoefficients) -> PhotonDistribution:
     chain of the stacked pass of :func:`closed_form_grid`, which evaluates a
     whole sweep grid at once, bit for bit as point by point.
     """
-    if coeffs.A == 0.0:
-        return PhotonDistribution(np.array([1.0, 0.0]))
-    chain = np.array([coeffs.A]), np.array([coeffs.A_b]), np.array([coeffs.B]), coeffs.kappa
-    (p,) = _cut_distributions(*chain)
-    if isinstance(p, TruncationError):
-        raise p
-    return PhotonDistribution(p)
+    chain = [np.array([value]) for value in coeffs[:3]]
+    stack = next(_cut_distributions(*chain, coeffs.kappa), None)
+    if stack is None:
+        raise TruncationError(_TOO_WIDE)
+    _, (n_max,), p = stack
+    return PhotonDistribution(p[0, : n_max + 1])
 
 
 def _upward_flow(coeffs, n, p_nm1, p_n):
@@ -328,24 +348,38 @@ def distribution_moments(coeffs: LaserCoefficients) -> Moments:
     A - A_b reaches kappa.  Where the mean cancels, (X + Y) / mean >
     ``MOMENT_COND``, far below threshold, the mean and variance are the sums
     over that distribution instead (on cancellation see Higham, *Accuracy
-    and Stability of Numerical Algorithms*, 2nd ed., section 1.7).  Each
-    point of :func:`closed_form_grid` is finished by the same code.
+    and Stability of Numerical Algorithms*, 2nd ed., section 1.7).  These
+    rules are those of every point of :func:`closed_form_grid`: one helper
+    finishes both, here on a one-chain stack.
     """
-    return _chain_moments(*coeffs, steady_distribution(coeffs).probabilities)
+    q = steady_distribution(coeffs).probabilities
+    chain = [np.array([value]) for value in coeffs[:3]]
+    return Moments(*_chain_moments(*chain, coeffs.kappa, q[np.newaxis])[:, 0].tolist())
 
 
 def _chain_moments(A, A_b, B, kappa, q):
-    # the Moments of distribution_moments for one chain, from its normalised
-    # row q: the one finish of a closed-form point, alone or in a grid
-    if A == 0.0:
-        return Moments(0.0, 0.0, 0.0, math.nan)
-    if B <= 0.0:
+    """The moments of distribution_moments over a stack of chains.
+
+    ``A``, ``A_b`` and ``B`` are arrays over the chains and ``q`` their
+    normalised rows, zero-padded to one width.  Returns an array of shape
+    (4, chains): the mean, variance, peak and Fano factor of each.  A
+    pump-off chain (A = 0) gets (0, 0, 0, nan), and B <= 0 with A > 0
+    raises ``ValueError``.  The rows whose mean cancels are summed as one
+    stack by ``_row_moments``, so each chain's values are those it gets
+    alone, bit for bit.
+    """
+    on = A > 0.0
+    if np.any(B[on] <= 0.0):
         raise ValueError("saturation B must be positive when A > 0")
-    mean, variance, peak, lossy = _moments(A, A_b, B, kappa, q[0])
-    if lossy:
-        mean, variance = _row_moments(q)
-    fano = variance / mean if mean > 0 else math.nan
-    return Moments(float(mean), float(variance), float(peak), float(fano))
+    moments = np.zeros((4, A.size))
+    moments[3] = math.nan
+    mean, variance, peak, lossy = _moments(A[on], A_b[on], B[on], kappa, q[on, 0])
+    moments[:3, on] = mean, variance, peak
+    if lossy.any():
+        lossy = np.flatnonzero(on)[lossy]
+        moments[:2, lossy] = _row_moments(q[lossy])
+    np.divide(moments[1], moments[0], out=moments[3], where=moments[0] > 0.0)
+    return moments
 
 
 def _moments(A, A_b, B, kappa, p0):
@@ -363,11 +397,13 @@ def _moments(A, A_b, B, kappa, p0):
 
 
 def _row_moments(p):
-    # mean and variance of the probabilities p of rungs 0, 1, ..., as sums
-    n = np.arange(p.size)
-    mean = n @ p
-    deviation = n - mean
-    return mean, (deviation * deviation) @ p
+    # mean and variance of the probabilities p of rungs 0, 1, ... along the
+    # last axis, summed by _total: a row of a zero-padded stack gets the
+    # bits it gets alone
+    n = np.arange(p.shape[-1])
+    mean = _total(n * p)
+    deviation = n - mean[..., np.newaxis]
+    return mean, _total(deviation * deviation * p)
 
 
 def output_power(model: EngineModel, mean_n: float) -> float:
@@ -410,50 +446,60 @@ def closed_form_grid(model: EngineModel, n_h: np.ndarray):
       so a sweep keeps only the rows it compares with an exact solve;
     - ``failures`` holds None, or the message of the error those functions
       raise at the point: a zero bath rate fails every point, a support past
-      1e6 rungs, B <= 0 with the pump on, or a negative mean its own point.
+      1e6 rungs or a negative mean its own point.  So does an n_h so large
+      that the coefficients leave the floating-point range (Gamma Phi, A,
+      A_b or B not finite, or B = 0 with A > 0), with a message naming it
+      and no ``RuntimeWarning``.
 
     Every value equals, bit for bit, what those functions give point by
     point: they share this function's code.  n_h enters only through the
     hot-bath rates, so the rates and coefficients are array expressions
-    over the grid, and the distributions come from the stacks of
+    over the grid.  The distributions come as the zero-padded stacks of
     ``_cut_distributions``, bounded by ``BATCH_RUNGS``, with nothing
-    allocated for a support past 1e6 rungs.  Then each point's row, [1, 0]
-    with the pump off, is divided by its sum once, as
-    :class:`PhotonDistribution` does, and finished, in order, by the one
-    helper of :func:`distribution_moments`.  A one-point grid is the closed
-    form of ``distribution``.
+    allocated for a support past 1e6 rungs.  Each stack is normalised once
+    and finished by ``_chain_moments``, the helper of
+    :func:`distribution_moments`, in a few array operations: every sum adds
+    a row left to right (``_total``), so the padding changes no bit.  A
+    one-point grid is the closed form of ``distribution``.
     """
     n_h = np.asarray(n_h, dtype=float)
     size = n_h.size
-    cutoffs, rows, failures = [None] * size, [None] * size, [None] * size
+    rows, failures = [None] * size, [None] * size
     try:
-        sc = _structure(model, n_h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sc = _structure(model, n_h)
+            inversion0 = _inversion(model, sc, n_h)
+            A, A_b, B = _coefficients(model, sc, n_h)
+            columns = np.full((len(GRID_COLUMNS), size), math.nan)  # in GRID_COLUMNS order
+            columns[:5] = _gain(model, sc, inversion0) / model.kappa, inversion0, A, A_b, B
+            lost = ~np.isfinite(sc.Gamma * sc.Phi) | ~np.isfinite(columns[:5]).all(axis=0)
     except ValueError as exc:
-        return dict.fromkeys(GRID_COLUMNS, [math.nan] * size), cutoffs, rows, [str(exc)] * size
-    inversion0 = _inversion(model, sc, n_h)
-    A, A_b, B = _coefficients(model, sc, n_h)
-    columns = np.full((len(GRID_COLUMNS), size), math.nan)  # in GRID_COLUMNS order
-    columns[:5] = _gain(model, sc, inversion0) / model.kappa, inversion0, A, A_b, B
-    pumped = A > 0.0
-    chains = _cut_distributions(A[pumped], A_b[pumped], B[pumped], model.kappa)
-    for i, on in enumerate(pumped.tolist()):
-        p = next(chains) if on else np.array([1.0, 0.0])
-        try:
-            if isinstance(p, TruncationError):
-                raise p
-            q = p / p.sum()
-            mean, variance, _, fano = _chain_moments(A[i], A_b[i], B[i], model.kappa, q)
-            if mean < 0.0:  # the refusal of output_power
-                raise ValueError(f"mean photon number must be >= 0, got {mean}")
-        except (TruncationError, ValueError) as exc:
-            failures[i] = str(exc)
-            columns[:, i] = math.nan
-            continue
-        columns[5:8, i] = mean, variance, fano
-        cutoffs[i] = q.size - 1
-        if q.size + 1 <= BATCH_RUNGS:
-            rows[i] = q
+        return dict.fromkeys(GRID_COLUMNS, [math.nan] * size), [None] * size, rows, [str(exc)] * size
+    lost |= (A > 0.0) & ~(B > 0.0)
+    cutoffs = np.full(size, -1)
+    live = np.flatnonzero(~lost)
+    for chains, n_maxes, p in _cut_distributions(A[live], A_b[live], B[live], model.kappa):
+        points = live[chains]
+        q = _unit(p)
+        mean, variance, _, fano = _chain_moments(A[points], A_b[points], B[points], model.kappa, q)
+        columns[5:8, points] = mean, variance, fano
+        cutoffs[points] = n_maxes
+        for k, row, n_max in zip(points.tolist(), q, n_maxes.tolist()):
+            if n_max + 2 <= BATCH_RUNGS:
+                rows[k] = row[: n_max + 1]
+    negative = columns[5] < 0.0  # the refusal of output_power
+    failed = lost | (cutoffs < 0) | negative
+    for k in np.flatnonzero(failed).tolist():
+        if lost[k]:
+            failures[k] = f"closed-form rates out of floating-point range at n_h = {n_h[k]}"
+        elif negative[k]:
+            failures[k] = f"mean photon number must be >= 0, got {float(columns[5, k])}"
+        else:
+            failures[k] = _TOO_WIDE
+        rows[k] = None
+    columns[:, failed] = math.nan
     columns[8] = output_power(model, columns[5])
+    cutoffs = np.where(failed, None, cutoffs).tolist()
     return dict(zip(GRID_COLUMNS, columns.tolist())), cutoffs, rows, failures
 
 

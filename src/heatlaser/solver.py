@@ -8,9 +8,13 @@ photon distribution, in O(n_max) memory and time; :func:`exact_grid`
 does so for one engine over a grid of hot-bath occupations n_h, one
 stacked sweep per batch, each point in its own layout and over its own
 rungs, and returns the columns of a sweep.  Both finish a point alike
-from the one result per point of a batch, its P_n clipped at 0: they warn
-its tail, divide it by its sum once, and take its moments from
-``photonstats._row_moments``.  Both solve a point at a cutoff
+from its row of the batch's zero-padded stack of P_n, clipped at 0: they
+warn its tail, divide it by its sum once and take its moments, with the
+helpers of :class:`PhotonDistribution`.  Every sum of a row, the trace of
+its state included, adds left to right (``photonstats._total``), so the
+zeros past a point's cutoff change no bit, and :func:`exact_grid` finishes
+a whole batch in a few array operations with the numbers
+:func:`solve_model` gives each point alone.  Both solve a point at a cutoff
 1 <= n_max <= 16 030, which fills one batch of ``BATCH_RUNGS`` rung-points
 alone, in 0.33-0.36 s.  They are the independent check on the
 closed-form theory in :mod:`heatlaser.photonstats`.  The dense (A F)^2
@@ -49,6 +53,8 @@ from .photonstats import (
     TruncationError,
     _row_moments,
     _runs,
+    _total,
+    _unit,
     scully_lamb_coefficients,
     steady_distribution,
 )
@@ -348,24 +354,27 @@ def _warn_tail(p):
 
 
 def _solve_batch(model, n_h, n_maxes, tol):
-    """One batch of points, solved: ``(errors, rows, residuals, x)``.
+    """One batch of points, solved: ``(errors, p, residuals, x)``.
 
-    ``errors``, ``rows`` and ``residuals`` hold per point, in the order of
-    ``n_h``, the error it raised or None, and where it passed its photon
-    distribution P_0 .. P_n_max, clipped at 0 but not normalised, and its
-    residual (else None).  ``x`` stacks the unit-trace solutions in rung
-    layout of the points that were swept, in ascending order of cutoff, so
-    that of a batch of one is ``x[0]``; it is None when no point was swept.
+    ``errors`` holds per point, in the order of ``n_h``, the error it raised
+    or None.  ``p`` is the batch's padded stack of photon distributions, one
+    row per point in that order: P_0 .. P_n_max of a point that passed,
+    clipped at 0 but not normalised, zero past its cutoff.  ``residuals``
+    is an array of the points' residuals, NaN where a point was not swept.
+    ``x`` stacks the unit-trace solutions in rung layout of the points that
+    were swept, in ascending order of cutoff, so that of a batch of one is
+    ``x[0]``; it is None when no point was swept.
 
     The live points are assembled in one call and swept in one stacked
     rung sweep, in ascending order of cutoff, each n_h with its own: each
     rung then sweeps a suffix of the batch (``_rung_sweep``), and a grid
     that is already in that order reaches the builder as it is.  The pinned
-    levels are one stacked reachability pass, and the residuals, their
-    scales and the photon distributions a few array operations over the
-    stacked solution.  Per point remain the checks of its n_h and cutoff,
-    and its trace, a masked sum over its own rungs, since numpy's pairwise
-    sum groups the terms of a padded row otherwise.
+    levels are one stacked reachability pass, and the traces, residuals,
+    their scales and the photon distributions a few array operations over
+    the stacked solution.  A trace adds a point's populations left to right
+    (``photonstats._total``), with zeros past its own rungs, so a point
+    gets the trace it gets alone.  Per point remain only the checks of its
+    n_h and cutoff and the messages of the points that fail.
     """
     n_h, errors = np.asarray(n_h, dtype=float), []
     pins = _pinned_levels(model, n_h)
@@ -376,10 +385,10 @@ def _solve_batch(model, n_h, n_maxes, tol):
         elif not 1 <= n_max <= BATCH_RUNGS - 2:
             pin = TruncationError(f"cutoff n_max = {n_max} is outside [1, {BATCH_RUNGS - 2}]")
         errors.append(pin if isinstance(pin, Exception) else None)
-    rows, residuals = [None] * len(errors), [None] * len(errors)
+    residuals = np.full(len(errors), math.nan)
     live = sorted((k for k, error in enumerate(errors) if error is None), key=n_maxes.__getitem__)
     if not live:
-        return errors, rows, residuals, None
+        return errors, np.zeros((len(errors), 2)), residuals, None
     cutoffs = [n_maxes[k] for k in live]
     bands, inside = build_sector_liouvillian(model, n_h[live], cutoffs)
     # the pinned population's equation becomes x = 1, and that of every slot
@@ -402,22 +411,25 @@ def _solve_batch(model, n_h, n_maxes, tol):
 
     width = x.shape[-1]
     populations = inside & np.equal(*RUNG_SLOTS[:width].T)
-    x /= np.array([x[j][populations[j]].sum() for j in point.tolist()])[:, np.newaxis, np.newaxis]
-    defects = np.abs(_apply_bands(bands, x)).max(axis=(1, 2)).tolist()
+    x /= _total(np.where(populations, x, 0.0).reshape(len(x), -1))[:, np.newaxis, np.newaxis]
+    defects = np.abs(_apply_bands(bands, x)).max(axis=(1, 2))
     # max|bands| per point, without an |bands| temporary
     scales = np.maximum(bands.max(axis=1), -bands.min(axis=1)) * _HALVED[:width, :width]
-    scales = scales.max(axis=(1, 2, 3)).tolist()
+    scales = scales.max(axis=(1, 2, 3))
+    residuals[live] = defects
     # the reduced cavity state is diagonal: P_n sums the populations of the
     # levels at n, |l, n> in rung n + RUNG_SHIFT[l], added level by level
     # as the partial trace adds them
     depth = x.shape[1] - 1
-    p = sum(x[:, RUNG_SHIFT[l] : depth + RUNG_SHIFT[l], SLOT_OF[l, l]] for l in range(width - 1))
-    p = np.clip(p, 0.0, None)
-    for j, (k, error) in enumerate(zip(live, swept)):
-        errors[k] = error or _stall(defects[j], scales[j], tol)
-        if errors[k] is None:
-            rows[k], residuals[k] = p[j, : cutoffs[j] + 1], defects[j]
-    return errors, rows, residuals, x
+    p = np.zeros((len(errors), depth))
+    p[live] = sum(
+        x[:, RUNG_SHIFT[l] : depth + RUNG_SHIFT[l], SLOT_OF[l, l]] for l in range(width - 1)
+    )
+    np.clip(p, 0.0, None, out=p)
+    stalled = ~(defects <= tol * scales)
+    for j in np.flatnonzero(stalled | [error is not None for error in swept]).tolist():
+        errors[live[j]] = swept[j] or _stall(float(defects[j]), float(scales[j]), tol)
+    return errors, p, residuals, x
 
 
 # the columns of exact_grid, named as a sweep record names them
@@ -466,28 +478,35 @@ def exact_grid(
       of the point, so that one point's failure stays its own.
 
     A point that passed is finished as :func:`solve_model` finishes it: its
-    tail warning, in point order, its P_n divided by its sum once into a row
-    of its own, and its moments from ``_row_moments``.  So every value
-    equals, bit for bit, what :func:`solve_model` gives for that point; no
-    distribution object or state is built.
+    tail warning, in point order, and then its P_n divided by its sum once
+    and its moments, from ``photonstats._unit`` and ``_row_moments``, the
+    helpers of :class:`PhotonDistribution`.  Here they run once over the
+    batch's padded stack of rows: each sum adds a row left to right, so
+    the zeros past a point's cutoff change no bit, and every value equals,
+    bit for bit, what :func:`solve_model` gives for that point.  Each row
+    is then copied out at its own length; no distribution object or state
+    is built.
     """
-    columns, rows, failures = {name: [] for name in EXACT_COLUMNS}, [], []
+    columns, rows, failures = np.full((len(EXACT_COLUMNS), len(n_maxes)), math.nan), [], []
     for start, end in _runs([n_max + 2 for n_max in n_maxes], BATCH_RUNGS):
-        batch = _solve_batch(model, n_h[start:end], n_maxes[start:end], tol)
-        for error, p, residual in zip(*batch[:3]):
-            q, values = None, [math.nan] * len(EXACT_COLUMNS)
-            if error is None:
-                _warn_tail(p)
-                q = p / p.sum()
-                mean, variance = map(float, _row_moments(q))
-                fano = variance / mean if mean > 0 else math.nan
-                values = [mean, variance, fano, float(q[-1]), residual]
-            failures.append(None if error is None else str(error))
-            rows.append(q)
-            for name, value in zip(EXACT_COLUMNS, values):
-                columns[name].append(value)
-        del batch, p  # the batch's padded arrays go before the next batch is solved
-    return columns, rows, failures
+        errors, p, residuals = _solve_batch(model, n_h[start:end], n_maxes[start:end], tol)[:3]
+        passed = np.flatnonzero([error is None for error in errors])
+        cutoffs = np.array(n_maxes[start:end])[passed]
+        p, last = p[passed], (np.arange(passed.size), cutoffs)  # last: each row's P[n_max]
+        for j in np.flatnonzero(p[last] > 1e-8).tolist():
+            _warn_tail(p[j, : cutoffs[j] + 1])
+        q = _unit(p)
+        mean, variance = _row_moments(q)
+        fano = np.full(passed.size, math.nan)
+        np.divide(variance, mean, out=fano, where=mean > 0.0)
+        columns[:, start + passed] = mean, variance, fano, q[last], residuals[passed]
+        batch_rows = [None] * len(errors)
+        for j, (k, n_max) in enumerate(zip(passed.tolist(), cutoffs.tolist())):
+            batch_rows[k] = q[j, : n_max + 1].copy()
+        rows += batch_rows
+        failures += [None if error is None else str(error) for error in errors]
+        del p, q  # the batch's padded arrays go before the next batch is solved
+    return dict(zip(EXACT_COLUMNS, columns.tolist())), rows, failures
 
 
 def solve_model(
@@ -529,10 +548,10 @@ def solve_model(
     """
     if n_max is None:
         n_max = steady_distribution(scully_lamb_coefficients(model)).n_max
-    (error,), (p,), (residual,), x = _solve_batch(model, [model.n_h], [n_max], tol)
+    (error,), p, (residual,), x = _solve_batch(model, [model.n_h], [n_max], tol)
     if error is not None:
         raise error
-    _warn_tail(p)
+    _warn_tail(p[0])
     return HilbertSpace.for_model(model, n_max), BlockState(
-        x[0, : n_max + 2, : model.atom_dim + 1].copy(), PhotonDistribution(p), residual
+        x[0, : n_max + 2, : model.atom_dim + 1].copy(), PhotonDistribution(p[0]), float(residual)
     )

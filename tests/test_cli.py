@@ -35,6 +35,7 @@ from heatlaser.cli import (
     dumps_config,
     load_config,
     _fmt,
+    _write_csv,
     main,
     run_sweep,
 )
@@ -524,11 +525,13 @@ def test_closed_form_failures_stay_per_point(tmp_path):
         assert record["status"].startswith("failed: cutoff n_max = ")
     for record in records[:-34]:
         assert all(math.isfinite(record[name]) for name in GRID_COLUMNS)
-    # g = 1e-160: B underflows to 0 while A > 0, which the moments refuse,
-    # except at the top of the grid, where A underflows too
+    # g = 1e-160: B underflows to 0 while A > 0, which the grid refuses as
+    # out of range at that n_h, except at the top of the grid, where A
+    # underflows too
     records = run_sweep(load_config(_fig2_sweep(tmp_path, {"g": 1e-160}, points=4)))
-    refused = "failed: saturation B must be positive when A > 0"
-    assert [r["status"] for r in records] == [refused] * 3 + ["ok"]
+    refused = "failed: closed-form rates out of floating-point range at n_h = "
+    assert [r["status"] for r in records[:3]] == [f"{refused}{r['n_h']}" for r in records[:3]]
+    assert records[3]["status"] == "ok"
     assert all(math.isnan(r[name]) for r in records[:3] for name in GRID_COLUMNS)
     assert records[3]["A"] == 0.0 and records[3]["n_max"] == 1
     # a zero bath rate fails every point alike
@@ -685,6 +688,39 @@ def test_distribution_reads_the_one_point_grid(tmp_path, capsys):
         "numeric failure: distribution support exceeds 1e6 photons"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n_h", ["1e150", "1e154", "1e300"])
+def test_huge_hot_occupation_is_refused(n_h, tmp_path, capsys):
+    # the fig2 rates leave the floating-point range: distribution exits 3
+    # with a message naming the n_h, and a sweep fails that point alone,
+    # without a RuntimeWarning on the way
+    refused = f"closed-form rates out of floating-point range at n_h = {float(n_h)}"
+    out = tmp_path / "huge"
+    path = write_config(tmp_path, {"sweep.start": 1.0, "sweep.stop": float(n_h)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["distribution", "--config", "fig2", "--nh", n_h, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.strip() == f"numeric failure: {refused}"
+        assert not out.exists()
+        records = run_sweep(load_config(path))
+    assert [r["status"] for r in records] == ["ok", f"failed: {refused}"]
+
+
+def test_csv_template_prints_as_fmt(tmp_path):
+    # each record is one %-template of its values' types, and prints what
+    # the _fmt join prints, whatever the types of a column's values
+    records = [
+        {"a": math.nan, "b": math.inf, "c": -math.inf, "d": -0.0, "e": 3, "f": None},
+        {"a": 1e-300, "b": 1e21, "c": "failed: x, y", "d": 0.1, "e": 10**21, "f": 2.0 / 3.0},
+        {"a": None, "b": -7, "c": 1.0, "d": "ok", "e": np.float64(0.1), "f": np.int64(5)},
+        {"a": math.nan, "b": math.inf, "c": -math.inf, "d": -0.0, "e": 3, "f": None},
+    ]
+    fields = list(records[0])
+    _write_csv(tmp_path / "t.csv", fields, records)
+    lines = [",".join(fields)] + [",".join(_fmt(row[f]) for f in fields) for row in records]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(lines) + "\n"
+    assert lines[1:3] == ["nan,inf,-inf,-0,3,nan", "1e-300,1e+21,failed: x, y,0.1,1e+21,0.666666666667"]
 
 
 def test_distribution_vacuum(tmp_path):

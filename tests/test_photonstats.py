@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -358,6 +359,47 @@ def test_rough_estimate():
         rough_estimate_mean(
             build_three_level(BathSpec(32.0, 1.0), BathSpec(16.0, 0.05), 14.0, 1.0)
         )
+
+
+def test_sums_ignore_zero_padding():
+    # _total adds a row left to right, so zeros padded past its end change no
+    # bit: each row of a zero-padded stack sums, normalises and gets the
+    # moments it gets alone.  numpy's pairwise sum groups a row's terms by its
+    # length, and misses this
+    rng = np.random.default_rng(30)
+    rows = [rng.uniform(0.0, 1.0, size) for size in [*range(1, 301), BATCH_RUNGS]]
+    stack = np.zeros((len(rows), BATCH_RUNGS + 5))
+    for k, row in enumerate(rows):
+        stack[k, : row.size] = row
+    alone = [photonstats._total(row) for row in rows]
+    assert np.array_equal(photonstats._total(stack), alone)
+    assert any(padded.sum() != row.sum() for padded, row in zip(stack, rows))
+    units = photonstats._unit(stack)
+    means, variances = photonstats._row_moments(units)
+    for k, row in enumerate(rows):
+        unit = photonstats._unit(row)
+        assert np.array_equal(units[k, : row.size], unit)
+        assert (means[k], variances[k]) == photonstats._row_moments(unit)
+
+
+@pytest.mark.parametrize("n_h", [1e150, 1e154, 1e300])
+def test_grid_refuses_rates_out_of_range(n_h):
+    # at the fig2 rates B underflows to 0 while A > 0 past n_h near 1e140,
+    # and Gamma Phi overflows past 1e154; such a point fails alone, with a
+    # message naming it and no RuntimeWarning, while its neighbours keep
+    # the point functions' values
+    model = load_config("fig2").model
+    grid = np.array([1.0, n_h, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        columns, cutoffs, rows, failures = closed_form_grid(model, grid)
+    assert failures == [None, f"closed-form rates out of floating-point range at n_h = {n_h}", None]
+    assert cutoffs[1] is None and rows[1] is None
+    assert all(math.isnan(values[1]) for values in columns.values())
+    assert_grid_matches_points(model, grid[[0, 2]])
+    # hand-built coefficients with B = 0 and the pump on keep their refusal
+    with pytest.raises(ValueError, match="saturation B must be positive when A > 0"):
+        distribution_moments(LaserCoefficients(0.3, 0.2, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
