@@ -42,23 +42,17 @@ from .photonstats import (
     coefficient_flow,
     distribution_moments,
     output_power,
-    pn_derivative,
-    rough_estimate_mean,
-    saturated_power,
     scully_lamb_coefficients,
     steady_distribution,
 )
 from .semiclassical import (
     LasingReport,
     StructureConstants,
-    field_derivative,
     find_thresholds,
     lasing_gain,
     population_inversion,
-    saturation_parameter,
     structure_constants,
     temperature_lasing_condition,
-    zero_field_populations,
 )
 from .solver import (
     SteadyStateError,
@@ -91,11 +85,8 @@ __all__ = [
     "StructureConstants",
     "LasingReport",
     "structure_constants",
-    "zero_field_populations",
     "population_inversion",
     "lasing_gain",
-    "saturation_parameter",
-    "field_derivative",
     "find_thresholds",
     "temperature_lasing_condition",
     "LaserCoefficients",
@@ -104,12 +95,9 @@ __all__ = [
     "TruncationError",
     "scully_lamb_coefficients",
     "steady_distribution",
-    "pn_derivative",
     "distribution_moments",
     "coefficient_flow",
     "output_power",
-    "saturated_power",
-    "rough_estimate_mean",
     "SteadyStateResult",
     "SteadyStateError",
     "WignerField",

@@ -130,7 +130,7 @@ class SweepSpec(namedtuple("SweepSpec", "variable start stop points spacing")):
         space = np.geomspace if self.spacing == "log" else np.linspace
         try:
             return space(self.start, self.stop, self.points)
-        except MemoryError as exc:
+        except (MemoryError, ValueError) as exc:  # ValueError: points past intp
             raise ConfigError(f"sweep.points: {self.points} points do not fit in memory") from exc
 
 

@@ -23,7 +23,7 @@ from collections import namedtuple
 import numpy as np
 
 from .models import THREE_LEVEL, EngineModel, _Validated
-from .semiclassical import _gain, _inversion, _structure, structure_constants
+from .semiclassical import _coupling, _gain, _inversion, _structure, structure_constants
 
 __all__ = [
     "LaserCoefficients",
@@ -33,12 +33,9 @@ __all__ = [
     "scully_lamb_coefficients",
     "steady_distribution",
     "closed_form_grid",
-    "pn_derivative",
     "distribution_moments",
     "coefficient_flow",
     "output_power",
-    "saturated_power",
-    "rough_estimate_mean",
 ]
 
 # the one memory budget of both routes, in rung-cells: (points) x (largest
@@ -119,10 +116,6 @@ class PhotonDistribution:
         return self.probabilities.size - 1
 
     @property
-    def peak_index(self) -> int:
-        return int(np.argmax(self.probabilities))
-
-    @property
     def fano(self) -> float:
         m = self.mean
         return self.variance / m if m > 0 else math.nan
@@ -148,7 +141,7 @@ def scully_lamb_coefficients(model: EngineModel) -> LaserCoefficients:
 def _coefficients(model, sc, nh):
     # (A, A_b, B) from the structure constants at the hot occupation nh; sc
     # and nh may hold arrays (see semiclassical._structure)
-    scale = 4.0 * model.g**2 / (sc.Gamma * sc.Phi)
+    scale = _coupling(model) / (sc.Gamma * sc.Phi)
     if model.kind == THREE_LEVEL:
         emission = scale * nh * (model.n_c + 1.0)
         absorption = scale * model.n_c * (nh + 1.0)
@@ -208,10 +201,13 @@ def _normalized(A, A_b, B, kappa, sizes):
 def _support_sizes(A, A_b, B, kappa):
     # rungs 0 .. n0 + 41 of each chain's one-pass support (see
     # steady_distribution), or 0 where n0 + 41 would pass 1e6
-    gap = 2.0 * A - A_b - kappa
-    kb = kappa * B
-    # n0 + 41 > 1e6, multiplied out so that B = 0 (no n0 at all) never divides
-    fits = (gap < 0.0) | (A * gap < (1_000_000 - 40) * kb)
+    # n0 + 41 > 1e6, multiplied out so that B = 0 (no n0 at all) never
+    # divides.  A side past the float range is inf, still right against a
+    # finite other side: a bath rate of 1e-300 puts kappa B near 1e305
+    with np.errstate(over="ignore"):
+        gap = 2.0 * A - A_b - kappa
+        kb = kappa * B
+        fits = (gap < 0.0) | (A * gap < (1_000_000 - 40) * kb)
     grows = fits & (gap > 0.0)
     n0 = np.zeros(A.shape, dtype=int)
     n0[grows] = (A[grows] * gap[grows] / kb[grows]).astype(int)
@@ -292,42 +288,19 @@ def steady_distribution(coeffs: LaserCoefficients) -> PhotonDistribution:
     return PhotonDistribution(p[0, : n_max + 1])
 
 
-def _upward_flow(coeffs, n, p_nm1, p_n):
-    # net coherent flow across the (n-1, n) edge; the A = 0 limit keeps the
-    # unsaturated absorption term since B/A -> finite only through the pump
-    if coeffs.A == 0.0:
-        return -n * coeffs.A_b * p_n
-    return n * (coeffs.A * p_nm1 - coeffs.A_b * p_n) / (1.0 + n * coeffs.B / coeffs.A)
-
-
 def coefficient_flow(coeffs: LaserCoefficients, n: int, p_nm1: float, p_n: float) -> float:
     """Closed-form net coherent photon flow across the (n-1, n) edge.
 
     Equals n [A P_{n-1} - A_b P_n] / (1 + n B/A), the gain side of the
     birth-death chain; the test suite recomputes the same quantity from the
-    atomic linear system.
+    atomic linear system.  With the pump off (A = 0) it is the unsaturated
+    absorption -n A_b P_n, since B/A stays finite only through the pump.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return float(_upward_flow(coeffs, n, p_nm1, p_n))
-
-
-def pn_derivative(coeffs: LaserCoefficients, probabilities: np.ndarray) -> np.ndarray:
-    """Time derivative of the photon-number distribution.
-
-    Written as flows across rung edges so the total probability is conserved
-    identically, including at the truncation edge.
-    """
-    p = np.asarray(probabilities, dtype=float)
-    top = p.size - 1
-    n = np.arange(1, top + 1, dtype=float)
-    coherent = _upward_flow(coeffs, n, p[:-1], p[1:])
-    decay = coeffs.kappa * n * p[1:]
-    net_up = coherent - decay
-    deriv = np.zeros_like(p)
-    deriv[1:] += net_up
-    deriv[:-1] -= net_up
-    return deriv
+    if coeffs.A == 0.0:
+        return float(-n * coeffs.A_b * p_n)
+    return float(n * (coeffs.A * p_nm1 - coeffs.A_b * p_n) / (1.0 + n * coeffs.B / coeffs.A))
 
 
 def distribution_moments(coeffs: LaserCoefficients) -> Moments:
@@ -501,35 +474,3 @@ def closed_form_grid(model: EngineModel, n_h: np.ndarray):
     columns[8] = output_power(model, columns[5])
     cutoffs = np.where(failed, None, cutoffs).tolist()
     return dict(zip(GRID_COLUMNS, columns.tolist())), cutoffs, rows, failures
-
-
-def saturated_power(model: EngineModel) -> float:
-    """Far-above-threshold power, lasing_frequency * (A/B)(A - A_b - kappa).
-
-    Valid once P_0 is negligible; below threshold the full expression
-    ``output_power(model, distribution_moments(...).mean)`` must be used.
-    """
-    coeffs = scully_lamb_coefficients(model)
-    if coeffs.A == 0.0:
-        return 0.0
-    return model.lasing_frequency * (coeffs.A / coeffs.B) * (
-        coeffs.A - coeffs.A_b - coeffs.kappa
-    )
-
-
-def rough_estimate_mean(model: EngineModel) -> float:
-    """Order-of-magnitude cavity photon number for a symmetric 3-level engine.
-
-    Assumes gamma_h = gamma_c = gamma and a near-empty cold bath:
-
-        <n> ~ gamma nh / [kappa (3 nh + 2)]
-              - (gamma^2 / 4 g^2)(nh + 1)(2 nh + 1) / (3 nh + 2).
-    """
-    if model.kind != THREE_LEVEL:
-        raise ValueError("the rough estimate applies to the three-level model only")
-    if not math.isclose(model.gamma_h, model.gamma_c, rel_tol=1e-12):
-        raise ValueError("the rough estimate assumes gamma_h = gamma_c")
-    gamma, nh = model.gamma_h, model.n_h
-    first = gamma * nh / (model.kappa * (3 * nh + 2))
-    second = (gamma**2 / (4 * model.g**2)) * (nh + 1) * (2 * nh + 1) / (3 * nh + 2)
-    return first - second

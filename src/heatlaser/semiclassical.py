@@ -1,9 +1,10 @@
-"""Semi-classical laser theory: inversion, gain, saturation, and thresholds.
+"""Semi-classical laser theory: inversion, gain, and thresholds.
 
 Everything here is closed-form, obtained by factorizing atom-field
 correlations and adiabatically eliminating the fast atomic dynamics; the
 thresholds are the exact roots of a polynomial in the hot-bath occupation.
-The fully quantum counterpart lives in :mod:`heatlaser.photonstats`.
+The fully quantum counterpart, built on the same structure constants, lives
+in :mod:`heatlaser.photonstats`.
 """
 
 from __future__ import annotations
@@ -20,11 +21,8 @@ __all__ = [
     "StructureConstants",
     "LasingReport",
     "structure_constants",
-    "zero_field_populations",
     "population_inversion",
     "lasing_gain",
-    "saturation_parameter",
-    "field_derivative",
     "find_thresholds",
     "temperature_lasing_condition",
 ]
@@ -87,80 +85,35 @@ def _classical_rate_matrix(model: EngineModel) -> np.ndarray:
     return mat
 
 
-def zero_field_populations(model: EngineModel) -> np.ndarray:
-    """Steady atomic populations with the cavity decoupled (g = 0).
-
-    Returns the normalized populations ordered (g, e1, e2) or
-    (g, e1, e2, e3).  Each bath drives one pair of levels and the pairs form
-    a tree, so the steady state balances each pair, upper : lower =
-    n : n + 1 at the bath's occupation n.  The weights of that balance sum
-    to Phi (:func:`structure_constants`).  A zero bath rate, which cuts a
-    level off, raises ValueError, as does Phi = 0: a four-level atom with
-    n_h = n_a = 0 has two closed classes, {g, e1} and the dark e2.
-    """
-    phi = _structure(model, model.n_h).Phi  # raises on a zero bath rate
-    if phi == 0:
-        raise ValueError(
-            "degenerate rate network: the g=0 steady state is not unique (kernel dimension 2)"
-        )
-    nh, nc = model.n_h, model.n_c
-    # g, e1 and the upper level of the hot pair, e2 or e3
-    weights = [(nh + 1) * (nc + 1), (nh + 1) * nc, nh * (nc + 1)]
-    if model.kind != THREE_LEVEL:  # the ancilla pair e2 <-> e3 splits the hot weight
-        ground, cold, hot, na = *weights, model.n_a
-        weights = [ground * na, cold * na, hot * (na + 1), hot * na]
-    return np.array(weights) / phi
+def population_inversion(model: EngineModel) -> float:
+    """Zero-field population inversion of the lasing levels, DeltaN0 = numerator / Phi."""
+    return _inversion(model, structure_constants(model), model.n_h)
 
 
-def population_inversion(model: EngineModel, field_intensity: float = 0.0) -> float:
-    """Population inversion of the lasing levels at a given field intensity.
-
-    Saturates as DeltaN = numerator / (Phi + (4 g^2 I / Gamma) Psi) with
-    I = |E|^2 the mean-field intensity; ``field_intensity=0`` gives the
-    zero-field inversion DeltaN0 = numerator / Phi.
-    """
-    if field_intensity < 0:
-        raise ValueError(f"field intensity must be >= 0, got {field_intensity}")
-    return _inversion(model, structure_constants(model), model.n_h, field_intensity)
-
-
-def _inversion(model: EngineModel, sc: StructureConstants, nh, field_intensity=0.0):
+def _inversion(model: EngineModel, sc: StructureConstants, nh):
     # population_inversion from the structure constants at the hot
     # occupation nh; sc and nh may hold arrays (see _structure)
-    denom = sc.Phi + (4.0 * model.g**2 * field_intensity / sc.Gamma) * sc.Psi
-    return _inversion_numerator(model, nh) / denom
+    return _inversion_numerator(model, nh) / sc.Phi
 
 
 def lasing_gain(model: EngineModel) -> float:
     """Linear field gain G = 4 g^2 DeltaN0 / Gamma; lasing needs G >= kappa.
 
-    DeltaN0 is :func:`population_inversion` at zero field, numerator / Phi,
-    taken from the same structure constants as Gamma.
+    DeltaN0 is :func:`population_inversion`, numerator / Phi, taken from
+    the same structure constants as Gamma.
     """
     sc = structure_constants(model)
     return _gain(model, sc, _inversion(model, sc, model.n_h))
 
 
 def _gain(model: EngineModel, sc: StructureConstants, inversion0):
-    return 4.0 * model.g**2 * inversion0 / sc.Gamma
+    return _coupling(model) * inversion0 / sc.Gamma
 
 
-def saturation_parameter(model: EngineModel) -> float:
-    """Self-saturation coefficient B = 4 g^2 Psi / (Gamma Phi)."""
-    sc = structure_constants(model)
-    return 4.0 * model.g**2 * sc.Psi / (sc.Gamma * sc.Phi)
-
-
-def field_derivative(model: EngineModel, field: complex) -> complex:
-    """Right-hand side of the mean-field lasing equation.
-
-    dE/dt = [G / (1 + B |E|^2) - kappa] E / 2.  Above threshold the stable
-    fixed point satisfies |E*|^2 = (G/kappa - 1) / B.
-    """
-    gain = lasing_gain(model)
-    sat = saturation_parameter(model)
-    intensity = abs(field) ** 2
-    return 0.5 * (gain / (1.0 + sat * intensity) - model.kappa) * field
+def _coupling(model: EngineModel) -> float:
+    # 4 g^2 of every closed form: past g near 1.3e154, g * g is inf where
+    # g**2 raises OverflowError, so such rates fail as out of range
+    return 4.0 * model.g * model.g
 
 
 def find_thresholds(
@@ -181,9 +134,12 @@ def find_thresholds(
     # and constant for four, hence the double threshold and the single one
     degree = 2 if model.kind == THREE_LEVEL else 1
     nodes = np.arange(degree + 1.0)
-    sc = _structure(model, nodes)
-    emission = 4.0 * model.g**2 * _inversion_numerator(model, nodes)
-    samples = emission - model.kappa * sc.Gamma * sc.Phi
+    with np.errstate(over="ignore", invalid="ignore"):
+        sc = _structure(model, nodes)
+        emission = _coupling(model) * _inversion_numerator(model, nodes)
+        samples = emission - model.kappa * sc.Gamma * sc.Phi
+    if not np.isfinite(samples).all():
+        raise ValueError("closed-form rates out of floating-point range in the threshold polynomial")
     # the square Vandermonde solve keeps p(0) as the constant term exactly;
     # np.polyfit's least squares smears the larger samples into it, which
     # left G - kappa at 3e-12 kappa for a four-level root near n_h = 0.006

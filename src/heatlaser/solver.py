@@ -534,7 +534,11 @@ def solve_model(
     the largest |L_ij| of the block, a bound relative to the rates.  That is
     the entry of the complex block, over every operator, not the real band
     of a population in a coherence column, which sums both partners.  There
-    is no pivoting across rungs, and the residual is the check.
+    is no pivoting across rungs, and the residual is the check.  It checks
+    the solve only: the largest |L_ij| is about gamma_h (n_h + 1), so an
+    error made at assembly, such as the slow rates (kappa, g, gamma_c n_c)
+    rounded away on population diagonals near gamma_h n_h, is not seen.
+    The system solved is then a different one, solved stably.
 
     With ``n_max=None`` the cutoff is the ``n_max`` of the closed-form
     distribution :func:`steady_distribution`, whose support ends at the

@@ -176,6 +176,12 @@ def test_sweep_block_errors_exit_2(tmp_path, capsys):
             {"sweep.points": 10**12},
             "sweep.points: 1000000000000 points do not fit in memory",
         ),
+        # past intp numpy refuses the size itself, with a ValueError
+        (
+            "intp.json",
+            {"sweep.points": 10**20},
+            "sweep.points: 100000000000000000000 points do not fit in memory",
+        ),
     ]:
         path = write_config(tmp_path, overrides, name=name)
         assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
@@ -705,6 +711,42 @@ def test_huge_hot_occupation_is_refused(n_h, tmp_path, capsys):
         assert not out.exists()
         records = run_sweep(load_config(path))
     assert [r["status"] for r in records] == ["ok", f"failed: {refused}"]
+
+
+@pytest.mark.parametrize("model", [{"g": 1e300}, {"n_c": 1e300}])
+def test_rates_out_of_range_fail_by_message(model, tmp_path, capsys):
+    # a coupling or a cold occupation of 1e300 takes every closed-form rate
+    # out of floating-point range: a sweep fails each point by message, and
+    # distribution and thresholds exit 3, with no RuntimeWarning
+    path = _fig2_sweep(tmp_path, model, points=3)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        records = run_sweep(load_config(path))
+        for argv, message in [
+            (["distribution", "--nh", "2"], "closed-form rates out of floating-point range at n_h = 2.0"),
+            (["thresholds"], "closed-form rates out of floating-point range in the threshold polynomial"),
+        ]:
+            assert main([*argv, "--config", str(path), "--out", str(out)]) == 3
+            assert capsys.readouterr().err.strip() == f"numeric failure: {message}"
+    refused = "failed: closed-form rates out of floating-point range at n_h = "
+    assert [r["status"] for r in records] == [f"{refused}{r['n_h']}" for r in records]
+
+
+@pytest.mark.parametrize("rate", ["gamma_h", "gamma_c"])
+def test_tiny_four_level_bath_rate_runs_without_warning(rate, tmp_path):
+    # a bath rate of 1e-300 puts kappa B between 1e301 and 1e305, whose 1e6
+    # multiple in the support bound leaves the floating-point range: each
+    # chain is still cut at n_max 1, and nothing warns
+    fig5 = load_config("fig5").raw
+    sweep = {**fig5["sweep"], "points": 3}
+    path = write_config(tmp_path, {"model": {**fig5["model"], rate: 1e-300}, "sweep": sweep})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["distribution", "--config", str(path), "--nh", "2", "--out", str(out)]) == 0
+        records = run_sweep(load_config(path))
+    assert all(r["status"] == "ok" and r["n_max"] == 1 for r in records)
 
 
 def test_csv_template_prints_as_fmt(tmp_path):

@@ -4,9 +4,14 @@ Random engines, sweep grids and argument lists go through ``cli.main``.
 Every command must exit 0, 2 or 3 and raise nothing else; every ``ok``
 sweep record must have a mean, variance and Fano factor >= 0 on both
 routes; and the closed-form mean of every point must match the mean of its
-own cut row.  The explicit examples are the two breaks this contract first
-caught: a bath so cold that its Planck occupation overflowed, and a point far
-below threshold whose closed-form mean X - Y + Y P_0 was round-off.
+own cut row.  The explicit examples are breaks this contract has caught: a
+bath so cold that its Planck occupation overflowed, and a point far below
+threshold whose closed-form mean X - Y + Y P_0 was round-off; and three
+engines whose closed-form rates leave the floating-point range: a coupling
+g = 1e300, whose square raised OverflowError, a cold occupation of 1e300,
+whose threshold polynomial overflowed into the root finder, and a four-level
+cold-bath rate of 1e-300, whose support bound overflowed with a
+RuntimeWarning.
 """
 
 import csv
@@ -102,6 +107,11 @@ COLD = {"kind": "three_level", "g": 14.0, "kappa": 1.0, "gamma_h": 32.0, "gamma_
 FAR_BELOW = {"kind": "three_level", "g": 0.0012, "kappa": 424.0, "gamma_h": 3141.0,
              "gamma_c": 1731.0, "n_h": 1.0, "n_c": 457.0}
 FAR_BELOW_GRID = {"start": 64.69, "stop": 162.5, "points": 2, "spacing": "linear"}
+FIG2 = {"kind": "three_level", "g": 14.0, "kappa": 1.0, "gamma_h": 32.0, "gamma_c": 32.0,
+        "n_h": 1.0, "n_c": 0.05}
+FIG5 = {"kind": "four_level", "g": 14.0, "kappa": 1.0, "gamma_h": 32.0, "gamma_c": 32.0,
+        "gamma_a": 32.0, "n_h": 0.5, "n_c": 0.1, "n_a": 0.1}
+FIG5_GRID = {"start": 0.002, "stop": 5.0, "points": 3, "spacing": "log"}
 
 
 @settings(deadline=None, max_examples=25)
@@ -111,6 +121,25 @@ FAR_BELOW_GRID = {"start": 64.69, "stop": 162.5, "points": 2, "spacing": "linear
 # X and Y near 1e16 with a mean near 4e-15: the formula gave means 4 and 8
 # and variances near -1e17
 @example(engine=FAR_BELOW, sweep=FAR_BELOW_GRID, argv=["sweep", "--config", "@config", "--out", "@out"])
+# g**2 raised OverflowError: a traceback and exit 1 from every command
+@example(
+    engine={**FIG2, "g": 1e300},
+    sweep=FAR_BELOW_GRID,
+    argv=["distribution", "--config", "@config", "--nh", "2", "--out", "@out"],
+)
+# kappa Gamma Phi overflowed with a RuntimeWarning, then the root finder
+# refused the infinite polynomial
+@example(
+    engine={**FIG2, "n_c": 1e300},
+    sweep=FAR_BELOW_GRID,
+    argv=["thresholds", "--config", "@config", "--out", "@out"],
+)
+# kappa B near 1e305: its 1e6 multiple in the support bound overflowed
+@example(
+    engine={**FIG5, "gamma_c": 1e-300},
+    sweep=FIG5_GRID,
+    argv=["sweep", "--config", "@config", "--out", "@out"],
+)
 def test_every_command_keeps_the_contract(tmp_path_factory, engine, sweep, argv):
     base = tmp_path_factory.mktemp("contract")
     config, out = base / "config.json", base / "out"

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from scipy.linalg import null_space
@@ -9,16 +7,13 @@ from heatlaser import (
     BathSpec,
     build_four_level,
     build_three_level,
-    field_derivative,
     find_thresholds,
     lasing_gain,
     population_inversion,
-    saturation_parameter,
     scully_lamb_coefficients,
     structure_constants,
     temperature_lasing_condition,
     with_hot_occupation,
-    zero_field_populations,
 )
 from heatlaser.cli import load_config
 
@@ -75,17 +70,20 @@ def test_structure_constants_reject_zero_bath_rate():
         lasing_gain(ancilla_off)
 
 
+# the zero-field (g = 0) populations are checked through their lasing-level
+# difference, the zero-field inversion of the sweep's inversion0 column:
+# e2 - e1 in the order (g, e1, e2) or (g, e1, e2, e3)
+
 def test_zero_field_populations_three_level():
-    np.testing.assert_allclose(
-        zero_field_populations(make_fig2_model(n_h=0.0, n_c=0.0)), [1.0, 0.0, 0.0]
+    assert population_inversion(make_fig2_model(n_h=0.0, n_c=0.0)) == 0.0
+    # saturated hot transition: populations 1 : 0 : 1
+    assert population_inversion(make_fig2_model(n_h=1e12, n_c=0.0)) == pytest.approx(
+        0.5, abs=1e-10
     )
-    # saturated hot transition: 1 : 0 : 1
-    pops = zero_field_populations(make_fig2_model(n_h=1e12, n_c=0.0))
-    np.testing.assert_allclose(pops, [0.5, 0.0, 0.5], atol=1e-10)
 
 
 def test_zero_field_populations_three_level_vs_rate_kernel():
-    # independent route: kernel of the classical rate generator
+    # independent route: kernel of the classical rate generator, built by hand
     model = make_fig2_model(n_h=0.7, n_c=0.2)
     gh, gc, nh, nc = model.gamma_h, model.gamma_c, model.n_h, model.n_c
     gen = np.array(
@@ -96,8 +94,8 @@ def test_zero_field_populations_three_level_vs_rate_kernel():
         ]
     )
     kernel = null_space(gen)[:, 0]
-    kernel = kernel / kernel.sum()
-    np.testing.assert_allclose(zero_field_populations(model), kernel, atol=1e-12)
+    pops = kernel / kernel.sum()
+    assert pops[2] - pops[1] == pytest.approx(population_inversion(model), abs=1e-12)
 
 
 def test_zero_field_populations_four_level_vs_detailed_balance():
@@ -112,28 +110,8 @@ def test_zero_field_populations_four_level_vs_detailed_balance():
             nh / (nh + 1.0),
         ]
     )
-    np.testing.assert_allclose(
-        zero_field_populations(model), weights / weights.sum(), atol=1e-12
-    )
-
-
-def test_zero_field_populations_four_level_vs_scipy_kernel(rng):
-    # the numpy SVD kernel against scipy.linalg.null_space of the same matrix
-    from heatlaser.semiclassical import _classical_rate_matrix
-
-    for _ in range(50):
-        model = random_four_level(rng)
-        kernel = null_space(_classical_rate_matrix(model))
-        assert kernel.shape[1] == 1
-        expected = kernel[:, 0] / kernel[:, 0].sum()
-        np.testing.assert_allclose(zero_field_populations(model), expected, rtol=0, atol=1e-12)
-
-
-def test_zero_field_populations_reject_degenerate_network():
-    # empty hot and ancilla baths: e2 is trapped and {g, e1} is closed too
-    model = make_fig5_model(n_h=0.0, n_a=0.0, g=0.0)
-    with pytest.raises(ValueError, match="kernel dimension 2"):
-        zero_field_populations(model)
+    pops = weights / weights.sum()
+    assert pops[2] - pops[1] == pytest.approx(population_inversion(model), abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -148,33 +126,33 @@ def test_zero_field_populations_reject_degenerate_network():
 )
 def test_zero_field_populations_reject_a_zero_bath_rate(make, bath):
     # a bath of rate 0 cuts its upper level off, so the g = 0 steady state is
-    # not unique; the three-level engine used to return populations anyway
+    # not unique, and neither the inversion nor the gain taken from it is
+    # returned
     model = make()
     model = model._replace(**{bath: getattr(model, bath)._replace(gamma=0.0)})
     name = {"hot": "gamma_h", "cold": "gamma_c", "ancilla": "gamma_a"}[bath]
-    with pytest.raises(ValueError, match=f"degenerate engine rates: {name} is 0"):
-        zero_field_populations(model)
+    for evaluate in (population_inversion, lasing_gain):
+        with pytest.raises(ValueError, match=f"degenerate engine rates: {name} is 0"):
+            evaluate(model)
 
 
 def test_four_level_inversion_matches_populations(rng):
-    for _ in range(25):
+    # the zero-field inversion against the populations of the g = 0 rate
+    # equations, the null space of their generator (scipy.linalg.null_space)
+    for _ in range(50):
         model = random_four_level(rng)
-        pops = zero_field_populations(model)
-        assert pops[2] - pops[1] == pytest.approx(
-            population_inversion(model), abs=1e-12
-        )
+        kernel = null_space(semiclassical._classical_rate_matrix(model))
+        assert kernel.shape[1] == 1
+        pops = kernel[:, 0] / kernel[:, 0].sum()
+        assert pops[2] - pops[1] == pytest.approx(population_inversion(model), abs=1e-12)
 
 
 def test_population_inversion_basics():
-    model = make_fig2_model(n_h=0.3, n_c=0.3)
-    assert population_inversion(model) == 0.0
-    assert population_inversion(model, 5.0) == 0.0
+    assert population_inversion(make_fig2_model(n_h=0.3, n_c=0.3)) == 0.0
+    # (n_h - n_c) / Phi, positive once the hot bath is the hotter
     model = make_fig2_model(n_h=2.0)
-    values = [population_inversion(model, i) for i in (0.0, 0.5, 2.0, 50.0, 1e8)]
-    assert all(a > b for a, b in zip(values, values[1:]))  # strictly decreasing
-    assert values[-1] < 1e-6  # full saturation
-    with pytest.raises(ValueError):
-        population_inversion(model, -1.0)
+    phi = structure_constants(model).Phi
+    assert population_inversion(model) == (model.n_h - model.n_c) / phi > 0.0
 
 
 def test_inversion_never_exceeds_one(rng):
@@ -213,8 +191,8 @@ def test_gain_equals_coefficient_difference(rng):
 
 def test_gain_evaluates_structure_constants_once(monkeypatch):
     # one set of structure constants gives Gamma and the Phi of the zero-field
-    # inversion, whose denominator Phi + 0.0 is Phi: the gain is bit for bit
-    # 4 g^2 DeltaN0 / Gamma over the fig2 and fig5 sweep grids
+    # inversion: the gain is bit for bit 4 g^2 DeltaN0 / Gamma over the fig2
+    # and fig5 sweep grids
     calls = []
 
     def counted(model):
@@ -226,7 +204,8 @@ def test_gain_evaluates_structure_constants_once(monkeypatch):
         for n_h in config.sweep.values():
             model = with_hot_occupation(config.model, float(n_h))
             expected = (
-                4.0 * model.g**2 * population_inversion(model) / structure_constants(model).Gamma
+                4.0 * model.g * model.g * population_inversion(model)
+                / structure_constants(model).Gamma
             )
             with monkeypatch.context() as patch:
                 patch.setattr(semiclassical, "structure_constants", counted)
@@ -236,39 +215,15 @@ def test_gain_evaluates_structure_constants_once(monkeypatch):
 
 
 def test_saturation_parameter():
-    assert saturation_parameter(make_fig2_model(g=0.0)) == 0.0
-    assert saturation_parameter(make_fig2_model(n_h=1.0)) == pytest.approx(
-        FIG2_B_AT_1, rel=1e-14
-    )
-    base = saturation_parameter(make_fig2_model(n_h=1.0, g=7.0))
-    assert saturation_parameter(make_fig2_model(n_h=1.0, g=14.0)) == pytest.approx(
-        4.0 * base, rel=1e-14
-    )
+    # the mean-field saturation parameter 4 g^2 Psi / (Gamma Phi) is the
+    # chain's B / A
+    def ratio(model):
+        coeffs = scully_lamb_coefficients(model)
+        return coeffs.B / coeffs.A
 
-
-def test_field_derivative_fixed_points():
-    model = make_fig2_model(n_h=1.0)  # above threshold, G ~ 2.35
-    assert field_derivative(model, 0.0) == 0.0
-    gain = lasing_gain(model)
-    sat = saturation_parameter(model)
-    amp = math.sqrt((gain / model.kappa - 1.0) / sat)
-    assert abs(field_derivative(model, amp)) < 1e-12
-
-
-def test_field_relaxes_to_fixed_point():
-    # forward time-stepping oracle for the mean-field equation
-    model = make_fig2_model(n_h=1.0)
-    gain = lasing_gain(model)
-    sat = saturation_parameter(model)
-    field = 1e-3 + 0.0j
-    dt = 0.01
-    for _ in range(20_000):
-        k1 = field_derivative(model, field)
-        k2 = field_derivative(model, field + 0.5 * dt * k1)
-        k3 = field_derivative(model, field + 0.5 * dt * k2)
-        k4 = field_derivative(model, field + dt * k3)
-        field += (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    assert abs(field) ** 2 == pytest.approx((gain / model.kappa - 1.0) / sat, rel=1e-6)
+    assert ratio(make_fig2_model(n_h=1.0)) == pytest.approx(FIG2_B_AT_1, rel=1e-14)
+    base = ratio(make_fig2_model(n_h=1.0, g=7.0))
+    assert ratio(make_fig2_model(n_h=1.0, g=14.0)) == pytest.approx(4.0 * base, rel=1e-14)
 
 
 def test_find_thresholds_three_level():

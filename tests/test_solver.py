@@ -276,7 +276,7 @@ def test_closed_form_cutoff_leaves_no_exact_tail(seed, four):
     assert space.n_max == closed.n_max
     p = closed.probabilities
     assert p[closed.n_max] < 1e-12
-    assert np.all(p[closed.peak_index : closed.n_max] >= 1e-12)
+    assert np.all(p[np.argmax(p) : closed.n_max] >= 1e-12)
 
 
 def test_solve_model_builds_no_dense_operators(monkeypatch):
