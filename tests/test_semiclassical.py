@@ -114,6 +114,27 @@ def test_zero_field_populations_four_level_vs_detailed_balance():
     assert pops[2] - pops[1] == pytest.approx(population_inversion(model), abs=1e-12)
 
 
+def test_zero_field_populations_four_level_vs_scipy_kernel(rng):
+    # scipy.linalg.null_space of the g = 0 rate generator against the
+    # detailed-balance weights of the bath tree, level by level
+    for _ in range(50):
+        model = random_four_level(rng)
+        kernel = null_space(semiclassical._classical_rate_matrix(model))
+        assert kernel.shape[1] == 1
+        nh, nc, na = model.n_h, model.n_c, model.n_a
+        weights = np.array(
+            [
+                1.0,
+                nc / (nc + 1.0),
+                (nh / (nh + 1.0)) * ((na + 1.0) / na),
+                nh / (nh + 1.0),
+            ]
+        )
+        np.testing.assert_allclose(
+            kernel[:, 0] / kernel[:, 0].sum(), weights / weights.sum(), rtol=0, atol=1e-12
+        )
+
+
 @pytest.mark.parametrize(
     "make, bath",
     [
