@@ -15,15 +15,7 @@ validate their fields check every copy (``_replace``, ``_make``) too.
 
 __version__ = "0.1.0"
 
-from .core import (
-    Dissipator,
-    HilbertSpace,
-    build_atom_operators,
-    build_cavity_operators,
-    build_dissipators,
-    build_interaction,
-    build_liouvillian,
-)
+from .core import HilbertSpace, build_liouvillian
 from .models import (
     FOUR_LEVEL,
     THREE_LEVEL,
@@ -76,11 +68,6 @@ __all__ = [
     "build_four_level",
     "with_hot_occupation",
     "HilbertSpace",
-    "Dissipator",
-    "build_cavity_operators",
-    "build_atom_operators",
-    "build_interaction",
-    "build_dissipators",
     "build_liouvillian",
     "StructureConstants",
     "LasingReport",

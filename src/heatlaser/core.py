@@ -5,12 +5,12 @@ slowest, so the basis state |alpha, n> sits at index alpha * fock_dim + n.
 Density matrices are vectorized row-major (C order), for which the
 superoperator of rho -> A rho B is kron(A, B.T).
 
-The public operator builders embed each operator as a dense (A F) x (A F)
-matrix, and :func:`build_liouvillian` forms the full (A F)^2 generator from
-them as a scipy sparse matrix; they are the reference, and scipy is imported
-only when :func:`build_liouvillian` is called.  The steady-state solve needs
-only the charge-zero block, in which the steady state has one real unknown
-per population and per coherence pair.  Its layout is one fixed table:
+:func:`build_liouvillian` is the reference: the full (A F)^2 generator as a
+scipy sparse matrix, built from the bath jumps of :func:`_bath_channels`,
+the cavity ladder and the coupling, with no dense operator; scipy is
+imported only when it is called.  The steady-state solve needs only the
+charge-zero block, in which the steady state has one real unknown per
+population and per coherence pair.  Its layout is one fixed table:
 level pair ``RUNG_SLOTS[s]`` in slot s of rung n + ``RUNG_SHIFT[level]``,
 the same for every model and every cutoff.  :func:`build_sector_liouvillian`
 assembles in it the real blocks of one model at a grid of hot-bath
@@ -39,11 +39,6 @@ __all__ = [
     "LEVEL_E2",
     "LEVEL_E3",
     "HilbertSpace",
-    "Dissipator",
-    "build_cavity_operators",
-    "build_atom_operators",
-    "build_interaction",
-    "build_dissipators",
     "build_liouvillian",
     "build_sector_liouvillian",
 ]
@@ -95,73 +90,6 @@ class HilbertSpace(_Validated, namedtuple("HilbertSpace", "atom_dim fock_dim")):
         return cls(model.atom_dim, n_max + 1)
 
 
-Dissipator = namedtuple("Dissipator", "jump rate")
-Dissipator.__doc__ = """One Lindblad jump channel: rate * (L rho L+ - {L+ L, rho} / 2)."""
-
-
-def _atom_projector(space, i, j):
-    m = np.zeros((space.atom_dim, space.atom_dim), dtype=complex)
-    m[i, j] = 1.0
-    return m
-
-
-def _embed_atom(space, op):
-    return np.kron(op, np.eye(space.fock_dim, dtype=complex))
-
-
-def _embed_fock(space, op):
-    return np.kron(np.eye(space.atom_dim, dtype=complex), op)
-
-
-def build_cavity_operators(space: HilbertSpace):
-    """Annihilation and creation operators embedded in the composite space.
-
-    <n-1| a |n> = sqrt(n) on the Fock factor, identity on the atom factor.
-    """
-    a_fock = np.diag(np.sqrt(np.arange(1, space.fock_dim, dtype=float)), 1).astype(complex)
-    a = _embed_fock(space, a_fock)
-    return a, a.conj().T
-
-
-def build_atom_operators(space: HilbertSpace) -> dict[str, np.ndarray]:
-    """Atomic transition and projection operators on the composite space.
-
-    Keys: ``tau_h_minus/plus`` (hot transition, g<->e2 for a 3-level atom and
-    g<->e3 for a 4-level one), ``tau_c_minus/plus`` (cold, g<->e1),
-    ``sigma_minus/plus`` (lasing, e1<->e2), ``sigma_z`` = n_2 - n_1, and the
-    level projectors ``n_g``, ``n_1``, ``n_2`` (plus ``n_3``,
-    ``tau_a_minus/plus`` on a 4-level space).  Operators only defined for a
-    4-level atom are simply absent from the dict on a 3-level space.
-    """
-    four = space.atom_dim == 4
-    upper_hot = LEVEL_E3 if four else LEVEL_E2
-    ops = {
-        "tau_h_minus": _atom_projector(space, LEVEL_G, upper_hot),
-        "tau_c_minus": _atom_projector(space, LEVEL_G, LEVEL_E1),
-        "sigma_minus": _atom_projector(space, LEVEL_E1, LEVEL_E2),
-        "n_g": _atom_projector(space, LEVEL_G, LEVEL_G),
-        "n_1": _atom_projector(space, LEVEL_E1, LEVEL_E1),
-        "n_2": _atom_projector(space, LEVEL_E2, LEVEL_E2),
-    }
-    if four:
-        ops["tau_a_minus"] = _atom_projector(space, LEVEL_E2, LEVEL_E3)
-        ops["n_3"] = _atom_projector(space, LEVEL_E3, LEVEL_E3)
-    ops["sigma_z"] = ops["n_2"] - ops["n_1"]
-    for name in ("tau_h", "tau_c", "sigma", "tau_a"):
-        key = name + "_minus"
-        if key in ops:
-            ops[name + "_plus"] = ops[key].conj().T
-    return {name: _embed_atom(space, op) for name, op in ops.items()}
-
-
-def build_interaction(model: EngineModel, space: HilbertSpace) -> np.ndarray:
-    """Resonant Jaynes-Cummings coupling g (sigma+ a + sigma- a+)."""
-    _check_dims(model, space)
-    a, a_dag = build_cavity_operators(space)
-    atom = build_atom_operators(space)
-    return model.g * (atom["sigma_plus"] @ a + atom["sigma_minus"] @ a_dag)
-
-
 def _bath_channels(model: EngineModel, nh) -> list[tuple[int, int, float | np.ndarray]]:
     """Every bath jump as (to_level, from_level, rate), in dissipator order.
 
@@ -185,57 +113,39 @@ def _bath_channels(model: EngineModel, nh) -> list[tuple[int, int, float | np.nd
     return out
 
 
-def build_dissipators(model: EngineModel, space: HilbertSpace) -> list[Dissipator]:
-    """All jump channels of the model: thermal baths plus cavity decay.
-
-    Each bath contributes an upward channel at rate gamma * nbar and a
-    downward channel at rate gamma * (nbar + 1); the cavity leaks photons
-    at rate kappa into a vacuum environment.
-    """
-    _check_dims(model, space)
-    a, _ = build_cavity_operators(space)
-    out = [
-        Dissipator(_embed_atom(space, _atom_projector(space, to_level, from_level)), rate)
-        for to_level, from_level, rate in _bath_channels(model, model.n_h)
-    ]
-    out.append(Dissipator(a, model.kappa))
-    return out
-
-
 def build_liouvillian(model: EngineModel, space: HilbertSpace) -> sp.csr_matrix:
-    """Sparse generator L with d(vec rho)/dt = L vec(rho).
+    """Sparse generator L with d(vec rho)/dt = L vec(rho), the full-space reference.
 
-    Interaction-picture master equation at exact resonance: the coherent part
-    is i [rho, V] with V the Jaynes-Cummings coupling, plus one Lindblad
-    dissipator per jump channel of :func:`build_dissipators`.  The full-space
-    reference; imports ``scipy.sparse`` when called.
+    Interaction-picture master equation at exact resonance: i [rho, V] with
+    V = g (sigma+ a + sigma- a+) and sigma+ = |e2><e1|, plus the dissipator
+    rate (J (x) J - J+J (x) 1 / 2 - 1 (x) (J+J)^T / 2) of each real jump J:
+    |to><from| (x) 1 for every channel of :func:`_bath_channels`, then a at
+    kappa.  Independent of the rung equations; imports ``scipy.sparse``.
     """
     import scipy.sparse as sp
 
-    _check_dims(model, space)
-    d = space.total_dim
-    eye = sp.identity(d, dtype=complex, format="csr")
-    v = sp.csr_matrix(build_interaction(model, space))
-    # i [rho, V] = i (rho V - V rho)
-    terms = [1j * (sp.kron(eye, v.T) - sp.kron(v, eye))]
-    for jump, rate in build_dissipators(model, space):
-        if rate < 0:
-            raise ValueError(f"negative dissipator rate {rate}")
-        if rate == 0.0:
-            continue
-        j = sp.csr_matrix(jump)
-        jdj = (j.conj().T @ j).tocsr()
-        terms.append(
-            rate
-            * (
-                sp.kron(j, j.conj())
-                - 0.5 * sp.kron(jdj, eye)
-                - 0.5 * sp.kron(eye, jdj.T)
-            )
+    if model.atom_dim != space.atom_dim:
+        raise ValueError(
+            f"{model.kind} model needs atom_dim {model.atom_dim}, "
+            f"space has {space.atom_dim}"
         )
-    liouv = terms[0]
-    for term in terms[1:]:
-        liouv = liouv + term
+    atoms, photons = sp.identity(space.atom_dim), sp.identity(space.fock_dim)
+    eye = sp.identity(space.total_dim, format="csr")
+
+    def transition(to, low):  # |to><low| (x) 1
+        jump = sp.csr_matrix(([1.0], ([to], [low])), shape=atoms.shape)
+        return sp.kron(jump, photons, format="csr")
+
+    a = sp.kron(atoms, sp.diags(np.sqrt(np.arange(1.0, space.fock_dim)), 1), format="csr")
+    sigma_plus = transition(LEVEL_E2, LEVEL_E1)
+    v = model.g * (sigma_plus @ a + sigma_plus.T @ a.T)
+    liouv = 1j * (sp.kron(eye, v.T) - sp.kron(v, eye))  # i (rho V - V rho)
+    jumps = [(transition(to, low), rate) for to, low, rate in _bath_channels(model, model.n_h)]
+    for jump, rate in jumps + [(a, model.kappa)]:
+        jdj = jump.T @ jump
+        liouv = liouv + rate * (
+            sp.kron(jump, jump) - 0.5 * sp.kron(jdj, eye) - 0.5 * sp.kron(eye, jdj.T)
+        )
     return liouv.tocsr()
 
 
@@ -330,10 +240,3 @@ def build_sector_liouvillian(
     np.copyto(bands, 0.0, where=target_out | source_out[:, :, :, np.newaxis])
     return bands, inside
 
-
-def _check_dims(model: EngineModel, space: HilbertSpace) -> None:
-    if model.atom_dim != space.atom_dim:
-        raise ValueError(
-            f"{model.kind} model needs atom_dim {model.atom_dim}, "
-            f"space has {space.atom_dim}"
-        )

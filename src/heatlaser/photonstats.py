@@ -23,7 +23,7 @@ from collections import namedtuple
 import numpy as np
 
 from .models import THREE_LEVEL, EngineModel, _Validated
-from .semiclassical import _coupling, _gain, _inversion, _structure, structure_constants
+from .semiclassical import _coupling, _gain, _inversion, _phi_zero, _structure, structure_constants
 
 __all__ = [
     "LaserCoefficients",
@@ -439,7 +439,7 @@ def closed_form_grid(model: EngineModel, n_h: np.ndarray):
     size = n_h.size
     rows, failures = [None] * size, [None] * size
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             sc = _structure(model, n_h)
             inversion0 = _inversion(model, sc, n_h)
             A, A_b, B = _coefficients(model, sc, n_h)
@@ -463,7 +463,9 @@ def closed_form_grid(model: EngineModel, n_h: np.ndarray):
     negative = columns[5] < 0.0  # the refusal of output_power
     failed = lost | (cutoffs < 0) | negative
     for k in np.flatnonzero(failed).tolist():
-        if lost[k]:
+        if sc.Phi[k] == 0:
+            failures[k] = _phi_zero(n_h[k])
+        elif lost[k]:
             failures[k] = f"closed-form rates out of floating-point range at n_h = {n_h[k]}"
         elif negative[k]:
             failures[k] = f"mean photon number must be >= 0, got {float(columns[5, k])}"

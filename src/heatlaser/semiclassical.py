@@ -40,9 +40,24 @@ constant.  For the four-level engine these are the primed variants.
 def structure_constants(model: EngineModel) -> StructureConstants:
     """Evaluate (Gamma, Phi, Psi) for the given engine.
 
-    Psi divides by every bath rate, so a zero rate raises ValueError.
+    Psi divides by every bath rate, so a zero rate raises ValueError; so
+    does Phi = 0 (four levels at n_a = n_h = 0), which every closed form
+    divides by.
     """
-    return _structure(model, model.n_h)
+    sc = _structure(model, model.n_h)
+    if sc.Phi == 0:
+        raise ValueError(_phi_zero(model.n_h))
+    return sc
+
+
+def _phi_zero(nh) -> str:
+    # Phi is 0 only for four levels at n_a = n_h = 0: at g = 0 nothing leaves
+    # e2 and nothing reaches it from g or e1, so the zero-field populations
+    # that Phi normalises are not unique
+    return (
+        f"Phi = 0 at n_h = {nh}: the g = 0 rate network has separate closed classes,"
+        " {g, e1} and {e2}"
+    )
 
 
 def _structure(model: EngineModel, nh) -> StructureConstants:

@@ -18,9 +18,10 @@ a whole batch in a few array operations with the numbers
 1 <= n_max <= 16 030, which fills one batch of ``BATCH_RUNGS`` rung-points
 alone, in 0.33-0.36 s.  They are the independent check on the
 closed-form theory in :mod:`heatlaser.photonstats`.  The dense (A F)^2
-:func:`steady_state`, :func:`partial_trace_atom` and
-:func:`photon_distribution` are the full-space references (the first
-imports scipy when called; the last needs a unit-trace state).
+:func:`steady_state` of the generator of ``core.build_liouvillian``,
+:func:`partial_trace_atom` and :func:`photon_distribution` are the
+full-space references (the first imports scipy when called; the last
+needs a unit-trace state).
 :func:`wigner` maps a photon distribution to phase space, by default on
 101 x 101 points over [-h, h]^2 with h = max(4, 1.2 sqrt(<n> + 1)), so a
 bright state's ring stays on the grid.

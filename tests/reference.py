@@ -4,10 +4,11 @@ Each is a second way to a quantity the package computes, or a validity
 check of a dense state, used only to cross-check the package:
 
 - :func:`evolve` propagates a dense state under the full-space Liouvillian
-  and :func:`expectation` takes tr(rho O), the time-domain route to the
+  ``core.build_liouvillian``, and :func:`expectation` takes tr(rho O) of an
+  observable such as :func:`number_operator`, the time-domain route to the
   steady state and its moments;
-- :func:`apply_liouvillian`, :func:`is_hermitian` and
-  :func:`check_density_matrix` check a dense state;
+- :func:`apply_liouvillian` and :func:`check_density_matrix` check a dense
+  state;
 - :func:`elimination_flow` solves the atomic sector at two photon rungs,
   an independent route to ``photonstats.coefficient_flow``.
 """
@@ -49,13 +50,14 @@ def expectation(rho, operator):
     return complex(np.einsum("ij,ji->", rho, operator))
 
 
+def number_operator(space):
+    """a+ a on the composite space: diagonal, the photon number of each basis state."""
+    return np.diag(np.tile(np.arange(space.fock_dim, dtype=complex), space.atom_dim))
+
+
 def apply_liouvillian(liouv, rho):
     """Evaluate L[rho] as a matrix of the same shape as rho."""
     return (liouv @ rho.reshape(-1)).reshape(rho.shape)
-
-
-def is_hermitian(mat, tol=1e-12):
-    return bool(np.abs(mat - mat.conj().T).max() <= tol)
 
 
 def check_density_matrix(rho, trace_tol=1e-10, herm_tol=1e-10, min_eigenvalue=-1e-8):

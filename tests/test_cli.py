@@ -733,6 +733,24 @@ def test_rates_out_of_range_fail_by_message(model, tmp_path, capsys):
     assert [r["status"] for r in records] == [f"{refused}{r['n_h']}" for r in records]
 
 
+@pytest.mark.parametrize("g", [14.0, 0.0])
+def test_phi_zero_is_refused_by_its_cause(g, tmp_path, capsys):
+    # fig5 with n_a = 0 at n_h = 0: Phi = 0, so the closed form has no rates;
+    # distribution exits 3 naming that cause, not the float range, with no
+    # RuntimeWarning from a division by Phi (a sweep grid starts above 0)
+    fig5 = load_config("fig5").raw
+    path = write_config(tmp_path, {"model": {**fig5["model"], "n_a": 0.0, "g": g}})
+    refused = (
+        "Phi = 0 at n_h = 0.0: the g = 0 rate network has separate closed classes, {g, e1} and {e2}"
+    )
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["distribution", "--config", str(path), "--nh", "0", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.strip() == f"numeric failure: {refused}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rate", ["gamma_h", "gamma_c"])
 def test_tiny_four_level_bath_rate_runs_without_warning(rate, tmp_path):
     # a bath rate of 1e-300 puts kappa B between 1e301 and 1e305, whose 1e6

@@ -11,6 +11,8 @@ engines whose closed-form rates leave the floating-point range: a coupling
 g = 1e300, whose square raised OverflowError, a cold occupation of 1e300,
 whose threshold polynomial overflowed into the root finder, and a four-level
 cold-bath rate of 1e-300, whose support bound overflowed with a
+RuntimeWarning; and a four-level engine with n_a = n_h = 0, whose Phi = 0
+(the g = 0 rate network has two closed classes) divided by zero with a
 RuntimeWarning.
 """
 
@@ -139,6 +141,12 @@ FIG5_GRID = {"start": 0.002, "stop": 5.0, "points": 3, "spacing": "log"}
     engine={**FIG5, "gamma_c": 1e-300},
     sweep=FIG5_GRID,
     argv=["sweep", "--config", "@config", "--out", "@out"],
+)
+# n_a = n_h = 0 on four levels: Phi = 0 divided by zero with a RuntimeWarning
+@example(
+    engine={**FIG5, "n_a": 0.0},
+    sweep=FIG5_GRID,
+    argv=["distribution", "--config", "@config", "--nh", "0", "--out", "@out"],
 )
 def test_every_command_keeps_the_contract(tmp_path_factory, engine, sweep, argv):
     base = tmp_path_factory.mktemp("contract")

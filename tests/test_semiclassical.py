@@ -157,6 +157,21 @@ def test_zero_field_populations_reject_a_zero_bath_rate(make, bath):
             evaluate(model)
 
 
+@pytest.mark.parametrize("g", [14.0, 0.0])
+def test_point_functions_refuse_phi_zero(g):
+    # four levels at n_a = n_h = 0: the g = 0 rate network has the closed
+    # classes {g, e1} and {e2}, Phi = 0, and every closed form that divides by
+    # it names that cause instead of dividing by zero
+    model = make_fig5_model(n_h=0.0, n_a=0.0, g=g)
+    refused = "Phi = 0 at n_h = 0.0: the g = 0 rate network has separate closed classes"
+    for evaluate in (structure_constants, population_inversion, lasing_gain, scully_lamb_coefficients):
+        with pytest.raises(ValueError, match=refused):
+            evaluate(model)
+    # either occupation alone keeps Phi > 0
+    for model in (make_fig5_model(n_h=0.0, g=g), make_fig5_model(n_a=0.0, g=g)):
+        assert structure_constants(model).Phi > 0
+
+
 def test_four_level_inversion_matches_populations(rng):
     # the zero-field inversion against the populations of the g = 0 rate
     # equations, the null space of their generator (scipy.linalg.null_space)

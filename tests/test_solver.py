@@ -34,7 +34,6 @@ from heatlaser.core import (
     LEVEL_E1,
     LEVEL_E2,
     SLOT_OF,
-    build_cavity_operators,
     build_sector_liouvillian,
 )
 from heatlaser.photonstats import BATCH_RUNGS
@@ -53,7 +52,7 @@ from conftest import (
     sector_block_csc,
     slot_map,
 )
-from reference import check_density_matrix, evolve, expectation
+from reference import check_density_matrix, evolve, expectation, number_operator
 
 
 def fock_state(space, atom_index, n):
@@ -110,8 +109,7 @@ def test_evolve_identity_and_decay():
     space = HilbertSpace.for_model(bare, 3)
     liouv = build_liouvillian(bare, space)
     rho0 = fock_state(space, 0, 1)
-    a, a_dag = build_cavity_operators(space)
-    number = a_dag @ a
+    number = number_operator(space)
     for t in (0.5, 1.0, 2.0):
         rho_t = evolve(liouv, rho0, t)
         mean = expectation(rho_t, number).real
@@ -186,8 +184,7 @@ def test_expectation_basics():
     rho = fock_state(space, 0, 0)
     eye = np.eye(space.total_dim, dtype=complex)
     assert expectation(rho, eye) == pytest.approx(1.0)
-    a, a_dag = build_cavity_operators(space)
-    assert expectation(rho, a_dag @ a) == pytest.approx(0.0)
+    assert expectation(rho, number_operator(space)) == pytest.approx(0.0)
     with pytest.raises(ValueError):
         expectation(rho, np.eye(5, dtype=complex))
 
@@ -196,16 +193,14 @@ def test_expectation_real_for_hermitian():
     model = make_fig2_model(n_h=0.7)
     space = HilbertSpace.for_model(model, 10)
     rho = steady_state(build_liouvillian(model, space)).state
-    a, a_dag = build_cavity_operators(space)
-    value = expectation(rho, a_dag @ a)
+    value = expectation(rho, number_operator(space))
     assert abs(value.imag) < 1e-12
 
 
 def test_mean_photon_number_against_theory():
     model = make_fig2_model(n_h=1.0)
     space, result = solve_model(model, n_max=40)
-    a, a_dag = build_cavity_operators(space)
-    numeric = expectation(dense_state(space, result), a_dag @ a).real
+    numeric = expectation(dense_state(space, result), number_operator(space)).real
     analytic = steady_distribution(scully_lamb_coefficients(model)).mean
     assert abs(numeric - analytic) / numeric < 0.05
 
@@ -280,10 +275,10 @@ def test_closed_form_cutoff_leaves_no_exact_tail(seed, four):
 
 
 def test_solve_model_builds_no_dense_operators(monkeypatch):
-    def embed(*args):
-        raise AssertionError("built a dense (A F) x (A F) atom operator")
+    def full_space(*args):
+        raise AssertionError("built the full-space (A F)^2 Liouvillian")
 
-    monkeypatch.setattr(heatlaser.core, "build_atom_operators", embed)
+    monkeypatch.setattr(heatlaser.core, "build_liouvillian", full_space)
     for model in (make_fig2_model(), make_fig5_model()):
         _, result = solve_model(model)
         assert result.distribution.probabilities[-1] < 1e-8
