@@ -23,7 +23,11 @@ not listed (such as ``numerics.n_max`` of older configs) are ignored:
 - ``model``: ``kind`` (``three_level`` or ``four_level``), ``g``, ``kappa``,
   the bath rates ``gamma_h``, ``gamma_c`` (and ``gamma_a`` for four levels),
   each bath's occupation ``n_h``/``n_c``/``n_a`` or temperature
-  ``T_h``/``T_c``/``T_a``, and optional ``level_energies``.
+  ``T_h``/``T_c``/``T_a``, and optional ``level_energies`` (missing or
+  ``null`` for [0, 1, 2] or [0, 1, 2, 3]; finite, strictly increasing, with
+  a finite span E_top - E_g).  A temperature becomes the Planck occupation
+  at its transition's gap in that ladder: omega_h = E_top - E_g,
+  omega_c = E_e1 - E_g and omega_a = E_e3 - E_e2.
 - ``sweep`` (optional): ``variable`` (only ``n_h``), ``start``, ``stop``,
   ``points`` and ``spacing`` (``linear`` or ``log``).
 - ``numerics`` (optional): ``steady_tol`` (> 0, default 1e-9), the largest
@@ -36,8 +40,10 @@ optional JSON mirror, with run metadata in a separate ``*_meta.json``
 sidecar.  Sweep records and the ``distribution`` sidecar carry the Fock
 cutoff ``n_max``, its exact tail mass ``tail`` = P[n_max], and the
 ``residual`` |L[rho]|_inf of the accepted steady state (absolute, not
-scaled).  Summaries printed to standard output round their numbers to 4
-significant digits; the data files carry the full 12.  Exit codes:
+scaled).  A ``power`` past the floating-point range, as a ladder near
+1e308 gives, is written ``inf`` to CSV and ``null`` to JSON.  Summaries
+printed to standard output round their numbers to 4 significant digits;
+the data files carry the full 12.  Exit codes:
 0 success; 2 config error (including a config file that cannot be read or
 is not UTF-8), bad argument (such as ``--nh -1``) or output error (an
 output file that cannot be written, such as ``--out`` naming an existing
@@ -82,6 +88,7 @@ from .models import (
     FOUR_LEVEL,
     THREE_LEVEL,
     BathSpec,
+    _ladder,
     build_four_level,
     build_three_level,
     with_hot_occupation,
@@ -182,26 +189,19 @@ def _model_from_config(block, path="model"):
     kind = _expect(block, "kind", "str", path, required=True)
     if kind not in (THREE_LEVEL, FOUR_LEVEL):
         raise ConfigError(f"{path}.kind: must be '{THREE_LEVEL}' or '{FOUR_LEVEL}'")
-    n_levels = 4 if kind == FOUR_LEVEL else 3
     energies = block.get("level_energies")
-    if energies is not None:
-        if not isinstance(energies, list) or not all(map(_is_finite_number, energies)):
-            raise ConfigError(f"{path}.level_energies: expected a list of finite numbers")
-        # the bath frequencies below index the list: check its length first
-        if len(energies) != n_levels:
-            raise ConfigError(
-                f"{path}: {kind} model needs {n_levels} level energies, got {len(energies)}"
-            )
-        energies = tuple(float(e) for e in energies)
-    else:
-        energies = tuple(float(i) for i in range(n_levels))
-    omega_c = energies[1] - energies[0]
-    omega_h = energies[-1] - energies[0]
+    if energies is not None and (
+        not isinstance(energies, list) or not all(map(_is_finite_number, energies))
+    ):
+        raise ConfigError(f"{path}.level_energies: expected a list of finite numbers")
     g = _expect(block, "g", "number", path, required=True)
     kappa = _expect(block, "kappa", "number", path, required=True)
     try:
-        hot = _bath_from_config(block, "h", omega_h, path)
-        cold = _bath_from_config(block, "c", omega_c, path)
+        # a bath temperature becomes an occupation at its transition's gap,
+        # which EngineModel reads off the same ladder
+        energies = _ladder(kind, energies)
+        hot = _bath_from_config(block, "h", energies[-1] - energies[0], path)
+        cold = _bath_from_config(block, "c", energies[1] - energies[0], path)
         if kind == THREE_LEVEL:
             return build_three_level(hot, cold, g, kappa, level_energies=energies)
         ancilla = _bath_from_config(block, "a", energies[3] - energies[2], path)

@@ -2,8 +2,9 @@
 
 Units: hbar = k_B = 1 and all rates are quoted in units of the cavity decay
 rate kappa.  Bath occupations (mean thermal photon numbers) are the primary
-inputs; frequencies and temperatures are an optional bookkeeping layer used
-for efficiency accounting.
+inputs.  Each transition frequency is a gap of the model's level ladder
+``EngineModel.level_energies``; with the optional bath temperatures it is
+used only for efficiency and power accounting.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ __all__ = [
 THREE_LEVEL = "three_level"
 FOUR_LEVEL = "four_level"
 
-# tolerance for the (omega, temperature) <-> occupation consistency check
+# tolerance for the (gap, temperature) <-> occupation consistency check
 _PLANCK_TOL = 1e-12
 
 
@@ -74,46 +75,52 @@ def planck_occupation(omega: float, temperature: float) -> float:
 
 class BathSpec(
     _Validated,
-    namedtuple("BathSpec", "gamma occupation omega temperature", defaults=(None, None)),
+    namedtuple("BathSpec", "gamma occupation temperature", defaults=(None,)),
 ):
     """One thermal bath coupled to a single atomic transition.
 
     ``gamma`` is the bare transition rate and ``occupation`` the mean thermal
-    photon number the bath presents at the transition frequency.  ``omega``
-    and ``temperature`` are optional; when both are given the occupation must
-    be their Planck value.
+    photon number the bath presents at the transition frequency.
+    ``temperature`` is optional; :class:`EngineModel` checks it against the
+    occupation at the transition's gap in its level ladder.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        gamma: float,
-        occupation: float,
-        omega: float | None = None,
-        temperature: float | None = None,
-    ):
+    def __new__(cls, gamma: float, occupation: float, temperature: float | None = None):
         if not 0 <= gamma < math.inf:
             raise ValueError(f"bath rate gamma must be finite and >= 0, got {gamma}")
         if not 0 <= occupation < math.inf:
             raise ValueError(f"bath occupation must be finite and >= 0, got {occupation}")
-        if omega is not None and not 0 < omega < math.inf:
-            raise ValueError(f"bath omega must be finite and positive, got {omega}")
         if temperature is not None and not 0 <= temperature < math.inf:
             raise ValueError(f"bath temperature must be finite and >= 0, got {temperature}")
-        if omega is not None and temperature is not None:
-            expected = planck_occupation(omega, temperature)
-            if abs(occupation - expected) > _PLANCK_TOL * max(1.0, expected):
-                raise ValueError(
-                    f"occupation {occupation} inconsistent with Planck value "
-                    f"{expected} for omega={omega}, T={temperature}"
-                )
-        return super().__new__(cls, gamma, occupation, omega, temperature)
+        return super().__new__(cls, gamma, occupation, temperature)
 
     @classmethod
     def thermal(cls, gamma: float, omega: float, temperature: float) -> "BathSpec":
-        """Bath whose occupation is derived from (omega, temperature)."""
-        return cls(gamma, planck_occupation(omega, temperature), omega, temperature)
+        """Bath at ``temperature`` with the Planck occupation at ``omega``.
+
+        ``omega`` is not kept: it must be the transition's gap in the ladder.
+        """
+        return cls(gamma, planck_occupation(omega, temperature), temperature)
+
+
+def _ladder(kind: str, energies=None) -> tuple[float, ...]:
+    """The level energies of a ``kind`` engine as floats; None gives (0, 1, 2[, 3]).
+
+    One energy per level, finite and strictly increasing, with a finite span
+    E_top - E_g: so every transition frequency is finite and positive.
+    """
+    n_levels = 4 if kind == FOUR_LEVEL else 3
+    energies = tuple(float(e) for e in (range(n_levels) if energies is None else energies))
+    if len(energies) != n_levels:
+        raise ValueError(f"{kind} model needs {n_levels} level energies, got {len(energies)}")
+    # every energy is in a step, so an infinite or NaN energy fails here too
+    if not all(0 < hi - lo < math.inf for lo, hi in zip(energies, energies[1:])):
+        raise ValueError(f"level energies must be finite and strictly increasing, got {energies}")
+    if not energies[-1] - energies[0] < math.inf:
+        raise ValueError(f"level energies must span a finite range E_top - E_g, got {energies}")
+    return energies
 
 
 class EngineModel(
@@ -121,7 +128,7 @@ class EngineModel(
     namedtuple(
         "EngineModel",
         "kind hot cold g kappa ancilla level_energies",
-        defaults=(None, ()),
+        defaults=(None, None),
     ),
 ):
     """Full parameter set of a three- or four-level heat-engine laser.
@@ -132,9 +139,10 @@ class EngineModel(
     or g <-> e3 (four-level), the cold bath drives g <-> e1, and the ancilla
     bath of the four-level engine drives e2 <-> e3.
 
-    ``level_energies`` is used only for frequency bookkeeping (efficiency and
-    output power); it defaults to integer spacings in units of the lasing
-    frequency.
+    ``level_energies`` holds every transition frequency, used for efficiency
+    and output power; it defaults to integer spacings in units of the lasing
+    frequency.  A bath with a temperature must have the Planck occupation at
+    its transition's gap.
     """
 
     __slots__ = ()
@@ -147,7 +155,7 @@ class EngineModel(
         g: float,
         kappa: float,
         ancilla: BathSpec | None = None,
-        level_energies: tuple[float, ...] = (),
+        level_energies: tuple[float, ...] | None = None,
     ):
         if kind not in (THREE_LEVEL, FOUR_LEVEL):
             raise ValueError(f"unknown model kind {kind!r}")
@@ -157,33 +165,21 @@ class EngineModel(
             raise ValueError(f"cavity rate kappa must be finite and > 0, got {kappa}")
         if (kind == FOUR_LEVEL) != (ancilla is not None):
             raise ValueError("an ancilla bath is required iff the model is four-level")
-        n_levels = 4 if kind == FOUR_LEVEL else 3
-        energies = tuple(float(e) for e in level_energies)
-        if not energies:
-            energies = tuple(float(i) for i in range(n_levels))
-        if len(energies) != n_levels:
-            raise ValueError(
-                f"{kind} model needs {n_levels} level energies, got {len(energies)}"
-            )
-        # every energy is in a step, so an infinite or NaN energy fails here too
-        if not all(0 < hi - lo < math.inf for lo, hi in zip(energies, energies[1:])):
-            raise ValueError(f"level energies must be finite and strictly increasing, got {energies}")
+        energies = _ladder(kind, level_energies)
         self = super().__new__(cls, kind, hot, cold, g, kappa, ancilla, energies)
-        for bath, derived, name in self._bath_frequency_pairs():
-            if bath.omega is not None and not math.isclose(
-                bath.omega, derived, rel_tol=1e-9, abs_tol=1e-9
-            ):
+        baths = [("hot", hot, self.omega_h), ("cold", cold, self.omega_c)]
+        if ancilla is not None:
+            baths.append(("ancilla", ancilla, self.omega_a))
+        for name, bath, omega in baths:
+            if bath.temperature is None:
+                continue
+            expected = planck_occupation(omega, bath.temperature)
+            if abs(bath.occupation - expected) > _PLANCK_TOL * max(1.0, expected):
                 raise ValueError(
-                    f"{name} bath omega {bath.omega} inconsistent with level "
-                    f"energies (expected {derived})"
+                    f"{name} bath occupation {bath.occupation} inconsistent with Planck "
+                    f"value {expected} for omega={omega}, T={bath.temperature}"
                 )
         return self
-
-    def _bath_frequency_pairs(self):
-        pairs = [(self.hot, self.omega_h, "hot"), (self.cold, self.omega_c, "cold")]
-        if self.ancilla is not None:
-            pairs.append((self.ancilla, self.omega_a, "ancilla"))
-        return pairs
 
     # -- level structure -------------------------------------------------
     @property
@@ -242,24 +238,6 @@ class EngineModel(
         return self.ancilla.occupation
 
 
-def _energies_from_baths(kind, hot, cold, ancilla=None):
-    """Derive level energies from bath frequencies, or () for defaults."""
-    omegas = [hot.omega, cold.omega] + ([ancilla.omega] if ancilla is not None else [])
-    given = [w is not None for w in omegas]
-    if not any(given):
-        return ()
-    if not all(given):
-        raise ValueError("provide frequencies for all baths or for none")
-    if kind == THREE_LEVEL:
-        if hot.omega <= cold.omega:
-            raise ValueError("hot transition frequency must exceed the cold one")
-        return (0.0, cold.omega, hot.omega)
-    e2 = hot.omega - ancilla.omega
-    if not cold.omega < e2 < hot.omega:
-        raise ValueError("bath frequencies incompatible with an increasing level ladder")
-    return (0.0, cold.omega, e2, hot.omega)
-
-
 def build_three_level(
     hot: BathSpec,
     cold: BathSpec,
@@ -269,12 +247,10 @@ def build_three_level(
 ) -> EngineModel:
     """Three-level engine: hot bath on g<->e2, cold on g<->e1, cavity on e1<->e2.
 
-    When ``level_energies`` is omitted they are derived from the bath
-    frequencies if given, else default to (0, 1, 2) in lasing-frequency units.
+    ``level_energies`` defaults to (0, 1, 2) in lasing-frequency units; a bath
+    given by :meth:`BathSpec.thermal` must use its transition's gap in it.
     """
-    if level_energies is None:
-        level_energies = _energies_from_baths(THREE_LEVEL, hot, cold)
-    return EngineModel(THREE_LEVEL, hot, cold, g, kappa, level_energies=tuple(level_energies))
+    return EngineModel(THREE_LEVEL, hot, cold, g, kappa, level_energies=level_energies)
 
 
 def build_four_level(
@@ -285,13 +261,12 @@ def build_four_level(
     kappa: float,
     level_energies=None,
 ) -> EngineModel:
-    """Four-level engine: hot bath on g<->e3, ancilla on e2<->e3, cavity on e1<->e2."""
-    if ancilla is None:
-        raise ValueError("four-level model requires an ancilla bath")
-    if level_energies is None:
-        level_energies = _energies_from_baths(FOUR_LEVEL, hot, cold, ancilla)
+    """Four-level engine: hot bath on g<->e3, ancilla on e2<->e3, cavity on e1<->e2.
+
+    ``level_energies`` defaults to (0, 1, 2, 3), as for :func:`build_three_level`.
+    """
     return EngineModel(
-        FOUR_LEVEL, hot, cold, g, kappa, ancilla=ancilla, level_energies=tuple(level_energies)
+        FOUR_LEVEL, hot, cold, g, kappa, ancilla=ancilla, level_energies=level_energies
     )
 
 
@@ -299,7 +274,6 @@ def with_hot_occupation(model: EngineModel, occupation: float) -> EngineModel:
     """Copy of ``model`` with the hot-bath occupation replaced.
 
     The hot bath temperature is dropped since it no longer matches the new
-    occupation; the frequency bookkeeping is kept.
+    occupation; the level ladder is kept.
     """
-    hot = BathSpec(model.hot.gamma, occupation, omega=model.hot.omega, temperature=None)
-    return model._replace(hot=hot)
+    return model._replace(hot=BathSpec(model.hot.gamma, occupation))

@@ -411,7 +411,10 @@ def closed_form_grid(model: EngineModel, n_h: np.ndarray):
     - ``columns`` maps each name of ``GRID_COLUMNS`` to a list of floats:
       :func:`lasing_gain` / kappa, :func:`population_inversion`, the
       :func:`scully_lamb_coefficients`, the :func:`distribution_moments`
-      and the :func:`output_power` at the mean; NaN where the point failed;
+      and the :func:`output_power` at the mean; NaN where the point failed.
+      A power past the floating-point range, as a ladder near 1e308 gives,
+      is inf, or NaN at a zero mean if lasing_frequency * kappa alone is
+      inf; it raises no ``RuntimeWarning`` and fails no point;
     - ``cutoffs`` holds the ``n_max`` of :func:`steady_distribution`, the
       Fock cutoff of the exact solve, or None where the point failed;
     - ``rows`` holds that distribution's probabilities where the exact
@@ -473,6 +476,7 @@ def closed_form_grid(model: EngineModel, n_h: np.ndarray):
             failures[k] = _TOO_WIDE
         rows[k] = None
     columns[:, failed] = math.nan
-    columns[8] = output_power(model, columns[5])
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns[8] = output_power(model, columns[5])
     cutoffs = np.where(failed, None, cutoffs).tolist()
     return dict(zip(GRID_COLUMNS, columns.tolist())), cutoffs, rows, failures

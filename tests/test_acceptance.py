@@ -202,11 +202,13 @@ def test_criterion_10_carnot_bound(rng):
         omega_c, lasing = rng.uniform(0.2, 3.0, 2)
         t_c = rng.uniform(0.1, 2.0)
         t_h = t_c * rng.uniform(1.0, 50.0)
+        omega_h = omega_c + lasing
         model = build_three_level(
-            BathSpec.thermal(32.0, omega_c + lasing, t_h),
+            BathSpec.thermal(32.0, omega_h, t_h),
             BathSpec.thermal(32.0, omega_c, t_c),
             14.0,
             1.0,
+            level_energies=(0.0, omega_c, omega_h),
         )
         report = temperature_lasing_condition(model)
         if report.lases:
@@ -218,12 +220,14 @@ def test_criterion_10_carnot_bound(rng):
         omega_c, lasing, omega_a = rng.uniform(0.2, 3.0, 3)
         t_c = rng.uniform(0.1, 2.0)
         t_h = t_c * rng.uniform(1.0, 50.0)
+        omega_h = omega_c + lasing + omega_a
         model = build_four_level(
-            BathSpec.thermal(32.0, omega_c + lasing + omega_a, t_h),
+            BathSpec.thermal(32.0, omega_h, t_h),
             BathSpec.thermal(32.0, omega_c, t_c),
             BathSpec.thermal(32.0, omega_a, t_c),
             14.0,
             1.0,
+            level_energies=(0.0, omega_c, omega_h - omega_a, omega_h),
         )
         report = temperature_lasing_condition(model)
         if report.lases:

@@ -60,6 +60,10 @@ BASE_CONFIG = {
 }
 
 
+# BASE_CONFIG with each bath given by its temperature
+THERMAL = {"model.n_h": None, "model.n_c": None, "model.T_h": 2.0, "model.T_c": 0.5}
+
+
 def write_config(tmp_path, overrides=None, name="config.json"):
     data = json.loads(json.dumps(BASE_CONFIG))
     for keys, value in (overrides or {}).items():
@@ -144,6 +148,20 @@ def test_config_errors(tmp_path, capsys):
         (
             {"model": {**load_config("fig5").raw["model"], "level_energies": [0, 1, 2]}},
             "model: four_level model needs 4 level energies, got 3",
+        ),
+        # a temperature config names the bad ladder, not the gap it gives
+        (
+            {**THERMAL, "model.level_energies": [0, -1, 2]},
+            "model: level energies must be finite and strictly increasing",
+        ),
+        # finite steps whose sum, omega_h, overflows
+        (
+            {**THERMAL, "model.level_energies": [-1e308, 0, 1e308]},
+            "model: level energies must span a finite range E_top - E_g",
+        ),
+        (
+            {"model.level_energies": [-1e308, 0, 1e308]},
+            "model: level energies must span a finite range E_top - E_g",
         ),
     ]:
         with pytest.raises(ConfigError, match=fragment):
@@ -564,6 +582,32 @@ def test_sweep_with_the_pump_off(preset, tmp_path):
         assert math.isnan(record["fano_analytic"]) and math.isnan(record["fano_numeric"])
 
 
+def test_power_past_the_float_range_is_inf(tmp_path):
+    # a ladder near 1e308 takes lasing_frequency * kappa * <n> past the
+    # floating-point range: the power is inf in the CSV and null in the JSON,
+    # without a RuntimeWarning, and the other columns are the default
+    # ladder's, status included
+    grid = {"sweep.start": 1.0, "sweep.stop": 5.0, "sweep.points": 5, "sweep.spacing": "linear"}
+    for name, overrides in (("huge", {"model.level_energies": [0, 1e308, 1.7e308]}), ("plain", {})):
+        path = write_config(tmp_path, {**grid, **overrides}, name=f"{name}.json")
+        command = ["sweep", "--config", str(path), "--format", "both", "--out", str(tmp_path / name)]
+        assert main(command) == 0
+    tables = {}
+    for name in ("huge", "plain"):
+        with open(tmp_path / name / "case.csv", newline="") as handle:
+            tables[name] = list(csv.DictReader(handle))
+    for huge, plain in zip(tables["huge"], tables["plain"], strict=True):
+        assert huge.pop("power") == "inf" and float(plain.pop("power")) > 0
+        assert huge == plain and huge["status"] == "ok"
+    records = json.loads((tmp_path / "huge" / "case.json").read_text())["records"]
+    assert [r["power"] for r in records] == [None] * 5
+    # at a zero mean the power is NaN when lasing_frequency * kappa overflows
+    pump_off = {"model.g": 0.0, "model.kappa": 100.0, "model.level_energies": [0, 1e307, 1.7e308]}
+    records = run_sweep(load_config(write_config(tmp_path, {**grid, **pump_off})))
+    assert all(r["mean_analytic"] == 0.0 and math.isnan(r["power"]) for r in records)
+    assert all(r["status"] == "ok" for r in records)
+
+
 @pytest.mark.parametrize("config", ["fig2", "fig5", "bright", "pump-off"])
 def test_sweeps_raise_no_warning(config, tmp_path):
     if config == "bright":
@@ -622,10 +666,11 @@ def test_thresholds_no_root(tmp_path, capsys):
 
 
 def test_thresholds_temperature_report(tmp_path, capsys):
-    thermal = {"model.n_h": None, "model.n_c": None, "model.T_h": 4.0, "model.T_c": 0.5}
+    thermal = {**THERMAL, "model.T_h": 4.0}
     four_level = {**thermal, "model.kind": "four_level", "model.gamma_a": 32.0}
     cases = [
         (thermal, True),
+        ({**thermal, "model.level_energies": [0.0, 1.3, 2.9]}, True),
         # a four-level report needs the ancilla temperature too
         ({**four_level, "model.n_a": 0.1}, False),
         ({**four_level, "model.T_a": 1.0}, True),

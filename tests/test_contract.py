@@ -1,6 +1,7 @@
 """Contract fuzz of the command line: exit codes and the numbers of an ok record.
 
-Random engines, sweep grids and argument lists go through ``cli.main``.
+Random engines, level ladders among them, sweep grids and argument lists
+go through ``cli.main``; a config that does not load must have exited 2.
 Every command must exit 0, 2 or 3 and raise nothing else; every ``ok``
 sweep record must have a mean, variance and Fano factor >= 0 on both
 routes; and the closed-form mean of every point must match the mean of its
@@ -17,6 +18,7 @@ RuntimeWarning.
 """
 
 import csv
+import itertools
 import json
 import math
 
@@ -24,7 +26,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heatlaser.cli import load_config, main
+from heatlaser.cli import ConfigError, load_config, main
 from heatlaser.photonstats import closed_form_grid
 
 # the mean of a cut row misses the chain's by its tail past P_n < 1e-12
@@ -36,15 +38,35 @@ def _decades(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0**e)
 
 
+def _ladders(n_levels):
+    """``level_energies``: mostly a valid ladder, sometimes none or a bad one.
+
+    A valid ladder starts anywhere and climbs by steps of 1e-2 to 1e2, so
+    temperature baths meet frequencies other than the default 1, 2 and 3.
+    A bad one is a list of any finite floats, of any length up to one past
+    the kind's: out of order, too short or long, or spanning past 1e308.
+    """
+    steps = st.lists(_decades(-2, 2), min_size=n_levels - 1, max_size=n_levels - 1)
+    valid = st.tuples(st.floats(-10.0, 10.0), steps).map(
+        lambda ladder: list(itertools.accumulate(ladder[1], initial=ladder[0]))
+    )
+    bad = st.lists(st.floats(-1e308, 1e308), max_size=n_levels + 1)
+    shapes = {"valid": valid, "none": st.none(), "bad": bad}
+    return st.sampled_from(["valid", "valid", "valid", "none", "bad"]).flatmap(shapes.get)
+
+
 @st.composite
 def engines(draw):
-    """A ``model`` block: random rates, each bath by occupation or temperature."""
+    """A ``model`` block: random rates and ladder, each bath by occupation or temperature."""
     four = draw(st.booleans())
     block = {"kind": "four_level" if four else "three_level"}
     for key in ("g", "kappa", "gamma_h", "gamma_c", "gamma_a")[: 5 if four else 4]:
         block[key] = draw(_decades(-2, 2))
     for bath in ("h", "c", "a")[: 3 if four else 2]:
         block[f"{draw(st.sampled_from('nT'))}_{bath}"] = draw(_decades(-3, 2))
+    ladder = draw(_ladders(4 if four else 3))
+    if ladder is not None:
+        block["level_energies"] = ladder
     return block
 
 
@@ -160,7 +182,11 @@ def test_every_command_keeps_the_contract(tmp_path_factory, engine, sweep, argv)
         code = exit_.code
     assert code in (0, 2, 3)
 
-    loaded = load_config(config)
+    try:
+        loaded = load_config(config)
+    except ConfigError:  # such as a bad ladder, which every command refuses
+        assert code == 2
+        return
     columns, _, rows, failures = closed_form_grid(loaded.model, loaded.sweep.values())
     for mean, row, failure in zip(columns["mean_analytic"], rows, failures):
         if failure is None and row is not None:

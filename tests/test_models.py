@@ -71,21 +71,18 @@ def test_bathspec_validation():
         BathSpec(-1.0, 0.5)
     with pytest.raises(ValueError):
         BathSpec(1.0, -0.5)
-    # occupation must match the Planck value when omega and T are given
-    with pytest.raises(ValueError):
-        BathSpec(1.0, 0.3, omega=1.0, temperature=1.0)
     # NaN passes a plain x < 0 check
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="gamma must be finite"):
             BathSpec(bad, 0.5)
         with pytest.raises(ValueError, match="occupation must be finite"):
             BathSpec(1.0, bad)
-        with pytest.raises(ValueError, match="omega must be finite"):
-            BathSpec(1.0, 0.5, omega=bad)
         with pytest.raises(ValueError, match="temperature must be finite"):
             BathSpec(1.0, 0.5, temperature=bad)
+    # the frequency is the model's: a thermal bath keeps only what it gives
     bath = BathSpec.thermal(2.0, 1.0, 1.0)
-    assert bath.occupation == pytest.approx(1.0 / math.expm1(1.0), rel=1e-15)
+    assert BathSpec._fields == ("gamma", "occupation", "temperature")
+    assert bath == (2.0, pytest.approx(1.0 / math.expm1(1.0), rel=1e-15), 1.0)
 
 
 def test_three_level_fig2_configuration():
@@ -122,21 +119,34 @@ def test_frequency_additivity_random_energies(rng):
         )
 
 
-def test_energies_derived_from_bath_frequencies():
+def test_thermal_baths_are_checked_at_the_ladder_gaps():
+    # a bath's frequency is its transition's gap in the level ladder, and
+    # the model checks each temperature's occupation there
     hot = BathSpec.thermal(32.0, 3.0, 2.0)
     cold = BathSpec.thermal(32.0, 1.2, 0.4)
-    model = build_three_level(hot, cold, 14.0, 1.0)
+    model = build_three_level(hot, cold, 14.0, 1.0, level_energies=(0.0, 1.2, 3.0))
     assert model.level_energies == (0.0, 1.2, 3.0)
     assert model.lasing_frequency == pytest.approx(1.8)
-    # partially specified frequencies are rejected
-    with pytest.raises(ValueError):
-        build_three_level(hot, BathSpec(32.0, 0.05), 14.0, 1.0)
-    # so are frequencies that give no increasing ladder
-    with pytest.raises(ValueError, match="hot transition frequency must exceed the cold one"):
-        build_three_level(cold, hot, 14.0, 1.0)
-    ancilla = BathSpec.thermal(32.0, 2.5, 1.0)  # e2 = 3.0 - 2.5 lies below e1 = 1.2
-    with pytest.raises(ValueError, match="incompatible with an increasing level ladder"):
-        build_four_level(hot, cold, ancilla, 14.0, 1.0)
+    # the default ladder (0, 1, 2) puts the hot bath at gap 2, not 3
+    with pytest.raises(
+        ValueError, match=r"hot bath occupation .* inconsistent with Planck value .* omega=2.0, T=2.0"
+    ):
+        build_three_level(hot, cold, 14.0, 1.0)
+    with pytest.raises(ValueError, match="cold bath occupation"):
+        build_three_level(hot, cold, 14.0, 1.0, level_energies=(0.0, 1.0, 3.0))
+    # an occupation-only bath is not checked, and a new hot occupation drops
+    # the temperature it no longer matches
+    build_three_level(hot, BathSpec(32.0, 0.05), 14.0, 1.0, level_energies=(0.0, 1.2, 3.0))
+    assert with_hot_occupation(model, 5.0).hot == (32.0, 5.0, None)
+    # a copy is checked again
+    with pytest.raises(ValueError, match="hot bath occupation"):
+        model._replace(hot=hot._replace(occupation=1.01 * hot.occupation))
+    # the ancilla bath sits on e2 <-> e3
+    ancilla = BathSpec.thermal(32.0, 0.5, 1.0)
+    four = build_four_level(hot, cold, ancilla, 14.0, 1.0, level_energies=(0.0, 1.2, 2.5, 3.0))
+    assert four.omega_a == 0.5
+    with pytest.raises(ValueError, match="ancilla bath occupation"):
+        build_four_level(hot, cold, ancilla, 14.0, 1.0, level_energies=(0.0, 1.2, 2.0, 3.0))
 
 
 def test_engine_model_validation():
@@ -145,7 +155,7 @@ def test_engine_model_validation():
         EngineModel(THREE_LEVEL, hot, cold, 1.0, 1.0, ancilla=anc)
     with pytest.raises(ValueError):
         EngineModel(FOUR_LEVEL, hot, cold, 1.0, 1.0)  # missing ancilla
-    with pytest.raises(ValueError, match="four-level model requires an ancilla bath"):
+    with pytest.raises(ValueError, match="an ancilla bath is required iff the model is four-level"):
         build_four_level(hot, cold, None, 1.0, 1.0)
     three = build_three_level(hot, cold, 1.0, 1.0)
     for name in ("omega_a", "gamma_a", "n_a"):
@@ -159,14 +169,17 @@ def test_engine_model_validation():
         EngineModel("five_level", hot, cold, 1.0, 1.0)
     with pytest.raises(ValueError):
         EngineModel(THREE_LEVEL, hot, cold, 1.0, 1.0, level_energies=(0.0, 2.0, 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="three_level model needs 3 level energies, got 2"):
         EngineModel(THREE_LEVEL, hot, cold, 1.0, 1.0, level_energies=(0.0, 1.0))
-    # bath omega inconsistent with the level ladder
-    with pytest.raises(ValueError):
-        EngineModel(
-            THREE_LEVEL, BathSpec(1.0, 0.4, omega=5.0), cold, 1.0, 1.0,
-            level_energies=(0.0, 1.0, 2.0),
-        )
+    # an empty ladder is not the default one
+    with pytest.raises(ValueError, match="three_level model needs 3 level energies, got 0"):
+        EngineModel(THREE_LEVEL, hot, cold, 1.0, 1.0, level_energies=())
+    # finite steps whose sum, the hot transition frequency, overflows
+    with pytest.raises(ValueError, match="must span a finite range"):
+        EngineModel(THREE_LEVEL, hot, cold, 1.0, 1.0, level_energies=(-1e308, 0.0, 1e308))
+    # a bath temperature inconsistent with its occupation at the ladder's gap
+    with pytest.raises(ValueError, match="hot bath occupation 0.4 inconsistent"):
+        EngineModel(THREE_LEVEL, BathSpec(1.0, 0.4, temperature=1.0), cold, 1.0, 1.0)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="coupling g must be finite"):
             EngineModel(THREE_LEVEL, hot, cold, bad, 1.0)

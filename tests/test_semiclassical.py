@@ -323,6 +323,7 @@ def _thermal_three_level(omega_c, lasing, t_h, t_c, gamma=32.0, g=14.0, kappa=1.
         BathSpec.thermal(gamma, omega_c, t_c),
         g,
         kappa,
+        level_energies=(0.0, omega_c, omega_h),
     )
 
 
@@ -373,6 +374,7 @@ def test_four_level_condition_reduces_to_carnot_bound(rng):
             BathSpec.thermal(32.0, omega_a, t_c),
             14.0,
             1.0,
+            level_energies=(0.0, omega_c, omega_h - omega_a, omega_h),
         )
         report = temperature_lasing_condition(model)
         assert report.lases == (report.efficiency <= report.carnot + 1e-12)
