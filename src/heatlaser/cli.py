@@ -79,6 +79,7 @@ import os
 import sys
 from collections import namedtuple
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -364,10 +365,11 @@ def _fmt(value) -> str:
     return format(float(value), ".12g")
 
 
-def _write_text(path: Path, text: str):
+def _write_text(path: Path, *chunks: str):
+    # the chunks are written one after another, never joined
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as handle:
-        handle.write(text)
+        handle.writelines(chunks)
 
 
 def _slot(kind) -> str:
@@ -484,20 +486,22 @@ def cmd_distribution(config: RunConfig, n_h: float, out_dir: Path, fmt: str, wit
     if with_wigner:
         field = wigner(result.distribution)
         # the lines _fmt gives each point, with every axis value and every
-        # distinct value formatted once.  Values are told apart by their
-        # bits, as format tells -0.0 from 0.0 and np.unique does not.  Each
-        # row of the grid is one %-template of its re texts and im text,
-        # filled with its values' texts
-        distinct, where = np.unique(field.values.view(np.int64), return_inverse=True)
-        texts = [format(w, ".12g") for w in distinct.view(float).tolist()]
-        where = where.reshape(field.values.shape)
+        # distinct value formatted once: W is radial, and "%.12g" prints a
+        # float as format(w, ".12g") does, nan, inf and -0 included.  u
+        # depends on |re| and |im| only, so rows of equal |im| take the same
+        # values: one %-template of the re texts is filled once per distinct
+        # |im|, and each row then puts in its im text
+        texts = ("%.12g\n" * field.table.size % tuple(field.table.tolist())).split("\n")
         row_template = "".join(f"{_fmt(x)},{{im}},%s\n" for x in field.re_axis)
-        parts = ["re,im,value\n"]
-        for y, row in zip(field.im_axis, where):
-            template = row_template.replace("{im}", _fmt(y))
-            parts.append(template % tuple(map(texts.__getitem__, row.tolist())))
+        filled = {}
+        rows = []
+        for y, row in zip(field.im_axis.tolist(), field.index):
+            text = filled.get(abs(y))
+            if text is None:
+                text = filled[abs(y)] = row_template % itemgetter(*row.tolist())(texts)
+            rows.append(text.replace("{im}", _fmt(y)))
         path = out_dir / f"{stem}_wigner.csv"
-        _write_text(path, "".join(parts))
+        _write_text(path, "re,im,value\n", *rows)
         written.append(path)
     extra = {
         "n_h": n_h,

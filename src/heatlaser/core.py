@@ -231,12 +231,19 @@ def build_sector_liouvillian(
     same[:, :, coherence, e1] += c
     same[:, :, coherence, e2] += -c
     # each point's own slots; it drops every cell whose target or source
-    # slot lies outside them (band b of rung r reads rung r + b - 1)
-    cutoff = np.array(n_maxes)[:, np.newaxis, np.newaxis, np.newaxis]
-    inside = np.all((photons >= 0) & (photons <= cutoff), axis=-1)  # (P, R, m)
+    # slot lies outside them (band b of rung r reads rung r + b - 1).  Such
+    # cells lie only in the rungs past n_max + 1, which are all outside, and
+    # in rungs 0 and 1 (the slots of e2), n_max (its band 2) and n_max + 1
+    # (the slots at n = n_max + 1): the rest of the block is inside
+    n_max = np.array(n_maxes)[:, np.newaxis]  # (P, 1)
+    inside = np.all((photons >= 0) & (photons <= n_max[..., np.newaxis, np.newaxis]), axis=-1)  # (P, R, m)
+    bands[np.arange(depth) > n_max + 1] = 0.0
+    point = np.arange(len(n_h))[:, np.newaxis]
+    edge = n_max * [0, 0, 1, 1] + [0, 1, 0, 1]  # rungs 0, 1, n_max and n_max + 1 (P, 4)
     outside = np.pad(~inside, ((0, 0), (1, 1), (0, 0)), constant_values=True)
-    source_out = np.stack([outside[:, b : b + depth] for b in range(3)], axis=2)
-    target_out = outside[:, 1:-1, np.newaxis, :, np.newaxis]
-    np.copyto(bands, 0.0, where=target_out | source_out[:, :, :, np.newaxis])
+    source_out = outside[point[..., np.newaxis], edge[..., np.newaxis] + np.arange(3)]
+    target_out = outside[point, edge + 1][:, :, np.newaxis, :, np.newaxis]
+    drop = target_out | source_out[:, :, :, np.newaxis]
+    bands[point, edge] = np.where(drop, 0.0, bands[point, edge])
     return bands, inside
 

@@ -382,11 +382,13 @@ def _row_moments(p):
 def output_power(model: EngineModel, mean_n: float) -> float:
     """Radiated power of the cavity, lasing_frequency * kappa * <n>.
 
-    ``mean_n`` may be an array, NaN where there is no mean.
+    ``mean_n`` may be an array, NaN where there is no mean.  An empty
+    cavity radiates 0, also where lasing_frequency * kappa overflows.
     """
     if np.min(mean_n) < 0:
         raise ValueError(f"mean photon number must be >= 0, got {mean_n}")
-    return model.lasing_frequency * model.kappa * mean_n
+    power = np.where(mean_n == 0, 0.0, model.lasing_frequency * model.kappa * mean_n)
+    return power if power.ndim else float(power)
 
 
 # the sweep columns of closed_form_grid

@@ -24,7 +24,10 @@ full-space references (the first imports scipy when called; the last
 needs a unit-trace state).
 :func:`wigner` maps a photon distribution to phase space, by default on
 101 x 101 points over [-h, h]^2 with h = max(4, 1.2 sqrt(<n> + 1)), so a
-bright state's ring stays on the grid.
+bright state's ring stays on the grid.  W is radial: it is computed once
+per distinct radius, and :class:`WignerField` carries that table and each
+point's radius, besides the full grid, so that a writer can format each
+distinct value once.
 """
 
 from __future__ import annotations
@@ -90,8 +93,16 @@ SteadyStateResult.__doc__ = (
     """A dense steady state of :func:`steady_state`, its defect |L[rho]|_inf and method."""
 )
 
-WignerField = namedtuple("WignerField", "re_axis im_axis values")
-WignerField.__doc__ = """Wigner quasi-probability sampled on a rectangular phase-space grid."""
+WignerField = namedtuple("WignerField", "re_axis im_axis values table index")
+WignerField.__doc__ = """Wigner quasi-probability sampled on a rectangular phase-space grid.
+
+``values[iy, ix]`` is W at ``re_axis[ix] + i im_axis[iy]``.  W is radial, so
+it is also given once per distinct radius u = 4|a|^2 of the grid, in
+increasing u: ``table`` holds W at each, and the integer array ``index``, of
+the shape of ``values``, the radius of each point, so that
+``values == table[index]``.  ``index`` depends on |re| and |im| only, so
+rows of equal |im| are equal.
+"""
 
 
 def _system_dim(liouv):
@@ -194,11 +205,13 @@ def wigner(
     diagonal state is all there is to map: the engine conserves the charge
     n + c(level), so the steady state lives in the charge-zero block, and
     tracing out the atom pairs equal levels, which in that block have equal
-    n.  The recurrence runs once per distinct radius u of the grid (a
-    symmetric grid repeats each u up to eight times), and each point takes
-    the value of its u.  Default grid: 101 x 101 over [-h, h]^2 with
-    h = max(4, 1.2 sqrt(<n> + 1)); an explicit axis whose reach is below
-    that radius warns.
+    n.  u depends on |re| and |im| only, so it is taken once per pair of a
+    distinct |re| and a distinct |im|, and the recurrence runs once per
+    distinct u (a symmetric grid repeats each u up to eight times): the
+    result's ``table`` holds W at each distinct u, its ``index`` each
+    point's u, and its ``values`` the full grid ``table[index]``.  Default
+    grid: 101 x 101 over [-h, h]^2 with h = max(4, 1.2 sqrt(<n> + 1)); an
+    explicit axis whose reach is below that radius warns.
     """
     p = distribution.probabilities
     mean_n = distribution.mean
@@ -217,10 +230,16 @@ def wigner(
             stacklevel=2,
         )
 
-    u = 4.0 * np.abs(re_axis[np.newaxis, :] + 1j * im_axis[:, np.newaxis]) ** 2
-    # W depends on u only: run the recurrence once per distinct u.  The
-    # inverse is reshaped, since its shape differs across numpy releases
+    # W depends on u only, and u on |re| and |im| only: hypot ignores signs,
+    # so u over the distinct |re| and |im| keeps its bits, and the
+    # recurrence runs once per distinct u.  The inverses are reshaped, since
+    # their shapes differ across numpy releases
+    re_abs, re_where = np.unique(np.abs(re_axis), return_inverse=True)
+    im_abs, im_where = np.unique(np.abs(im_axis), return_inverse=True)
+    u = 4.0 * np.abs(re_abs[np.newaxis, :] + 1j * im_abs[:, np.newaxis]) ** 2
     u, where = np.unique(u, return_inverse=True)
+    where = where.reshape(im_abs.size, re_abs.size)
+    index = where[np.ix_(im_where.reshape(-1), re_where.reshape(-1))]
     band = p * (-1.0) ** np.arange(p.size)
     # l_m = e^{-u/2} L_m(u) lies in [-1, 1], so neither it nor the
     # recurrence (m+1) l_{m+1} = (2m+1-u) l_m - m l_{m-1} overflows
@@ -229,8 +248,8 @@ def wigner(
     for m in range(p.size - 1):
         prev, cur = cur, ((2 * m + 1 - u) * cur - m * prev) / (m + 1)
         total = total + band[m + 1] * cur
-    values = ((2.0 / math.pi) * total)[where.reshape(im_axis.size, re_axis.size)]
-    return WignerField(re_axis, im_axis, values)
+    table = (2.0 / math.pi) * total
+    return WignerField(re_axis, im_axis, table[index], table, index)
 
 
 def _rung_sweep(bands, rhs, rungs):

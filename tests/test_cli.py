@@ -601,10 +601,10 @@ def test_power_past_the_float_range_is_inf(tmp_path):
         assert huge == plain and huge["status"] == "ok"
     records = json.loads((tmp_path / "huge" / "case.json").read_text())["records"]
     assert [r["power"] for r in records] == [None] * 5
-    # at a zero mean the power is NaN when lasing_frequency * kappa overflows
+    # an empty cavity radiates 0, also when lasing_frequency * kappa overflows
     pump_off = {"model.g": 0.0, "model.kappa": 100.0, "model.level_energies": [0, 1e307, 1.7e308]}
     records = run_sweep(load_config(write_config(tmp_path, {**grid, **pump_off})))
-    assert all(r["mean_analytic"] == 0.0 and math.isnan(r["power"]) for r in records)
+    assert all(r["mean_analytic"] == 0.0 and r["power"] == 0.0 for r in records)
     assert all(r["status"] == "ok" for r in records)
 
 
@@ -910,6 +910,10 @@ def test_default_wigner_grid_holds_a_bright_ring(tmp_path):
     assert half_width == pytest.approx(18.16, abs=0.005)
     re, im, _ = grid[np.argmax(grid[:, 2])]
     assert abs(math.hypot(re, im) - math.sqrt(mean)) <= 2 * half_width / 100
+    # a second default grid, with its own half-width and |im| rows
+    lines = (out / "fig5_wigner.csv").read_text().splitlines()
+    _, result = solve_model(with_hot_occupation(load_config(path).model, 5.0))
+    _assert_wigner_lines(lines, result.distribution)
 
 
 def test_exit_codes(tmp_path, capsys):

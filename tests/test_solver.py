@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -737,6 +738,28 @@ def test_wigner_runs_once_per_radius_bit_for_bit():
             expected = full_grid(distribution.probabilities, field.re_axis, field.im_axis)
             assert np.array_equal(field.values, expected)
         assert field.values.shape == (101, 101)  # the default grid, last
+
+
+def test_wigner_table_and_index_give_the_grid():
+    # values is table[index] bit for bit, and rows of equal |im| (-0.0 and
+    # 0.0 included) have equal index rows, on an asymmetric grid and on the
+    # default one
+    _, result = solve_model(make_fig2_model(n_h=2.0))
+    grids = [
+        (np.array([-1.5, -0.25, -0.0, 0.25, 0.7, 1.5, 2.0]), np.array([0.5, -0.5, -0.0, 0.0, 1.25, 2.5])),
+        (None, None),
+    ]
+    for re_axis, im_axis in grids:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a grid radius below the state's
+            field = wigner(result.distribution, re_axis, im_axis)
+        assert field.index.shape == field.values.shape
+        assert np.array_equal(field.table[field.index].view(np.int64), field.values.view(np.int64))
+        assert np.array_equal(np.unique(field.index), np.arange(field.table.size))
+        for a, b in itertools.combinations(range(field.im_axis.size), 2):
+            if abs(field.im_axis[a]) == abs(field.im_axis[b]):
+                assert np.array_equal(field.index[a], field.index[b])
+    assert field.table.size < field.values.size  # the default grid repeats radii
 
 
 def test_wigner_of_steady_state():
