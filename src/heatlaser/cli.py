@@ -315,7 +315,7 @@ def run_sweep(config: RunConfig) -> list[dict]:
     which gives the closed-form columns and each point's Fock cutoff.  The
     points it leaves are solved by one :func:`exact_grid` call on the same
     model and grid, which gives the exact columns.  Past n_max 16 030, the
-    one bound (0.33-0.36 s alone), a point fails there and keeps no
+    one bound (0.14-0.17 s alone), a point fails there and keeps no
     closed-form row for ``l1_distance``, a sum over each point's own rows.
     The columns are merged into one record per point, failed or not.
     """

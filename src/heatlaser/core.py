@@ -12,7 +12,8 @@ imported only when it is called.  The steady-state solve needs only the
 charge-zero block, in which the steady state has one real unknown per
 population and per coherence pair.  Its layout is one fixed table:
 level pair ``RUNG_SLOTS[s]`` in slot s of rung n + ``RUNG_SHIFT[level]``,
-the same for every model and every cutoff.  :func:`build_sector_liouvillian`
+the same for every model and every cutoff; ``LOWER_COLUMN`` names the one
+slot of a rung that feeds the rung above.  :func:`build_sector_liouvillian`
 assembles in it the real blocks of one model at a grid of hot-bath
 occupations n_h, each point at its own cutoff, straight from the rates,
 with no operator matrix: its entries are the terms of the rung equations
@@ -63,6 +64,12 @@ RUNG_SLOTS = np.array(((0, 0), (1, 1), (1, 2), (2, 2), (3, 3)))  # g, e1, e2, e3
 SLOT_OF = np.full((4, 4), -1)
 SLOT_OF[tuple(RUNG_SLOTS.T)] = np.arange(len(RUNG_SLOTS))
 SLOT_PHASE = np.array(((1, 1, 1, 1), (1, 1, 1j, 1), (1, -1j, 1, 1), (1, 1, 1, 1)))
+# The one column of the lower band, rung r - 1 onto rung r: the cavity jump
+# moves a pair one rung down and the coupling keeps its rung, so only a bath
+# jump into e2, the one level of shift 1, from a level of shift 0 reaches a
+# rung up: the hot g -> e2 of a three-level atom and the ancilla e3 -> e2 of
+# a four-level one.  LOWER_COLUMN[atom_dim] is the slot of that source level.
+LOWER_COLUMN = {3: int(SLOT_OF[LEVEL_G, LEVEL_G]), 4: int(SLOT_OF[LEVEL_E3, LEVEL_E3])}
 
 
 class HilbertSpace(_Validated, namedtuple("HilbertSpace", "atom_dim fock_dim")):

@@ -1,10 +1,10 @@
 """Exact numerics on the master equation.
 
-:func:`solve_model` sweeps the rungs of the charge-zero block by block
-Thomas in numpy, in real arithmetic over one real unknown per population
-and per coherence pair, and returns the steady state in the block's rung
-layout, those unknowns by rung and slot (:class:`BlockState`), with its
-photon distribution, in O(n_max) memory and time; :func:`exact_grid`
+:func:`solve_model` sweeps the rungs of the charge-zero block top down by
+block Thomas in numpy, in real arithmetic over one real unknown per
+population and per coherence pair, and returns the steady state in the
+block's rung layout, those unknowns by rung and slot (:class:`BlockState`),
+with its photon distribution, in O(n_max) memory and time; :func:`exact_grid`
 does so for one engine over a grid of hot-bath occupations n_h, one
 stacked sweep per batch, each point in its own layout and over its own
 rungs, and returns the columns of a sweep.  Both finish a point alike
@@ -16,7 +16,7 @@ zeros past a point's cutoff change no bit, and :func:`exact_grid` finishes
 a whole batch in a few array operations with the numbers
 :func:`solve_model` gives each point alone.  Both solve a point at a cutoff
 1 <= n_max <= 16 030, which fills one batch of ``BATCH_RUNGS`` rung-points
-alone, in 0.33-0.36 s.  They are the independent check on the
+alone, in 0.14-0.17 s.  They are the independent check on the
 closed-form theory in :mod:`heatlaser.photonstats`.  The dense (A F)^2
 :func:`steady_state` of the generator of ``core.build_liouvillian``,
 :func:`partial_trace_atom` and :func:`photon_distribution` are the
@@ -43,6 +43,7 @@ import numpy as np
 from .core import (
     LEVEL_E1,
     LEVEL_E2,
+    LOWER_COLUMN,
     RUNG_SHIFT,
     RUNG_SLOTS,
     SLOT_OF,
@@ -81,7 +82,7 @@ __all__ = [
 
 
 class SteadyStateError(RuntimeError):
-    """Raised when the steady state is not unique or misses the residual."""
+    """Raised when the steady state is not unique, misses the residual or is out of range."""
 
     def __init__(self, message, best_residual=None):
         super().__init__(message)
@@ -253,43 +254,64 @@ def wigner(
 
 
 def _rung_sweep(bands, rhs, rungs):
-    """Solve a batch of block-tridiagonal systems by block Thomas.
+    """Solve a batch of block-tridiagonal systems by block Thomas, top down.
 
     ``bands`` has shape (P, R, 3, m, m) and ``rhs`` shape (P, R, m), one
-    system per point p over its first ``rungs[p]`` rungs, solved in the
-    dtype of ``bands``.  Forward elimination over the rungs keeps, per rung
-    r, the solution [G_r | y_r] of S_r [G_r | y_r] = [C_r | b_r - A_r y_{r-1}]
-    with the Schur complement S_r = B_r - A_r G_{r-1} (A, B, C the lower,
-    diagonal and upper blocks); back substitution is x_r = y_r - G_r x_{r+1}.
-    This is a matrix continued fraction (Risken, *The Fokker-Planck
-    Equation*, ch. 9): nothing past a point's last rung feeds back into it,
-    so its recursion stops there.  ``rungs`` is ascending, so the points
-    that reach rung r are a suffix of the batch, a view, and each rung takes
-    one stacked solve and one stacked matmul over that suffix: the batch
-    costs sum(rungs) matrices, as its points solved alone do.  numpy runs
-    LAPACK and BLAS once per matrix, so a point gets the numbers a batch of
-    one gives it.  Past a point's last rung its rows keep ``rhs``.  There is
-    no pivoting across rungs; a singular S_r of any point raises
-    ``np.linalg.LinAlgError`` for the whole batch.
+    system A_r x_{r-1} + B_r x_r + C_r x_{r+1} = f_r per point p over its
+    first ``rungs[p]`` rungs (A, B, C the lower, diagonal and upper blocks),
+    solved in the dtype of ``bands``, which the sweep only reads.  It runs
+    from each point's top rung down, keeping x_r = z_r + H_r x_{r-1} with
+    H_r = -T_r^{-1} A_r and z_r = T_r^{-1} (f_r - C_r z_{r+1}), where
+    T_r = B_r + C_r H_{r+1}; then x_0 = z_0, and a forward pass gives the
+    rest.  This is the matrix continued fraction run from the top (Risken,
+    *The Fokker-Planck Equation*, ch. 9): nothing past a point's last rung
+    feeds back into it, so its recursion starts there.  A_r has one nonzero
+    column j (``core.LOWER_COLUMN``), so H_r = h_r e_j^T is one column,
+    h_r = -T_r^{-1} A_r e_j, and T_r is B_r with only its column j changed,
+    by C_r h_{r+1}.  ``rhs`` is 0 above rung ``max(RUNG_SHIFT)``, the
+    highest rung of a pinned unit, so z_r = 0 there: each rung above it
+    solves for h_r alone, one right-hand-side column, and each rung up to
+    it for [h_r | z_r], two.  Above it x_r = h_r x_{r-1}[j], so the entries
+    j are a running product of the h_r[j], one ``np.cumprod`` along the
+    rungs, which multiplies in a loop's order and gives a loop's bits.
+
+    ``rungs`` is ascending, so the points that reach rung r are a suffix of
+    the batch, a view, and each rung takes one stacked solve and one stacked
+    matmul over that suffix: the batch costs sum(rungs) matrices, as its
+    points solved alone do.  numpy runs LAPACK and BLAS once per matrix, so
+    a point gets the numbers a batch of one gives it.  Past a point's last
+    rung its rows are 0.  There is no pivoting across rungs; a singular T_r
+    of any point raises ``np.linalg.LinAlgError`` for the whole batch.
     """
-    lower, diag = bands[:, :, 0], bands[:, :, 1]
-    width = diag.shape[-1]
-    work = np.concatenate([bands[:, :, 2], rhs[..., np.newaxis]], axis=-1)
+    lower, diag, upper = np.moveaxis(bands, 2, 0)
+    points, depth, width = rhs.shape
+    column, top = LOWER_COLUMN[width - 1], int(RUNG_SHIFT.max())
+    fed = slice(column, column + 1)
+    feed = -lower[..., fed]  # -A_r e_j, as (P, R, m, 1)
+    # h[:, r] = h_r, 0 above each point's top rung, and z[:, r] = z_r
+    h = np.zeros((points, depth + 1, width, 1), dtype=bands.dtype)
+    z = np.zeros((points, top + 2, width, 1), dtype=bands.dtype)
     # starts[r]: the first point that reaches rung r
-    starts = np.searchsorted(rungs, np.arange(bands.shape[1]), side="right").tolist()
-    prev, first = np.zeros((len(bands), width, width + 1), dtype=bands.dtype), 0
-    for r, start in enumerate(starts):
-        coupled = lower[start:, r] @ prev[start - first :]  # [A_r G_{r-1} | A_r y_{r-1}]
-        work[start:, r, :, width] -= coupled[:, :, width]
-        prev = work[start:, r] = np.linalg.solve(
-            diag[start:, r] - coupled[:, :, :width], work[start:, r]
-        )
-        first = start
-    x = work[..., width:]
-    for r in range(bands.shape[1] - 2, -1, -1):
-        start = starts[r + 1]
-        x[start:, r] -= work[start:, r, :, :width] @ x[start:, r + 1]
-    return x[..., 0].copy()  # contiguous, and the workspace is freed on return
+    starts = np.searchsorted(rungs, np.arange(depth), side="right").tolist()
+    for r in range(depth - 1, -1, -1):
+        start = starts[r]
+        block = diag[start:, r].copy()
+        block[..., fed] += upper[start:, r] @ h[start:, r + 1]  # T_r
+        if r > top:
+            h[start:, r] = np.linalg.solve(block, feed[start:, r])
+        else:
+            right = rhs[start:, r, :, np.newaxis] - upper[start:, r] @ z[start:, r + 1]
+            solved = np.linalg.solve(block, np.concatenate([feed[start:, r], right], axis=-1))
+            h[start:, r], z[start:, r] = solved[..., :1], solved[..., 1:]
+    h, z = h[:, :depth, :, 0], z[..., 0]
+    x = np.empty(rhs.shape, dtype=bands.dtype)
+    x[:, 0] = z[:, 0]
+    for r in range(1, top + 1):
+        x[:, r] = z[:, r] + h[:, r] * x[:, r - 1, column, np.newaxis]
+    # x_r[j] for r >= top: x_top[j] times h_{top+1}[j] ... h_r[j], in order
+    carry = np.cumprod(np.concatenate([x[:, top, fed], h[:, top + 1 :, column]], axis=1), axis=1)
+    np.multiply(h[:, top + 1 :], carry[:, :-1, np.newaxis], out=x[:, top + 1 :])
+    return x
 
 
 def _apply_bands(bands, x):
@@ -366,6 +388,11 @@ def _sweep_points(system, rhs, rungs):
     return x, errors
 
 
+# past gamma_h (n_h + 1) eps >= kappa the cavity loss on the hot pair's
+# population diagonals is rounded away entirely, and no photon leaves
+_EPS = float(np.finfo(float).eps)
+
+
 def _warn_tail(p):
     # warn when a point's tail P[n_max] passes 1e-8, pointing at the line
     # that called solve_model, exact_grid or photon_distribution
@@ -400,8 +427,15 @@ def _solve_batch(model, n_h, n_maxes, tol):
     pins = _pinned_levels(model, n_h)
     # a point's first error of its n_h, cutoff or closed classes
     for occupation, n_max, pin in zip(n_h.tolist(), n_maxes, pins):
+        hot = model.gamma_h * (occupation + 1.0)
         if not 0 <= occupation < math.inf:
             pin = ValueError(f"hot bath occupation must be finite and >= 0, got {occupation}")
+        elif hot * _EPS >= model.kappa:
+            pin = SteadyStateError(
+                f"n_h = {occupation} is past the float range of the rung equations: the hot "
+                f"rate gamma_h (n_h + 1) = {hot:.3e} rounds the cavity loss kappa = "
+                f"{model.kappa} away on the population diagonals"
+            )
         elif not 1 <= n_max <= BATCH_RUNGS - 2:
             pin = TruncationError(f"cutoff n_max = {n_max} is outside [1, {BATCH_RUNGS - 2}]")
         errors.append(pin if isinstance(pin, Exception) else None)
@@ -465,7 +499,9 @@ def exact_grid(
     at the cutoff ``n_maxes[k]`` exactly as :func:`solve_model` solves that
     engine, with the same tail warning, in point order; n_h enters only
     through the hot rates, so no model is built per point.  A negative, NaN
-    or infinite n_h fails with a ``ValueError`` and is not assembled.
+    or infinite n_h fails with a ``ValueError``, and one with
+    gamma_h (n_h + 1) eps >= kappa with a :class:`SteadyStateError` (see
+    :func:`solve_model`); neither is assembled.
 
     The grid is cut into batches of consecutive points, each taking points
     while (points) x (largest cutoff + 2) stays within ``BATCH_RUNGS``
@@ -479,13 +515,14 @@ def exact_grid(
     the sweep takes sum(cutoff + 2) rung solves.  A batch's bands are
     stacked to its largest cutoff, so its memory grows with its
     rung-points.  A four-level rung holds 0.6 kB per point in its
-    3 x 5 x 5 real bands, pinned in place, and a batch peaks at about 1.5
-    times that, in the rung sweep's workspace; the builder returns only the
-    bands and a bool mask of each point's slots, the sweep's workspace is
-    freed on return, and the batches are solved one after another.  So 16
-    points at n_max 1000 peak at 14.9 MB and one at 16 030 at 15.0 MB
-    (traced; 0.05-0.09 and 0.33-0.36 s untraced on a 2-vCPU Xeon); one
-    dense state at n_max 1000 would take 256 MB.
+    3 x 5 x 5 real bands, pinned in place, and a batch peaks at about 1.3
+    times that, in the rung sweep, which keeps one vector per rung and
+    point; the builder returns only the bands and a bool mask of each
+    point's slots, and the batches are solved one after another.  So 16
+    points at n_max 1000 peak at 12.6 MB, in the rung sweep, and one at
+    16 030 at 14.1 MB, in the builder's per-rung tables (traced; 0.024-0.026
+    and 0.14-0.17 s untraced on a 2-vCPU Xeon); one dense state at n_max
+    1000 would take 256 MB.
 
     Returns ``(columns, rows, failures)``, each over the points:
 
@@ -537,28 +574,32 @@ def solve_model(
     The block (:func:`build_sector_liouvillian`) is closed and holds the
     unique steady state, so its residual is the full-space one.  One
     population |s><s| is pinned to 1 in place of its own equation, the
-    block-tridiagonal system is solved by block Thomas over the rungs in
-    real arithmetic, and the unit-trace state, Hermitian by construction,
-    is returned in the block's rung layout (:class:`BlockState`) with its
-    photon distribution.  The trace is the left null vector of L, so the
-    pinned system is nonsingular exactly when the steady state is unique and
-    populates s.  s is |l, 0> for the first level l of the one closed class
-    of the jump graph (see ``_pinned_levels``): |g, 0> unless, say, a
-    four-level atom with g = 0 and an empty ancilla bath is trapped in the
-    dark |e2, 0>.  The engine is solved as a batch of one point, the
-    model's own n_h, so :func:`exact_grid` gets the same numbers.
+    block-tridiagonal system is solved by block Thomas over the rungs, top
+    down, in real arithmetic, and the unit-trace state, Hermitian by
+    construction, is returned in the block's rung layout
+    (:class:`BlockState`) with its photon distribution.  The trace is the
+    left null vector of L, so the pinned system is nonsingular exactly when
+    the steady state is unique and populates s.  s is |l, 0> for the first
+    level l of the one closed class of the jump graph (see
+    ``_pinned_levels``): |g, 0> unless, say, a four-level atom with g = 0
+    and an empty ancilla bath is trapped in the dark |e2, 0>.  The engine is
+    solved as a batch of one point, the model's own n_h, so
+    :func:`exact_grid` gets the same numbers.
 
     Raises :class:`SteadyStateError` when the jump graph has more than one
-    closed class or a rung's Schur complement is singular (the steady state
-    is not unique), or when the residual |L[rho]|_inf exceeds ``tol`` times
-    the largest |L_ij| of the block, a bound relative to the rates.  That is
-    the entry of the complex block, over every operator, not the real band
-    of a population in a coherence column, which sums both partners.  There
-    is no pivoting across rungs, and the residual is the check.  It checks
-    the solve only: the largest |L_ij| is about gamma_h (n_h + 1), so an
-    error made at assembly, such as the slow rates (kappa, g, gamma_c n_c)
-    rounded away on population diagonals near gamma_h n_h, is not seen.
-    The system solved is then a different one, solved stably.
+    closed class or a rung's block T_r of the sweep is singular (the steady
+    state is not unique), when gamma_h (n_h + 1) eps >= kappa, past which
+    the cavity loss on the hot pair's population diagonals is rounded away
+    entirely (n_h >= 1.4e14 at the preset rates), or when the residual
+    |L[rho]|_inf exceeds ``tol`` times the largest |L_ij| of the block, a
+    bound relative to the rates.  That is the entry of the complex block,
+    over every operator, not the real band of a population in a coherence
+    column, which sums both partners.  There is no pivoting across rungs, and
+    the residual is the check.  It checks the solve only: the largest |L_ij|
+    is about gamma_h (n_h + 1), so an error made at assembly, such as the
+    slow rates (kappa, g, gamma_c n_c) rounded away on population diagonals
+    near gamma_h n_h, is not seen.  The system solved is then a different
+    one, solved stably.
 
     With ``n_max=None`` the cutoff is the ``n_max`` of the closed-form
     distribution :func:`steady_distribution`, whose support ends at the
@@ -566,7 +607,7 @@ def solve_model(
     A = 0); an explicit ``n_max`` is used as given.  Any cutoff outside
     [1, 16 030] (n_max + 2 > ``BATCH_RUNGS``), automatic or explicit, raises
     :class:`TruncationError` before any assembly.  The state takes O(n_max)
-    memory and time, 0.33-0.36 s at 16 030 (see :func:`exact_grid`).  A
+    memory and time, 0.14-0.17 s at 16 030 (see :func:`exact_grid`).  A
     warning is raised if the exact P[n_max] exceeds 1e-8, before
     :class:`PhotonDistribution` normalises it, once.
     """

@@ -40,6 +40,7 @@ from heatlaser.cli import (
     run_sweep,
 )
 from heatlaser.photonstats import BATCH_RUNGS, GRID_COLUMNS, closed_form_grid
+from heatlaser.solver import exact_grid
 
 from conftest import BRIGHT, dense_state, make_fig2_model
 
@@ -756,6 +757,44 @@ def test_huge_hot_occupation_is_refused(n_h, tmp_path, capsys):
         assert not out.exists()
         records = run_sweep(load_config(path))
     assert [r["status"] for r in records] == ["ok", f"failed: {refused}"]
+
+
+@pytest.mark.parametrize(
+    "preset, n_h", [("fig2", "1e15"), ("fig2", "1e16"), ("fig2", "1e17"), ("fig2", "1e20"),
+                    ("fig5", "1e16"), ("fig5", "1e17")]
+)
+def test_hot_rate_past_the_rung_equations_is_refused(preset, n_h, tmp_path, capsys):
+    # once gamma_h (n_h + 1) eps >= kappa the cavity loss is rounded away on
+    # the hot pair's population diagonals, and the rung sweep would return
+    # an empty cavity (fig2 from 1e16) as ok: distribution exits 3 naming
+    # that cause, with no RuntimeWarning, and a sweep fails those rows only
+    hot = 32.0 * (float(n_h) + 1.0)
+    refused = (
+        f"n_h = {float(n_h)} is past the float range of the rung equations: the hot rate "
+        f"gamma_h (n_h + 1) = {hot:.3e} rounds the cavity loss kappa = 1.0 away on the "
+        "population diagonals"
+    )
+    out = tmp_path / "out"
+    sweep = {**load_config(preset).raw["sweep"], "start": 1e12, "stop": float(n_h), "points": 2}
+    path = write_config(tmp_path, {"model": load_config(preset).raw["model"], "sweep": sweep})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["distribution", "--config", preset, "--nh", n_h, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.strip() == f"numeric failure: {refused}"
+        assert not out.exists()
+        records = run_sweep(load_config(path))
+    assert [r["status"] for r in records] == ["ok", f"failed: {refused}"]
+
+
+def test_hot_rate_below_the_bound_is_solved():
+    # fig5 at n_h 1e14 is below the bound (gamma_h (n_h + 1) eps = 0.71 <
+    # kappa): its exact point is solved, and so are fig2's and bright's last
+    # rows below their bounds, about 1.4e14 and 3.5e13
+    for preset, n_h in [("fig5", 1e14), ("fig2", 1e14), (BRIGHT, 3e13)]:
+        config = load_config(preset)
+        _, (n_max,), _, (failure,) = closed_form_grid(config.model, [n_h])
+        assert failure is None
+        assert exact_grid(config.model, [n_h], [n_max])[2] == [None]
 
 
 @pytest.mark.parametrize("model", [{"g": 1e300}, {"n_c": 1e300}])

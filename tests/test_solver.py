@@ -386,12 +386,12 @@ def _assert_solo(model, grid, cutoffs, solved, points=None):
 def test_batch_at_the_cutoff_bound_stays_small():
     # 16 four-level points at n_max 1000 fill a batch: the bands are pinned
     # in place, so the batch holds its real bands once (9.6 MB), and the
-    # traced peak is 14.9 MB, in the rung sweep; holding them twice in
+    # traced peak is 12.6 MB, in the rung sweep; holding them twice in
     # complex form took 74.2 MB, and the dense Fock indices of every slot
-    # another 1.3 MB.  At cutoffs from 500 to 1000 it is 14.9 MB too: only
+    # another 1.3 MB.  At cutoffs from 500 to 1000 it is 12.6 MB too: only
     # the pinned population rows are saved, and a slot past a point's cutoff
     # gets just a unit diagonal.  One point at the cutoff bound fills a
-    # batch alone, and peaks at 15.0 MB
+    # batch alone, and peaks at 14.1 MB, in the builder
     model, sixteen = make_fig5_model(), np.linspace(0.5, 5.0, 16)
     mixed = np.linspace(500, 1000, 16).astype(int).tolist()
     cases = [(sixteen, [1000] * 16), (sixteen, mixed), (sixteen[:1], [BATCH_RUNGS - 2])]
@@ -655,6 +655,81 @@ def test_batch_sweeps_each_point_over_its_own_rungs(make_model, monkeypatch):
     assert len(matrices) == max(cutoffs) + 2
     assert solved[2] == [None] * len(grid)
     _assert_solo(model, grid, cutoffs, solved)
+
+
+@pytest.mark.parametrize(
+    "model", [make_fig2_model(), make_fig5_model(), make_fig5_model(n_a=0.0, g=0.0)]
+)
+def test_rung_sweep_solves_one_column_above_rung_one(model, monkeypatch):
+    # the sweep runs from the top rung down, and the rung below enters
+    # through one column of the lower band: each rung from 2 up solves for
+    # that one column, and rungs 1 and 0, the rungs of a pinned unit (e2's
+    # at rung 1 for the dark e2 of fig5 with n_a = 0 and g = 0), also for
+    # the pinned solution, two columns.  The stacked solves still take
+    # sum(cutoff + 2) matrices in max(cutoff) + 2 calls
+    grid, cutoffs = [1e-4, 2.0, 0.5, 5.0], [5, 300, 40, 1]
+    shapes = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        shapes.append((len(a), b.shape[-1]))
+        return solve(a, b)
+
+    with monkeypatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the tail warning of cutoff 1 at n_h 5
+        patch.setattr(np.linalg, "solve", counted)
+        solved = exact_grid(model, grid, cutoffs)
+    assert solved[2] == [None] * len(grid)
+    matrices, columns = zip(*shapes)
+    assert columns == (1,) * max(cutoffs) + (2, 2)
+    assert sum(matrices) == sum(n_max + 2 for n_max in cutoffs)
+    assert len(matrices) == max(cutoffs) + 2
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["three", "four", "dark"]))
+def test_rung_sweep_reads_one_lower_column_and_leaves_the_bands(seed, kind):
+    # the sweep takes H_r = -T_r^-1 A_r as one column because every nonzero
+    # of the builder's band 0, rung r - 1 onto rung r, lies in the column
+    # core.LOWER_COLUMN names, at n_h = 0, at unsorted cutoffs from 1 up and
+    # for the dark e2 pin of fig5 with n_a = 0 and g = 0.  ROADMAP item 1's
+    # sum rows put entries of band 0 in more columns and will widen the
+    # table.  The sweep only reads the pinned bands: they are bit-identical
+    # after it, whether it returns or np.linalg.solve raises
+    rng = np.random.default_rng(seed)
+    if kind == "dark":
+        model = make_fig5_model(n_a=0.0, g=0.0)
+    else:
+        model = random_four_level(rng) if kind == "four" else random_three_level(rng)
+    grid = [0.0, *rng.uniform(0.01, 5.0, 3).tolist()]
+    cutoffs = rng.permutation([1, *rng.integers(1, 60, 3).tolist()]).tolist()
+    column = heatlaser.core.LOWER_COLUMN[model.atom_dim]
+    lower = build_sector_liouvillian(model, grid, cutoffs)[0][:, :, 0]
+    assert not np.delete(lower, column, axis=-1).any()
+    assert lower[..., column].any()
+    sweep, swept = heatlaser.solver._rung_sweep, []
+
+    def watched(bands, rhs, rungs):
+        before = bands.copy()
+        try:
+            return sweep(bands, rhs, rungs)
+        finally:
+            assert not np.delete(bands[:, :, 0], column, axis=-1).any()
+            swept.append(before.tobytes() == bands.tobytes())
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the tail warnings of small cutoffs
+        patch.setattr(heatlaser.solver, "_rung_sweep", watched)
+        assert exact_grid(model, grid, cutoffs)[2].count(None) >= len(grid) - 1
+        assert swept == [True]
+        patch.setattr(np.linalg, "solve", singular)
+        failures = exact_grid(model, grid, cutoffs)[2]
+    assert failures.count("rung sweep failed: Singular matrix") >= len(grid) - 1
+    # the batch, then each of its points alone
+    assert swept == [True] * (len(grid) + 2 - (kind == "dark"))
 
 
 @settings(deadline=None, max_examples=20)
