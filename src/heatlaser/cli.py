@@ -17,7 +17,8 @@ the usage text and ``heatlaser: error: ...`` to standard error and raises
 lookups, cost about 2 ms, more than a tenth of a preset command.
 
 Configs are JSON objects with these blocks; numbers must be finite, and keys
-not listed (such as ``numerics.n_max`` of older configs) are ignored:
+and blocks not listed (such as the ``numerics`` block of older configs, with
+its ``steady_tol``, ``n_max`` and ``method``) are ignored:
 
 - ``schema_version``: must be 1.
 - ``model``: ``kind`` (``three_level`` or ``four_level``), ``g``, ``kappa``,
@@ -30,20 +31,22 @@ not listed (such as ``numerics.n_max`` of older configs) are ignored:
   omega_c = E_e1 - E_g and omega_a = E_e3 - E_e2.
 - ``sweep`` (optional): ``variable`` (only ``n_h``), ``start``, ``stop``,
   ``points`` and ``spacing`` (``linear`` or ``log``).
-- ``numerics`` (optional): ``steady_tol`` (> 0, default 1e-9), the largest
-  steady-state residual |L[rho]|_inf accepted, relative to the largest
-  entry |L_ij| of the generator.
-- ``output`` (optional): ``stem`` and ``format`` (``csv``, ``json``, ``both``).
+- ``output`` (optional): ``stem``, a plain file name in ``--out`` (not
+  empty, and with no path separator or NUL), and ``format`` (``csv``,
+  ``json`` or ``both``).
 
 Output data files are deterministic: 12-significant-digit CSV plus an
 optional JSON mirror, with run metadata in a separate ``*_meta.json``
 sidecar.  Sweep records and the ``distribution`` sidecar carry the Fock
 cutoff ``n_max``, its exact tail mass ``tail`` = P[n_max], and the
 ``residual`` |L[rho]|_inf of the accepted steady state (absolute, not
-scaled).  A ``power`` past the floating-point range, as a ladder near
-1e308 gives, is written ``inf`` to CSV and ``null`` to JSON.  Summaries
-printed to standard output round their numbers to 4 significant digits;
-the data files carry the full 12.  Exit codes:
+scaled).  A state is accepted when its residual is at most 1e-9 x the
+largest entry |L_ij| of its generator (``heatlaser.solver.STEADY_TOL``);
+a sweep flags any other point, and ``distribution`` exits 3.  A ``power``
+past the floating-point range, as a ladder near 1e308 gives, is written
+``inf`` to CSV and ``null`` to JSON.  Summaries printed to standard output
+round their numbers to 4 significant digits; the data files carry the
+full 12.  Exit codes:
 0 success; 2 config error (including a config file that cannot be read or
 is not UTF-8), bad argument (such as ``--nh -1``) or output error (an
 output file that cannot be written, such as ``--out`` naming an existing
@@ -142,7 +145,7 @@ class SweepSpec(namedtuple("SweepSpec", "variable start stop points spacing")):
             raise ConfigError(f"sweep.points: {self.points} points do not fit in memory") from exc
 
 
-RunConfig = namedtuple("RunConfig", "raw model sweep steady_tol stem format")
+RunConfig = namedtuple("RunConfig", "raw model sweep stem format")
 
 
 def _is_finite_number(value):
@@ -266,35 +269,24 @@ def load_config(path_or_preset) -> RunConfig:
         if not isinstance(data["sweep"], dict):
             raise ConfigError("sweep: must be an object")
         sweep = _sweep_from_config(data["sweep"])
-    numerics_block = data.get("numerics", {})
-    if not isinstance(numerics_block, dict):
-        raise ConfigError("numerics: must be an object")
-    steady_tol = _expect(numerics_block, "steady_tol", "number", "numerics", default=1e-9)
-    if steady_tol <= 0:
-        raise ConfigError(f"numerics.steady_tol: must be > 0, got {steady_tol}")
     output_block = data.get("output", {})
     if not isinstance(output_block, dict):
         raise ConfigError("output: must be an object")
     stem = _expect(output_block, "stem", "str", "output", default="run")
+    if not stem or any(c and c in stem for c in ("/", os.sep, os.altsep, "\0")):
+        raise ConfigError(f"output.stem: must be a plain file name, got {stem!r}")
     fmt = _expect(output_block, "format", "str", "output", default="csv")
     if fmt not in ("csv", "json", "both"):
         raise ConfigError("output.format: must be 'csv', 'json' or 'both'")
-    raw = _normalized_dict(data, model, sweep, steady_tol, stem, fmt)
-    return RunConfig(raw, model, sweep, steady_tol, stem, fmt)
+    raw = _normalized_dict(data, model, sweep, stem, fmt)
+    return RunConfig(raw, model, sweep, stem, fmt)
 
 
-def _normalized_dict(data, model, sweep, steady_tol, stem, fmt):
+def _normalized_dict(data, model, sweep, stem, fmt):
     norm = {"schema_version": SCHEMA_VERSION, "model": dict(data["model"])}
     norm["model"].setdefault("level_energies", list(model.level_energies))
     if sweep is not None:
-        norm["sweep"] = {
-            "variable": sweep.variable,
-            "start": sweep.start,
-            "stop": sweep.stop,
-            "points": sweep.points,
-            "spacing": sweep.spacing,
-        }
-    norm["numerics"] = {"steady_tol": steady_tol}
+        norm["sweep"] = sweep._asdict()
     norm["output"] = {"stem": stem, "format": fmt}
     return norm
 
@@ -325,7 +317,7 @@ def run_sweep(config: RunConfig) -> list[dict]:
     closed, cutoffs, rows, failures = closed_form_grid(config.model, grid)
     solvable = [k for k, failure in enumerate(failures) if failure is None]
     exact, numeric, exact_failures = exact_grid(
-        config.model, grid[solvable], [cutoffs[k] for k in solvable], config.steady_tol
+        config.model, grid[solvable], [cutoffs[k] for k in solvable]
     )
     # each point's |P_numeric - P_analytic|, over one zero-padded stack of
     # the passed points, summed left to right as each row alone
@@ -472,7 +464,7 @@ def cmd_distribution(config: RunConfig, n_h: float, out_dir: Path, fmt: str, wit
     closed, (n_max,), (analytic,), (failure,) = closed_form_grid(config.model, [n_h])
     if failure is not None:
         raise ValueError(failure)
-    _, result = solve_model(model, n_max=n_max, tol=config.steady_tol)
+    _, result = solve_model(model, n_max=n_max)
     numeric = result.distribution.probabilities
     reference = _poisson(closed["mean_analytic"][0], n_max)
     rows = [

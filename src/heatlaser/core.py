@@ -212,8 +212,10 @@ def build_sector_liouvillian(
         raise ValueError(f"hot bath occupation must be finite and >= 0, got {bad[0]}")
     channels = _bath_channels(model, n_h[:, np.newaxis])  # hot rates (P, 1), against (P, R)
     width, depth = model.atom_dim + 1, max(n_maxes) + 2
-    photons = np.arange(depth)[:, np.newaxis, np.newaxis] - RUNG_SHIFT[RUNG_SLOTS[:width]]
-    ell, r = np.moveaxis(np.sqrt(np.maximum(photons, 0)), -1, 0)  # each (R, m)
+    # at rung r a slot's levels hold r - s photons for their RUNG_SHIFT s, 0
+    # or 1: ell and r, each (R, m), gather from the (2, R) sqrt(max(r - s, 0))
+    shifts, rungs = RUNG_SHIFT[RUNG_SLOTS[:width]], np.arange(depth)[:, np.newaxis]
+    ell, r = np.sqrt(np.maximum(rungs.T - [[0], [1]], 0))[shifts.T].transpose(0, 2, 1)
     slots, coherence = np.arange(width), SLOT_OF[LEVEL_E1, LEVEL_E2]
     e1, e2 = SLOT_OF[LEVEL_E1, LEVEL_E1], SLOT_OF[LEVEL_E2, LEVEL_E2]
     # written in full at allocation: np.zeros maps zero pages that the first
@@ -243,7 +245,8 @@ def build_sector_liouvillian(
     # in rungs 0 and 1 (the slots of e2), n_max (its band 2) and n_max + 1
     # (the slots at n = n_max + 1): the rest of the block is inside
     n_max = np.array(n_maxes)[:, np.newaxis]  # (P, 1)
-    inside = np.all((photons >= 0) & (photons <= n_max[..., np.newaxis, np.newaxis]), axis=-1)  # (P, R, m)
+    # (P, R, m): both photon numbers r - s of a slot lie in [0, n_max]
+    inside = (rungs >= shifts.max(axis=1)) & (rungs <= n_max[..., np.newaxis] + shifts.min(axis=1))
     bands[np.arange(depth) > n_max + 1] = 0.0
     point = np.arange(len(n_h))[:, np.newaxis]
     edge = n_max * [0, 0, 1, 1] + [0, 1, 0, 1]  # rungs 0, 1, n_max and n_max + 1 (P, 4)

@@ -114,6 +114,9 @@ def _system_dim(liouv):
     return d
 
 
+STEADY_TOL = 1e-9  # the residual gate, relative to the largest |L_ij|
+
+
 def _stall(residual, scale, tol):
     """The :class:`SteadyStateError` of a residual above ``tol`` x max|L_ij|, or None."""
     if not residual <= tol * scale:
@@ -125,7 +128,7 @@ def _stall(residual, scale, tol):
     return None
 
 
-def steady_state(liouv: sp.spmatrix, tol: float = 1e-9) -> SteadyStateResult:
+def steady_state(liouv: sp.spmatrix, tol: float = STEADY_TOL) -> SteadyStateResult:
     """Stationary density matrix of a full-space Liouvillian.
 
     Solves the sparse linear system L vec(rho) = 0 with its first row, the
@@ -378,7 +381,8 @@ def _sweep_points(system, rhs, rungs):
         return _rung_sweep(system, rhs, rungs), [None] * len(system)
     except np.linalg.LinAlgError as exc:
         if len(system) == 1:
-            error = SteadyStateError(f"rung sweep failed: {exc}")
+            message = f"rung sweep failed: a rung block is singular to working precision ({exc})"
+            error = SteadyStateError(message)
             error.__cause__ = exc
             return rhs.copy(), [error]
     x, errors = rhs.copy(), []
@@ -400,7 +404,7 @@ def _warn_tail(p):
         warnings.warn(f"tail P[{p.size - 1}] = {p[-1]:.3e} above 1e-8", stacklevel=3)
 
 
-def _solve_batch(model, n_h, n_maxes, tol):
+def _solve_batch(model, n_h, n_maxes):
     """One batch of points, solved: ``(errors, p, residuals, x)``.
 
     ``errors`` holds per point, in the order of ``n_h``, the error it raised
@@ -480,9 +484,9 @@ def _solve_batch(model, n_h, n_maxes, tol):
         x[:, RUNG_SHIFT[l] : depth + RUNG_SHIFT[l], SLOT_OF[l, l]] for l in range(width - 1)
     )
     np.clip(p, 0.0, None, out=p)
-    stalled = ~(defects <= tol * scales)
+    stalled = ~(defects <= STEADY_TOL * scales)
     for j in np.flatnonzero(stalled | [error is not None for error in swept]).tolist():
-        errors[live[j]] = swept[j] or _stall(float(defects[j]), float(scales[j]), tol)
+        errors[live[j]] = swept[j] or _stall(float(defects[j]), float(scales[j]), STEADY_TOL)
     return errors, p, residuals, x
 
 
@@ -491,7 +495,7 @@ EXACT_COLUMNS = ("mean_numeric", "variance_numeric", "fano_numeric", "tail", "re
 
 
 def exact_grid(
-    model: EngineModel, n_h: Sequence[float], n_maxes: Sequence[int], tol: float = 1e-9
+    model: EngineModel, n_h: Sequence[float], n_maxes: Sequence[int]
 ) -> tuple[dict[str, list[float]], list[np.ndarray | None], list[str | None]]:
     """Steady states of ``model`` at every hot occupation of ``n_h``, as sweep columns.
 
@@ -507,7 +511,8 @@ def exact_grid(
     while (points) x (largest cutoff + 2) stays within ``BATCH_RUNGS``
     rung-points, so every preset grid is one batch; a point whose cutoff
     is above 16 030 fills a batch alone and gets a :class:`TruncationError`
-    before any assembly.  The blocks of a batch
+    before any assembly.  A point's residual gate is :func:`solve_model`'s,
+    ``STEADY_TOL`` x the largest |L_ij| of its block.  The blocks of a batch
     are assembled in one call, each point at its own cutoff and in its own
     layout (see :func:`build_sector_liouvillian`), and swept in one stacked
     rung sweep (``_rung_sweep``), each point over its own rungs only, so
@@ -520,9 +525,9 @@ def exact_grid(
     point; the builder returns only the bands and a bool mask of each
     point's slots, and the batches are solved one after another.  So 16
     points at n_max 1000 peak at 12.6 MB, in the rung sweep, and one at
-    16 030 at 14.1 MB, in the builder's per-rung tables (traced; 0.024-0.026
-    and 0.14-0.17 s untraced on a 2-vCPU Xeon); one dense state at n_max
-    1000 would take 256 MB.
+    16 030 at 13.0 MB (8.9 MB on three levels), in the builder, over its
+    9.6 MB of bands (traced; 0.024-0.026 and 0.14-0.17 s untraced on a
+    2-vCPU Xeon); one dense state at n_max 1000 would take 256 MB.
 
     Returns ``(columns, rows, failures)``, each over the points:
 
@@ -546,7 +551,7 @@ def exact_grid(
     """
     columns, rows, failures = np.full((len(EXACT_COLUMNS), len(n_maxes)), math.nan), [], []
     for start, end in _runs([n_max + 2 for n_max in n_maxes], BATCH_RUNGS):
-        errors, p, residuals = _solve_batch(model, n_h[start:end], n_maxes[start:end], tol)[:3]
+        errors, p, residuals = _solve_batch(model, n_h[start:end], n_maxes[start:end])[:3]
         passed = np.flatnonzero([error is None for error in errors])
         cutoffs = np.array(n_maxes[start:end])[passed]
         p, last = p[passed], (np.arange(passed.size), cutoffs)  # last: each row's P[n_max]
@@ -566,9 +571,7 @@ def exact_grid(
     return dict(zip(EXACT_COLUMNS, columns.tolist())), rows, failures
 
 
-def solve_model(
-    model: EngineModel, n_max: int | None = None, tol: float = 1e-9
-) -> tuple[HilbertSpace, BlockState]:
+def solve_model(model: EngineModel, n_max: int | None = None) -> tuple[HilbertSpace, BlockState]:
     """Steady state of an engine by one rung sweep over the charge-zero block.
 
     The block (:func:`build_sector_liouvillian`) is closed and holds the
@@ -587,19 +590,20 @@ def solve_model(
     :func:`exact_grid` gets the same numbers.
 
     Raises :class:`SteadyStateError` when the jump graph has more than one
-    closed class or a rung's block T_r of the sweep is singular (the steady
-    state is not unique), when gamma_h (n_h + 1) eps >= kappa, past which
-    the cavity loss on the hot pair's population diagonals is rounded away
-    entirely (n_h >= 1.4e14 at the preset rates), or when the residual
-    |L[rho]|_inf exceeds ``tol`` times the largest |L_ij| of the block, a
-    bound relative to the rates.  That is the entry of the complex block,
-    over every operator, not the real band of a population in a coherence
-    column, which sums both partners.  There is no pivoting across rungs, and
-    the residual is the check.  It checks the solve only: the largest |L_ij|
-    is about gamma_h (n_h + 1), so an error made at assembly, such as the
-    slow rates (kappa, g, gamma_c n_c) rounded away on population diagonals
-    near gamma_h n_h, is not seen.  The system solved is then a different
-    one, solved stably.
+    closed class or a rung's block T_r of the sweep is singular to working
+    precision (the steady state is not unique, or the pinned system is too
+    ill-conditioned for the sweep), when gamma_h (n_h + 1) eps >= kappa,
+    past which the cavity loss on the hot pair's population diagonals is
+    rounded away entirely (n_h >= 1.4e14 at the preset rates), or when the
+    residual |L[rho]|_inf exceeds ``STEADY_TOL`` (1e-9) times the largest
+    |L_ij| of the block, a bound relative to the rates.  That is the entry
+    of the complex block, over every operator, not the real band of a
+    population in a coherence column, which sums both partners.  There is
+    no pivoting across rungs, and the residual is the check.  It checks the
+    solve only: the largest |L_ij| is about gamma_h (n_h + 1), so an error
+    made at assembly, such as the slow rates (kappa, g, gamma_c n_c) rounded
+    away on population diagonals near gamma_h n_h, is not seen.  The system
+    solved is then a different one, solved stably.
 
     With ``n_max=None`` the cutoff is the ``n_max`` of the closed-form
     distribution :func:`steady_distribution`, whose support ends at the
@@ -613,7 +617,7 @@ def solve_model(
     """
     if n_max is None:
         n_max = steady_distribution(scully_lamb_coefficients(model)).n_max
-    (error,), p, (residual,), x = _solve_batch(model, [model.n_h], [n_max], tol)
+    (error,), p, (residual,), x = _solve_batch(model, [model.n_h], [n_max])
     if error is not None:
         raise error
     _warn_tail(p[0])

@@ -56,7 +56,6 @@ BASE_CONFIG = {
         "kappa": 1.0,
     },
     "sweep": {"variable": "n_h", "start": 0.4, "stop": 1.2, "points": 2, "spacing": "log"},
-    "numerics": {"steady_tol": 1e-9},
     "output": {"stem": "case", "format": "csv"},
 }
 
@@ -128,14 +127,16 @@ def test_config_errors(tmp_path, capsys):
         ({"sweep.points": 0}, "points"),
         ({"sweep.spacing": "cubic"}, "spacing"),
         ({"output.format": "xml"}, "format"),
+        # a stem is a plain file name in --out: no path out of it, and no NUL
+        ({"output.stem": ""}, "output.stem: must be a plain file name, got ''"),
+        ({"output.stem": "../escaped"}, "output.stem: must be a plain file name, got '../escaped'"),
+        ({"output.stem": "a\x00b"}, "output.stem: must be a plain file name, got 'a"),
         # json reads NaN and Infinity; they must not reach the numerics
         ({"model.kappa": float("nan")}, "kappa: expected a finite number"),
         ({"model.g": float("inf")}, "g: expected a finite number"),
         ({"model.level_energies": [0.0, float("nan"), 2.0]}, "level_energies"),
-        ({"numerics.steady_tol": 0.0}, "steady_tol: must be > 0"),
         ({"model": None}, "model: missing required block"),
         ({"sweep": 3}, "sweep: must be an object"),
-        ({"numerics": [1e-9]}, "numerics: must be an object"),
         ({"output": "csv"}, "output: must be an object"),
         ({"sweep.points": 2.5}, "sweep.points: expected an integer, got 2.5"),
         ({"sweep.points": True}, "sweep.points: expected an integer, got True"),
@@ -167,6 +168,12 @@ def test_config_errors(tmp_path, capsys):
     ]:
         with pytest.raises(ConfigError, match=fragment):
             load_config(write_config(tmp_path, overrides))
+    # a bad stem exits 2 before any file is written, in --out or next to it
+    for stem in ("", "../escaped"):
+        path = write_config(tmp_path, {"output.stem": stem})
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: output.stem: ")
+    assert not out.exists() and not (tmp_path / "escaped.csv").exists()
 
 
 def test_linear_sweep_spacing(tmp_path):
@@ -209,11 +216,15 @@ def test_sweep_block_errors_exit_2(tmp_path, capsys):
 
 
 def test_unknown_numerics_key_is_ignored(tmp_path):
-    # configs written for older versions still carry numerics.method and n_max
+    # configs written for older versions still carry numerics.method, n_max
+    # and steady_tol; the residual gate is solver.STEADY_TOL, so even a
+    # steady_tol no state meets leaves every point solved
     plain = write_config(tmp_path, name="plain.json")
-    for key, value in (("method", "auto"), ("n_max", 40)):
+    for key, value in (("method", "auto"), ("n_max", 40), ("steady_tol", 1e-30)):
         path = write_config(tmp_path, {f"numerics.{key}": value})
-        assert load_config(path).raw == load_config(plain).raw
+        config = load_config(path)
+        assert config.raw == load_config(plain).raw
+        assert all(r["status"] == "ok" for r in run_sweep(config))
 
 
 def test_single_point_sweep_record(tmp_path):
@@ -337,7 +348,7 @@ def test_sweep_past_the_budget_streams_its_batches(tmp_path, monkeypatch):
 
 def _solo(config, n_h):
     """Photon distribution and residual of one point solved on its own."""
-    _, result = solve_model(with_hot_occupation(config.model, n_h), tol=config.steady_tol)
+    _, result = solve_model(with_hot_occupation(config.model, n_h))
     return result.distribution, result.residual
 
 
@@ -499,10 +510,10 @@ def test_sweep_evaluates_closed_form_once_per_sweep(tmp_path, monkeypatch):
     assert sorted(set(calls)) == sorted(calls)
 
 
-def test_sweep_flags_failed_points(tmp_path):
+def test_sweep_flags_failed_points(tmp_path, monkeypatch):
     # an impossibly tight steady-state tolerance cannot be met
-    path = write_config(tmp_path, {"numerics.steady_tol": 1e-30})
-    records = run_sweep(load_config(path))
+    monkeypatch.setattr(heatlaser.solver, "STEADY_TOL", 1e-30)
+    records = run_sweep(load_config(write_config(tmp_path)))
     assert all(r["status"].startswith("failed:") for r in records)
     assert all(r["mean_numeric"] != r["mean_numeric"] for r in records)  # nan
     assert all(r["gain_over_kappa"] > 0 for r in records)  # analytic part kept
@@ -955,11 +966,13 @@ def test_default_wigner_grid_holds_a_bright_ring(tmp_path):
     _assert_wigner_lines(lines, result.distribution)
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["sweep", "--config", str(tmp_path / "nope.json")]) == 2
     assert "config error" in capsys.readouterr().err
-    path = write_config(tmp_path, {"numerics.steady_tol": 1e-30})
-    code = main(["distribution", "--config", str(path), "--nh", "0.5", "--out", str(tmp_path)])
+    path = write_config(tmp_path)
+    with monkeypatch.context() as patch:
+        patch.setattr(heatlaser.solver, "STEADY_TOL", 1e-30)
+        code = main(["distribution", "--config", str(path), "--nh", "0.5", "--out", str(tmp_path)])
     assert code == 3
     assert "numeric failure" in capsys.readouterr().err
     # a zero bath rate is a numeric failure, not a traceback

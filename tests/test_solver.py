@@ -333,13 +333,14 @@ def test_large_point_solves_in_block_form():
     assert result.distribution.variance == pytest.approx(wide.distribution.variance, rel=1e-8)
 
 
-def test_solve_model_reports_stall():
+def test_solve_model_reports_stall(monkeypatch):
+    monkeypatch.setattr(heatlaser.solver, "STEADY_TOL", 1e-30)
     with pytest.raises(SteadyStateError, match="stalled") as err:
-        solve_model(make_fig2_model(n_h=1.0), tol=1e-30)
+        solve_model(make_fig2_model(n_h=1.0))
     assert err.value.best_residual is not None and err.value.best_residual > 0
 
 
-def test_stall_reports_the_scale_of_the_complex_block():
+def test_stall_reports_the_scale_of_the_complex_block(monkeypatch):
     # at g = 30 and slow baths the coupling g sqrt(n) is the largest |L_ij|,
     # far above every diagonal entry; the real block's coherence column sums
     # both partners and carries 2 g sqrt(n), and the gate keeps the former
@@ -353,8 +354,9 @@ def test_stall_reports_the_scale_of_the_complex_block():
     scale = np.abs(block).max()
     assert np.abs(bands).max() == pytest.approx(2.0 * scale, rel=1e-15)
     assert 2.0 * np.abs(block.diagonal()).max() < scale
+    monkeypatch.setattr(heatlaser.solver, "STEADY_TOL", tol)
     with pytest.raises(SteadyStateError, match="stalled") as err:
-        solve_model(model, n_max=n_max, tol=tol)
+        solve_model(model, n_max=n_max)
     assert str(err.value).endswith(f"max|L_ij| = {tol * scale:.3e}")
 
 
@@ -391,7 +393,7 @@ def test_batch_at_the_cutoff_bound_stays_small():
     # another 1.3 MB.  At cutoffs from 500 to 1000 it is 12.6 MB too: only
     # the pinned population rows are saved, and a slot past a point's cutoff
     # gets just a unit diagonal.  One point at the cutoff bound fills a
-    # batch alone, and peaks at 14.1 MB, in the builder
+    # batch alone, and peaks at 13.0 MB, in the builder
     model, sixteen = make_fig5_model(), np.linspace(0.5, 5.0, 16)
     mixed = np.linspace(500, 1000, 16).astype(int).tolist()
     cases = [(sixteen, [1000] * 16), (sixteen, mixed), (sixteen[:1], [BATCH_RUNGS - 2])]
@@ -565,9 +567,9 @@ def test_exact_grid_keeps_order_across_batches(monkeypatch):
     solve_batch = heatlaser.solver._solve_batch
     assemble = heatlaser.solver.build_sector_liouvillian
 
-    def solved_batch(model, n_h, n_maxes, tol):
+    def solved_batch(model, n_h, n_maxes):
         batches.append(list(n_h))
-        return solve_batch(model, n_h, n_maxes, tol)
+        return solve_batch(model, n_h, n_maxes)
 
     def counted(model, n_h, n_maxes):
         assembled.append(n_h.tolist())
@@ -599,11 +601,11 @@ def test_exact_grid_warns_and_keeps_rows_per_point(monkeypatch):
     batches, padded = [], []
     solve_batch = heatlaser.solver._solve_batch
 
-    def quiet_batch(model, n_h, n_maxes, tol):
+    def quiet_batch(model, n_h, n_maxes):
         assert all(ref() is None for ref in padded)
         with warnings.catch_warnings(record=True) as inside:
             warnings.simplefilter("always")
-            solved = solve_batch(model, n_h, n_maxes, tol)
+            solved = solve_batch(model, n_h, n_maxes)
         assert inside == []
         batches.append(list(n_h))
         row = next(row for row in solved[1] if row is not None)
@@ -727,7 +729,8 @@ def test_rung_sweep_reads_one_lower_column_and_leaves_the_bands(seed, kind):
         assert swept == [True]
         patch.setattr(np.linalg, "solve", singular)
         failures = exact_grid(model, grid, cutoffs)[2]
-    assert failures.count("rung sweep failed: Singular matrix") >= len(grid) - 1
+    singular = "rung sweep failed: a rung block is singular to working precision (Singular matrix)"
+    assert failures.count(singular) >= len(grid) - 1
     # the batch, then each of its points alone
     assert swept == [True] * (len(grid) + 2 - (kind == "dark"))
 
