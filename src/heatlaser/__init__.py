@@ -15,7 +15,7 @@ validate their fields check every copy (``_replace``, ``_make``) too.
 
 __version__ = "0.1.0"
 
-from .core import HilbertSpace, build_liouvillian
+from .core import build_liouvillian
 from .models import (
     FOUR_LEVEL,
     THREE_LEVEL,
@@ -67,7 +67,6 @@ __all__ = [
     "build_three_level",
     "build_four_level",
     "with_hot_occupation",
-    "HilbertSpace",
     "build_liouvillian",
     "StructureConstants",
     "LasingReport",

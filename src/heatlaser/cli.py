@@ -464,7 +464,7 @@ def cmd_distribution(config: RunConfig, n_h: float, out_dir: Path, fmt: str, wit
     closed, (n_max,), (analytic,), (failure,) = closed_form_grid(config.model, [n_h])
     if failure is not None:
         raise ValueError(failure)
-    _, result = solve_model(model, n_max=n_max)
+    result = solve_model(model, n_max=n_max)
     numeric = result.distribution.probabilities
     reference = _poisson(closed["mean_analytic"][0], n_max)
     rows = [

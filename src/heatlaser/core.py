@@ -1,19 +1,21 @@
 """Operators on the composite atom-cavity space and the Lindblad generator.
 
-The composite Hilbert space is atom (x) Fock with the atom index varying
-slowest, so the basis state |alpha, n> sits at index alpha * fock_dim + n.
-Density matrices are vectorized row-major (C order), for which the
-superoperator of rho -> A rho B is kron(A, B.T).
+The composite Hilbert space is atom (x) Fock, cut at ``n_max`` photons,
+with the atom index varying slowest, so the basis state |alpha, n> sits
+at index alpha (n_max + 1) + n.  Density matrices are vectorized
+row-major (C order), for which the superoperator of rho -> A rho B is
+kron(A, B.T).
 
-:func:`build_liouvillian` is the reference: the full (A F)^2 generator as a
-scipy sparse matrix, built from the bath jumps of :func:`_bath_channels`,
-the cavity ladder and the coupling, with no dense operator; scipy is
-imported only when it is called.  The steady-state solve needs only the
-charge-zero block, in which the steady state has one real unknown per
-population and per coherence pair.  Its layout is one fixed table:
-level pair ``RUNG_SLOTS[s]`` in slot s of rung n + ``RUNG_SHIFT[level]``,
-the same for every model and every cutoff; ``LOWER_COLUMN`` names the one
-slot of a rung that feeds the rung above.  :func:`build_sector_liouvillian`
+:func:`build_liouvillian` is the reference: the full (A F)^2 generator at
+a cutoff n_max as a scipy sparse matrix, built from the bath jumps of
+:func:`_bath_channels`, the cavity ladder and the coupling, with no dense
+operator; scipy is imported only when it is called.  The steady-state
+solve needs only the charge-zero block, in which the steady state has one
+real unknown per population and per coherence pair.  Its layout is one
+fixed table: level pair ``RUNG_SLOTS[s]`` in slot s of rung
+n + ``RUNG_SHIFT[level]``, the same for every model and every cutoff;
+``LOWER_COLUMN`` names the one slot of a rung that feeds the rung above.
+:func:`build_sector_liouvillian`
 assembles in it the real blocks of one model at a grid of hot-bath
 occupations n_h, each point at its own cutoff, straight from the rates,
 with no operator matrix: its entries are the terms of the rung equations
@@ -23,13 +25,12 @@ and it is returned as dense float64 numpy bands.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .models import FOUR_LEVEL, EngineModel, _Validated
+from .models import FOUR_LEVEL, EngineModel
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -39,7 +40,6 @@ __all__ = [
     "LEVEL_E1",
     "LEVEL_E2",
     "LEVEL_E3",
-    "HilbertSpace",
     "build_liouvillian",
     "build_sector_liouvillian",
 ]
@@ -72,31 +72,6 @@ SLOT_PHASE = np.array(((1, 1, 1, 1), (1, 1, 1j, 1), (1, -1j, 1, 1), (1, 1, 1, 1)
 LOWER_COLUMN = {3: int(SLOT_OF[LEVEL_G, LEVEL_G]), 4: int(SLOT_OF[LEVEL_E3, LEVEL_E3])}
 
 
-class HilbertSpace(_Validated, namedtuple("HilbertSpace", "atom_dim fock_dim")):
-    """Composite space of a 3- or 4-level atom and a truncated cavity mode."""
-
-    __slots__ = ()
-
-    def __new__(cls, atom_dim: int, fock_dim: int):
-        if atom_dim not in (3, 4):
-            raise ValueError(f"atom_dim must be 3 or 4, got {atom_dim}")
-        if fock_dim < 2:
-            raise ValueError(f"fock_dim must be >= 2, got {fock_dim}")
-        return super().__new__(cls, atom_dim, fock_dim)
-
-    @property
-    def total_dim(self) -> int:
-        return self.atom_dim * self.fock_dim
-
-    @property
-    def n_max(self) -> int:
-        return self.fock_dim - 1
-
-    @classmethod
-    def for_model(cls, model: EngineModel, n_max: int) -> "HilbertSpace":
-        return cls(model.atom_dim, n_max + 1)
-
-
 def _bath_channels(model: EngineModel, nh) -> list[tuple[int, int, float | np.ndarray]]:
     """Every bath jump as (to_level, from_level, rate), in dissipator order.
 
@@ -120,10 +95,11 @@ def _bath_channels(model: EngineModel, nh) -> list[tuple[int, int, float | np.nd
     return out
 
 
-def build_liouvillian(model: EngineModel, space: HilbertSpace) -> sp.csr_matrix:
+def build_liouvillian(model: EngineModel, n_max: int) -> sp.csr_matrix:
     """Sparse generator L with d(vec rho)/dt = L vec(rho), the full-space reference.
 
-    Interaction-picture master equation at exact resonance: i [rho, V] with
+    Interaction-picture master equation at exact resonance, at the cutoff
+    ``n_max`` >= 1 (else ``ValueError``): i [rho, V] with
     V = g (sigma+ a + sigma- a+) and sigma+ = |e2><e1|, plus the dissipator
     rate (J (x) J - J+J (x) 1 / 2 - 1 (x) (J+J)^T / 2) of each real jump J:
     |to><from| (x) 1 for every channel of :func:`_bath_channels`, then a at
@@ -131,19 +107,16 @@ def build_liouvillian(model: EngineModel, space: HilbertSpace) -> sp.csr_matrix:
     """
     import scipy.sparse as sp
 
-    if model.atom_dim != space.atom_dim:
-        raise ValueError(
-            f"{model.kind} model needs atom_dim {model.atom_dim}, "
-            f"space has {space.atom_dim}"
-        )
-    atoms, photons = sp.identity(space.atom_dim), sp.identity(space.fock_dim)
-    eye = sp.identity(space.total_dim, format="csr")
+    if not n_max >= 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    atoms, photons = sp.identity(model.atom_dim), sp.identity(n_max + 1)
+    eye = sp.identity(model.atom_dim * (n_max + 1), format="csr")
 
     def transition(to, low):  # |to><low| (x) 1
         jump = sp.csr_matrix(([1.0], ([to], [low])), shape=atoms.shape)
         return sp.kron(jump, photons, format="csr")
 
-    a = sp.kron(atoms, sp.diags(np.sqrt(np.arange(1.0, space.fock_dim)), 1), format="csr")
+    a = sp.kron(atoms, sp.diags(np.sqrt(np.arange(1.0, n_max + 1)), 1), format="csr")
     sigma_plus = transition(LEVEL_E2, LEVEL_E1)
     v = model.g * (sigma_plus @ a + sigma_plus.T @ a.T)
     liouv = 1j * (sp.kron(eye, v.T) - sp.kron(v, eye))  # i (rho V - V rho)

@@ -43,8 +43,9 @@ __all__ = [
 # and (chains) x (largest support) of one stacked closed-form pass (see
 # closed_form_grid); a larger item runs alone.  It is also the one bound on
 # a point: a cutoff is solvable when 1 <= n_max <= BATCH_RUNGS - 2 = 16 030.
-# 16 four-level points at n_max 1000, or one at 16 030, peak near 15 MB
-# traced (test_solver.py); every preset grid is one closed-form stack
+# 16 four-level points at n_max 1000 peak at 12.6 MB traced, and one at
+# 16 030 at 13.0 MB (test_solver.py); every preset grid is one closed-form
+# stack
 BATCH_RUNGS = 16 * 1002
 
 # the largest condition number (X + Y) / mean of the closed-form mean
@@ -415,8 +416,8 @@ def closed_form_grid(model: EngineModel, n_h: np.ndarray):
       :func:`scully_lamb_coefficients`, the :func:`distribution_moments`
       and the :func:`output_power` at the mean; NaN where the point failed.
       A power past the floating-point range, as a ladder near 1e308 gives,
-      is inf, or NaN at a zero mean if lasing_frequency * kappa alone is
-      inf; it raises no ``RuntimeWarning`` and fails no point;
+      is inf, and 0.0 at a zero mean, also where lasing_frequency * kappa
+      alone is inf; it raises no ``RuntimeWarning`` and fails no point;
     - ``cutoffs`` holds the ``n_max`` of :func:`steady_distribution`, the
       Fock cutoff of the exact solve, or None where the point failed;
     - ``rows`` holds that distribution's probabilities where the exact

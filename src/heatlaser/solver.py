@@ -2,14 +2,14 @@
 
 :func:`solve_model` sweeps the rungs of the charge-zero block top down by
 block Thomas in numpy, in real arithmetic over one real unknown per
-population and per coherence pair, and returns the steady state in the
-block's rung layout, those unknowns by rung and slot (:class:`BlockState`),
-with its photon distribution, in O(n_max) memory and time; :func:`exact_grid`
-does so for one engine over a grid of hot-bath occupations n_h, one
-stacked sweep per batch, each point in its own layout and over its own
-rungs, and returns the columns of a sweep.  Both finish a point alike
-from its row of the batch's zero-padded stack of P_n, clipped at 0: they
-warn its tail, divide it by its sum once and take its moments, with the
+population and per coherence pair, and returns one :class:`BlockState`,
+its photon distribution and those unknowns by rung and slot, in O(n_max)
+memory and time; :func:`exact_grid` does so for one engine over a grid
+of hot-bath occupations n_h, one stacked sweep per batch, each point in
+its own layout and over its own rungs, and returns the columns of a
+sweep.  Both finish a point alike from its row of the batch's zero-padded
+stack of P_n, clipped at 0: they fail it if that misses unit mass, warn
+its tail, divide it by its sum once and take its moments, with the
 helpers of :class:`PhotonDistribution`.  Every sum of a row, the trace of
 its state included, adds left to right (``photonstats._total``), so the
 zeros past a point's cutoff change no bit, and :func:`exact_grid` finishes
@@ -18,10 +18,10 @@ a whole batch in a few array operations with the numbers
 1 <= n_max <= 16 030, which fills one batch of ``BATCH_RUNGS`` rung-points
 alone, in 0.14-0.17 s.  They are the independent check on the
 closed-form theory in :mod:`heatlaser.photonstats`.  The dense (A F)^2
-:func:`steady_state` of the generator of ``core.build_liouvillian``,
-:func:`partial_trace_atom` and :func:`photon_distribution` are the
-full-space references (the first imports scipy when called; the last
-needs a unit-trace state).
+:func:`steady_state` of ``core.build_liouvillian(model, n_max)``,
+:func:`partial_trace_atom` and :func:`photon_distribution`, which take
+the state and ``atom_dim``, are the full-space references (the first
+imports scipy when called; the last needs a unit-trace state).
 :func:`wigner` maps a photon distribution to phase space, by default on
 101 x 101 points over [-h, h]^2 with h = max(4, 1.2 sqrt(<n> + 1)), so a
 bright state's ring stays on the grid.  W is radial: it is computed once
@@ -47,7 +47,6 @@ from .core import (
     RUNG_SHIFT,
     RUNG_SLOTS,
     SLOT_OF,
-    HilbertSpace,
     _bath_channels,
     build_sector_liouvillian,
 )
@@ -168,16 +167,16 @@ def steady_state(liouv: sp.spmatrix, tol: float = STEADY_TOL) -> SteadyStateResu
     return SteadyStateResult(rho, res, "nullspace")
 
 
-def partial_trace_atom(rho: np.ndarray, space: HilbertSpace) -> np.ndarray:
-    """Reduced cavity state, tracing out the atom factor."""
-    d = space.total_dim
-    if rho.shape != (d, d):
-        raise ValueError(f"state shape {rho.shape} does not match space dim {d}")
-    blocks = rho.reshape(space.atom_dim, space.fock_dim, space.atom_dim, space.fock_dim)
+def partial_trace_atom(rho: np.ndarray, atom_dim: int) -> np.ndarray:
+    """Reduced cavity state of ``rho`` on atom (x) Fock, square with side ``atom_dim`` x fock."""
+    fock = len(rho) // atom_dim
+    if rho.shape != (atom_dim * fock,) * 2 or fock < 2:
+        raise ValueError(f"state shape {rho.shape} is not square with side {atom_dim} x fock >= 2")
+    blocks = rho.reshape(atom_dim, fock, atom_dim, fock)
     return np.einsum("aman->mn", blocks)
 
 
-def photon_distribution(rho: np.ndarray, space: HilbertSpace) -> PhotonDistribution:
+def photon_distribution(rho: np.ndarray, atom_dim: int) -> PhotonDistribution:
     """Photon-number distribution of the cavity, P_n = <n| tr_atom rho |n>.
 
     ``rho`` must have unit trace: tiny negative diagonal entries from
@@ -186,7 +185,7 @@ def photon_distribution(rho: np.ndarray, space: HilbertSpace) -> PhotonDistribut
     Warns, as :func:`solve_model` does, when the truncation rung P[n_max]
     exceeds 1e-8 before that normalisation.
     """
-    p = np.clip(np.real(np.diag(partial_trace_atom(rho, space))), 0.0, None)
+    p = np.clip(np.real(np.diag(partial_trace_atom(rho, atom_dim))), 0.0, None)
     distribution = PhotonDistribution(p)
     _warn_tail(p)
     return distribution
@@ -355,12 +354,14 @@ def _pinned_levels(model, n_h):
     ]
 
 
-# a steady state in rung layout: rungs[r, s] is the real unknown u of slot s
-# of rung r, whose operator core.RUNG_SLOTS and RUNG_SHIFT name: the pair
+# the steady state of solve_model; distribution comes first, as perfbench's
+# tracer reads the cutoff as state[0].n_max.  rungs, (n_max + 2, atom_dim +
+# 1), are in rung layout: rungs[r, s] is the real unknown u of slot s of
+# rung r, whose operator core.RUNG_SLOTS and RUNG_SHIFT name: the pair
 # |l, r - RUNG_SHIFT[l]><l', r - RUNG_SHIFT[l']| for (l, l') = RUNG_SLOTS[s].
 # A population is u; the coherence |e1, n + 1><e2, n| is i u and its
 # partner -i u
-BlockState = namedtuple("BlockState", "rungs distribution residual")
+BlockState = namedtuple("BlockState", "distribution rungs residual")
 
 # |L_ij| of the complex block from the real bands: a population's entry in
 # the coherence column sums the equal entries of both partners, so it is
@@ -424,8 +425,9 @@ def _solve_batch(model, n_h, n_maxes):
     their scales and the photon distributions a few array operations over
     the stacked solution.  A trace adds a point's populations left to right
     (``photonstats._total``), with zeros past its own rungs, so a point
-    gets the trace it gets alone.  Per point remain only the checks of its
-    n_h and cutoff and the messages of the points that fail.
+    gets the trace it gets alone, and the sum of its clipped P_n.  Per point
+    remain only the checks of its n_h and cutoff and the messages of the
+    points that fail.
     """
     n_h, errors = np.asarray(n_h, dtype=float), []
     pins = _pinned_levels(model, n_h)
@@ -485,8 +487,16 @@ def _solve_batch(model, n_h, n_maxes):
     )
     np.clip(p, 0.0, None, out=p)
     stalled = ~(defects <= STEADY_TOL * scales)
-    for j in np.flatnonzero(stalled | [error is not None for error in swept]).tolist():
-        errors[live[j]] = swept[j] or _stall(float(defects[j]), float(scales[j]), STEADY_TOL)
+    # the clipped P_n of a unit-trace state miss 1 only by its negative
+    # populations; PhotonDistribution's bound, 1e-9 relative
+    totals = _total(p)[live].tolist()
+    unbalanced = [not math.isclose(total, 1.0, rel_tol=1e-9) for total in totals]
+    for j in np.flatnonzero(stalled | unbalanced | [e is not None for e in swept]).tolist():
+        stall = swept[j] or _stall(float(defects[j]), float(scales[j]), STEADY_TOL)
+        errors[live[j]] = stall or SteadyStateError(
+            "the steady state has negative populations: clipped at 0, its P_n sum to "
+            f"{totals[j]}, expected 1"
+        )
     return errors, p, residuals, x
 
 
@@ -505,7 +515,8 @@ def exact_grid(
     through the hot rates, so no model is built per point.  A negative, NaN
     or infinite n_h fails with a ``ValueError``, and one with
     gamma_h (n_h + 1) eps >= kappa with a :class:`SteadyStateError` (see
-    :func:`solve_model`); neither is assembled.
+    :func:`solve_model`); neither is assembled.  So do a point whose
+    clipped P_n miss 1, once swept, as :func:`solve_model` fails it.
 
     The grid is cut into batches of consecutive points, each taking points
     while (points) x (largest cutoff + 2) stays within ``BATCH_RUNGS``
@@ -571,7 +582,7 @@ def exact_grid(
     return dict(zip(EXACT_COLUMNS, columns.tolist())), rows, failures
 
 
-def solve_model(model: EngineModel, n_max: int | None = None) -> tuple[HilbertSpace, BlockState]:
+def solve_model(model: EngineModel, n_max: int | None = None) -> BlockState:
     """Steady state of an engine by one rung sweep over the charge-zero block.
 
     The block (:func:`build_sector_liouvillian`) is closed and holds the
@@ -579,8 +590,8 @@ def solve_model(model: EngineModel, n_max: int | None = None) -> tuple[HilbertSp
     population |s><s| is pinned to 1 in place of its own equation, the
     block-tridiagonal system is solved by block Thomas over the rungs, top
     down, in real arithmetic, and the unit-trace state, Hermitian by
-    construction, is returned in the block's rung layout
-    (:class:`BlockState`) with its photon distribution.  The trace is the
+    construction, is returned as one :class:`BlockState`, its photon
+    distribution (whose ``n_max`` is the cutoff) first.  The trace is the
     left null vector of L, so the pinned system is nonsingular exactly when
     the steady state is unique and populates s.  s is |l, 0> for the first
     level l of the one closed class of the jump graph (see
@@ -603,7 +614,9 @@ def solve_model(model: EngineModel, n_max: int | None = None) -> tuple[HilbertSp
     solve only: the largest |L_ij| is about gamma_h (n_h + 1), so an error
     made at assembly, such as the slow rates (kappa, g, gamma_c n_c) rounded
     away on population diagonals near gamma_h n_h, is not seen.  The system
-    solved is then a different one, solved stably.
+    solved is then a different one, solved stably; it fails only once its
+    negative populations, clipped at 0, leave the P_n 1e-9 relative off 1
+    (fig5 from n_h of about 1e13).
 
     With ``n_max=None`` the cutoff is the ``n_max`` of the closed-form
     distribution :func:`steady_distribution`, whose support ends at the
@@ -621,6 +634,4 @@ def solve_model(model: EngineModel, n_max: int | None = None) -> tuple[HilbertSp
     if error is not None:
         raise error
     _warn_tail(p[0])
-    return HilbertSpace.for_model(model, n_max), BlockState(
-        x[0, : n_max + 2, : model.atom_dim + 1].copy(), PhotonDistribution(p[0]), float(residual)
-    )
+    return BlockState(PhotonDistribution(p[0]), x[0], float(residual))

@@ -104,20 +104,22 @@ def slot_map(rows, cols, fock_dim):
     return t, w, np.concatenate([rows, cols[coherent]]), np.concatenate([cols, rows[coherent]])
 
 
-def dense_state(space, result):
+def dense_state(result):
     """The (A F) x (A F) density matrix of a steady state in rung layout.
 
     ``solve_model`` returns the unknowns u of the charge-zero block by rung
-    and slot; the comparisons with the full-space references scatter them
-    here through :func:`slot_operators`: the pair |l, n><l', n'| of a slot
-    has the coefficient SLOT_PHASE[l, l'] u, so a coherence is i u and its
-    partner -i u.
+    and slot, with atom_dim + 1 slots per rung, at the cutoff n_max of its
+    distribution; the comparisons with the full-space references scatter
+    them here through :func:`slot_operators`: the pair |l, n><l', n'| of a
+    slot has the coefficient SLOT_PHASE[l, l'] u, so a coherence is i u and
+    its partner -i u.
     """
-    rows, cols = slot_operators(result.rungs.shape, space.n_max)
+    atom_dim, fock = result.rungs.shape[1] - 1, result.distribution.n_max + 1
+    rows, cols = slot_operators(result.rungs.shape, fock - 1)
     inside = rows >= 0
     rows, cols = rows[inside], cols[inside]
-    values = SLOT_PHASE[rows // space.fock_dim, cols // space.fock_dim] * result.rungs[inside]
-    rho = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    values = SLOT_PHASE[rows // fock, cols // fock] * result.rungs[inside]
+    rho = np.zeros((atom_dim * fock,) * 2, dtype=complex)
     rho[rows, cols] = values
     rho[cols, rows] = np.conj(values)
     return rho

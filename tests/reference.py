@@ -50,9 +50,9 @@ def expectation(rho, operator):
     return complex(np.einsum("ij,ji->", rho, operator))
 
 
-def number_operator(space):
-    """a+ a on the composite space: diagonal, the photon number of each basis state."""
-    return np.diag(np.tile(np.arange(space.fock_dim, dtype=complex), space.atom_dim))
+def number_operator(atom_dim, n_max):
+    """a+ a on atom (x) Fock at cutoff n_max: diagonal, the photon number of each basis state."""
+    return np.diag(np.tile(np.arange(n_max + 1, dtype=complex), atom_dim))
 
 
 def apply_liouvillian(liouv, rho):

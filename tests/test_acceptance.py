@@ -84,10 +84,9 @@ def test_criterion_04_mean_photon_number_agreement():
     checked = 0
     for nh in np.geomspace(0.2, 8.0, 20):
         model = make_fig2_model(n_h=float(nh))
-        space, result = solve_model(model, n_max=40)
-        state = dense_state(space, result)
-        _STATES[f"fig2 n_h={nh:.3f}"] = (space, state)
-        numeric = expectation(state, number_operator(space)).real
+        state = dense_state(solve_model(model, n_max=40))
+        _STATES[f"fig2 n_h={nh:.3f}"] = (3, state)
+        numeric = expectation(state, number_operator(3, 40)).real
         if numeric <= 0.5:
             continue
         analytic = distribution_moments(scully_lamb_coefficients(model)).mean
@@ -104,13 +103,13 @@ def test_criterion_05_distribution_agreement():
     distances = {}
     for nh in (0.17, 0.507, 2.629, 9.0):
         model = make_fig2_model(n_h=nh)
-        space, result = solve_model(model, n_max=40)
-        _STATES[f"fig3 n_h={nh}"] = (space, dense_state(space, result))
+        result = solve_model(model, n_max=40)
+        _STATES[f"fig3 n_h={nh}"] = (3, dense_state(result))
         numeric = result.distribution
         # the closed form on its own support (cutoffs 18 to 33), padded with
         # zeros to the exact cutoff of 40
         closed = steady_distribution(scully_lamb_coefficients(model)).probabilities
-        analytic = np.pad(closed, (0, space.n_max + 1 - closed.size))
+        analytic = np.pad(closed, (0, numeric.n_max + 1 - closed.size))
         distances[nh] = float(np.abs(numeric.probabilities - analytic).sum())
     elapsed = time.perf_counter() - start
     ok = all(d < 0.05 for d in distances.values()) and elapsed < 120.0
@@ -174,15 +173,14 @@ def test_criterion_08_super_poissonian():
 
 def test_criterion_09_state_sanity():
     if "fig5" not in _STATES:
-        space, result = solve_model(make_fig5_model(), n_max=60)
-        _STATES["fig5"] = (space, dense_state(space, result))
+        _STATES["fig5"] = (4, dense_state(solve_model(make_fig5_model(), n_max=60)))
     assert len(_STATES) >= 20
     worst = {"trace": 0.0, "herm": 0.0, "eig": 0.0, "offdiag": 0.0}
-    for space, state in _STATES.values():
+    for atom_dim, state in _STATES.values():
         worst["trace"] = max(worst["trace"], abs(np.trace(state).real - 1.0))
         worst["herm"] = max(worst["herm"], np.abs(state - state.conj().T).max())
         worst["eig"] = max(worst["eig"], -float(np.linalg.eigvalsh(state).min()))
-        reduced = partial_trace_atom(state, space)
+        reduced = partial_trace_atom(state, atom_dim)
         off = np.abs(reduced - np.diag(np.diag(reduced))).max()
         worst["offdiag"] = max(worst["offdiag"], off)
     ok = (

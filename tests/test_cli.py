@@ -348,7 +348,7 @@ def test_sweep_past_the_budget_streams_its_batches(tmp_path, monkeypatch):
 
 def _solo(config, n_h):
     """Photon distribution and residual of one point solved on its own."""
-    _, result = solve_model(with_hot_occupation(config.model, n_h))
+    result = solve_model(with_hot_occupation(config.model, n_h))
     return result.distribution, result.residual
 
 
@@ -797,15 +797,57 @@ def test_hot_rate_past_the_rung_equations_is_refused(preset, n_h, tmp_path, caps
     assert [r["status"] for r in records] == ["ok", f"failed: {refused}"]
 
 
+def _mass_refusal(message):
+    # the sum that the unit-mass refusal of the exact route gives, or None
+    # when ``message`` is not that refusal
+    start = "the steady state has negative populations: clipped at 0, its P_n sum to "
+    if message is None or not (message.startswith(start) and message.endswith(", expected 1")):
+        return None
+    return float(message[len(start) : -len(", expected 1")])
+
+
 def test_hot_rate_below_the_bound_is_solved():
-    # fig5 at n_h 1e14 is below the bound (gamma_h (n_h + 1) eps = 0.71 <
-    # kappa): its exact point is solved, and so are fig2's and bright's last
-    # rows below their bounds, about 1.4e14 and 3.5e13
-    for preset, n_h in [("fig5", 1e14), ("fig2", 1e14), (BRIGHT, 3e13)]:
+    # fig2's and bright's last rows below their bounds, about 1.4e14 and
+    # 3.5e13, pass the range check and are solved.  So does fig5's at 1e14
+    # (gamma_h (n_h + 1) eps = 0.71 < kappa), but its state has negative
+    # populations, and it fails by the unit-mass refusal instead
+    for preset, n_h, total in [("fig5", 1e14, 1.0444), ("fig2", 1e14, None), (BRIGHT, 3e13, None)]:
         config = load_config(preset)
         _, (n_max,), _, (failure,) = closed_form_grid(config.model, [n_h])
         assert failure is None
-        assert exact_grid(config.model, [n_h], [n_max])[2] == [None]
+        (failure,) = exact_grid(config.model, [n_h], [n_max])[2]
+        if total is None:
+            assert failure is None
+        else:
+            assert _mass_refusal(failure) == pytest.approx(total, abs=1e-4)
+
+
+def test_unbalanced_photon_mass_is_refused(tmp_path, capsys):
+    # from n_h of about 1e13 the rung equations of fig5 lose its slow rates
+    # and give a state with negative populations, whose clipped P_n miss 1:
+    # exact_grid fails such a point by the message that distribution exits
+    # 3 with, and a sweep fails those rows only, where it reported them ok
+    # with a wrong mean (7.62 and 7.95 against 7.54)
+    config = load_config("fig5")
+    grid = [1e12, 1e13, 1e14]
+    _, cutoffs, _, _ = closed_form_grid(config.model, grid)
+    failures = exact_grid(config.model, grid, cutoffs)[2]
+    assert failures[0] is None
+    assert [_mass_refusal(failure) for failure in failures[1:]] == [
+        pytest.approx(1.0016, abs=1e-4),
+        pytest.approx(1.0444, abs=1e-4),
+    ]
+    out = tmp_path / "out"
+    sweep = {**config.raw["sweep"], "start": 1e12, "stop": 1e14, "points": 5, "spacing": "log"}
+    path = write_config(tmp_path, {"model": config.raw["model"], "sweep": sweep})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["distribution", "--config", "fig5", "--nh", "1e13", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.strip() == f"numeric failure: {failures[1]}"
+        assert not out.exists()
+        records = run_sweep(load_config(path))
+    statuses = [record["status"] for record in records]
+    assert statuses == ["ok", "ok", f"failed: {failures[1]}", "ok", f"failed: {failures[2]}"]
 
 
 @pytest.mark.parametrize("model", [{"g": 1e300}, {"n_c": 1e300}])
@@ -909,8 +951,9 @@ def test_distribution_wigner_file(tmp_path):
     assert lines[0] == "re,im,value"
     assert len(lines) == 1 + 101 * 101
     # the grid is the Wigner function of the reduced dense steady state
-    space, result = solve_model(with_hot_occupation(load_config(path).model, 0.3))
-    field = wigner(photon_distribution(dense_state(space, result), space))
+    model = with_hot_occupation(load_config(path).model, 0.3)
+    result = solve_model(model)
+    field = wigner(photon_distribution(dense_state(result), model.atom_dim))
     values = np.array([float(line.split(",")[2]) for line in lines[1:]])
     np.testing.assert_allclose(values, field.values.ravel(), rtol=1e-11, atol=1e-14)
     _assert_wigner_lines(lines, result.distribution)
@@ -935,7 +978,7 @@ def test_wigner_file_at_the_benchmark_point(tmp_path):
     lines = (tmp_path / "fig2_wigner.csv").read_text().splitlines()
     assert lines[0] == "re,im,value"
     assert len(lines) == 1 + 101 * 101
-    _, result = solve_model(with_hot_occupation(load_config("fig2").model, 2.0))
+    result = solve_model(with_hot_occupation(load_config("fig2").model, 2.0))
     _assert_wigner_lines(lines, result.distribution)
 
 
@@ -962,7 +1005,7 @@ def test_default_wigner_grid_holds_a_bright_ring(tmp_path):
     assert abs(math.hypot(re, im) - math.sqrt(mean)) <= 2 * half_width / 100
     # a second default grid, with its own half-width and |im| rows
     lines = (out / "fig5_wigner.csv").read_text().splitlines()
-    _, result = solve_model(with_hot_occupation(load_config(path).model, 5.0))
+    result = solve_model(with_hot_occupation(load_config(path).model, 5.0))
     _assert_wigner_lines(lines, result.distribution)
 
 

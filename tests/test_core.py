@@ -5,9 +5,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heatlaser import BathSpec, HilbertSpace, build_three_level, with_hot_occupation
+from heatlaser import BathSpec, build_three_level, with_hot_occupation
 from heatlaser.core import build_liouvillian, build_sector_liouvillian
-from heatlaser.solver import SteadyStateError, photon_distribution, solve_model, steady_state
+from heatlaser.solver import (
+    SteadyStateError,
+    partial_trace_atom,
+    photon_distribution,
+    solve_model,
+    steady_state,
+)
 
 from conftest import (
     dense_state,
@@ -28,32 +34,34 @@ def random_density_matrix(rng, dim):
     return rho / np.trace(rho)
 
 
-def test_hilbert_space_validation():
-    space = HilbertSpace(3, 5)
-    assert space.total_dim == 15
-    assert space.n_max == 4
-    with pytest.raises(ValueError):
-        HilbertSpace(2, 5)
-    with pytest.raises(ValueError):
-        HilbertSpace(3, 1)
+def test_full_space_reference_validation():
+    # the reference needs a cavity of at least two Fock states, and a dense
+    # state square with side atom_dim x fock
+    model = make_fig2_model()
+    assert build_liouvillian(model, 1).shape == (36, 36)
+    for n_max in (0, -1):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            build_liouvillian(model, n_max)
+    assert partial_trace_atom(np.eye(15), 3).shape == (5, 5)
+    for shape, atom_dim in [((15, 15), 4), ((3, 3), 3), ((15, 14), 3), ((15,), 3), ((3, 5, 5), 3)]:
+        with pytest.raises(ValueError, match="is not square with side"):
+            partial_trace_atom(np.zeros(shape), atom_dim)
 
 
 def test_liouvillian_preserves_trace(rng):
     model = make_fig2_model(n_h=0.8)
-    space = HilbertSpace.for_model(model, 4)
-    liouv = build_liouvillian(model, space)
+    liouv = build_liouvillian(model, 4)
     for _ in range(100):
-        rho = random_density_matrix(rng, space.total_dim)
+        rho = random_density_matrix(rng, 3 * 5)
         out = apply_liouvillian(liouv, rho)
         assert abs(np.trace(out)) < 1e-10
 
 
 def test_liouvillian_preserves_hermiticity(rng):
     for model in (make_fig2_model(n_h=0.8), make_fig5_model()):
-        space = HilbertSpace.for_model(model, 3)
-        liouv = build_liouvillian(model, space)
+        liouv = build_liouvillian(model, 3)
         for _ in range(20):
-            rho = random_density_matrix(rng, space.total_dim)
+            rho = random_density_matrix(rng, model.atom_dim * 4)
             out = apply_liouvillian(liouv, rho)
             assert np.abs(out - out.conj().T).max() < 1e-12
 
@@ -61,9 +69,8 @@ def test_liouvillian_preserves_hermiticity(rng):
 def test_pure_decay_steady_state():
     # g = 0 and empty baths: everything funnels into |g, 0>
     model = make_fig2_model(n_h=0.0, n_c=0.0, g=0.0)
-    space = HilbertSpace.for_model(model, 4)
-    result = steady_state(build_liouvillian(model, space))
-    expected = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    result = steady_state(build_liouvillian(model, 4))
+    expected = np.zeros((3 * 5, 3 * 5), dtype=complex)
     expected[0, 0] = 1.0
     np.testing.assert_allclose(result.state, expected, atol=1e-10)
 
@@ -78,18 +85,12 @@ def test_decoupled_atom_populations_match_bath_ratios():
         # into e2, so with w3 = nh/(nh+1) they go as 1 : nc/(nc+1) : w3 (na+1)/na : w3
         (make_fig5_model(n_h=nh, n_c=nc, n_a=na, g=0.0), [1.0, nc / (nc + 1), w3 * (na + 1) / na, w3]),
     ]:
-        space = HilbertSpace.for_model(model, 3)
-        rho = steady_state(build_liouvillian(model, space)).state
+        rho = steady_state(build_liouvillian(model, 3)).state
         # the trace over the Fock factor leaves the atom's reduced state
-        shape = (space.atom_dim, space.fock_dim) * 2
+        shape = (model.atom_dim, 4) * 2
         pops = np.trace(rho.reshape(shape), axis1=1, axis2=3).diagonal().real
         weights = np.array(weights)
         np.testing.assert_allclose(pops, weights / weights.sum(), atol=1e-10)
-
-
-def test_dimension_mismatch_rejected():
-    with pytest.raises(ValueError, match="atom_dim"):
-        build_liouvillian(make_fig2_model(), HilbertSpace(4, 4))
 
 
 def test_check_density_matrix():
@@ -127,13 +128,13 @@ def test_sector_block_matches_full_liouvillian(seed, four, n_max, empty_baths, u
         if empty
     }
     model = model._replace(g=0.0 if uncoupled else model.g, **emptied)
-    space = HilbertSpace.for_model(model, n_max)
-    bands, inside = build_sector_liouvillian(model, [model.n_h], [space.n_max])
+    dim = model.atom_dim * (n_max + 1)
+    bands, inside = build_sector_liouvillian(model, [model.n_h], [n_max])
     assert bands.dtype == np.float64
     block, rows, cols = sector_block_csc(bands, inside)
-    full = build_liouvillian(model, space).tocsc()
-    t, w, op_rows, op_cols = slot_map(rows, cols, space.fock_dim)
-    inside = op_rows * space.total_dim + op_cols
+    full = build_liouvillian(model, n_max).tocsc()
+    t, w, op_rows, op_cols = slot_map(rows, cols, n_max + 1)
+    inside = op_rows * dim + op_cols
     # the block is the full generator restricted to the block's operators,
     # in the real unknowns x = T u with the rows W picks, and that is real
     restricted = (w @ full[inside][:, inside] @ t).toarray()
@@ -141,7 +142,7 @@ def test_sector_block_matches_full_liouvillian(seed, four, n_max, empty_baths, u
     assert np.abs(restricted.real - block.toarray()).max() <= 1e-12 * scale
     assert np.abs(restricted.imag).max() <= 1e-12 * scale
     # and no block column leaks outside the block
-    outside = np.setdiff1d(np.arange(space.total_dim**2), inside)
+    outside = np.setdiff1d(np.arange(dim**2), inside)
     assert not np.any(full[outside][:, inside].data)
     if four and uncoupled and empty_baths[0] and empty_baths[2]:
         # nothing leaves |e2, 0> and nothing reaches it from |g, 0>: the
@@ -151,14 +152,14 @@ def test_sector_block_matches_full_liouvillian(seed, four, n_max, empty_baths, u
         return
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # small cutoffs leave tail mass
-        _, result = solve_model(model, n_max=n_max)
+        result = solve_model(model, n_max=n_max)
     reference = steady_state(full).state
-    state = dense_state(space, result)
+    state = dense_state(result)
     assert np.abs(state - reference).max() < 1e-10
     # the block's P_n is the partial trace of its dense form, bit for bit
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # small cutoffs leave tail mass
-        traced = photon_distribution(state, space)
+        traced = photon_distribution(state, model.atom_dim)
     assert np.array_equal(result.distribution.probabilities, traced.probabilities)
 
 
@@ -184,13 +185,12 @@ def test_steady_state_is_real_up_to_photon_parity(seed, four, n_max, empty_baths
     }
     model = model._replace(g=0.0 if uncoupled else model.g, **emptied)
     assume(not (four and uncoupled and empty_baths[0] and empty_baths[2]))  # not unique
-    space = HilbertSpace.for_model(model, n_max)
-    rho = steady_state(build_liouvillian(model, space)).state
+    rho = steady_state(build_liouvillian(model, n_max)).state
     size = np.abs(rho).max()
-    fock, n = space.fock_dim, np.arange(n_max)
+    fock, n = n_max + 1, np.arange(n_max)
     coherences = rho[fock + n + 1, 2 * fock + n]
     assert np.abs(coherences.real).max() <= 1e-12 * size
-    parity = (-1.0) ** (np.arange(space.total_dim) % fock)
+    parity = (-1.0) ** (np.arange(len(rho)) % fock)
     assert np.abs(rho.conj() - parity[:, np.newaxis] * rho * parity).max() <= 1e-12 * size
 
 
@@ -264,22 +264,21 @@ def test_dark_state_is_the_unique_steady_state(n_max):
     # four levels, g = 0 and an empty ancilla: nothing leaves |e2, 0>, and the
     # hot bath feeds it from every other level, so it is the steady state
     model = make_fig5_model(n_a=0.0, g=0.0)
-    space = HilbertSpace.for_model(model, n_max)
-    dark = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    dark[2 * space.fock_dim, 2 * space.fock_dim] = 1.0
-    _, result = solve_model(model, n_max=n_max)
-    assert np.abs(dense_state(space, result) - dark).max() < 1e-12
-    reference = steady_state(build_liouvillian(model, space))
+    fock = n_max + 1
+    dark = np.zeros((4 * fock, 4 * fock), dtype=complex)
+    dark[2 * fock, 2 * fock] = 1.0
+    result = solve_model(model, n_max=n_max)
+    assert np.abs(dense_state(result) - dark).max() < 1e-12
+    reference = steady_state(build_liouvillian(model, n_max))
     assert np.abs(reference.state - dark).max() < 1e-12
 
 
 def test_empty_hot_and_ancilla_baths():
     # with the coupling on, |e2, 0> emits into |e1, 1>: unique and solvable
     coupled = make_fig5_model(n_h=0.0, n_a=0.0)
-    space = HilbertSpace.for_model(coupled, 4)
-    _, result = solve_model(coupled, n_max=4)
-    reference = steady_state(build_liouvillian(coupled, space)).state
-    assert np.abs(dense_state(space, result) - reference).max() < 1e-10
+    result = solve_model(coupled, n_max=4)
+    reference = steady_state(build_liouvillian(coupled, 4)).state
+    assert np.abs(dense_state(result) - reference).max() < 1e-10
     # with it off, |e2, 0> and the thermal g/e1 pair are two steady states
     with pytest.raises(SteadyStateError):
         solve_model(make_fig5_model(n_h=0.0, n_a=0.0, g=0.0), n_max=4)

@@ -8,7 +8,6 @@ from heatlaser import (
     EngineModel,
     FOUR_LEVEL,
     THREE_LEVEL,
-    HilbertSpace,
     LaserCoefficients,
     build_four_level,
     build_three_level,
@@ -223,8 +222,6 @@ def test_copies_are_validated_again():
         EngineModel._make([*model[:4], 0.0, *model[5:]])
     with pytest.raises(ValueError, match="occupation must be finite and >= 0"):
         model.hot._replace(occupation=-1.0)
-    with pytest.raises(ValueError, match="fock_dim must be >= 2"):
-        HilbertSpace(3, 4)._replace(fock_dim=1)
     with pytest.raises(ValueError, match="kappa must be positive"):
         LaserCoefficients(1.0, 0.5, 0.1, 1.0)._replace(kappa=0.0)
     # a copy keeps the energies its original normalised, as floats

@@ -17,7 +17,6 @@ import heatlaser.core
 import heatlaser.solver
 from heatlaser import (
     BathSpec,
-    HilbertSpace,
     PhotonDistribution,
     TruncationError,
     build_four_level,
@@ -56,26 +55,25 @@ from conftest import (
 from reference import check_density_matrix, evolve, expectation, number_operator
 
 
-def fock_state(space, atom_index, n):
-    rho = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    idx = atom_index * space.fock_dim + n
+def fock_state(atom_dim, n_max, atom_index, n):
+    dim = atom_dim * (n_max + 1)
+    rho = np.zeros((dim, dim), dtype=complex)
+    idx = atom_index * (n_max + 1) + n
     rho[idx, idx] = 1.0
     return rho
 
 
 def test_steady_state_pure_decay():
     model = make_fig2_model(n_h=0.0, n_c=0.0, g=0.0)
-    space = HilbertSpace.for_model(model, 5)
-    result = steady_state(build_liouvillian(model, space))
+    result = steady_state(build_liouvillian(model, 5))
     assert result.method == "nullspace"
     assert result.residual < 1e-12
-    np.testing.assert_allclose(result.state, fock_state(space, 0, 0), atol=1e-10)
+    np.testing.assert_allclose(result.state, fock_state(3, 5, 0, 0), atol=1e-10)
 
 
 def test_steady_state_reports_stall():
     model = make_fig2_model(n_h=1.0)
-    space = HilbertSpace.for_model(model, 10)
-    liouv = build_liouvillian(model, space)
+    liouv = build_liouvillian(model, 10)
     with pytest.raises(SteadyStateError) as err:
         steady_state(liouv, tol=1e-18)
     assert err.value.best_residual is not None
@@ -100,17 +98,15 @@ def test_separate_closed_classes_are_not_unique():
 
 def test_evolve_identity_and_decay():
     model = make_fig2_model(n_h=0.3)
-    space = HilbertSpace.for_model(model, 4)
-    zero = sp.csr_matrix((space.total_dim**2, space.total_dim**2), dtype=complex)
-    rho0 = fock_state(space, 1, 2)
+    zero = sp.csr_matrix((15**2, 15**2), dtype=complex)
+    rho0 = fock_state(3, 4, 1, 2)
     np.testing.assert_array_equal(evolve(zero, rho0, 1.0), rho0)
 
     # bare cavity decay: <n>(t) = exp(-kappa t) starting from one photon
     bare = make_fig2_model(n_h=0.0, n_c=0.0, g=0.0, gamma=0.0)
-    space = HilbertSpace.for_model(bare, 3)
-    liouv = build_liouvillian(bare, space)
-    rho0 = fock_state(space, 0, 1)
-    number = number_operator(space)
+    liouv = build_liouvillian(bare, 3)
+    rho0 = fock_state(3, 3, 0, 1)
+    number = number_operator(3, 3)
     for t in (0.5, 1.0, 2.0):
         rho_t = evolve(liouv, rho0, t)
         mean = expectation(rho_t, number).real
@@ -119,25 +115,22 @@ def test_evolve_identity_and_decay():
 
 def test_evolve_rejects_bad_arguments():
     model = make_fig2_model()
-    space = HilbertSpace.for_model(model, 6)
-    liouv = build_liouvillian(model, space)
+    liouv = build_liouvillian(model, 6)
     with pytest.raises(ValueError):
-        evolve(liouv, fock_state(space, 0, 0), -1.0)
+        evolve(liouv, fock_state(3, 6, 0, 0), -1.0)
     with pytest.raises(ValueError):
-        evolve(liouv, np.eye(space.total_dim - 1, dtype=complex), 1.0)
+        evolve(liouv, np.eye(3 * 7 - 1, dtype=complex), 1.0)
 
 
 def test_evolve_reaches_steady_state():
     model = make_fig2_model(n_h=0.4)
-    space = HilbertSpace.for_model(model, 12)
-    liouv = build_liouvillian(model, space)
+    liouv = build_liouvillian(model, 12)
     target = steady_state(liouv).state
-    rho = evolve(liouv, fock_state(space, 0, 0), 30.0)
+    rho = evolve(liouv, fock_state(3, 12, 0, 0), 30.0)
     assert np.abs(rho - target).max() < 1e-7
 
 
 def test_partial_trace():
-    space = HilbertSpace(3, 5)
     rng = np.random.default_rng(7)
     atom = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     atom = atom @ atom.conj().T
@@ -146,76 +139,65 @@ def test_partial_trace():
     cav = cav @ cav.conj().T
     cav /= np.trace(cav)
     product = np.kron(atom, cav)
-    np.testing.assert_allclose(partial_trace_atom(product, space), cav, atol=1e-14)
-    assert np.trace(partial_trace_atom(product, space)) == pytest.approx(
+    np.testing.assert_allclose(partial_trace_atom(product, 3), cav, atol=1e-14)
+    assert np.trace(partial_trace_atom(product, 3)) == pytest.approx(
         np.trace(product).real
     )
     with pytest.raises(ValueError):
-        partial_trace_atom(product, HilbertSpace(3, 4))
+        partial_trace_atom(product, 4)
 
 
 def test_photon_distribution_index_conventions():
     model = make_fig2_model(n_h=0.6)
-    space = HilbertSpace.for_model(model, 14)
-    rho = steady_state(build_liouvillian(model, space)).state
+    fock = 15
+    rho = steady_state(build_liouvillian(model, fock - 1)).state
     with pytest.warns(UserWarning, match=r"tail P\[14\] = .* above 1e-8"):
-        dist = photon_distribution(rho, space)
+        dist = photon_distribution(rho, 3)
     manual = np.array(
-        [
-            sum(
-                rho[alpha * space.fock_dim + n, alpha * space.fock_dim + n].real
-                for alpha in range(space.atom_dim)
-            )
-            for n in range(space.fock_dim)
-        ]
+        [sum(rho[alpha * fock + n, alpha * fock + n].real for alpha in range(3)) for n in range(fock)]
     )
     np.testing.assert_allclose(dist.probabilities, manual / manual.sum(), atol=1e-12)
 
 
 def test_photon_distribution_vacuum():
     model = make_fig2_model(n_h=0.0, n_c=0.0, g=0.0)
-    space = HilbertSpace.for_model(model, 4)
-    rho = steady_state(build_liouvillian(model, space)).state
-    dist = photon_distribution(rho, space)
+    rho = steady_state(build_liouvillian(model, 4)).state
+    dist = photon_distribution(rho, 3)
     assert dist.probabilities[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expectation_basics():
-    space = HilbertSpace(3, 4)
-    rho = fock_state(space, 0, 0)
-    eye = np.eye(space.total_dim, dtype=complex)
+    rho = fock_state(3, 3, 0, 0)
+    eye = np.eye(12, dtype=complex)
     assert expectation(rho, eye) == pytest.approx(1.0)
-    assert expectation(rho, number_operator(space)) == pytest.approx(0.0)
+    assert expectation(rho, number_operator(3, 3)) == pytest.approx(0.0)
     with pytest.raises(ValueError):
         expectation(rho, np.eye(5, dtype=complex))
 
 
 def test_expectation_real_for_hermitian():
     model = make_fig2_model(n_h=0.7)
-    space = HilbertSpace.for_model(model, 10)
-    rho = steady_state(build_liouvillian(model, space)).state
-    value = expectation(rho, number_operator(space))
+    rho = steady_state(build_liouvillian(model, 10)).state
+    value = expectation(rho, number_operator(3, 10))
     assert abs(value.imag) < 1e-12
 
 
 def test_mean_photon_number_against_theory():
     model = make_fig2_model(n_h=1.0)
-    space, result = solve_model(model, n_max=40)
-    numeric = expectation(dense_state(space, result), number_operator(space)).real
+    result = solve_model(model, n_max=40)
+    numeric = expectation(dense_state(result), number_operator(3, 40)).real
     analytic = steady_distribution(scully_lamb_coefficients(model)).mean
     assert abs(numeric - analytic) / numeric < 0.05
 
 
 def test_steady_cavity_state_is_diagonal_and_positive():
     with pytest.warns(UserWarning, match="tail"):  # the fig2 point needs n_max > 16
-        solved = [
-            solve_model(model, n_max=16)
-            for model in (make_fig2_model(n_h=0.6), make_fig5_model(n_h=0.3))
-        ]
-    for space, result in solved:
-        state = dense_state(space, result)
+        models = (make_fig2_model(n_h=0.6), make_fig5_model(n_h=0.3))
+        solved = [solve_model(model, n_max=16) for model in models]
+    for model, result in zip(models, solved):
+        state = dense_state(result)
         check_density_matrix(state)
-        reduced = partial_trace_atom(state, space)
+        reduced = partial_trace_atom(state, model.atom_dim)
         off = reduced - np.diag(np.diag(reduced))
         assert np.abs(off).max() < 1e-9
 
@@ -225,13 +207,12 @@ def test_analytic_numeric_gap_shrinks_with_kappa():
     gaps = []
     for kappa in (1.0, 0.5):
         model = make_fig2_model(n_h=1.0, kappa=kappa)
-        space, result = solve_model(model, n_max=40)
-        numeric = result.distribution
+        numeric = solve_model(model, n_max=40).distribution
         # the closed form on its own support (cutoff 29 at kappa 1, 43 at
         # 0.5), cut at the exact cutoff of 40 and renormalised, or padded
         closed = steady_distribution(scully_lamb_coefficients(model)).probabilities
-        closed = closed[: space.n_max + 1]
-        analytic = np.pad(closed / closed.sum(), (0, space.n_max + 1 - closed.size))
+        closed = closed[: numeric.n_max + 1]
+        analytic = np.pad(closed / closed.sum(), (0, numeric.n_max + 1 - closed.size))
         gaps.append(np.abs(numeric.probabilities - analytic).sum())
     assert gaps[1] < gaps[0]
 
@@ -242,18 +223,17 @@ def test_solve_model_retries_truncation():
     model = make_fig2_model(n_h=1.87, kappa=0.25)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # any tail warning should fail
-        space, result = solve_model(model)
-    assert space.n_max >= 62
-    chosen = result.distribution
+        chosen = solve_model(model).distribution
+    assert chosen.n_max >= 62
     assert chosen.probabilities[-1] < 1e-8
-    _, wide = solve_model(model, n_max=space.n_max + 30)
+    wide = solve_model(model, n_max=chosen.n_max + 30)
     wider = wide.distribution
     assert chosen.mean == pytest.approx(wider.mean, rel=1e-8)
     assert chosen.variance == pytest.approx(wider.variance, rel=1e-8)
     # an explicit cutoff is used as given, and a heavy tail warns
     with pytest.warns(UserWarning, match="tail"):
-        space, _ = solve_model(model, n_max=12)
-    assert space.n_max == 12
+        explicit = solve_model(model, n_max=12)
+    assert explicit.distribution.n_max == 12
 
 
 @settings(deadline=None)
@@ -263,13 +243,13 @@ def test_closed_form_cutoff_leaves_no_exact_tail(seed, four):
     model = random_four_level(rng) if four else random_three_level(rng)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the tail warning must not fire
-        space, result = solve_model(model)
-    assert 1 <= space.n_max <= BATCH_RUNGS - 2
+        result = solve_model(model)
+    assert 1 <= result.distribution.n_max <= BATCH_RUNGS - 2
     assert result.distribution.probabilities[-1] < 1e-8
     # the closed form's support is the cutoff: its first rung past the peak
     # below 1e-12
     closed = steady_distribution(scully_lamb_coefficients(model))
-    assert space.n_max == closed.n_max
+    assert result.distribution.n_max == closed.n_max
     p = closed.probabilities
     assert p[closed.n_max] < 1e-12
     assert np.all(p[np.argmax(p) : closed.n_max] >= 1e-12)
@@ -281,7 +261,7 @@ def test_solve_model_builds_no_dense_operators(monkeypatch):
 
     monkeypatch.setattr(heatlaser.core, "build_liouvillian", full_space)
     for model in (make_fig2_model(), make_fig5_model()):
-        _, result = solve_model(model)
+        result = solve_model(model)
         assert result.distribution.probabilities[-1] < 1e-8
 
 
@@ -290,12 +270,12 @@ def test_solve_model_builds_no_dense_operators(monkeypatch):
     [(make_fig5_model(kappa=1 / 32), 199), (make_fig2_model(kappa=0.06), 176)],
 )
 def test_rung_sweep_matches_sparse_lu_at_large_cutoff(model, n_max):
-    space, result = solve_model(model)
-    assert space.n_max == n_max
+    result = solve_model(model)
+    assert result.distribution.n_max == n_max
     # the same block scattered to CSC, solved by LU with the equation of
     # |g, 0><g, 0| replaced by the trace row
     block, rows, cols = sector_block_csc(
-        *build_sector_liouvillian(model, [model.n_h], [space.n_max])
+        *build_sector_liouvillian(model, [model.n_h], [n_max])
     )
     assert block.dtype == np.float64
     ground = int(np.flatnonzero((rows == 0) & (cols == 0))[0])
@@ -306,8 +286,8 @@ def test_rung_sweep_matches_sparse_lu_at_large_cutoff(model, n_max):
     rhs = np.zeros(rows.size)
     rhs[ground] = 1.0
     x = splu(block.tocsc()).solve(rhs)
-    photons = rows[populations] % space.fock_dim
-    reference = np.bincount(photons, weights=x[populations], minlength=space.fock_dim)
+    photons = rows[populations] % (n_max + 1)
+    reference = np.bincount(photons, weights=x[populations], minlength=n_max + 1)
     numeric = result.distribution.probabilities
     assert np.abs(numeric - reference / reference.sum()).max() <= 1e-12
 
@@ -320,15 +300,15 @@ def test_large_point_solves_in_block_form():
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no tail warning either
-            space, result = solve_model(model)
+            result = solve_model(model)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert space.n_max == 341
+    assert result.distribution.n_max == 341
     # one dense (4 x 342)^2 complex state alone takes 29.9 MB; the block
     # solve peaks near 3.2 MB
     assert peak < 4e6
-    _, wide = solve_model(model, n_max=space.n_max + 30)
+    wide = solve_model(model, n_max=result.distribution.n_max + 30)
     assert result.distribution.mean == pytest.approx(wide.distribution.mean, rel=1e-8)
     assert result.distribution.variance == pytest.approx(wide.distribution.variance, rel=1e-8)
 
@@ -345,12 +325,11 @@ def test_stall_reports_the_scale_of_the_complex_block(monkeypatch):
     # far above every diagonal entry; the real block's coherence column sums
     # both partners and carries 2 g sqrt(n), and the gate keeps the former
     model, n_max, tol = make_fig2_model(g=30.0, gamma=1.0), 6, 1e-30
-    space = HilbertSpace.for_model(model, n_max)
     bands, inside = build_sector_liouvillian(model, [model.n_h], [n_max])
     _, rows, cols = sector_block_csc(bands, inside)
-    _, _, op_rows, op_cols = slot_map(rows, cols, space.fock_dim)
-    inside = op_rows * space.total_dim + op_cols
-    block = build_liouvillian(model, space).tocsc()[inside][:, inside]
+    _, _, op_rows, op_cols = slot_map(rows, cols, n_max + 1)
+    inside = op_rows * 3 * (n_max + 1) + op_cols
+    block = build_liouvillian(model, n_max).tocsc()[inside][:, inside]
     scale = np.abs(block).max()
     assert np.abs(bands).max() == pytest.approx(2.0 * scale, rel=1e-15)
     assert 2.0 * np.abs(block.diagonal()).max() < scale
@@ -369,12 +348,16 @@ def _assert_solo(model, grid, cutoffs, solved, points=None):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # the tail warning, asserted apart
-                _, solo = solve_model(with_hot_occupation(model, grid[k]), n_max=cutoffs[k])
+                numeric, rungs, residual = solve_model(
+                    with_hot_occupation(model, grid[k]), n_max=cutoffs[k]
+                )
         except (SteadyStateError, TruncationError) as exc:
             assert failures[k] == str(exc) and rows[k] is None
             assert all(math.isnan(columns[name][k]) for name in EXACT_COLUMNS)
             continue
-        numeric = solo.distribution
+        # the rungs view the solo batch's solution: dropped, so that a batch
+        # wrapper that checks each solution is freed sees this one go
+        del rungs
         assert failures[k] is None
         assert np.array_equal(rows[k], numeric.probabilities)
         assert columns["mean_numeric"][k] == numeric.mean
@@ -382,7 +365,7 @@ def _assert_solo(model, grid, cutoffs, solved, points=None):
         fano = columns["fano_numeric"][k]
         assert fano == numeric.fano or (math.isnan(fano) and math.isnan(numeric.fano))
         assert columns["tail"][k] == numeric.probabilities[-1]
-        assert columns["residual"][k] == solo.residual
+        assert columns["residual"][k] == residual
 
 
 def test_batch_at_the_cutoff_bound_stays_small():
@@ -414,8 +397,8 @@ def _flow_balance_miss(model):
     # cavity's loss kappa n P_n against the coupling's gain -2 g sqrt(n) y_n,
     # with i y_n the coherence <e1, n|rho|e2, n - 1> of rung n; returns the
     # largest miss relative to the largest term
-    space, result = solve_model(model)
-    n = np.arange(1, space.fock_dim)
+    result = solve_model(model)
+    n = np.arange(1, result.distribution.n_max + 1)
     loss = model.kappa * n * result.distribution.probabilities[1:]
     gain = -2.0 * model.g * np.sqrt(n) * result.rungs[n, SLOT_OF[LEVEL_E1, LEVEL_E2]]
     return np.abs(loss - gain).max() / max(loss.max(), np.abs(gain).max())
@@ -512,9 +495,9 @@ def test_batch_keeps_warnings_and_failures_per_point():
         "the steady state is not unique: levels [0, 1, 2] at n = 0 fall into separate closed classes"
     )
     for n_h in grid[::2]:
-        space, solo = solve_model(with_hot_occupation(dark, n_h), n_max=2)
-        e2 = 2 * space.fock_dim  # |e2, 0>
-        assert dense_state(space, solo)[e2, e2] == pytest.approx(1.0, rel=0.0, abs=1e-12)
+        solo = solve_model(with_hot_occupation(dark, n_h), n_max=2)
+        e2 = 2 * 3  # |e2, 0> at fock 3
+        assert dense_state(solo)[e2, e2] == pytest.approx(1.0, rel=0.0, abs=1e-12)
     _assert_solo(dark, grid, cutoffs, solved)
 
 
@@ -799,7 +782,7 @@ def test_wigner_runs_once_per_radius_bit_for_bit():
             total = total + band[m + 1] * cur
         return (2.0 / math.pi) * total
 
-    _, result = solve_model(make_fig2_model(n_h=2.0))
+    result = solve_model(make_fig2_model(n_h=2.0))
     rng = np.random.default_rng(5)
     p = rng.uniform(0.0, 1.0, 9)
     grids = [
@@ -822,7 +805,7 @@ def test_wigner_table_and_index_give_the_grid():
     # values is table[index] bit for bit, and rows of equal |im| (-0.0 and
     # 0.0 included) have equal index rows, on an asymmetric grid and on the
     # default one
-    _, result = solve_model(make_fig2_model(n_h=2.0))
+    result = solve_model(make_fig2_model(n_h=2.0))
     grids = [
         (np.array([-1.5, -0.25, -0.0, 0.25, 0.7, 1.5, 2.0]), np.array([0.5, -0.5, -0.0, 0.0, 1.25, 2.5])),
         (None, None),
@@ -842,16 +825,15 @@ def test_wigner_table_and_index_give_the_grid():
 
 def test_wigner_of_steady_state():
     model = make_fig2_model(n_h=0.507)
-    space, result = solve_model(model, n_max=30)
-    rho = dense_state(space, result)
-    cavity = photon_distribution(rho, space)
+    rho = dense_state(solve_model(model, n_max=30))
+    cavity = photon_distribution(rho, 3)
     axis = np.linspace(-4.0, 4.0, 41)
     field = wigner(cavity, axis, axis)
     # W(a) = (2/pi) tr[rho D(a) P D+(a)] of the whole reduced state, with
     # D(a) = exp(a a+ - a* a) by expm on a Fock space padded well past the
     # cutoff (parity P = (-1)^n), at grid points off both axes
-    reduced = partial_trace_atom(rho, space)
-    fock, padded = space.fock_dim, space.fock_dim + 90
+    reduced = partial_trace_atom(rho, 3)
+    fock, padded = 31, 31 + 90
     lower = np.diag(np.sqrt(np.arange(1, padded, dtype=float)), 1)
     parity = (-1.0) ** np.arange(padded)
     for ix, iy in [(24, 27), (13, 30), (29, 12), (17, 18)]:
