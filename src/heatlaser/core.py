@@ -20,7 +20,9 @@ assembles in it the real blocks of one model at a grid of hot-bath
 occupations n_h, each point at its own cutoff, straight from the rates,
 with no operator matrix: its entries are the terms of the rung equations
 of the Lindblad form.  Ordered by rung, the block is block-tridiagonal,
-and it is returned as dense float64 numpy bands.
+and it is returned as its nonzero cells only: one float64 array of
+``len(RUNG_CELLS[atom_dim])`` cells per rung, whose (band, row, col) that
+fixed table names.
 """
 
 from __future__ import annotations
@@ -70,6 +72,46 @@ SLOT_PHASE = np.array(((1, 1, 1, 1), (1, 1, 1j, 1), (1, -1j, 1, 1), (1, 1, 1, 1)
 # rung up: the hot g -> e2 of a three-level atom and the ancilla e3 -> e2 of
 # a four-level one.  LOWER_COLUMN[atom_dim] is the slot of that source level.
 LOWER_COLUMN = {3: int(SLOT_OF[LEVEL_G, LEVEL_G]), 4: int(SLOT_OF[LEVEL_E3, LEVEL_E3])}
+
+
+def _cell_table(atom_dim):
+    # the m x m block of rung r onto itself, row-major; the diagonal of rung
+    # r + 1 onto rung r, the cavity jump's; that band's one other cell, the
+    # jump out of e2 into the source level of LOWER_COLUMN; and the lower
+    # band's one cell, the jump back into e2
+    width, column = atom_dim + 1, LOWER_COLUMN[atom_dim]
+    e2 = int(SLOT_OF[LEVEL_E2, LEVEL_E2])
+    same = [(1, row, col) for row in range(width) for col in range(width)]
+    upper = [(2, slot, slot) for slot in range(width)]
+    return np.array(same + upper + [(2, column, e2), (0, e2, column)])
+
+
+# The cells of a rung that the rung equations can fill, m^2 + m + 2 of them
+# for m = atom_dim + 1 slots: cell k holds the entry of band
+# RUNG_CELLS[atom_dim][k, 0] (0: rung r - 1 onto rung r, 1: onto itself, 2:
+# rung r + 1 onto rung r) in row RUNG_CELLS[atom_dim][k, 1] and column
+# RUNG_CELLS[atom_dim][k, 2]; every other entry of the three dense m x m
+# bands is 0.  The first m^2 cells are the same-rung block, so a
+# (..., m, m) reshape of them is a view; CELL_OF[atom_dim][band, row, col]
+# is the cell of an entry, -1 for one that is always 0.
+RUNG_CELLS = {atom_dim: _cell_table(atom_dim) for atom_dim in LOWER_COLUMN}
+
+
+def _cell_of(table):
+    width = table[:, 1].max() + 1
+    cell_of = np.full((3, width, width), -1)
+    cell_of[tuple(table.T)] = np.arange(len(table))
+    return cell_of
+
+
+CELL_OF = {atom_dim: _cell_of(table) for atom_dim, table in RUNG_CELLS.items()}
+# the two slots a cell joins, each as (rung offset, slot), both (2, K): its
+# target, row i of its own rung, and its source, column j of the rung r +
+# b - 1 that band b reads; offsets count from rung r - 1, so they are >= 0
+_CELL_ENDS = {
+    atom_dim: (np.stack([np.ones_like(table[:, 0]), table[:, 0]]), table[:, 1:].T)
+    for atom_dim, table in RUNG_CELLS.items()
+}
 
 
 def _bath_channels(model: EngineModel, nh) -> list[tuple[int, int, float | np.ndarray]]:
@@ -132,7 +174,7 @@ def build_liouvillian(model: EngineModel, n_max: int) -> sp.csr_matrix:
 def build_sector_liouvillian(
     model: EngineModel, n_h: np.ndarray, n_maxes: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The charge-zero blocks of ``model`` at the hot occupations ``n_h``, as real bands.
+    """The charge-zero blocks of ``model`` at the hot occupations ``n_h``, as real cells.
 
     The block holds the operators of the rung table (``RUNG_SLOTS``): the
     populations and the coherences between |e1, n + 1> and |e2, n>, with
@@ -167,17 +209,19 @@ def build_sector_liouvillian(
     of the Lindblad form: the decays, per bath channel and then the
     cavity's, the bath jumps, the cavity jump, then -i V rho and rho (i V).
     Point p keeps a cell when both its target slot and its source slot lie
-    inside p's block, every photon number at most its cutoff: its bands are
+    inside p's block, every photon number at most its cutoff: its cells are
     those it gets when assembled alone, bit for bit, and 0 past its rung
     n_maxes[p] + 1.
 
-    Returns ``(bands, inside)`` of the P points.  ``inside`` is a bool
+    Returns ``(cells, inside)`` of the P points.  ``inside`` is a bool
     array of shape (P, R, m), R = max(n_maxes) + 2 and m = 1 + the atom
     dimension (e3 is the last slot), true on the slots of each point's
-    block.  ``bands`` is float64 of shape (P, R, 3, m, m):
-    ``bands[p, r, 1]`` maps rung r onto itself, ``bands[p, r, 0]`` rung
-    r - 1 onto rung r and ``bands[p, r, 2]`` rung r + 1 onto rung r.  Rows
-    and columns of slots outside the point's block are 0.
+    block.  ``cells`` is float64 of shape (P, R, K), K = m^2 + m + 2:
+    ``cells[p, r, k]`` is the entry of band b, in row i and column j, of
+    the table row (b, i, j) = ``RUNG_CELLS[atom_dim][k]``, where band 1
+    maps rung r onto itself, band 0 rung r - 1 onto rung r and band 2 rung
+    r + 1 onto rung r; every entry the table leaves out is 0.  The cells of
+    a row or column of a slot outside the point's block are 0.
     """
     n_h = np.asarray(n_h, dtype=float)
     bad = n_h[~((n_h >= 0) & (n_h < np.inf))]
@@ -185,48 +229,52 @@ def build_sector_liouvillian(
         raise ValueError(f"hot bath occupation must be finite and >= 0, got {bad[0]}")
     channels = _bath_channels(model, n_h[:, np.newaxis])  # hot rates (P, 1), against (P, R)
     width, depth = model.atom_dim + 1, max(n_maxes) + 2
+    cell, (offsets, ends) = CELL_OF[model.atom_dim], _CELL_ENDS[model.atom_dim]
     # at rung r a slot's levels hold r - s photons for their RUNG_SHIFT s, 0
     # or 1: ell and r, each (R, m), gather from the (2, R) sqrt(max(r - s, 0))
     shifts, rungs = RUNG_SHIFT[RUNG_SLOTS[:width]], np.arange(depth)[:, np.newaxis]
     ell, r = np.sqrt(np.maximum(rungs.T - [[0], [1]], 0))[shifts.T].transpose(0, 2, 1)
-    slots, coherence = np.arange(width), SLOT_OF[LEVEL_E1, LEVEL_E2]
+    square, coherence = width * width, SLOT_OF[LEVEL_E1, LEVEL_E2]
     e1, e2 = SLOT_OF[LEVEL_E1, LEVEL_E1], SLOT_OF[LEVEL_E2, LEVEL_E2]
     # written in full at allocation: np.zeros maps zero pages that the first
     # += reads and then copies, a second page fault on every page
-    bands = np.full((len(n_h), depth, 3, width, width), 0.0)
-    same = bands[:, :, 1]  # rung r onto itself
+    cells = np.full((len(n_h), depth, offsets.shape[1]), 0.0)
+    # same[i, j] is the cell of row i and column j of band 1; the table
+    # holds band 1's diagonal and band 2's as slices of cells
+    same = cell[1]
     for _, low, rate in channels:
-        same[:, :, SLOT_OF[low, low], SLOT_OF[low, low]] += rate * -1.0
+        cells[:, :, same[SLOT_OF[low, low], SLOT_OF[low, low]]] += rate * -1.0
         if low in (LEVEL_E1, LEVEL_E2):
-            same[:, :, coherence, coherence] += rate * -0.5
-    same[:, :, slots, slots] += model.kappa * (-0.5 * (ell**2 + r**2))
+            cells[:, :, same[coherence, coherence]] += rate * -0.5
+    cells[:, :, : square : width + 1] += model.kappa * (-0.5 * (ell**2 + r**2))
     for to, low, rate in channels:
         band = RUNG_SHIFT[low] - RUNG_SHIFT[to] + 1
-        bands[:, :, band, SLOT_OF[to, to], SLOT_OF[low, low]] += rate * 1.0
-    bands[:, :-1, 2, slots, slots] += model.kappa * (ell * r)[1:]
+        cells[:, :, cell[band, SLOT_OF[to, to], SLOT_OF[low, low]]] += rate * 1.0
+    cells[:, :-1, square : square + width] += model.kappa * (ell * r)[1:]
     # -i V rho, then rho (i V), with c = g sqrt(n): the coherence i y and
     # its partner -i y each add a term to the rows of P_e1 and P_e2
     c = model.g * ell[:, coherence]
     for _ in range(2):
-        same[:, :, e1, coherence] += -c
-        same[:, :, e2, coherence] += c
-    same[:, :, coherence, e1] += c
-    same[:, :, coherence, e2] += -c
+        cells[:, :, same[e1, coherence]] += -c
+        cells[:, :, same[e2, coherence]] += c
+    cells[:, :, same[coherence, e1]] += c
+    cells[:, :, same[coherence, e2]] += -c
     # each point's own slots; it drops every cell whose target or source
-    # slot lies outside them (band b of rung r reads rung r + b - 1).  Such
-    # cells lie only in the rungs past n_max + 1, which are all outside, and
-    # in rungs 0 and 1 (the slots of e2), n_max (its band 2) and n_max + 1
-    # (the slots at n = n_max + 1): the rest of the block is inside
+    # slot lies outside them (a cell of band b of rung r reads rung
+    # r + b - 1).  Such cells lie only in the rungs past n_max + 1, which
+    # are all outside, and in rungs 0 and 1 (the slots of e2), n_max (its
+    # band 2) and n_max + 1 (the slots at n = n_max + 1): the rest of the
+    # block is inside
     n_max = np.array(n_maxes)[:, np.newaxis]  # (P, 1)
     # (P, R, m): both photon numbers r - s of a slot lie in [0, n_max]
     inside = (rungs >= shifts.max(axis=1)) & (rungs <= n_max[..., np.newaxis] + shifts.min(axis=1))
-    bands[np.arange(depth) > n_max + 1] = 0.0
+    cells[np.arange(depth) > n_max + 1] = 0.0
     point = np.arange(len(n_h))[:, np.newaxis]
     edge = n_max * [0, 0, 1, 1] + [0, 1, 0, 1]  # rungs 0, 1, n_max and n_max + 1 (P, 4)
     outside = np.pad(~inside, ((0, 0), (1, 1), (0, 0)), constant_values=True)
-    source_out = outside[point[..., np.newaxis], edge[..., np.newaxis] + np.arange(3)]
-    target_out = outside[point, edge + 1][:, :, np.newaxis, :, np.newaxis]
-    drop = target_out | source_out[:, :, :, np.newaxis]
-    bands[point, edge] = np.where(drop, 0.0, bands[point, edge])
-    return bands, inside
-
+    # per edge rung and cell, (P, 4, 2, K): whether its target and its
+    # source slot are outside; the padded ``outside`` starts at rung -1
+    reads = edge[..., np.newaxis, np.newaxis] + offsets
+    out = outside[point[..., np.newaxis, np.newaxis], reads, ends]
+    cells[point, edge] = np.where(out.any(axis=2), 0.0, cells[point, edge])
+    return cells, inside

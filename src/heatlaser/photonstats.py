@@ -38,14 +38,14 @@ __all__ = [
     "output_power",
 ]
 
-# the one memory budget of both routes, in rung-cells: (points) x (largest
+# the one memory budget of both routes, in rung-points: (points) x (largest
 # cutoff + 2) of one batch of exact solves (heatlaser.solver.exact_grid),
 # and (chains) x (largest support) of one stacked closed-form pass (see
 # closed_form_grid); a larger item runs alone.  It is also the one bound on
 # a point: a cutoff is solvable when 1 <= n_max <= BATCH_RUNGS - 2 = 16 030.
-# 16 four-level points at n_max 1000 peak at 12.6 MB traced, and one at
-# 16 030 at 13.0 MB (test_solver.py); every preset grid is one closed-form
-# stack
+# A four-level rung-point holds 32 cells of the exact block, so 16 such
+# points at n_max 1000 peak at 7.1 MB traced, and one at 16 030 at 7.4 MB
+# (test_solver.py); every preset grid is one closed-form stack
 BATCH_RUNGS = 16 * 1002
 
 # the largest condition number (X + Y) / mean of the closed-form mean

@@ -2,7 +2,8 @@
 
 :func:`solve_model` sweeps the rungs of the charge-zero block top down by
 block Thomas in numpy, in real arithmetic over one real unknown per
-population and per coherence pair, and returns one :class:`BlockState`,
+population and per coherence pair and over the block's nonzero cells only
+(``core.RUNG_CELLS``), and returns one :class:`BlockState`,
 its photon distribution and those unknowns by rung and slot, in O(n_max)
 memory and time; :func:`exact_grid` does so for one engine over a grid
 of hot-bath occupations n_h, one stacked sweep per batch, each point in
@@ -44,6 +45,7 @@ from .core import (
     LEVEL_E1,
     LEVEL_E2,
     LOWER_COLUMN,
+    RUNG_CELLS,
     RUNG_SHIFT,
     RUNG_SLOTS,
     SLOT_OF,
@@ -255,58 +257,78 @@ def wigner(
     return WignerField(re_axis, im_axis, table[index], table, index)
 
 
-def _rung_sweep(bands, rhs, rungs):
+def _rung_sweep(cells, rhs, rungs):
     """Solve a batch of block-tridiagonal systems by block Thomas, top down.
 
-    ``bands`` has shape (P, R, 3, m, m) and ``rhs`` shape (P, R, m), one
-    system A_r x_{r-1} + B_r x_r + C_r x_{r+1} = f_r per point p over its
-    first ``rungs[p]`` rungs (A, B, C the lower, diagonal and upper blocks),
-    solved in the dtype of ``bands``, which the sweep only reads.  It runs
+    ``cells`` has shape (P, R, K), the cells of ``core.RUNG_CELLS`` per
+    rung, and ``rhs`` shape (P, R, m), one system
+    A_r x_{r-1} + B_r x_r + C_r x_{r+1} = f_r per point p over its first
+    ``rungs[p]`` rungs (A, B, C the lower, diagonal and upper blocks),
+    solved in the dtype of ``cells``, which the sweep only reads.  It runs
     from each point's top rung down, keeping x_r = z_r + H_r x_{r-1} with
     H_r = -T_r^{-1} A_r and z_r = T_r^{-1} (f_r - C_r z_{r+1}), where
     T_r = B_r + C_r H_{r+1}; then x_0 = z_0, and a forward pass gives the
     rest.  This is the matrix continued fraction run from the top (Risken,
     *The Fokker-Planck Equation*, ch. 9): nothing past a point's last rung
     feeds back into it, so its recursion starts there.  A_r has one nonzero
-    column j (``core.LOWER_COLUMN``), so H_r = h_r e_j^T is one column,
-    h_r = -T_r^{-1} A_r e_j, and T_r is B_r with only its column j changed,
-    by C_r h_{r+1}.  ``rhs`` is 0 above rung ``max(RUNG_SHIFT)``, the
-    highest rung of a pinned unit, so z_r = 0 there: each rung above it
-    solves for h_r alone, one right-hand-side column, and each rung up to
-    it for [h_r | z_r], two.  Above it x_r = h_r x_{r-1}[j], so the entries
-    j are a running product of the h_r[j], one ``np.cumprod`` along the
-    rungs, which multiplies in a loop's order and gives a loop's bits.
+    cell, in row e2 of column j (``core.LOWER_COLUMN``), so H_r = h_r e_j^T
+    is one column, h_r = -T_r^{-1} A_r e_j, and T_r is B_r with only its
+    column j changed, by C_r h_{r+1}.  C_r is a diagonal and one cell, in
+    row j of column e2, so C_r v is an elementwise product and that cell
+    times v[e2], added to entry j, and the vector is added to T_r's column
+    at once.  ``rhs`` is 0 above rung ``max(RUNG_SHIFT)``, the highest rung
+    of a pinned unit, so z_r = 0 there: each rung above it solves for h_r
+    alone, one right-hand-side column, and each rung up to it for
+    [h_r | z_r], two.  Above it x_r = h_r x_{r-1}[j], so the entries j are
+    a running product of the h_r[j], one ``np.cumprod`` along the rungs,
+    which multiplies in a loop's order and gives a loop's bits.
 
     ``rungs`` is ascending, so the points that reach rung r are a suffix of
-    the batch, a view, and each rung takes one stacked solve and one stacked
-    matmul over that suffix: the batch costs sum(rungs) matrices, as its
-    points solved alone do.  numpy runs LAPACK and BLAS once per matrix, so
-    a point gets the numbers a batch of one gives it.  Past a point's last
-    rung its rows are 0.  There is no pivoting across rungs; a singular T_r
-    of any point raises ``np.linalg.LinAlgError`` for the whole batch.
+    the batch, a view, and each rung takes one stacked solve over that
+    suffix: the batch costs sum(rungs) matrices, as its points solved alone
+    do.  numpy runs LAPACK once per matrix, so a point gets the numbers a
+    batch of one gives it.  Past a point's last rung its rows are 0.  There
+    is no pivoting across rungs; a singular T_r of any point raises
+    ``np.linalg.LinAlgError`` for the whole batch.
     """
-    lower, diag, upper = np.moveaxis(bands, 2, 0)
     points, depth, width = rhs.shape
+    square = width * width
+    same = cells[..., :square].reshape(points, depth, width, width)  # B_r, a view
+    # C_r, rung r + 1 onto rung r: its diagonal, as (P, R, m, 1), and its
+    # one other cell, in row j of column e2, as (P, R, 1)
+    diagonal, off = cells[..., square : square + width, np.newaxis], cells[..., -2:-1]
     column, top = LOWER_COLUMN[width - 1], int(RUNG_SHIFT.max())
-    fed = slice(column, column + 1)
-    feed = -lower[..., fed]  # -A_r e_j, as (P, R, m, 1)
+    e2, fed = SLOT_OF[LEVEL_E2, LEVEL_E2], slice(column, column + 1)
+    # -A_r e_j, as (P, R, m, 1), negated as a whole, so that its zero rows
+    # are -0.0, the bits of -A_r e_j; their sign reaches the solve
+    feed = np.zeros((points, depth, width, 1), dtype=cells.dtype)
+    feed[:, :, e2, 0] = cells[..., -1]
+    np.negative(feed, out=feed)
     # h[:, r] = h_r, 0 above each point's top rung, and z[:, r] = z_r
-    h = np.zeros((points, depth + 1, width, 1), dtype=bands.dtype)
-    z = np.zeros((points, top + 2, width, 1), dtype=bands.dtype)
+    h = np.zeros((points, depth + 1, width, 1), dtype=cells.dtype)
+    z = np.zeros((points, top + 2, width, 1), dtype=cells.dtype)
+
+    def upper(start, r, v):  # C_r v, for v of shape (P', m, 1)
+        out = diagonal[start:, r] * v
+        entry = out[:, column]  # a view, added to in place
+        entry += off[start:, r] * v[:, e2]
+        return out
+
     # starts[r]: the first point that reaches rung r
     starts = np.searchsorted(rungs, np.arange(depth), side="right").tolist()
     for r in range(depth - 1, -1, -1):
         start = starts[r]
-        block = diag[start:, r].copy()
-        block[..., fed] += upper[start:, r] @ h[start:, r + 1]  # T_r
+        block = same[start:, r].copy()
+        changed = block[..., fed]  # column j of T_r, a view
+        changed += upper(start, r, h[start:, r + 1])
         if r > top:
             h[start:, r] = np.linalg.solve(block, feed[start:, r])
         else:
-            right = rhs[start:, r, :, np.newaxis] - upper[start:, r] @ z[start:, r + 1]
+            right = rhs[start:, r, :, np.newaxis] - upper(start, r, z[start:, r + 1])
             solved = np.linalg.solve(block, np.concatenate([feed[start:, r], right], axis=-1))
             h[start:, r], z[start:, r] = solved[..., :1], solved[..., 1:]
     h, z = h[:, :depth, :, 0], z[..., 0]
-    x = np.empty(rhs.shape, dtype=bands.dtype)
+    x = np.empty(rhs.shape, dtype=cells.dtype)
     x[:, 0] = z[:, 0]
     for r in range(1, top + 1):
         x[:, r] = z[:, r] + h[:, r] * x[:, r - 1, column, np.newaxis]
@@ -316,11 +338,19 @@ def _rung_sweep(bands, rhs, rungs):
     return x
 
 
-def _apply_bands(bands, x):
-    """L x for a batch of vectors laid out by rung, shape (P, R, m)."""
-    out = np.einsum("prij,prj->pri", bands[:, :, 1], x)
-    out[:, 1:] += np.einsum("prij,prj->pri", bands[:, 1:, 0], x[:, :-1])
-    out[:, :-1] += np.einsum("prij,prj->pri", bands[:, :-1, 2], x[:, 1:])
+def _apply_cells(cells, x):
+    """L x for a batch of vectors laid out by rung, shape (P, R, m), from the cells."""
+    points, depth, width = x.shape
+    square, column, e2 = width * width, LOWER_COLUMN[width - 1], SLOT_OF[LEVEL_E2, LEVEL_E2]
+    same = cells[..., :square].reshape(points, depth, width, width)
+    out = np.einsum("prij,prj->pri", same, x)
+    # rung r - 1 onto rung r: the one cell, row e2 of column j
+    out[:, 1:, e2] += cells[:, 1:, -1] * x[:, :-1, column]
+    # rung r + 1 onto rung r: the diagonal, and the one cell in row j of
+    # column e2, added to it before the sum
+    upper = cells[:, :-1, square : square + width] * x[:, 1:]
+    upper[..., column] += cells[:, :-1, -2] * x[:, 1:, e2]
+    out[:, :-1] += upper
     return out
 
 
@@ -363,10 +393,26 @@ def _pinned_levels(model, n_h):
 # partner -i u
 BlockState = namedtuple("BlockState", "distribution rungs residual")
 
-# |L_ij| of the complex block from the real bands: a population's entry in
-# the coherence column sums the equal entries of both partners, so it is
-# halved (see build_sector_liouvillian)
-_HALVED = 1.0 - 0.5 * np.outer(np.equal(*RUNG_SLOTS.T), np.not_equal(*RUNG_SLOTS.T))
+# |L_ij| of the complex block from the real cells: a population's entry in
+# the coherence column sums the equal entries of both partners, so its cell
+# is halved (see build_sector_liouvillian)
+_POPULATION = np.equal(*RUNG_SLOTS.T)  # per slot
+_HALVED = {
+    atom_dim: 1.0 - 0.5 * (_POPULATION[table[:, 1]] & ~_POPULATION[table[:, 2]])
+    for atom_dim, table in RUNG_CELLS.items()
+}
+
+
+def _pin_rows(table):
+    # per slot s, (m, K): the cells to keep when s is pinned, those whose
+    # row is not s, and the cells of its pinned row, a unit diagonal in
+    # the same-rung block and 0 elsewhere
+    band, row, col = table.T
+    slots = np.arange(row.max() + 1)[:, np.newaxis]
+    return row != slots, ((band == 1) & (row == slots) & (col == slots)) * 1.0
+
+
+_PINNED = {atom_dim: _pin_rows(table) for atom_dim, table in RUNG_CELLS.items()}
 
 
 def _sweep_points(system, rhs, rungs):
@@ -450,32 +496,32 @@ def _solve_batch(model, n_h, n_maxes):
     if not live:
         return errors, np.zeros((len(errors), 2)), residuals, None
     cutoffs = [n_maxes[k] for k in live]
-    bands, inside = build_sector_liouvillian(model, n_h[live], cutoffs)
+    cells, inside = build_sector_liouvillian(model, n_h[live], cutoffs)
     # the pinned population's equation becomes x = 1, and that of every slot
     # outside the point's block x = 0: its row and column are already 0, so
     # it needs only a unit diagonal.  Both are set in place, and undone for
     # the residual and its scale once the sweep has returned, the failed
-    # points' included; only the pinned rows are saved
+    # points' included; only the cells of the pinned rungs are saved
     pinned = np.array([pins[k] for k in live])
     point, rung, slot = np.arange(len(live)), RUNG_SHIFT[pinned], SLOT_OF[pinned, pinned]
+    width = inside.shape[-1]
     rhs = np.zeros(inside.shape)
     rhs[point, rung, slot] = 1.0
-    saved = bands[point, rung, :, slot]
-    bands[point, rung, :, slot] = 0.0
-    bands[point, rung, 1, slot, slot] = 1.0
-    diagonal = np.einsum("prss->prs", bands[:, :, 1])  # a view
+    kept, unit = _PINNED[width - 1]
+    saved = cells[point, rung]
+    cells[point, rung] = np.where(kept[slot], saved, unit[slot])
+    diagonal = cells[..., : width * width : width + 1]  # B_r's diagonal, a view
     np.copyto(diagonal, 1.0, where=~inside)
-    x, swept = _sweep_points(bands, rhs, [n_max + 2 for n_max in cutoffs])
+    x, swept = _sweep_points(cells, rhs, [n_max + 2 for n_max in cutoffs])
     np.copyto(diagonal, 0.0, where=~inside)
-    bands[point, rung, :, slot] = saved
+    cells[point, rung] = saved
 
-    width = x.shape[-1]
     populations = inside & np.equal(*RUNG_SLOTS[:width].T)
     x /= _total(np.where(populations, x, 0.0).reshape(len(x), -1))[:, np.newaxis, np.newaxis]
-    defects = np.abs(_apply_bands(bands, x)).max(axis=(1, 2))
-    # max|bands| per point, without an |bands| temporary
-    scales = np.maximum(bands.max(axis=1), -bands.min(axis=1)) * _HALVED[:width, :width]
-    scales = scales.max(axis=(1, 2, 3))
+    defects = np.abs(_apply_cells(cells, x)).max(axis=(1, 2))
+    # max|L_ij| per point, without an |cells| temporary
+    scales = np.maximum(cells.max(axis=1), -cells.min(axis=1)) * _HALVED[width - 1]
+    scales = scales.max(axis=1)
     residuals[live] = defects
     # the reduced cavity state is diagonal: P_n sums the populations of the
     # levels at n, |l, n> in rung n + RUNG_SHIFT[l], added level by level
@@ -528,16 +574,16 @@ def exact_grid(
     layout (see :func:`build_sector_liouvillian`), and swept in one stacked
     rung sweep (``_rung_sweep``), each point over its own rungs only, so
     numpy's cost per call is paid once per rung for the whole batch, and
-    the sweep takes sum(cutoff + 2) rung solves.  A batch's bands are
+    the sweep takes sum(cutoff + 2) rung solves.  A batch's cells are
     stacked to its largest cutoff, so its memory grows with its
-    rung-points.  A four-level rung holds 0.6 kB per point in its
-    3 x 5 x 5 real bands, pinned in place, and a batch peaks at about 1.3
-    times that, in the rung sweep, which keeps one vector per rung and
-    point; the builder returns only the bands and a bool mask of each
-    point's slots, and the batches are solved one after another.  So 16
-    points at n_max 1000 peak at 12.6 MB, in the rung sweep, and one at
-    16 030 at 13.0 MB (8.9 MB on three levels), in the builder, over its
-    9.6 MB of bands (traced; 0.024-0.026 and 0.14-0.17 s untraced on a
+    rung-points.  A four-level rung holds 0.26 kB per point in its 32 real
+    cells (``core.RUNG_CELLS``), pinned in place, and a batch peaks at
+    about 1.7 times that, in the residual and the rung sweep, which keep a
+    few vectors per rung and point; the builder returns only the cells and
+    a bool mask of each point's slots, and the batches are solved one after
+    another.  So 16 points at n_max 1000 peak at 7.1 MB, in the residual,
+    and one at 16 030 at 7.4 MB (5.5 MB on three levels), in the builder,
+    over its 4.1 MB of cells (traced; TIMING_BATCH and TIMING_LONE s untraced on a
     2-vCPU Xeon); one dense state at n_max 1000 would take 256 MB.
 
     Returns ``(columns, rows, failures)``, each over the points:
@@ -608,7 +654,7 @@ def solve_model(model: EngineModel, n_max: int | None = None) -> BlockState:
     rounded away entirely (n_h >= 1.4e14 at the preset rates), or when the
     residual |L[rho]|_inf exceeds ``STEADY_TOL`` (1e-9) times the largest
     |L_ij| of the block, a bound relative to the rates.  That is the entry
-    of the complex block, over every operator, not the real band of a
+    of the complex block, over every operator, not the real cell of a
     population in a coherence column, which sums both partners.  There is
     no pivoting across rungs, and the residual is the check.  It checks the
     solve only: the largest |L_ij| is about gamma_h (n_h + 1), so an error

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from heatlaser import BathSpec, build_four_level, build_three_level
-from heatlaser.core import RUNG_SHIFT, RUNG_SLOTS, SLOT_PHASE
+from heatlaser.core import RUNG_CELLS, RUNG_SHIFT, RUNG_SLOTS, SLOT_PHASE
 
 # the sweep-bright workload of the benchmark: 9 to 31 photons in the cavity
 BRIGHT = Path(__file__).parents[1] / "perfbench" / "configs" / "bright.json"
@@ -54,17 +54,34 @@ def slot_operators(shape, n_max):
     return pairs[..., 0], pairs[..., 1]
 
 
-def sector_block_csc(bands, inside):
-    """The real rung bands of ``build_sector_liouvillian`` scattered back to CSC.
+def dense_bands(cells):
+    """The cells of ``build_sector_liouvillian`` scattered back to dense bands.
+
+    ``cells`` has shape (P, R, K); returns an array of its dtype and of
+    shape (P, R, 3, m, m) whose entry [p, r, b, i, j] is the cell that
+    ``core.RUNG_CELLS`` names (b, i, j), 0 where the table names none.  Band
+    1 maps rung r onto itself, band 0 rung r - 1 onto rung r and band 2
+    rung r + 1 onto rung r.
+    """
+    atom_dim = next(dim for dim, table in RUNG_CELLS.items() if len(table) == cells.shape[-1])
+    band, row, col = RUNG_CELLS[atom_dim].T
+    bands = np.zeros(cells.shape[:2] + (3, atom_dim + 1, atom_dim + 1), dtype=cells.dtype)
+    bands[:, :, band, row, col] = cells
+    return bands
+
+
+def sector_block_csc(cells, inside):
+    """The real rung cells of ``build_sector_liouvillian`` scattered back to CSC.
 
     Returns ``(block, rows, cols)`` over the filled slots in rung-major
     order: column k of ``block`` is the real unknown of the operator
     |rows[k]><cols[k]| (see :func:`slot_operators` and :func:`slot_map`).
-    Fails if ``inside`` is not the table's block or a band entry sits in an
-    empty slot or outside the rung range.  ``bands`` and ``inside`` hold a
-    batch of one, assembled at its own cutoff.
+    Fails if ``inside`` is not the table's block or a band entry of
+    :func:`dense_bands` sits in an empty slot or outside the rung range.
+    ``cells`` and ``inside`` hold a batch of one, assembled at its own
+    cutoff.
     """
-    (bands,), (inside,) = bands, inside
+    (bands,), (inside,) = dense_bands(cells), inside
     rows, cols = slot_operators(inside.shape, len(inside) - 2)
     assert np.array_equal(rows >= 0, inside)
     index = np.full(inside.shape, -1)

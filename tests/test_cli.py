@@ -635,8 +635,9 @@ def test_sweep_keeps_only_the_rows_it_solves(tmp_path):
     # kappa = 1e-4: supports of 585 to 104 833 rungs, and the first seven
     # points' cutoffs, 585 to 15 695, are within the bound of 16 030.
     # Stacked and solved in batches within BATCH_RUNGS, keeping the
-    # closed-form rows of those points alone, 30 points peak near 10.4 MB
-    # traced; holding every point's distribution took 19.6 MB
+    # closed-form rows of those points alone, 30 points peak near 10.0 MB
+    # traced (10.3 MB with the block as dense bands); holding every
+    # point's distribution took 19.6 MB
     config = load_config(_fig2_sweep(tmp_path, {"kappa": 1e-4}, points=30))
     tracemalloc.start()
     try:

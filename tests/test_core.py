@@ -6,7 +6,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heatlaser import BathSpec, build_three_level, with_hot_occupation
-from heatlaser.core import build_liouvillian, build_sector_liouvillian
+from heatlaser.core import (
+    CELL_OF,
+    LEVEL_E2,
+    LOWER_COLUMN,
+    RUNG_CELLS,
+    SLOT_OF,
+    build_liouvillian,
+    build_sector_liouvillian,
+)
 from heatlaser.solver import (
     SteadyStateError,
     partial_trace_atom,
@@ -16,6 +24,7 @@ from heatlaser.solver import (
 )
 
 from conftest import (
+    dense_bands,
     dense_state,
     make_fig2_model,
     make_fig5_model,
@@ -129,9 +138,9 @@ def test_sector_block_matches_full_liouvillian(seed, four, n_max, empty_baths, u
     }
     model = model._replace(g=0.0 if uncoupled else model.g, **emptied)
     dim = model.atom_dim * (n_max + 1)
-    bands, inside = build_sector_liouvillian(model, [model.n_h], [n_max])
-    assert bands.dtype == np.float64
-    block, rows, cols = sector_block_csc(bands, inside)
+    cells, inside = build_sector_liouvillian(model, [model.n_h], [n_max])
+    assert cells.dtype == np.float64
+    block, rows, cols = sector_block_csc(cells, inside)
     full = build_liouvillian(model, n_max).tocsc()
     t, w, op_rows, op_cols = slot_map(rows, cols, n_max + 1)
     inside = op_rows * dim + op_cols
@@ -216,8 +225,9 @@ def test_sector_block_nests_in_a_larger_cutoff(seed, four, cutoffs, empty_baths,
         if empty
     }
     model = model._replace(g=0.0 if uncoupled else model.g, **emptied)
-    bands, (inside,) = build_sector_liouvillian(model, [model.n_h], [small])
-    wide, (wide_inside,) = build_sector_liouvillian(model, [model.n_h], [large])
+    cells, (inside,) = build_sector_liouvillian(model, [model.n_h], [small])
+    wide_cells, (wide_inside,) = build_sector_liouvillian(model, [model.n_h], [large])
+    bands, wide = dense_bands(cells), dense_bands(wide_cells)
     rungs = small + 2
     # the same slots, less those with a photon number past N
     rows, _ = slot_operators(inside.shape, small)
@@ -239,24 +249,42 @@ def test_sector_block_nests_in_a_larger_cutoff(seed, four, cutoffs, empty_baths,
 )
 def test_batch_assembles_each_point_as_alone(seed, four, cutoffs):
     # one engine at several hot occupations and distinct cutoffs in one
-    # call: each point's bands on its own rungs and slots, and its slots,
+    # call: each point's cells on its own rungs and slots, and its slots,
     # are those of its own model assembled alone, bit for bit; past them
-    # the bands are 0 and no slot is inside
+    # the cells are 0 and no slot is inside
     rng = np.random.default_rng(seed)
     model = random_four_level(rng) if four else random_three_level(rng)
     n_h = rng.uniform(0.0, 5.0, len(cutoffs))
-    bands, inside = build_sector_liouvillian(model, n_h, cutoffs)
+    cells, inside = build_sector_liouvillian(model, n_h, cutoffs)
     width = model.atom_dim + 1
-    assert bands.shape == (len(cutoffs), max(cutoffs) + 2, 3, width, width)
-    assert inside.shape == bands.shape[:2] + (width,)
+    assert cells.shape == (len(cutoffs), max(cutoffs) + 2, width**2 + width + 2)
+    assert inside.shape == cells.shape[:2] + (width,)
     for p, (occupation, n_max) in enumerate(zip(n_h.tolist(), cutoffs)):
         point = with_hot_occupation(model, occupation)
         alone, (alone_inside,) = build_sector_liouvillian(point, [point.n_h], [n_max])
         rungs = n_max + 2
-        padded = np.zeros_like(bands[p])
+        padded = np.zeros_like(cells[p])
         padded[:rungs] = alone[0]
-        assert np.array_equal(bands[p].view(np.uint64), padded.view(np.uint64))
+        assert np.array_equal(cells[p].view(np.uint64), padded.view(np.uint64))
         assert np.array_equal(inside[p, :rungs], alone_inside) and not inside[p, rungs:].any()
+
+
+@pytest.mark.parametrize("atom_dim", [3, 4])
+def test_cell_table_names_each_band_entry_once(atom_dim):
+    # the m x m same-rung block row-major, the upper band's diagonal, its
+    # one cell in row LOWER_COLUMN of column e2, and the lower band's one
+    # cell in row e2 of column LOWER_COLUMN: no (band, row, col) twice
+    table, width = RUNG_CELLS[atom_dim], atom_dim + 1
+    column, e2 = LOWER_COLUMN[atom_dim], SLOT_OF[LEVEL_E2, LEVEL_E2]
+    assert len(table) == width**2 + width + 2
+    assert len({tuple(entry) for entry in table.tolist()}) == len(table)
+    rows, cols = np.divmod(np.arange(width**2), width)
+    assert np.array_equal(table[: width**2], np.stack([np.ones_like(rows), rows, cols], axis=1))
+    slots = np.arange(width)
+    assert np.array_equal(table[width**2 : -2], np.stack([2 + 0 * slots, slots, slots], axis=1))
+    assert table[-2].tolist() == [2, column, e2] and table[-1].tolist() == [0, e2, column]
+    assert np.array_equal(CELL_OF[atom_dim][tuple(table.T)], np.arange(len(table)))
+    assert np.count_nonzero(CELL_OF[atom_dim] >= 0) == len(table)
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 5])

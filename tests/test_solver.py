@@ -33,6 +33,8 @@ from heatlaser import (
 from heatlaser.core import (
     LEVEL_E1,
     LEVEL_E2,
+    LOWER_COLUMN,
+    RUNG_CELLS,
     SLOT_OF,
     build_sector_liouvillian,
 )
@@ -306,7 +308,7 @@ def test_large_point_solves_in_block_form():
         tracemalloc.stop()
     assert result.distribution.n_max == 341
     # one dense (4 x 342)^2 complex state alone takes 29.9 MB; the block
-    # solve peaks near 3.2 MB
+    # solve peaks near 0.2 MB traced (0.3 MB with the block as dense bands)
     assert peak < 4e6
     wide = solve_model(model, n_max=result.distribution.n_max + 30)
     assert result.distribution.mean == pytest.approx(wide.distribution.mean, rel=1e-8)
@@ -325,13 +327,13 @@ def test_stall_reports_the_scale_of_the_complex_block(monkeypatch):
     # far above every diagonal entry; the real block's coherence column sums
     # both partners and carries 2 g sqrt(n), and the gate keeps the former
     model, n_max, tol = make_fig2_model(g=30.0, gamma=1.0), 6, 1e-30
-    bands, inside = build_sector_liouvillian(model, [model.n_h], [n_max])
-    _, rows, cols = sector_block_csc(bands, inside)
+    cells, inside = build_sector_liouvillian(model, [model.n_h], [n_max])
+    _, rows, cols = sector_block_csc(cells, inside)
     _, _, op_rows, op_cols = slot_map(rows, cols, n_max + 1)
     inside = op_rows * 3 * (n_max + 1) + op_cols
     block = build_liouvillian(model, n_max).tocsc()[inside][:, inside]
     scale = np.abs(block).max()
-    assert np.abs(bands).max() == pytest.approx(2.0 * scale, rel=1e-15)
+    assert np.abs(cells).max() == pytest.approx(2.0 * scale, rel=1e-15)
     assert 2.0 * np.abs(block.diagonal()).max() < scale
     monkeypatch.setattr(heatlaser.solver, "STEADY_TOL", tol)
     with pytest.raises(SteadyStateError, match="stalled") as err:
@@ -369,18 +371,23 @@ def _assert_solo(model, grid, cutoffs, solved, points=None):
 
 
 def test_batch_at_the_cutoff_bound_stays_small():
-    # 16 four-level points at n_max 1000 fill a batch: the bands are pinned
-    # in place, so the batch holds its real bands once (9.6 MB), and the
-    # traced peak is 12.6 MB, in the rung sweep; holding them twice in
-    # complex form took 74.2 MB, and the dense Fock indices of every slot
-    # another 1.3 MB.  At cutoffs from 500 to 1000 it is 12.6 MB too: only
-    # the pinned population rows are saved, and a slot past a point's cutoff
-    # gets just a unit diagonal.  One point at the cutoff bound fills a
-    # batch alone, and peaks at 13.0 MB, in the builder
+    # 16 four-level points at n_max 1000 fill a batch: the block is pinned
+    # in place, so the batch holds its real cells once (32 per rung-point,
+    # 4.1 MB), and the traced peak is 7.1 MB; as three dense 5 x 5 bands
+    # (9.6 MB) it was 12.6 MB, and holding them twice in complex form took
+    # 74.2 MB.  At cutoffs from 500 to 1000 it is 7.1 MB too, under the
+    # batch's 25 MB gate: only the cells of the pinned rungs are saved, and
+    # a slot past a point's cutoff gets just a unit diagonal.  One point at
+    # the cutoff bound fills a batch alone, and peaks at 7.4 MB (13.0 MB as
+    # dense bands)
     model, sixteen = make_fig5_model(), np.linspace(0.5, 5.0, 16)
     mixed = np.linspace(500, 1000, 16).astype(int).tolist()
-    cases = [(sixteen, [1000] * 16), (sixteen, mixed), (sixteen[:1], [BATCH_RUNGS - 2])]
-    for grid, cutoffs in cases:
+    cases = [
+        (sixteen, [1000] * 16, 9e6),
+        (sixteen, mixed, 25e6),
+        (sixteen[:1], [BATCH_RUNGS - 2], 9e6),
+    ]
+    for grid, cutoffs, bound in cases:
         tracemalloc.start()
         try:
             solved = exact_grid(model, grid, cutoffs)
@@ -388,7 +395,7 @@ def test_batch_at_the_cutoff_bound_stays_small():
         finally:
             tracemalloc.stop()
         assert solved[2] == [None] * len(grid)
-        assert peak < 25e6
+        assert peak < bound
         _assert_solo(model, grid, cutoffs, solved)
 
 
@@ -674,13 +681,14 @@ def test_rung_sweep_solves_one_column_above_rung_one(model, monkeypatch):
 @settings(deadline=None, max_examples=30)
 @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["three", "four", "dark"]))
 def test_rung_sweep_reads_one_lower_column_and_leaves_the_bands(seed, kind):
-    # the sweep takes H_r = -T_r^-1 A_r as one column because every nonzero
-    # of the builder's band 0, rung r - 1 onto rung r, lies in the column
-    # core.LOWER_COLUMN names, at n_h = 0, at unsorted cutoffs from 1 up and
-    # for the dark e2 pin of fig5 with n_a = 0 and g = 0.  ROADMAP item 1's
-    # sum rows put entries of band 0 in more columns and will widen the
-    # table.  The sweep only reads the pinned bands: they are bit-identical
-    # after it, whether it returns or np.linalg.solve raises
+    # the sweep takes H_r = -T_r^-1 A_r as one column because the builder's
+    # band 0, rung r - 1 onto rung r, is one cell of core.RUNG_CELLS, in
+    # the column core.LOWER_COLUMN names, at n_h = 0, at unsorted cutoffs
+    # from 1 up and for the dark e2 pin of fig5 with n_a = 0 and g = 0.
+    # ROADMAP item 1's sum rows put entries of band 0 in more columns and
+    # will add cells to the table.  The sweep only reads the pinned cells:
+    # they are bit-identical after it, whether it returns or
+    # np.linalg.solve raises, for the batch and for each point retried alone
     rng = np.random.default_rng(seed)
     if kind == "dark":
         model = make_fig5_model(n_a=0.0, g=0.0)
@@ -688,19 +696,17 @@ def test_rung_sweep_reads_one_lower_column_and_leaves_the_bands(seed, kind):
         model = random_four_level(rng) if kind == "four" else random_three_level(rng)
     grid = [0.0, *rng.uniform(0.01, 5.0, 3).tolist()]
     cutoffs = rng.permutation([1, *rng.integers(1, 60, 3).tolist()]).tolist()
-    column = heatlaser.core.LOWER_COLUMN[model.atom_dim]
-    lower = build_sector_liouvillian(model, grid, cutoffs)[0][:, :, 0]
-    assert not np.delete(lower, column, axis=-1).any()
-    assert lower[..., column].any()
+    lower = RUNG_CELLS[model.atom_dim][-1]
+    assert lower.tolist() == [0, SLOT_OF[LEVEL_E2, LEVEL_E2], LOWER_COLUMN[model.atom_dim]]
+    assert build_sector_liouvillian(model, grid, cutoffs)[0][..., -1].any()
     sweep, swept = heatlaser.solver._rung_sweep, []
 
-    def watched(bands, rhs, rungs):
-        before = bands.copy()
+    def watched(cells, rhs, rungs):
+        before = cells.copy()
         try:
-            return sweep(bands, rhs, rungs)
+            return sweep(cells, rhs, rungs)
         finally:
-            assert not np.delete(bands[:, :, 0], column, axis=-1).any()
-            swept.append(before.tobytes() == bands.tobytes())
+            swept.append(before.tobytes() == cells.tobytes())
 
     def singular(a, b):
         raise np.linalg.LinAlgError("Singular matrix")
@@ -716,6 +722,33 @@ def test_rung_sweep_reads_one_lower_column_and_leaves_the_bands(seed, kind):
     assert failures.count(singular) >= len(grid) - 1
     # the batch, then each of its points alone
     assert swept == [True] * (len(grid) + 2 - (kind == "dark"))
+
+
+@pytest.mark.parametrize("n_max", [None, 1, 5, 40])
+def test_dark_e2_pin_solves_to_the_empty_cavity(n_max, monkeypatch):
+    # fig5 with g = 0 and n_a = 0 traps the atom in the dark |e2, 0>, so the
+    # pin is e2's population at rung 1, whose row holds the lower band's one
+    # cell: the sweep sees that row zeroed, all but its unit diagonal, and
+    # the state is the empty cavity within the residual gate
+    model = make_fig5_model(g=0.0, n_a=0.0)
+    table, e2 = RUNG_CELLS[4], SLOT_OF[LEVEL_E2, LEVEL_E2]
+    pinned_rows = []
+    sweep = heatlaser.solver._rung_sweep
+
+    def watched(cells, rhs, rungs):
+        pinned_rows.append(cells[0, 1, table[:, 1] == e2].tolist())
+        return sweep(cells, rhs, rungs)
+
+    monkeypatch.setattr(heatlaser.solver, "_rung_sweep", watched)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = solve_model(model, n_max=n_max)
+    row = table[table[:, 1] == e2]
+    unit = ((row[:, 0] == 1) & (row[:, 2] == e2)).astype(float).tolist()
+    assert table[-1, 1] == e2 and pinned_rows == [unit]
+    assert result.distribution.probabilities[0] == pytest.approx(1.0, abs=1e-15)
+    scale = np.abs(build_liouvillian(model, result.distribution.n_max).data).max()
+    assert result.residual <= heatlaser.solver.STEADY_TOL * scale
 
 
 @settings(deadline=None, max_examples=20)
