@@ -516,7 +516,7 @@ def _solve_batch(model, n_h, n_maxes):
     np.copyto(diagonal, 0.0, where=~inside)
     cells[point, rung] = saved
 
-    populations = inside & np.equal(*RUNG_SLOTS[:width].T)
+    populations = inside & _POPULATION[:width]
     x /= _total(np.where(populations, x, 0.0).reshape(len(x), -1))[:, np.newaxis, np.newaxis]
     defects = np.abs(_apply_cells(cells, x)).max(axis=(1, 2))
     # max|L_ij| per point, without an |cells| temporary
