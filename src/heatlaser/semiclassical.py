@@ -27,6 +27,8 @@ __all__ = [
     "temperature_lasing_condition",
 ]
 
+THRESHOLD_BRACKET = (1e-3, 50.0)  # the n_h range searched when none is given
+
 
 StructureConstants = namedtuple("StructureConstants", "Gamma Phi Psi")
 StructureConstants.__doc__ = """Rate combinations that parameterize the laser equations.
@@ -132,7 +134,7 @@ def _coupling(model: EngineModel) -> float:
 
 
 def find_thresholds(
-    model: EngineModel, bracket: tuple[float, float] = (1e-3, 50.0)
+    model: EngineModel, bracket: tuple[float, float] = THRESHOLD_BRACKET
 ) -> list[float]:
     """Hot-bath occupations in ``bracket`` where the gain equals the cavity loss.
 

@@ -17,7 +17,7 @@ zeros past a point's cutoff change no bit, and :func:`exact_grid` finishes
 a whole batch in a few array operations with the numbers
 :func:`solve_model` gives each point alone.  Both solve a point at a cutoff
 1 <= n_max <= 16 030, which fills one batch of ``BATCH_RUNGS`` rung-points
-alone, in 0.14-0.17 s.  They are the independent check on the
+alone, in about 0.17 s.  They are the independent check on the
 closed-form theory in :mod:`heatlaser.photonstats`.  The dense (A F)^2
 :func:`steady_state` of ``core.build_liouvillian(model, n_max)``,
 :func:`partial_trace_atom` and :func:`photon_distribution`, which take
@@ -583,8 +583,8 @@ def exact_grid(
     a bool mask of each point's slots, and the batches are solved one after
     another.  So 16 points at n_max 1000 peak at 7.1 MB, in the residual,
     and one at 16 030 at 7.4 MB (5.5 MB on three levels), in the builder,
-    over its 4.1 MB of cells (traced; TIMING_BATCH and TIMING_LONE s untraced on a
-    2-vCPU Xeon); one dense state at n_max 1000 would take 256 MB.
+    over its 4.1 MB of cells (traced; untraced, fig5 takes 0.025 s and 0.17 s,
+    the medians of 15 runs on a 2-vCPU Xeon); one dense state at n_max 1000 would take 256 MB.
 
     Returns ``(columns, rows, failures)``, each over the points:
 
@@ -670,7 +670,7 @@ def solve_model(model: EngineModel, n_max: int | None = None) -> BlockState:
     A = 0); an explicit ``n_max`` is used as given.  Any cutoff outside
     [1, 16 030] (n_max + 2 > ``BATCH_RUNGS``), automatic or explicit, raises
     :class:`TruncationError` before any assembly.  The state takes O(n_max)
-    memory and time, 0.14-0.17 s at 16 030 (see :func:`exact_grid`).  A
+    memory and time, about 0.17 s at 16 030 (see :func:`exact_grid`).  A
     warning is raised if the exact P[n_max] exceeds 1e-8, before
     :class:`PhotonDistribution` normalises it, once.
     """

@@ -34,7 +34,6 @@ from heatlaser.cli import (
     SWEEP_FIELDS,
     dumps_config,
     load_config,
-    _fmt,
     _write_csv,
     main,
     run_sweep,
@@ -847,8 +846,15 @@ def test_unbalanced_photon_mass_is_refused(tmp_path, capsys):
         assert capsys.readouterr().err.strip() == f"numeric failure: {failures[1]}"
         assert not out.exists()
         records = run_sweep(load_config(path))
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
     statuses = [record["status"] for record in records]
     assert statuses == ["ok", "ok", f"failed: {failures[1]}", "ok", f"failed: {failures[2]}"]
+    # the refusals hold commas: the CSV quotes them, so that each row reads
+    # back as its 18 fields, with no field past the header's
+    with open(out / "case.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert all(list(row) == SWEEP_FIELDS and None not in row.values() for row in rows)
+    assert [row["status"] for row in rows] == statuses
 
 
 @pytest.mark.parametrize("model", [{"g": 1e300}, {"n_c": 1e300}])
@@ -905,20 +911,33 @@ def test_tiny_four_level_bath_rate_runs_without_warning(rate, tmp_path):
     assert all(r["status"] == "ok" and r["n_max"] == 1 for r in records)
 
 
-def test_csv_template_prints_as_fmt(tmp_path):
-    # each record is one %-template of its values' types, and prints what
-    # the _fmt join prints, whatever the types of a column's values
-    records = [
-        {"a": math.nan, "b": math.inf, "c": -math.inf, "d": -0.0, "e": 3, "f": None},
-        {"a": 1e-300, "b": 1e21, "c": "failed: x, y", "d": 0.1, "e": 10**21, "f": 2.0 / 3.0},
-        {"a": None, "b": -7, "c": 1.0, "d": "ok", "e": np.float64(0.1), "f": np.int64(5)},
-        {"a": math.nan, "b": math.inf, "c": -math.inf, "d": -0.0, "e": 3, "f": None},
+def test_csv_template_prints_as_12g(tmp_path):
+    # one %-template per file, from its first row, as each column holds one
+    # kind of value: a number prints as format(float(v), ".12g"), and a text
+    # as it is, or in quotes with its quotes doubled (RFC 4180) when it holds
+    # a comma, a quote, CR or LF, so that csv reads each back as one field
+    columns = {
+        "x": [math.nan, math.inf, -math.inf, -0.0, 3, 2.0 / 3.0],
+        "y": [10**21, 1e-300, np.float64(0.1), np.int64(5), -7, 1e21],
+        "status": ["ok", "failed: x, y", 'failed: "x"', "line\nbreak", "cr\rhere", "failed: x"],
+    }
+    fields = list(columns)
+    records = [dict(zip(fields, values)) for values in zip(*columns.values())]
+    path = tmp_path / "t.csv"
+    _write_csv(path, fields, records)
+    quoted = ["ok", '"failed: x, y"', '"failed: ""x"""', '"line\nbreak"', '"cr\rhere"', "failed: x"]
+    lines = ["x,y,status"] + [
+        f"{format(float(x), '.12g')},{format(float(y), '.12g')},{text}"
+        for x, y, text in zip(columns["x"], columns["y"], quoted)
     ]
-    fields = list(records[0])
-    _write_csv(tmp_path / "t.csv", fields, records)
-    lines = [",".join(fields)] + [",".join(_fmt(row[f]) for f in fields) for row in records]
-    assert (tmp_path / "t.csv").read_text() == "\n".join(lines) + "\n"
-    assert lines[1:3] == ["nan,inf,-inf,-0,3,nan", "1e-300,1e+21,failed: x, y,0.1,1e+21,0.666666666667"]
+    assert path.read_bytes().decode() == "\n".join(lines) + "\n"
+    assert lines[1:4] == ["nan,1e+21,ok", 'inf,1e-300,"failed: x, y"', '-inf,0.1,"failed: ""x"""']
+    assert lines[4:] == ["-0,5," + quoted[3], "3,-7," + quoted[4], "0.666666666667,1e+21,failed: x"]
+    with open(path, newline="") as handle:
+        assert [row["status"] for row in csv.DictReader(handle)] == columns["status"]
+    # no rows: the header alone
+    _write_csv(path, fields, [])
+    assert path.read_text() == "x,y,status\n"
 
 
 def test_distribution_vacuum(tmp_path):
@@ -961,11 +980,12 @@ def test_distribution_wigner_file(tmp_path):
 
 
 def _assert_wigner_lines(lines, distribution):
-    # every line is the point's re, im and value through _fmt, row-major
-    # over im then re, as wigner gives them for the solved distribution
+    # every line is the point's re, im and value as format(float(v), ".12g"),
+    # row-major over im then re, as wigner gives them for the solved
+    # distribution
     field = wigner(distribution)
     expected = [
-        f"{_fmt(x)},{_fmt(y)},{_fmt(field.values[iy, ix])}"
+        f"{float(x):.12g},{float(y):.12g},{float(field.values[iy, ix]):.12g}"
         for iy, y in enumerate(field.im_axis)
         for ix, x in enumerate(field.re_axis)
     ]
