@@ -584,7 +584,8 @@ def exact_grid(
     another.  So 16 points at n_max 1000 peak at 7.1 MB, in the residual,
     and one at 16 030 at 7.4 MB (5.5 MB on three levels), in the builder,
     over its 4.1 MB of cells (traced; untraced, fig5 takes 0.025 s and 0.17 s,
-    the medians of 15 runs on a 2-vCPU Xeon); one dense state at n_max 1000 would take 256 MB.
+    the medians of 15 runs on a 2-vCPU Xeon); one dense state at n_max 1000
+    would take 256 MB.
 
     Returns ``(columns, rows, failures)``, each over the points:
 
